@@ -17,10 +17,21 @@
 # `make trace-smoke` runs a small `compress --trace` end to end and
 # validates the exported Chrome trace-event JSON (cheap CI blocking step).
 
+# `make bench-e2e WORKLOAD=static_sensitivity SEEDS="1 2 3" OUT=runs/B` runs
+# the end-to-end benchmark (`benchmarks/e2e/run.py --trace 0`) once per seed
+# and saves each run's output as `OUT/<workload>.<seed>`; two such
+# directories feed `python3 benchmarks/e2e/compare.py A/ B/`.  SEEDS
+# defaults to ten seeds (the minimum the comparison wants per set); the run
+# length is always BENCHMARK.json's `run_seconds`, so both sides of an A/B
+# run equally long.
+
 PYTHON ?= python
+WORKLOAD ?= static_sensitivity
+SEEDS ?= 1 2 3 4 5 6 7 8 9 10
+OUT ?= .bench-e2e
 
 .PHONY: test test-fast test-parallel bench bench-check bench-check-serial \
-	bench-check-overlap trace-smoke
+	bench-check-overlap trace-smoke bench-e2e
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -46,3 +57,11 @@ bench-check-overlap:
 
 trace-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/trace_smoke.py
+
+bench-e2e:
+	mkdir -p $(OUT)
+	seconds=$$($(PYTHON) -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])') \
+		&& for seed in $(SEEDS); do \
+		$(PYTHON) benchmarks/e2e/run.py --workload $(WORKLOAD) --seed $$seed \
+			--seconds $$seconds --trace 0 > $(OUT)/$(WORKLOAD).$$seed || exit 1; \
+	done

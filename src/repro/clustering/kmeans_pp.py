@@ -22,6 +22,19 @@ binary search — instead of ``generator.choice`` over a freshly normalised
 length-``n`` probability vector.  The selection law is unchanged; only the
 uniform-stream consumption (and therefore fixed-seed outputs relative to the
 seed revision) differs.
+
+With the compiled tier enabled (:mod:`repro.native`), each round is one
+call of the ``kmeanspp_round`` kernel, bound once per seeding call over
+preallocated ``best_squared``/``assignment``/``mass`` buffers: distances to
+the new center (read in place as a row of ``points``), the strict-``<``
+update, the next draw's mass and its cumsum total in a single pass, with no
+per-round ``n x d`` temporaries.  The draw itself is the
+``fkpp_weighted_draw`` scan over the same mass buffer, and the uniform
+variate is consumed under the same finite-and-positive check as
+:func:`~repro.utils.rng.weighted_index_draw`, so centers, assignment and
+cost are bit-identical to the numpy loop (the ``REPRO_NATIVE=0`` path).
+The counters ``kmeanspp.round.native`` / ``kmeanspp.round.numpy`` record
+which path served each call.
 """
 
 from __future__ import annotations
@@ -30,8 +43,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro import observability as _obs
 from repro.clustering.cost import ClusteringSolution
 from repro.geometry.distances import update_nearest_with_new_center
+from repro.native import get_kernel
 from repro.utils.rng import SeedLike, as_generator, weighted_index_draw, weighted_index_draws
 from repro.utils.validation import check_integer, check_points, check_power, check_weights
 
@@ -95,19 +110,44 @@ def kmeans_plus_plus(
     if first < 0:
         first = int(generator.integers(0, n))
     center_indices[0] = first
-    best_squared, assignment = update_nearest_with_new_center(points, points[first], None, None, 0)
 
-    for index in range(1, k):
-        mass = _sampling_weights(best_squared, weights, z)
-        chosen = weighted_index_draw(generator, mass)
-        if chosen < 0:
-            # All remaining points coincide with existing centers; fall back
-            # to uniform selection among the points.
-            chosen = int(generator.integers(0, n))
-        center_indices[index] = chosen
-        best_squared, assignment = update_nearest_with_new_center(
-            points, points[chosen], best_squared, assignment, index
+    round_kernel = get_kernel("kmeanspp_round")
+    draw_kernel = get_kernel("fkpp_weighted_draw")
+    if round_kernel is not None and draw_kernel is not None:
+        best_squared = np.empty(n, dtype=np.float64)
+        assignment = np.empty(n, dtype=np.int64)
+        mass = np.empty(n, dtype=np.float64)
+        run_round = round_kernel(
+            points, np.ascontiguousarray(weights), best_squared, assignment, mass, z
         )
+        _, draw_scan = draw_kernel.bind(mass)
+        total = run_round(first, 0, True)
+        for index in range(1, k):
+            # The same RNG protocol as weighted_index_draw: a uniform variate
+            # only once the total proves finite and positive.
+            if np.isfinite(total) and total > 0.0:
+                chosen = min(draw_scan(generator.random() * total), n - 1)
+            else:
+                chosen = int(generator.integers(0, n))
+            center_indices[index] = chosen
+            total = run_round(chosen, index, False)
+        _obs.counter_add("kmeanspp.round.native", float(k))
+    else:
+        best_squared, assignment = update_nearest_with_new_center(
+            points, points[first], None, None, 0
+        )
+        for index in range(1, k):
+            mass = _sampling_weights(best_squared, weights, z)
+            chosen = weighted_index_draw(generator, mass)
+            if chosen < 0:
+                # All remaining points coincide with existing centers; fall
+                # back to uniform selection among the points.
+                chosen = int(generator.integers(0, n))
+            center_indices[index] = chosen
+            best_squared, assignment = update_nearest_with_new_center(
+                points, points[chosen], best_squared, assignment, index
+            )
+        _obs.counter_add("kmeanspp.round.numpy", float(k))
 
     centers = points[center_indices]
     per_point = best_squared if z == 2 else np.sqrt(best_squared)

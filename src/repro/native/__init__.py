@@ -25,6 +25,7 @@ from repro.native.kernels import (
     reference_fkpp_draw_scan,
     reference_fkpp_level_score,
     reference_fkpp_weighted_draw,
+    reference_kmeanspp_round,
 )
 from repro.native.registry import (
     ENV_FLAG,
@@ -46,6 +47,7 @@ __all__ = [
     "reference_fkpp_draw_scan",
     "reference_fkpp_level_score",
     "reference_fkpp_weighted_draw",
+    "reference_kmeanspp_round",
     "refresh",
     "use_native",
 ]

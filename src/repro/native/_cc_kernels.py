@@ -592,6 +592,41 @@ int64_t repro_fkpp_draw_scan(const double *mass, int64_t n, double u)
     return n;
 }
 
+/* ---------------------------------------------------------------- kmeans++ */
+
+/* One k-means++ round in a single pass over the points: the squared
+ * distance to the new center (einsum-identical, see repro__einsum_sq), the
+ * strict-< improvement of the running nearest distance (a tie keeps the
+ * older center, like np.where(sq < best, ...)), or on round 0 (`init`) the
+ * plain initialisation; then the next draw's D^z mass
+ * mass[i] = weights[i] * best (* sqrt(best) for z = 1) and the sequential
+ * prefix total of that mass -- the same left-to-right add chain as
+ * np.cumsum(mass)[-1], so the caller's finiteness/positivity check and the
+ * later first-exceed scan see exactly the numpy path's doubles. */
+double repro_kmeanspp_round(const double *points, int64_t n, int64_t d,
+                            const double *center, const double *weights,
+                            double *best_squared, int64_t *assignment,
+                            double *mass, int64_t slot, int z, int init)
+{
+    double total = 0.0;
+    int64_t i;
+    for (i = 0; i < n; ++i) {
+        const double sq = repro__einsum_sq(points + i * d, center, d);
+        double best = sq;
+        double m;
+        if (init || sq < best_squared[i]) {
+            best_squared[i] = sq;
+            assignment[i] = slot;
+        } else {
+            best = best_squared[i];
+        }
+        m = weights[i] * (z == 2 ? best : sqrt(best));
+        mass[i] = m;
+        total += m;
+    }
+    return total;
+}
+
 /* ------------------------------------------------------------ crude-approx */
 
 /* One Crude-Approx (Algorithm 2) occupancy probe: refresh the dyadic
@@ -862,6 +897,15 @@ def load_kernels() -> Dict[str, Callable]:
     draw_scan_fast.restype = i64
     draw_scan_fast.argtypes = [ctypes.c_void_p, i64, f64]
 
+    # Raw pointers only: the arrays are validated once, when a seeding call
+    # binds its buffers (see ``kmeanspp_round``).
+    kpp_round = library.repro_kmeanspp_round
+    kpp_round.restype = f64
+    kpp_round.argtypes = [
+        ctypes.c_void_p, i64, i64, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, i64, i32, i32,
+    ]
+
     probe = library.repro_crude_bound_probe
     probe.restype = i64
     probe.argtypes = [pf64, i64, i64, i64, i32, pi64, pf64, pu64, pu64, pu8, i64]
@@ -1113,6 +1157,52 @@ def load_kernels() -> Dict[str, Callable]:
     fkpp_weighted_draw.scan = _draw_scan
     fkpp_weighted_draw.bind = _draw_bind
 
+    def kmeanspp_round(
+        points: np.ndarray,
+        weights: np.ndarray,
+        best_squared: np.ndarray,
+        assignment: np.ndarray,
+        mass: np.ndarray,
+        z: int,
+    ) -> Callable:
+        """Bind one seeding call's buffers; rounds take a center *row index*.
+
+        The returned ``run_round(center_row, slot, init)`` runs one fused
+        round and returns the new mass's prefix total.  It reads the new
+        center straight out of ``points`` (no ``points[row]`` copy) and
+        writes through the bound ``best_squared``/``assignment``/``mass``
+        in place, so the caller must keep using those exact arrays.
+        """
+        if points.ndim != 2:
+            raise ValueError("kmeans++ points must be two-dimensional")
+        n, d = points.shape
+        for array in (points, weights, best_squared, mass):
+            if array.dtype != np.float64 or not array.flags["C_CONTIGUOUS"]:
+                raise ValueError("kmeans++ round arrays must be contiguous float64")
+        if assignment.dtype != np.int64 or not assignment.flags["C_CONTIGUOUS"]:
+            raise ValueError("kmeans++ assignment must be contiguous int64")
+        if any(array.shape[0] != n for array in (weights, best_squared, assignment, mass)):
+            raise ValueError("kmeans++ round buffers must have one entry per point")
+        keep = (points, weights, best_squared, assignment, mass)
+        p_points = points.ctypes.data
+        row_bytes = d * points.itemsize
+        p_weights = weights.ctypes.data
+        p_best = best_squared.ctypes.data
+        p_assignment = assignment.ctypes.data
+        p_mass = mass.ctypes.data
+        z = int(z)
+
+        def run_round(center_row: int, slot: int, init: bool, _keep=keep) -> float:
+            center_row = int(center_row)
+            if not 0 <= center_row < n:
+                raise IndexError(f"center row {center_row} out of range for {n} points")
+            return kpp_round(
+                p_points, n, d, p_points + center_row * row_bytes, p_weights,
+                p_best, p_assignment, p_mass, slot, z, 1 if init else 0,
+            )
+
+        return run_round
+
     def crude_bound_probe(
         scaled: np.ndarray,
         level: int,
@@ -1151,6 +1241,7 @@ def load_kernels() -> Dict[str, Callable]:
         "fkpp_level_score": fkpp_level_score,
         "fkpp_weighted_draw": fkpp_weighted_draw,
         "crude_bound_probe": crude_bound_probe,
+        "kmeanspp_round": kmeanspp_round,
     }
 
 

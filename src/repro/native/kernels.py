@@ -1,6 +1,6 @@
 """Kernel declarations, verifiers, and the public dispatch wrappers.
 
-Seven kernels ride the compiled tier:
+Nine kernels ride the compiled tier:
 
 ``radix_argsort``
     Stable LSD radix argsort over ``uint64``/``int64`` keys.  The contract
@@ -31,6 +31,21 @@ Seven kernels ride the compiled tier:
     with the caller's precomputed per-level ``candidate ** z`` table — no
     accumulation, so bit-identity needs no ordering replica.  No fallback:
     the seeding keeps its inline fancy-indexed sweep in fallback mode.
+
+``fkpp_weighted_draw``
+    The D²-draw of both seedings split into its two observable steps: the
+    sequential ``np.cumsum`` total and the first-exceed scan equal to
+    ``searchsorted(cumsum, u, side="right")``.  No fallback.
+
+``kmeanspp_round``
+    One round of plain k-means++ seeding (:mod:`repro.clustering.kmeans_pp`)
+    in one pass: einsum-identical squared distances to the new center, the
+    strict-``<`` nearest-distance/assignment update, the next draw's D^z
+    mass and its cumsum total.  The kernel is a binder:
+    ``kernel(points, weights, best_squared, assignment, mass, z)`` returns
+    ``run_round(center_row, slot, init) -> total`` over those buffers.
+    C only (the numba provider falls through to ``cc``); no fallback: the
+    seeding keeps its numpy loop.
 
 ``crude_bound_probe``
     One Crude-Approx (Algorithm 2) occupancy probe
@@ -225,6 +240,38 @@ def reference_fkpp_draw_scan(mass: np.ndarray, u: float) -> int:
     the first index whose prefix strictly exceeds ``u``.
     """
     return int(np.searchsorted(np.cumsum(mass), u, side="right"))
+
+
+def reference_kmeanspp_round(
+    points: np.ndarray,
+    center: np.ndarray,
+    weights: np.ndarray,
+    best_squared: np.ndarray,
+    assignment: np.ndarray,
+    mass: np.ndarray,
+    slot: int,
+    z: int,
+    init: bool,
+) -> float:
+    """Oracle of one fused k-means++ round, built from live numpy ops.
+
+    The numpy seeding loop's round, in place: ``einsum`` squared distances
+    to the new center, the strict-``<`` ``np.where`` update of the running
+    nearest distance and assignment (plain initialisation on round 0), the
+    next draw's mass ``weights * best`` (``* sqrt(best)`` for ``z = 1``),
+    and its ``np.cumsum`` total.
+    """
+    delta = points - center[None, :]
+    squared = np.einsum("ij,ij->i", delta, delta)
+    if init:
+        best_squared[...] = squared
+        assignment[...] = slot
+    else:
+        improved = squared < best_squared
+        best_squared[...] = np.where(improved, squared, best_squared)
+        assignment[...] = np.where(improved, slot, assignment)
+    mass[...] = weights * (best_squared if z == 2 else np.sqrt(best_squared))
+    return float(np.cumsum(mass)[-1])
 
 
 def reference_crude_bound_probe(
@@ -587,6 +634,42 @@ def _verify_fkpp_weighted_draw(kernel) -> None:
                 raise RuntimeError(f"draw scan disagrees with searchsorted (n={n}, u={u})")
 
 
+def _verify_kmeanspp_round(kernel) -> None:
+    rng = np.random.default_rng(20260811)
+    # The einsum replica's dimension classes (8-wide blocks, pairwise drain,
+    # scalar tail) plus one overflow case whose distances and mass go to
+    # inf/NaN; a few dozen tiny rounds, since this runs at every resolution.
+    for d, scale in ((1, 1.0), (2, 1.0), (3, 1e155), (8, 1.0), (9, 1.0), (10, 1.0), (17, 1.0)):
+        n = 48
+        points = rng.normal(size=(n, d)) * scale
+        points[::5] = points[2]  # duplicate rows tie at every center
+        weights = rng.uniform(0.1, 3.0, size=n)
+        weights[::7] = 0.0
+        # The third round re-uses the first center: every distance ties the
+        # incumbent exactly and the strict comparison must keep it.
+        rows = (2, int(rng.integers(0, n)), 2, n - 1)
+        for z in (1, 2):
+            expected = [np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)]
+            have = [np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)]
+            run_round = kernel(points, weights, *have, z)
+            for slot, row in enumerate(rows):
+                init = slot == 0
+                with np.errstate(invalid="ignore"):  # 0 * inf mass is NaN
+                    want = reference_kmeanspp_round(
+                        points, points[row], weights, *expected, slot, z, init
+                    )
+                total = run_round(row, slot, init)
+                if not (
+                    (total == want or (np.isnan(total) and np.isnan(want)))
+                    and all(np.array_equal(h, w, equal_nan=True)
+                            for h, w in zip(have, expected))
+                ):
+                    raise RuntimeError(
+                        "kmeans++ round disagrees with the numpy round "
+                        f"(d={d}, z={z}, slot={slot})"
+                    )
+
+
 def _verify_crude_bound_probe(kernel) -> None:
     rng = np.random.default_rng(20260809)
     for d in (1, 2, 3, 7, 8, 16):
@@ -674,6 +757,9 @@ def _register() -> None:
     registry.register_kernel(
         "crude_bound_probe", fallback=None, verify=_verify_crude_bound_probe
     )
+    registry.register_kernel(
+        "kmeanspp_round", fallback=None, verify=_verify_kmeanspp_round
+    )
 
     def _load_numba():
         from repro.native import _numba_kernels
@@ -714,4 +800,5 @@ __all__ = [
     "reference_fkpp_draw_scan",
     "reference_fkpp_level_score",
     "reference_fkpp_weighted_draw",
+    "reference_kmeanspp_round",
 ]

@@ -3,8 +3,24 @@
 import numpy as np
 import pytest
 
+from repro import observability as obs
 from repro.clustering.cost import clustering_cost
 from repro.clustering.kmeans_pp import bicriteria_kmeans_pp, dsquared_sample, kmeans_plus_plus
+from repro.native import get_kernel
+from repro.native.registry import use_native
+
+
+@pytest.fixture(autouse=True, params=[True, False], ids=["native", "fallback"])
+def _dispatch_mode(request):
+    """Run the whole module under both kernel-dispatch modes.
+
+    The seeding promises bit-identical centers, labels, and costs whether
+    the compiled ``kmeanspp_round`` kernel serves each round or the numpy
+    loop runs, so every behavioural test must hold in both modes (on boxes
+    without a compiler both params exercise the fallback).
+    """
+    with use_native(request.param):
+        yield request.param
 
 
 class TestKMeansPlusPlus:
@@ -59,6 +75,18 @@ class TestKMeansPlusPlus:
         solution = kmeans_plus_plus(points, 3, seed=0)
         assert solution.centers.shape == (3, 3)
         assert solution.cost == pytest.approx(0.0)
+
+
+class TestDispatchCounters:
+    def test_rounds_counted_under_the_serving_path(self, blobs):
+        served = "native" if get_kernel("kmeanspp_round") is not None else "numpy"
+        idle = {"native": "numpy", "numpy": "native"}[served]
+        with obs.tracing() as recorder:
+            kmeans_plus_plus(blobs, 5, seed=0)
+            kmeans_plus_plus(blobs, 3, seed=1)
+        counters = recorder.counters()
+        assert counters[f"kmeanspp.round.{served}"] == 8.0
+        assert f"kmeanspp.round.{idle}" not in counters
 
 
 class TestBicriteria:

@@ -21,6 +21,8 @@ tests skip; the tier-control and cross-mode tests still run, because the
 fallback path must behave identically either way.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,7 +30,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.clustering.fast_kmeans_pp import fast_kmeans_plus_plus
+from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.clustering.lloyd import kmeans
+from repro.core.sensitivity import SensitivitySampling
 from repro.core.spread_reduction import crude_cost_upper_bound
 from repro.data.synthetic import gaussian_mixture
 from repro.geometry.quadtree import QuadtreeEmbedding
@@ -42,6 +46,7 @@ from repro.native import (
     reference_fkpp_draw_scan,
     reference_fkpp_level_score,
     reference_fkpp_weighted_draw,
+    reference_kmeanspp_round,
     use_native,
 )
 from repro.native.kernels import _reference_csr_group
@@ -427,6 +432,83 @@ class TestCrudeBoundProbeKernel:
             assert get_kernel("crude_bound_probe") is None
 
 
+def _round_buffers(n):
+    return [np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)]
+
+
+# The C-only kernel resolves to the fallback wherever the cc provider is
+# unavailable or excluded (e.g. ``REPRO_NATIVE=numba``), even though the
+# tier as a whole may still be native there.
+requires_kmeanspp_round = pytest.mark.skipif(
+    kernel_provider("kmeanspp_round") == "fallback",
+    reason="no provider serves the kmeanspp_round kernel",
+)
+
+
+@requires_kmeanspp_round
+class TestKmeansppRoundKernel:
+    """The fused k-means++ round vs the numpy seeding round it replaces."""
+
+    def _run(self, points, weights, rows, z):
+        """Drive the bound kernel and the oracle side by side."""
+        n = points.shape[0]
+        expected, have = _round_buffers(n), _round_buffers(n)
+        run_round = get_kernel("kmeanspp_round")(points, weights, *have, z)
+        for slot, row in enumerate(rows):
+            init = slot == 0
+            want = reference_kmeanspp_round(
+                points, points[row], weights, *expected, slot, z, init
+            )
+            assert run_round(row, slot, init) == want
+            for have_array, want_array in zip(have, expected):
+                np.testing.assert_array_equal(have_array, want_array)
+        return expected
+
+    @pytest.mark.parametrize("d", range(1, 34))
+    def test_every_einsum_dimension_class(self, d):
+        rng = np.random.default_rng(d)
+        points = rng.normal(size=(97, d)) * rng.uniform(0.1, 30.0)
+        rows = rng.integers(0, 97, size=6)
+        self._run(points, np.ones(97), rows, 2)
+
+    def test_round_zero_initialises_every_point(self):
+        rng = np.random.default_rng(0)
+        points = rng.normal(size=(50, 4))
+        best, assignment, mass = self._run(points, np.ones(50), [7], 2)
+        assert np.all(assignment == 0)
+        np.testing.assert_array_equal(best, np.einsum("ij,ij->i", points - points[7], points - points[7]))
+        assert best[7] == 0.0 and mass[7] == 0.0
+
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_weighted_rounds(self, z):
+        rng = np.random.default_rng(10 + z)
+        points = rng.normal(size=(300, 10)) * 5.0
+        weights = rng.uniform(0.0, 4.0, size=300)
+        weights[::9] = 0.0
+        self._run(points, weights, rng.integers(0, 300, size=8), z)
+
+    def test_exact_ties_keep_the_older_center(self):
+        rng = np.random.default_rng(3)
+        points = rng.normal(size=(64, 5))
+        points[32:] = points[:32]  # every point has an exact duplicate
+        # Round 2 re-selects round 0's center and round 3 its duplicate:
+        # every distance ties the incumbent, so nothing may move to them.
+        _, assignment, _ = self._run(points, np.ones(64), [0, 40, 0, 32], 2)
+        assert not np.any(assignment >= 2)
+
+    def test_bound_round_rejects_out_of_range_rows(self):
+        n = 8
+        kernel = get_kernel("kmeanspp_round")
+        run_round = kernel(np.zeros((n, 2)), np.ones(n), *_round_buffers(n), 2)
+        with pytest.raises(IndexError):
+            run_round(n, 0, True)
+
+
+def test_kmeanspp_round_escape_hatch_forces_numpy_rounds():
+    with use_native(False):
+        assert get_kernel("kmeanspp_round") is None
+
+
 class TestTierControl:
     def test_native_status_shape(self):
         status = native_status()
@@ -440,6 +522,7 @@ class TestTierControl:
             "fkpp_level_score",
             "fkpp_weighted_draw",
             "crude_bound_probe",
+            "kmeanspp_round",
         }
         assert "providers" in status
 
@@ -468,7 +551,16 @@ class TestTierControl:
     @requires_native
     def test_native_mode_routes_all_kernels(self):
         status = native_status()
-        for name, entry in status["kernels"].items():
+        shipped = set(status["kernels"])
+        if status["mode"] in status["providers"]:
+            # A forced provider serves only the kernels it ships; the rest
+            # (e.g. the C-only kmeanspp_round under REPRO_NATIVE=numba)
+            # correctly resolve to the fallback.
+            provider = importlib.import_module(f"repro.native._{status['mode']}_kernels")
+            shipped &= set(provider.load_kernels())
+        assert shipped
+        for name in shipped:
+            entry = status["kernels"][name]
             assert entry["provider"] in ("numba", "cc"), (name, entry)
 
 
@@ -506,6 +598,57 @@ class TestCrossModeBitIdentity:
         np.testing.assert_array_equal(native.centers, fallback.centers)
         assert native.cost == fallback.cost
         assert native.iterations == fallback.iterations
+
+    @staticmethod
+    def _assert_kmeanspp_identical(points, k, weights=None, z=2, seed=0):
+        native = kmeans_plus_plus(points, k, weights=weights, z=z, seed=seed)
+        with use_native(False):
+            fallback = kmeans_plus_plus(points, k, weights=weights, z=z, seed=seed)
+        np.testing.assert_array_equal(native.centers, fallback.centers)
+        np.testing.assert_array_equal(native.assignment, fallback.assignment)
+        assert native.cost == fallback.cost
+        return native
+
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_kmeanspp_identical_on_generic_input(self, z):
+        points = gaussian_mixture(n=4000, d=9, n_clusters=12, gamma=1.0, seed=z).points
+        weights = np.random.default_rng(z).uniform(0.05, 3.0, points.shape[0])
+        self._assert_kmeanspp_identical(points, 40, z=z, seed=z)
+        self._assert_kmeanspp_identical(points, 40, weights=weights, z=z, seed=z)
+
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_kmeanspp_identical_on_all_duplicate_points(self, z):
+        # Zero total mass after round 0: every later round takes the
+        # uniform fallback draw.
+        points = np.tile([[1.5, -2.0, 3.0]], (200, 1))
+        solution = self._assert_kmeanspp_identical(points, 7, z=z)
+        assert solution.cost == 0.0
+
+    def test_kmeanspp_identical_on_all_zero_weights(self):
+        points = np.random.default_rng(5).normal(size=(300, 4))
+        self._assert_kmeanspp_identical(points, 9, weights=np.zeros(300))
+
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_kmeanspp_identical_when_distances_overflow(self, z):
+        # Squared distances of ~1e155 coordinates overflow to inf, so the
+        # mass total is non-finite and every round takes the uniform draw.
+        points = np.random.default_rng(6).normal(size=(250, 3)) * 1e155
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._assert_kmeanspp_identical(points, 6, z=z)
+
+    def test_kmeanspp_identical_when_k_reaches_n(self):
+        points = np.random.default_rng(7).normal(size=(12, 3))
+        for k in (12, 20):
+            solution = self._assert_kmeanspp_identical(points, k)
+            np.testing.assert_array_equal(solution.centers, points)
+
+    def test_sensitivity_coreset_identical(self):
+        points = gaussian_mixture(n=20_000, d=10, n_clusters=25, gamma=1.0, seed=8).points
+        native = SensitivitySampling(50).sample(points, 1000, seed=8)
+        with use_native(False):
+            fallback = SensitivitySampling(50).sample(points, 1000, seed=8)
+        assert native.points.tobytes() == fallback.points.tobytes()
+        assert native.weights.tobytes() == fallback.weights.tobytes()
 
     @pytest.mark.parametrize("n,d,seed", [(3000, 2, 0), (2000, 16, 1)])
     def test_quadtree_fit_identical(self, n, d, seed):

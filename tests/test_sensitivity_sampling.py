@@ -12,6 +12,19 @@ from repro.core.sensitivity import (
     sample_by_scores,
     sensitivity_scores,
 )
+from repro.native.registry import use_native
+
+
+@pytest.fixture(autouse=True, params=[True, False], ids=["native", "fallback"])
+def _dispatch_mode(request):
+    """Run the whole module under both kernel-dispatch modes.
+
+    Every construction here seeds its candidate solution with k-means++,
+    whose compiled ``kmeanspp_round`` path must be bit-identical to the
+    numpy loop, so scores and coresets must behave the same in both modes.
+    """
+    with use_native(request.param):
+        yield request.param
 
 
 class TestSensitivityScores:
