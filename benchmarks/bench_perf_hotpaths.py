@@ -35,14 +35,6 @@ Measured components per ``(n, d, k)`` workload:
   fixed shard layout.  Both sides produce bit-identical coresets, so the
   ratio times pure execution overhead/speedup; the achievable speedup is
   capped by the machine's core count (a single-core CI box records ~1x).
-* ``async_stream`` — the overlapped streaming pipeline (double-buffered
-  prefetch, async executor at the row's worker count: the serial inline
-  backend at workers=1 — the CLI's one-worker default — and the persistent
-  thread pool beyond) vs the synchronous serial-executor pipeline on the
-  identical spawn-keyed stream.  The two produce bit-identical coresets,
-  so the ratio times the async machinery itself: at workers=1 it must not
-  fall below ~1x (the acceptance gate — overlap may not cost anything),
-  and extra workers add whatever the GIL releases (nothing on one core).
 * ``overlap_reduce`` — the overlapped-reduction streaming pipeline (every
   merge-&-reduce fold submitted to the async pool the moment both inputs
   exist, chained on their futures) vs the identical async pipeline with
@@ -104,8 +96,8 @@ Measured components per ``(n, d, k)`` workload:
   sides so the ratio times the probe-dominated fold itself; same fallback
   demotion.  ``--components native`` selects all four compiled-tier rows.
 
-Multi-worker rows (``parallel_shard`` / ``async_stream`` /
-``overlap_reduce`` beyond one worker) record a ``cores`` field and are
+Multi-worker rows (``parallel_shard`` / ``overlap_reduce`` beyond one
+worker) record a ``cores`` field and are
 marked ``informational`` when the
 recording machine has fewer cores than the row's worker count: a pool
 cannot beat serial execution without cores to run on, so such rows are
@@ -141,9 +133,8 @@ from repro.core.spread_reduction import crude_cost_upper_bound
 from repro.data.synthetic import gaussian_mixture
 from repro.geometry.quadtree import QuadtreeEmbedding, compute_spread
 from repro.parallel import (
-    ProcessExecutor,
+    ProcessAsyncExecutor,
     SerialAsyncExecutor,
-    SerialExecutor,
     ShardedCoresetBuilder,
     ThreadAsyncExecutor,
 )
@@ -184,9 +175,7 @@ REGRESSION_TOLERANCE = 0.20
 #: (measured: 1.24 vs 1.80 across idle/busy runs of an identical build).
 #: The wide tolerance keeps the rows guarded against catastrophic
 #: regressions (a doubled ratio) without turning scheduler noise into a red
-#: gate.  ``async_stream`` divides two pipeline wall-clocks whose
-#: difference is a handful of thread hand-offs, so scheduler jitter
-#: dominates the same way.  Rows whose worker count exceeds the recording
+#: gate.  Rows whose worker count exceeds the recording
 #: machine's core count are excluded from the guard entirely (marked
 #: ``informational`` at record time) — a pool cannot beat serial execution
 #: without cores to run on, so their ratios are pure noise.
@@ -200,7 +189,6 @@ REGRESSION_TOLERANCE = 0.20
 #: from ~0.45 toward 1.0 (>+100%).
 COMPONENT_TOLERANCE = {
     "parallel_shard": 1.00,
-    "async_stream": 1.00,
     "overlap_reduce": 1.00,
     "windowed_stream_slide": 0.50,
     "windowed_stream_decay": 0.50,
@@ -209,7 +197,7 @@ COMPONENT_TOLERANCE = {
 #: Components whose rows depend on real hardware concurrency: the ``k``
 #: column carries the worker count, and rows recorded with fewer cores than
 #: workers are stamped ``informational``.
-PARALLEL_COMPONENTS = {"parallel_shard", "async_stream", "overlap_reduce"}
+PARALLEL_COMPONENTS = {"parallel_shard", "overlap_reduce"}
 
 #: Components whose optimized side is the compiled kernel tier.  Rows are
 #: stamped ``informational`` when the tier resolves to fallback mode (no
@@ -292,9 +280,6 @@ QUICK_WORKLOADS = [
     ("parallel_shard_n200k_d10_w1", 200_000, 10, 1, "parallel_shard"),
     ("parallel_shard_n200k_d10_w2", 200_000, 10, 2, "parallel_shard"),
     ("parallel_shard_n200k_d10_w4", 200_000, 10, 4, "parallel_shard"),
-    # The k column carries the async worker count for these rows.
-    ("async_stream_n40k_d10_w1", 40_000, 10, 1, "async_stream"),
-    ("async_stream_n40k_d10_w2", 40_000, 10, 2, "async_stream"),
     # The k column carries the async worker count; overlapped reduces vs
     # the leaf-only-async pipeline at the same worker count.
     ("overlap_reduce_n40k_d10_w1", 40_000, 10, 1, "overlap_reduce"),
@@ -333,6 +318,9 @@ def run_workload(
     extras: dict = {}
     optimized_fn = None
     pair: dict = {}
+    # Closers for resources a branch keeps open across the interleaved
+    # repeats and the --spans re-run (the process pool).
+    cleanup: list = []
 
     def _one_shot(fn) -> float:
         start = time.perf_counter()
@@ -558,54 +546,6 @@ def run_workload(
         sampler = StreamKMPlusPlus(coreset_size=m, seed=0)
         optimized = _timed(lambda: sampler.sample(points, m, seed=2), repeats)
         seed_time = _best_of(lambda: seed_streamkm_reduce(points, weights, m, seed=2), repeats)
-    elif component == "async_stream":
-        workers = k  # the k column doubles as the async worker count
-        m = 40 * PARALLEL_K
-        sampler = FastCoreset(k=PARALLEL_K, seed=0)
-        diagnostics: dict = {}
-
-        def _run_async_stream() -> None:
-            # workers=1 is the CLI's default async configuration: leaves
-            # compress inline while the reader thread prefetches; the
-            # thread pool only enters the picture with real concurrency.
-            executor = (
-                SerialAsyncExecutor()
-                if workers == 1
-                else ThreadAsyncExecutor(workers=workers)
-            )
-            try:
-                pipeline = StreamingCoresetPipeline(
-                    sampler=sampler,
-                    coreset_size=m,
-                    seed=1,
-                    executor=executor,
-                    prefetch_batches=2,
-                )
-                pipeline.run(DataStream.with_block_count(points, STREAM_BLOCKS))
-            finally:
-                executor.close()
-            diagnostics["optimized"] = pipeline.last_diagnostics
-
-        def _run_sync_stream() -> None:
-            # The "seed" column is the synchronous serial-executor pipeline
-            # on the identical spawn-keyed stream (bit-identical output).
-            pipeline = StreamingCoresetPipeline(
-                sampler=sampler,
-                coreset_size=m,
-                seed=1,
-                executor=SerialExecutor(),
-            )
-            pipeline.run(DataStream.with_block_count(points, STREAM_BLOCKS))
-            diagnostics["baseline"] = pipeline.last_diagnostics
-
-        optimized = _timed(_run_async_stream, repeats)
-        seed_time = _best_of(_run_sync_stream, repeats)
-        extras["host_reduce_seconds"] = round(
-            diagnostics["optimized"]["host_reduce_seconds"], 6
-        )
-        extras["host_reduce_seconds_baseline"] = round(
-            diagnostics["baseline"]["host_reduce_seconds"], 6
-        )
     elif component == "overlap_reduce":
         workers = k  # the k column doubles as the async worker count
         m = 40 * PARALLEL_K
@@ -649,10 +589,13 @@ def run_workload(
             coreset_size_per_shard=40 * PARALLEL_K,
             seed=3,
         )
-        process = ProcessExecutor(workers=workers)
+        process = ProcessAsyncExecutor(workers=workers)
+        cleanup.append(process.close)
         optimized = _timed(lambda: builder.build(points, executor=process), repeats)
         # The "seed" column is the serial baseline of the identical build.
-        seed_time = _best_of(lambda: builder.build(points, executor=SerialExecutor()), repeats)
+        seed_time = _best_of(
+            lambda: builder.build(points, executor=SerialAsyncExecutor()), repeats
+        )
     else:
         raise ValueError(f"unknown component {component!r}")
     # Interleave the remaining repeats optimized/seed/optimized/seed instead
@@ -679,6 +622,8 @@ def run_workload(
             }
             for span_name, rollup in recorder.metrics()["spans"].items()
         }
+    for close in cleanup:
+        close()
     cores = available_cores()
     row = {
         "name": name,

@@ -8,22 +8,18 @@ its shard independently and the host merges the messages in one round.
 
 This example runs that recipe for real through the parallel execution
 engine (:mod:`repro.parallel`): the same sharded build is executed on the
-serial backend, on the shared-memory process backend at 1, 2, and 4
-workers, and on the **asynchronous** persistent-pool backend (``submit`` →
-futures, each shard handed to the host the moment it completes), with
-measured wall-clock per configuration.  Two properties to watch in the
-output:
+serial backend and on the shared-memory process backend at 1, 2, and 4
+workers (``submit`` → futures, each shard handed to the host the moment it
+completes), with measured wall-clock per configuration.  Two properties to
+watch in the output:
 
 * the coresets are **bit-identical** in every configuration — the shard
-  count and the seed key the result; backend, worker count, and sync/async
-  scheduling only change how fast it is produced (the spawn-keyed seed
-  protocol documented in ``src/repro/parallel/README.md`` is why completion
-  order cannot matter);
-* the speedup tracks the machine: on an N-core box the process backends
-  approach min(N, workers)x on this workload, while on a single core they
-  dip below 1x (the workers time-slice one core and pay pool overhead);
-  the async backend additionally amortises pool start-up across builds by
-  keeping its workers alive.
+  count and the seed key the result; backend and worker count only change
+  how fast it is produced (the spawn-keyed seed protocol documented in
+  ``src/repro/parallel/README.md`` is why completion order cannot matter);
+* the speedup tracks the machine: on an N-core box the process backend
+  approaches min(N, workers)x on this workload, while on a single core it
+  dips below 1x (the workers time-slice one core and pay pool overhead).
 
 Run with::
 
@@ -39,12 +35,7 @@ from repro.clustering.cost import clustering_cost
 from repro.core import FastCoreset
 from repro.data import census_like
 from repro.evaluation import coreset_distortion
-from repro.parallel import (
-    ProcessAsyncExecutor,
-    ProcessExecutor,
-    SerialExecutor,
-    ShardedCoresetBuilder,
-)
+from repro.parallel import ProcessAsyncExecutor, SerialAsyncExecutor, ShardedCoresetBuilder
 
 
 def main() -> None:
@@ -64,13 +55,9 @@ def main() -> None:
         seed=0,
     )
 
-    configurations = (
-        [("serial", SerialExecutor())]
-        + [(f"process x{workers}", ProcessExecutor(workers=workers)) for workers in (1, 2, 4)]
-        # The async variant: same spawn-keyed shard seeds through the
-        # persistent pool, with the host collecting shards as they complete.
-        + [(f"async x{workers}", ProcessAsyncExecutor(workers=workers)) for workers in (2, 4)]
-    )
+    configurations = [("serial", SerialAsyncExecutor())] + [
+        (f"process x{workers}", ProcessAsyncExecutor(workers=workers)) for workers in (1, 2, 4)
+    ]
     results = {}
     baseline = None
     for label, executor in configurations:

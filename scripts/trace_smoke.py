@@ -1,7 +1,7 @@
 """End-to-end smoke for the trace exporter (the `make trace-smoke` gate).
 
-Runs a small `compress --async --shards 4 --trace` through the real CLI in
-a subprocess, then checks that the trace file is valid Chrome trace-event
+Runs a small `compress --shards 4 --trace` through the real CLI in a
+subprocess, then checks that the trace file is valid Chrome trace-event
 JSON (required keys, monotone timestamps, matched B/E pairs per track) and
 that the expected pipeline stages actually appear.  Cheap enough to run as
 a blocking CI step; the thread backend keeps it independent of the
@@ -48,7 +48,6 @@ def main() -> int:
             "8",
             "--m",
             "200",
-            "--async",
             "--shards",
             "4",
             "--backend",

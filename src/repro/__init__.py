@@ -35,14 +35,7 @@ from repro.core import (
 )
 from repro.clustering import kmeans, kmedian, kmeans_plus_plus, fast_kmeans_plus_plus
 from repro.evaluation import coreset_distortion, solution_cost_on_dataset
-from repro.parallel import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ShardedCoresetBuilder,
-    ThreadExecutor,
-    resolve_executor,
-)
+from repro.parallel import ShardedCoresetBuilder
 from repro.streaming import BicoCoreset, StreamKMPlusPlus, StreamingCoresetPipeline
 from repro.distributed import MapReduceCoresetAggregator
 
@@ -66,12 +59,7 @@ __all__ = [
     "fast_kmeans_plus_plus",
     "coreset_distortion",
     "solution_cost_on_dataset",
-    "Executor",
-    "ProcessExecutor",
-    "SerialExecutor",
     "ShardedCoresetBuilder",
-    "ThreadExecutor",
-    "resolve_executor",
     "BicoCoreset",
     "StreamKMPlusPlus",
     "StreamingCoresetPipeline",

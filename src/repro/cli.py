@@ -14,9 +14,8 @@ The CLI is the thinnest useful wrapper around the library for pipeline use:
 construction metadata; with ``--workers``/``--backend`` it shards the
 dataset and compresses the shards concurrently through the parallel
 execution engine (``--shards`` keys the result; the worker count and
-backend only change wall-clock time).  ``--async`` runs the same sharded
-build on the persistent-pool asynchronous executor (shards collected
-as they complete; still bit-identical for a fixed seed and shard count), and
+backend only change wall-clock time).  Shards are collected as they
+complete and the union is re-compressed as one more pool task.
 ``--prefetch-batches N`` switches to the overlapped *streaming* pipeline:
 the input is consumed in blocks — memory-mapped for float64 ``.npy`` files,
 never materialised — while a reader thread prefetches the next batch from
@@ -58,12 +57,7 @@ from repro.core import (
 from repro.evaluation import coreset_distortion
 from repro.evaluation.advisor import diagnose_dataset, recommend_sampler
 from repro.native import native_status
-from repro.parallel import (
-    BACKENDS,
-    ShardedCoresetBuilder,
-    resolve_async_executor,
-    resolve_executor,
-)
+from repro.parallel import BACKENDS, ShardedCoresetBuilder, resolve_async_executor
 from repro.streaming import (
     DataStream,
     ExponentialDecay,
@@ -161,7 +155,7 @@ def _compress_streaming(arguments: argparse.Namespace, sampler, backend: str) ->
             executor.close()
     diagnostics = pipeline.last_diagnostics
     execution = {
-        "backend": "serial" if executor is None else f"async+{executor.name}",
+        "backend": "serial" if executor is None else executor.name,
         "workers": 1 if executor is None else executor.workers,
         "mode": "streaming" if policy is None else f"windowed_streaming[{policy.name}]",
         "blocks": int(statistics["blocks"]),
@@ -217,6 +211,12 @@ def _command_compress(arguments: argparse.Namespace) -> int:
     if arguments.blocks is not None and arguments.blocks < 1:
         print("error: --blocks must be at least 1", file=sys.stderr)
         return 2
+    if arguments.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
+        return 2
+    if arguments.shards is not None and arguments.shards < 1:
+        print("error: --shards must be at least 1", file=sys.stderr)
+        return 2
     if arguments.drift_threshold is not None and arguments.window is None and arguments.decay is None:
         print(
             "error: --drift-threshold requires a window policy (--window or --decay)",
@@ -239,16 +239,7 @@ def _command_compress(arguments: argparse.Namespace) -> int:
             )
             return 2
     sampler = _build_sampler(arguments.method, arguments.k, arguments.z, arguments.seed)
-    shards = arguments.shards if arguments.shards is not None else max(1, arguments.workers)
-    if arguments.async_execution and arguments.prefetch_batches is None and shards <= 1:
-        # The single-shot sampler path has nothing to overlap; dropping the
-        # flag silently would misreport what ran.
-        print(
-            "error: --async requires a sharded build (--shards or --workers > 1) "
-            "or --prefetch-batches (streaming compression)",
-            file=sys.stderr,
-        )
-        return 2
+    shards = arguments.shards if arguments.shards is not None else arguments.workers
     tracing = arguments.trace is not None or arguments.metrics
     if tracing:
         _obs.start_tracing()
@@ -287,9 +278,7 @@ def _run_compress(arguments: argparse.Namespace, sampler, shards: int) -> dict:
         if shards > 1:
             # Sharded path: each shard is compressed to the target size, the
             # union re-compressed to it.  The coreset is keyed by --shards and
-            # --seed only; --backend/--workers/--async change wall-clock, not
-            # bytes (async runs the same spawn-keyed shard seeds through the
-            # persistent pool with an overlapped host-side fold).
+            # --seed only; --backend/--workers change wall-clock, not bytes.
             builder = ShardedCoresetBuilder(
                 sampler,
                 n_shards=shards,
@@ -297,10 +286,7 @@ def _run_compress(arguments: argparse.Namespace, sampler, shards: int) -> dict:
                 final_coreset_size=m,
                 seed=arguments.seed,
             )
-            if arguments.async_execution:
-                executor = resolve_async_executor(backend, workers=arguments.workers)
-            else:
-                executor = resolve_executor(backend, workers=arguments.workers)
+            executor = resolve_async_executor(backend, workers=arguments.workers)
             try:
                 build = builder.build(points, executor=executor)
             finally:
@@ -430,15 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with a single shard the plain (non-sharded) sampler path runs",
     )
     compress.add_argument(
-        "--async",
-        dest="async_execution",
-        action="store_true",
-        help="run the sharded build on the persistent-pool asynchronous "
-        "executor (submit/futures, shards collected as they complete); the "
-        "coreset is bit-identical to the synchronous build for the same "
-        "--seed and --shards",
-    )
-    compress.add_argument(
         "--prefetch-batches",
         type=int,
         default=None,
@@ -446,9 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="overlapped streaming compression instead of the sharded build: "
         "consume the input in blocks (memory-mapped for float64 .npy files) "
         "while a reader thread prefetches up to N batches ahead of the "
-        "compressing pool; implies --async, is mutually exclusive with "
-        "--shards, and the result is keyed by --seed and the block "
-        "structure (N changes wall-clock only)",
+        "compressing pool; mutually exclusive with --shards, and the result "
+        "is keyed by --seed and the block structure (N changes wall-clock "
+        "only)",
     )
     compress.add_argument(
         "--window",

@@ -35,7 +35,7 @@ from repro.utils.rng import SeedLike, as_generator, random_seed_from
 from repro.utils.validation import check_integer, check_points, check_weights
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.parallel.executor import Executor
+    from repro.parallel.executor import AsyncExecutor
 
 
 @dataclass
@@ -142,7 +142,7 @@ class MapReduceCoresetAggregator:
         points: np.ndarray,
         *,
         weights: Optional[np.ndarray] = None,
-        executor: Union[None, str, "Executor"] = None,
+        executor: Union[None, str, "AsyncExecutor"] = None,
     ) -> MapReduceRound:
         """Execute the map, shuffle, and reduce phases on ``points``.
 
@@ -154,7 +154,7 @@ class MapReduceCoresetAggregator:
             ``None`` (default) keeps the historical sequential simulation,
             including its RNG stream — existing seeds reproduce exactly.
             A backend name (``"serial"``, ``"thread"``, ``"process"``) or an
-            :class:`~repro.parallel.executor.Executor` instance runs the map
+            :class:`~repro.parallel.executor.AsyncExecutor` instance runs the map
             phase through the parallel engine instead: per-shard randomness
             is then spawn-keyed from the aggregator seed, so the round is
             bit-identical across backends and worker counts (but differs
@@ -212,7 +212,7 @@ class MapReduceCoresetAggregator:
         self,
         points: np.ndarray,
         weights: Optional[np.ndarray],
-        executor: Union[str, "Executor"],
+        executor: Union[str, "AsyncExecutor"],
     ) -> MapReduceRound:
         """The map phase on the parallel engine (spawn-keyed randomness)."""
         from repro.parallel.sharded import ShardedCoresetBuilder

@@ -5,8 +5,8 @@ Before this module, execution diagnostics rode two ad-hoc dict channels —
 ``ShardedBuildResult.diagnostics`` — with overlapping but undocumented key
 sets.  :class:`ExecutionDiagnostics` is the single typed carrier for both.
 It is deliberately **mode-dependent** data: wall-clock and scheduling
-counters that legitimately differ across {serial, thread, process} ×
-{sync, async} runs.  Mode-invariant statistics (coreset bytes, reduction
+counters that legitimately differ across {serial, thread, process}
+backends, worker counts and overlap modes.  Mode-invariant statistics (coreset bytes, reduction
 counts compared across backends) stay on their own channels so the
 equivalence suites keep comparing byte-exact values — see
 ``parallel/README.md``.

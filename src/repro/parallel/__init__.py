@@ -2,11 +2,11 @@
 
 The subsystem has three layers:
 
-* :mod:`repro.parallel.executor` — the synchronous :class:`Executor` and
-  asynchronous :class:`AsyncExecutor` contracts with their serial / thread /
-  shared-memory process backends (the process backends ship shards as
-  offsets into shared memory; the async process backend keeps a persistent
-  pool with attach-once segment reuse);
+* :mod:`repro.parallel.executor` — the :class:`AsyncExecutor` contract
+  (futures, ordered ``map``, windowed ``map_unordered``) with its serial /
+  thread / shared-memory process backends (the process backend ships shards
+  as offsets into shared memory and keeps a persistent pool with
+  attach-once segment reuse);
 * :mod:`repro.parallel.sharding` — deterministic partitioning and the
   spawn-keyed per-shard seed derivation;
 * :mod:`repro.parallel.sharded` — :class:`ShardedCoresetBuilder`, the
@@ -24,16 +24,11 @@ from repro.parallel.executor import (
     BACKENDS,
     ArrayPayload,
     AsyncExecutor,
-    Executor,
     ProcessAsyncExecutor,
-    ProcessExecutor,
     SerialAsyncExecutor,
-    SerialExecutor,
     ThreadAsyncExecutor,
-    ThreadExecutor,
     chain_future,
     resolve_async_executor,
-    resolve_executor,
     submit_when_ready,
 )
 from repro.parallel.sharded import ShardedBuildResult, ShardedCoresetBuilder
@@ -43,16 +38,11 @@ __all__ = [
     "BACKENDS",
     "ArrayPayload",
     "AsyncExecutor",
-    "Executor",
     "ProcessAsyncExecutor",
-    "ProcessExecutor",
     "SerialAsyncExecutor",
-    "SerialExecutor",
     "ThreadAsyncExecutor",
-    "ThreadExecutor",
     "chain_future",
     "resolve_async_executor",
-    "resolve_executor",
     "submit_when_ready",
     "ShardedBuildResult",
     "ShardedCoresetBuilder",

@@ -2,40 +2,34 @@
 
 The paper's Section 2.3 observation — coresets of disjoint shards compose by
 union — makes compression *embarrassingly parallel*: every unit of work is a
-pure function of ``(a slice of the dataset, a task description)``.  Two
-contracts encode exactly that and nothing more:
-
-* :class:`Executor` — the synchronous contract (``map`` blocks until every
-  task returned, results in task order).  Backends:
-  :class:`SerialExecutor` (the bit-for-bit reference),
-  :class:`ThreadExecutor`, and :class:`ProcessExecutor` (shared-memory
-  process pool — the backend that actually uses multiple cores).
-* :class:`AsyncExecutor` — the overlapped contract (``submit`` returns a
-  :class:`concurrent.futures.Future`; ``map_unordered`` yields results as
-  they complete under a bounded in-flight window).  Backends:
-  :class:`SerialAsyncExecutor`, :class:`ThreadAsyncExecutor`, and
-  :class:`ProcessAsyncExecutor` (a **long-lived** pool whose workers attach
-  each shared-memory segment once and reuse it across calls).
+pure function of ``(a slice of the dataset, a task description)``.  One
+contract encodes exactly that and nothing more: :class:`AsyncExecutor`
+(``submit`` returns a :class:`concurrent.futures.Future`; ``map_unordered``
+yields results as they complete under a bounded in-flight window; the
+blocking ``map`` gathers them in task order).  Backends:
+:class:`SerialAsyncExecutor` (tasks run inline — the bit-for-bit
+reference), :class:`ThreadAsyncExecutor`, and :class:`ProcessAsyncExecutor`
+(a **long-lived** shared-memory process pool whose workers attach each
+segment once and reuse it across calls — the backend that actually uses
+multiple cores).  :func:`resolve_async_executor` turns ``None`` or a
+backend name into an instance.
 
 Determinism is the design center: executors never touch randomness.  Every
 task arrives with its own spawn-keyed seed (see
 :func:`repro.utils.rng.keyed_seed_sequence`) and the task functions are
-pure, so every backend at every worker count — and, for the async contract,
-every completion order and window size — produces bit-identical outputs.
-The consumers (sharded builder, merge-&-reduce tree) are responsible for
-*folding* results in a completion-order-independent way; the equivalence
-suite (``tests/test_async_equivalence.py``) pins the combination.
+pure, so every backend at every worker count, completion order and window
+size produces bit-identical outputs.  The consumers (sharded builder,
+merge-&-reduce tree) are responsible for *folding* results in a
+completion-order-independent way; the equivalence suite
+(``tests/test_async_equivalence.py``) pins the combination.
 
-Segment lifetime (the process backends)
----------------------------------------
-The fresh-pool path publishes the payload into brand-new shared-memory
-segments per ``map`` call and unlinks them when the call returns; workers
-attach in the pool initializer and keep the attachment alive for the pool's
-(short) lifetime.  The persistent-pool path instead *leases* segments from a
-free list owned by the executor: a publication holds its segments until the
-last task referencing it completes, then returns them to the free list for
-the next call to overwrite — so a long stream of small ``map`` calls touches
-a constant number of segments.  Workers attach **once per segment name**
+Segment lifetime (the process backend)
+--------------------------------------
+Publications *lease* segments from a free list owned by the executor: a
+publication holds its segments until the last task referencing it
+completes, then returns them to the free list for the next call to
+overwrite — so a long stream of small ``map`` calls touches a constant
+number of segments.  Workers attach **once per segment name**
 (:data:`_WORKER_SEGMENT_CACHE`) and close every cached attachment through a
 :class:`multiprocessing.util.Finalize` hook when the pool shuts down;
 the parent unlinks every segment it ever created in
@@ -43,7 +37,10 @@ the parent unlinks every segment it ever created in
 resource-tracker process, so the attach-time registration lands in the same
 cache the create-time registration populated (re-adding is a no-op) and the
 parent's ``unlink`` retires each name exactly once — workers must do no
-tracker bookkeeping of their own.
+tracker bookkeeping of their own.  A worker that dies mid-task (``os._exit``,
+an OOM kill) breaks the pool: its in-flight tasks fail with
+:class:`~concurrent.futures.process.BrokenProcessPool`, and the next
+submission retires the dead pool and starts a fresh one.
 """
 
 from __future__ import annotations
@@ -58,6 +55,7 @@ from concurrent.futures import Future
 from concurrent.futures import ProcessPoolExecutor as _FuturesProcessPool
 from concurrent.futures import ThreadPoolExecutor as _FuturesThreadPool
 from concurrent.futures import wait as _wait_futures
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -67,8 +65,7 @@ import numpy as np
 from repro import observability as _obs
 from repro.utils.validation import check_integer
 
-#: Backend names accepted by :func:`resolve_executor`,
-#: :func:`resolve_async_executor`, and the CLI.
+#: Backend names accepted by :func:`resolve_async_executor` and the CLI.
 BACKENDS = ("serial", "thread", "process")
 
 
@@ -77,8 +74,8 @@ class ArrayPayload:
     """The read-only dataset a batch of tasks slices into.
 
     Serial and thread backends hand the arrays to the task function as-is;
-    the process backends copy them into shared memory (once per ``map`` /
-    ``submit_many`` call) and reconstruct zero-copy views inside every
+    the process backend copies them into shared memory (once per ``map`` /
+    ``submit_many`` call) and reconstructs zero-copy views inside every
     worker.
     """
 
@@ -91,95 +88,12 @@ class ArrayPayload:
 TaskFunction = Callable[[Optional[ArrayPayload], Any], Any]
 
 
-class Executor(abc.ABC):
-    """Run a batch of pure tasks and return their results in task order."""
-
-    name: str = "abstract"
-
-    def __init__(self, *, workers: int = 1) -> None:
-        self.workers = check_integer(workers, name="workers")
-
-    @abc.abstractmethod
-    def map(
-        self,
-        fn: TaskFunction,
-        tasks: Sequence[Any],
-        *,
-        payload: Optional[ArrayPayload] = None,
-    ) -> List[Any]:
-        """Evaluate ``fn(payload, task)`` for every task, preserving order."""
-
-    def close(self) -> None:
-        """Release any long-lived resources (pools, shared segments)."""
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(backend={self.name!r}, workers={self.workers})"
-
-
-class SerialExecutor(Executor):
-    """The in-process reference backend: a plain loop, one worker."""
-
-    name = "serial"
-
-    def __init__(self) -> None:
-        super().__init__(workers=1)
-
-    def map(
-        self,
-        fn: TaskFunction,
-        tasks: Sequence[Any],
-        *,
-        payload: Optional[ArrayPayload] = None,
-    ) -> List[Any]:
-        return [fn(payload, task) for task in tasks]
-
-
-class ThreadExecutor(Executor):
-    """A thread-pool backend sharing the caller's address space.
-
-    Task functions receive the payload arrays directly (no copy).  The GIL
-    serialises pure-Python sections, so speedups come only from NumPy/BLAS
-    sections that release it — the backend's main value is exercising the
-    executor contract cheaply and overlapping I/O on memory-mapped data.
-    """
-
-    name = "thread"
-
-    def map(
-        self,
-        fn: TaskFunction,
-        tasks: Sequence[Any],
-        *,
-        payload: Optional[ArrayPayload] = None,
-    ) -> List[Any]:
-        if not tasks:
-            return []
-        with _FuturesThreadPool(max_workers=min(self.workers, len(tasks))) as pool:
-            return list(pool.map(lambda task: fn(payload, task), tasks))
-
-
 # ---------------------------------------------------------------------------
-# Process backends: shared-memory publication + pool workers.
+# Process backend: shared-memory publication + pool workers.
 # ---------------------------------------------------------------------------
 
 #: Descriptor of one shared array: (segment name, shape, dtype string).
 _ArrayDescriptor = Tuple[str, Tuple[int, ...], str]
-
-#: Set by the pool initializer inside every fresh-pool worker.
-_WORKER_PAYLOAD: Optional[ArrayPayload] = None
-
-#: The fresh-pool worker's attached segments.  They MUST outlive the payload
-#: views: dropping the last reference to an attached ``SharedMemory`` runs
-#: its ``__del__``/``close`` and tears down the mapping under the live
-#: views, killing the worker on first access.  The pool is per-``map`` on
-#: this path, so the attachments live exactly as long as the call.
-_WORKER_SEGMENTS: List[shared_memory.SharedMemory] = []
 
 #: The persistent-pool worker's attach-once cache, keyed by segment name.
 #: The parent reuses (and rewrites) the same segments across calls, so the
@@ -189,54 +103,17 @@ _WORKER_SEGMENTS: List[shared_memory.SharedMemory] = []
 _WORKER_SEGMENT_CACHE: Dict[str, shared_memory.SharedMemory] = {}
 
 
-def _attach_payload(descriptors: Optional[Tuple[_ArrayDescriptor, _ArrayDescriptor]]) -> None:
-    """Fresh-pool initializer: rebuild zero-copy payload views in a worker.
-
-    Pool workers inherit the parent's resource-tracker process, so the
-    attach-time registration below lands in the same cache the parent's
-    create-time registration already populated (a set: re-adding is a
-    no-op) and the parent's ``unlink`` retires it exactly once.  Workers
-    must therefore do no tracker bookkeeping of their own — an explicit
-    ``unregister`` here would retire the *parent's* entry early.
-    """
-    global _WORKER_PAYLOAD
-    if descriptors is None:
-        _WORKER_PAYLOAD = None
-        return
-    views = []
-    for name, shape, dtype in descriptors:
-        segment = shared_memory.SharedMemory(name=name)
-        _WORKER_SEGMENTS.append(segment)
-        views.append(np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf))
-    _WORKER_PAYLOAD = ArrayPayload(points=views[0], weights=views[1])
-
-
-def _call_task(item: Tuple[TaskFunction, Any]) -> Any:
-    """Fresh-pool worker-side trampoline: apply the pickled function reference."""
-    fn, task = item
-    return fn(_WORKER_PAYLOAD, task)
-
-
 @dataclass
 class _TracedResult:
     """A task result with a piggybacked worker-side trace summary.
 
     The wrapper exists only between the worker trampoline and the host-side
-    unwrap (``_unwrap_traced`` / the fresh-pool absorb loop); consumers of
-    the executor API never see it, so the values they fold are byte-exact
-    with an untraced run.
+    unwrap (``_unwrap_traced``); consumers of the executor API never see
+    it, so the values they fold are byte-exact with an untraced run.
     """
 
     result: Any
     summary: Optional[dict]
-
-
-def _call_traced_task(item: Tuple[TaskFunction, Any]) -> _TracedResult:
-    """Fresh-pool trampoline that captures worker-side spans/counters."""
-    fn, task = item
-    with _obs.worker_capture() as capture:
-        result = fn(_WORKER_PAYLOAD, task)
-    return _TracedResult(result, capture.summary)
 
 
 def _unwrap_traced(inner: Future) -> Future:
@@ -257,15 +134,6 @@ def _unwrap_traced(inner: Future) -> Future:
 
     inner.add_done_callback(_copy)
     return outer
-
-
-def _publish_array(array: np.ndarray) -> Tuple[shared_memory.SharedMemory, _ArrayDescriptor]:
-    """Copy ``array`` into a fresh shared-memory segment (once per map)."""
-    array = np.ascontiguousarray(array)
-    segment = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
-    if array.nbytes:
-        np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)[:] = array
-    return segment, (segment.name, array.shape, array.dtype.str)
 
 
 def _close_worker_segment_cache() -> None:
@@ -345,8 +213,8 @@ class _Publication:
     The segments MUST NOT return to the owner's free list (where the next
     ``submit_many`` would overwrite them) until every task that references
     them has completed; each future's done-callback decrements the count and
-    the last one releases.  ``wait_released`` lets the synchronous ``map``
-    wrapper make the release deterministic — done-callbacks can otherwise
+    the last one releases.  ``wait_released`` lets the blocking ``map``
+    make the release deterministic — done-callbacks can otherwise
     fire marginally *after* ``Future.result`` returns.
     """
 
@@ -384,162 +252,17 @@ class _Publication:
         return self._released.wait(timeout)
 
 
-class ProcessExecutor(Executor):
-    """A process-pool backend that ships shards via shared memory.
-
-    The payload arrays are copied into
-    :class:`multiprocessing.shared_memory.SharedMemory` once per ``map``
-    call; workers attach to the segments and tasks carry only offsets, so
-    the bytes pickled per task are a few hundred regardless of shard size.
-    Results (coresets, whose size is independent of ``n`` by the paper's
-    composition argument) are pickled back to the host.
-
-    By default ``map`` routes through one **persistent**
-    :class:`ProcessAsyncExecutor` pool owned by this executor: worker
-    start-up is paid once, and shared-memory segments are leased from a free
-    list instead of created per call — the behaviour a streaming pipeline
-    issuing one ``map`` per batch wants.  Call :meth:`close` (or use the
-    executor as a context manager) to shut the pool down and unlink the
-    pooled segments; dropping the last reference does the same.
-
-    Parameters
-    ----------
-    workers:
-        Number of worker processes.
-    context:
-        :mod:`multiprocessing` start-method name; defaults to ``"fork"``
-        where available (cheap start-up) and ``"spawn"`` elsewhere.  Task
-        functions must be module-level (picklable by reference) either way.
-    fresh_pool:
-        Escape hatch restoring the historical start-a-pool-per-``map``
-        behaviour (simple, nothing persists between calls).  The old
-        *default* of silently re-creating pools inside a streaming loop is
-        deprecated — opt in explicitly if a workload really wants pool
-        isolation per call.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        *,
-        workers: int,
-        context: Optional[str] = None,
-        fresh_pool: bool = False,
-    ) -> None:
-        super().__init__(workers=workers)
-        if context is None:
-            context = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        self.context = context
-        self.fresh_pool = bool(fresh_pool)
-        self._persistent: Optional["ProcessAsyncExecutor"] = None
-        self._closed = False
-
-    def map(
-        self,
-        fn: TaskFunction,
-        tasks: Sequence[Any],
-        *,
-        payload: Optional[ArrayPayload] = None,
-    ) -> List[Any]:
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        if not tasks:
-            return []
-        if self.fresh_pool:
-            return self._map_fresh_pool(fn, tasks, payload=payload)
-        if self._persistent is None:
-            self._persistent = ProcessAsyncExecutor(workers=self.workers, context=self.context)
-        return self._persistent.map(fn, tasks, payload=payload)
-
-    def close(self) -> None:
-        self._closed = True
-        if self._persistent is not None:
-            self._persistent.close()
-            self._persistent = None
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def _map_fresh_pool(
-        self,
-        fn: TaskFunction,
-        tasks: Sequence[Any],
-        *,
-        payload: Optional[ArrayPayload] = None,
-    ) -> List[Any]:
-        ctx = multiprocessing.get_context(self.context)
-        segments: List[shared_memory.SharedMemory] = []
-        descriptors = None
-        if payload is not None:
-            published = [_publish_array(payload.points), _publish_array(payload.weights)]
-            segments = [segment for segment, _ in published]
-            descriptors = tuple(descriptor for _, descriptor in published)
-        traced = _obs.tracing_active()
-        try:
-            with ctx.Pool(
-                processes=min(self.workers, len(tasks)),
-                initializer=_attach_payload,
-                initargs=(descriptors,),
-            ) as pool:
-                call = _call_traced_task if traced else _call_task
-                results = pool.map(call, [(fn, task) for task in tasks], chunksize=1)
-            if traced:
-                for value in results:
-                    if isinstance(value, _TracedResult):
-                        _obs.absorb_summary(value.summary)
-                results = [
-                    value.result if isinstance(value, _TracedResult) else value
-                    for value in results
-                ]
-            return results
-        finally:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
-
-
-def resolve_executor(
-    executor: Union[None, str, Executor],
-    *,
-    workers: int = 1,
-) -> Executor:
-    """Normalise an executor argument: ``None``/name/instance → instance.
-
-    ``None`` and ``"serial"`` give the serial reference backend; a backend
-    name builds it with ``workers`` workers; an :class:`Executor` instance is
-    passed through unchanged (its own worker count wins).
-    """
-    if executor is None:
-        return SerialExecutor()
-    if isinstance(executor, Executor):
-        return executor
-    if executor == "serial":
-        return SerialExecutor()
-    if executor == "thread":
-        return ThreadExecutor(workers=workers)
-    if executor == "process":
-        return ProcessExecutor(workers=workers)
-    raise ValueError(
-        f"unknown executor backend {executor!r}; expected one of {', '.join(BACKENDS)}"
-    )
-
-
 # ---------------------------------------------------------------------------
-# The asynchronous contract: futures, unordered completion, bounded windows.
+# The executor contract: futures, unordered completion, bounded windows.
 # ---------------------------------------------------------------------------
 
 
 class AsyncExecutor(abc.ABC):
     """Run pure tasks asynchronously: ``submit`` returns a future.
 
-    The contract adds *overlap* to the :class:`Executor` guarantees without
-    touching determinism: every stochastic input (seed, spread hint) is
-    fixed by the caller **before** submission, so completion order can only
-    change wall-clock time, never bytes.  Consumers that fold results must
+    Overlap never touches determinism: every stochastic input (seed, spread
+    hint) is fixed by the caller **before** submission, so completion order
+    can only change wall-clock time, never bytes.  Consumers that fold results must
     do so in an order-independent way (collect by task index, fold in task
     order) — the pattern :class:`~repro.parallel.sharded.ShardedCoresetBuilder`
     and :class:`~repro.streaming.merge_reduce.MergeReduceTree` implement and
@@ -633,12 +356,7 @@ class AsyncExecutor(abc.ABC):
         *,
         payload: Optional[ArrayPayload] = None,
     ) -> List[Any]:
-        """Blocking convenience wrapper: results in task order.
-
-        This is the :class:`Executor` contract on the async machinery, which
-        is what lets the synchronous :class:`ProcessExecutor` route its
-        ``map`` through the persistent pool.
-        """
+        """Blocking convenience wrapper: results in task order."""
         tasks = list(tasks)
         if not tasks:
             return []
@@ -751,7 +469,7 @@ def submit_when_ready(
       whether the submission happens now (inputs already resolved — it then
       runs synchronously on the calling thread for the serial backend) or
       later from a completion callback changes wall-clock only.
-    * **Executor submission is thread-safe.**  The barrier callback may fire
+    * **Submission is thread-safe.**  The barrier callback may fire
       on a worker/completion thread; every backend's ``submit`` path takes
       its own locks (pool creation, segment leasing) and
       ``concurrent.futures`` pools accept cross-thread submissions.
@@ -796,12 +514,12 @@ def submit_when_ready(
 
 
 class SerialAsyncExecutor(AsyncExecutor):
-    """The async reference backend: tasks run inline at submission time.
+    """The reference backend: tasks run inline at submission time.
 
     Futures are returned already resolved, so this backend exhibits the
     *degenerate* completion order (submission order) — the other end of the
     spectrum from the jittered test double — while sharing every code path
-    of the async consumers.
+    of the consumers.
     """
 
     name = "serial"
@@ -822,13 +540,14 @@ class SerialAsyncExecutor(AsyncExecutor):
 
 
 class ThreadAsyncExecutor(AsyncExecutor):
-    """A persistent thread-pool async backend (payload shared by reference).
+    """A persistent thread-pool backend (payload shared by reference).
 
     The pool outlives individual calls, so a stream of small batches pays
-    thread start-up once.  As with :class:`ThreadExecutor`, speedups come
-    from GIL-releasing NumPy sections and I/O overlap — reading the next
-    memory-mapped batch while the current one compresses is exactly the
-    streaming pipeline's use of this backend.
+    thread start-up once.  Task functions receive the payload arrays
+    directly (no copy).  Speedups come only from GIL-releasing NumPy
+    sections and I/O overlap — reading the next memory-mapped batch while
+    the current one compresses is exactly the streaming pipeline's use of
+    this backend.
     """
 
     name = "thread"
@@ -967,6 +686,31 @@ class ProcessAsyncExecutor(AsyncExecutor):
                 )
             return self._pool
 
+    def _pool_submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        """Submit to the pool, replacing it once if a dead worker broke it.
+
+        A worker that dies mid-task (``os._exit``, an OOM kill) leaves a
+        :class:`concurrent.futures.ProcessPoolExecutor` broken for good: the
+        tasks in flight fail with :class:`BrokenProcessPool` — so the call
+        that lost the worker still raises — and every later ``submit``
+        raises it too.  Retiring the dead pool and resubmitting once on a
+        fresh one lets the executor serve the next call.  Segment leases
+        need no repair: the failed futures' done-callbacks returned them.
+        """
+        pool = self._ensure_pool()
+        try:
+            return pool.submit(fn, *args)
+        except BrokenProcessPool:
+            with self._lock:
+                if self._pool is pool:
+                    self._pool = None
+            # wait=False: the pool's manager thread already reaped its
+            # workers, and this may run on that very thread (a completion
+            # callback submitting a dependent reduce).
+            pool.shutdown(wait=False)
+            _obs.counter_add("executor.pool_restarts", 1.0)
+            return self._ensure_pool().submit(fn, *args)
+
     # --------------------------------------------------------------- hooks
     def _publish(self, payload: Optional[ArrayPayload], references: int) -> Optional[_Publication]:
         if payload is None:
@@ -989,16 +733,15 @@ class ProcessAsyncExecutor(AsyncExecutor):
         )
 
     def _submit_task(self, fn: TaskFunction, task: Any, handle: Optional[_Publication]) -> Future:
-        pool = self._ensure_pool()
         descriptors = None if handle is None else handle.descriptors
         # Tracing is decided host-side at submission time: workers carry no
         # tracing state, so an untraced run ships the plain trampoline and
         # pays nothing.
         if _obs.tracing_active():
-            inner = pool.submit(_run_traced_persistent_task, fn, task, descriptors)
+            inner = self._pool_submit(_run_traced_persistent_task, fn, task, descriptors)
             future = _unwrap_traced(inner)
         else:
-            inner = pool.submit(_run_persistent_task, fn, task, descriptors)
+            inner = self._pool_submit(_run_persistent_task, fn, task, descriptors)
             future = inner
         if handle is not None:
             inner.add_done_callback(handle.release_one)
@@ -1024,8 +767,7 @@ class ProcessAsyncExecutor(AsyncExecutor):
         warm-up naps here forces the spawns to happen now, while the
         process is still single-threaded.
         """
-        pool = self._ensure_pool()
-        for future in [pool.submit(_worker_warmup, 0.02) for _ in range(self.workers)]:
+        for future in [self._pool_submit(_worker_warmup, 0.02) for _ in range(self.workers)]:
             future.result()
 
     def close(self) -> None:
@@ -1057,29 +799,21 @@ class ProcessAsyncExecutor(AsyncExecutor):
 
 
 def resolve_async_executor(
-    executor: Union[None, str, Executor, AsyncExecutor],
+    executor: Union[None, str, AsyncExecutor],
     *,
     workers: int = 1,
 ) -> AsyncExecutor:
-    """Normalise an async-executor argument to an :class:`AsyncExecutor`.
+    """Normalise an executor argument to an :class:`AsyncExecutor`.
 
     ``None`` and ``"serial"`` give the inline reference backend; a backend
-    name builds the persistent pool variant with ``workers`` workers; an
-    :class:`AsyncExecutor` instance passes through unchanged.  A synchronous
-    :class:`Executor` instance is *promoted* to its async sibling (same
-    backend, same worker count) — the caller owns the returned executor and
-    should :meth:`~AsyncExecutor.close` it.
+    name builds the persistent pool variant with ``workers`` workers — the
+    caller owns that executor and should :meth:`~AsyncExecutor.close` it;
+    an :class:`AsyncExecutor` instance passes through unchanged.
     """
     if executor is None or executor == "serial":
         return SerialAsyncExecutor()
     if isinstance(executor, AsyncExecutor):
         return executor
-    if isinstance(executor, ProcessExecutor):
-        return ProcessAsyncExecutor(workers=executor.workers, context=executor.context)
-    if isinstance(executor, ThreadExecutor):
-        return ThreadAsyncExecutor(workers=executor.workers)
-    if isinstance(executor, SerialExecutor):
-        return SerialAsyncExecutor()
     if executor == "thread":
         return ThreadAsyncExecutor(workers=workers)
     if executor == "process":

@@ -12,7 +12,6 @@ every backend and worker count** — the equivalence suite pins this.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -22,12 +21,7 @@ from repro import observability as _obs
 from repro.core.base import CoresetConstruction
 from repro.core.coreset import Coreset, merge_coresets
 from repro.observability import ExecutionDiagnostics
-from repro.parallel.executor import (
-    ArrayPayload,
-    AsyncExecutor,
-    Executor,
-    resolve_executor,
-)
+from repro.parallel.executor import ArrayPayload, AsyncExecutor, resolve_async_executor
 from repro.parallel.sharding import (
     KEY_FINAL,
     KEY_PARTITION,
@@ -47,7 +41,7 @@ class ShardedBuildResult:
     Attributes
     ----------
     coreset:
-        The host-side compression (the union of the shard messages, or its
+        The final compression (the union of the shard messages, or its
         re-compression when ``final_coreset_size`` is set).
     shard_coresets:
         The per-shard messages, in shard order.
@@ -66,12 +60,10 @@ class ShardedBuildResult:
     diagnostics:
         Mode-*dependent* execution diagnostics
         (:class:`~repro.observability.ExecutionDiagnostics`, dict-style
-        access preserved): whether the final re-compression was offloaded
-        to the pool or ran on the host (``reduces_offloaded`` /
-        ``host_reduces``), the host-thread seconds it cost, and the
-        high-water mark of landed-but-unassembled shard messages on the
-        async path.  Deliberately separate from ``metadata`` so backend
-        equivalence stays byte-exact.
+        access preserved): whether a final re-compression was submitted to
+        the pool (``reduces_offloaded``) and the high-water mark of
+        landed-but-unassembled shard messages.  Deliberately separate from
+        ``metadata`` so backend equivalence stays byte-exact.
     """
 
     coreset: Coreset
@@ -92,7 +84,7 @@ class ShardedCoresetBuilder:
     ----------
     sampler:
         Any :class:`~repro.core.base.CoresetConstruction`; used per shard
-        and (optionally) for the host's final re-compression.
+        and (optionally) for the final re-compression of their union.
     n_shards:
         Number of shards the dataset is partitioned into.  This — not the
         worker count — is what keys the result: fixing ``n_shards`` and the
@@ -100,7 +92,7 @@ class ShardedCoresetBuilder:
     coreset_size_per_shard:
         Message size each shard produces (clamped to the shard size).
     final_coreset_size:
-        Optional size of the host-side re-compression; ``None`` keeps the
+        Optional size of the final re-compression; ``None`` keeps the
         plain union.
     shuffle:
         Randomly permute points across shards (the random-shard model of
@@ -156,7 +148,7 @@ class ShardedCoresetBuilder:
         points: np.ndarray,
         *,
         weights: Optional[np.ndarray] = None,
-        executor: Union[None, str, Executor] = None,
+        executor: Union[None, str, AsyncExecutor] = None,
         spread: Optional[float] = None,
     ) -> ShardedBuildResult:
         """Partition, compress every shard under ``executor``, and merge.
@@ -166,12 +158,13 @@ class ShardedCoresetBuilder:
         points / weights:
             The dataset; weights default to one per point.
         executor:
-            ``None`` (serial), a backend name, an
-            :class:`~repro.parallel.executor.Executor`, or an
-            :class:`~repro.parallel.executor.AsyncExecutor` instance.  An
-            async executor overlaps the host-side fold with the still-running
-            shard compressions (see :meth:`_collect_async`).  Changes only
-            wall-clock, never the coreset.
+            ``None`` (serial), a backend name, or an
+            :class:`~repro.parallel.executor.AsyncExecutor` instance.  The
+            host-side fold overlaps the still-running shard compressions
+            (see :meth:`_collect_async`) and the final re-compression is
+            submitted as one more task.  A name or ``None`` is resolved
+            here and closed before returning; an instance stays open.
+            Changes only wall-clock, never the coreset.
         spread:
             Optional precomputed spread estimate forwarded to every shard's
             sampler (the PR 2 sharing hook): one host-side estimate can
@@ -179,9 +172,8 @@ class ShardedCoresetBuilder:
         """
         points = check_points(points)
         weights = check_weights(weights, points.shape[0])
-        owns_executor = not isinstance(executor, (Executor, AsyncExecutor))
-        if not isinstance(executor, AsyncExecutor):
-            executor = resolve_executor(executor)
+        owns_executor = not isinstance(executor, AsyncExecutor)
+        executor = resolve_async_executor(executor)
         root = as_seed_sequence(self.seed)
 
         n = points.shape[0]
@@ -213,55 +205,35 @@ class ShardedCoresetBuilder:
         diagnostics = ExecutionDiagnostics()
         try:
             with _obs.span("sharded.build", n=n, shards=len(bounds)):
-                if isinstance(executor, AsyncExecutor):
-                    with _obs.span("sharded.collect", shards=len(tasks)):
-                        shard_coresets, union, high_water = self._collect_async(
-                            executor, tasks, payload
-                        )
-                    union.method = method
-                    diagnostics.pending_high_water = float(high_water)
-                    _obs.gauge_set("sharded.pending_high_water", float(high_water))
-                else:
-                    with _obs.span("sharded.map", shards=len(tasks)):
-                        shard_coresets = executor.map(compress_shard, tasks, payload=payload)
-                    union = merge_coresets(shard_coresets, method=method)
+                with _obs.span("sharded.map", shards=len(tasks)):
+                    shard_coresets, union, high_water = self._collect_async(
+                        executor, tasks, payload
+                    )
+                union.method = method
+                diagnostics.pending_high_water = float(high_water)
+                _obs.gauge_set("sharded.pending_high_water", float(high_water))
 
                 if self.final_coreset_size is not None and union.size > self.final_coreset_size:
-                    final_seed = keyed_seed_sequence(root, KEY_FINAL)
-                    if isinstance(executor, AsyncExecutor):
-                        # Ship the (small) union as a reduce task instead of
-                        # blocking the host thread — same sampler, seed, and
-                        # hints, so the bytes cannot differ.
-                        final_task = ShardTask(
-                            index=len(tasks),
-                            start=0,
-                            stop=union.size,
-                            m=self.final_coreset_size,
-                            sampler=self.sampler,
-                            seed=final_seed,
-                            spread=spread,
-                            stage="final",
-                        )
-                        final_payload = ArrayPayload(points=union.points, weights=union.weights)
-                        with _obs.span("sharded.final_reduce", offloaded=True):
-                            coreset = executor.submit(
-                                compress_shard, final_task, payload=final_payload
-                            ).result()
-                        diagnostics.reduces_offloaded = 1.0
-                        _obs.counter_add("sharded.reduces_offloaded", 1.0)
-                    else:
-                        started = time.perf_counter()
-                        with _obs.span("sharded.final_reduce", offloaded=False):
-                            coreset = self.sampler.sample(
-                                union.points,
-                                self.final_coreset_size,
-                                weights=union.weights,
-                                seed=final_seed,
-                                spread=spread,
-                            )
-                        diagnostics.host_reduce_seconds = time.perf_counter() - started
-                        diagnostics.host_reduces = 1.0
-                        _obs.counter_add("sharded.host_reduces", 1.0)
+                    # Ship the (small) union as one more task under the
+                    # frozen KEY_FINAL seed, so every compression rides the
+                    # executor.
+                    final_task = ShardTask(
+                        index=len(tasks),
+                        start=0,
+                        stop=union.size,
+                        m=self.final_coreset_size,
+                        sampler=self.sampler,
+                        seed=keyed_seed_sequence(root, KEY_FINAL),
+                        spread=spread,
+                        stage="final",
+                    )
+                    final_payload = ArrayPayload(points=union.points, weights=union.weights)
+                    with _obs.span("sharded.final_reduce"):
+                        coreset = executor.submit(
+                            compress_shard, final_task, payload=final_payload
+                        ).result()
+                    diagnostics.reduces_offloaded = 1.0
+                    _obs.counter_add("sharded.reduces_offloaded", 1.0)
                     coreset.method = method
                 else:
                     coreset = union
@@ -271,16 +243,13 @@ class ShardedCoresetBuilder:
 
         message_sizes = [message.size for message in shard_coresets]
         communication = sum(size * (points.shape[1] + 1) for size in message_sizes)
-        backend = executor.name
-        if isinstance(executor, AsyncExecutor):
-            backend = f"async+{executor.name}"
         return ShardedBuildResult(
             coreset=coreset,
             shard_coresets=shard_coresets,
             shard_sizes=[stop - start for start, stop in bounds],
             message_sizes=message_sizes,
             communication=int(communication),
-            backend=backend,
+            backend=executor.name,
             workers=executor.workers,
             metadata={
                 "sampler": self.sampler.name,

@@ -40,9 +40,7 @@ from repro.geometry.quadtree import compute_spread
 from repro.parallel.executor import (
     ArrayPayload,
     AsyncExecutor,
-    Executor,
     resolve_async_executor,
-    resolve_executor,
     submit_when_ready,
 )
 from repro.parallel.sharding import (
@@ -123,13 +121,13 @@ class MergeReduceTree:
         it is given an executor.
     pending_limit:
         Bound on the number of *unfolded* leaf futures the tree may hold
-        when driven by an :class:`~repro.parallel.executor.AsyncExecutor`
-        (the overlap window).  ``None`` folds everything a batch submitted
-        before :meth:`add_blocks` returns — no overlap across batches.  The
+        when :meth:`add_blocks` is given an executor instance (the overlap
+        window).  ``None`` folds everything a batch submitted before
+        :meth:`add_blocks` returns — no overlap across batches.  The
         limit changes memory and wall-clock only: folds always happen in
         arrival order, so the coreset is independent of it.
     overlap_reduces:
-        Route *reduce* compressions through the async executor as well
+        Route *reduce* compressions through the executor as well
         (default).  The carry chain becomes future-aware: level slots may
         hold in-flight futures, the host only walks carry logic, and each
         reduce (``merge + sampler.sample``) is submitted the moment both of
@@ -137,10 +135,10 @@ class MergeReduceTree:
         still in flight.  Legal because reduce seeds are a pure function of
         the reduce *index* (:meth:`_reduce_seed`), which the host assigns
         during the walk in arrival order, never of scheduling; the result
-        is therefore bit-identical to the synchronous fold.  ``False``
-        restores the PR-4 behaviour (only leaves overlap; every reduce runs
-        on the host thread when its leaf folds).  Ignored on the
-        synchronous paths.
+        is therefore bit-identical to the host fold.  ``False`` overlaps
+        only the leaves: every reduce runs on the host thread when its leaf
+        folds.  Ignored by the sequential :meth:`add_block` path of
+        ``spawn_seeds=False`` trees.
 
     Attributes
     ----------
@@ -405,7 +403,7 @@ class MergeReduceTree:
         self,
         blocks: Iterable[Union[Block, "Future"]],
         *,
-        executor: Union[None, str, Executor, AsyncExecutor] = None,
+        executor: Union[None, str, AsyncExecutor] = None,
     ) -> None:
         """Consume a batch of blocks, compressing the leaves concurrently.
 
@@ -423,13 +421,13 @@ class MergeReduceTree:
         so the stream's identity (and therefore every derived seed) is
         unchanged.
 
-        With a synchronous :class:`~repro.parallel.executor.Executor` the
-        call blocks until the whole batch is folded.  With an
-        :class:`~repro.parallel.executor.AsyncExecutor` the leaf futures
-        are enqueued instead and folded lazily — immediately down to
-        :attr:`pending_limit` outstanding futures (all of them when the
+        The leaf futures are enqueued and folded lazily — immediately down
+        to :attr:`pending_limit` outstanding futures (all of them when the
         limit is ``None``), the rest by later calls or :meth:`flush` /
-        :meth:`finalize`.  Folds always happen in arrival order, so every
+        :meth:`finalize`.  ``None`` or a backend name is resolved with
+        :func:`~repro.parallel.executor.resolve_async_executor` for this
+        call only: the batch is flushed and the executor closed before
+        returning.  Folds always happen in arrival order, so every
         scheduling produces the identical tree.
         """
         if not self.spawn_seeds:
@@ -484,7 +482,9 @@ class MergeReduceTree:
                 weights=np.concatenate([weights for _, weights, *_ in prepared], axis=0),
             )
         hints = [(spread, cost_bound) for _, _, spread, cost_bound, _ in prepared]
-        if isinstance(executor, AsyncExecutor):
+        owns_executor = not isinstance(executor, AsyncExecutor)
+        executor = resolve_async_executor(executor)
+        try:
             futures = executor.submit_many(compress_shard, tasks, payload=payload)
             if self.overlap_reduces:
                 # Walk the carry chain now, offloading each reduce; the
@@ -500,17 +500,11 @@ class MergeReduceTree:
             self.pending_high_water = max(self.pending_high_water, len(self._pending))
             _obs.gauge_set("stream.pending_high_water", float(self.pending_high_water))
             self._drain_pending(self.pending_limit)
-            return
-        self.flush()  # earlier async batches must fold before this one
-        owns_executor = not isinstance(executor, Executor)
-        executor = resolve_executor(executor)
-        try:
-            leaves = executor.map(compress_shard, tasks, payload=payload)
+            if owns_executor:
+                self.flush()
         finally:
             if owns_executor:
                 executor.close()
-        for leaf, (spread, cost_bound) in zip(leaves, hints):
-            self._fold(leaf, spread, cost_bound)
 
     def _drain_pending(self, limit: Optional[int]) -> None:
         """Drain queued leaf futures (oldest first) down to ``limit``.
@@ -675,28 +669,24 @@ class StreamingCoresetPipeline:
     executor:
         ``None`` (default) consumes the stream one block at a time with the
         historical sequential seed stream.  A backend name or an
-        :class:`~repro.parallel.executor.Executor` switches the tree to
-        spawn-keyed seeds and compresses arriving leaves concurrently in
-        batches; an :class:`~repro.parallel.executor.AsyncExecutor` (or any
-        executor combined with ``prefetch_batches``) additionally *overlaps*
-        the batches — reading batch ``i+1`` from disk while batch ``i``
-        compresses in the pool.  In all spawn-keyed modes the resulting
-        coreset is bit-identical across backends, worker counts, batch
-        sizes, prefetch depths, and completion orders (but differs from the
-        sequential stream's, whose seeds depend on draw order).
+        :class:`~repro.parallel.executor.AsyncExecutor` switches the tree to
+        spawn-keyed seeds, compresses arriving leaves concurrently in
+        batches and *overlaps* the batches — reading batch ``i+1`` from
+        disk while batch ``i`` compresses in the pool.  In all spawn-keyed
+        modes the resulting coreset is bit-identical across backends,
+        worker counts, batch sizes, prefetch depths, and completion orders
+        (but differs from the sequential stream's, whose seeds depend on
+        draw order).
     batch_size:
         Number of blocks buffered per concurrent batch; defaults to the
         executor's worker count.  Affects wall-clock only, never the result.
     prefetch_batches:
         Depth of the read-ahead window in *batches* (double-buffering is
-        ``1``; the default async depth is 2).  Setting it switches the
-        pipeline to the asynchronous overlapped path even when ``executor``
-        is a name or a synchronous instance (which is then promoted to its
-        async sibling for the duration of the run).  ``None`` with a
-        synchronous executor keeps the blocking per-batch behaviour.
-        Affects wall-clock and memory only, never the result.
+        ``1``; ``None`` means 2).  Setting it with ``executor=None`` runs
+        the overlapped path on the serial backend.  Affects wall-clock and
+        memory only, never the result.
     overlap_reduces:
-        On the asynchronous path, also route reduce compressions through
+        On the overlapped path, also route reduce compressions through
         the pool (default; see :class:`MergeReduceTree`).  Affects where
         work runs, never the result.  Ignored when a ``window`` is set —
         the windowed tree keeps every fold on the host.
@@ -740,7 +730,7 @@ class StreamingCoresetPipeline:
     seed: SeedLike = None
     share_stream_state: bool = True
     cache_cost_bound: bool = True
-    executor: Union[None, str, Executor, AsyncExecutor] = None
+    executor: Union[None, str, AsyncExecutor] = None
     batch_size: Optional[int] = None
     prefetch_batches: Optional[int] = None
     overlap_reduces: bool = True
@@ -796,26 +786,7 @@ class StreamingCoresetPipeline:
             for points, weights in stream:
                 tree.add_block(points, weights)
             return
-        if self.prefetch_batches is not None or isinstance(self.executor, AsyncExecutor):
-            self._consume_async(tree, stream)
-            return
-        owns_executor = not isinstance(self.executor, Executor)
-        executor = resolve_executor(self.executor)
-        try:
-            batch_size = (
-                self.batch_size if self.batch_size is not None else max(1, executor.workers)
-            )
-            batch: List[Block] = []
-            for block in stream:
-                batch.append(block)
-                if len(batch) >= batch_size:
-                    tree.add_blocks(batch, executor=executor)
-                    batch = []
-            if batch:
-                tree.add_blocks(batch, executor=executor)
-        finally:
-            if owns_executor:
-                executor.close()
+        self._consume_async(tree, stream)
 
     def _consume_async(self, tree: MergeReduceTree, stream: Iterable[Block]) -> None:
         """The overlapped path: prefetch reads, async leaves, lazy folds."""

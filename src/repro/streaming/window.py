@@ -44,7 +44,7 @@ Determinism matches the non-windowed tree's contract: under
 ``spawn_seeds=True`` every stochastic input (leaf seeds keyed by block
 index, fold seeds keyed by fold index, query seeds keyed by query index,
 hints fixed during the host walk) is a pure function of the block sequence,
-so sync and async executors produce bit-identical coresets.  Reduce and
+so every executor backend produces bit-identical coresets.  Reduce and
 query compressions always run on the host thread — the overlap machinery
 only ships leaf compressions (``overlap_reduces`` is ignored).
 """
@@ -64,7 +64,7 @@ from repro import observability as _obs
 from repro.core.coreset import Coreset, merge_coresets, trivial_coreset
 from repro.core.spread_reduction import crude_cost_upper_bound
 from repro.geometry.quadtree import compute_spread
-from repro.parallel.executor import ArrayPayload, AsyncExecutor, Executor, resolve_executor
+from repro.parallel.executor import ArrayPayload, AsyncExecutor, resolve_async_executor
 from repro.parallel.sharding import KEY_STREAM_QUERY, ShardTask, compress_shard
 from repro.streaming.merge_reduce import MergeReduceTree
 from repro.streaming.stream import Block
@@ -531,7 +531,7 @@ class WindowedMergeReduceTree(MergeReduceTree):
         self,
         blocks: Iterable[Union[Block, "Future"]],
         *,
-        executor: Union[None, str, Executor, AsyncExecutor] = None,
+        executor: Union[None, str, AsyncExecutor] = None,
         timestamps: Optional[Sequence[float]] = None,
     ) -> None:
         """Consume a batch of blocks, compressing oversized leaves concurrently.
@@ -540,10 +540,12 @@ class WindowedMergeReduceTree(MergeReduceTree):
         walks the batch in arrival order (stamping, expiring, hint caching,
         seed assignment), then fans the fully determined leaf compressions
         out.  Blocks that already fit in ``coreset_size`` become identity
-        buckets on the host — there is nothing to compress.  With an
-        :class:`AsyncExecutor` the in-flight buckets are settled lazily down
-        to :attr:`pending_limit`; settling always happens in arrival order,
-        so every scheduling produces the identical window.
+        buckets on the host — there is nothing to compress.  The in-flight
+        buckets are settled lazily down to :attr:`pending_limit`; ``None``
+        or a backend name is resolved for this call only, so the batch is
+        flushed and the executor closed before returning.  Settling always
+        happens in arrival order, so every scheduling produces the
+        identical window.
         """
         if not self.spawn_seeds:
             raise ValueError(
@@ -594,10 +596,10 @@ class WindowedMergeReduceTree(MergeReduceTree):
                     points=np.concatenate([points for points, _ in compressed], axis=0),
                     weights=np.concatenate([weights for _, weights in compressed], axis=0),
                 )
-        if isinstance(executor, AsyncExecutor):
-            futures = iter(
-                executor.submit_many(compress_shard, tasks, payload=payload) if tasks else ()
-            )
+        owns_executor = not isinstance(executor, AsyncExecutor)
+        executor = resolve_async_executor(executor)
+        try:
+            futures = iter(executor.submit_many(compress_shard, tasks, payload=payload))
             for _, _, bucket in prepared:
                 if bucket.value is None:
                     bucket.value = next(futures)
@@ -605,22 +607,11 @@ class WindowedMergeReduceTree(MergeReduceTree):
             self.pending_high_water = max(self.pending_high_water, len(self._pending))
             _obs.gauge_set("stream.pending_high_water", float(self.pending_high_water))
             self._drain_pending(self.pending_limit)
-            return
-        self.flush()  # earlier async batches must settle before this one
-        if tasks:
-            owns_executor = not isinstance(executor, Executor)
-            resolved = resolve_executor(executor)
-            try:
-                leaves = iter(resolved.map(compress_shard, tasks, payload=payload))
-            finally:
-                if owns_executor:
-                    resolved.close()
-        else:
-            leaves = iter(())
-        for _, _, bucket in prepared:
-            if bucket.value is None:
-                bucket.value = next(leaves)
-            self._settle(bucket)
+            if owns_executor:
+                self.flush()
+        finally:
+            if owns_executor:
+                executor.close()
 
     # --------------------------------------------------------------- queries
     def live_ranges(self) -> List[Tuple[int, int]]:

@@ -215,32 +215,33 @@ class TestCliParallel:
         with pytest.raises(SystemExit):
             main(["compress", data_file, "--k", "5", "--backend", "gpu"])
 
-    def test_async_sharded_build_matches_sync(self, data_file, tmp_path, capsys):
-        # --async reruns the identical spawn-keyed shard seeds through the
-        # persistent-pool async executor: bytes must not move.
-        archives = []
-        for extra in ([], ["--async"]):
-            output = str(tmp_path / f"async{len(extra)}.npz")
-            code = main(
-                ["compress", data_file, "--k", "5", "--m", "100", "--output", output,
-                 "--shards", "4", "--seed", "2", "--backend", "thread",
-                 "--workers", "2", *extra]
-            )
-            assert code == 0
-            summary = json.loads(capsys.readouterr().out)
-            assert summary["backend"] == ("async+thread" if extra else "thread")
-            if extra:
-                # The async build offloads the final re-compression.
-                assert summary["reduces_offloaded"] == 1
-                assert summary["pending_high_water"] >= 0
-            archives.append(np.load(output))
-        assert np.array_equal(archives[0]["points"], archives[1]["points"])
-        assert np.array_equal(archives[0]["weights"], archives[1]["weights"])
+    def test_sharded_build_offloads_the_final_reduce(self, data_file, tmp_path, capsys):
+        # Shards are collected as they complete and the union is
+        # re-compressed as one more pool task, never on the host.
+        output = str(tmp_path / "coreset.npz")
+        code = main(
+            ["compress", data_file, "--k", "5", "--m", "100", "--output", output,
+             "--shards", "4", "--seed", "2", "--backend", "thread", "--workers", "2"]
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["backend"] == "thread"
+        assert summary["reduces_offloaded"] == 1
+        assert summary["pending_high_water"] >= 0
 
-    def test_async_without_shards_rejected(self, data_file, capsys):
-        code = main(["compress", data_file, "--k", "5", "--async"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workers", "0", "--backend", "thread", "--shards", "2"], "--workers"),
+            (["--workers", "-1"], "--workers"),
+            (["--shards", "-3", "--workers", "2", "--backend", "thread"], "--shards"),
+            (["--shards", "0"], "--shards"),
+        ],
+    )
+    def test_non_positive_workers_and_shards_rejected(self, data_file, capsys, flags, message):
+        code = main(["compress", data_file, "--k", "5", *flags])
         assert code == 2
-        assert "--async requires" in capsys.readouterr().err
+        assert f"{message} must be at least 1" in capsys.readouterr().err
 
     def test_prefetch_rejects_conflicting_shards(self, data_file, capsys):
         code = main(
@@ -274,7 +275,7 @@ class TestCliParallel:
             summary = json.loads(capsys.readouterr().out)
             assert summary["mode"] == "streaming"
             assert summary["blocks"] == 16
-            assert summary["backend"].startswith("async+")
+            assert summary["backend"] == extra[3]
             # Reduce diagnostics ride the summary; the offload split is
             # mode-dependent but reduces always run on the pool here.
             assert summary["reductions"] == 15
@@ -316,7 +317,7 @@ class TestCliParallel:
         assert summary["mode"] == "windowed_streaming[decay]"
         assert summary["decay_half_life"] == 3.0
         assert summary["blocks_expired"] == 0
-        assert summary["backend"].startswith("async+")
+        assert summary["backend"] == "serial"
         # Decay fades old blocks: total weight well below the input size.
         assert summary["total_weight"] < summary["input_points"]
 

@@ -1,11 +1,10 @@
 """Cross-backend equivalence suite for overlapped (async) execution.
 
-This is the acceptance gate of the async execution layer: the streaming
-pipeline and the sharded builder must produce **byte-identical** coresets —
-points, weights, method, and statistics — across
+This is the acceptance gate of the execution layer: the streaming pipeline
+and the sharded builder must produce **byte-identical** coresets — points,
+weights, method, and statistics — across
 
 * every backend ({serial, thread, process}),
-* both scheduling contracts ({sync, async}),
 * every worker count ({1, 2, 4}) and prefetch depth ({1, 2, 4}),
 * and every *completion order*, exercised by a deliberately jittered
   executor that finishes tasks in adversarially shuffled order.
@@ -30,12 +29,9 @@ from repro.core.coreset import Coreset
 from repro.parallel import (
     AsyncExecutor,
     ProcessAsyncExecutor,
-    ProcessExecutor,
     SerialAsyncExecutor,
-    SerialExecutor,
     ShardedCoresetBuilder,
     ThreadAsyncExecutor,
-    ThreadExecutor,
 )
 from repro.streaming import DataStream, MergeReduceTree, StreamingCoresetPipeline
 
@@ -78,13 +74,7 @@ class JitteredAsyncExecutor(AsyncExecutor):
         self._pool.shutdown(wait=True)
 
 
-def _make_executor(backend: str, mode: str, workers: int):
-    if mode == "sync":
-        if backend == "serial":
-            return SerialExecutor()
-        if backend == "thread":
-            return ThreadExecutor(workers=workers)
-        return ProcessExecutor(workers=workers)
+def _make_executor(backend: str, workers: int):
     if backend == "serial":
         return SerialAsyncExecutor()
     if backend == "thread":
@@ -128,41 +118,39 @@ def _grid():
     for backend in ("serial", "thread", "process"):
         marks = [pytest.mark.parallel] if backend == "process" else []
         worker_counts = (1,) if backend == "serial" else (1, 2, 4)
-        for mode in ("sync", "async"):
-            for workers in worker_counts:
-                for prefetch in (None,) if mode == "sync" else (1, 2, 4):
-                    cases.append(
-                        pytest.param(
-                            backend,
-                            mode,
-                            workers,
-                            prefetch,
-                            id=f"{backend}-{mode}-w{workers}-p{prefetch}",
-                            marks=marks,
-                        )
+        for workers in worker_counts:
+            for prefetch in (1, 2, 4):
+                cases.append(
+                    pytest.param(
+                        backend,
+                        workers,
+                        prefetch,
+                        id=f"{backend}-w{workers}-p{prefetch}",
+                        marks=marks,
                     )
+                )
     return cases
 
 
 class TestStreamingCrossBackend:
-    """The full {backend} x {sync, async} x workers x prefetch grid."""
+    """The full {backend} x workers x prefetch grid."""
 
     @pytest.fixture(scope="class")
     def baseline(self, blobs):
-        """The synchronous serial (spawn-keyed) reference run."""
-        return _run_pipeline(blobs, SerialExecutor(), batch_size=1)
+        """The serial (spawn-keyed) reference run, one block per batch."""
+        return _run_pipeline(blobs, SerialAsyncExecutor(), batch_size=1)
 
-    @pytest.mark.parametrize("backend,mode,workers,prefetch", _grid())
+    @pytest.mark.parametrize("backend,workers,prefetch", _grid())
     def test_byte_identical_to_sequential_baseline(
-        self, blobs, baseline, backend, mode, workers, prefetch
+        self, blobs, baseline, backend, workers, prefetch
     ):
         reference, reference_stats = baseline
-        executor = _make_executor(backend, mode, workers)
+        executor = _make_executor(backend, workers)
         try:
             coreset, stats = _run_pipeline(blobs, executor, prefetch=prefetch)
         finally:
             executor.close()
-        context = (backend, mode, workers, prefetch)
+        context = (backend, workers, prefetch)
         assert coreset.points.tobytes() == reference.points.tobytes(), context
         assert coreset.weights.tobytes() == reference.weights.tobytes(), context
         assert coreset.method == reference.method, context
@@ -186,7 +174,7 @@ class TestShuffledCompletionOrder:
     @pytest.mark.parametrize("overlap", (False, True), ids=("leaf-only", "overlap-reduce"))
     @pytest.mark.parametrize("jitter_seed", range(4))
     def test_streaming_is_completion_order_independent(self, blobs, jitter_seed, overlap):
-        reference, reference_stats = _run_pipeline(blobs, SerialExecutor(), batch_size=1)
+        reference, reference_stats = _run_pipeline(blobs, SerialAsyncExecutor(), batch_size=1)
         executor = JitteredAsyncExecutor(workers=4, seed=jitter_seed)
         try:
             coreset, stats = _run_pipeline(
@@ -207,7 +195,7 @@ class TestShuffledCompletionOrder:
             final_coreset_size=100,
             seed=9,
         )
-        reference = builder.build(blobs, executor=SerialExecutor())
+        reference = builder.build(blobs, executor=SerialAsyncExecutor())
         executor = JitteredAsyncExecutor(workers=4, seed=jitter_seed)
         try:
             result = builder.build(blobs, executor=executor)
@@ -218,12 +206,11 @@ class TestShuffledCompletionOrder:
         assert result.message_sizes == reference.message_sizes
         assert result.communication == reference.communication
         assert result.metadata == reference.metadata
-        assert result.backend == "async+jitter"
-        # The final re-compression rode the pool; the host ran no reduce.
-        assert result.diagnostics["reduces_offloaded"] == 1.0
-        assert result.diagnostics["host_reduces"] == 0.0
-        assert reference.diagnostics["reduces_offloaded"] == 0.0
-        assert reference.diagnostics["host_reduces"] == 1.0
+        assert result.backend == "jitter"
+        # The final re-compression rode the executor; the host ran no reduce.
+        for build in (result, reference):
+            assert build.diagnostics["reduces_offloaded"] == 1.0
+            assert build.diagnostics["host_reduces"] == 0.0
 
 
 class TestShardedAsyncBackends:
@@ -234,7 +221,7 @@ class TestShardedAsyncBackends:
             coreset_size_per_shard=60,
             seed=5,
         )
-        reference = builder.build(blobs, executor=SerialExecutor())
+        reference = builder.build(blobs, executor=SerialAsyncExecutor())
         try:
             result = builder.build(blobs, executor=executor)
         finally:
@@ -296,7 +283,9 @@ class TestTreeFutureInputs:
     @pytest.mark.parametrize("pending_limit", (None, 1, 3, 16))
     def test_pending_limit_changes_nothing(self, blobs, pending_limit):
         blocks = self._blocks(blobs)
-        reference, reference_tree = self._finalize(blobs, blocks)
+        reference, reference_tree = self._finalize(
+            blobs, blocks, executor=SerialAsyncExecutor()
+        )
         executor = ThreadAsyncExecutor(workers=2)
         try:
             result, tree = self._finalize(
@@ -327,11 +316,13 @@ class TestTreeFutureInputs:
 
 
 class TestOverlappedReduceModes:
-    """{sync, async-leaf-only, async+overlapped-reduce} x jitter x pending-limit.
+    """{resolved-per-call, leaf-only, overlapped-reduce} x jitter x pending-limit.
 
-    The three scheduling modes must agree byte-for-byte under adversarial
-    completion orders and any overlap window; the diagnostics must reflect
-    where the reduces actually ran.
+    ``add_blocks`` given ``None`` or a backend name resolves an executor,
+    flushes and closes it within the call; given an instance it keeps
+    futures in flight across calls.  Every mode must agree byte-for-byte
+    with the serial reference under adversarial completion orders and any
+    overlap window; the diagnostics must reflect where the reduces ran.
     """
 
     def _blocks(self, blobs):
@@ -351,42 +342,52 @@ class TestOverlappedReduceModes:
         )
         for start in range(0, len(blocks), 4):
             tree.add_blocks(blocks[start : start + 4], executor=executor)
+            if not isinstance(executor, AsyncExecutor):
+                # Resolved for this call only: nothing may stay in flight.
+                assert not tree._pending
+                assert all(
+                    value.done() for value in tree.levels.values() if isinstance(value, Future)
+                )
         return tree.finalize(), tree
 
     @pytest.mark.parametrize("pending_limit", (None, 1, 3))
-    @pytest.mark.parametrize("jitter_seed", range(2))
-    @pytest.mark.parametrize("mode", ("sync", "async-leaf", "async-overlap"))
+    @pytest.mark.parametrize(
+        "mode, jitter_seed",
+        [(name, None) for name in (None, "serial", "thread")]
+        + [(mode, seed) for mode in ("async-leaf", "async-overlap") for seed in range(2)],
+    )
     def test_modes_agree_bytewise(self, blobs, mode, jitter_seed, pending_limit):
         blocks = self._blocks(blobs)
-        reference, reference_tree = self._run_tree(blocks)
-        if mode == "sync":
-            executor = ThreadExecutor(workers=2)
+        reference, reference_tree = self._run_tree(blocks, executor=SerialAsyncExecutor())
+        if jitter_seed is None:
+            executor = mode
         else:
             executor = JitteredAsyncExecutor(workers=4, seed=jitter_seed)
         try:
             result, tree = self._run_tree(
                 blocks,
                 executor=executor,
-                overlap=(mode == "async-overlap"),
+                overlap=(mode != "async-leaf"),
                 pending_limit=pending_limit,
             )
         finally:
-            executor.close()
+            if jitter_seed is not None:
+                executor.close()
         context = (mode, jitter_seed, pending_limit)
         assert result.points.tobytes() == reference.points.tobytes(), context
         assert result.weights.tobytes() == reference.weights.tobytes(), context
         assert tree.reductions == reference_tree.reductions, context
         assert tree.spread_refreshes == reference_tree.spread_refreshes, context
-        if mode == "async-overlap":
+        if mode == "async-leaf":
+            assert tree.reduces_offloaded == 0, context
+            assert tree.host_reduces == tree.reductions, context
+        else:
             assert tree.reduces_offloaded == tree.reductions - tree.host_reduces, context
             assert tree.reduces_offloaded > 0, context
             assert tree.host_reduces <= 1, context  # only the final re-compression
-        else:
-            assert tree.reduces_offloaded == 0, context
-            assert tree.host_reduces == tree.reductions, context
 
     def test_pipeline_flag_reaches_the_tree(self, blobs):
-        reference, reference_stats = _run_pipeline(blobs, SerialExecutor(), batch_size=1)
+        reference, reference_stats = _run_pipeline(blobs, SerialAsyncExecutor(), batch_size=1)
         for overlap in (False, True):
             executor = ThreadAsyncExecutor(workers=2)
             pipeline = StreamingCoresetPipeline(

@@ -102,7 +102,7 @@ def test_trajectory_rows_stamp_cores_and_informational_flags():
     payload = json.loads(TRAJECTORY.read_text())
     for workload in payload["workloads"]:
         assert workload["cores"] >= 1
-        if workload["component"] in ("parallel_shard", "async_stream", "overlap_reduce"):
+        if workload["component"] in ("parallel_shard", "overlap_reduce"):
             if workload["k"] > workload["cores"]:
                 assert workload.get("informational") is True
             else:

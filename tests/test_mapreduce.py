@@ -6,7 +6,7 @@ import pytest
 from repro.core import SensitivitySampling, UniformSampling
 from repro.distributed import MapReduceCoresetAggregator
 from repro.evaluation import coreset_distortion
-from repro.parallel import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.parallel import ProcessAsyncExecutor, SerialAsyncExecutor, ThreadAsyncExecutor
 
 
 class TestMapReduceAggregator:
@@ -107,7 +107,8 @@ class TestMapReduceExecutorPath:
 
     def test_serial_executor_matches_thread_executor(self, aggregator, blobs):
         serial = aggregator.run(blobs, executor="serial")
-        threaded = aggregator.run(blobs, executor=ThreadExecutor(workers=3))
+        with ThreadAsyncExecutor(workers=3) as executor:
+            threaded = aggregator.run(blobs, executor=executor)
         assert np.array_equal(serial.coreset.points, threaded.coreset.points)
         assert np.array_equal(serial.coreset.weights, threaded.coreset.weights)
         assert serial.shard_sizes == threaded.shard_sizes
@@ -115,8 +116,9 @@ class TestMapReduceExecutorPath:
 
     @pytest.mark.parallel
     def test_serial_executor_matches_process_executor(self, aggregator, blobs):
-        serial = aggregator.run(blobs, executor=SerialExecutor())
-        process = aggregator.run(blobs, executor=ProcessExecutor(workers=2))
+        serial = aggregator.run(blobs, executor=SerialAsyncExecutor())
+        with ProcessAsyncExecutor(workers=2) as executor:
+            process = aggregator.run(blobs, executor=executor)
         assert np.array_equal(serial.coreset.points, process.coreset.points)
         assert np.array_equal(serial.coreset.weights, process.coreset.weights)
         assert process.metadata["backend"] == "process"

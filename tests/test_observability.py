@@ -37,7 +37,6 @@ from repro.observability import (
 from repro.parallel import (
     ProcessAsyncExecutor,
     SerialAsyncExecutor,
-    SerialExecutor,
     ShardedCoresetBuilder,
     ThreadAsyncExecutor,
 )
@@ -295,12 +294,11 @@ class TestTracingInvariance:
     @pytest.mark.parametrize(
         "factory",
         [
-            pytest.param(lambda: SerialExecutor(), id="sync-serial"),
-            pytest.param(lambda: SerialAsyncExecutor(), id="async-serial"),
-            pytest.param(lambda: ThreadAsyncExecutor(workers=3), id="async-thread"),
+            pytest.param(lambda: SerialAsyncExecutor(), id="serial"),
+            pytest.param(lambda: ThreadAsyncExecutor(workers=3), id="thread"),
             pytest.param(
                 lambda: ProcessAsyncExecutor(workers=2),
-                id="async-process",
+                id="process",
                 marks=pytest.mark.parallel,
             ),
         ],

@@ -6,24 +6,25 @@ them by reference — the same requirement the library's own task functions
 """
 
 import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import observability as obs
+from repro.core import UniformSampling
+from repro.core.base import CoresetConstruction
 from repro.parallel import (
     BACKENDS,
     ArrayPayload,
     AsyncExecutor,
-    Executor,
     ProcessAsyncExecutor,
-    ProcessExecutor,
     SerialAsyncExecutor,
-    SerialExecutor,
+    ShardedCoresetBuilder,
     ThreadAsyncExecutor,
-    ThreadExecutor,
     resolve_async_executor,
-    resolve_executor,
     shard_bounds,
 )
 
@@ -46,6 +47,43 @@ def _fail_on_first(payload, task):
     if task == 0:
         raise RuntimeError("task 0 failed")
     return task
+
+
+def _slice_total_or_die(payload, task):
+    """``_slice_total``, except that a ``None`` task kills its pool worker."""
+    if task is None:
+        os._exit(3)
+    return _slice_total(payload, task)
+
+
+class _DyingSampler(CoresetConstruction):
+    """Kills the pool worker running it; module-level so it pickles."""
+
+    name = "dying"
+
+    def _sample(self, points, weights, m, seed, spread=None, cost_bound=None):
+        os._exit(3)
+
+
+def _error_within(call, timeout=60.0):
+    """Run ``call`` on a daemon thread and return what it raised (or None).
+
+    Fails the test if the call has not finished after ``timeout`` seconds,
+    so a pool that hangs instead of failing cannot wedge the suite.
+    """
+    outcome = {}
+
+    def _run():
+        try:
+            call()
+        except Exception as error:  # handed to the test
+            outcome["error"] = error
+
+    thread = threading.Thread(target=_run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"call still running after {timeout}s"
+    return outcome.get("error")
 
 
 def _shared_segment_names():
@@ -102,68 +140,107 @@ class TestShardBounds:
 class TestSerialAndThread:
     def test_serial_matches_direct_evaluation(self, payload, tasks):
         expected = [_slice_total(payload, task) for task in tasks]
-        assert SerialExecutor().map(_slice_total, tasks, payload=payload) == expected
+        assert SerialAsyncExecutor().map(_slice_total, tasks, payload=payload) == expected
 
     def test_thread_matches_serial_and_preserves_order(self, payload, tasks):
-        expected = SerialExecutor().map(_slice_total, tasks, payload=payload)
+        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
         for workers in (1, 2, 3, 8):
-            assert (
-                ThreadExecutor(workers=workers).map(_slice_total, tasks, payload=payload)
-                == expected
-            )
+            with ThreadAsyncExecutor(workers=workers) as executor:
+                assert executor.map(_slice_total, tasks, payload=payload) == expected
 
     def test_thread_without_payload(self):
-        assert ThreadExecutor(workers=2).map(_double, [1, 2, 3]) == [2, 4, 6]
+        with ThreadAsyncExecutor(workers=2) as executor:
+            assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
 
     def test_empty_task_list(self, payload):
-        assert SerialExecutor().map(_slice_total, [], payload=payload) == []
-        assert ThreadExecutor(workers=2).map(_slice_total, [], payload=payload) == []
+        assert SerialAsyncExecutor().map(_slice_total, [], payload=payload) == []
+        with ThreadAsyncExecutor(workers=2) as executor:
+            assert executor.map(_slice_total, [], payload=payload) == []
 
     def test_worker_count_validation(self):
         with pytest.raises(ValueError):
-            ThreadExecutor(workers=0)
+            ThreadAsyncExecutor(workers=0)
         with pytest.raises(TypeError):
-            ThreadExecutor(workers=2.5)
+            ThreadAsyncExecutor(workers=2.5)
 
 
 @pytest.mark.parallel
-class TestProcessExecutor:
+class TestProcessBackend:
     def test_matches_serial_via_shared_memory(self, payload, tasks):
-        expected = SerialExecutor().map(_slice_total, tasks, payload=payload)
+        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
         for workers in (1, 2, 4):
-            with ProcessExecutor(workers=workers) as executor:
+            with ProcessAsyncExecutor(workers=workers) as executor:
                 assert executor.map(_slice_total, tasks, payload=payload) == expected
 
     def test_without_payload(self):
-        with ProcessExecutor(workers=2) as executor:
+        with ProcessAsyncExecutor(workers=2) as executor:
             assert executor.map(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
 
     def test_empty_task_list(self, payload):
-        with ProcessExecutor(workers=2) as executor:
+        with ProcessAsyncExecutor(workers=2) as executor:
             assert executor.map(_slice_total, [], payload=payload) == []
 
     def test_closed_executor_rejects_map(self, payload, tasks):
-        executor = ProcessExecutor(workers=2)
+        executor = ProcessAsyncExecutor(workers=2)
         executor.close()
         with pytest.raises(RuntimeError, match="closed"):
             executor.map(_slice_total, tasks, payload=payload)
 
-    def test_fresh_pool_escape_hatch_matches(self, payload, tasks):
-        expected = SerialExecutor().map(_slice_total, tasks, payload=payload)
-        executor = ProcessExecutor(workers=2, fresh_pool=True)
-        assert executor.map(_slice_total, tasks, payload=payload) == expected
-        # Nothing persists on this path: no pool, no pooled segments.
-        assert executor._persistent is None
-
     def test_no_shared_memory_segments_leak_after_close(self, payload, tasks):
         before = _shared_segment_names()
-        with ProcessExecutor(workers=2) as executor:
+        with ProcessAsyncExecutor(workers=2) as executor:
             executor.map(_slice_total, tasks, payload=payload)
         assert _shared_segment_names() - before == set()
 
-    def test_fresh_pool_leaks_nothing_per_call(self, payload, tasks):
+
+@pytest.mark.parallel
+class TestWorkerDeath:
+    """A worker killed mid-task: a typed error, no leaked segments, a new pool.
+
+    ``os._exit`` skips every cleanup hook in the worker, which is what an
+    OOM kill looks like from the host.  The call that lost the worker must
+    raise :class:`BrokenProcessPool` promptly; the next call on the same
+    executor must run on a fresh pool and return correct results.
+    """
+
+    def test_worker_death_mid_map(self, payload, tasks):
+        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
         before = _shared_segment_names()
-        ProcessExecutor(workers=2, fresh_pool=True).map(_slice_total, tasks, payload=payload)
+        executor = ProcessAsyncExecutor(workers=2)
+        try:
+            doomed = [tasks[0], None, *tasks[1:]]
+            error = _error_within(
+                lambda: executor.map(_slice_total_or_die, doomed, payload=payload)
+            )
+            assert isinstance(error, BrokenProcessPool)
+            with obs.tracing() as recorder:
+                assert executor.map(_slice_total, tasks, payload=payload) == expected
+            assert recorder.counters()["executor.pool_restarts"] == 1.0
+        finally:
+            executor.close()
+        assert _shared_segment_names() - before == set()
+
+    def test_worker_death_mid_sharded_build(self, blobs, payload, tasks):
+        def builder(sampler):
+            return ShardedCoresetBuilder(
+                sampler, n_shards=4, coreset_size_per_shard=50, seed=3
+            )
+
+        reference = builder(UniformSampling(seed=0)).build(blobs)
+        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
+        before = _shared_segment_names()
+        executor = ProcessAsyncExecutor(workers=2)
+        try:
+            error = _error_within(
+                lambda: builder(_DyingSampler()).build(blobs, executor=executor)
+            )
+            assert isinstance(error, BrokenProcessPool)
+            assert executor.map(_slice_total, tasks, payload=payload) == expected
+            rebuilt = builder(UniformSampling(seed=0)).build(blobs, executor=executor)
+            assert rebuilt.coreset.points.tobytes() == reference.coreset.points.tobytes()
+            assert rebuilt.coreset.weights.tobytes() == reference.coreset.weights.tobytes()
+        finally:
+            executor.close()
         assert _shared_segment_names() - before == set()
 
 
@@ -177,9 +254,9 @@ class TestPersistentPoolReuse:
             points=rng.normal(size=(64, 3)), weights=rng.uniform(0.5, 1.5, size=64)
         )
         tasks = [(0, 32, 1.0), (32, 64, 0.5)]
-        expected = SerialExecutor().map(_slice_total, tasks, payload=payload)
+        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
         before = _shared_segment_names()
-        with ProcessExecutor(workers=2) as executor:
+        with ProcessAsyncExecutor(workers=2) as executor:
             assert executor.map(_slice_total, tasks, payload=payload) == expected
             # After the first call the segment pool is warm: two segments
             # (points + weights) that every later call leases and rewrites.
@@ -192,7 +269,7 @@ class TestPersistentPoolReuse:
         assert _shared_segment_names() - before == set()
 
     def test_map_calls_reuse_the_same_worker_processes(self):
-        with ProcessExecutor(workers=2) as executor:
+        with ProcessAsyncExecutor(workers=2) as executor:
             pids = set()
             for _ in range(10):
                 pids.update(executor.map(_worker_pid, [0, 1]))
@@ -230,7 +307,7 @@ class TestPersistentPoolReuse:
             points=rng.normal(size=(50, 4)), weights=np.ones(50)
         )
         tasks = [(0, 25, 2.0), (25, 50, 1.0)]
-        expected = SerialExecutor().map(_slice_total, tasks, payload=payload)
+        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
         before = _shared_segment_names()
         with ProcessAsyncExecutor(workers=2) as executor:
             assert executor.map(_slice_total, tasks, payload=payload) == expected
@@ -252,7 +329,7 @@ class TestAsyncExecutors:
         assert future.result() == _slice_total(payload, tasks[0])
 
     def test_submit_many_and_map_match_serial(self, payload, tasks):
-        expected = SerialExecutor().map(_slice_total, tasks, payload=payload)
+        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
         with ThreadAsyncExecutor(workers=3) as executor:
             futures = executor.submit_many(_slice_total, tasks, payload=payload)
             assert [future.result() for future in futures] == expected
@@ -260,7 +337,7 @@ class TestAsyncExecutors:
 
     @pytest.mark.parametrize("window", (1, 2, None))
     def test_map_unordered_yields_every_index_once(self, payload, tasks, window):
-        expected = SerialExecutor().map(_slice_total, tasks, payload=payload)
+        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
         with ThreadAsyncExecutor(workers=4) as executor:
             pairs = list(
                 executor.map_unordered(_slice_total, tasks, payload=payload, window=window)
@@ -302,13 +379,6 @@ class TestResolveAsyncExecutor:
         executor = ThreadAsyncExecutor(workers=5)
         assert resolve_async_executor(executor, workers=1) is executor
 
-    def test_sync_instances_promote_to_async_siblings(self):
-        promoted = resolve_async_executor(ThreadExecutor(workers=4))
-        assert isinstance(promoted, ThreadAsyncExecutor) and promoted.workers == 4
-        promoted = resolve_async_executor(ProcessExecutor(workers=3))
-        assert isinstance(promoted, ProcessAsyncExecutor) and promoted.workers == 3
-        assert isinstance(resolve_async_executor(SerialExecutor()), SerialAsyncExecutor)
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown executor backend"):
             resolve_async_executor("gpu")
@@ -317,26 +387,3 @@ class TestResolveAsyncExecutor:
         for name in BACKENDS:
             assert isinstance(resolve_async_executor(name, workers=2), AsyncExecutor)
 
-
-class TestResolveExecutor:
-    def test_none_and_serial_give_serial(self):
-        assert isinstance(resolve_executor(None), SerialExecutor)
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
-
-    def test_names_build_backends_with_workers(self):
-        thread = resolve_executor("thread", workers=3)
-        assert isinstance(thread, ThreadExecutor) and thread.workers == 3
-        process = resolve_executor("process", workers=2)
-        assert isinstance(process, ProcessExecutor) and process.workers == 2
-
-    def test_instance_passes_through(self):
-        executor = ThreadExecutor(workers=5)
-        assert resolve_executor(executor, workers=1) is executor
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor backend"):
-            resolve_executor("gpu")
-
-    def test_backend_names_are_resolvable(self):
-        for name in BACKENDS:
-            assert isinstance(resolve_executor(name, workers=2), Executor)

@@ -12,10 +12,10 @@ import pytest
 
 from repro.core import FastCoreset, SensitivitySampling, UniformSampling
 from repro.parallel import (
-    ProcessExecutor,
-    SerialExecutor,
+    ProcessAsyncExecutor,
+    SerialAsyncExecutor,
     ShardedCoresetBuilder,
-    ThreadExecutor,
+    ThreadAsyncExecutor,
 )
 from repro.streaming import DataStream, StreamingCoresetPipeline
 
@@ -51,9 +51,10 @@ class TestShardedBuilderEquivalence:
             coreset_size_per_shard=60,
             seed=seed,
         )
-        reference = builder.build(blobs, executor=SerialExecutor())
+        reference = builder.build(blobs, executor=SerialAsyncExecutor())
         for workers in (1, 2, 3):
-            result = builder.build(blobs, executor=ThreadExecutor(workers=workers))
+            with ThreadAsyncExecutor(workers=workers) as executor:
+                result = builder.build(blobs, executor=executor)
             _assert_identical(reference, result, (sampler_name, seed, workers))
 
     @pytest.mark.parallel
@@ -65,9 +66,10 @@ class TestShardedBuilderEquivalence:
             coreset_size_per_shard=60,
             seed=5,
         )
-        reference = builder.build(blobs, executor=SerialExecutor())
+        reference = builder.build(blobs, executor=SerialAsyncExecutor())
         for workers in (1, 2, 4):
-            result = builder.build(blobs, executor=ProcessExecutor(workers=workers))
+            with ProcessAsyncExecutor(workers=workers) as executor:
+                result = builder.build(blobs, executor=executor)
             _assert_identical(reference, result, (sampler_name, workers))
 
     def test_same_seed_reproduces_and_seeds_differ(self, blobs):
@@ -145,8 +147,9 @@ class TestShardedBuilderBehaviour:
         builder = ShardedCoresetBuilder(
             FastCoreset(k=5, seed=0), n_shards=5, coreset_size_per_shard=40, seed=9
         )
-        one = builder.build(blobs, executor=ThreadExecutor(workers=1))
-        many = builder.build(blobs, executor=ThreadExecutor(workers=5))
+        one = builder.build(blobs, executor="thread")
+        with ThreadAsyncExecutor(workers=5) as executor:
+            many = builder.build(blobs, executor=executor)
         _assert_identical(one, many, "workers=1 vs workers=5")
 
 
@@ -165,13 +168,16 @@ class TestStreamingExecutorEquivalence:
     @pytest.mark.parametrize("sampler_name", SAMPLER_NAMES)
     def test_batching_and_threads_never_change_the_coreset(self, blobs, sampler_name):
         sampler = _make_sampler(sampler_name)
-        reference, reference_stats = self._run(blobs, sampler, SerialExecutor(), batch_size=1)
+        reference, reference_stats = self._run(
+            blobs, sampler, SerialAsyncExecutor(), batch_size=1
+        )
         for executor, batch_size in (
-            (SerialExecutor(), 4),
-            (ThreadExecutor(workers=2), None),
-            (ThreadExecutor(workers=3), 5),
+            (SerialAsyncExecutor(), 4),
+            (ThreadAsyncExecutor(workers=2), None),
+            (ThreadAsyncExecutor(workers=3), 5),
         ):
-            coreset, stats = self._run(blobs, sampler, executor, batch_size)
+            with executor:
+                coreset, stats = self._run(blobs, sampler, executor, batch_size)
             assert np.array_equal(reference.points, coreset.points), sampler_name
             assert np.array_equal(reference.weights, coreset.weights), sampler_name
             assert stats == reference_stats, sampler_name
@@ -179,8 +185,11 @@ class TestStreamingExecutorEquivalence:
     @pytest.mark.parallel
     def test_process_backend_matches_serial(self, blobs):
         sampler = FastCoreset(k=5, seed=0)
-        reference, reference_stats = self._run(blobs, sampler, SerialExecutor(), batch_size=1)
-        coreset, stats = self._run(blobs, sampler, ProcessExecutor(workers=2))
+        reference, reference_stats = self._run(
+            blobs, sampler, SerialAsyncExecutor(), batch_size=1
+        )
+        with ProcessAsyncExecutor(workers=2) as executor:
+            coreset, stats = self._run(blobs, sampler, executor)
         assert np.array_equal(reference.points, coreset.points)
         assert np.array_equal(reference.weights, coreset.weights)
         assert stats == reference_stats

@@ -13,6 +13,7 @@ import pytest
 from repro.core import SensitivitySampling, UniformSampling
 from repro.data import drifting_mixture
 from repro.evaluation import coreset_distortion
+from repro.parallel import SerialAsyncExecutor
 from repro.reference import NaiveWindowReference
 from repro.streaming import (
     DataStream,
@@ -372,26 +373,35 @@ class TestWindowedTreeBehaviour:
 
 
 class TestWindowedPipeline:
+    @pytest.mark.parametrize(
+        "executor, prefetch",
+        [(None, None), ("serial", None), ("thread", None), ("thread", 2), ("thread", 4)],
+    )
     @pytest.mark.parametrize("kind", ["sliding", "decay"])
-    def test_sync_and_async_executors_bit_identical(self, blobs, kind):
+    def test_executors_bit_identical(self, blobs, kind, executor, prefetch):
         # Host-walk determinism: every stochastic input is fixed in arrival
-        # order, so the overlapped async pipeline must reproduce the
-        # spawn-seeded sync pipeline byte for byte.
-        def run(executor, prefetch):
-            pipeline = StreamingCoresetPipeline(
-                sampler=SensitivitySampling(k=5, seed=0),
-                coreset_size=150,
-                seed=3,
-                window=_policy(kind),
-                executor=executor,
-                prefetch_batches=prefetch,
-            )
-            return pipeline.run(DataStream(points=blobs, block_size=150))
-
-        sync = run("serial", None)
-        for coreset in (run("thread", 2), run("thread", 4)):
-            np.testing.assert_array_equal(sync.points, coreset.points)
-            np.testing.assert_array_equal(sync.weights, coreset.weights)
+        # order, so every executor must reproduce the serial pipeline byte
+        # for byte.  Without a prefetch depth the tree is driven directly:
+        # add_blocks resolves None or a backend name, then flushes and
+        # closes it within the call.
+        settings = dict(
+            sampler=SensitivitySampling(k=5, seed=0), coreset_size=150, seed=3, window=_policy(kind)
+        )
+        stream = DataStream(points=blobs, block_size=150)
+        reference = StreamingCoresetPipeline(**settings, executor=SerialAsyncExecutor()).run(stream)
+        if prefetch is None:
+            tree = WindowedMergeReduceTree(**settings, spawn_seeds=True)
+            blocks = list(stream)
+            for start in range(0, len(blocks), 3):
+                tree.add_blocks(blocks[start : start + 3], executor=executor)
+                assert not tree._pending
+            coreset = tree.finalize()
+        else:
+            coreset = StreamingCoresetPipeline(
+                **settings, executor=executor, prefetch_batches=prefetch
+            ).run(stream)
+        np.testing.assert_array_equal(reference.points, coreset.points)
+        np.testing.assert_array_equal(reference.weights, coreset.weights)
 
     @pytest.mark.parametrize("kind", ["sliding", "decay"])
     def test_statistics_and_diagnostics_carry_window_counters(self, blobs, kind):
