@@ -50,11 +50,25 @@ bits themselves are read from a *digit matrix* computed once per fit:
 of every fractional coordinate (scaling by a power of two and truncating are
 both exact in IEEE arithmetic; a fractional part that rounded to exactly 1.0
 is clamped to the all-ones digit row, which is the fixed point the iterative
-doubling converges to).  Together these replace the seed's per-level floor,
-the doubled integer lattice, *and* the per-level row hashing with one
-``(n, d)`` shift-and-mask plus one length-``n`` multiply-add per level.
-Fits whose depth cap exceeds 62 levels (beyond any realistic spread) fall
-back to the equivalent per-level ``frac`` doubling.
+doubling converges to).  For the ``uint32`` digit rows of depth caps up to
+32 the clamp to ``2**depth - 1`` happens in float *before* the cast: at
+``depth == 32`` the scaled value ``2**32`` would otherwise wrap to 0 and
+move the point to the far corner of its level-0 cell at every deeper level.
+Together these replace the seed's per-level floor, the doubled integer
+lattice, *and* the per-level row hashing with one ``(n, d)`` shift-and-mask
+plus one length-``n`` multiply-add per level.  Fits whose depth cap exceeds
+62 levels (beyond any realistic spread) fall back to the equivalent
+per-level ``frac`` doubling.
+
+With the compiled tier on and a depth cap of at most 32, the
+``quadtree_keys`` kernel (:mod:`repro.native`) does all of this in C: one
+pass over the origin-translated points writes the level-0 keys and the
+clamped, left-aligned digit rows, and each deeper level is one in-place
+pass that reads bit ``32 - level`` of every digit and applies the
+multiply-add.  It repeats the numpy path's IEEE operations in order, so the
+keys — and with them the trees — are bit-identical; the counters
+``quadtree.keys.native`` / ``quadtree.keys.numpy`` record which path served
+each fit.
 
 Seed-compatibility policy
 -------------------------
@@ -160,8 +174,8 @@ _MAX_DIGIT_LEVELS = 62
 
 #: Digit matrices for trees of at most this depth are held as ``uint32``
 #: (half the memory traffic of the per-level bit extraction) and their key
-#: increments served from the pattern LUTs below.  The default
-#: ``max_levels=32`` always fits.
+#: increments served from the pattern LUTs below, or by the compiled
+#: ``quadtree_keys`` kernel.  The default ``max_levels=32`` always fits.
 _MAX_UINT32_DIGIT_LEVELS = 32
 
 #: Per-dimension cache of byte-aligned subset-sum tables for the chunked
@@ -343,16 +357,15 @@ class QuadtreeEmbedding:
         # Translate so an arbitrary input point is the origin, then bound the
         # data inside a box of side 2 * delta (Section 2.4).
         self.origin_ = points[0].copy()
-        shifted_points = points - self.origin_[None, :]
+        translated = points - self.origin_[None, :]
         # sqrt is monotone and exactly rounded, so sqrt(max) == max(sqrt).
-        squared_norms = np.einsum("ij,ij->i", shifted_points, shifted_points)
+        squared_norms = np.einsum("ij,ij->i", translated, translated)
         self.delta_ = float(math.sqrt(squared_norms.max()))
         if self.delta_ <= 0:
             # All points identical: a single-level tree with one cell.
             self.delta_ = 1.0
         shift_scalar = float(generator.uniform(0.0, self.delta_))
         self.shift_ = np.full(self.dimension_, shift_scalar, dtype=np.float64)
-        shifted_points += shift_scalar
 
         if self.spread is not None:
             spread = float(self.spread)
@@ -363,73 +376,30 @@ class QuadtreeEmbedding:
         self.level_cell_ids_ = []
         self.level_order_ = []
         self.level_offsets_ = []
+        scratch = _csr_scratch(self.n_points_)
 
         # Level-0 lattice: floor(shifted / side_0).  Deeper levels never
         # materialise a lattice: the hash keys are updated incrementally
         # (``key' = 2 * key + bits . multipliers``, exact modulo 2**64 —
         # see the module docstring) with the per-level bits read from the
-        # one-shot digit matrix ``floor(frac * 2**depth_cap)``.
-        scaled = shifted_points
-        scaled /= self.cell_side(0)
-        lattice = np.floor(scaled).astype(np.int64)
-        keys = hash_rows(lattice)
-        scratch = _csr_scratch(self.n_points_)
-        increment = np.empty(self.n_points_, dtype=np.int64)
-        frac = scaled
-        frac -= lattice
-        # frac >= 0, so truncation is floor; a fractional part that rounded
-        # up to exactly 1.0 reads as the all-ones digit row — the fixed
-        # point of 2f - (f >= 1/2).  Shallow trees left-align the digits in
-        # a uint32 residual so each level's bits are one sign-compare away,
-        # and resolve the key increment with one byte-table lookup per 8
-        # coordinates (``np.packbits`` row patterns).
-        residual = None
-        digits = None
-        bits = None
-        tables = None
-        if depth_cap <= _MAX_UINT32_DIGIT_LEVELS:
-            residual = (frac * (2.0**depth_cap)).astype(np.uint32)
-            np.minimum(residual, np.uint32((1 << depth_cap) - 1), out=residual)
-            residual <<= np.uint32(32 - depth_cap)  # level-1 bit on top
-            tables = _pattern_tables(self.dimension_)
-            # Byte-aligned flag rows let packbits run over one flat stream
-            # (the per-row path is ~50x slower for narrow inputs); the pad
-            # columns stay zero so the final byte patterns are unaffected.
-            padded_width = (self.dimension_ + 7) // 8 * 8
-            flag_buffer = np.zeros((self.n_points_, padded_width), dtype=bool)
-            flag_view = flag_buffer[:, : self.dimension_]
-        elif depth_cap <= _MAX_DIGIT_LEVELS:
-            digits = (frac * (2.0**depth_cap)).astype(np.int64)
-            np.minimum(digits, (np.int64(1) << depth_cap) - 1, out=digits)
-            bits = np.empty_like(digits)
-            multipliers = _hash_multipliers(self.dimension_).view(np.int64)
+        # one-shot digit matrix ``floor(frac * 2**depth_cap)``.  The
+        # compiled ``quadtree_keys`` kernel does all of it in place.
+        keys_kernel = (
+            get_kernel("quadtree_keys") if depth_cap <= _MAX_UINT32_DIGIT_LEVELS else None
+        )
+        if keys_kernel is not None:
+            keys = np.empty(self.n_points_, dtype=np.uint64)
+            advance = keys_kernel(
+                translated, shift_scalar, self.cell_side(0), depth_cap,
+                _hash_multipliers(self.dimension_), keys,
+            )
+            _obs.counter_add("quadtree.keys.native", 1.0)
+        else:
+            keys, advance = self._numpy_keys(translated, shift_scalar, depth_cap)
+            _obs.counter_add("quadtree.keys.numpy", 1.0)
         for level in range(depth_cap + 1):
             if level > 0:
-                # Signed integers wrap modulo 2**64 exactly like the uint64
-                # view hash_rows sums in, so the incremental keys are
-                # bit-identical to hashing the doubled lattice.
-                if residual is not None:
-                    np.greater_equal(residual, np.uint32(0x80000000), out=flag_view)
-                    residual <<= np.uint32(1)
-                    packed = np.packbits(
-                        flag_buffer.reshape(-1), bitorder="little"
-                    ).reshape(self.n_points_, padded_width // 8)
-                    np.take(tables[0], packed[:, 0], out=increment)
-                    for byte, lut in enumerate(tables[1:], start=1):
-                        increment += lut[packed[:, byte]]
-                else:
-                    if digits is not None:
-                        np.right_shift(digits, np.int64(depth_cap - level), out=bits)
-                        np.bitwise_and(bits, np.int64(1), out=bits)
-                    else:
-                        flags = frac >= 0.5
-                        np.multiply(frac, 2.0, out=frac)
-                        frac -= flags
-                        bits = flags.astype(np.int64)
-                        multipliers = _hash_multipliers(self.dimension_).view(np.int64)
-                    np.matmul(bits, multipliers, out=increment)
-                np.left_shift(keys, np.uint64(1), out=keys)
-                keys += increment.view(np.uint64)
+                advance(level)
             with _obs.span("quadtree.level", level=level) as level_span:
                 cell_ids, order, offsets = _csr_group(keys, scratch)
                 level_span.annotate(cells=int(offsets.shape[0] - 1))
@@ -446,6 +416,83 @@ class QuadtreeEmbedding:
         _obs.counter_add("quadtree.fits", 1.0)
         _obs.counter_add("quadtree.levels_built", float(len(self.level_cell_ids_)))
         fit_span.annotate(n=self.n_points_, d=self.dimension_, depth=self.depth)
+
+    def _numpy_keys(self, translated: np.ndarray, shift: float, depth_cap: int) -> tuple:
+        """The numpy key derivation: ``(level-0 keys, advance)``.
+
+        ``advance(level)`` derives the level's keys from the previous
+        level's in place, for levels 1, 2, ... in order — the same contract
+        as the ``quadtree_keys`` kernel.  ``translated`` (the
+        origin-translated points) is consumed as scratch.
+        """
+        scaled = translated
+        scaled += shift
+        scaled /= self.cell_side(0)
+        lattice = np.floor(scaled).astype(np.int64)
+        keys = hash_rows(lattice)
+        increment = np.empty(self.n_points_, dtype=np.int64)
+        frac = scaled
+        frac -= lattice
+        # frac >= 0, so truncation is floor; a fractional part that rounded
+        # up to exactly 1.0 reads as the all-ones digit row — the fixed
+        # point of 2f - (f >= 1/2).  Shallow trees clamp in float before
+        # the cast (2**32 itself would wrap a uint32 to 0), left-align the
+        # digits in a uint32 residual so each level's bits are one
+        # sign-compare away, and resolve the key increment with one
+        # byte-table lookup per 8 coordinates (``np.packbits`` row
+        # patterns).
+        if depth_cap <= _MAX_UINT32_DIGIT_LEVELS:
+            frac *= 2.0**depth_cap
+            np.minimum(frac, 2.0**depth_cap - 1, out=frac)
+            residual = frac.astype(np.uint32)
+            residual <<= np.uint32(32 - depth_cap)  # level-1 bit on top
+            tables = _pattern_tables(self.dimension_)
+            # Byte-aligned flag rows let packbits run over one flat stream
+            # (the per-row path is ~50x slower for narrow inputs); the pad
+            # columns stay zero so the final byte patterns are unaffected.
+            padded_width = (self.dimension_ + 7) // 8 * 8
+            flag_buffer = np.zeros((self.n_points_, padded_width), dtype=bool)
+            flag_view = flag_buffer[:, : self.dimension_]
+
+            def level_increment(level: int) -> None:
+                np.greater_equal(residual, np.uint32(0x80000000), out=flag_view)
+                np.left_shift(residual, np.uint32(1), out=residual)
+                packed = np.packbits(flag_buffer.reshape(-1), bitorder="little").reshape(
+                    self.n_points_, padded_width // 8
+                )
+                np.take(tables[0], packed[:, 0], out=increment)
+                for byte, lut in enumerate(tables[1:], start=1):
+                    np.add(increment, lut[packed[:, byte]], out=increment)
+
+        elif depth_cap <= _MAX_DIGIT_LEVELS:
+            multipliers = _hash_multipliers(self.dimension_).view(np.int64)
+            digits = (frac * (2.0**depth_cap)).astype(np.int64)
+            np.minimum(digits, (np.int64(1) << depth_cap) - 1, out=digits)
+            bits = np.empty_like(digits)
+
+            def level_increment(level: int) -> None:
+                np.right_shift(digits, np.int64(depth_cap - level), out=bits)
+                np.bitwise_and(bits, np.int64(1), out=bits)
+                np.matmul(bits, multipliers, out=increment)
+
+        else:
+            multipliers = _hash_multipliers(self.dimension_).view(np.int64)
+
+            def level_increment(level: int) -> None:
+                flags = frac >= 0.5
+                np.multiply(frac, 2.0, out=frac)
+                np.subtract(frac, flags, out=frac)
+                np.matmul(flags.astype(np.int64), multipliers, out=increment)
+
+        def advance(level: int) -> None:
+            # Signed integers wrap modulo 2**64 exactly like the uint64 view
+            # hash_rows sums in, so the incremental keys are bit-identical
+            # to hashing the doubled lattice.
+            level_increment(level)
+            np.left_shift(keys, np.uint64(1), out=keys)
+            np.add(keys, increment.view(np.uint64), out=keys)
+
+        return keys, advance
 
     def _build_distance_table(self) -> None:
         """Precompute ``distance_from_shared_level`` for every level.

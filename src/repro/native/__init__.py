@@ -26,6 +26,7 @@ from repro.native.kernels import (
     reference_fkpp_level_score,
     reference_fkpp_weighted_draw,
     reference_kmeanspp_round,
+    reference_quadtree_keys,
 )
 from repro.native.registry import (
     ENV_FLAG,
@@ -48,6 +49,7 @@ __all__ = [
     "reference_fkpp_level_score",
     "reference_fkpp_weighted_draw",
     "reference_kmeanspp_round",
+    "reference_quadtree_keys",
     "refresh",
     "use_native",
 ]

@@ -138,6 +138,94 @@ void repro_radix_argsort_u64(const uint64_t *keys, int64_t n, int64_t *order,
         memcpy(order, order_scratch, (size_t)n * sizeof(int64_t));
 }
 
+/* Buckets of at most this many pairs are insertion-sorted; larger ones
+ * (clustered keys) go through the LSD radix sort, so no input is quadratic. */
+#define REPRO_INSERTION_CAP 96
+#define REPRO_BUCKET_MAX_BITS 16
+
+/* Stable sort of the pairs (keys[i], i) into sorted_keys/sorted_order.
+ *
+ * One MSD counting pass scatters the pairs into 2^bits buckets keyed on
+ * the bits just below the highest bit where any two keys differ (every key
+ * agrees above it, so the bucket index is monotone in the key); bits is
+ * chosen for 8 to 16 pairs per bucket and capped at 2^16 buckets.  Each
+ * bucket is then sorted in place: insertion sort (strict > shifting, so
+ * equal keys keep their input order) up to REPRO_INSERTION_CAP pairs, the
+ * radix sort above it.  The scatter walks the input in ascending index
+ * order, so the result is the stable argsort permutation.  counts and
+ * cursors need 2^bits <= max(1, n/8) entries; keys_scratch/order_scratch
+ * length n. */
+static void repro__bucket_sort_pairs(const uint64_t *keys, int64_t n,
+                                     uint64_t *sorted_keys,
+                                     int64_t *sorted_order,
+                                     uint64_t *keys_scratch,
+                                     int64_t *order_scratch, int64_t *counts,
+                                     int64_t *cursors)
+{
+    uint64_t differ = 0;
+    uint64_t mask;
+    int64_t buckets, b, i;
+    int bits = 0;
+    int shift;
+    for (i = 1; i < n; ++i)
+        differ |= keys[i] ^ keys[0];
+    {
+        /* Bits at and below the highest differing one (0: a single key,
+         * one bucket whose sort moves nothing). */
+        const int span = differ ? 64 - __builtin_clzll(differ) : 0;
+        while (bits < REPRO_BUCKET_MAX_BITS && bits < span &&
+               ((int64_t)16 << bits) <= n)
+            ++bits;
+        shift = span - bits;
+    }
+    buckets = (int64_t)1 << bits;
+    mask = (uint64_t)(buckets - 1);
+    memset(counts, 0, (size_t)buckets * sizeof(int64_t));
+    for (i = 0; i < n; ++i)
+        ++counts[(keys[i] >> shift) & mask];
+    {
+        int64_t running = 0;
+        for (b = 0; b < buckets; ++b) {
+            cursors[b] = running;
+            running += counts[b];
+        }
+    }
+    for (i = 0; i < n; ++i) {
+        const uint64_t key = keys[i];
+        const int64_t slot = cursors[(key >> shift) & mask]++;
+        sorted_keys[slot] = key;
+        sorted_order[slot] = i;
+    }
+    /* After the scatter cursors[b] is the end of bucket b. */
+    for (b = 0; b < buckets; ++b) {
+        const int64_t end = cursors[b];
+        const int64_t start = end - counts[b];
+        if (end - start > REPRO_INSERTION_CAP) {
+            if (repro__radix_sort_pairs(sorted_keys + start, sorted_order + start,
+                                        keys_scratch + start,
+                                        order_scratch + start, end - start)) {
+                memcpy(sorted_keys + start, keys_scratch + start,
+                       (size_t)(end - start) * sizeof(uint64_t));
+                memcpy(sorted_order + start, order_scratch + start,
+                       (size_t)(end - start) * sizeof(int64_t));
+            }
+            continue;
+        }
+        for (i = start + 1; i < end; ++i) {
+            const uint64_t key = sorted_keys[i];
+            const int64_t value = sorted_order[i];
+            int64_t j = i;
+            while (j > start && sorted_keys[j - 1] > key) {
+                sorted_keys[j] = sorted_keys[j - 1];
+                sorted_order[j] = sorted_order[j - 1];
+                --j;
+            }
+            sorted_keys[j] = key;
+            sorted_order[j] = value;
+        }
+    }
+}
+
 /* Fused grouping: the whole body of quadtree _csr_group in one call.
  *
  * Outputs (all caller-allocated): cell_ids[n] gets the rank of each point's
@@ -157,10 +245,11 @@ void repro_radix_argsort_u64(const uint64_t *keys, int64_t n, int64_t *order,
  * exceeds the threshold the path aborts and falls through to the general
  * sort, so adversarial inputs only pay one wasted O(n) probe pass.
  *
- * Radix path — sort (key, index) pairs, then a single fused pass walks the
- * sorted keys emitting boundary offsets and scattering the rank through
- * the sorted order, replacing the five numpy passes (take/not_equal/
- * cumsum/fancy-store/flatnonzero) that followed the argsort.
+ * Sort path — the bucketed sort of (key, index) pairs
+ * (repro__bucket_sort_pairs), then a single fused pass walks the sorted
+ * keys emitting boundary offsets and scattering the rank through the
+ * sorted order, replacing the five numpy passes (take/not_equal/cumsum/
+ * fancy-store/flatnonzero) that followed the argsort.
  *
  * Work arrays: order_scratch/shadow/shadow_scratch/slot_index/aux length n,
  * hash_keys/hash_payload length table_size. */
@@ -193,7 +282,7 @@ int64_t repro_csr_group_u64(const uint64_t *keys, int64_t n, int64_t *cell_ids,
                 const int64_t payload = hash_payload[slot];
                 if (payload < 0) {
                     if (m >= threshold)
-                        goto radix_path; /* too many distinct keys */
+                        goto sort_path; /* too many distinct keys */
                     hash_keys[slot] = key;
                     hash_payload[slot] = m;
                     shadow[m] = key;
@@ -245,26 +334,75 @@ int64_t repro_csr_group_u64(const uint64_t *keys, int64_t n, int64_t *cell_ids,
         }
         return m;
     }
-radix_path:
-    for (i = 0; i < n; ++i) {
-        order[i] = i;
-        shadow[i] = keys[i];
-    }
+sort_path:
+    repro__bucket_sort_pairs(keys, n, shadow, order, shadow_scratch,
+                             order_scratch, aux, slot_index);
     {
-        const int flipped = repro__radix_sort_pairs(
-            shadow, order, shadow_scratch, order_scratch, n);
-        const uint64_t *sorted_keys = flipped ? shadow_scratch : shadow;
-        const int64_t *sorted_order = flipped ? order_scratch : order;
         int64_t n_cells = 0;
         for (i = 0; i < n; ++i) {
-            if (i == 0 || sorted_keys[i] != sorted_keys[i - 1])
+            if (i == 0 || shadow[i] != shadow[i - 1])
                 offsets[n_cells++] = i;
-            cell_ids[sorted_order[i]] = n_cells - 1;
+            cell_ids[order[i]] = n_cells - 1;
         }
         offsets[n_cells] = n;
-        if (flipped)
-            memcpy(order, order_scratch, (size_t)n * sizeof(int64_t));
         return n_cells;
+    }
+}
+
+/* -------------------------------------------------------------- quadtree */
+
+/* Level-0 preparation of a quadtree fit in one pass over the
+ * origin-translated points: scaled = (translated + shift) / side, the
+ * lattice floor(scaled), its multilinear hash key (wrapping uint64 sum of
+ * lattice[j] * multipliers[j], i.e. hash_rows), and the digit row
+ * min(frac * 2^depth_cap, 2^depth_cap - 1) truncated to uint32 and
+ * left-aligned so the level-1 bit is bit 31.  Every step is the numpy
+ * path's IEEE operation in the same order (add, divide, floor, subtract
+ * the int64 lattice, scale by a power of two); the clamp runs in double
+ * before the cast, so a fractional part that rounded to exactly 1.0 reads
+ * as the all-ones row even at depth_cap == 32.  1 <= depth_cap <= 32. */
+void repro_quadtree_keys_init(const double *translated, int64_t n, int64_t d,
+                              double shift, double side, int64_t depth_cap,
+                              const uint64_t *multipliers, uint64_t *keys,
+                              uint32_t *digits)
+{
+    const double scale = ldexp(1.0, (int)depth_cap);
+    const double top = scale - 1.0;
+    const int align = 32 - (int)depth_cap;
+    int64_t i, j;
+    for (i = 0; i < n; ++i) {
+        const double *row = translated + i * d;
+        uint32_t *digit_row = digits + i * d;
+        uint64_t key = 0;
+        for (j = 0; j < d; ++j) {
+            const double s = (row[j] + shift) / side;
+            const int64_t lattice = (int64_t)floor(s);
+            double x = (s - (double)lattice) * scale;
+            if (x > top)
+                x = top;
+            key += (uint64_t)lattice * multipliers[j];
+            digit_row[j] = (uint32_t)x << align;
+        }
+        keys[i] = key;
+    }
+}
+
+/* One level of the incremental key update, in place:
+ * key' = 2 * key + sum_j bit_j * multipliers[j] (mod 2^64), with bit_j
+ * bit (32 - level) of the left-aligned digit row -- exactly the hash of
+ * the doubled lattice 2 * lattice + bit. */
+void repro_quadtree_keys_advance(uint64_t *keys, const uint32_t *digits,
+                                 int64_t n, int64_t d, int64_t level,
+                                 const uint64_t *multipliers)
+{
+    const int bit = 32 - (int)level;
+    int64_t i, j;
+    for (i = 0; i < n; ++i) {
+        const uint32_t *digit_row = digits + i * d;
+        uint64_t increment = 0;
+        for (j = 0; j < d; ++j)
+            increment += multipliers[j] & (0 - (uint64_t)((digit_row[j] >> bit) & 1u));
+        keys[i] = (keys[i] << 1) + increment;
     }
 }
 
@@ -910,6 +1048,19 @@ def load_kernels() -> Dict[str, Callable]:
     probe.restype = i64
     probe.argtypes = [pf64, i64, i64, i64, i32, pi64, pf64, pu64, pu64, pu8, i64]
 
+    # Raw pointers only: ``quadtree_keys`` validates its arrays once per fit.
+    keys_init = library.repro_quadtree_keys_init
+    keys_init.restype = None
+    keys_init.argtypes = [
+        ctypes.c_void_p, i64, i64, f64, f64, i64, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p,
+    ]
+    keys_advance = library.repro_quadtree_keys_advance
+    keys_advance.restype = None
+    keys_advance.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, i64, i64, i64, ctypes.c_void_p,
+    ]
+
     def radix_argsort_u64(keys: np.ndarray) -> np.ndarray:
         n = keys.shape[0]
         order = np.empty(n, dtype=np.int64)
@@ -1203,6 +1354,56 @@ def load_kernels() -> Dict[str, Callable]:
 
         return run_round
 
+    def quadtree_keys(
+        translated: np.ndarray,
+        shift: float,
+        side: float,
+        depth_cap: int,
+        multipliers: np.ndarray,
+        keys: np.ndarray,
+    ) -> Callable:
+        """Write one fit's level-0 keys into ``keys``; return ``advance(level)``.
+
+        The bind call hashes ``floor((translated + shift) / side)`` into
+        ``keys`` and keeps the left-aligned ``uint32`` digit rows in a
+        private buffer; ``advance(level)`` then derives the level's keys
+        from the previous level's in place.  The caller must keep using
+        the same ``keys`` array and call ``advance`` for levels 1, 2, ...
+        in order.
+        """
+        if translated.ndim != 2:
+            raise ValueError("quadtree points must be two-dimensional")
+        n, d = translated.shape
+        if translated.dtype != np.float64 or not translated.flags["C_CONTIGUOUS"]:
+            raise ValueError("quadtree points must be contiguous float64")
+        for array, length in ((multipliers, d), (keys, n)):
+            if (
+                array.dtype != np.uint64
+                or not array.flags["C_CONTIGUOUS"]
+                or array.shape != (length,)
+            ):
+                raise ValueError("quadtree keys/multipliers must be contiguous uint64")
+        depth_cap = int(depth_cap)
+        if not 1 <= depth_cap <= 32:
+            raise ValueError(f"quadtree_keys serves depth caps 1..32, got {depth_cap}")
+        digits = np.empty((n, d), dtype=np.uint32)
+        keep = (translated, multipliers, keys, digits)
+        p_multipliers = multipliers.ctypes.data
+        p_keys = keys.ctypes.data
+        p_digits = digits.ctypes.data
+        keys_init(
+            translated.ctypes.data, n, d, float(shift), float(side), depth_cap,
+            p_multipliers, p_keys, p_digits,
+        )
+
+        def advance(level: int, _keep=keep) -> None:
+            level = int(level)
+            if not 1 <= level <= depth_cap:
+                raise ValueError(f"level {level} outside 1..{depth_cap}")
+            keys_advance(p_keys, p_digits, n, d, level, p_multipliers)
+
+        return advance
+
     def crude_bound_probe(
         scaled: np.ndarray,
         level: int,
@@ -1242,6 +1443,7 @@ def load_kernels() -> Dict[str, Callable]:
         "fkpp_weighted_draw": fkpp_weighted_draw,
         "crude_bound_probe": crude_bound_probe,
         "kmeanspp_round": kmeanspp_round,
+        "quadtree_keys": quadtree_keys,
     }
 
 

@@ -1,6 +1,6 @@
 """Kernel declarations, verifiers, and the public dispatch wrappers.
 
-Nine kernels ride the compiled tier:
+Ten kernels ride the compiled tier:
 
 ``radix_argsort``
     Stable LSD radix argsort over ``uint64``/``int64`` keys.  The contract
@@ -10,9 +10,21 @@ Nine kernels ride the compiled tier:
 ``csr_group``
     The whole grouping body of :func:`repro.geometry.quadtree._csr_group`
     fused into one call — sort, boundary detection, rank labelling, CSR
-    offsets — plus a hash fast path for duplicate-heavy levels.  No
-    registered fallback: in fallback mode the quadtree keeps its inline
+    offsets — plus a hash fast path for duplicate-heavy levels.  The sort
+    is one stable MSD counting pass into buckets of about 16 keys followed
+    by a stable in-bucket sort, so the permutation is the stable argsort's.
+    No registered fallback: in fallback mode the quadtree keeps its inline
     numpy pipeline.
+
+``quadtree_keys``
+    The per-level hash keys of a quadtree fit
+    (:mod:`repro.geometry.quadtree`).  A binder:
+    ``kernel(translated, shift, side, depth_cap, multipliers, keys)``
+    writes the level-0 keys ``hash_rows(floor((translated + shift) /
+    side))`` into ``keys`` and the left-aligned ``uint32`` digit rows into
+    a private buffer in one pass, then returns ``advance(level)``, which
+    applies ``key' = 2 * key + bits . multipliers`` in place.  Depth caps
+    1..32; C only; no fallback: the fit keeps its numpy derivation.
 
 ``lloyd_refresh_bounds`` / ``lloyd_candidate_eval`` / ``lloyd_update_sums``
     The warm-phase loop of the pruned Lloyd engine
@@ -309,6 +321,43 @@ def reference_crude_bound_probe(
     return int(np.unique(keys).shape[0])
 
 
+def reference_quadtree_keys(
+    translated: np.ndarray,
+    shift: float,
+    side: float,
+    depth_cap: int,
+    multipliers: np.ndarray,
+) -> list:
+    """Oracle of the quadtree key derivation: every level's keys, from live numpy.
+
+    Restates ``QuadtreeEmbedding._numpy_keys``: level 0
+    hashes ``floor((translated + shift) / side)`` (wrapping uint64 row
+    sums, ``hash_rows``), the fractional parts scaled by ``2**depth_cap``
+    are clamped in float to ``2**depth_cap - 1`` and cast to left-aligned
+    ``uint32`` digit rows, and level ``l`` applies ``key' = 2 * key + bits
+    . multipliers`` with ``bits`` bit ``32 - l`` of each digit.  Returns
+    the ``depth_cap + 1`` key arrays, shallowest first.
+    """
+    scaled = translated + shift
+    scaled /= side
+    lattice = np.floor(scaled).astype(np.int64)
+    frac = scaled - lattice
+    frac *= 2.0**depth_cap
+    np.minimum(frac, 2.0**depth_cap - 1, out=frac)
+    digits = frac.astype(np.uint32) << np.uint32(32 - depth_cap)
+    with np.errstate(over="ignore"):
+        keys = (lattice.view(np.uint64) * multipliers[None, :]).sum(
+            axis=1, dtype=np.uint64
+        )
+        levels = [keys]
+        for level in range(1, depth_cap + 1):
+            bits = ((digits >> np.uint32(32 - level)) & np.uint32(1)).astype(np.uint64)
+            increment = (bits * multipliers[None, :]).sum(axis=1, dtype=np.uint64)
+            keys = (keys << np.uint64(1)) + increment
+            levels.append(keys)
+    return levels
+
+
 # -------------------------------------------------------------- verifiers
 def _verify_radix(kernel) -> None:
     rng = np.random.default_rng(20240807)
@@ -335,6 +384,16 @@ def _verify_csr_group(kernel) -> None:
         rng.integers(0, np.iinfo(np.uint64).max, size=300, dtype=np.uint64),
         # Distinct count just above the n/8 threshold (late abort).
         rng.integers(0, 48, size=300, dtype=np.uint64),
+        # Keys sharing their top 40 bits, 240 of them (with duplicates) in
+        # one bucket of the sort path, past the insertion cap; they differ
+        # in one radix digit only, so the sorted run ends in scratch.
+        np.uint64(0xABCDEF0123 << 24)
+        + np.concatenate(
+            [
+                rng.integers(0, 64, size=240, dtype=np.uint64),
+                rng.integers(1 << 23, 1 << 24, size=60, dtype=np.uint64),
+            ]
+        ),
         np.zeros(100, dtype=np.uint64),
         np.array([5, 5], dtype=np.uint64),
         np.array([9, 3, 9], dtype=np.uint64),
@@ -705,6 +764,50 @@ def _verify_crude_bound_probe(kernel) -> None:
                 )
 
 
+def quadtree_key_points(rng, n: int, d: int, delta: float) -> tuple:
+    """Translated points and a shift shaped like a quadtree fit's level 0.
+
+    Coordinates span ``[-delta, delta]`` and the shift ``[0, delta)``, so
+    the level-0 lattice takes (almost only) the values -1 and 0.  Row 0 is
+    the origin,
+    row 1 lands an ulp below a cell boundary (its fractional part rounds to
+    exactly 1.0 and must clamp to the all-ones digit row), row 2 lands
+    ``2**-41`` cells below one (all-ones digits without the clamp), and
+    every ninth row from row 3 sits on (or within rounding of) a level-6
+    digit boundary.
+    """
+    translated = rng.uniform(-delta, delta, size=(n, d))
+    shift = float(rng.uniform(0.0, delta))
+    translated[0] = 0.0
+    translated[1] = -(shift + np.spacing(shift))
+    translated[2] = -(shift + delta * 2.0**-40)
+    side = 2.0 * delta
+    translated[3::9] = np.round((translated[3::9] + shift) / side * 64.0) / 64.0 * side - shift
+    return translated, shift
+
+
+def _verify_quadtree_keys(kernel) -> None:
+    rng = np.random.default_rng(20261017)
+    for d, depth_cap in ((1, 32), (2, 1), (3, 17), (8, 32), (9, 31), (17, 5)):
+        n, delta = 40, 1e6
+        translated, shift = quadtree_key_points(rng, n, d, delta)
+        multipliers = (
+            rng.integers(1, 2**62, size=d, dtype=np.uint64) * np.uint64(2)
+            + np.uint64(1)
+        )
+        expected = reference_quadtree_keys(translated, shift, 2.0 * delta, depth_cap, multipliers)
+        keys = np.empty(n, dtype=np.uint64)
+        advance = kernel(translated, shift, 2.0 * delta, depth_cap, multipliers, keys)
+        for level, want in enumerate(expected):
+            if level:
+                advance(level)
+            if not np.array_equal(keys, want):
+                raise RuntimeError(
+                    "quadtree keys disagree with the numpy derivation "
+                    f"(d={d}, depth_cap={depth_cap}, level={level})"
+                )
+
+
 # ------------------------------------------------------- public wrappers
 def radix_argsort(keys: np.ndarray) -> np.ndarray:
     """Stable ascending argsort of 1-d ``uint64``/``int64`` keys.
@@ -760,6 +863,9 @@ def _register() -> None:
     registry.register_kernel(
         "kmeanspp_round", fallback=None, verify=_verify_kmeanspp_round
     )
+    registry.register_kernel(
+        "quadtree_keys", fallback=None, verify=_verify_quadtree_keys
+    )
 
     def _load_numba():
         from repro.native import _numba_kernels
@@ -801,4 +907,5 @@ __all__ = [
     "reference_fkpp_level_score",
     "reference_fkpp_weighted_draw",
     "reference_kmeanspp_round",
+    "reference_quadtree_keys",
 ]

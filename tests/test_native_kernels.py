@@ -29,12 +29,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro import observability
 from repro.clustering.fast_kmeans_pp import fast_kmeans_plus_plus
 from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.clustering.lloyd import kmeans
+from repro.core.fast_coreset import FastCoreset
 from repro.core.sensitivity import SensitivitySampling
 from repro.core.spread_reduction import crude_cost_upper_bound
 from repro.data.synthetic import gaussian_mixture
+from repro.geometry.grid import _hash_multipliers
 from repro.geometry.quadtree import QuadtreeEmbedding
 from repro.native import (
     get_kernel,
@@ -47,9 +50,10 @@ from repro.native import (
     reference_fkpp_level_score,
     reference_fkpp_weighted_draw,
     reference_kmeanspp_round,
+    reference_quadtree_keys,
     use_native,
 )
-from repro.native.kernels import _reference_csr_group
+from repro.native.kernels import _reference_csr_group, quadtree_key_points
 
 SETTINGS = settings(
     max_examples=25,
@@ -79,6 +83,21 @@ clustered_keys = arrays(
     shape=st.integers(1, 300),
     elements=st.integers(0, 9),
 )
+
+
+@st.composite
+def prefixed_keys(draw):
+    """Up to a few thousand keys sharing a random high prefix.
+
+    Few low bits give duplicate-heavy inputs (the hash path, or buckets full
+    of equal keys once the distinct count passes n/8); many give the sort
+    path's realistic buckets.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 3000))
+    low_bits = draw(st.integers(1, 63))
+    prefix = (int(rng.integers(0, 2**63)) << low_bits) % 2**64
+    return np.uint64(prefix) + rng.integers(0, 1 << low_bits, size=n, dtype=np.uint64)
 
 
 class TestRadixArgsort:
@@ -147,12 +166,57 @@ class TestCsrGroupKernel:
     def test_scattered_keys_radix_path(self, keys):
         self._check(keys)
 
+    @SETTINGS
+    @given(keys=prefixed_keys())
+    def test_prefixed_keys_both_paths(self, keys):
+        self._check(keys)
+
     def test_distinct_count_around_hash_abort_threshold(self):
-        # The hash path aborts to the radix path once the distinct count
+        # The hash path aborts to the sort path once the distinct count
         # crosses n >> 3; straddle the threshold on both sides.
         rng = np.random.default_rng(1)
         for alphabet in (30, 32, 34, 64, 256):
             self._check(rng.integers(0, alphabet, size=256, dtype=np.uint64))
+
+    def test_thousands_of_uniform_keys(self):
+        rng = np.random.default_rng(3)
+        for n in (2000, 4096, 5000):
+            self._check(rng.integers(0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64))
+
+    def test_keys_sharing_their_top_40_bits(self):
+        # The buckets key on the bits below the highest differing bit, not
+        # on the (constant) top of the word.
+        rng = np.random.default_rng(4)
+        prefix = np.uint64(0x9E3779B97F << 24)
+        self._check(prefix + rng.integers(0, 1 << 24, size=3000, dtype=np.uint64))
+
+    def test_one_bucket_holds_most_keys(self):
+        rng = np.random.default_rng(5)
+        crowded = rng.integers(0, 1 << 40, size=2700, dtype=np.uint64)
+        spread = rng.integers(0, np.iinfo(np.uint64).max, size=300, dtype=np.uint64)
+        self._check(rng.permutation(np.concatenate([crowded, spread])))
+
+    def test_many_buckets_around_the_insertion_cap(self):
+        # 4000 keys give 128 buckets on the top 7 bits; fill 40 of them with
+        # 60-140 keys each so the insertion/radix split is crossed both ways.
+        rng = np.random.default_rng(6)
+        buckets = rng.choice(128, size=40, replace=False).astype(np.uint64)
+        sizes = rng.integers(60, 140, size=40)
+        sizes[-1] = 4000 - sizes[:-1].sum()
+        keys = np.concatenate(
+            [
+                (bucket << np.uint64(57)) + rng.integers(0, 1 << 57, size=size, dtype=np.uint64)
+                for bucket, size in zip(buckets, sizes)
+            ]
+        )
+        self._check(rng.permutation(keys))
+
+    def test_duplicates_inside_buckets_stay_stable(self):
+        # 600 distinct keys (past the n/8 hash threshold) repeated about five
+        # times each: equal keys share a bucket and must keep input order.
+        rng = np.random.default_rng(7)
+        values = rng.integers(0, np.iinfo(np.uint64).max, size=600, dtype=np.uint64)
+        self._check(values[rng.integers(0, 600, size=3000)])
 
     def test_grouping_matches_quadtree_usage(self):
         from repro.geometry.quadtree import _csr_group
@@ -509,6 +573,110 @@ def test_kmeanspp_round_escape_hatch_forces_numpy_rounds():
         assert get_kernel("kmeanspp_round") is None
 
 
+requires_quadtree_keys = pytest.mark.skipif(
+    kernel_provider("quadtree_keys") == "fallback",
+    reason="no provider serves the quadtree_keys kernel",
+)
+
+
+@requires_quadtree_keys
+class TestQuadtreeKeysKernel:
+    """The compiled key derivation vs the numpy derivation, level by level."""
+
+    @staticmethod
+    def _inputs(d, depth_cap, n=257):
+        rng = np.random.default_rng(d * 100 + depth_cap)
+        translated, shift = quadtree_key_points(rng, n, d, 1e6)
+        return translated, shift, 2e6, _hash_multipliers(d)
+
+    @pytest.mark.parametrize("depth_cap", [1, 17, 31, 32])
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 10, 16, 17, 33])
+    def test_every_level_matches_numpy_oracle(self, d, depth_cap):
+        translated, shift, side, multipliers = self._inputs(d, depth_cap)
+        expected = reference_quadtree_keys(translated, shift, side, depth_cap, multipliers)
+        keys = np.empty(translated.shape[0], dtype=np.uint64)
+        advance = get_kernel("quadtree_keys")(
+            translated, shift, side, depth_cap, multipliers, keys
+        )
+        # The inputs exercise both level-0 lattice values and the clamp.
+        lattice = np.floor((translated + shift) / side)
+        assert (lattice < 0).any() and (lattice == 0).any()
+        for level, want in enumerate(expected):
+            if level:
+                advance(level)
+            np.testing.assert_array_equal(keys, want, err_msg=f"level {level}")
+
+    @pytest.mark.parametrize("d,depth_cap", [(2, 32), (10, 32), (9, 20)])
+    def test_oracle_and_kernel_match_the_quadtree_numpy_path(self, d, depth_cap):
+        translated, shift, side, multipliers = self._inputs(d, depth_cap)
+        tree = QuadtreeEmbedding()
+        tree.n_points_, tree.dimension_ = translated.shape
+        tree.delta_ = side / 2.0
+        numpy_keys, numpy_advance = tree._numpy_keys(translated.copy(), shift, depth_cap)
+        keys = np.empty(translated.shape[0], dtype=np.uint64)
+        advance = get_kernel("quadtree_keys")(
+            translated, shift, side, depth_cap, multipliers, keys
+        )
+        expected = reference_quadtree_keys(translated, shift, side, depth_cap, multipliers)
+        for level, want in enumerate(expected):
+            if level:
+                numpy_advance(level)
+                advance(level)
+            np.testing.assert_array_equal(numpy_keys, want, err_msg=f"level {level}")
+            np.testing.assert_array_equal(keys, want, err_msg=f"level {level}")
+
+    def test_rounded_to_one_row_reads_all_ones(self):
+        # Row 1's fractional part rounds to exactly 1.0: at depth 32 its
+        # digits must clamp to all ones, so it shares every level's cell
+        # with row 2, which sits 2**-41 cells below the same boundary.
+        translated, shift, side, multipliers = self._inputs(2, 32, n=8)
+        keys = np.empty(8, dtype=np.uint64)
+        advance = get_kernel("quadtree_keys")(translated, shift, side, 32, multipliers, keys)
+        for level in range(33):
+            if level:
+                advance(level)
+            assert keys[1] == keys[2], level
+
+    def test_bind_rejects_bad_buffers(self):
+        translated, shift, side, multipliers = self._inputs(3, 8, n=16)
+        kernel = get_kernel("quadtree_keys")
+        keys = np.empty(16, dtype=np.uint64)
+        with pytest.raises(ValueError):
+            kernel(translated, shift, side, 33, multipliers, keys)
+        with pytest.raises(ValueError):
+            kernel(translated, shift, side, 8, multipliers, np.empty(15, dtype=np.uint64))
+        with pytest.raises(ValueError):
+            kernel(np.asfortranarray(translated), shift, side, 8, multipliers, keys)
+        advance = kernel(translated, shift, side, 8, multipliers, keys)
+        with pytest.raises(ValueError):
+            advance(9)
+
+
+class TestQuadtreeKeysDispatch:
+    """``quadtree.keys.native`` / ``.numpy`` count one dispatch per fit."""
+
+    @staticmethod
+    def _counters(**tree_options):
+        points = np.random.default_rng(8).normal(size=(500, 4))
+        with observability.tracing() as recorder:
+            QuadtreeEmbedding(seed=0, **tree_options).fit(points)
+            QuadtreeEmbedding(seed=1, **tree_options).fit(points)
+        counters = recorder.counters()
+        return counters.get("quadtree.keys.native", 0.0), counters.get("quadtree.keys.numpy", 0.0)
+
+    def test_one_count_per_fit(self):
+        native = kernel_provider("quadtree_keys") != "fallback"
+        assert self._counters() == ((2.0, 0.0) if native else (0.0, 2.0))
+
+    def test_escape_hatch_counts_numpy(self):
+        with use_native(False):
+            assert get_kernel("quadtree_keys") is None
+            assert self._counters() == (0.0, 2.0)
+
+    def test_caps_past_32_levels_count_numpy(self):
+        assert self._counters(max_levels=40, spread=2.0**45) == (0.0, 2.0)
+
+
 class TestTierControl:
     def test_native_status_shape(self):
         status = native_status()
@@ -523,6 +691,7 @@ class TestTierControl:
             "fkpp_weighted_draw",
             "crude_bound_probe",
             "kmeanspp_round",
+            "quadtree_keys",
         }
         assert "providers" in status
 
@@ -641,6 +810,18 @@ class TestCrossModeBitIdentity:
         for k in (12, 20):
             solution = self._assert_kmeanspp_identical(points, k)
             np.testing.assert_array_equal(solution.centers, points)
+
+    def test_fast_coreset_identical(self):
+        # Far outliers push the depth cap to 32: the native run derives
+        # every level's keys in the compiled kernel and groups the deep
+        # levels on the bucketed sort path.
+        points = gaussian_mixture(n=20_000, d=10, n_clusters=25, gamma=1.0, seed=9).points
+        points[:20, 0] += 1e4
+        native = FastCoreset(50).sample(points, 1000, seed=9)
+        with use_native(False):
+            fallback = FastCoreset(50).sample(points, 1000, seed=9)
+        assert native.points.tobytes() == fallback.points.tobytes()
+        assert native.weights.tobytes() == fallback.weights.tobytes()
 
     def test_sensitivity_coreset_identical(self):
         points = gaussian_mixture(n=20_000, d=10, n_clusters=25, gamma=1.0, seed=8).points

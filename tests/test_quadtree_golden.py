@@ -14,6 +14,7 @@ import pytest
 from repro.geometry.quadtree import QuadtreeEmbedding
 from repro.native import use_native
 from repro.reference.seed_hotpath import SeedQuadtreeEmbedding
+from repro.utils.rng import as_generator
 
 
 def _dataset(case: str, seed: int) -> np.ndarray:
@@ -29,6 +30,27 @@ def _dataset(case: str, seed: int) -> np.ndarray:
         return np.concatenate([base, base[:30], np.zeros((10, 4))])
     if case == "low_dim":
         return rng.uniform(-3.0, 3.0, size=(400, 1))
+    if case == "large_high_spread":
+        # Deep levels hold 10k-20k cells, so grouping takes the sort path
+        # with realistically filled (and duplicate-carrying) buckets.
+        near = rng.normal(size=(10_000, 3))
+        far = rng.normal(size=(10_000, 3)) * 1e5 + 1e6
+        return np.concatenate([near, far])
+    if case == "depth32_clamp":
+        # With delta = 1e6 the fit draws this shift (seed 3).  Row 2 lands an
+        # ulp below a level-0 cell boundary: its fractional part rounds to
+        # exactly 1.0, whose 32-digit row must clamp to all ones (the cast of
+        # 2**32 wraps to 0).  Row 3 sits 2**-41 cells below the boundary, so
+        # the two rows share a cell down to level 32.
+        shift = as_generator(seed).uniform(0.0, 1e6)
+        return np.array(
+            [
+                [0.0, 0.0],
+                [1e6, 0.0],
+                [-(shift + np.spacing(shift))] * 2,
+                [-shift - 1e6 * 2.0**-40] * 2,
+            ]
+        )
     raise AssertionError(case)
 
 
@@ -38,7 +60,12 @@ CASES = [
     ("high_spread", 1),
     ("duplicates", 2),
     ("low_dim", 3),
+    ("large_high_spread", 5),
+    ("depth32_clamp", 3),
 ]
+
+#: Cases fitted with a fixed spread instead of the estimate (depth cap 32).
+FIXED_SPREAD = {"depth32_clamp": 2.0**40}
 
 
 # Run every golden comparison with the compiled kernel tier enabled AND
@@ -54,8 +81,15 @@ def kernel_tier(request):
 def pair(request, kernel_tier):
     case, seed = request.param
     points = _dataset(case, seed)
-    optimized = QuadtreeEmbedding(seed=seed).fit(points)
-    reference = SeedQuadtreeEmbedding(seed=seed).fit(points)
+    spread = FIXED_SPREAD.get(case)
+    if spread is None:
+        optimized = QuadtreeEmbedding(seed=seed).fit(points)
+        reference = SeedQuadtreeEmbedding(seed=seed).fit(points)
+    else:
+        optimized = QuadtreeEmbedding(seed=seed, spread=spread).fit(points)
+        reference = SeedQuadtreeEmbedding(
+            seed=seed, spread_function=lambda points, seed=None: spread
+        ).fit(points)
     return points, optimized, reference
 
 
@@ -81,10 +115,17 @@ class TestGoldenEquivalence:
     def test_identical_points_in_cell_membership(self, pair):
         _, optimized, reference = pair
         for level in range(reference.depth):
-            for cell_id in range(reference.occupied_cells(level)):
+            cells = reference.occupied_cells(level)
+            members = [reference.points_in_cell(level, cell_id) for cell_id in range(cells)]
+            # The whole CSR layout at once (points_in_cell slices it): the
+            # seed's cells concatenated in identifier order, and their sizes.
+            np.testing.assert_array_equal(optimized.level_order_[level], np.concatenate(members))
+            np.testing.assert_array_equal(
+                np.diff(optimized.level_offsets_[level]), [m.size for m in members]
+            )
+            for cell_id in np.unique(np.linspace(0, cells - 1, num=min(cells, 64)).astype(int)):
                 np.testing.assert_array_equal(
-                    optimized.points_in_cell(level, cell_id),
-                    reference.points_in_cell(level, cell_id),
+                    optimized.points_in_cell(level, int(cell_id)), members[cell_id]
                 )
             # Unused identifiers report empty membership on both sides.
             assert optimized.points_in_cell(level, 10**9).size == 0
