@@ -98,7 +98,13 @@ Measured components per ``(n, d, k)`` workload:
   (:func:`~repro.reference.prekernel_hotpath.prekernel_crude_cost_upper_bound`).
   Identical bounds; the spread is precomputed once and passed to both
   sides so the ratio times the probe-dominated fold itself; same fallback
-  demotion.  ``--components native`` selects all four compiled-tier rows.
+  demotion.
+* ``kmeanspp_native`` — plain k-means++ seeding (the sensitivity sampler's
+  candidate solution) with the compiled ``kmeanspp_round`` kernel, whose
+  rounds skip the points the triangle inequality proves cannot improve, vs
+  the same ``kmeans_plus_plus`` call on the numpy tier (``use_native(False)``,
+  the live switch).  Bit-identical centers/assignment/cost; same fallback
+  demotion.  ``--components native`` selects all five compiled-tier rows.
 
 Multi-worker rows (``parallel_shard`` / ``overlap_reduce`` beyond one
 worker) record a ``cores`` field and are
@@ -131,6 +137,7 @@ import numpy as np
 
 from repro import observability
 from repro.clustering.fast_kmeans_pp import fast_kmeans_plus_plus
+from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.clustering.lloyd import kmeans
 from repro.core.fast_coreset import FastCoreset
 from repro.core.spread_reduction import crude_cost_upper_bound
@@ -212,6 +219,7 @@ NATIVE_COMPONENTS = {
     "lloyd_native",
     "fastkpp_native",
     "crude_bound_native",
+    "kmeanspp_native",
 }
 
 #: Binary-search folds per ``crude_bound_native`` timing (one fold = one
@@ -280,6 +288,8 @@ QUICK_WORKLOADS = [
     # numpy hot paths (repro.reference.prekernel_hotpath) are the baseline.
     ("fastkpp_native_n50k_d10_k300", 50_000, 10, 300, "fastkpp_native"),
     ("crude_bound_native_n40k_d10_k10", 40_000, 10, 10, "crude_bound_native"),
+    # k-means++ seeding: the numpy tier of the same call is the baseline.
+    ("kmeanspp_native_n100k_d10_k200", 100_000, 10, 200, "kmeanspp_native"),
     # The k column carries the process-backend worker count for these rows.
     ("parallel_shard_n200k_d10_w1", 200_000, 10, 1, "parallel_shard"),
     ("parallel_shard_n200k_d10_w2", 200_000, 10, 2, "parallel_shard"),
@@ -469,6 +479,11 @@ def run_workload(
         )
         extras["folds"] = CRUDE_BOUND_FOLDS
         extras.update(_kernel_tier_extras("crude_bound_probe"))
+    elif component == "kmeanspp_native":
+        optimized = _timed(lambda: kmeans_plus_plus(points, k, seed=0), repeats)
+        # Baseline: the identical call on the numpy tier, the live switch.
+        seed_time = _best_of(lambda: kmeans_plus_plus(points, k, seed=0), repeats, tier=False)
+        extras.update(_kernel_tier_extras("kmeanspp_round"))
     elif component == "merge_reduce_cached_bound":
         m = 40 * k
         sampler = FastCoreset(k=k, seed=0)

@@ -29,8 +29,12 @@ pipeline — including pool-worker-side shard compressions and offloaded
 reduces, merged onto the host timeline — and writes a Chrome trace-event
 JSON loadable in Perfetto; ``--metrics`` adds the flat counters/gauges
 dict to the summary.  Tracing observes and never perturbs: the coreset
-bytes are identical with and without it.  ``status`` prints the execution
-environment (native kernel tier, pool configuration, tracing state).
+bytes are identical with and without it.  The summary's
+``kernel_demotions`` maps every compiled kernel that failed verification on
+this host (and so ran on its numpy path) to the reason; it is empty on a
+healthy host.  ``status`` prints the execution environment (native kernel
+tier with a reason for every fallback kernel, pool configuration, tracing
+state).
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from repro.core import (
 )
 from repro.evaluation import coreset_distortion
 from repro.evaluation.advisor import diagnose_dataset, recommend_sampler
-from repro.native import native_status
+from repro.native import kernel_demotions, native_status
 from repro.parallel import BACKENDS, ShardedCoresetBuilder, resolve_async_executor
 from repro.streaming import (
     DataStream,
@@ -320,6 +324,8 @@ def _run_compress(arguments: argparse.Namespace, sampler, shards: int) -> dict:
             name: info["provider"] for name, info in status["kernels"].items()
         },
         "numba_version": status["providers"].get("numba", {}).get("numba_version"),
+        # Kernels that failed verification on this host and run on numpy.
+        "kernel_demotions": kernel_demotions(),
     }
     summary = {
         "input_points": n_points,

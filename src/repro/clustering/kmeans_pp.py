@@ -33,8 +33,20 @@ per-round ``n x d`` temporaries.  The draw itself is the
 variate is consumed under the same finite-and-positive check as
 :func:`~repro.utils.rng.weighted_index_draw`, so centers, assignment and
 cost are bit-identical to the numpy loop (the ``REPRO_NATIVE=0`` path).
-The counters ``kmeanspp.round.native`` / ``kmeanspp.round.numpy`` record
-which path served each call.
+
+After round 0 the kernel skips every point whose current center lies more
+than twice the point's own distance away from the new center: in squares,
+``gap >= 4 * (1 + 2**-20) * best``, where ``gap`` is the center-to-center
+distance and the ``2**-20`` margin covers rounding (the kernel's comment
+gives the full argument, including the underflow and overflow guards).  By
+the triangle inequality such a point cannot strictly improve, so the numpy
+round would rewrite the same bytes; the kernel only adds its stored mass to
+the in-order total.  Centers, assignment and cost stay bit-identical, and
+on clustered inputs most point-rounds are skipped.  The counters
+``kmeanspp.round.native`` / ``kmeanspp.round.numpy`` record which path
+served each call (one count per round), and ``kmeanspp.distance_evals``
+counts the point distances actually computed: ``n * k`` on the numpy loop,
+less wherever the kernel skipped.
 """
 
 from __future__ import annotations
@@ -132,6 +144,7 @@ def kmeans_plus_plus(
             center_indices[index] = chosen
             total = run_round(chosen, index, False)
         _obs.counter_add("kmeanspp.round.native", float(k))
+        _obs.counter_add("kmeanspp.distance_evals", float(run_round.distance_evals))
     else:
         best_squared, assignment = update_nearest_with_new_center(
             points, points[first], None, None, 0
@@ -148,6 +161,7 @@ def kmeans_plus_plus(
                 points, points[chosen], best_squared, assignment, index
             )
         _obs.counter_add("kmeanspp.round.numpy", float(k))
+        _obs.counter_add("kmeanspp.distance_evals", float(n * k))
 
     centers = points[center_indices]
     per_point = best_squared if z == 2 else np.sqrt(best_squared)

@@ -5,7 +5,9 @@ Public surface:
 * :func:`radix_argsort` — stable uint64/int64 argsort (quadtree grouping).
 * :func:`candidate_eval_kernel` — the native Lloyd warm-phase kernel, or
   ``None`` when the tier is in fallback mode.
-* :func:`native_status` — introspection: mode, providers, per-kernel routing.
+* :func:`native_status` — introspection: mode, providers, per-kernel routing
+  (with a ``reason`` for every kernel on the fallback).
+* :func:`kernel_demotions` — kernels that failed verification and fell back.
 * :func:`use_native` / :func:`refresh` — tier control for tests and daemons.
 * ``REPRO_NATIVE`` environment flag (:data:`~repro.native.registry.ENV_FLAG`):
   ``0`` forces the pure-numpy fallback everywhere, a provider name
@@ -31,6 +33,7 @@ from repro.native.kernels import (
 from repro.native.registry import (
     ENV_FLAG,
     get_kernel,
+    kernel_demotions,
     native_status,
     refresh,
     use_native,
@@ -40,6 +43,7 @@ __all__ = [
     "ENV_FLAG",
     "candidate_eval_kernel",
     "get_kernel",
+    "kernel_demotions",
     "kernel_provider",
     "native_status",
     "radix_argsort",

@@ -34,6 +34,7 @@ thread, never shared between threads.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -50,6 +51,7 @@ from numpy.ctypeslib import ndpointer
 ENV_CACHE = "REPRO_NATIVE_CACHE"
 
 _SOURCE = r"""
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -732,6 +734,9 @@ int64_t repro_fkpp_draw_scan(const double *mass, int64_t n, double u)
 
 /* ---------------------------------------------------------------- kmeans++ */
 
+/* 4 (1 + 2^-20), exact in double: the pruning factor of the round below. */
+#define REPRO_KPP_PRUNE_FACTOR (4.0 + 0x1p-18)
+
 /* One k-means++ round in a single pass over the points: the squared
  * distance to the new center (einsum-identical, see repro__einsum_sq), the
  * strict-< improvement of the running nearest distance (a tie keeps the
@@ -740,28 +745,84 @@ int64_t repro_fkpp_draw_scan(const double *mass, int64_t n, double u)
  * mass[i] = weights[i] * best (* sqrt(best) for z = 1) and the sequential
  * prefix total of that mass -- the same left-to-right add chain as
  * np.cumsum(mass)[-1], so the caller's finiteness/positivity check and the
- * later first-exceed scan see exactly the numpy path's doubles. */
+ * later first-exceed scan see exactly the numpy path's doubles.
+ *
+ * The new center is row center_rows[slot] of points, and center_rows[j] is
+ * the row of every earlier center j.  After round 0 the round first sets
+ * gap[j] to the einsum-replica squared distance between center j and the
+ * new center (O(slot * d), never more than the O(n * d) pass), then skips
+ * each point that provably cannot strictly improve.  With j = assignment[i]
+ * and b = best_squared[i], point i is skipped when
+ *   - b == 0.0: the strict sq < b can never fire; or
+ *   - b >= DBL_MIN, L = 4 (1 + 2^-20) b is finite, and gap[j] >= L.
+ * Why the second rule is exact:
+ *   - The triangle inequality gives |x - c| >= |c - c_j| - |x - c_j|, so in
+ *     exact arithmetic |c - c_j|^2 >= 4 b rules out a strict improvement
+ *     (Elkan's bound, applied to k-means++ seeding as in Raff 2021).
+ *   - Each computed squared distance is a sum of d non-negative terms, each
+ *     with one rounding per subtract, square and add (-ffp-contract=off, no
+ *     fusion), so its relative error is about (d + 2) 2^-53.  The 2^-20
+ *     margin absorbs that error on b, on gap[j] and on the point's own sq
+ *     for any d below about 2^30, so the computed sq stays >= the computed
+ *     b.
+ *   - That relative bound needs normal, finite doubles.  b >= DBL_MIN keeps
+ *     underflowed distances on the full path, and a finite L keeps
+ *     overflowed ones there: at 1e155 coordinates a finite b can sit next
+ *     to an infinite gap, and an infinite L would let every infinite gap
+ *     through.
+ * The numpy round would write the same best_squared, assignment and mass
+ * bytes for a skipped point, so the kernel only adds its stored mass[i] --
+ * the double the numpy round recomputes -- to the in-order total.  The skip
+ * flag is computed without branches and taken as one branch.  *evaluated
+ * grows by the number of points whose distance the round computed. */
 double repro_kmeanspp_round(const double *points, int64_t n, int64_t d,
-                            const double *center, const double *weights,
+                            const int64_t *center_rows, const double *weights,
                             double *best_squared, int64_t *assignment,
-                            double *mass, int64_t slot, int z, int init)
+                            double *mass, double *gap, int64_t *evaluated,
+                            int64_t slot, int z, int init)
 {
+    const double *center = points + center_rows[slot] * d;
     double total = 0.0;
-    int64_t i;
-    for (i = 0; i < n; ++i) {
-        const double sq = repro__einsum_sq(points + i * d, center, d);
-        double best = sq;
-        double m;
-        if (init || sq < best_squared[i]) {
+    int64_t count = 0;
+    int64_t i, j;
+    if (init) {
+        for (i = 0; i < n; ++i) {
+            const double sq = repro__einsum_sq(points + i * d, center, d);
+            const double m = weights[i] * (z == 2 ? sq : sqrt(sq));
             best_squared[i] = sq;
             assignment[i] = slot;
-        } else {
-            best = best_squared[i];
+            mass[i] = m;
+            total += m;
         }
-        m = weights[i] * (z == 2 ? best : sqrt(best));
-        mass[i] = m;
+        *evaluated += n;
+        return total;
+    }
+    for (j = 0; j < slot; ++j)
+        gap[j] = repro__einsum_sq(points + center_rows[j] * d, center, d);
+    for (i = 0; i < n; ++i) {
+        const double b = best_squared[i];
+        const double limit = REPRO_KPP_PRUNE_FACTOR * b;
+        const int skip = (b == 0.0)
+                         | ((b >= DBL_MIN) & (limit <= DBL_MAX)
+                            & (gap[assignment[i]] >= limit));
+        double m;
+        if (skip) {
+            m = mass[i];
+        } else {
+            const double sq = repro__einsum_sq(points + i * d, center, d);
+            double best = b;
+            if (sq < b) {
+                best_squared[i] = sq;
+                assignment[i] = slot;
+                best = sq;
+            }
+            m = weights[i] * (z == 2 ? best : sqrt(best));
+            mass[i] = m;
+            ++count;
+        }
         total += m;
     }
+    *evaluated += count;
     return total;
 }
 
@@ -963,6 +1024,73 @@ def _hash_table_size(n: int) -> int:
     return 1 << max(64, n >> 1).bit_length()
 
 
+class KmeansppRounds:
+    """``run_round(center_row, slot, init)`` over one seeding call's buffers.
+
+    Each call runs one fused ``repro_kmeanspp_round`` and returns the new
+    mass's prefix total.  It reads the new center straight out of
+    ``points`` (no ``points[row]`` copy) and writes through the bound
+    ``best_squared``/``assignment``/``mass`` in place, so the caller must
+    keep using those exact arrays.  The binder records every center's row
+    and owns the per-round ``gap`` buffer; both grow by doubling, so it
+    needs no ``k``.  A round reads ``gap[assignment[i]]`` and the rows of
+    every earlier slot, so rounds must come in order: ``init`` at slot 0,
+    then slots 1, 2, ... with ``init`` false (anything else raises
+    ``ValueError``).  :attr:`distance_evals` counts the point distances the
+    rounds computed so far (``n`` per round without the skip rule).
+    """
+
+    def __init__(self, kernel, points, weights, best_squared, assignment, mass, z):
+        if points.ndim != 2:
+            raise ValueError("kmeans++ points must be two-dimensional")
+        n, d = points.shape
+        for array in (points, weights, best_squared, mass):
+            if array.dtype != np.float64 or not array.flags["C_CONTIGUOUS"]:
+                raise ValueError("kmeans++ round arrays must be contiguous float64")
+        if assignment.dtype != np.int64 or not assignment.flags["C_CONTIGUOUS"]:
+            raise ValueError("kmeans++ assignment must be contiguous int64")
+        if any(array.shape[0] != n for array in (weights, best_squared, assignment, mass)):
+            raise ValueError("kmeans++ round buffers must have one entry per point")
+        self._kernel = kernel
+        self._keep = (points, weights, best_squared, assignment, mass)
+        self._n, self._d, self._z = n, d, int(z)
+        self._pointers = tuple(
+            array.ctypes.data for array in (points, weights, best_squared, assignment, mass)
+        )
+        self._rows = np.empty(16, dtype=np.int64)
+        self._gap = np.empty(16, dtype=np.float64)
+        self._evaluated = np.zeros(1, dtype=np.int64)
+        self._next_slot = 0
+
+    @property
+    def distance_evals(self) -> int:
+        return int(self._evaluated[0])
+
+    def __call__(self, center_row: int, slot: int, init: bool) -> float:
+        center_row, slot = int(center_row), int(slot)
+        if not 0 <= center_row < self._n:
+            raise IndexError(f"center row {center_row} out of range for {self._n} points")
+        if slot != self._next_slot or bool(init) != (slot == 0):
+            raise ValueError(
+                f"kmeans++ round (slot={slot}, init={bool(init)}) out of order: "
+                f"expected slot {self._next_slot} with init={self._next_slot == 0}"
+            )
+        if slot == self._rows.shape[0]:
+            rows = np.empty(2 * slot, dtype=np.int64)
+            rows[:slot] = self._rows
+            self._rows = rows
+            self._gap = np.empty(2 * slot, dtype=np.float64)
+        self._rows[slot] = center_row
+        p_points, p_weights, p_best, p_assignment, p_mass = self._pointers
+        total = self._kernel(
+            p_points, self._n, self._d, self._rows.ctypes.data, p_weights, p_best,
+            p_assignment, p_mass, self._gap.ctypes.data, self._evaluated.ctypes.data,
+            slot, self._z, 1 if init else 0,
+        )
+        self._next_slot = slot + 1
+        return total
+
+
 def load_kernels() -> Dict[str, Callable]:
     """Compile (or reuse) the shared object and bind the kernel wrappers."""
     library = ctypes.CDLL(str(_build_library()))
@@ -1036,12 +1164,13 @@ def load_kernels() -> Dict[str, Callable]:
     draw_scan_fast.argtypes = [ctypes.c_void_p, i64, f64]
 
     # Raw pointers only: the arrays are validated once, when a seeding call
-    # binds its buffers (see ``kmeanspp_round``).
+    # binds its buffers (see ``KmeansppRounds``).
     kpp_round = library.repro_kmeanspp_round
     kpp_round.restype = f64
     kpp_round.argtypes = [
         ctypes.c_void_p, i64, i64, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, i64, i32, i32,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, i64, i32, i32,
     ]
 
     probe = library.repro_crude_bound_probe
@@ -1308,52 +1437,6 @@ def load_kernels() -> Dict[str, Callable]:
     fkpp_weighted_draw.scan = _draw_scan
     fkpp_weighted_draw.bind = _draw_bind
 
-    def kmeanspp_round(
-        points: np.ndarray,
-        weights: np.ndarray,
-        best_squared: np.ndarray,
-        assignment: np.ndarray,
-        mass: np.ndarray,
-        z: int,
-    ) -> Callable:
-        """Bind one seeding call's buffers; rounds take a center *row index*.
-
-        The returned ``run_round(center_row, slot, init)`` runs one fused
-        round and returns the new mass's prefix total.  It reads the new
-        center straight out of ``points`` (no ``points[row]`` copy) and
-        writes through the bound ``best_squared``/``assignment``/``mass``
-        in place, so the caller must keep using those exact arrays.
-        """
-        if points.ndim != 2:
-            raise ValueError("kmeans++ points must be two-dimensional")
-        n, d = points.shape
-        for array in (points, weights, best_squared, mass):
-            if array.dtype != np.float64 or not array.flags["C_CONTIGUOUS"]:
-                raise ValueError("kmeans++ round arrays must be contiguous float64")
-        if assignment.dtype != np.int64 or not assignment.flags["C_CONTIGUOUS"]:
-            raise ValueError("kmeans++ assignment must be contiguous int64")
-        if any(array.shape[0] != n for array in (weights, best_squared, assignment, mass)):
-            raise ValueError("kmeans++ round buffers must have one entry per point")
-        keep = (points, weights, best_squared, assignment, mass)
-        p_points = points.ctypes.data
-        row_bytes = d * points.itemsize
-        p_weights = weights.ctypes.data
-        p_best = best_squared.ctypes.data
-        p_assignment = assignment.ctypes.data
-        p_mass = mass.ctypes.data
-        z = int(z)
-
-        def run_round(center_row: int, slot: int, init: bool, _keep=keep) -> float:
-            center_row = int(center_row)
-            if not 0 <= center_row < n:
-                raise IndexError(f"center row {center_row} out of range for {n} points")
-            return kpp_round(
-                p_points, n, d, p_points + center_row * row_bytes, p_weights,
-                p_best, p_assignment, p_mass, slot, z, 1 if init else 0,
-            )
-
-        return run_round
-
     def quadtree_keys(
         translated: np.ndarray,
         shift: float,
@@ -1442,7 +1525,9 @@ def load_kernels() -> Dict[str, Callable]:
         "fkpp_level_score": fkpp_level_score,
         "fkpp_weighted_draw": fkpp_weighted_draw,
         "crude_bound_probe": crude_bound_probe,
-        "kmeanspp_round": kmeanspp_round,
+        # The binder: kmeanspp_round(points, weights, best_squared,
+        # assignment, mass, z) -> run_round(center_row, slot, init).
+        "kmeanspp_round": functools.partial(KmeansppRounds, kpp_round),
         "quadtree_keys": quadtree_keys,
     }
 

@@ -53,10 +53,17 @@ Ten kernels ride the compiled tier:
     One round of plain k-means++ seeding (:mod:`repro.clustering.kmeans_pp`)
     in one pass: einsum-identical squared distances to the new center, the
     strict-``<`` nearest-distance/assignment update, the next draw's D^z
-    mass and its cumsum total.  The kernel is a binder:
+    mass and its cumsum total.  After round 0 it skips every point whose
+    current center ``j`` is provably too far from the new center for the
+    point to strictly improve (``best == 0``, or a normal ``best`` with a
+    finite ``4 * (1 + 2**-20) * best <= gap[j]``, ``gap[j]`` the
+    einsum-replica squared distance between the two centers) and adds the
+    point's stored mass to the total instead.  The kernel is a binder:
     ``kernel(points, weights, best_squared, assignment, mass, z)`` returns
-    ``run_round(center_row, slot, init) -> total`` over those buffers.
-    C only (the numba provider falls through to ``cc``); no fallback: the
+    ``run_round(center_row, slot, init) -> total`` over those buffers; the
+    rounds must run in slot order (``init`` exactly at slot 0) and
+    ``run_round.distance_evals`` counts the point distances computed.  C
+    only (the numba provider falls through to ``cc``); no fallback: the
     seeding keeps its numpy loop.
 
 ``crude_bound_probe``
@@ -695,9 +702,11 @@ def _verify_fkpp_weighted_draw(kernel) -> None:
 
 def _verify_kmeanspp_round(kernel) -> None:
     rng = np.random.default_rng(20260811)
-    # The einsum replica's dimension classes (8-wide blocks, pairwise drain,
-    # scalar tail) plus one overflow case whose distances and mass go to
-    # inf/NaN; a few dozen tiny rounds, since this runs at every resolution.
+    # (points, weights, center rows) per case.  First the einsum replica's
+    # dimension classes (8-wide blocks, pairwise drain, scalar tail) plus one
+    # overflow case whose distances and mass go to inf/NaN; a few dozen tiny
+    # rounds, since this runs at every resolution.
+    cases = []
     for d, scale in ((1, 1.0), (2, 1.0), (3, 1e155), (8, 1.0), (9, 1.0), (10, 1.0), (17, 1.0)):
         n = 48
         points = rng.normal(size=(n, d)) * scale
@@ -706,26 +715,43 @@ def _verify_kmeanspp_round(kernel) -> None:
         weights[::7] = 0.0
         # The third round re-uses the first center: every distance ties the
         # incumbent exactly and the strict comparison must keep it.
-        rows = (2, int(rng.integers(0, n)), 2, n - 1)
+        cases.append((points, weights, (2, int(rng.integers(0, n)), 2, n - 1)))
+    # Two far blobs, rows alternating between them, centers too: once each
+    # blob holds a center, a round skips the other blob's points, so
+    # skipped and evaluated points interleave in the mass total.
+    blobs = rng.normal(size=(64, 3))
+    blobs[1::2] += 1e3
+    cases.append((blobs, rng.uniform(0.1, 3.0, size=64), (0, 1, 2, 5, 8, 13)))
+    # Finite b next to an infinite gap: the centers' squared distance
+    # overflows.  Row 2 (b = 1e306) may skip; row 3 (b = 1e308, whose
+    # pruning limit overflows) must not, because it moves to the new center.
+    far = np.array([0.0, 1.5e154, 1e153, 1e154, -1e154, 5e153, 2e152, 1.2e154])[:, None]
+    cases.append((far, np.ones(far.shape[0]), (0, 1, 6)))
+    for points, weights, rows in cases:
+        n, d = points.shape
         for z in (1, 2):
             expected = [np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)]
-            have = [np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)]
+            # Zeroed, not empty: round 0 must initialise even a zero best.
+            have = [np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n)]
             run_round = kernel(points, weights, *have, z)
             for slot, row in enumerate(rows):
                 init = slot == 0
-                with np.errstate(invalid="ignore"):  # 0 * inf mass is NaN
+                with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf mass is NaN
                     want = reference_kmeanspp_round(
                         points, points[row], weights, *expected, slot, z, init
                     )
+                evaluated = run_round.distance_evals
                 total = run_round(row, slot, init)
+                evaluated = run_round.distance_evals - evaluated
                 if not (
                     (total == want or (np.isnan(total) and np.isnan(want)))
                     and all(np.array_equal(h, w, equal_nan=True)
                             for h, w in zip(have, expected))
+                    and (evaluated == n if init else 0 <= evaluated <= n)
                 ):
                     raise RuntimeError(
                         "kmeans++ round disagrees with the numpy round "
-                        f"(d={d}, z={z}, slot={slot})"
+                        f"(n={n}, d={d}, z={z}, slot={slot})"
                     )
 
 

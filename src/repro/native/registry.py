@@ -24,7 +24,9 @@ Resolution contract
 * Every provider kernel must pass its registered verifier (a cheap
   bit-identity check against the numpy reference on small inputs) during
   resolution.  A provider that fails to import, compile, or verify is
-  skipped with the reason recorded — visible via :func:`native_status` —
+  skipped with the reason recorded — visible via :func:`native_status`,
+  which also gives each fallback kernel its ``reason``, and for failed
+  verifications via :func:`kernel_demotions` and the ``compress`` summary —
   and the next provider (ultimately the fallback) serves the kernel.  A
   runtime-compiled kernel therefore can never silently corrupt results:
   the worst failure mode is running at fallback speed.
@@ -160,8 +162,11 @@ def _resolve() -> dict:
                 "reason": f"{type(error).__name__}: {error}",
             }
     kernels: Dict[str, tuple] = {}
+    reasons: Dict[str, str] = {}
+    demotions: Dict[str, str] = {}
     for name, spec in _KERNELS.items():
         resolved = ("fallback", spec.fallback)
+        failures = []
         for provider in candidates:
             implementation = loaded.get(provider.name, {}).get(name)
             if implementation is None:
@@ -175,11 +180,25 @@ def _resolve() -> dict:
                 status["reason"] = (
                     note if status["reason"] is None else f"{status['reason']}; {note}"
                 )
+                failures.append(f"{provider.name}: failed verification: {error}")
                 continue
             resolved = (provider.name, implementation)
             break
         kernels[name] = resolved
-    _RESOLVED = {"mode": mode, "providers": provider_status, "kernels": kernels}
+        if resolved[0] == "fallback":
+            if failures:
+                reasons[name] = demotions[name] = "; ".join(failures)
+            elif not candidates:
+                reasons[name] = f"disabled by {ENV_FLAG}={mode}"
+            else:
+                reasons[name] = "no provider ships it"
+    _RESOLVED = {
+        "mode": mode,
+        "providers": provider_status,
+        "kernels": kernels,
+        "reasons": reasons,
+        "demotions": demotions,
+    }
     return _RESOLVED
 
 
@@ -205,13 +224,27 @@ def kernel_provider(name: str) -> str:
     return _resolve()["kernels"][name][0]
 
 
+def kernel_demotions() -> Dict[str, str]:
+    """Kernels a provider ships but that failed verification and fell back.
+
+    ``{name: reason}``, empty on a healthy host.  A numpy build whose SIMD
+    accumulation order differs from the one the compiled distance kernels
+    replicate shows up here instead of as a silent slowdown.
+    """
+    return dict(_resolve()["demotions"])
+
+
 def native_status() -> dict:
     """Introspection snapshot of the tier: mode, providers, per-kernel routing.
 
     The ``tier`` field is ``"native"`` when at least one kernel resolved to
     a compiled provider and ``"fallback"`` otherwise — the value the CLI
     summary and the bench rows report so recorded numbers are attributable
-    to the tier that produced them.
+    to the tier that produced them.  A kernel that resolved to the fallback
+    carries a ``reason``: ``"disabled by REPRO_NATIVE=<mode>"``,
+    ``"<provider>: failed verification: <error>"`` (see
+    :func:`kernel_demotions`), or ``"no provider ships it"`` (no loaded
+    candidate provider implements it; ``providers`` shows load failures).
     """
     resolution = _resolve()
     # Sorted by name on both axes: registration order is an implementation
@@ -226,10 +259,11 @@ def native_status() -> dict:
             except Exception:  # description is cosmetic; never fail status
                 pass
         providers[provider.name] = entry
-    kernels = {
-        name: {"provider": resolution["kernels"][name][0]}
-        for name in sorted(resolution["kernels"])
-    }
+    kernels = {}
+    for name in sorted(resolution["kernels"]):
+        kernels[name] = {"provider": resolution["kernels"][name][0]}
+        if name in resolution["reasons"]:
+            kernels[name]["reason"] = resolution["reasons"][name]
     native = any(entry["provider"] != "fallback" for entry in kernels.values())
     return {
         "mode": resolution["mode"],

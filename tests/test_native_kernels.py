@@ -22,6 +22,7 @@ fallback path must behave identically either way.
 """
 
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro import observability
+from repro.cli import main as cli_main
 from repro.clustering.fast_kmeans_pp import fast_kmeans_plus_plus
 from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.clustering.lloyd import kmeans
@@ -41,6 +43,7 @@ from repro.geometry.grid import _hash_multipliers
 from repro.geometry.quadtree import QuadtreeEmbedding
 from repro.native import (
     get_kernel,
+    kernel_demotions,
     kernel_provider,
     native_status,
     radix_argsort,
@@ -51,6 +54,7 @@ from repro.native import (
     reference_fkpp_weighted_draw,
     reference_kmeanspp_round,
     reference_quadtree_keys,
+    registry,
     use_native,
 )
 from repro.native.kernels import _reference_csr_group, quadtree_key_points
@@ -98,6 +102,30 @@ def prefixed_keys(draw):
     low_bits = draw(st.integers(1, 63))
     prefix = (int(rng.integers(0, 2**63)) << low_bits) % 2**64
     return np.uint64(prefix) + rng.integers(0, 1 << low_bits, size=n, dtype=np.uint64)
+
+
+@st.composite
+def kmeanspp_inputs(draw):
+    """``(points, k, weights, z, seed)`` for k-means++ across the skip rule.
+
+    Blobs give the kernel points to skip; duplicate rows and zero weights
+    give ties and zero mass; the ``2**e`` scale spans subnormal squared
+    distances (e = -520) to overflowing ones (e = 510).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 200))
+    d = draw(st.integers(1, 20))
+    k = draw(st.integers(1, n))
+    centers = rng.normal(size=(draw(st.integers(1, 8)), d)) * 10.0 ** draw(st.integers(0, 4))
+    points = centers[rng.integers(0, centers.shape[0], size=n)] + rng.normal(size=(n, d))
+    duplicates = rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.8]))
+    points[duplicates] = points[rng.integers(0, n)]
+    points *= 2.0 ** draw(st.integers(-520, 510))
+    weights = None
+    if draw(st.booleans()):
+        weights = rng.uniform(0.0, 3.0, size=n)
+        weights[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    return points, k, weights, draw(st.sampled_from([1, 2])), draw(st.integers(0, 2**16))
 
 
 class TestRadixArgsort:
@@ -567,10 +595,92 @@ class TestKmeansppRoundKernel:
         with pytest.raises(IndexError):
             run_round(n, 0, True)
 
+    def test_rounds_must_come_in_slot_order(self):
+        # A round reads gap[assignment[i]] and every earlier slot's row, so
+        # a skipped or repeated slot would read uninitialised memory.
+        n = 8
+        run_round = get_kernel("kmeanspp_round")(
+            np.random.default_rng(0).normal(size=(n, 2)), np.ones(n), *_round_buffers(n), 2
+        )
+        with pytest.raises(ValueError):
+            run_round(0, 1, True)  # init above slot 0
+        with pytest.raises(ValueError):
+            run_round(0, 0, False)  # slot 0 without init
+        run_round(0, 0, True)
+        with pytest.raises(ValueError):
+            run_round(1, 0, True)  # repeated slot
+        with pytest.raises(ValueError):
+            run_round(1, 2, False)  # skipped slot
+        with pytest.raises(ValueError):
+            run_round(1, 1, True)  # init above slot 0
+        run_round(1, 1, False)
+        assert run_round.distance_evals <= 2 * n
+
+    def test_slot_buffers_grow_past_their_first_capacity(self):
+        rng = np.random.default_rng(4)
+        points = rng.normal(size=(120, 3)) * 10.0
+        self._run(points, np.ones(120), rng.permutation(120)[:70], 2)
+
+    def test_exact_hamerly_boundary_keeps_the_older_center(self):
+        # Centers 0 then 2, a point at 1: gap == 4 * b exactly.  The margin
+        # keeps the point on the full path, where the tie keeps center 0.
+        points = np.array([[0.0], [2.0], [1.0]])
+        best, assignment, _ = self._run(points, np.ones(3), [0, 1], 2)
+        assert assignment.tolist() == [0, 1, 0] and best[2] == 1.0
+        # Round 1 skips only the zero-distance point (center 0 itself).
+        run_round = get_kernel("kmeanspp_round")(points, np.ones(3), *_round_buffers(3), 2)
+        run_round(0, 0, True)
+        run_round(1, 1, False)
+        assert run_round.distance_evals == 3 + 2
+
+    def test_subnormal_distances_match_numpy(self):
+        # At 1e-160 the squared distances are subnormal (or zero), where
+        # rounding is no longer relative; only b == 0 may skip there.
+        rng = np.random.default_rng(6)
+        points = rng.normal(size=(64, 3)) * 1e-160
+        points[1::2] += 1e-150  # a far blob: gaps across blobs are normal
+        for z in (1, 2):
+            best, _, _ = self._run(points, np.ones(64), [0, 1, 2, 3, 10, 7], z)
+            assert np.any((best > 0.0) & (best < np.finfo(np.float64).tiny))
+
+    def test_duplicated_center_has_zero_gap(self):
+        rng = np.random.default_rng(7)
+        points = rng.normal(size=(40, 4))
+        points[5] = points[0]
+        # Round 2's center duplicates round 0's: every gap to center 0 is
+        # 0, so its points take the full path and tie with their incumbent.
+        _, assignment, _ = self._run(points, np.ones(40), [0, 9, 5], 2)
+        assert not np.any(assignment == 2)
+
 
 def test_kmeanspp_round_escape_hatch_forces_numpy_rounds():
     with use_native(False):
         assert get_kernel("kmeanspp_round") is None
+
+
+class TestKmeansppDistanceEvals:
+    """``kmeanspp.distance_evals`` counts the point distances computed."""
+
+    @staticmethod
+    def _count(points, k):
+        with observability.tracing() as recorder:
+            kmeans_plus_plus(points, k, seed=0)
+        return recorder.counters()["kmeanspp.distance_evals"]
+
+    @staticmethod
+    def _two_blobs():
+        points = np.random.default_rng(2).normal(size=(2000, 5))
+        points[1000:] += 1e3
+        return points
+
+    @requires_kmeanspp_round
+    def test_native_rounds_skip_far_points(self):
+        points = self._two_blobs()
+        assert 2000 < self._count(points, 12) < 2000 * 12
+
+    def test_numpy_loop_counts_every_point_every_round(self):
+        with use_native(False):
+            assert self._count(self._two_blobs(), 12) == 2000 * 12
 
 
 requires_quadtree_keys = pytest.mark.skipif(
@@ -717,6 +827,16 @@ class TestTierControl:
             assert native_status()["tier"] == "fallback"
         assert native_status()["tier"] == before
 
+    def test_disabled_kernels_carry_the_mode_as_reason(self):
+        with use_native(False):
+            for entry in native_status()["kernels"].values():
+                assert entry["reason"] == "disabled by REPRO_NATIVE=0"
+            assert kernel_demotions() == {}
+
+    def test_only_fallback_kernels_carry_a_reason(self):
+        for entry in native_status()["kernels"].values():
+            assert ("reason" in entry) == (entry["provider"] == "fallback")
+
     @requires_native
     def test_native_mode_routes_all_kernels(self):
         status = native_status()
@@ -731,6 +851,55 @@ class TestTierControl:
         for name in shipped:
             entry = status["kernels"][name]
             assert entry["provider"] in ("numba", "cc"), (name, entry)
+
+
+@pytest.fixture
+def failing_kmeanspp_verifier(monkeypatch):
+    """Fail ``kmeanspp_round``'s verifier, as a numpy build with another
+    einsum accumulation order would; yields the provider that lost it."""
+    provider = kernel_provider("kmeanspp_round")
+
+    def verify(kernel):
+        raise RuntimeError("injected einsum-order mismatch")
+
+    monkeypatch.setattr(registry._KERNELS["kmeanspp_round"], "verify", verify)
+    registry.refresh()
+    yield provider
+    monkeypatch.undo()
+    registry.refresh()
+
+
+@requires_kmeanspp_round
+class TestKernelDemotions:
+    """A kernel that fails verification falls back visibly, not silently."""
+
+    def test_status_and_demotions_name_the_failed_verification(self, failing_kmeanspp_verifier):
+        reason = f"{failing_kmeanspp_verifier}: failed verification: injected einsum-order mismatch"
+        entry = native_status()["kernels"]["kmeanspp_round"]
+        assert entry == {"provider": "fallback", "reason": reason}
+        assert kernel_demotions() == {"kmeanspp_round": reason}
+        assert get_kernel("kmeanspp_round") is None
+
+    def test_compress_summary_reports_demotions(self, failing_kmeanspp_verifier, tmp_path, capsys):
+        data = tmp_path / "data.npy"
+        np.save(data, np.random.default_rng(3).normal(size=(400, 4)))
+        arguments = ["compress", str(data), "--k", "5", "--m", "60", "--method", "sensitivity"]
+        assert cli_main(arguments + ["--output", str(tmp_path / "c.npz")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["kernel_demotions"] == {
+            "kmeanspp_round": f"{failing_kmeanspp_verifier}: failed verification: "
+            "injected einsum-order mismatch"
+        }
+        assert summary["kernel_providers"]["kmeanspp_round"] == "fallback"
+
+    def test_healthy_summary_reports_the_live_demotions(self, tmp_path, capsys):
+        data = tmp_path / "data.npy"
+        np.save(data, np.random.default_rng(3).normal(size=(400, 4)))
+        arguments = ["compress", str(data), "--k", "5", "--m", "60", "--method", "sensitivity"]
+        assert cli_main(arguments + ["--output", str(tmp_path / "c.npz")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["kernel_demotions"] == kernel_demotions()
+        assert "kmeanspp_round" not in summary["kernel_demotions"]
 
 
 class TestCrossModeBitIdentity:
@@ -804,6 +973,18 @@ class TestCrossModeBitIdentity:
         points = np.random.default_rng(6).normal(size=(250, 3)) * 1e155
         with np.errstate(over="ignore", invalid="ignore"):
             self._assert_kmeanspp_identical(points, 6, z=z)
+
+    @SETTINGS
+    @given(kmeanspp_inputs())
+    def test_kmeanspp_identical_on_adversarial_inputs(self, case):
+        points, k, weights, z, seed = case
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            native = kmeans_plus_plus(points, k, weights=weights, z=z, seed=seed)
+            with use_native(False):
+                fallback = kmeans_plus_plus(points, k, weights=weights, z=z, seed=seed)
+        assert native.centers.tobytes() == fallback.centers.tobytes()
+        assert native.assignment.tobytes() == fallback.assignment.tobytes()
+        assert np.float64(native.cost).tobytes() == np.float64(fallback.cost).tobytes()
 
     def test_kmeanspp_identical_when_k_reaches_n(self):
         points = np.random.default_rng(7).normal(size=(12, 3))
