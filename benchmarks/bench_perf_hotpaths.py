@@ -1,14 +1,17 @@
 """Perf-regression harness for the library's tracked hot paths.
 
-Times the *frozen reference implementations* (:mod:`repro.reference`)
-against the optimized live implementations **in the same run**, on the same
-synthetic workloads and hardware, and writes a machine-readable
-``BENCH_hotpaths.json`` at the repository root.  Every future perf PR is
-judged against that trajectory: ``make bench`` re-runs this script with
-``--check-regression``, which refuses to overwrite the JSON when the
-optimized time of any tracked workload regresses by more than
-``REGRESSION_TOLERANCE`` (20%), and ``make bench-check`` replays the
-tracked workloads without touching the JSON at all (``--check-only``).
+Times each optimized live implementation against a baseline **in the same
+run**, on the same synthetic workloads and hardware, and writes a
+machine-readable ``BENCH_hotpaths.json`` at the repository root.  A
+baseline is either a frozen seed-revision or naive reference
+(:mod:`repro.reference`) or the live code with one switch turned off: the
+kernel tier (``use_native(False)``, i.e. ``REPRO_NATIVE=0``), a cache, or
+the worker pool.  Every future perf PR is judged against that trajectory:
+``make bench`` re-runs this script with ``--check-regression``, which
+refuses to overwrite the JSON when the optimized time of any tracked
+workload regresses by more than ``REGRESSION_TOLERANCE`` (20%), and ``make
+bench-check`` replays the tracked workloads without touching the JSON at
+all (``--check-only``).
 Replays use the same best-of-3 timing as recording: a best-of-1 replay
 against a best-of-3 recording is systematically slower and turns host
 timing noise into spurious gate failures.
@@ -47,17 +50,6 @@ Measured components per ``(n, d, k)`` workload:
   record ``host_reduce_seconds`` (optimized) next to
   ``host_reduce_seconds_baseline`` so the trajectory shows the floor
   itself shrinking, not just the ratio.
-* ``quadtree_fit_incr`` — the constant-factor sweep of the fit (incremental
-  compact keys off the one-shot digit matrix, packbits pattern LUTs,
-  buffer-reusing CSR grouping) vs the frozen PR-1..4 fit
-  (:class:`~repro.reference.presweep_hotpath.PreSweepQuadtreeEmbedding`:
-  per-level ``hash_rows`` over a doubled lattice).  Bit-identical trees;
-  both sides pay the same live spread estimate.
-* ``lloyd_fused`` — the fused suspect kernel + epoch-anchored cumulative
-  drift bounds + flat-bincount M-step vs the frozen PR-2 pruned engine
-  (:func:`~repro.reference.presweep_hotpath.presweep_kmeans`).
-  Bit-identical results; the ratio times pure bound quality and
-  constant-factor work per iteration.
 * ``merge_reduce_cached_bound`` — the streaming pipeline with the
   per-stream crude-cost-bound cache (one Algorithm-2 binary search per
   refresh, shared with the spread cache's signal) vs the identical
@@ -70,41 +62,41 @@ Measured components per ``(n, d, k)`` workload:
   scratch at every query — what a consumer without the tree would pay for
   the same per-block coreset freshness.
 * ``quadtree_fit_native`` — the fit with the compiled kernels (fused
-  hash/bucketed-sort ``csr_group``, ``quadtree_keys``) vs the frozen
-  PR-5/6 numpy fit
-  (:class:`~repro.reference.prenative_hotpath.PreNativeQuadtreeEmbedding`:
-  ``np.argsort(kind="stable")`` + the five-pass numpy CSR pipeline).
-  Bit-identical trees; the rows record the serving kernel tier and are
-  demoted to ``informational`` when the tier is in fallback mode (the
-  ratio would then time numpy against itself).
+  hash/bucketed-sort ``csr_group``, ``quadtree_keys``) vs the same
+  ``QuadtreeEmbedding.fit`` call on the numpy tier (``use_native(False)``,
+  the live switch: ``np.argsort(kind="stable")`` + the numpy CSR pipeline
+  and key derivation).  Bit-identical trees; both sides pay the same spread
+  estimate.
 * ``lloyd_native`` — the pruned engine with the compiled warm-phase
   kernels (fused einsum-replica bound refresh, per-candidate evaluation
-  with guarded direct reassignment, native M-step sums) vs the frozen
-  PR-5/6 numpy engine
-  (:func:`~repro.reference.prenative_hotpath.prenative_kmeans`).
-  Bit-identical centers/assignments/costs; same fallback demotion as
-  ``quadtree_fit_native``.
+  with guarded direct reassignment, native M-step sums) vs the same
+  ``kmeans`` call on the numpy tier.  Bit-identical
+  centers/assignments/costs.
 * ``fastkpp_native`` — the full multi-tree seeding with the compiled
   Fast-kmeans++ kernels (pointer-table level sweeps resolving the center's
-  cell per level in C, sequential-prefix D² draws) vs the frozen PR-9
-  numpy seeding
-  (:func:`~repro.reference.prekernel_hotpath.prekernel_fast_kmeans_plus_plus`:
-  per-level fancy-indexed sweeps + cumsum/searchsorted draws).
-  Bit-identical draws/centers/assignments/costs; both sides pay the same
-  live tree fits; same fallback demotion as ``quadtree_fit_native``.
+  cell per level in C, sequential-prefix D² draws) vs the same
+  ``fast_kmeans_plus_plus`` call on the numpy tier.  The baseline also
+  fits its trees on the numpy tier, so the ratio covers the tree fits, the
+  sweeps and the draws.  Bit-identical draws/centers/assignments/costs.
 * ``crude_bound_native`` — several full Algorithm-2 binary searches with
   the compiled occupancy probe (fused lattice refresh + linear-probing
-  distinct count) vs the frozen PR-9 numpy probes
-  (:func:`~repro.reference.prekernel_hotpath.prekernel_crude_cost_upper_bound`).
-  Identical bounds; the spread is precomputed once and passed to both
-  sides so the ratio times the probe-dominated fold itself; same fallback
-  demotion.
+  distinct count) vs the same ``crude_cost_upper_bound`` calls on the numpy
+  tier (``np.unique`` distinct count).  Identical bounds; the spread is
+  precomputed once and passed to both sides so the ratio times the
+  probe-dominated fold itself.
 * ``kmeanspp_native`` — plain k-means++ seeding (the sensitivity sampler's
   candidate solution) with the compiled ``kmeanspp_round`` kernel, whose
   rounds skip the points the triangle inequality proves cannot improve, vs
-  the same ``kmeans_plus_plus`` call on the numpy tier (``use_native(False)``,
-  the live switch).  Bit-identical centers/assignment/cost; same fallback
-  demotion.  ``--components native`` selects all five compiled-tier rows.
+  the same ``kmeans_plus_plus`` call on the numpy tier.
+  Bit-identical centers/assignment/cost.
+
+The five compiled-tier rows (``--components native`` selects them) record
+the tier and the provider of the row's kernel.  They are stamped
+``informational`` when that kernel is off because the tier is disabled
+(``REPRO_NATIVE=0``) or cannot build (no compiler): the ratio would then
+time numpy against itself.  A kernel that was *demoted* (it failed its
+verifier on this host) is no such excuse: the row records the reason and
+the regression guard fails it with that reason.
 
 Multi-worker rows (``parallel_shard`` / ``overlap_reduce`` beyond one
 worker) record a ``cores`` field and are
@@ -149,14 +141,8 @@ from repro.parallel import (
     ShardedCoresetBuilder,
     ThreadAsyncExecutor,
 )
-from repro.native import native_status, use_native
+from repro.native import kernel_demotions, native_status, use_native
 from repro.reference.naive_lloyd import naive_kmeans
-from repro.reference.prekernel_hotpath import (
-    prekernel_crude_cost_upper_bound,
-    prekernel_fast_kmeans_plus_plus,
-)
-from repro.reference.prenative_hotpath import PreNativeQuadtreeEmbedding, prenative_kmeans
-from repro.reference.presweep_hotpath import PreSweepQuadtreeEmbedding, presweep_kmeans
 from repro.reference.seed_hotpath import SeedQuadtreeEmbedding, seed_fast_kmeans_plus_plus
 from repro.reference.naive_window import NaiveWindowReference
 from repro.reference.seed_streaming import (
@@ -210,16 +196,18 @@ COMPONENT_TOLERANCE = {
 #: workers are stamped ``informational``.
 PARALLEL_COMPONENTS = {"parallel_shard", "overlap_reduce"}
 
-#: Components whose optimized side is the compiled kernel tier.  Rows are
-#: stamped ``informational`` when the tier resolves to fallback mode (no
-#: compiler, no numba, or ``REPRO_NATIVE=0``): the ratio would then compare
-#: the numpy paths against themselves and guard nothing.
+#: Components whose optimized side is the compiled kernel tier, each with
+#: the kernel whose routing its row records.  The baseline is the same call
+#: on the numpy tier.  Rows are stamped ``informational`` when that kernel
+#: is off because the tier is (``REPRO_NATIVE=0``, no compiler): the ratio
+#: would then compare the numpy paths against themselves and guard
+#: nothing.  A demoted kernel fails the row instead (:func:`check_regression`).
 NATIVE_COMPONENTS = {
-    "quadtree_fit_native",
-    "lloyd_native",
-    "fastkpp_native",
-    "crude_bound_native",
-    "kmeanspp_native",
+    "quadtree_fit_native": "csr_group",
+    "lloyd_native": "lloyd_refresh_bounds",
+    "fastkpp_native": "fkpp_level_score",
+    "crude_bound_native": "crude_bound_probe",
+    "kmeanspp_native": "kmeanspp_round",
 }
 
 #: Binary-search folds per ``crude_bound_native`` timing (one fold = one
@@ -269,26 +257,16 @@ QUICK_WORKLOADS = [
     ("lloyd_n20k_d10_k100", 20_000, 10, 100, "lloyd"),
     ("merge_reduce_n40k_d10_k10", 40_000, 10, 10, "merge_reduce"),
     ("merge_reduce_streamkm_n20k_d10_m400", 20_000, 10, 400, "merge_reduce_streamkm"),
-    # Constant-factor sweep rows: the frozen previously-optimized
-    # implementations (repro.reference.presweep_hotpath) are the baseline.
-    ("quadtree_fit_incr_n50k_d20", 50_000, 20, 0, "quadtree_fit_incr"),
-    ("quadtree_fit_incr_n20k_d30", 20_000, 30, 0, "quadtree_fit_incr"),
-    ("lloyd_fused_n80k_d10_k20", 80_000, 10, 20, "lloyd_fused"),
-    ("lloyd_fused_n100k_d10_k20", 100_000, 10, 20, "lloyd_fused"),
     ("merge_reduce_cached_bound_n40k_d10_k10", 40_000, 10, 10, "merge_reduce_cached_bound"),
     # Windowed streams, queried after every block; the naive
     # recompute-from-window oracle is the baseline.
     ("windowed_stream_slide_n40k_d10_k10", 40_000, 10, 10, "windowed_stream_slide"),
     ("windowed_stream_decay_n40k_d10_k10", 40_000, 10, 10, "windowed_stream_decay"),
-    # Compiled-tier rows: the frozen PR-5/6 numpy hot paths
-    # (repro.reference.prenative_hotpath) are the baseline.
+    # Compiled-tier rows: the same call on the numpy tier is the baseline.
     ("quadtree_fit_native_n50k_d10", 50_000, 10, 0, "quadtree_fit_native"),
     ("lloyd_native_n80k_d10_k20", 80_000, 10, 20, "lloyd_native"),
-    # Fast-kmeans++ / Algorithm-2 compiled-tier rows: the frozen PR-9
-    # numpy hot paths (repro.reference.prekernel_hotpath) are the baseline.
     ("fastkpp_native_n50k_d10_k300", 50_000, 10, 300, "fastkpp_native"),
     ("crude_bound_native_n40k_d10_k10", 40_000, 10, 10, "crude_bound_native"),
-    # k-means++ seeding: the numpy tier of the same call is the baseline.
     ("kmeanspp_native_n100k_d10_k200", 100_000, 10, 200, "kmeanspp_native"),
     # The k column carries the process-backend worker count for these rows.
     ("parallel_shard_n200k_d10_w1", 200_000, 10, 1, "parallel_shard"),
@@ -316,13 +294,16 @@ def _workload_points(n: int, d: int, seed: int = 1) -> np.ndarray:
 def _kernel_tier_extras(kernel: str) -> dict:
     """Attribution columns for compiled-tier rows: which tier and provider
     produced the optimized timing (recorded numbers are meaningless without
-    it), plus the numba version when that provider is importable."""
+    it), plus the reason when the row's kernel was demoted."""
     status = native_status()
-    return {
+    extras = {
         "kernel_tier": status["tier"],
         "kernel_provider": status["kernels"][kernel]["provider"],
-        "numba_version": status["providers"].get("numba", {}).get("numba_version"),
     }
+    demotion = kernel_demotions().get(kernel)
+    if demotion is not None:
+        extras["kernel_demotion"] = demotion
+    return extras
 
 
 def run_workload(
@@ -386,104 +367,54 @@ def run_workload(
             ).fit(points),
             repeats,
         )
-    elif component == "quadtree_fit_incr":
-        optimized = _timed(lambda: QuadtreeEmbedding(seed=0).fit(points), repeats)
-        # The baseline is the frozen PR-1..4 fit; both sides pay the same
-        # (live) spread estimator, so the ratio times the sweep itself.
-        seed_time = _best_of(
-            lambda: PreSweepQuadtreeEmbedding(seed=0).fit(points), repeats
-        )
-    elif component == "lloyd_fused":
-        initial = points[np.random.default_rng(5).choice(n, size=k, replace=False)]
-        optimized = _timed(
-            lambda: kmeans(
-                points,
-                k,
-                initial_centers=initial,
-                max_iterations=LLOYD_ITERATIONS,
-                tolerance=0.0,
-                seed=0,
-            ),
-            repeats,
-        )
-        seed_time = _best_of(
-            lambda: presweep_kmeans(
-                points,
-                k,
-                initial_centers=initial,
-                max_iterations=LLOYD_ITERATIONS,
-                tolerance=0.0,
-                seed=0,
-            ),
-            repeats,
-        )
     elif component == "quadtree_fit_native":
-        optimized = _timed(lambda: QuadtreeEmbedding(seed=0).fit(points), repeats)
-        # Baseline: the frozen PR-5/6 numpy fit (stable argsort + five-pass
-        # CSR pipeline); both sides pay the same live spread estimator.
-        seed_time = _best_of(
-            lambda: PreNativeQuadtreeEmbedding(seed=0).fit(points), repeats
-        )
-        extras.update(_kernel_tier_extras("csr_group"))
+        # Compiled-tier rows: the baseline is the identical call on the
+        # numpy tier (``use_native(False)``, the live switch).
+        def _fit() -> None:
+            QuadtreeEmbedding(seed=0).fit(points)
+
+        optimized = _timed(_fit, repeats)
+        seed_time = _best_of(_fit, repeats, tier=False)
     elif component == "lloyd_native":
         initial = points[np.random.default_rng(5).choice(n, size=k, replace=False)]
-        optimized = _timed(
-            lambda: kmeans(
+
+        def _refine() -> None:
+            kmeans(
                 points,
                 k,
                 initial_centers=initial,
                 max_iterations=LLOYD_ITERATIONS,
                 tolerance=0.0,
                 seed=0,
-            ),
-            repeats,
-        )
-        # Baseline: the frozen PR-5/6 numpy pruned engine (clear-only
-        # prove-stay, separate refresh/erode/bincount passes).
-        seed_time = _best_of(
-            lambda: prenative_kmeans(
-                points,
-                k,
-                initial_centers=initial,
-                max_iterations=LLOYD_ITERATIONS,
-                tolerance=0.0,
-                seed=0,
-            ),
-            repeats,
-        )
-        extras.update(_kernel_tier_extras("lloyd_refresh_bounds"))
+            )
+
+        optimized = _timed(_refine, repeats)
+        seed_time = _best_of(_refine, repeats, tier=False)
     elif component == "fastkpp_native":
-        optimized = _timed(lambda: fast_kmeans_plus_plus(points, k, seed=0), repeats)
-        # Baseline: the frozen PR-9 numpy seeding (per-level fancy-indexed
-        # sweeps + cumsum/searchsorted draws); both sides pay the same live
-        # tree fits, so the ratio times the sweeps and draws themselves.
-        seed_time = _best_of(
-            lambda: prekernel_fast_kmeans_plus_plus(points, k, seed=0), repeats
-        )
-        extras.update(_kernel_tier_extras("fkpp_level_score"))
+        def _seed_trees() -> None:
+            fast_kmeans_plus_plus(points, k, seed=0)
+
+        optimized = _timed(_seed_trees, repeats)
+        seed_time = _best_of(_seed_trees, repeats, tier=False)
     elif component == "crude_bound_native":
         # One precomputed spread shared by every fold on both sides: the
         # binary search's occupancy probes dominate the fold, which is what
         # the compiled probe accelerates.
         spread = compute_spread(points)
 
-        def _crude_folds(bound_fn) -> None:
+        def _crude_folds() -> None:
             for fold in range(CRUDE_BOUND_FOLDS):
-                bound_fn(points, k, spread=spread, seed=fold)
+                crude_cost_upper_bound(points, k, spread=spread, seed=fold)
 
-        optimized = _timed(lambda: _crude_folds(crude_cost_upper_bound), repeats)
-        # Baseline: the frozen PR-9 numpy probes (hoisted-normalization
-        # lattice refresh + np.unique distinct count).
-        seed_time = _best_of(
-            lambda: _crude_folds(prekernel_crude_cost_upper_bound), repeats
-        )
+        optimized = _timed(_crude_folds, repeats)
+        seed_time = _best_of(_crude_folds, repeats, tier=False)
         extras["folds"] = CRUDE_BOUND_FOLDS
-        extras.update(_kernel_tier_extras("crude_bound_probe"))
     elif component == "kmeanspp_native":
-        optimized = _timed(lambda: kmeans_plus_plus(points, k, seed=0), repeats)
-        # Baseline: the identical call on the numpy tier, the live switch.
-        seed_time = _best_of(lambda: kmeans_plus_plus(points, k, seed=0), repeats, tier=False)
-        extras.update(_kernel_tier_extras("kmeanspp_round"))
+        def _seed_plain() -> None:
+            kmeans_plus_plus(points, k, seed=0)
+
+        optimized = _timed(_seed_plain, repeats)
+        seed_time = _best_of(_seed_plain, repeats, tier=False)
     elif component == "merge_reduce_cached_bound":
         m = 40 * k
         sampler = FastCoreset(k=k, seed=0)
@@ -659,6 +590,8 @@ def run_workload(
         }
     for close in cleanup:
         close()
+    if component in NATIVE_COMPONENTS:
+        extras.update(_kernel_tier_extras(NATIVE_COMPONENTS[component]))
     cores = available_cores()
     row = {
         "name": name,
@@ -674,9 +607,13 @@ def run_workload(
     row.update(extras)
     if component in PARALLEL_COMPONENTS and cores < k:  # k carries workers
         row["informational"] = True
-    if component in NATIVE_COMPONENTS and row.get("kernel_tier") != "native":
-        # Fallback tier: the "optimized" side ran the same numpy paths as
-        # the baseline, so the ratio guards nothing on this machine.
+    if (
+        component in NATIVE_COMPONENTS
+        and row["kernel_provider"] == "fallback"
+        and "kernel_demotion" not in row
+    ):
+        # Tier disabled or unavailable: the "optimized" side ran the same
+        # numpy paths as the baseline, so the ratio guards nothing here.
         row["informational"] = True
     return row
 
@@ -688,17 +625,26 @@ def check_regression(previous: dict, results: list) -> list:
     tracked workload, not absolute seconds: the seed implementation is
     re-timed in the same process on the same hardware, so the ratio is
     machine-independent and a recorded JSON from faster or slower hardware
-    neither blocks nor masks anything.
+    neither blocks nor masks anything.  A compiled-tier row whose kernel was
+    demoted fails with the demotion reason instead of a ratio.
     """
     messages = []
     old_by_name = {w["name"]: w for w in previous.get("workloads", [])}
     for workload in results:
+        if "kernel_demotion" in workload:
+            kernel = NATIVE_COMPONENTS[workload["component"]]
+            messages.append(
+                f"{workload['name']}: kernel {kernel} demoted to numpy: "
+                f"{workload['kernel_demotion']}"
+            )
+            continue
         old = old_by_name.get(workload["name"])
         if old is None or old.get("seed_seconds", 0) <= 0:
             continue
         if old.get("informational") or workload.get("informational"):
             # Worker counts beyond the recording (or replaying) machine's
-            # cores: the ratio measures scheduler luck, not code.
+            # cores, or a compiled-tier row with the tier off: the ratio
+            # measures scheduler luck or numpy against itself, not code.
             continue
         tolerance = COMPONENT_TOLERANCE.get(workload["component"], REGRESSION_TOLERANCE)
         before = old["optimized_seconds"] / old["seed_seconds"]

@@ -18,7 +18,11 @@ def test_table1_spread_runtime(benchmark, scale, run_once, show):
         k=min(50, scale.k_small),
         repetitions=max(1, scale.repetitions - 1),
     )
-    show("Table 1: Fast-kmeans++ runtime vs r ~ log(spread)", rows, ["runtime_mean", "runtime_std"])
+    show(
+        "Table 1: Fast-kmeans++ runtime vs r ~ log(spread)",
+        rows,
+        ["runtime_mean", "runtime_std", "depth"],
+    )
     runtimes = [row.values["runtime_mean"] for row in rows]
     # The paper's qualitative claim: runtime grows with the spread parameter.
     assert runtimes[-1] >= runtimes[0] * 0.9

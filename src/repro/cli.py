@@ -323,7 +323,6 @@ def _run_compress(arguments: argparse.Namespace, sampler, shards: int) -> dict:
         "kernel_providers": {
             name: info["provider"] for name, info in status["kernels"].items()
         },
-        "numba_version": status["providers"].get("numba", {}).get("numba_version"),
         # Kernels that failed verification on this host and run on numpy.
         "kernel_demotions": kernel_demotions(),
     }

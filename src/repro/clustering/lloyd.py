@@ -18,7 +18,7 @@ block entirely; only the small suspect set is re-examined.  Because the
 E-step is warm-started from the previous assignment, the per-iteration cost
 drops from ``O(nkd)`` to ``O(nd)`` plus the suspect block, which is what
 makes the Table-8-style evaluation runs cheap (see
-``benchmarks/bench_perf_hotpaths.py``, ``lloyd_*`` / ``lloyd_fused_*``
+``benchmarks/bench_perf_hotpaths.py``, ``lloyd_*`` / ``lloyd_native_*``
 rows).
 
 Two refinements tighten the classic bound (each is a strict improvement,

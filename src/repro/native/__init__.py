@@ -2,16 +2,17 @@
 
 Public surface:
 
-* :func:`radix_argsort` — stable uint64/int64 argsort (quadtree grouping).
+* :func:`get_kernel` — a verified compiled kernel by name, or ``None`` when
+  it is on the fallback (the caller keeps its numpy path).
 * :func:`candidate_eval_kernel` — the native Lloyd warm-phase kernel, or
   ``None`` when the tier is in fallback mode.
-* :func:`native_status` — introspection: mode, providers, per-kernel routing
-  (with a ``reason`` for every kernel on the fallback).
+* :func:`native_status` — introspection: mode, the ``cc`` provider,
+  per-kernel routing (with a ``reason`` for every kernel on the fallback).
 * :func:`kernel_demotions` — kernels that failed verification and fell back.
 * :func:`use_native` / :func:`refresh` — tier control for tests and daemons.
 * ``REPRO_NATIVE`` environment flag (:data:`~repro.native.registry.ENV_FLAG`):
-  ``0`` forces the pure-numpy fallback everywhere, a provider name
-  (``numba``/``cc``) restricts resolution to that provider.
+  ``0`` (or ``off``/``false``/``no``) forces the pure-numpy fallback
+  everywhere; any other value enables the compiled tier.
 
 Every kernel is pinned bit-identical to its numpy counterpart in both tier
 modes, so the streaming, sharded, and async layers — and their equivalence
@@ -21,7 +22,6 @@ suites — inherit the speedup with zero semantic drift.
 from repro.native.kernels import (
     candidate_eval_kernel,
     kernel_provider,
-    radix_argsort,
     reference_candidate_eval,
     reference_crude_bound_probe,
     reference_fkpp_draw_scan,
@@ -46,7 +46,6 @@ __all__ = [
     "kernel_demotions",
     "kernel_provider",
     "native_status",
-    "radix_argsort",
     "reference_candidate_eval",
     "reference_crude_bound_probe",
     "reference_fkpp_draw_scan",

@@ -124,22 +124,6 @@ static int repro__radix_sort_pairs(uint64_t *keys, int64_t *values,
     return flipped;
 }
 
-/* Stable argsort of uint64 keys: the permutation of a stable comparison
- * argsort, byte for byte.  `order_scratch`, `shadow`, `shadow_scratch` are
- * caller-provided work arrays of length n. */
-void repro_radix_argsort_u64(const uint64_t *keys, int64_t n, int64_t *order,
-                             int64_t *order_scratch, uint64_t *shadow,
-                             uint64_t *shadow_scratch)
-{
-    int64_t i;
-    for (i = 0; i < n; ++i) {
-        order[i] = i;
-        shadow[i] = keys[i];
-    }
-    if (repro__radix_sort_pairs(shadow, order, shadow_scratch, order_scratch, n))
-        memcpy(order, order_scratch, (size_t)n * sizeof(int64_t));
-}
-
 /* Buckets of at most this many pairs are insertion-sorted; larger ones
  * (clustered keys) go through the LSD radix sort, so no input is quadratic. */
 #define REPRO_INSERTION_CAP 96
@@ -1103,10 +1087,6 @@ def load_kernels() -> Dict[str, Callable]:
     pf64 = ndpointer(np.float64, flags="C_CONTIGUOUS")
     pu8 = ndpointer(np.uint8, flags="C_CONTIGUOUS")
 
-    radix = library.repro_radix_argsort_u64
-    radix.restype = None
-    radix.argtypes = [pu64, i64, pi64, pi64, pu64, pu64]
-
     group = library.repro_csr_group_u64
     group.restype = i64
     group.argtypes = [
@@ -1189,21 +1169,6 @@ def load_kernels() -> Dict[str, Callable]:
     keys_advance.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, i64, i64, i64, ctypes.c_void_p,
     ]
-
-    def radix_argsort_u64(keys: np.ndarray) -> np.ndarray:
-        n = keys.shape[0]
-        order = np.empty(n, dtype=np.int64)
-        if n == 0:
-            return order
-        radix(
-            keys,
-            n,
-            order,
-            _scratch("order_scratch", n, np.int64),
-            _scratch("shadow", n, np.uint64),
-            _scratch("shadow_scratch", n, np.uint64),
-        )
-        return order
 
     def csr_group_u64(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = keys.shape[0]
@@ -1517,7 +1482,6 @@ def load_kernels() -> Dict[str, Callable]:
         )
 
     return {
-        "radix_argsort": radix_argsort_u64,
         "csr_group": csr_group_u64,
         "lloyd_refresh_bounds": lloyd_refresh_bounds,
         "lloyd_candidate_eval": lloyd_candidate_eval,

@@ -1,11 +1,8 @@
 """Kernel declarations, verifiers, and the public dispatch wrappers.
 
-Ten kernels ride the compiled tier:
-
-``radix_argsort``
-    Stable LSD radix argsort over ``uint64``/``int64`` keys.  The contract
-    is byte-for-byte the permutation of ``np.argsort(keys, kind="stable")``,
-    duplicates and all; the fallback *is* that call.
+Nine kernels ride the compiled tier.  None has a registered fallback: when
+a kernel is not served, :func:`~repro.native.registry.get_kernel` returns
+``None`` and the caller keeps its own inline numpy path.
 
 ``csr_group``
     The whole grouping body of :func:`repro.geometry.quadtree._csr_group`
@@ -13,8 +10,6 @@ Ten kernels ride the compiled tier:
     offsets — plus a hash fast path for duplicate-heavy levels.  The sort
     is one stable MSD counting pass into buckets of about 16 keys followed
     by a stable in-bucket sort, so the permutation is the stable argsort's.
-    No registered fallback: in fallback mode the quadtree keeps its inline
-    numpy pipeline.
 
 ``quadtree_keys``
     The per-level hash keys of a quadtree fit
@@ -24,14 +19,13 @@ Ten kernels ride the compiled tier:
     side))`` into ``keys`` and the left-aligned ``uint32`` digit rows into
     a private buffer in one pass, then returns ``advance(level)``, which
     applies ``key' = 2 * key + bits . multipliers`` in place.  Depth caps
-    1..32; C only; no fallback: the fit keeps its numpy derivation.
+    1..32.
 
 ``lloyd_refresh_bounds`` / ``lloyd_candidate_eval`` / ``lloyd_update_sums``
     The warm-phase loop of the pruned Lloyd engine
     (:mod:`repro.clustering.lloyd`): the fused per-point bound refresh, the
     per-candidate exact-distance evaluation with guarded direct
-    reassignment, and the M-step accumulation.  None registers a fallback —
-    the engine keeps its inline numpy passes when the tier is off.
+    reassignment, and the M-step accumulation.
 
 ``fkpp_level_score``
     One Fast-kmeans++ register-center sweep over every level of one tree
@@ -41,13 +35,12 @@ Ten kernels ride the compiled tier:
     compare against the level's candidate distance (strict ``>``), scatter
     distance/slot/mass for the improved points.  Pure per-element stores
     with the caller's precomputed per-level ``candidate ** z`` table — no
-    accumulation, so bit-identity needs no ordering replica.  No fallback:
-    the seeding keeps its inline fancy-indexed sweep in fallback mode.
+    accumulation, so bit-identity needs no ordering replica.
 
 ``fkpp_weighted_draw``
     The D²-draw of both seedings split into its two observable steps: the
     sequential ``np.cumsum`` total and the first-exceed scan equal to
-    ``searchsorted(cumsum, u, side="right")``.  No fallback.
+    ``searchsorted(cumsum, u, side="right")``.
 
 ``kmeanspp_round``
     One round of plain k-means++ seeding (:mod:`repro.clustering.kmeans_pp`)
@@ -62,9 +55,7 @@ Ten kernels ride the compiled tier:
     ``kernel(points, weights, best_squared, assignment, mass, z)`` returns
     ``run_round(center_row, slot, init) -> total`` over those buffers; the
     rounds must run in slot order (``init`` exactly at slot 0) and
-    ``run_round.distance_evals`` counts the point distances computed.  C
-    only (the numba provider falls through to ``cc``); no fallback: the
-    seeding keeps its numpy loop.
+    ``run_round.distance_evals`` counts the point distances computed.
 
 ``crude_bound_probe``
     One Crude-Approx (Algorithm 2) occupancy probe
@@ -73,14 +64,15 @@ Ten kernels ride the compiled tier:
     doubling for consecutive ones — and count distinct multilinear row
     hashes (wrapping uint64, the numpy path's view) in one pass.  The count
     is order-invariant, so any correct distinct counter matches
-    ``np.unique``.  No fallback: the bisection keeps its inline probe.
+    ``np.unique``.
 
-Every verifier compares a provider's implementation against *live numpy
+Every verifier compares the compiled implementation against *live numpy
 calls* on adversarial inputs before the registry ever routes a real call to
 it.  That is the load-bearing design: the distance kernels replicate this
 numpy build's exact SIMD accumulation order, and if a different numpy build
-changes it, verification fails and the registry silently keeps the numpy
-paths — fallback speed, never wrong results.
+changes it, verification fails and the registry keeps the numpy path for
+that kernel (reported by :func:`~repro.native.registry.kernel_demotions`) —
+numpy speed, never wrong results.
 """
 
 from __future__ import annotations
@@ -91,15 +83,6 @@ import numpy as np
 
 from repro.native import registry
 from repro.native.registry import get_kernel, kernel_provider
-
-#: Bias flipping the sign bit: int64 keys sorted as uint64 after XOR, the
-#: standard order-preserving map between the two (two's complement).
-_SIGN_BIAS = np.uint64(0x8000000000000000)
-
-
-def _fallback_argsort(keys: np.ndarray) -> np.ndarray:
-    return np.argsort(keys, kind="stable")
-
 
 # ---------------------------------------------------------------- oracles
 def _reference_csr_group(keys: np.ndarray) -> tuple:
@@ -135,9 +118,9 @@ def reference_candidate_eval(
     """Oracle of the candidate-evaluation kernel, built from live numpy ops.
 
     Candidate distances come from the same ``einsum("ij,ij->i", ...)`` call
-    the engine's prove-stay pass uses, so comparing a provider against this
+    the engine's prove-stay pass uses, so comparing the kernel against this
     oracle *is* the bit-identity check against the numpy hot path (the
-    providers replicate the einsum accumulation order exactly).  The
+    kernel replicates the einsum accumulation order exactly).  The
     classification chain mirrors the compiled kernels operation for
     operation.
     """
@@ -366,22 +349,6 @@ def reference_quadtree_keys(
 
 
 # -------------------------------------------------------------- verifiers
-def _verify_radix(kernel) -> None:
-    rng = np.random.default_rng(20240807)
-    cases = [
-        rng.integers(0, np.iinfo(np.uint64).max, size=257, dtype=np.uint64),
-        np.zeros(65, dtype=np.uint64),  # all duplicates
-        np.arange(130, dtype=np.uint64) // np.uint64(3),  # near-sorted runs
-        np.array([], dtype=np.uint64),
-        np.array([np.iinfo(np.uint64).max, 0, np.iinfo(np.uint64).max], dtype=np.uint64),
-    ]
-    for keys in cases:
-        expected = np.argsort(keys, kind="stable")
-        produced = kernel(np.ascontiguousarray(keys))
-        if not np.array_equal(np.asarray(produced, dtype=np.int64), expected):
-            raise RuntimeError("radix argsort disagrees with np.argsort(kind='stable')")
-
-
 def _verify_csr_group(kernel) -> None:
     rng = np.random.default_rng(20240809)
     cases = [
@@ -417,8 +384,8 @@ def _verify_refresh_bounds(kernel) -> None:
     rng = np.random.default_rng(20240810)
     # Every dimension class of the einsum row kernel: the unrolled 8-wide
     # main loop, the pairwise drain, the scalar remainder, and their
-    # combinations.  A provider whose accumulation order differs from this
-    # numpy build's einsum fails here and never serves the kernel.
+    # combinations.  A kernel whose accumulation order differs from this
+    # numpy build's einsum fails here and is never served.
     for d in (1, 2, 3, 4, 5, 7, 8, 9, 10, 13, 16, 17, 20, 33):
         n, k = 64, 5
         points = rng.normal(size=(n, d)) * rng.uniform(0.1, 30.0)
@@ -835,89 +802,21 @@ def _verify_quadtree_keys(kernel) -> None:
 
 
 # ------------------------------------------------------- public wrappers
-def radix_argsort(keys: np.ndarray) -> np.ndarray:
-    """Stable ascending argsort of 1-d ``uint64``/``int64`` keys.
-
-    Dispatches to the compiled tier when available and falls back to
-    ``np.argsort(keys, kind="stable")`` otherwise; the two are pinned
-    byte-for-byte identical (Hypothesis property in
-    ``tests/test_native_kernels.py``).
-    """
-    keys = np.asarray(keys)
-    if keys.ndim != 1:
-        raise ValueError(f"keys must be one-dimensional, got shape {keys.shape}")
-    if keys.dtype == np.int64:
-        unsigned = keys.view(np.uint64) ^ _SIGN_BIAS  # order-preserving bias
-    elif keys.dtype == np.uint64:
-        unsigned = keys
-    else:
-        raise ValueError(f"keys must be uint64 or int64, got {keys.dtype}")
-    kernel = get_kernel("radix_argsort")
-    if keys.shape[0] < 2:
-        return np.arange(keys.shape[0], dtype=np.int64)
-    return kernel(np.ascontiguousarray(unsigned))
-
-
 def candidate_eval_kernel() -> Optional[callable]:
     """The native Lloyd candidate kernel, or ``None`` in fallback mode."""
     return get_kernel("lloyd_candidate_eval")
 
 
 def _register() -> None:
-    registry.register_kernel(
-        "radix_argsort", fallback=_fallback_argsort, verify=_verify_radix
-    )
-    registry.register_kernel("csr_group", fallback=None, verify=_verify_csr_group)
-    registry.register_kernel(
-        "lloyd_refresh_bounds", fallback=None, verify=_verify_refresh_bounds
-    )
-    registry.register_kernel(
-        "lloyd_candidate_eval", fallback=None, verify=_verify_candidate_eval
-    )
-    registry.register_kernel(
-        "lloyd_update_sums", fallback=None, verify=_verify_update_sums
-    )
-    registry.register_kernel(
-        "fkpp_level_score", fallback=None, verify=_verify_fkpp_level_score
-    )
-    registry.register_kernel(
-        "fkpp_weighted_draw", fallback=None, verify=_verify_fkpp_weighted_draw
-    )
-    registry.register_kernel(
-        "crude_bound_probe", fallback=None, verify=_verify_crude_bound_probe
-    )
-    registry.register_kernel(
-        "kmeanspp_round", fallback=None, verify=_verify_kmeanspp_round
-    )
-    registry.register_kernel(
-        "quadtree_keys", fallback=None, verify=_verify_quadtree_keys
-    )
-
-    def _load_numba():
-        from repro.native import _numba_kernels
-
-        return _numba_kernels.load_kernels()
-
-    def _describe_numba():
-        try:
-            from repro.native import _numba_kernels
-
-            return _numba_kernels.describe()
-        except ImportError:
-            return {"numba_version": None}
-
-    def _load_cc():
-        from repro.native import _cc_kernels
-
-        return _cc_kernels.load_kernels()
-
-    def _describe_cc():
-        from repro.native import _cc_kernels
-
-        return _cc_kernels.describe()
-
-    registry.register_provider("numba", _load_numba, _describe_numba)
-    registry.register_provider("cc", _load_cc, _describe_cc)
+    registry.register_kernel("csr_group", verify=_verify_csr_group)
+    registry.register_kernel("lloyd_refresh_bounds", verify=_verify_refresh_bounds)
+    registry.register_kernel("lloyd_candidate_eval", verify=_verify_candidate_eval)
+    registry.register_kernel("lloyd_update_sums", verify=_verify_update_sums)
+    registry.register_kernel("fkpp_level_score", verify=_verify_fkpp_level_score)
+    registry.register_kernel("fkpp_weighted_draw", verify=_verify_fkpp_weighted_draw)
+    registry.register_kernel("crude_bound_probe", verify=_verify_crude_bound_probe)
+    registry.register_kernel("kmeanspp_round", verify=_verify_kmeanspp_round)
+    registry.register_kernel("quadtree_keys", verify=_verify_quadtree_keys)
 
 
 _register()
@@ -926,7 +825,6 @@ _register()
 __all__ = [
     "candidate_eval_kernel",
     "kernel_provider",
-    "radix_argsort",
     "reference_candidate_eval",
     "reference_crude_bound_probe",
     "reference_fkpp_draw_scan",

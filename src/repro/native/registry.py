@@ -1,43 +1,41 @@
 """Kernel dispatch registry for the optional compiled tier.
 
-The registry is the single seam between the pure-numpy library code and any
-compiled kernel implementation: callers ask for a kernel *by name* through
+The registry is the single seam between the pure-numpy library code and the
+compiled kernels: callers ask for a kernel *by name* through
 :func:`get_kernel` (or the public wrappers in :mod:`repro.native.kernels`)
-and never import a backend module directly.  Providers — currently ``numba``
-(preferred when importable) and ``cc`` (a small C translation unit compiled
-on first use with the system compiler) — register a loader that returns a
-``{kernel name: callable}`` mapping; kernels register an optional pure-numpy
-fallback plus a *verifier* that is run once against every provider's
-implementation before it is ever trusted.
+and never import the provider module directly.  The one provider, ``cc``
+(:mod:`repro.native._cc_kernels`, a small C translation unit compiled on
+first use with the system compiler), returns a ``{kernel name: callable}``
+mapping; every kernel registers a *verifier* that is run once against the
+compiled implementation before it is ever trusted.
 
 Resolution contract
 -------------------
 * ``REPRO_NATIVE=0`` (also ``off``/``false``/``no``) forces the fallback
-  tier for every kernel — the escape hatch.  Unset or ``1`` enables the
-  tier with automatic provider preference; a provider name (``numba`` or
-  ``cc``) restricts resolution to that provider, falling back to pure numpy
-  when it is unavailable.
+  tier for every kernel — the escape hatch.  Any other value, or none,
+  enables the compiled tier.
 * Resolution happens lazily on the first :func:`get_kernel` call and is
   cached per process; :func:`refresh` drops the cache (tests and long-lived
   daemons that flip the environment call it), and :func:`use_native` is a
   context manager doing exactly that around a block.
-* Every provider kernel must pass its registered verifier (a cheap
+* Every compiled kernel must pass its registered verifier (a cheap
   bit-identity check against the numpy reference on small inputs) during
-  resolution.  A provider that fails to import, compile, or verify is
-  skipped with the reason recorded — visible via :func:`native_status`,
-  which also gives each fallback kernel its ``reason``, and for failed
-  verifications via :func:`kernel_demotions` and the ``compress`` summary —
-  and the next provider (ultimately the fallback) serves the kernel.  A
-  runtime-compiled kernel therefore can never silently corrupt results:
-  the worst failure mode is running at fallback speed.
+  resolution.  A kernel falls back when the provider fails to import or
+  compile, or when the kernel fails its verifier; the reason is recorded —
+  visible via :func:`native_status`, which gives each fallback kernel its
+  ``reason``, and for failed verifications via :func:`kernel_demotions` and
+  the ``compress`` summary.  A fallback kernel is ``None``: the caller keeps
+  its own numpy path.  A runtime-compiled kernel therefore can never
+  silently corrupt results: the worst failure mode is running at numpy
+  speed.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 from repro import observability as _obs
 
@@ -47,56 +45,33 @@ ENV_FLAG = "REPRO_NATIVE"
 #: Values of :data:`ENV_FLAG` that force the pure-numpy fallback tier.
 _DISABLED_VALUES = {"0", "off", "false", "no"}
 
+#: The compiled provider's name: the routing value of every kernel it serves.
+PROVIDER = "cc"
+
 
 @dataclass
 class KernelSpec:
-    """A dispatchable kernel: name, optional numpy fallback, verifier."""
+    """A dispatchable kernel: name and verifier."""
 
     name: str
-    fallback: Optional[Callable] = None
     verify: Optional[Callable[[Callable], None]] = None
 
 
-@dataclass
-class ProviderSpec:
-    """A kernel provider: preference-ordered loader of compiled kernels."""
-
-    name: str
-    loader: Callable[[], Dict[str, Callable]]
-    describe: Optional[Callable[[], Dict[str, object]]] = None
-
-
 _KERNELS: Dict[str, KernelSpec] = {}
-_PROVIDERS: List[ProviderSpec] = []
 
-#: Cached resolution: ``{"kernels": {name: (provider, callable)},
-#: "providers": {name: {"available": bool, "reason": str | None}}}`` or
-#: ``None`` when resolution has not run (or was refreshed).
+#: Cached resolution: ``{"mode": str, "provider": {"available": bool,
+#: "reason": str | None}, "kernels": {name: (provider, callable)},
+#: "reasons": {...}, "demotions": {...}}`` or ``None`` when resolution has
+#: not run (or was refreshed).
 _RESOLVED: Optional[dict] = None
 
 #: Test/daemon override of the environment flag (``None`` follows the env).
 _OVERRIDE: Optional[str] = None
 
 
-def register_kernel(
-    name: str,
-    fallback: Optional[Callable] = None,
-    verify: Optional[Callable[[Callable], None]] = None,
-) -> None:
+def register_kernel(name: str, verify: Optional[Callable[[Callable], None]] = None) -> None:
     """Declare a dispatchable kernel (idempotent per name)."""
-    _KERNELS[name] = KernelSpec(name=name, fallback=fallback, verify=verify)
-    refresh()
-
-
-def register_provider(
-    name: str,
-    loader: Callable[[], Dict[str, Callable]],
-    describe: Optional[Callable[[], Dict[str, object]]] = None,
-) -> None:
-    """Declare a provider; registration order is the preference order."""
-    global _PROVIDERS
-    _PROVIDERS = [p for p in _PROVIDERS if p.name != name]
-    _PROVIDERS.append(ProviderSpec(name=name, loader=loader, describe=describe))
+    _KERNELS[name] = KernelSpec(name=name, verify=verify)
     refresh()
 
 
@@ -116,7 +91,7 @@ def _mode() -> str:
 @contextmanager
 def use_native(mode):
     """Temporarily force a tier mode: ``False``/``"0"`` for the fallback,
-    ``True``/``"1"`` for automatic native, or a provider name."""
+    ``True``/``"1"`` for the compiled tier."""
     global _OVERRIDE
     if mode is True:
         mode = "1"
@@ -132,69 +107,54 @@ def use_native(mode):
         refresh()
 
 
+def _load_provider() -> Dict[str, Callable]:
+    from repro.native import _cc_kernels
+
+    return _cc_kernels.load_kernels()
+
+
 def _resolve() -> dict:
-    """Load, verify, and cache the best provider for every kernel."""
+    """Load the provider, verify every kernel, and cache the routing."""
     global _RESOLVED
     if _RESOLVED is not None:
         return _RESOLVED
     mode = _mode()
-    provider_status: Dict[str, dict] = {}
-    loaded: Dict[str, Dict[str, Callable]] = {}
+    loaded: Dict[str, Callable] = {}
+    # Why every kernel is on the fallback (``None``: the provider loaded).
+    unavailable: Optional[str] = None
     if mode in _DISABLED_VALUES:
-        candidates: List[ProviderSpec] = []
-    elif any(p.name == mode for p in _PROVIDERS):
-        candidates = [p for p in _PROVIDERS if p.name == mode]
+        unavailable = f"disabled by {ENV_FLAG}={mode}"
+        provider = {"available": False, "reason": unavailable}
     else:
-        candidates = list(_PROVIDERS)
-    for provider in _PROVIDERS:
-        if not any(c.name == provider.name for c in candidates):
-            provider_status[provider.name] = {
-                "available": False,
-                "reason": f"disabled by {ENV_FLAG}={mode}",
-            }
-            continue
         try:
-            loaded[provider.name] = provider.loader()
-            provider_status[provider.name] = {"available": True, "reason": None}
+            loaded = _load_provider()
+            provider = {"available": True, "reason": None}
         except Exception as error:  # import/compile failures degrade, never raise
-            provider_status[provider.name] = {
-                "available": False,
-                "reason": f"{type(error).__name__}: {error}",
-            }
+            provider = {"available": False, "reason": f"{type(error).__name__}: {error}"}
+            unavailable = f"{PROVIDER} unavailable: {provider['reason']}"
     kernels: Dict[str, tuple] = {}
     reasons: Dict[str, str] = {}
     demotions: Dict[str, str] = {}
     for name, spec in _KERNELS.items():
-        resolved = ("fallback", spec.fallback)
-        failures = []
-        for provider in candidates:
-            implementation = loaded.get(provider.name, {}).get(name)
-            if implementation is None:
-                continue
-            try:
-                if spec.verify is not None:
-                    spec.verify(implementation)
-            except Exception as error:
-                status = provider_status[provider.name]
-                note = f"kernel {name!r} failed verification: {error}"
-                status["reason"] = (
-                    note if status["reason"] is None else f"{status['reason']}; {note}"
-                )
-                failures.append(f"{provider.name}: failed verification: {error}")
-                continue
-            resolved = (provider.name, implementation)
-            break
-        kernels[name] = resolved
-        if resolved[0] == "fallback":
-            if failures:
-                reasons[name] = demotions[name] = "; ".join(failures)
-            elif not candidates:
-                reasons[name] = f"disabled by {ENV_FLAG}={mode}"
-            else:
-                reasons[name] = "no provider ships it"
+        kernels[name] = ("fallback", None)
+        if unavailable is not None:
+            reasons[name] = unavailable
+            continue
+        implementation = loaded[name]
+        try:
+            if spec.verify is not None:
+                spec.verify(implementation)
+        except Exception as error:
+            note = f"kernel {name!r} failed verification: {error}"
+            provider["reason"] = (
+                note if provider["reason"] is None else f"{provider['reason']}; {note}"
+            )
+            reasons[name] = demotions[name] = f"{PROVIDER}: failed verification: {error}"
+            continue
+        kernels[name] = (PROVIDER, implementation)
     _RESOLVED = {
         "mode": mode,
-        "providers": provider_status,
+        "provider": provider,
         "kernels": kernels,
         "reasons": reasons,
         "demotions": demotions,
@@ -203,12 +163,11 @@ def _resolve() -> dict:
 
 
 def get_kernel(name: str) -> Optional[Callable]:
-    """The resolved implementation of a kernel (``None`` = no fallback either).
+    """The verified compiled implementation of a kernel, or ``None``.
 
-    Returns the verified native implementation when the tier is enabled and
-    a provider serves the kernel, the registered pure-numpy fallback
-    otherwise.  Kernels registered without a fallback return ``None`` in
-    fallback mode — the caller keeps its own inline numpy path.
+    ``None`` means the kernel is on the fallback (tier disabled, provider
+    unavailable, or verification failed): the caller keeps its own inline
+    numpy path.
     """
     if name not in _KERNELS:
         raise KeyError(f"unknown kernel {name!r}; registered: {sorted(_KERNELS)}")
@@ -218,14 +177,14 @@ def get_kernel(name: str) -> Optional[Callable]:
 
 
 def kernel_provider(name: str) -> str:
-    """Which provider serves a kernel: a provider name or ``"fallback"``."""
+    """Which provider serves a kernel: ``"cc"`` or ``"fallback"``."""
     if name not in _KERNELS:
         raise KeyError(f"unknown kernel {name!r}; registered: {sorted(_KERNELS)}")
     return _resolve()["kernels"][name][0]
 
 
 def kernel_demotions() -> Dict[str, str]:
-    """Kernels a provider ships but that failed verification and fell back.
+    """Kernels the provider ships but that failed verification and fell back.
 
     ``{name: reason}``, empty on a healthy host.  A numpy build whose SIMD
     accumulation order differs from the one the compiled distance kernels
@@ -235,30 +194,29 @@ def kernel_demotions() -> Dict[str, str]:
 
 
 def native_status() -> dict:
-    """Introspection snapshot of the tier: mode, providers, per-kernel routing.
+    """Introspection snapshot of the tier: mode, provider, per-kernel routing.
 
     The ``tier`` field is ``"native"`` when at least one kernel resolved to
-    a compiled provider and ``"fallback"`` otherwise — the value the CLI
+    the compiled provider and ``"fallback"`` otherwise — the value the CLI
     summary and the bench rows report so recorded numbers are attributable
-    to the tier that produced them.  A kernel that resolved to the fallback
-    carries a ``reason``: ``"disabled by REPRO_NATIVE=<mode>"``,
-    ``"<provider>: failed verification: <error>"`` (see
-    :func:`kernel_demotions`), or ``"no provider ships it"`` (no loaded
-    candidate provider implements it; ``providers`` shows load failures).
+    to the tier that produced them.  ``providers`` holds the one ``cc``
+    entry (availability, load or verification errors, compiler).  A kernel
+    that resolved to the fallback carries a ``reason``: ``"disabled by
+    REPRO_NATIVE=<mode>"``, ``"cc unavailable: <error>"`` (import or
+    compile failure), or ``"cc: failed verification: <error>"`` (see
+    :func:`kernel_demotions`).
     """
     resolution = _resolve()
-    # Sorted by name on both axes: registration order is an implementation
-    # detail, and a stable ordering keeps status snapshots in tests and
-    # ``repro status`` diffs from churning as kernels are added.
-    providers: Dict[str, dict] = {}
-    for provider in sorted(_PROVIDERS, key=lambda spec: spec.name):
-        entry = dict(resolution["providers"].get(provider.name, {"available": False, "reason": "not resolved"}))
-        if provider.describe is not None:
-            try:
-                entry.update(provider.describe())
-            except Exception:  # description is cosmetic; never fail status
-                pass
-        providers[provider.name] = entry
+    provider = dict(resolution["provider"])
+    try:
+        from repro.native import _cc_kernels
+
+        provider.update(_cc_kernels.describe())
+    except Exception:  # description is cosmetic; never fail status
+        pass
+    # Sorted by name: registration order is an implementation detail, and a
+    # stable ordering keeps status snapshots in tests and ``repro status``
+    # diffs from churning as kernels are added.
     kernels = {}
     for name in sorted(resolution["kernels"]):
         kernels[name] = {"provider": resolution["kernels"][name][0]}
@@ -268,6 +226,6 @@ def native_status() -> dict:
     return {
         "mode": resolution["mode"],
         "tier": "native" if native else "fallback",
-        "providers": providers,
+        "providers": {PROVIDER: provider},
         "kernels": kernels,
     }

@@ -1,19 +1,18 @@
 """Frozen reference implementations used for equivalence testing and benchmarking.
 
-The modules in this package are verbatim snapshots of hot-path code at a
-fixed revision: the ``seed_*`` / ``naive_*`` modules freeze the original
-seed revision, :mod:`~repro.reference.presweep_hotpath` freezes the
-PR-1..4 optimized implementations that the PR-5 constant-factor sweep
-replaced, and :mod:`~repro.reference.prenative_hotpath` freezes the PR-5/6
-numpy hot paths that the compiled kernel tier replaced.  They are **not** maintained for speed and must not be used by
-library code: their sole purpose is to
+The modules in this package are verbatim snapshots of the seed revision's
+hot-path code (``seed_*``) and naive recompute-from-scratch oracles
+(``naive_*``).  They are **not** maintained for speed and must not be used
+by library code: their sole purpose is to
 
 * serve as the golden baseline for the equivalence tests (the optimized
-  quadtree must report the same cells and tree distances as the seed), and
-* provide the baseline timing column of ``benchmarks/bench_perf_hotpaths.py``
-  so every benchmark run measures baseline-vs-optimized in the same process
-  on the same hardware (seed columns for the original rows, pre-sweep
-  columns for the ``*_incr`` / ``*_fused`` rows).
+  quadtree must report the same cells and tree distances as the seed, the
+  pruned Lloyd engine the same clustering as the full-recompute loop, the
+  windowed tree the same window as the recompute-from-window oracle), and
+* provide the baseline timing column of the seed-relative rows of
+  ``benchmarks/bench_perf_hotpaths.py``, so those rows measure
+  baseline-vs-optimized in the same process on the same hardware.  The
+  compiled-tier rows time the live code under ``REPRO_NATIVE=0`` instead.
 
 Do not modify these snapshots when optimizing the live implementations —
 that would silently move the goalposts of both the tests and the benchmark.
@@ -21,8 +20,6 @@ that would silently move the goalposts of both the tests and the benchmark.
 
 from repro.reference.naive_lloyd import naive_kmeans
 from repro.reference.naive_window import NaiveWindowReference
-from repro.reference.prenative_hotpath import PreNativeQuadtreeEmbedding, prenative_kmeans
-from repro.reference.presweep_hotpath import PreSweepQuadtreeEmbedding, presweep_kmeans
 from repro.reference.seed_hotpath import SeedQuadtreeEmbedding, seed_fast_kmeans_plus_plus
 from repro.reference.seed_streaming import (
     SeedMergeReduceTree,
@@ -32,14 +29,10 @@ from repro.reference.seed_streaming import (
 )
 
 __all__ = [
-    "PreNativeQuadtreeEmbedding",
-    "PreSweepQuadtreeEmbedding",
     "SeedQuadtreeEmbedding",
     "SeedMergeReduceTree",
     "NaiveWindowReference",
     "naive_kmeans",
-    "prenative_kmeans",
-    "presweep_kmeans",
     "seed_compute_spread",
     "seed_fast_kmeans_plus_plus",
     "seed_stream_coreset",

@@ -17,6 +17,7 @@ from repro.data.synthetic import (
     gaussian_mixture,
     geometric_dataset,
 )
+from repro.native import registry
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +68,18 @@ def tiny_scale() -> ExperimentScale:
         repetitions=1,
         dataset_fraction=0.01,
     )
+
+
+@pytest.fixture
+def failing_kmeanspp_verifier(monkeypatch):
+    """Fail ``kmeanspp_round``'s verifier, as a numpy build with another
+    einsum accumulation order would; yields the demotion reason."""
+
+    def verify(kernel):
+        raise RuntimeError("injected einsum-order mismatch")
+
+    monkeypatch.setattr(registry._KERNELS["kmeanspp_round"], "verify", verify)
+    registry.refresh()
+    yield "cc: failed verification: injected einsum-order mismatch"
+    monkeypatch.undo()
+    registry.refresh()

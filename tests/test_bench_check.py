@@ -1,18 +1,23 @@
-"""Smoke test for the ``make bench-check`` regression replay.
+"""Tests for the hot-path bench's recorded trajectory and regression guard.
 
-Replays one small tracked workload at a single repeat in ``--check-only``
-mode: the recorded ``BENCH_hotpaths.json`` must not be rewritten, and the
-tracked ratio must stay within the regression tolerance.  Marked slow — it
-re-times real workloads — and kept to the cheapest tracked entry so the
-full suite stays fast.
+The smoke test replays one small tracked workload at a single repeat in
+``--check-only`` mode: the recorded ``BENCH_hotpaths.json`` must not be
+rewritten, and the tracked ratio must stay within the regression
+tolerance.  Marked slow — it re-times real workloads — and kept to the
+cheapest tracked entry so the full suite stays fast.  The guard tests pin
+which rows it skips (informational ones) and which it fails with a reason
+instead of a ratio (rows whose compiled kernel was demoted).
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from repro.native import kernel_provider, use_native
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH = REPO_ROOT / "benchmarks" / "bench_perf_hotpaths.py"
@@ -75,14 +80,6 @@ def test_trajectory_tracks_new_hot_paths():
     # future runs against whatever this machine honestly measured.
     assert "parallel_shard" in by_component
     assert sorted(w["k"] for w in by_component["parallel_shard"]) == [1, 2, 4]
-    # Constant-factor sweep rows (incremental quadtree keys, fused Lloyd
-    # kernel, cached crude-cost bound): measured against the frozen
-    # previously-optimized implementations, extending the workload list.
-    # The recording machine measured 1.56-1.71x; the floor asserted here is
-    # looser so a legitimate re-record on different hardware (the bench's
-    # own 20% guard allows it) cannot wedge the tier-1 suite.
-    assert all(w["speedup"] >= 1.2 for w in by_component["quadtree_fit_incr"])
-    assert all(w["speedup"] >= 1.2 for w in by_component["lloyd_fused"])
     assert "merge_reduce_cached_bound" in by_component
     # Overlapped-reduction rows: both sides run the same async pipeline, so
     # only presence and the host-reduce-seconds extras are pinned — the
@@ -109,13 +106,16 @@ def test_trajectory_rows_stamp_cores_and_informational_flags():
                 assert not workload.get("informational")
 
 
-def test_informational_rows_bypass_regression_guard():
-    """A catastrophic ratio on an informational row must not trip the guard."""
-    import importlib.util
-
+def _load_bench():
     spec = importlib.util.spec_from_file_location("bench_hotpaths", BENCH)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_informational_rows_bypass_regression_guard():
+    """A catastrophic ratio on an informational row must not trip the guard."""
+    bench = _load_bench()
     old = {
         "workloads": [
             {"name": "w2", "component": "parallel_shard", "informational": True,
@@ -132,3 +132,46 @@ def test_informational_rows_bypass_regression_guard():
     ]
     messages = bench.check_regression(old, new)
     assert len(messages) == 1 and "serial" in messages[0]
+
+
+#: A tiny compiled-tier row: plain k-means++ seeding, fast enough for tier-1.
+TINY_KMEANSPP_ROW = ("kmeanspp_native_tiny", 2000, 4, 8, "kmeanspp_native")
+
+#: A recorded 10x ratio for :data:`TINY_KMEANSPP_ROW`.
+RECORDED_KMEANSPP = {
+    "workloads": [
+        {"name": "kmeanspp_native_tiny", "component": "kmeanspp_native",
+         "seed_seconds": 1.0, "optimized_seconds": 0.1},
+    ]
+}
+
+
+@pytest.mark.skipif(
+    kernel_provider("kmeanspp_round") == "fallback",
+    reason="the kmeanspp_round kernel is not served on this host",
+)
+def test_demoted_kernel_fails_its_row_with_the_reason(failing_kmeanspp_verifier):
+    """A kernel demoted while the rest of the tier is native fails the row
+    with the demotion reason, not with a misleading ratio."""
+    bench = _load_bench()
+    row = bench.run_workload(*TINY_KMEANSPP_ROW, repeats=1)
+    assert row["kernel_tier"] == "native"
+    assert row["kernel_provider"] == "fallback"
+    assert row["kernel_demotion"] == failing_kmeanspp_verifier
+    assert not row.get("informational")
+    assert bench.check_regression(RECORDED_KMEANSPP, [row]) == [
+        "kmeanspp_native_tiny: kernel kmeanspp_round demoted to numpy: "
+        + failing_kmeanspp_verifier
+    ]
+
+
+def test_disabled_tier_rows_stay_informational():
+    """With the tier switched off the row times numpy against itself, so it
+    is informational and the guard skips it."""
+    bench = _load_bench()
+    with use_native(False):
+        row = bench.run_workload(*TINY_KMEANSPP_ROW, repeats=1)
+    assert row["kernel_provider"] == "fallback"
+    assert "kernel_demotion" not in row
+    assert row["informational"] is True
+    assert bench.check_regression(RECORDED_KMEANSPP, [row]) == []

@@ -57,6 +57,11 @@ class TestTable1:
         assert all(row.values["runtime_mean"] > 0 for row in rows)
         assert rows[0].parameters["r"] == 5.0
 
+    def test_depth_grows_with_spread(self, tiny_scale):
+        rows = table1_spread_runtime(scale=tiny_scale, r_values=(10, 40), k=6, repetitions=1)
+        shallow, deep = (row.values["depth"] for row in rows)
+        assert deep > shallow
+
 
 class TestFigure1:
     def test_rows_and_slowdown_factors(self, tiny_scale):

@@ -16,7 +16,7 @@ def _dispatch_mode(request):
     The seeding promises bit-identical draws, labels, and costs whether the
     compiled ``fkpp_level_score``/``fkpp_weighted_draw`` kernels serve or
     the numpy sweep runs, so every behavioural test must hold in both
-    modes (on boxes without a compiler or numba both params exercise the
+    modes (on boxes without a C compiler both params exercise the
     fallback).
     """
     with use_native(request.param):

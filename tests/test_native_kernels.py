@@ -5,10 +5,11 @@ Three layers of coverage:
 * **Kernel contracts** — every native kernel is compared bit-for-bit against
   a live numpy oracle (the same expressions the engine's fallback path
   evaluates), including Hypothesis-generated adversarial inputs for the
-  radix argsort and the CSR grouping kernel.
+  CSR grouping kernel and k-means++ seeding.
 * **Tier control** — ``native_status()`` introspection, the ``use_native``
-  override, and the behaviour of :func:`repro.native.get_kernel` in
-  fallback mode.
+  override, the behaviour of :func:`repro.native.get_kernel` in fallback
+  mode, and the reasons reported when the provider is unavailable or a
+  kernel fails its verifier.
 * **Cross-mode bit-identity** — full k-means runs and quadtree fits must
   produce identical observable outputs with the tier enabled and disabled.
   ``recompute_fraction`` is deliberately *excluded* from the comparison:
@@ -16,12 +17,11 @@ Three layers of coverage:
   path recomputes, so the internal work counter is allowed to differ while
   every observable output stays pinned.
 
-When no provider is available (no numba, no C compiler) the kernel-contract
-tests skip; the tier-control and cross-mode tests still run, because the
-fallback path must behave identically either way.
+When the cc provider is unavailable (no C compiler, or ``REPRO_NATIVE=0``)
+the kernel-contract tests skip; the tier-control and cross-mode tests still
+run, because the fallback path must behave identically either way.
 """
 
-import importlib
 import json
 
 import numpy as np
@@ -46,7 +46,6 @@ from repro.native import (
     kernel_demotions,
     kernel_provider,
     native_status,
-    radix_argsort,
     reference_candidate_eval,
     reference_crude_bound_probe,
     reference_fkpp_draw_scan,
@@ -67,7 +66,7 @@ SETTINGS = settings(
 
 requires_native = pytest.mark.skipif(
     native_status()["tier"] != "native",
-    reason="no native kernel provider available (numba/cc)",
+    reason="the cc kernel provider is unavailable (no C compiler, or REPRO_NATIVE=0)",
 )
 
 uint64_keys = arrays(
@@ -75,13 +74,8 @@ uint64_keys = arrays(
     shape=st.integers(0, 300),
     elements=st.integers(0, np.iinfo(np.uint64).max),
 )
-int64_keys = arrays(
-    dtype=np.int64,
-    shape=st.integers(0, 300),
-    elements=st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max),
-)
 # Small alphabets force long duplicate runs — the hash fast path of the
-# grouping kernel and the trivial-pass skip of the radix sort.
+# grouping kernel and the trivial-pass skip of its radix sort.
 clustered_keys = arrays(
     dtype=np.uint64,
     shape=st.integers(1, 300),
@@ -126,50 +120,6 @@ def kmeanspp_inputs(draw):
         weights = rng.uniform(0.0, 3.0, size=n)
         weights[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
     return points, k, weights, draw(st.sampled_from([1, 2])), draw(st.integers(0, 2**16))
-
-
-class TestRadixArgsort:
-    """The public argsort must match ``np.argsort(kind='stable')`` exactly
-    (same permutation, not merely a valid sort) in both tier modes."""
-
-    @SETTINGS
-    @given(keys=uint64_keys)
-    def test_matches_stable_argsort_uint64(self, keys):
-        np.testing.assert_array_equal(radix_argsort(keys), np.argsort(keys, kind="stable"))
-
-    @SETTINGS
-    @given(keys=int64_keys)
-    def test_matches_stable_argsort_int64(self, keys):
-        np.testing.assert_array_equal(radix_argsort(keys), np.argsort(keys, kind="stable"))
-
-    @SETTINGS
-    @given(keys=clustered_keys)
-    def test_duplicate_heavy_keys_keep_stability(self, keys):
-        np.testing.assert_array_equal(radix_argsort(keys), np.argsort(keys, kind="stable"))
-
-    @pytest.mark.parametrize(
-        "keys",
-        [
-            np.zeros(129, dtype=np.uint64),
-            np.arange(200, dtype=np.uint64),
-            np.arange(200, dtype=np.uint64)[::-1].copy(),
-            np.array([], dtype=np.uint64),
-            np.array([np.iinfo(np.uint64).max], dtype=np.uint64),
-            np.repeat(np.arange(7, dtype=np.uint64), 31),
-        ],
-        ids=["all-dup", "sorted", "reversed", "empty", "single", "runs"],
-    )
-    def test_edge_cases(self, keys):
-        np.testing.assert_array_equal(radix_argsort(keys), np.argsort(keys, kind="stable"))
-
-    def test_fallback_mode_agrees_with_native(self):
-        keys = np.random.default_rng(0).integers(
-            0, np.iinfo(np.uint64).max, size=500, dtype=np.uint64
-        )
-        native = radix_argsort(keys)
-        with use_native(False):
-            fallback = radix_argsort(keys)
-        np.testing.assert_array_equal(native, fallback)
 
 
 @requires_native
@@ -528,9 +478,8 @@ def _round_buffers(n):
     return [np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)]
 
 
-# The C-only kernel resolves to the fallback wherever the cc provider is
-# unavailable or excluded (e.g. ``REPRO_NATIVE=numba``), even though the
-# tier as a whole may still be native there.
+# A kernel that fails its verifier on this host resolves to the fallback
+# even while the tier as a whole is native.
 requires_kmeanspp_round = pytest.mark.skipif(
     kernel_provider("kmeanspp_round") == "fallback",
     reason="no provider serves the kmeanspp_round kernel",
@@ -791,8 +740,7 @@ class TestTierControl:
     def test_native_status_shape(self):
         status = native_status()
         assert status["tier"] in ("native", "fallback")
-        assert set(status["kernels"]) >= {
-            "radix_argsort",
+        assert set(status["kernels"]) == {
             "csr_group",
             "lloyd_refresh_bounds",
             "lloyd_candidate_eval",
@@ -803,7 +751,7 @@ class TestTierControl:
             "kmeanspp_round",
             "quadtree_keys",
         }
-        assert "providers" in status
+        assert set(status["providers"]) == {"cc"}
 
     def test_native_status_kernels_sorted(self):
         # The status dict feeds `repro status` and the bench attribution
@@ -815,11 +763,11 @@ class TestTierControl:
         with use_native(False):
             status = native_status()
             assert status["tier"] == "fallback"
-            # Kernels without a numpy fallback disappear entirely; the
-            # engine's own numpy path takes over.
+            # Every kernel resolves to None; the engine's own numpy path
+            # takes over.
             assert get_kernel("csr_group") is None
             assert get_kernel("lloyd_candidate_eval") is None
-            assert kernel_provider("radix_argsort") == "fallback"
+            assert kernel_provider("csr_group") == "fallback"
 
     def test_use_native_restores_previous_mode(self):
         before = native_status()["tier"]
@@ -837,36 +785,28 @@ class TestTierControl:
         for entry in native_status()["kernels"].values():
             assert ("reason" in entry) == (entry["provider"] == "fallback")
 
+    def test_unavailable_provider_names_the_error(self, monkeypatch):
+        def broken_build():
+            raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
+
+        monkeypatch.setattr(registry, "_load_provider", broken_build)
+        with use_native(True):
+            status = native_status()
+            assert status["tier"] == "fallback"
+            assert status["providers"]["cc"]["available"] is False
+            for entry in status["kernels"].values():
+                assert entry == {
+                    "provider": "fallback",
+                    "reason": "cc unavailable: RuntimeError: no C compiler (cc/gcc/clang) on PATH",
+                }
+            # An unavailable provider demotes nothing: no kernel was verified.
+            assert kernel_demotions() == {}
+            assert get_kernel("kmeanspp_round") is None
+
     @requires_native
     def test_native_mode_routes_all_kernels(self):
-        status = native_status()
-        shipped = set(status["kernels"])
-        if status["mode"] in status["providers"]:
-            # A forced provider serves only the kernels it ships; the rest
-            # (e.g. the C-only kmeanspp_round under REPRO_NATIVE=numba)
-            # correctly resolve to the fallback.
-            provider = importlib.import_module(f"repro.native._{status['mode']}_kernels")
-            shipped &= set(provider.load_kernels())
-        assert shipped
-        for name in shipped:
-            entry = status["kernels"][name]
-            assert entry["provider"] in ("numba", "cc"), (name, entry)
-
-
-@pytest.fixture
-def failing_kmeanspp_verifier(monkeypatch):
-    """Fail ``kmeanspp_round``'s verifier, as a numpy build with another
-    einsum accumulation order would; yields the provider that lost it."""
-    provider = kernel_provider("kmeanspp_round")
-
-    def verify(kernel):
-        raise RuntimeError("injected einsum-order mismatch")
-
-    monkeypatch.setattr(registry._KERNELS["kmeanspp_round"], "verify", verify)
-    registry.refresh()
-    yield provider
-    monkeypatch.undo()
-    registry.refresh()
+        for name, entry in native_status()["kernels"].items():
+            assert entry == {"provider": "cc"}, name
 
 
 @requires_kmeanspp_round
@@ -874,7 +814,7 @@ class TestKernelDemotions:
     """A kernel that fails verification falls back visibly, not silently."""
 
     def test_status_and_demotions_name_the_failed_verification(self, failing_kmeanspp_verifier):
-        reason = f"{failing_kmeanspp_verifier}: failed verification: injected einsum-order mismatch"
+        reason = failing_kmeanspp_verifier
         entry = native_status()["kernels"]["kmeanspp_round"]
         assert entry == {"provider": "fallback", "reason": reason}
         assert kernel_demotions() == {"kmeanspp_round": reason}
@@ -886,10 +826,7 @@ class TestKernelDemotions:
         arguments = ["compress", str(data), "--k", "5", "--m", "60", "--method", "sensitivity"]
         assert cli_main(arguments + ["--output", str(tmp_path / "c.npz")]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["kernel_demotions"] == {
-            "kmeanspp_round": f"{failing_kmeanspp_verifier}: failed verification: "
-            "injected einsum-order mismatch"
-        }
+        assert summary["kernel_demotions"] == {"kmeanspp_round": failing_kmeanspp_verifier}
         assert summary["kernel_providers"]["kmeanspp_round"] == "fallback"
 
     def test_healthy_summary_reports_the_live_demotions(self, tmp_path, capsys):
