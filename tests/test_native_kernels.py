@@ -98,6 +98,29 @@ def prefixed_keys(draw):
     return np.uint64(prefix) + rng.integers(0, 1 << low_bits, size=n, dtype=np.uint64)
 
 
+#: A key with the top bit set.  With fewer than 512 keys the grouping
+#: kernel's sort path buckets on at most the word's top five bits, so next
+#: to this key every key below ``2**59`` shares bucket 0.
+OUTLIER = np.uint64(1 << 63)
+
+
+def _with_outlier(crowd, at):
+    return np.insert(crowd, at, OUTLIER)
+
+
+@st.composite
+def crowded_keys(draw):
+    """97-500 keys below ``2**59`` plus :data:`OUTLIER` at a random position.
+
+    Few low bits give few distinct keys (the hash path, whose radix sort
+    ranks them); many give a sort-path bucket 0 past the insertion cap.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(97, 500))
+    crowd = rng.integers(0, 1 << draw(st.integers(1, 59)), size=n, dtype=np.uint64)
+    return _with_outlier(crowd, draw(st.integers(0, n)))
+
+
 @st.composite
 def kmeanspp_inputs(draw):
     """``(points, k, weights, z, seed)`` for k-means++ across the skip rule.
@@ -195,6 +218,52 @@ class TestCsrGroupKernel:
         rng = np.random.default_rng(7)
         values = rng.integers(0, np.iinfo(np.uint64).max, size=600, dtype=np.uint64)
         self._check(values[rng.integers(0, 600, size=3000)])
+
+    # The kernel's LSD radix sort ranks the distinct keys on the hash path
+    # and sorts every sort-path bucket past the 96-key insertion cap.  It
+    # skips each 11-bit digit that is constant across its input and
+    # ping-pongs between two buffers, so after an odd number of executed
+    # passes the run ends in the scratch copy.
+    @pytest.mark.parametrize("live_digits", [1, 2, 3, 4, 5, 6])
+    def test_radix_bucket_with_live_digits(self, live_digits):
+        rng = np.random.default_rng(10 + live_digits)
+        pool = rng.integers(0, 1 << min(11 * live_digits, 59), size=200, dtype=np.uint64)
+        crowd = pool[rng.integers(0, 200, size=400)]
+        top_digit = (crowd >> np.uint64(11 * (live_digits - 1))) & np.uint64(0x7FF)
+        assert np.unique(top_digit).size > 1
+        self._check(_with_outlier(crowd, 150))
+
+    @pytest.mark.parametrize(
+        "crowd",
+        [
+            np.arange(300, dtype=np.uint64) * np.uint64(0x9E3779B97),
+            np.arange(300, dtype=np.uint64)[::-1] * np.uint64(0x9E3779B97),
+            # 60 distinct keys (past the n/8 hash threshold) five times
+            # over, equal keys 60 apart; their two low digits are constant.
+            np.tile(np.arange(60, dtype=np.uint64) << np.uint64(30), 5),
+        ],
+        ids=["sorted", "reversed", "interleaved-duplicates"],
+    )
+    def test_radix_bucket_layouts(self, crowd):
+        self._check(_with_outlier(crowd, crowd.size // 2))
+
+    @SETTINGS
+    @given(keys=crowded_keys())
+    def test_crowded_bucket_either_path(self, keys):
+        self._check(keys)
+
+    def test_hash_path_ranks_keys_spanning_the_word(self):
+        # 45 distinct keys in 1000 stay under the n/8 hash threshold; their
+        # ranking sort sees every digit, including both ends of the range.
+        rng = np.random.default_rng(9)
+        top = np.iinfo(np.uint64).max
+        distinct = np.concatenate(
+            [
+                np.array([0, 1, top - 1, top, 1 << 63], dtype=np.uint64),
+                rng.integers(0, top, size=40, dtype=np.uint64),
+            ]
+        )
+        self._check(distinct[rng.integers(0, distinct.size, size=1000)])
 
     def test_grouping_matches_quadtree_usage(self):
         from repro.geometry.quadtree import _csr_group
