@@ -92,11 +92,11 @@ Measured components per ``(n, d, k)`` workload:
 
 The five compiled-tier rows (``--components native`` selects them) record
 the tier and the provider of the row's kernel.  They are stamped
-``informational`` when that kernel is off because the tier is disabled
-(``REPRO_NATIVE=0``) or cannot build (no compiler): the ratio would then
-time numpy against itself.  A kernel that was *demoted* (it failed its
-verifier on this host) is no such excuse: the row records the reason and
-the regression guard fails it with that reason.
+``informational`` when the tier is disabled (``REPRO_NATIVE=0``) or cannot
+build (no compiler): the ratio would then time numpy against itself.  A
+kernel that was *demoted* (it failed its verifier on this host) is no such
+excuse: every row records each demoted kernel with its reason, and the
+regression guard fails the row with those reasons.
 
 Multi-worker rows (``parallel_shard`` / ``overlap_reduce`` beyond one
 worker) record a ``cores`` field and are
@@ -197,11 +197,11 @@ COMPONENT_TOLERANCE = {
 PARALLEL_COMPONENTS = {"parallel_shard", "overlap_reduce"}
 
 #: Components whose optimized side is the compiled kernel tier, each with
-#: the kernel whose routing its row records.  The baseline is the same call
-#: on the numpy tier.  Rows are stamped ``informational`` when that kernel
-#: is off because the tier is (``REPRO_NATIVE=0``, no compiler): the ratio
-#: would then compare the numpy paths against themselves and guard
-#: nothing.  A demoted kernel fails the row instead (:func:`check_regression`).
+#: the kernel whose provider its row records.  The baseline is the same
+#: call on the numpy tier.  Rows are stamped ``informational`` when the
+#: tier is off (``REPRO_NATIVE=0``, no compiler): the ratio would then
+#: compare the numpy paths against themselves and guard nothing.  A demoted
+#: kernel fails the row instead (:func:`check_regression`).
 NATIVE_COMPONENTS = {
     "quadtree_fit_native": "csr_group",
     "lloyd_native": "lloyd_refresh_bounds",
@@ -294,15 +294,15 @@ def _workload_points(n: int, d: int, seed: int = 1) -> np.ndarray:
 def _kernel_tier_extras(kernel: str) -> dict:
     """Attribution columns for compiled-tier rows: which tier and provider
     produced the optimized timing (recorded numbers are meaningless without
-    it), plus the reason when the row's kernel was demoted."""
+    it), plus every kernel demoted on this host with its reason."""
     status = native_status()
     extras = {
         "kernel_tier": status["tier"],
         "kernel_provider": status["kernels"][kernel]["provider"],
     }
-    demotion = kernel_demotions().get(kernel)
-    if demotion is not None:
-        extras["kernel_demotion"] = demotion
+    demotions = kernel_demotions()
+    if demotions:
+        extras["kernel_demotions"] = demotions
     return extras
 
 
@@ -607,13 +607,9 @@ def run_workload(
     row.update(extras)
     if component in PARALLEL_COMPONENTS and cores < k:  # k carries workers
         row["informational"] = True
-    if (
-        component in NATIVE_COMPONENTS
-        and row["kernel_provider"] == "fallback"
-        and "kernel_demotion" not in row
-    ):
-        # Tier disabled or unavailable: the "optimized" side ran the same
-        # numpy paths as the baseline, so the ratio guards nothing here.
+    if component in NATIVE_COMPONENTS and row.get("kernel_tier") != "native":
+        # Fallback tier: the "optimized" side ran the same numpy paths as
+        # the baseline, so the ratio guards nothing on this machine.
         row["informational"] = True
     return row
 
@@ -625,17 +621,17 @@ def check_regression(previous: dict, results: list) -> list:
     tracked workload, not absolute seconds: the seed implementation is
     re-timed in the same process on the same hardware, so the ratio is
     machine-independent and a recorded JSON from faster or slower hardware
-    neither blocks nor masks anything.  A compiled-tier row whose kernel was
-    demoted fails with the demotion reason instead of a ratio.
+    neither blocks nor masks anything.  A compiled-tier row recorded while
+    kernels were demoted fails with each demotion reason instead of a ratio.
     """
     messages = []
     old_by_name = {w["name"]: w for w in previous.get("workloads", [])}
     for workload in results:
-        if "kernel_demotion" in workload:
-            kernel = NATIVE_COMPONENTS[workload["component"]]
-            messages.append(
-                f"{workload['name']}: kernel {kernel} demoted to numpy: "
-                f"{workload['kernel_demotion']}"
+        demotions = workload.get("kernel_demotions", {})
+        if demotions:
+            messages.extend(
+                f"{workload['name']}: kernel {kernel} demoted to numpy: {reason}"
+                for kernel, reason in sorted(demotions.items())
             )
             continue
         old = old_by_name.get(workload["name"])

@@ -71,15 +71,25 @@ def tiny_scale() -> ExperimentScale:
 
 
 @pytest.fixture
-def failing_kmeanspp_verifier(monkeypatch):
-    """Fail ``kmeanspp_round``'s verifier, as a numpy build with another
-    einsum accumulation order would; yields the demotion reason."""
+def fail_verifier(monkeypatch):
+    """``fail(name)`` fails that kernel's verifier, as a numpy build with
+    another einsum accumulation order would, and returns the demotion
+    reason; every verifier is restored afterwards."""
 
     def verify(kernel):
         raise RuntimeError("injected einsum-order mismatch")
 
-    monkeypatch.setattr(registry._KERNELS["kmeanspp_round"], "verify", verify)
-    registry.refresh()
-    yield "cc: failed verification: injected einsum-order mismatch"
+    def fail(name):
+        monkeypatch.setattr(registry._KERNELS[name], "verify", verify)
+        registry.refresh()
+        return "cc: failed verification: injected einsum-order mismatch"
+
+    yield fail
     monkeypatch.undo()
     registry.refresh()
+
+
+@pytest.fixture
+def failing_kmeanspp_verifier(fail_verifier):
+    """Fail ``kmeanspp_round``'s verifier; the demotion reason."""
+    return fail_verifier("kmeanspp_round")

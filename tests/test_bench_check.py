@@ -147,21 +147,24 @@ RECORDED_KMEANSPP = {
 
 
 @pytest.mark.skipif(
-    kernel_provider("kmeanspp_round") == "fallback",
-    reason="the kmeanspp_round kernel is not served on this host",
+    any(kernel_provider(k) == "fallback" for k in ("kmeanspp_round", "fkpp_weighted_draw")),
+    reason="the k-means++ kernels are not served on this host",
 )
-def test_demoted_kernel_fails_its_row_with_the_reason(failing_kmeanspp_verifier):
+@pytest.mark.parametrize("kernel", ["kmeanspp_round", "fkpp_weighted_draw"])
+def test_demoted_kernel_fails_its_row_with_the_reason(fail_verifier, kernel):
     """A kernel demoted while the rest of the tier is native fails the row
-    with the demotion reason, not with a misleading ratio."""
+    with the demotion reason, not with a misleading ratio — also when it is
+    not the kernel whose provider the row records (``kmeans_plus_plus``
+    needs both the round and the draw kernel)."""
     bench = _load_bench()
+    reason = fail_verifier(kernel)
     row = bench.run_workload(*TINY_KMEANSPP_ROW, repeats=1)
     assert row["kernel_tier"] == "native"
-    assert row["kernel_provider"] == "fallback"
-    assert row["kernel_demotion"] == failing_kmeanspp_verifier
+    assert row["kernel_provider"] == ("fallback" if kernel == "kmeanspp_round" else "cc")
+    assert row["kernel_demotions"] == {kernel: reason}
     assert not row.get("informational")
     assert bench.check_regression(RECORDED_KMEANSPP, [row]) == [
-        "kmeanspp_native_tiny: kernel kmeanspp_round demoted to numpy: "
-        + failing_kmeanspp_verifier
+        f"kmeanspp_native_tiny: kernel {kernel} demoted to numpy: {reason}"
     ]
 
 
@@ -172,6 +175,6 @@ def test_disabled_tier_rows_stay_informational():
     with use_native(False):
         row = bench.run_workload(*TINY_KMEANSPP_ROW, repeats=1)
     assert row["kernel_provider"] == "fallback"
-    assert "kernel_demotion" not in row
+    assert "kernel_demotions" not in row
     assert row["informational"] is True
     assert bench.check_regression(RECORDED_KMEANSPP, [row]) == []
