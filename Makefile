@@ -1,5 +1,5 @@
 # Developer entry points.  `make test` is the tier-1 gate (includes the
-# slow-marked bench-check smoke); `make test-parallel` runs only the
+# bench-check smoke on recorded timings); `make test-parallel` runs only the
 # process-pool / shared-memory tests (marked `parallel`; deselect them with
 # `-m "not parallel"` on runners without working multiprocessing); `make
 # bench` refreshes the hot-path perf trajectory and fails (without

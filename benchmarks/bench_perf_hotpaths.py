@@ -541,12 +541,12 @@ def run_workload(
         # The "seed" column is the leaf-only-async pipeline (host reduces).
         seed_time = _best_of(lambda: _run_overlap_stream(False, "baseline"), repeats)
         extras["host_reduce_seconds"] = round(
-            diagnostics["optimized"]["host_reduce_seconds"], 6
+            diagnostics["optimized"].host_reduce_seconds, 6
         )
         extras["host_reduce_seconds_baseline"] = round(
-            diagnostics["baseline"]["host_reduce_seconds"], 6
+            diagnostics["baseline"].host_reduce_seconds, 6
         )
-        extras["reduces_offloaded"] = int(diagnostics["optimized"]["reduces_offloaded"])
+        extras["reduces_offloaded"] = int(diagnostics["optimized"].reduces_offloaded)
     elif component == "parallel_shard":
         workers = k  # the k column doubles as the worker count
         builder = ShardedCoresetBuilder(

@@ -3,10 +3,10 @@
 The library implements the paper's Fast-Coreset algorithm (strong ε-coresets
 for k-means / k-median in Õ(nd) time), the full spectrum of faster sampling
 heuristics it is compared against (uniform, lightweight, welterweight,
-standard sensitivity sampling, BICO, StreamKM++), the streaming and
-MapReduce-style aggregation frameworks, the synthetic and realistic dataset
-generators, and the evaluation harness that regenerates every table and
-figure of the paper.
+standard sensitivity sampling, BICO, StreamKM++), streaming merge-&-reduce
+and the sharded single-round MapReduce build, the synthetic and realistic
+dataset generators, and the evaluation harness that regenerates every table
+and figure of the paper.
 
 Quickstart
 ----------
@@ -37,7 +37,6 @@ from repro.clustering import kmeans, kmedian, kmeans_plus_plus, fast_kmeans_plus
 from repro.evaluation import coreset_distortion, solution_cost_on_dataset
 from repro.parallel import ShardedCoresetBuilder
 from repro.streaming import BicoCoreset, StreamKMPlusPlus, StreamingCoresetPipeline
-from repro.distributed import MapReduceCoresetAggregator
 
 __version__ = "1.0.0"
 
@@ -63,6 +62,5 @@ __all__ = [
     "BicoCoreset",
     "StreamKMPlusPlus",
     "StreamingCoresetPipeline",
-    "MapReduceCoresetAggregator",
     "__version__",
 ]

@@ -167,8 +167,8 @@ def _compress_streaming(arguments: argparse.Namespace, sampler, backend: str) ->
         "reductions": int(statistics["reductions"]),
         "spread_refreshes": int(statistics["spread_refreshes"]),
         "cost_bound_refreshes": int(statistics["cost_bound_refreshes"]),
-        "reduces_offloaded": int(diagnostics.get("reduces_offloaded", 0)),
-        "pending_high_water": int(diagnostics.get("pending_high_water", 0)),
+        "reduces_offloaded": int(diagnostics.reduces_offloaded),
+        "pending_high_water": int(diagnostics.pending_high_water),
     }
     if policy is not None:
         execution["window"] = arguments.window
@@ -176,6 +176,16 @@ def _compress_streaming(arguments: argparse.Namespace, sampler, backend: str) ->
         execution["blocks_expired"] = int(statistics["blocks_expired"])
         execution["drift_events"] = int(statistics["drift_events"])
     return n, coreset, execution
+
+
+def _rejects_non_positive(arguments: argparse.Namespace, *flags: str) -> bool:
+    """Print an error for the first set count flag below 1 and return True."""
+    for flag in flags:
+        value = getattr(arguments, flag[2:].replace("-", "_"))
+        if value is not None and value < 1:
+            print(f"error: {flag} must be at least 1", file=sys.stderr)
+            return True
+    return False
 
 
 def _command_compress(arguments: argparse.Namespace) -> int:
@@ -212,14 +222,9 @@ def _command_compress(arguments: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if arguments.blocks is not None and arguments.blocks < 1:
-        print("error: --blocks must be at least 1", file=sys.stderr)
-        return 2
-    if arguments.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
-    if arguments.shards is not None and arguments.shards < 1:
-        print("error: --shards must be at least 1", file=sys.stderr)
+    if _rejects_non_positive(
+        arguments, "--k", "--m", "--workers", "--shards", "--blocks", "--prefetch-batches"
+    ):
         return 2
     if arguments.drift_threshold is not None and arguments.window is None and arguments.decay is None:
         print(
@@ -227,21 +232,17 @@ def _command_compress(arguments: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if arguments.prefetch_batches is not None:
+    if arguments.prefetch_batches is not None and arguments.shards is not None:
         # The streaming path is a different construction (merge-&-reduce
         # over blocks, keyed by the block structure), not a faster sharded
         # build — refuse the combination instead of silently switching.
-        if arguments.prefetch_batches < 1:
-            print("error: --prefetch-batches must be at least 1", file=sys.stderr)
-            return 2
-        if arguments.shards is not None:
-            print(
-                "error: --prefetch-batches (streaming merge-reduce compression) and "
-                "--shards (sharded build) are mutually exclusive — they key the "
-                "coreset differently",
-                file=sys.stderr,
-            )
-            return 2
+        print(
+            "error: --prefetch-batches (streaming merge-reduce compression) and "
+            "--shards (sharded build) are mutually exclusive — they key the "
+            "coreset differently",
+            file=sys.stderr,
+        )
+        return 2
     sampler = _build_sampler(arguments.method, arguments.k, arguments.z, arguments.seed)
     shards = arguments.shards if arguments.shards is not None else arguments.workers
     tracing = arguments.trace is not None or arguments.metrics
@@ -301,8 +302,8 @@ def _run_compress(arguments: argparse.Namespace, sampler, shards: int) -> dict:
                 "workers": build.workers,
                 "shards": len(build.shard_sizes),
                 "communication_floats": build.communication,
-                "reduces_offloaded": int(build.diagnostics.get("reduces_offloaded", 0)),
-                "pending_high_water": int(build.diagnostics.get("pending_high_water", 0)),
+                "reduces_offloaded": int(build.diagnostics.reduces_offloaded),
+                "pending_high_water": int(build.diagnostics.pending_high_water),
             }
         else:
             # One shard: nothing to parallelise, and the single-shot sampler
@@ -340,6 +341,8 @@ def _run_compress(arguments: argparse.Namespace, sampler, shards: int) -> dict:
 
 
 def _command_evaluate(arguments: argparse.Namespace) -> int:
+    if _rejects_non_positive(arguments, "--k"):
+        return 2
     points = _load_points(arguments.data)
     archive = np.load(arguments.coreset)
     coreset = Coreset(
@@ -353,6 +356,8 @@ def _command_evaluate(arguments: argparse.Namespace) -> int:
 
 
 def _command_recommend(arguments: argparse.Namespace) -> int:
+    if _rejects_non_positive(arguments, "--k", "--m"):
+        return 2
     points = _load_points(arguments.data)
     diagnosis = diagnose_dataset(points, arguments.k, seed=arguments.seed)
     recommendation = recommend_sampler(points, arguments.k, coreset_size=arguments.m, seed=arguments.seed)

@@ -3,8 +3,9 @@
 The paper's experiments treat each sampler as a black box that maps a
 (weighted) dataset and a target size ``m`` to a weighted subset.  Encoding
 that contract once in :class:`CoresetConstruction` lets the static sweep
-(Table 4), the streaming merge-&-reduce harness (Table 5) and the MapReduce
-simulation (Section 2.3) run any sampler without special-casing.
+(Table 4), the streaming merge-&-reduce harness (Table 5) and the sharded
+single-round MapReduce build (Section 2.3) run any sampler without
+special-casing.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class CoresetConstruction(abc.ABC):
             Target compression size.  Must not exceed ``n``.
         weights:
             Optional input weights; needed when re-compressing an existing
-            coreset, as the streaming and MapReduce pipelines do.
+            coreset, as the streaming and sharded pipelines do.
         seed:
             Per-call randomness override.  When ``None`` the seed supplied at
             construction time is used, which keeps repeated experiment runs

@@ -8,7 +8,7 @@ coresets attractive for database-style deployments (Section 2.3):
 * **Composition** — the union of coresets of two datasets is a coreset of
   the union of the datasets.  :func:`merge_coresets` implements this and is
   the primitive behind both the streaming merge-&-reduce tree and the
-  simulated MapReduce aggregation.
+  sharded single-round MapReduce build.
 * **Size independence** — the coreset size does not depend on ``n``, so a
   compression can be held in a memory-constrained worker.
 """

@@ -111,8 +111,9 @@ What is cached where (spread and cost-bound hints)
   spread *and* one cached crude cost upper bound (Algorithm 2, served to
   :func:`repro.core.spread_reduction.reduce_spread` through the sampler's
   ``cost_bound`` hint) per stream.  Both caches sit behind the same refresh
-  signal — a bounding-box diagonal growth past the configured factor, or
-  the staleness interval — and a refresh recomputes both together, so a
+  signal — a bounding-box diagonal that grows past the configured factor
+  (or, in a windowed tree, shrinks below its inverse), or the staleness
+  interval — and a refresh recomputes both together, so a
   stream pays the pairwise subsample and the dyadic binary search once per
   distribution shift instead of once per compression.
 """

@@ -11,7 +11,7 @@ counts compared across backends) stay on their own channels so the
 equivalence suites keep comparing byte-exact values — see
 ``parallel/README.md``.
 
-Documented keys:
+Fields:
 
 ``reductions``
     Total merge-reduce fold count (streaming pipeline only).
@@ -33,23 +33,18 @@ Documented keys:
 ``drift_events``
     Drift-detector firings that invalidated the shared hint caches
     (windowed streaming only).
-
-The class supports read-only dict-style access (``diag["host_reduces"]``,
-``.get``, ``in``, iteration) so existing equivalence suites and CLI code
-keep working unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Iterator, Optional
+from dataclasses import dataclass
 
 __all__ = ["ExecutionDiagnostics"]
 
 
 @dataclass
 class ExecutionDiagnostics:
-    """Mode-dependent execution diagnostics with dict-compatible access."""
+    """Mode-dependent execution diagnostics, read as attributes."""
 
     reductions: float = 0.0
     spread_refreshes: float = 0.0
@@ -61,67 +56,3 @@ class ExecutionDiagnostics:
     blocks_seen: float = 0.0
     blocks_expired: float = 0.0
     drift_events: float = 0.0
-    # Keys set by callers that predate a typed field land here so dict
-    # access never silently narrows what a channel can carry.
-    extra: Dict[str, float] = field(default_factory=dict)
-
-    _FIELD_NAMES = (
-        "reductions",
-        "spread_refreshes",
-        "cost_bound_refreshes",
-        "reduces_offloaded",
-        "host_reduces",
-        "host_reduce_seconds",
-        "pending_high_water",
-        "blocks_seen",
-        "blocks_expired",
-        "drift_events",
-    )
-
-    @classmethod
-    def from_mapping(cls, mapping: Optional[Dict[str, float]]) -> "ExecutionDiagnostics":
-        diag = cls()
-        if mapping:
-            for key, value in mapping.items():
-                if key in cls._FIELD_NAMES:
-                    setattr(diag, key, float(value))
-                else:
-                    diag.extra[key] = float(value)
-        return diag
-
-    def as_dict(self) -> Dict[str, float]:
-        out = {name: getattr(self, name) for name in self._FIELD_NAMES}
-        out.update(self.extra)
-        return out
-
-    # -- read-only mapping protocol --------------------------------------
-
-    def __getitem__(self, key: str) -> float:
-        if key in self._FIELD_NAMES:
-            return getattr(self, key)
-        return self.extra[key]
-
-    def get(self, key: str, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._FIELD_NAMES or key in self.extra
-
-    def __iter__(self) -> Iterator[str]:
-        yield from self._FIELD_NAMES
-        yield from self.extra
-
-    def __len__(self) -> int:
-        return len(self._FIELD_NAMES) + len(self.extra)
-
-    def keys(self):
-        return self.as_dict().keys()
-
-    def values(self):
-        return self.as_dict().values()
-
-    def items(self):
-        return self.as_dict().items()

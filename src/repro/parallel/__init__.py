@@ -10,8 +10,8 @@ The subsystem has three layers:
 * :mod:`repro.parallel.sharding` — deterministic partitioning and the
   spawn-keyed per-shard seed derivation;
 * :mod:`repro.parallel.sharded` — :class:`ShardedCoresetBuilder`, the
-  multi-core front door that the MapReduce aggregator, the streaming
-  pipeline, and the CLI plug into.
+  single-round MapReduce build (Section 2.3) and the multi-core front door
+  that the streaming pipeline and the CLI plug into.
 
 The invariant every consumer relies on: the executor choice changes
 wall-clock time only — coresets are bit-identical across backends, worker

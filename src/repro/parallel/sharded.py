@@ -59,9 +59,9 @@ class ShardedBuildResult:
         compares them across backends.
     diagnostics:
         Mode-*dependent* execution diagnostics
-        (:class:`~repro.observability.ExecutionDiagnostics`, dict-style
-        access preserved): whether a final re-compression was submitted to
-        the pool (``reduces_offloaded``) and the high-water mark of
+        (:class:`~repro.observability.ExecutionDiagnostics`): whether a
+        final re-compression was submitted to the pool
+        (``reduces_offloaded``) and the high-water mark of
         landed-but-unassembled shard messages.  Deliberately separate from
         ``metadata`` so backend equivalence stays byte-exact.
     """

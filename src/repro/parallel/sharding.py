@@ -69,8 +69,8 @@ class ShardTask:
 
     The task ships only offsets, the (tiny) sampler configuration, and a
     spawn-keyed seed — never the point block itself.  ``m`` is clamped to the
-    slice length at execution time, mirroring the per-worker clamp of the
-    MapReduce aggregator.
+    slice length at execution time, so a shard smaller than its message
+    size sends itself whole.
     """
 
     index: int

@@ -99,7 +99,8 @@ class MergeReduceTree:
         earlier block of the same stream remains valid between refreshes.
         Ignored when ``share_stream_state`` is disabled.
     spread_refresh_factor:
-        Bounding-box growth ratio that triggers a fresh estimate.
+        Bounding-box growth ratio that triggers a fresh estimate (its
+        inverse, a shrink, does too once a windowed tree's blocks expire).
     spread_refresh_interval:
         Hard cap on staleness: a fresh estimate is taken at least every this
         many compressions even when the bounding box is stable.  The box
@@ -228,13 +229,17 @@ class MergeReduceTree:
     def _stream_hints(
         self, points: np.ndarray
     ) -> Tuple[Optional[float], Optional[float]]:
-        """Cached (spread, crude cost bound), refreshed on bounding-box growth.
+        """Cached (spread, crude cost bound), refreshed when the box changes size.
 
         The two caches share one staleness signal: whenever the bounding box
-        diagonal outgrows the configured factor (or the refresh interval
-        expires) *both* are recomputed from the triggering block — spread
-        first, then the Algorithm-2 bound off that fresh spread, drawing
-        from the dedicated cache generator in that fixed order.
+        diagonal outgrows the configured factor, shrinks below its inverse,
+        or the refresh interval expires, *both* are recomputed from the
+        triggering block — spread first, then the Algorithm-2 bound off that
+        fresh spread, drawing from the dedicated cache generator in that
+        fixed order.  The box only shrinks in a windowed tree, once blocks
+        expire: a spread measured on a much larger window overestimates the
+        live one.  The append-only tree's box never shrinks below its size
+        at the last refresh, so that clause never fires there.
         """
         if not self.share_stream_state:
             return None, None
@@ -247,6 +252,7 @@ class MergeReduceTree:
             self._cached_spread is None
             or (wants_bound and self._cached_cost_bound is None)
             or diameter > self.spread_refresh_factor * self._cached_diameter
+            or diameter * self.spread_refresh_factor < self._cached_diameter
             or self._compressions_since_refresh > self.spread_refresh_interval
         )
         if stale:

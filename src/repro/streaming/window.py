@@ -62,8 +62,8 @@ import numpy as np
 
 from repro import observability as _obs
 from repro.core.coreset import Coreset, merge_coresets, trivial_coreset
-from repro.core.spread_reduction import crude_cost_upper_bound
-from repro.geometry.quadtree import compute_spread
+# Unused here; benchmarks/e2e/layers.py patches this name (WRAPPERS).
+from repro.core.spread_reduction import crude_cost_upper_bound  # noqa: F401
 from repro.parallel.executor import ArrayPayload, AsyncExecutor, resolve_async_executor
 from repro.parallel.sharding import KEY_STREAM_QUERY, ShardTask, compress_shard
 from repro.streaming.merge_reduce import MergeReduceTree
@@ -358,51 +358,6 @@ class WindowedMergeReduceTree(MergeReduceTree):
             self._cached_spread = None
             self._cached_cost_bound = None
             _obs.counter_add("stream.drift_events", 1.0)
-
-    def _stream_hints(
-        self, points: np.ndarray
-    ) -> Tuple[Optional[float], Optional[float]]:
-        """Window-aware twin of the parent's shared hint caches.
-
-        Same staleness signal plus two window-specific triggers: a drift
-        firing empties the caches (handled in :meth:`_observe_drift`), and a
-        *shrinking* box — impossible for the append-only tree, routine once
-        blocks expire — also forces a refresh, since a spread measured on a
-        much larger window overestimates the live one.
-        """
-        if not self.share_stream_state:
-            return None, None
-        if self._bounds_low is None or points.shape[0] < 2:
-            return None, None
-        diameter = float(np.linalg.norm(self._bounds_high - self._bounds_low))
-        self._compressions_since_refresh += 1
-        wants_bound = self._wants_cost_bound()
-        stale = (
-            self._cached_spread is None
-            or (wants_bound and self._cached_cost_bound is None)
-            or diameter > self.spread_refresh_factor * self._cached_diameter
-            or diameter * self.spread_refresh_factor < self._cached_diameter
-            or self._compressions_since_refresh > self.spread_refresh_interval
-        )
-        if stale:
-            with _obs.span("stream.hint_refresh", rows=int(points.shape[0])):
-                self._cached_spread = compute_spread(points, seed=self._spread_generator)
-                self._cached_diameter = diameter
-                self._compressions_since_refresh = 0
-                self.spread_refreshes += 1
-                _obs.counter_add("stream.spread_refreshes", 1.0)
-                if wants_bound:
-                    self._cached_cost_bound = crude_cost_upper_bound(
-                        points,
-                        int(self.sampler.k),
-                        spread=self._cached_spread,
-                        seed=self._spread_generator,
-                    ).upper_bound
-                    self.cost_bound_refreshes += 1
-                    _obs.counter_add("stream.cost_bound_refreshes", 1.0)
-                else:
-                    self._cached_cost_bound = None
-        return self._cached_spread, self._cached_cost_bound if wants_bound else None
 
     # -------------------------------------------------------------- settling
     def _settle(self, bucket: _Bucket) -> None:

@@ -47,7 +47,7 @@ def spawn_generators(seed: SeedLike, count: int) -> Sequence[np.random.Generator
     """Derive ``count`` statistically independent generators from ``seed``.
 
     This is used when an experiment fans work out over repetitions, blocks of
-    a stream, or simulated MapReduce workers: each unit of work receives its
+    a stream, or the shards of a sharded build: each unit of work receives its
     own generator so results do not depend on evaluation order.
     """
     if count < 0:

@@ -236,12 +236,31 @@ class TestCliParallel:
             (["--workers", "-1"], "--workers"),
             (["--shards", "-3", "--workers", "2", "--backend", "thread"], "--shards"),
             (["--shards", "0"], "--shards"),
+            (["--k", "0"], "--k"),
+            (["--m", "0"], "--m"),
         ],
     )
     def test_non_positive_workers_and_shards_rejected(self, data_file, capsys, flags, message):
+        # ``--k 5`` comes first, so a parametrized ``--k`` overrides it.
         code = main(["compress", data_file, "--k", "5", *flags])
         assert code == 2
         assert f"{message} must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            # The check runs before any file is read.
+            ("evaluate", ["coreset.npz", "--k", "0"], "--k"),
+            ("recommend", ["--k", "0"], "--k"),
+            ("recommend", ["--k", "5", "--m", "0"], "--m"),
+        ],
+    )
+    def test_evaluate_and_recommend_reject_non_positive_counts(
+        self, data_file, capsys, command, flags, message
+    ):
+        code = main([command, data_file, *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message} must be at least 1\n"
 
     def test_prefetch_rejects_conflicting_shards(self, data_file, capsys):
         code = main(

@@ -209,8 +209,8 @@ class TestShuffledCompletionOrder:
         assert result.backend == "jitter"
         # The final re-compression rode the executor; the host ran no reduce.
         for build in (result, reference):
-            assert build.diagnostics["reduces_offloaded"] == 1.0
-            assert build.diagnostics["host_reduces"] == 0.0
+            assert build.diagnostics.reduces_offloaded == 1.0
+            assert build.diagnostics.host_reduces == 0.0
 
 
 class TestShardedAsyncBackends:
@@ -405,9 +405,9 @@ class TestOverlappedReduceModes:
                 executor.close()
             assert coreset.points.tobytes() == reference.points.tobytes()
             assert stats == reference_stats
-            offloaded = pipeline.last_diagnostics["reduces_offloaded"]
+            offloaded = pipeline.last_diagnostics.reduces_offloaded
             assert (offloaded > 0) == overlap
-            assert pipeline.last_diagnostics["pending_high_water"] > 0
+            assert pipeline.last_diagnostics.pending_high_water > 0
 
 
 class TestReduceFailurePath:

@@ -1,12 +1,12 @@
 """Tests for the hot-path bench's recorded trajectory and regression guard.
 
-The smoke test replays one small tracked workload at a single repeat in
-``--check-only`` mode: the recorded ``BENCH_hotpaths.json`` must not be
-rewritten, and the tracked ratio must stay within the regression
-tolerance.  Marked slow — it re-times real workloads — and kept to the
-cheapest tracked entry so the full suite stays fast.  The guard tests pin
-which rows it skips (informational ones) and which it fails with a reason
-instead of a ratio (rows whose compiled kernel was demoted).
+The smoke tests drive ``--check-only`` in process on one tracked row whose
+timings are replayed from ``BENCH_hotpaths.json`` rather than re-timed: the
+recorded timings pass, a replay 25% slower fails, and neither rewrites the
+file.  Host speed therefore cannot fail them; ``make bench-check-serial``
+is the timing gate.  The guard tests pin which rows it skips
+(informational ones) and which it fails with a reason instead of a ratio
+(rows whose compiled kernel was demoted).
 """
 
 import importlib.util
@@ -24,27 +24,39 @@ BENCH = REPO_ROOT / "benchmarks" / "bench_perf_hotpaths.py"
 TRAJECTORY = REPO_ROOT / "BENCH_hotpaths.json"
 
 
-@pytest.mark.slow
-def test_bench_check_only_passes_and_preserves_json():
+#: The tracked row the ``--check-only`` smoke tests replay.
+SMOKE_ROW = "quadtree_fit_n20k_d20"
+
+
+def _replay_check_only(monkeypatch, capsys, slowdown):
+    """Run ``--check-only`` on :data:`SMOKE_ROW` with its recorded timings,
+    the optimized side scaled by ``slowdown``, in place of a timed run."""
+    bench = _load_bench()
+    recorded = {w["name"]: w for w in json.loads(TRAJECTORY.read_text())["workloads"]}
+
+    def replay(name, n, d, k, component, repeats, spans=False):
+        row = dict(recorded[name])
+        row["optimized_seconds"] *= slowdown
+        return row
+
+    monkeypatch.setattr(bench, "run_workload", replay)
+    code = bench.main(["--check-only", "--repeats", "1", "--workloads", SMOKE_ROW])
+    return code, capsys.readouterr()
+
+
+def test_bench_check_only_passes_and_preserves_json(monkeypatch, capsys):
     before = TRAJECTORY.read_text()
-    result = subprocess.run(
-        [
-            sys.executable,
-            str(BENCH),
-            "--check-only",
-            "--repeats",
-            "1",
-            "--workloads",
-            "quadtree_fit_n20k_d20",
-        ],
-        cwd=REPO_ROOT,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "check-only" in result.stdout
+    code, output = _replay_check_only(monkeypatch, capsys, slowdown=1.0)
+    assert code == 0, output.out + output.err
+    assert "check-only" in output.out
+    assert TRAJECTORY.read_text() == before
+
+
+def test_bench_check_only_fails_a_slower_replay_and_preserves_json(monkeypatch, capsys):
+    before = TRAJECTORY.read_text()
+    code, output = _replay_check_only(monkeypatch, capsys, slowdown=1.25)
+    assert code == 1
+    assert "REGRESSION" in output.err
     assert TRAJECTORY.read_text() == before
 
 

@@ -18,9 +18,9 @@ from repro.core import (
     WelterweightCoreset,
 )
 from repro.data.synthetic import c_outlier_dataset, gaussian_mixture, geometric_dataset
-from repro.distributed import MapReduceCoresetAggregator
 from repro.evaluation import coreset_distortion, solution_cost_on_dataset
 from repro.experiments.cluster_capture import small_central_cluster_dataset
+from repro.parallel import ShardedCoresetBuilder
 from repro.streaming import DataStream, StreamingCoresetPipeline
 
 
@@ -101,9 +101,9 @@ class TestDistributedPipelineEndToEnd:
     def test_mapreduce_matches_single_machine_quality(self, blobs):
         sampler = SensitivitySampling(k=6, seed=0)
         single = sampler.sample(blobs, 320)
-        distributed = MapReduceCoresetAggregator(
-            sampler=sampler, n_workers=4, coreset_size_per_worker=80, seed=0
-        ).run(blobs)
+        distributed = ShardedCoresetBuilder(
+            sampler, n_shards=4, coreset_size_per_shard=80, seed=0
+        ).build(blobs)
         single_distortion = coreset_distortion(blobs, single, k=6, seed=1)
         distributed_distortion = coreset_distortion(blobs, distributed.coreset, k=6, seed=1)
         assert distributed_distortion < single_distortion * 2.0

@@ -1,6 +1,6 @@
 """Tests for the unified tracing & metrics subsystem.
 
-Four contracts are pinned here:
+Three contracts are pinned here:
 
 * the **Chrome trace-event export schema** — every event carries the
   required keys, timestamps are monotone, and B/E duration events nest
@@ -12,9 +12,7 @@ Four contracts are pinned here:
 * **cross-process aggregation**: worker-side spans and counters ride the
   piggyback protocol back to the host and merge with worker identity
   preserved, while the task results consumers see stay byte-identical —
-  tracing observes, never perturbs;
-* the **typed diagnostics dataclass** keeps the mapping-style access the
-  old ad-hoc dicts offered.
+  tracing observes, never perturbs.
 """
 
 import json
@@ -26,7 +24,6 @@ import pytest
 from repro import observability as obs
 from repro.core import FastCoreset
 from repro.observability import (
-    ExecutionDiagnostics,
     NullRecorder,
     TraceRecorder,
     chrome_trace_events,
@@ -254,27 +251,6 @@ class TestChromeTraceExport:
         assert timestamps == sorted(timestamps)
 
 
-# ----------------------------------------------------------- diagnostics
-class TestExecutionDiagnostics:
-    def test_attribute_and_mapping_access_agree(self):
-        diagnostics = ExecutionDiagnostics(reduces_offloaded=1.0, pending_high_water=3.0)
-        assert diagnostics.reduces_offloaded == 1.0
-        assert diagnostics["reduces_offloaded"] == 1.0
-        assert diagnostics.get("pending_high_water") == 3.0
-        assert diagnostics.get("missing", -1.0) == -1.0
-        assert "reduces_offloaded" in diagnostics
-        assert set(diagnostics.keys()) >= {"reductions", "host_reduces", "blocks_seen"}
-        assert dict(diagnostics.items()) == diagnostics.as_dict()
-
-    def test_extra_keys_ride_along(self):
-        diagnostics = ExecutionDiagnostics.from_mapping(
-            {"host_reduces": 2.0, "custom_metric": 9.0}
-        )
-        assert diagnostics.host_reduces == 2.0
-        assert diagnostics["custom_metric"] == 9.0
-        assert "custom_metric" in diagnostics.as_dict()
-
-
 # ------------------------------------------- tracing never changes bytes
 class TestTracingInvariance:
     def _sharded_build(self, blobs, executor_factory):
@@ -311,8 +287,8 @@ class TestTracingInvariance:
         assert traced.coreset.weights.tobytes() == plain.coreset.weights.tobytes()
         # Diagnostics are documented as mode-dependent (wall-clock and
         # scheduling), so only the deterministic routing keys are compared.
-        assert traced.diagnostics["reduces_offloaded"] == plain.diagnostics["reduces_offloaded"]
-        assert traced.diagnostics["host_reduces"] == plain.diagnostics["host_reduces"]
+        assert traced.diagnostics.reduces_offloaded == plain.diagnostics.reduces_offloaded
+        assert traced.diagnostics.host_reduces == plain.diagnostics.host_reduces
         assert traced.metadata == plain.metadata
         # The traced run recorded the build and the per-shard compressions.
         names = {record.name for record in recorder.spans}
@@ -355,7 +331,7 @@ class TestTracingInvariance:
         assert traced.weights.tobytes() == plain.weights.tobytes()
         assert traced_stats == plain_stats
         for key in ("reductions", "reduces_offloaded", "host_reduces", "blocks_seen"):
-            assert traced_diag[key] == plain_diag[key]
+            assert getattr(traced_diag, key) == getattr(plain_diag, key)
         names = {record.name for record in recorder.spans}
         assert "stream.finalize" in names
         assert "compress.leaf" in names

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import FastCoreset, SensitivitySampling, UniformSampling
+from repro.evaluation import coreset_distortion
 from repro.parallel import (
     ProcessAsyncExecutor,
     SerialAsyncExecutor,
@@ -118,6 +119,17 @@ class TestShardedBuilderBehaviour:
         )
         result = builder.build(blobs, weights=weights)
         assert result.coreset.total_weight == pytest.approx(weights.sum(), rel=0.2)
+
+    def test_union_is_accurate_coreset(self, blobs):
+        builder = ShardedCoresetBuilder(
+            SensitivitySampling(k=6, seed=0), n_shards=4, coreset_size_per_shard=80, seed=0
+        )
+        result = builder.build(blobs)
+        assert coreset_distortion(blobs, result.coreset, k=6, seed=2) < 2.0
+
+    def test_zero_shards_rejected(self):
+        with pytest.raises(ValueError, match="n_shards"):
+            ShardedCoresetBuilder(UniformSampling(seed=0), n_shards=0, coreset_size_per_shard=10)
 
     def test_shuffle_false_keeps_input_order_shards(self, blobs):
         builder = ShardedCoresetBuilder(

@@ -10,7 +10,7 @@ lossless configurations, single-step decay factors, and compression quality
 import numpy as np
 import pytest
 
-from repro.core import SensitivitySampling, UniformSampling
+from repro.core import FastCoreset, SensitivitySampling, UniformSampling
 from repro.data import drifting_mixture
 from repro.evaluation import coreset_distortion
 from repro.parallel import SerialAsyncExecutor
@@ -371,6 +371,45 @@ class TestWindowedTreeBehaviour:
         assert tree.drift_events == 0
         assert tree.last_drift_block == -1
 
+    def test_shrinking_window_box_refreshes_the_hint_caches(self):
+        # Two wide blocks, then narrow ones: once both wide blocks have
+        # expired the window's box is ~100x smaller than at the last
+        # refresh, so the cached spread would overestimate the live window.
+        rng = np.random.default_rng(0)
+        tree = WindowedMergeReduceTree(
+            sampler=FastCoreset(4, seed=0), coreset_size=100, seed=1, window=SlidingCountWindow(2)
+        )
+        refreshes, diameters = [], []
+        for scale in (100, 100, 1, 1, 1):
+            tree.add_block(scale * rng.normal(size=(400, 5)))
+            refreshes.append((tree.spread_refreshes, tree.cost_bound_refreshes))
+            diameters.append(tree._cached_diameter)
+        assert refreshes == [(1, 1), (1, 1), (1, 1), (2, 2), (2, 2)]
+        assert diameters[2] == pytest.approx(1317.0, rel=1e-3)
+        assert diameters[3] == pytest.approx(13.58, rel=1e-3)
+
+    def test_drift_and_expiry_each_refresh_the_hint_caches(self):
+        dataset = drifting_mixture(4800, 5, drift_at=0.5, seed=2)
+        tree = WindowedMergeReduceTree(
+            sampler=FastCoreset(4, seed=0),
+            coreset_size=100,
+            seed=1,
+            window=SlidingCountWindow(4),
+            drift_threshold=0.25,
+        )
+        refreshes, diameters = [], []
+        for points, weights in DataStream.with_block_count(dataset.points, 12):
+            tree.add_block(points, weights)
+            refreshes.append((tree.spread_refreshes, tree.cost_bound_refreshes))
+            diameters.append(tree._cached_diameter)
+        # The drift fires at block 6; by block 9 the pre-drift blocks have
+        # expired and the box shrinks back to one phase's size.
+        assert tree.last_drift_block == 6 and tree.drift_events == 1
+        assert refreshes == [(1, 1)] * 6 + [(2, 2)] * 3 + [(3, 3)] * 3
+        assert diameters[5] == pytest.approx(311.2, rel=1e-3)
+        assert diameters[6] == pytest.approx(755.6, rel=1e-3)
+        assert diameters[9] == pytest.approx(313.8, rel=1e-3)
+
 
 class TestWindowedPipeline:
     @pytest.mark.parametrize(
@@ -419,8 +458,8 @@ class TestWindowedPipeline:
         # 10 blocks of 150 points: a 4-block sliding window retires 6.
         assert statistics["blocks_expired"] == expected_expired
         assert statistics["drift_events"] == 0
-        assert pipeline.last_diagnostics["blocks_expired"] == expected_expired
-        assert "drift_events" in pipeline.last_diagnostics
+        assert pipeline.last_diagnostics.blocks_expired == expected_expired
+        assert pipeline.last_diagnostics.drift_events == 0
 
     def test_stream_dataset_window_kwarg(self, blobs):
         coreset = stream_dataset(
