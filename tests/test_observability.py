@@ -1,6 +1,6 @@
 """Tests for the unified tracing & metrics subsystem.
 
-Three contracts are pinned here:
+Four contracts are pinned here:
 
 * the **Chrome trace-event export schema** — every event carries the
   required keys, timestamps are monotone, and B/E duration events nest
@@ -12,9 +12,12 @@ Three contracts are pinned here:
 * **cross-process aggregation**: worker-side spans and counters ride the
   piggyback protocol back to the host and merge with worker identity
   preserved, while the task results consumers see stay byte-identical —
-  tracing observes, never perturbs.
+  tracing observes, never perturbs;
+* the **typed diagnostics** are a plain dataclass of ten float counters,
+  read as attributes.
 """
 
+import dataclasses
 import json
 import time
 
@@ -24,6 +27,7 @@ import pytest
 from repro import observability as obs
 from repro.core import FastCoreset
 from repro.observability import (
+    ExecutionDiagnostics,
     NullRecorder,
     TraceRecorder,
     chrome_trace_events,
@@ -249,6 +253,36 @@ class TestChromeTraceExport:
         validate_chrome_trace(payload)
         timestamps = [event["ts"] for event in payload["traceEvents"]]
         assert timestamps == sorted(timestamps)
+
+
+# ----------------------------------------------------------- diagnostics
+class TestDiagnosticsDataclass:
+    FIELDS = [
+        "reductions",
+        "spread_refreshes",
+        "cost_bound_refreshes",
+        "reduces_offloaded",
+        "host_reduces",
+        "host_reduce_seconds",
+        "pending_high_water",
+        "blocks_seen",
+        "blocks_expired",
+        "drift_events",
+    ]
+
+    def test_ten_float_counters_default_to_zero(self):
+        assert [field.name for field in dataclasses.fields(ExecutionDiagnostics)] == self.FIELDS
+        assert dataclasses.asdict(ExecutionDiagnostics()) == dict.fromkeys(self.FIELDS, 0.0)
+        diagnostics = ExecutionDiagnostics(reduces_offloaded=1.0, pending_high_water=3.0)
+        assert diagnostics.reduces_offloaded == 1.0
+        assert diagnostics.pending_high_water == 3.0
+
+    def test_read_as_attributes_only(self):
+        diagnostics = ExecutionDiagnostics(host_reduces=2.0)
+        for name in ("__getitem__", "get", "keys", "items", "extra", "as_dict", "from_mapping"):
+            assert not hasattr(diagnostics, name), name
+        with pytest.raises(TypeError):
+            diagnostics["host_reduces"]
 
 
 # ------------------------------------------- tracing never changes bytes

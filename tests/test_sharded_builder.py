@@ -127,6 +127,66 @@ class TestShardedBuilderBehaviour:
         result = builder.build(blobs)
         assert coreset_distortion(blobs, result.coreset, k=6, seed=2) < 2.0
 
+    def test_message_sizes_independent_of_shard_sizes(self, blobs):
+        # The coreset property Section 2.3 relies on: a shard sends what it
+        # was asked for, however many points it received.
+        builder = ShardedCoresetBuilder(
+            UniformSampling(seed=0), n_shards=7, coreset_size_per_shard=30, seed=1
+        )
+        result = builder.build(blobs)
+        assert result.shard_sizes == [215, 215, 214, 214, 214, 214, 214]
+        assert result.message_sizes == [30] * 7
+
+    def test_shuffled_shards_are_disjoint(self, blobs):
+        builder = ShardedCoresetBuilder(
+            UniformSampling(seed=0), n_shards=3, coreset_size_per_shard=200, seed=4
+        )
+        result = builder.build(blobs)
+        input_rows = {tuple(row) for row in blobs}
+        shard_rows = [{tuple(row) for row in shard.points} for shard in result.shard_coresets]
+        assert all(rows <= input_rows for rows in shard_rows)
+        assert not shard_rows[0] & shard_rows[1]
+        assert not shard_rows[0] & shard_rows[2]
+        assert not shard_rows[1] & shard_rows[2]
+
+    def test_unweighted_total_weight_approximately_preserved(self, blobs):
+        builder = ShardedCoresetBuilder(
+            SensitivitySampling(k=6, seed=0), n_shards=4, coreset_size_per_shard=80, seed=0
+        )
+        result = builder.build(blobs)
+        assert result.coreset.total_weight == pytest.approx(blobs.shape[0], rel=0.3)
+
+    def test_plain_union_is_named_and_not_offloaded(self, blobs):
+        builder = ShardedCoresetBuilder(
+            SensitivitySampling(k=5, seed=0), n_shards=4, coreset_size_per_shard=40, seed=0
+        )
+        result = builder.build(blobs)
+        assert result.coreset.method == "sharded[sensitivity]"
+        assert result.diagnostics.reduces_offloaded == 0.0
+
+    def test_final_recompression_is_offloaded_and_named(self, blobs):
+        builder = ShardedCoresetBuilder(
+            SensitivitySampling(k=5, seed=0),
+            n_shards=4,
+            coreset_size_per_shard=100,
+            final_coreset_size=150,
+            seed=0,
+        )
+        result = builder.build(blobs)
+        assert result.coreset.size == 150
+        assert result.coreset.method == "sharded[sensitivity]"
+        assert result.diagnostics.reduces_offloaded == 1.0
+
+    @pytest.mark.parallel
+    def test_process_backend_reported_outside_metadata(self, blobs):
+        builder = ShardedCoresetBuilder(
+            UniformSampling(seed=0), n_shards=4, coreset_size_per_shard=50, seed=0
+        )
+        with ProcessAsyncExecutor(workers=2) as executor:
+            result = builder.build(blobs, executor=executor)
+        assert result.backend == "process" and result.workers == 2
+        assert result.metadata == {"sampler": "uniform", "n_shards": 4.0, "shuffle": 1.0}
+
     def test_zero_shards_rejected(self):
         with pytest.raises(ValueError, match="n_shards"):
             ShardedCoresetBuilder(UniformSampling(seed=0), n_shards=0, coreset_size_per_shard=10)

@@ -43,6 +43,19 @@ class TestSpreadCache:
             tree.add_block(rng.normal(scale=scale, size=(400, 5)))
         assert tree.spread_refreshes >= 3
 
+    def test_narrow_blocks_never_refresh_the_append_only_cache(self):
+        # The shrink clause of the refresh signal is for windowed trees: an
+        # append-only tree's box keeps the wide blocks, so it never shrinks.
+        rng = np.random.default_rng(0)
+        tree = MergeReduceTree(sampler=FastCoreset(4, seed=0), coreset_size=100, seed=1)
+        refreshes, diameters = [], []
+        for scale in (100, 100, 1, 1, 1):
+            tree.add_block(scale * rng.normal(size=(400, 5)))
+            refreshes.append((tree.spread_refreshes, tree.cost_bound_refreshes))
+            diameters.append(tree._cached_diameter)
+        assert refreshes == [(1, 1)] * 5
+        assert diameters == [pytest.approx(1317.0, rel=1e-3)] * 5
+
     def test_staleness_bounded_when_min_distance_shrinks(self):
         """The bounding box cannot see near-duplicates arriving late in the
         stream (the spread grows through the *minimum* distance), so the

@@ -19,6 +19,7 @@ from repro.streaming import (
     DataStream,
     DriftDetector,
     ExponentialDecay,
+    MergeReduceTree,
     SlidingCountWindow,
     StreamingCoresetPipeline,
     WindowedMergeReduceTree,
@@ -409,6 +410,31 @@ class TestWindowedTreeBehaviour:
         assert diameters[5] == pytest.approx(311.2, rel=1e-3)
         assert diameters[6] == pytest.approx(755.6, rel=1e-3)
         assert diameters[9] == pytest.approx(313.8, rel=1e-3)
+
+    def test_unexpired_window_shares_the_append_only_hint_sequence(self):
+        # Both trees run one _stream_hints: while no block expires, the
+        # windowed tree refreshes exactly when the append-only tree does.
+        dataset = drifting_mixture(4800, 5, drift_at=0.5, seed=2)
+        append_only = MergeReduceTree(sampler=FastCoreset(4, seed=0), coreset_size=100, seed=1)
+        windowed = WindowedMergeReduceTree(
+            sampler=FastCoreset(4, seed=0),
+            coreset_size=100,
+            seed=1,
+            window=SlidingCountWindow(12),
+        )
+        for points, weights in DataStream.with_block_count(dataset.points, 12):
+            append_only.add_block(points, weights)
+            windowed.add_block(points, weights)
+            assert windowed.blocks_expired == 0
+            for name in (
+                "spread_refreshes",
+                "cost_bound_refreshes",
+                "_cached_diameter",
+                "_cached_spread",
+                "_cached_cost_bound",
+            ):
+                assert getattr(windowed, name) == getattr(append_only, name), name
+        assert windowed.spread_refreshes == 2
 
 
 class TestWindowedPipeline:
