@@ -9,7 +9,7 @@ full dataset (Table 8).
 
 Pruned refinement
 -----------------
-The default engine maintains Hamerly-style center-movement bounds instead of
+The engine maintains Hamerly-style center-movement bounds instead of
 recomputing the full ``(n, k)`` distance block every iteration: each point
 carries an exact distance to its assigned center (``upper``) and a lower
 bound on the distance to every *other* center (``lower``).  Points with
@@ -48,8 +48,8 @@ Exact equivalence
 -----------------
 Pruning only ever *skips* work whose outcome is provably unchanged, so the
 pruned engine produces bit-identical assignments, centers, costs, iteration
-counts, and random streams to the naive full-recompute loop (available as
-``algorithm="naive"`` and frozen in :mod:`repro.reference.naive_lloyd`).
+counts, and random streams to the naive full-recompute loop (frozen in
+:mod:`repro.reference.naive_lloyd`, the equivalence tests' oracle).
 Three implementation rules make the equivalence exact rather than merely
 mathematical:
 
@@ -140,8 +140,8 @@ class KMeansResult:
         tolerance before the iteration cap was reached.
     recompute_fraction:
         Fraction of point-iterations for which the pruned engine had to fall
-        back to the full distance block (1.0 for the naive engine; the first
-        assignment is always a full block and is not counted).
+        back to the full distance block (1.0 for the naive reference loop;
+        the first assignment is always a full block and is not counted).
     """
 
     centers: np.ndarray
@@ -166,8 +166,8 @@ def assigned_squared_distances(
 
     Computed point-wise (no matrix-matrix product), so the result depends
     only on ``(points, centers, assignment)`` and not on which points a
-    caller chose to recompute — the property the naive and pruned engines
-    rely on to report bit-identical costs and re-seed masses.
+    caller chose to recompute — the property the pruned engine relies on to
+    report costs and re-seed masses bit-identical to the naive loop's.
     """
     delta = points - centers[assignment]
     return np.einsum("ij,ij->i", delta, delta)
@@ -284,9 +284,9 @@ def update_centers(
     """One M-step: weighted means per cluster, empty clusters re-seeded.
 
     ``squared`` must be the per-point squared distance to the assigned
-    center (the re-seed sampling mass).  Shared by the naive and pruned
-    engines so their center sequences — and their consumption of
-    ``generator`` — are identical.  ``weighted`` may carry a precomputed
+    center (the re-seed sampling mass).  Copied into the naive reference
+    loop so its center sequence — and its consumption of ``generator`` —
+    matches the pruned engine's.  ``weighted`` may carry a precomputed
     ``weights[:, None] * points`` (constant across a refinement) and
     ``codes`` the flattened ``assignment * d + coordinate`` bin codes the
     pruned engine maintains incrementally; both only change how the
@@ -343,46 +343,10 @@ def lloyd_iteration(
     return update_centers(points, weights, assignment, squared, centers, generator)
 
 
-# ------------------------------------------------------------------ engines
+# ------------------------------------------------------------------- engine
 def _converged(previous_cost: float, cost: float, tolerance: float) -> bool:
     return previous_cost < np.inf and previous_cost - cost <= tolerance * max(
         previous_cost, 1e-12
-    )
-
-
-def _run_naive(
-    points: np.ndarray,
-    weights: np.ndarray,
-    centers: np.ndarray,
-    max_iterations: int,
-    tolerance: float,
-    generator: np.random.Generator,
-) -> KMeansResult:
-    """Full-recompute Lloyd loop (one ``(n, k)`` distance block per iteration)."""
-    _, assignment = squared_point_to_set_distances(points, centers)
-    squared = assigned_squared_distances(points, centers, assignment)
-    previous_cost = np.inf
-    cost = np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        with _obs.span("lloyd.iteration", iteration=iterations):
-            centers = update_centers(points, weights, assignment, squared, centers, generator)
-            _, assignment = squared_point_to_set_distances(points, centers)
-            squared = assigned_squared_distances(points, centers, assignment)
-            cost = float(np.dot(weights, squared))
-            if _converged(previous_cost, cost, tolerance):
-                converged = True
-                break
-            previous_cost = cost
-    _obs.counter_add("lloyd.iterations", float(iterations))
-    return KMeansResult(
-        centers=centers,
-        assignment=assignment,
-        cost=cost,
-        iterations=iterations,
-        converged=converged,
-        recompute_fraction=1.0,
     )
 
 
@@ -688,9 +652,6 @@ def _run_pruned(
     )
 
 
-_ENGINES = {"pruned": _run_pruned, "naive": _run_naive}
-
-
 def kmeans(
     points: np.ndarray,
     k: int,
@@ -699,7 +660,6 @@ def kmeans(
     max_iterations: int = 50,
     tolerance: float = 1e-4,
     initial_centers: Optional[np.ndarray] = None,
-    algorithm: str = "pruned",
     seed: SeedLike = None,
 ) -> KMeansResult:
     """Weighted k-means via k-means++ seeding followed by Lloyd iterations.
@@ -722,11 +682,6 @@ def kmeans(
         Explicit starting centers; when given, seeding is skipped.  Table 8
         of the paper compares samplers under *identical* initialisations,
         which this parameter makes possible.
-    algorithm:
-        ``"pruned"`` (default) for the Hamerly-bounded engine, ``"naive"``
-        for the full-recompute loop.  Both produce bit-identical results
-        (see the module docstring); the naive engine is kept for the
-        equivalence tests and the perf harness.
     seed:
         Randomness for seeding and empty-cluster repair.
     """
@@ -735,11 +690,6 @@ def kmeans(
     k = check_integer(k, name="k")
     weights = check_weights(weights, n)
     generator = as_generator(seed)
-    if algorithm not in _ENGINES:
-        raise ValueError(
-            f"algorithm must be one of {sorted(_ENGINES)}, got {algorithm!r}"
-        )
-
     if initial_centers is not None:
         centers = np.asarray(initial_centers, dtype=np.float64).copy()
         if centers.ndim != 2 or centers.shape[1] != points.shape[1]:
@@ -747,10 +697,8 @@ def kmeans(
     else:
         centers = kmeans_plus_plus(points, min(k, n), weights=weights, z=2, seed=generator).centers
 
-    with _obs.span("lloyd.run", algorithm=algorithm, n=n, k=int(k)) as run_span:
-        result = _ENGINES[algorithm](
-            points, weights, centers, max_iterations, tolerance, generator
-        )
+    with _obs.span("lloyd.run", n=n, k=int(k)) as run_span:
+        result = _run_pruned(points, weights, centers, max_iterations, tolerance, generator)
         run_span.annotate(
             iterations=result.iterations,
             converged=bool(result.converged),

@@ -11,6 +11,7 @@ special-casing.
 from __future__ import annotations
 
 import abc
+import math
 from typing import Optional
 
 import numpy as np
@@ -18,6 +19,26 @@ import numpy as np
 from repro.core.coreset import Coreset
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_points, check_sample_size, check_weights
+
+
+def _check_cost_range(points: np.ndarray, weights: np.ndarray) -> None:
+    """Reject inputs on which some clustering's cost overflows float64.
+
+    No clustering of ``points`` costs more than total weight × d ×
+    (2·max|x|)².  That bound is a product of Python floats, which round to
+    ``inf`` without a warning, and the weights are summed after scaling by
+    their maximum, so the check itself never overflows.
+    """
+    heaviest = float(weights.max())
+    if heaviest == 0.0 or points.size == 0:
+        return
+    scale = max(float(points.max()), -float(points.min()))
+    total = heaviest * float(np.sum(weights / heaviest))
+    if not math.isfinite(2.0 * scale * 2.0 * scale * points.shape[1] * total):
+        raise ValueError(
+            "clustering costs of these points overflow float64: total weight x d x "
+            f"(2 max|x|)^2 is not finite at max|x| = {scale:.3g}; rescale the data"
+        )
 
 
 class CoresetConstruction(abc.ABC):
@@ -96,6 +117,7 @@ class CoresetConstruction(abc.ABC):
         """
         points = check_points(points)
         weights = check_weights(weights, points.shape[0])
+        _check_cost_range(points, weights)
         m = check_sample_size(m, points.shape[0])
         effective_seed = seed if seed is not None else self.seed
         coreset = self._sample(

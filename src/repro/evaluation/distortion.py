@@ -95,7 +95,6 @@ def coreset_distortion(
     z: int = 2,
     weights: Optional[np.ndarray] = None,
     lloyd_iterations: int = 10,
-    algorithm: str = "pruned",
     seed: SeedLike = None,
 ) -> float:
     """The paper's evaluation metric: distortion of the coreset-derived solution.
@@ -115,10 +114,6 @@ def coreset_distortion(
     lloyd_iterations:
         Refinement iterations when computing the candidate solution on the
         compression.
-    algorithm:
-        Lloyd engine for the ``z = 2`` refinement — ``"pruned"`` (default)
-        or ``"naive"``; bit-identical results either way, so every
-        experiment driver built on this metric inherits the pruned engine.
     seed:
         Randomness for the candidate solution.
 
@@ -136,7 +131,6 @@ def coreset_distortion(
             k_effective,
             weights=coreset.weights,
             max_iterations=lloyd_iterations,
-            algorithm=algorithm,
             seed=generator,
         )
         centers = result.centers

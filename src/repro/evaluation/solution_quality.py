@@ -30,7 +30,6 @@ def solution_cost_on_dataset(
     z: int = 2,
     lloyd_iterations: int = 10,
     initial_centers: Optional[np.ndarray] = None,
-    algorithm: str = "pruned",
     seed: SeedLike = None,
 ) -> float:
     """Cost on the full dataset of the solution obtained from the coreset.
@@ -51,10 +50,6 @@ def solution_cost_on_dataset(
         Optional shared initialisation.  Table 8 keeps the initialisation
         identical across samplers within a row; the harness obtains it with
         :func:`shared_initialization` and passes it here.
-    algorithm:
-        Lloyd engine for the ``z = 2`` refinement — ``"pruned"`` (default)
-        or ``"naive"``; the two are bit-identical (see
-        :mod:`repro.clustering.lloyd`), so the harness keeps the fast one.
     seed:
         Randomness used when no initialisation is given.
     """
@@ -70,7 +65,6 @@ def solution_cost_on_dataset(
             weights=coreset.weights,
             max_iterations=lloyd_iterations,
             initial_centers=initial_centers,
-            algorithm=algorithm,
             seed=generator,
         )
         centers = result.centers

@@ -34,7 +34,6 @@ def table8_downstream_cost(
     datasets: Sequence[str] = TABLE8_DATASETS,
     k: Optional[int] = None,
     scale: Optional[ExperimentScale] = None,
-    lloyd_algorithm: str = "pruned",
     seed: SeedLike = 0,
 ) -> List[ExperimentRow]:
     """Reproduce Table 8 (full-dataset cost of the coreset-derived solutions).
@@ -46,10 +45,6 @@ def table8_downstream_cost(
     k:
         Number of clusters for the downstream task (the paper uses 50);
         defaults to the scale's small-``k``.
-    lloyd_algorithm:
-        Lloyd engine used for every refinement — ``"pruned"`` (default) or
-        ``"naive"``; the engines are bit-identical, so the table's numbers
-        do not depend on the choice.
     scale, seed:
         Experiment scale and base randomness.
     """
@@ -72,7 +67,6 @@ def table8_downstream_cost(
                 coreset,
                 downstream_k,
                 initial_centers=initialization,
-                algorithm=lloyd_algorithm,
                 seed=random_seed_from(generator),
             )
             rows.append(

@@ -73,7 +73,12 @@ class MergeReduceTree:
     coreset_size:
         Target size ``m`` of every compression held by the tree.
     seed:
-        Randomness; every compression receives a fresh seed derived from it.
+        Randomness.  Every compression receives a spawn-keyed child of it:
+        leaf ``i`` the child keyed by the block index, reduce ``j`` the child
+        keyed by the reduction index.  The final coreset is therefore a pure
+        function of the seed and the block sequence, the same whether blocks
+        arrive one at a time through :meth:`add_block` or in batches of any
+        size on any executor backend and worker count.
     share_stream_state:
         Share per-stream work across compressions (default).  The tree keeps
         a running bounding box of everything it has seen and a cached spread
@@ -103,23 +108,12 @@ class MergeReduceTree:
         inverse, a shrink, does too once a windowed tree's blocks expire).
     spread_refresh_interval:
         Hard cap on staleness: a fresh estimate is taken at least every this
-        many compressions even when the bounding box is stable.  The box
+        many blocks even when the bounding box is stable.  The box
         cannot see the spread grow through *shrinking minimum distances*
         (e.g. near-duplicate points arriving late in the stream inside the
         established box), so the periodic resync bounds how long such a
         stream can run on an underestimate; at the default interval the
         amortised cost of the (blocked) estimate stays negligible.
-    spawn_seeds:
-        Seed-derivation mode.  ``False`` (default) draws one seed per
-        compression from a sequential generator — the historical behaviour,
-        reproduced bit-for-bit.  ``True`` derives spawn-keyed seeds instead:
-        leaf ``i`` compresses under the child sequence keyed by the block
-        index, reduce ``j`` under the child keyed by the reduction index, so
-        the final coreset is a pure function of the seed and the block
-        sequence — independent of batching, executor backend, and worker
-        count.  This is the mode :meth:`add_blocks` (concurrent leaf
-        compression) requires, and what the streaming pipeline enables when
-        it is given an executor.
     pending_limit:
         Bound on the number of *unfolded* leaf futures the tree may hold
         when :meth:`add_blocks` is given an executor instance (the overlap
@@ -138,8 +132,7 @@ class MergeReduceTree:
         during the walk in arrival order, never of scheduling; the result
         is therefore bit-identical to the host fold.  ``False`` overlaps
         only the leaves: every reduce runs on the host thread when its leaf
-        folds.  Ignored by the sequential :meth:`add_block` path of
-        ``spawn_seeds=False`` trees.
+        folds.
 
     Attributes
     ----------
@@ -152,7 +145,7 @@ class MergeReduceTree:
         Number of reduce operations performed so far (diagnostics).
     spread_refreshes:
         Number of spread estimates actually computed (diagnostics; at most
-        one per compression, exactly one for a stationary stream).
+        one per block, exactly one for a stationary stream).
     reduces_offloaded / host_reduces / host_reduce_seconds:
         Where reduce compressions ran: submitted to the executor vs run on
         the host thread, and the host-thread seconds they cost (includes
@@ -171,18 +164,17 @@ class MergeReduceTree:
     cache_cost_bound: bool = True
     spread_refresh_factor: float = 2.0
     spread_refresh_interval: int = 32
-    levels: Dict[int, Union[Coreset, Future]] = field(default_factory=dict)
-    reductions: int = 0
-    blocks_seen: int = 0
-    spread_refreshes: int = 0
-    cost_bound_refreshes: int = 0
-    spawn_seeds: bool = False
     pending_limit: Optional[int] = None
     overlap_reduces: bool = True
-    reduces_offloaded: int = 0
-    host_reduces: int = 0
-    host_reduce_seconds: float = 0.0
-    pending_high_water: int = 0
+    levels: Dict[int, Union[Coreset, Future]] = field(default_factory=dict, init=False)
+    reductions: int = field(default=0, init=False)
+    blocks_seen: int = field(default=0, init=False)
+    spread_refreshes: int = field(default=0, init=False)
+    cost_bound_refreshes: int = field(default=0, init=False)
+    reduces_offloaded: int = field(default=0, init=False)
+    host_reduces: int = field(default=0, init=False)
+    host_reduce_seconds: float = field(default=0.0, init=False)
+    pending_high_water: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         self.coreset_size = check_integer(self.coreset_size, name="coreset_size")
@@ -192,20 +184,17 @@ class MergeReduceTree:
         #: happened (overlapped-reduce mode) — draining them is pure
         #: backpressure, not a fold.
         self._pending: Deque[Tuple[Future, Optional[float], Optional[float], bool]] = deque()
-        self._generator = as_generator(self.seed)
-        # The shared-state caches draw from their own derived generator
-        # (seeded here unconditionally) so that toggling
-        # ``share_stream_state`` never shifts the per-compression seed
-        # stream: with a hint-agnostic sampler the two modes produce
-        # identical coresets.
-        self._spread_generator = as_generator(random_seed_from(self._generator))
-        self._spawn_root = as_seed_sequence(self.seed) if self.spawn_seeds else None
+        # The hint caches draw from their own generator, seeded before the
+        # spawn root: a Generator seed gives its first draw to the caches and
+        # its second to the root.
+        self._spread_generator = as_generator(random_seed_from(as_generator(self.seed)))
+        self._spawn_root = as_seed_sequence(self.seed)
         self._bounds_low: Optional[np.ndarray] = None
         self._bounds_high: Optional[np.ndarray] = None
         self._cached_spread: Optional[float] = None
         self._cached_cost_bound: Optional[float] = None
         self._cached_diameter: float = 0.0
-        self._compressions_since_refresh: int = 0
+        self._blocks_since_refresh: int = 0
 
     # ------------------------------------------------------------------
     def _observe(self, points: np.ndarray) -> None:
@@ -246,20 +235,20 @@ class MergeReduceTree:
         if self._bounds_low is None or points.shape[0] < 2:
             return None, None
         diameter = float(np.linalg.norm(self._bounds_high - self._bounds_low))
-        self._compressions_since_refresh += 1
+        self._blocks_since_refresh += 1
         wants_bound = self._wants_cost_bound()
         stale = (
             self._cached_spread is None
             or (wants_bound and self._cached_cost_bound is None)
             or diameter > self.spread_refresh_factor * self._cached_diameter
             or diameter * self.spread_refresh_factor < self._cached_diameter
-            or self._compressions_since_refresh > self.spread_refresh_interval
+            or self._blocks_since_refresh > self.spread_refresh_interval
         )
         if stale:
             with _obs.span("stream.hint_refresh", rows=int(points.shape[0])):
                 self._cached_spread = compute_spread(points, seed=self._spread_generator)
                 self._cached_diameter = diameter
-                self._compressions_since_refresh = 0
+                self._blocks_since_refresh = 0
                 self.spread_refreshes += 1
                 _obs.counter_add("stream.spread_refreshes", 1.0)
                 if wants_bound:
@@ -275,20 +264,7 @@ class MergeReduceTree:
                     self._cached_cost_bound = None
         return self._cached_spread, self._cached_cost_bound if wants_bound else None
 
-    def _compress(self, points: np.ndarray, weights: np.ndarray) -> Coreset:
-        """Compress a weighted point set to at most ``coreset_size`` points."""
-        m = min(self.coreset_size, points.shape[0])
-        spread, cost_bound = self._stream_hints(points)
-        return self.sampler.sample(
-            points,
-            m,
-            weights=weights,
-            seed=random_seed_from(self._generator),
-            spread=spread,
-            cost_bound=cost_bound,
-        )
-
-    # ---------------------------------------------------- spawn-keyed mode
+    # ------------------------------------------------------- spawn-keyed seeds
     def _leaf_seed(self, block_index: int) -> np.random.SeedSequence:
         return keyed_seed_sequence(self._spawn_root, KEY_STREAM_LEAF, block_index)
 
@@ -413,13 +389,13 @@ class MergeReduceTree:
     ) -> None:
         """Consume a batch of blocks, compressing the leaves concurrently.
 
-        Requires ``spawn_seeds=True``.  The host walks the batch in arrival
-        order — updating the bounding box, the spread cache, and the leaf
-        seed assignment exactly as the one-block-at-a-time path would — then
-        fans the (now fully determined) leaf compressions out to the
-        executor and folds the results back in arrival order.  The batch is
-        stacked into one payload so the process backend ships each leaf as
-        offsets into shared memory rather than pickled blocks.
+        The host walks the batch in arrival order — updating the bounding
+        box, the spread cache, and the leaf seed assignment once per block,
+        whatever the batch size — then fans the (now fully determined) leaf
+        compressions out to the executor and folds the results back in
+        arrival order.  The batch is stacked into one payload so the
+        process backend ships each leaf as offsets into shared memory
+        rather than pickled blocks.
 
         Items of ``blocks`` may be :class:`concurrent.futures.Future`
         objects resolving to ``(points, weights)`` — the shape an
@@ -436,11 +412,6 @@ class MergeReduceTree:
         returning.  Folds always happen in arrival order, so every
         scheduling produces the identical tree.
         """
-        if not self.spawn_seeds:
-            raise ValueError(
-                "add_blocks requires spawn_seeds=True: concurrent leaf compression "
-                "is only deterministic under spawn-keyed seed derivation"
-            )
         prepared = []
         for block in blocks:
             if isinstance(block, Future):
@@ -546,33 +517,8 @@ class MergeReduceTree:
 
     # ------------------------------------------------------------------
     def add_block(self, points: np.ndarray, weights: Optional[np.ndarray] = None) -> None:
-        """Consume one block of the stream."""
-        if self.spawn_seeds:
-            self.add_blocks([(points, weights)])
-            return
-        if weights is None:
-            weights = np.ones(points.shape[0], dtype=np.float64)
-        self.blocks_seen += 1
-        _obs.counter_add("stream.blocks", 1.0)
-        if self.share_stream_state and points.shape[0]:
-            self._observe(points)
-        with _obs.span("stream.leaf_compress", rows=int(points.shape[0])):
-            current = self._compress(points, weights)
-        level = 0
-        # Carry-propagation: merging two level-l compressions yields a
-        # level-(l+1) compression, exactly like binary addition.
-        while level in self.levels:
-            partner = self.levels.pop(level)
-            merged = merge_coresets([partner, current])
-            started = time.perf_counter()
-            with _obs.span("stream.host_reduce", level=level, rows=int(merged.points.shape[0])):
-                current = self._compress(merged.points, merged.weights)
-            self.host_reduce_seconds += time.perf_counter() - started
-            self.host_reduces += 1
-            self.reductions += 1
-            _obs.counter_add("stream.host_reduces", 1.0)
-            level += 1
-        self.levels[level] = current
+        """Consume one block of the stream: a batch of one on the host."""
+        self.add_blocks([(points, weights)])
 
     def finalize(self) -> Coreset:
         """Concatenate the surviving per-level compressions and reduce once more."""
@@ -587,22 +533,19 @@ class MergeReduceTree:
                 combined = merge_coresets(survivors)
             if combined.size > self.coreset_size:
                 started = time.perf_counter()
-                if self.spawn_seeds:
-                    share = self.share_stream_state
-                    final = self.sampler.sample(
-                        combined.points,
-                        min(self.coreset_size, combined.points.shape[0]),
-                        weights=combined.weights,
-                        seed=self._reduce_seed(self.reductions),
-                        spread=self._cached_spread if share else None,
-                        cost_bound=(
-                            self._cached_cost_bound
-                            if share and self._wants_cost_bound()
-                            else None
-                        ),
-                    )
-                else:
-                    final = self._compress(combined.points, combined.weights)
+                share = self.share_stream_state
+                final = self.sampler.sample(
+                    combined.points,
+                    min(self.coreset_size, combined.points.shape[0]),
+                    weights=combined.weights,
+                    seed=self._reduce_seed(self.reductions),
+                    spread=self._cached_spread if share else None,
+                    cost_bound=(
+                        self._cached_cost_bound
+                        if share and self._wants_cost_bound()
+                        else None
+                    ),
+                )
                 self.host_reduce_seconds += time.perf_counter() - started
                 self.host_reduces += 1
                 self.reductions += 1
@@ -673,16 +616,14 @@ class StreamingCoresetPipeline:
     Parameters
     ----------
     executor:
-        ``None`` (default) consumes the stream one block at a time with the
-        historical sequential seed stream.  A backend name or an
-        :class:`~repro.parallel.executor.AsyncExecutor` switches the tree to
-        spawn-keyed seeds, compresses arriving leaves concurrently in
-        batches and *overlaps* the batches — reading batch ``i+1`` from
-        disk while batch ``i`` compresses in the pool.  In all spawn-keyed
-        modes the resulting coreset is bit-identical across backends,
-        worker counts, batch sizes, prefetch depths, and completion orders
-        (but differs from the sequential stream's, whose seeds depend on
-        draw order).
+        ``None`` (default) consumes the stream one block at a time on the
+        host.  A backend name or an
+        :class:`~repro.parallel.executor.AsyncExecutor` compresses arriving
+        leaves concurrently in batches and *overlaps* the batches — reading
+        batch ``i+1`` from disk while batch ``i`` compresses in the pool.
+        The tree's seeds are spawn-keyed (see :class:`MergeReduceTree`), so
+        the coreset is bit-identical with no executor and across backends,
+        worker counts, batch sizes, prefetch depths, and completion orders.
     batch_size:
         Number of blocks buffered per concurrent batch; defaults to the
         executor's worker count.  Affects wall-clock only, never the result.
@@ -747,7 +688,6 @@ class StreamingCoresetPipeline:
     )
 
     def _tree(self) -> MergeReduceTree:
-        spawn_seeds = self.executor is not None or self.prefetch_batches is not None
         if self.window is not None:
             # Imported here: window.py subclasses MergeReduceTree, so the
             # module-level import would be circular.
@@ -759,7 +699,6 @@ class StreamingCoresetPipeline:
                 seed=self.seed,
                 share_stream_state=self.share_stream_state,
                 cache_cost_bound=self.cache_cost_bound,
-                spawn_seeds=spawn_seeds,
                 window=self.window,
                 drift_threshold=self.drift_threshold,
             )
@@ -769,7 +708,6 @@ class StreamingCoresetPipeline:
             seed=self.seed,
             share_stream_state=self.share_stream_state,
             cache_cost_bound=self.cache_cost_bound,
-            spawn_seeds=spawn_seeds,
             overlap_reduces=self.overlap_reduces,
         )
 

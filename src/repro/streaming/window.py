@@ -40,11 +40,11 @@ what preserves per-point decayed weights across folds — resampling would
 flatten them — and what lets the oracle suite compare retained multisets
 bit-for-bit in lossless configurations.
 
-Determinism matches the non-windowed tree's contract: under
-``spawn_seeds=True`` every stochastic input (leaf seeds keyed by block
-index, fold seeds keyed by fold index, query seeds keyed by query index,
-hints fixed during the host walk) is a pure function of the block sequence,
-so every executor backend produces bit-identical coresets.  Reduce and
+Determinism matches the non-windowed tree's contract: every stochastic
+input (leaf seeds keyed by block index, fold seeds keyed by fold index,
+query seeds keyed by query index, hints fixed during the host walk) is a
+pure function of the block sequence, so one block at a time and every
+executor backend produce bit-identical coresets.  Reduce and
 query compressions always run on the host thread — the overlap machinery
 only ships leaf compressions (``overlap_reduces`` is ignored).
 """
@@ -55,7 +55,7 @@ import abc
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Deque, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -68,7 +68,7 @@ from repro.parallel.executor import ArrayPayload, AsyncExecutor, resolve_async_e
 from repro.parallel.sharding import KEY_STREAM_QUERY, ShardTask, compress_shard
 from repro.streaming.merge_reduce import MergeReduceTree
 from repro.streaming.stream import Block
-from repro.utils.rng import keyed_seed_sequence, random_seed_from
+from repro.utils.rng import keyed_seed_sequence
 
 __all__ = [
     "DriftDetector",
@@ -244,9 +244,9 @@ class WindowedMergeReduceTree(MergeReduceTree):
 
     window: Optional[WindowPolicy] = None
     drift_threshold: Optional[float] = None
-    blocks_expired: int = 0
-    drift_events: int = 0
-    last_drift_block: int = -1
+    blocks_expired: int = field(default=0, init=False)
+    drift_events: int = field(default=0, init=False)
+    last_drift_block: int = field(default=-1, init=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -406,18 +406,13 @@ class WindowedMergeReduceTree(MergeReduceTree):
             [self._decayed(older.value, older.newest_time, newer.newest_time), newer.value]
         )
         if merged.size > self.coreset_size:
-            seed = (
-                self._reduce_seed(self.reductions)
-                if self.spawn_seeds
-                else random_seed_from(self._generator)
-            )
             started = time.perf_counter()
             with _obs.span("stream.host_reduce", rows=int(merged.size)):
                 value = self.sampler.sample(
                     merged.points,
                     self.coreset_size,
                     weights=merged.weights,
-                    seed=seed,
+                    seed=self._reduce_seed(self.reductions),
                     spread=newer.spread,
                     cost_bound=newer.cost_bound,
                 )
@@ -450,37 +445,9 @@ class WindowedMergeReduceTree(MergeReduceTree):
         timestamp: Optional[float] = None,
     ) -> None:
         """Consume one block, stamped with ``timestamp`` (block index default)."""
-        if self.spawn_seeds:
-            self.add_blocks(
-                [(points, weights)],
-                timestamps=None if timestamp is None else [timestamp],
-            )
-            return
-        points = np.asarray(points, dtype=np.float64)
-        if weights is None:
-            weights = np.ones(points.shape[0], dtype=np.float64)
-        bucket = self._walk(points, timestamp)
-        bucket.value = self._leaf_value(
-            points, weights, bucket, seed=None if points.shape[0] <= self.coreset_size else random_seed_from(self._generator)
+        self.add_blocks(
+            [(points, weights)], timestamps=None if timestamp is None else [timestamp]
         )
-        self._settle(bucket)
-
-    def _leaf_value(
-        self, points: np.ndarray, weights: np.ndarray, bucket: _Bucket, *, seed
-    ) -> Coreset:
-        if points.shape[0] <= self.coreset_size:
-            # Already fits: keep the block verbatim (it is a 0-coreset of
-            # itself) so per-point weights survive folds unflattened.
-            return trivial_coreset(points, weights)
-        with _obs.span("stream.leaf_compress", rows=int(points.shape[0])):
-            return self.sampler.sample(
-                points,
-                self.coreset_size,
-                weights=weights,
-                seed=seed,
-                spread=bucket.spread,
-                cost_bound=bucket.cost_bound,
-            )
 
     def add_blocks(
         self,
@@ -491,22 +458,16 @@ class WindowedMergeReduceTree(MergeReduceTree):
     ) -> None:
         """Consume a batch of blocks, compressing oversized leaves concurrently.
 
-        Same contract as the parent: requires ``spawn_seeds=True``, the host
-        walks the batch in arrival order (stamping, expiring, hint caching,
-        seed assignment), then fans the fully determined leaf compressions
-        out.  Blocks that already fit in ``coreset_size`` become identity
-        buckets on the host — there is nothing to compress.  The in-flight
-        buckets are settled lazily down to :attr:`pending_limit`; ``None``
-        or a backend name is resolved for this call only, so the batch is
-        flushed and the executor closed before returning.  Settling always
-        happens in arrival order, so every scheduling produces the
-        identical window.
+        Same contract as the parent: the host walks the batch in arrival
+        order (stamping, expiring, hint caching, seed assignment), then fans
+        the fully determined leaf compressions out.  Blocks that already fit
+        in ``coreset_size`` become identity buckets on the host — there is
+        nothing to compress.  The in-flight buckets are settled lazily down
+        to :attr:`pending_limit`; ``None`` or a backend name is resolved for
+        this call only, so the batch is flushed and the executor closed
+        before returning.  Settling always happens in arrival order, so
+        every scheduling produces the identical window.
         """
-        if not self.spawn_seeds:
-            raise ValueError(
-                "add_blocks requires spawn_seeds=True: concurrent leaf compression "
-                "is only deterministic under spawn-keyed seed derivation"
-            )
         prepared: List[Tuple[np.ndarray, np.ndarray, _Bucket]] = []
         for position, block in enumerate(blocks):
             if isinstance(block, Future):
@@ -589,20 +550,15 @@ class WindowedMergeReduceTree(MergeReduceTree):
         """Number of live buckets (settled + unexpired in-flight)."""
         return len(self.live_ranges())
 
-    def _query_seed(self):
-        if self.spawn_seeds:
-            return keyed_seed_sequence(self._spawn_root, KEY_STREAM_QUERY, self._queries)
-        return random_seed_from(self._generator)
-
     def query(self) -> Coreset:
         """The coreset of the *current* window, without stopping ingestion.
 
         Settles everything in flight, decays each surviving bucket to the
         newest timestamp, merges, and re-compresses only if the union
-        outgrows ``coreset_size``.  Under ``spawn_seeds=True`` the result is
-        a pure function of the block sequence and the number of earlier
-        queries (query seeds are keyed by query index), so interleaved
-        queries stay bit-identical across executors.
+        outgrows ``coreset_size``.  The result is a pure function of the
+        block sequence and the number of earlier queries (query seeds are
+        keyed by query index), so interleaved queries stay bit-identical
+        across executors.
         """
         self.flush()
         if not self._buckets:
@@ -612,8 +568,8 @@ class WindowedMergeReduceTree(MergeReduceTree):
             self._decayed(bucket.value, bucket.newest_time, now) for bucket in self._buckets
         ]
         combined = merge_coresets(survivors) if len(survivors) > 1 else survivors[0]
-        seed = self._query_seed()  # drawn unconditionally: the seed stream
-        self._queries += 1  # must not depend on the current window's size
+        seed = keyed_seed_sequence(self._spawn_root, KEY_STREAM_QUERY, self._queries)
+        self._queries += 1
         if combined.size > self.coreset_size:
             share = self.share_stream_state
             started = time.perf_counter()

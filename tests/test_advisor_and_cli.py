@@ -340,6 +340,32 @@ class TestCliParallel:
         # Decay fades old blocks: total weight well below the input size.
         assert summary["total_weight"] < summary["input_points"]
 
+    @pytest.mark.parametrize(
+        "policy",
+        [["--window", "4", "--blocks", "10"], ["--decay", "3.0"]],
+        ids=["window", "decay"],
+    )
+    def test_windowed_compress_same_coreset_with_or_without_prefetch(
+        self, data_file, tmp_path, capsys, policy
+    ):
+        # One seed mode: the host path and the prefetching pool pipeline
+        # derive every seed alike, so they write the same archive.
+        archives = []
+        for label, extra in (
+            ("host", []),
+            ("prefetch", ["--prefetch-batches", "2", "--backend", "thread", "--workers", "2"]),
+        ):
+            output = str(tmp_path / f"{label}.npz")
+            code = main(
+                ["compress", data_file, "--k", "5", "--m", "60", "--output", output,
+                 "--seed", "2", *policy, *extra]
+            )
+            assert code == 0
+            capsys.readouterr()
+            archives.append(np.load(output))
+        assert np.array_equal(archives[0]["points"], archives[1]["points"])
+        assert np.array_equal(archives[0]["weights"], archives[1]["weights"])
+
     def test_window_and_decay_mutually_exclusive(self, data_file, capsys):
         code = main(
             ["compress", data_file, "--k", "5", "--window", "4", "--decay", "2.0"]

@@ -264,7 +264,6 @@ class TestTreeFutureInputs:
             sampler=SensitivitySampling(k=5, seed=0),
             coreset_size=CORESET_SIZE,
             seed=SEED,
-            spawn_seeds=True,
             pending_limit=pending_limit,
         )
         for start in range(0, len(blocks), 4):
@@ -305,7 +304,6 @@ class TestTreeFutureInputs:
             sampler=SensitivitySampling(k=5, seed=0),
             coreset_size=CORESET_SIZE,
             seed=SEED,
-            spawn_seeds=True,
             pending_limit=2,
         )
         executor = SerialAsyncExecutor()
@@ -336,7 +334,6 @@ class TestOverlappedReduceModes:
             sampler=SensitivitySampling(k=5, seed=0),
             coreset_size=CORESET_SIZE,
             seed=SEED,
-            spawn_seeds=True,
             pending_limit=pending_limit,
             overlap_reduces=overlap,
         )
@@ -424,7 +421,6 @@ class TestReduceFailurePath:
             sampler=_ReduceBomb(),
             coreset_size=CORESET_SIZE,
             seed=SEED,
-            spawn_seeds=True,
         )
 
     def test_thread_backend_settles_every_future(self, blobs):

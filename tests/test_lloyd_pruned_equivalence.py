@@ -76,17 +76,6 @@ class TestPrunedEquivalence:
                 naive_kmeans(points, k, seed=7, max_iterations=20),
             )
 
-    def test_naive_algorithm_flag_matches_reference(self):
-        points = gaussian_mixture(n=700, d=4, n_clusters=6, gamma=0.0, seed=2).points
-        live_naive = kmeans(points, 9, seed=4, algorithm="naive", max_iterations=30)
-        frozen = naive_kmeans(points, 9, seed=4, max_iterations=30)
-        _assert_bit_identical(live_naive, frozen)
-
-    def test_unknown_algorithm_rejected(self):
-        points = np.random.default_rng(0).normal(size=(50, 2))
-        with pytest.raises(ValueError, match="algorithm"):
-            kmeans(points, 3, algorithm="elkan", seed=0)
-
     def test_pruning_actually_prunes(self):
         """The equivalence would be vacuous if the engine always recomputed."""
         points = gaussian_mixture(n=4000, d=8, n_clusters=10, gamma=0.0, seed=5).points

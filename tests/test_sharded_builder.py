@@ -7,6 +7,8 @@ sampler.  Thread-backend cases run in the default suite; process-pool cases
 carry the ``parallel`` marker so constrained runners can deselect them.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -244,11 +246,12 @@ class TestStreamingExecutorEquivalence:
             blobs, sampler, SerialAsyncExecutor(), batch_size=1
         )
         for executor, batch_size in (
+            (None, None),
             (SerialAsyncExecutor(), 4),
             (ThreadAsyncExecutor(workers=2), None),
             (ThreadAsyncExecutor(workers=3), 5),
         ):
-            with executor:
+            with executor or nullcontext():
                 coreset, stats = self._run(blobs, sampler, executor, batch_size)
             assert np.array_equal(reference.points, coreset.points), sampler_name
             assert np.array_equal(reference.weights, coreset.weights), sampler_name
@@ -265,22 +268,3 @@ class TestStreamingExecutorEquivalence:
         assert np.array_equal(reference.points, coreset.points)
         assert np.array_equal(reference.weights, coreset.weights)
         assert stats == reference_stats
-
-    def test_legacy_sequential_path_untouched_by_new_fields(self, blobs):
-        # executor=None must keep the historical draw-order seed stream:
-        # the result matches a pipeline constructed without the new fields.
-        sampler = UniformSampling(seed=0)
-        stream = DataStream(points=blobs, block_size=150)
-        legacy = StreamingCoresetPipeline(sampler=sampler, coreset_size=50, seed=3).run(stream)
-        explicit = StreamingCoresetPipeline(
-            sampler=sampler, coreset_size=50, seed=3, executor=None, batch_size=None
-        ).run(DataStream(points=blobs, block_size=150))
-        assert np.array_equal(legacy.points, explicit.points)
-        assert np.array_equal(legacy.weights, explicit.weights)
-
-    def test_add_blocks_requires_spawn_seeds(self, blobs):
-        from repro.streaming import MergeReduceTree
-
-        tree = MergeReduceTree(sampler=UniformSampling(seed=0), coreset_size=40, seed=0)
-        with pytest.raises(ValueError, match="spawn_seeds"):
-            tree.add_blocks([(blobs[:100], None)])

@@ -236,6 +236,10 @@ class TestMergeReduce:
         with pytest.raises(ValueError):
             tree.finalize()
 
+    def test_counters_are_not_constructor_parameters(self):
+        with pytest.raises(TypeError, match="reductions"):
+            MergeReduceTree(sampler=UniformSampling(seed=0), coreset_size=10, seed=0, reductions=5)
+
     def test_run_with_statistics(self, blobs):
         pipeline = StreamingCoresetPipeline(sampler=UniformSampling(seed=0), coreset_size=80, seed=0)
         coreset, statistics = pipeline.run_with_statistics(DataStream(points=blobs, block_size=300))

@@ -59,7 +59,9 @@ class TestSpreadCache:
     def test_staleness_bounded_when_min_distance_shrinks(self):
         """The bounding box cannot see near-duplicates arriving late in the
         stream (the spread grows through the *minimum* distance), so the
-        periodic interval must force a resync and raise the cached value."""
+        periodic interval must force a resync and raise the cached value.
+        The interval counts blocks: at interval 8 the refresh after the
+        first block's is the tenth block's."""
         rng = np.random.default_rng(7)
         tree = MergeReduceTree(
             sampler=FastCoreset(k=4, seed=0),
@@ -70,11 +72,13 @@ class TestSpreadCache:
         # Coarse integer grid first (small spread, fixed bounding box) ...
         tree.add_block(rng.integers(0, 20, size=(400, 3)).astype(float))
         early_spread = tree._cached_spread
+        refreshes = [tree.spread_refreshes]
         # ... then blocks riddled with near-duplicate pairs inside that box.
-        for _ in range(6):
+        for _ in range(9):
             base = rng.uniform(0.0, 20.0, size=(200, 3))
             tree.add_block(np.concatenate([base, base + 1e-9]))
-        assert tree.spread_refreshes >= 2
+            refreshes.append(tree.spread_refreshes)
+        assert refreshes == [1] * 9 + [2]
         assert tree._cached_spread > early_spread * 100
 
     def test_share_disabled_never_estimates(self, stream_points):

@@ -1,10 +1,18 @@
 """Unit tests for repro.utils.timer and repro.utils.validation."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.core import (
+    FastCoreset,
+    LightweightCoreset,
+    SensitivitySampling,
+    UniformSampling,
+    WelterweightCoreset,
+)
 from repro.utils.timer import StopwatchRecorder, Timer, timed
 from repro.utils.validation import (
     check_array,
@@ -99,6 +107,36 @@ class TestCheckWeights:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             check_weights(np.array([np.nan, 1.0]), 2)
+
+
+class TestCostRangeCheck:
+    """Every sampler rejects inputs whose clustering costs overflow float64."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: UniformSampling(seed=0),
+            lambda: LightweightCoreset(seed=0),
+            lambda: WelterweightCoreset(5, seed=0),
+            lambda: SensitivitySampling(5, seed=0),
+            lambda: FastCoreset(5, seed=0),
+        ],
+        ids=["uniform", "lightweight", "welterweight", "sensitivity", "fast_coreset"],
+    )
+    def test_overflowing_costs_rejected_by_every_sampler(self, make):
+        points = np.random.default_rng(0).normal(size=(2000, 5)) * 1e155
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow float64"):
+                make().sample(points, 100)
+
+    def test_large_finite_costs_accepted_without_warnings(self):
+        # 4 points x d=2 x (2e150)^2 = 3.2e301 is finite: nothing to reject.
+        points = np.array([[1e150, 0.0], [0.0, 1e150], [-1e150, 0.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coreset = UniformSampling(seed=0).sample(points, 2, weights=np.ones(4))
+        assert coreset.size == 2
 
 
 class TestScalarChecks:

@@ -42,6 +42,28 @@ def _sorted_rows(points):
     return points[np.lexsort(points.T)]
 
 
+#: How the oracle suite feeds the tree: one ``add_block`` per block, or
+#: ``add_blocks`` on batches of 3 with a serial executor instance.
+INGESTIONS = ("add_block", "batches_of_3")
+
+
+def _feed(tree, oracle, stream, ingestion):
+    """Feed ``stream`` to the tree and the oracle alike, yielding after each
+    tree call."""
+    blocks = list(stream)
+    step = 1 if ingestion == "add_block" else 3
+    executor = SerialAsyncExecutor()
+    for start in range(0, len(blocks), step):
+        batch = blocks[start : start + step]
+        if step == 1:
+            tree.add_block(*batch[0])
+        else:
+            tree.add_blocks(batch, executor=executor)
+        for points, weights in batch:
+            oracle.add_block(points, weights)
+        yield
+
+
 class TestPolicies:
     def test_sliding_window_membership(self):
         window = SlidingCountWindow(3)
@@ -119,23 +141,21 @@ class TestDriftDetector:
 class TestOracleEquivalence:
     """The tree's window bookkeeping must match a from-scratch recompute."""
 
-    @pytest.mark.parametrize("spawn_seeds", [False, True])
+    @pytest.mark.parametrize("ingestion", INGESTIONS)
     @pytest.mark.parametrize("block_size", [40, 75])
     @pytest.mark.parametrize("kind", ["sliding", "decay"])
     def test_live_blocks_match_oracle_after_every_block(
-        self, blobs, kind, block_size, spawn_seeds
+        self, blobs, kind, block_size, ingestion
     ):
         tree = WindowedMergeReduceTree(
             sampler=UniformSampling(seed=0),
             coreset_size=50,
             seed=0,
             window=_policy(kind),
-            spawn_seeds=spawn_seeds,
         )
         oracle = _oracle(kind)
-        for points, weights in DataStream(points=blobs[:600], block_size=block_size):
-            tree.add_block(points, weights)
-            oracle.add_block(points, weights)
+        stream = DataStream(points=blobs[:600], block_size=block_size)
+        for _ in _feed(tree, oracle, stream, ingestion):
             live = sorted(
                 index
                 for start, stop in tree.live_ranges()
@@ -145,9 +165,9 @@ class TestOracleEquivalence:
         assert tree.blocks_seen == oracle.blocks_seen
         assert tree.blocks_expired == oracle.blocks_seen - len(oracle.live_indices())
 
-    @pytest.mark.parametrize("spawn_seeds", [False, True])
+    @pytest.mark.parametrize("ingestion", INGESTIONS)
     @pytest.mark.parametrize("block_size", [30, 50])
-    def test_sliding_lossless_multiset_exact(self, blobs, block_size, spawn_seeds):
+    def test_sliding_lossless_multiset_exact(self, blobs, block_size, ingestion):
         # coreset_size >= window capacity: nothing is ever resampled, so the
         # tree must retain *exactly* the oracle's window multiset.
         window = SlidingCountWindow(4)
@@ -156,12 +176,11 @@ class TestOracleEquivalence:
             coreset_size=4 * block_size,
             seed=0,
             window=window,
-            spawn_seeds=spawn_seeds,
         )
         oracle = NaiveWindowReference(window_blocks=4)
-        for points, weights in DataStream(points=blobs[:560], block_size=block_size):
-            tree.add_block(points, weights)
-            oracle.add_block(points, weights)
+        stream = DataStream(points=blobs[:560], block_size=block_size)
+        for _ in _feed(tree, oracle, stream, ingestion):
+            pass
         final = tree.query()
         expected_points, expected_weights = oracle.window_points()
         assert final.size == expected_points.shape[0]
@@ -170,10 +189,10 @@ class TestOracleEquivalence:
         )
         np.testing.assert_array_equal(final.weights, expected_weights)
 
-    @pytest.mark.parametrize("spawn_seeds", [False, True])
+    @pytest.mark.parametrize("ingestion", INGESTIONS)
     @pytest.mark.parametrize("half_life", [2.0, 8.0])
     def test_decay_lossless_weights_match_single_step_oracle(
-        self, blobs, half_life, spawn_seeds
+        self, blobs, half_life, ingestion
     ):
         # Nothing expires and nothing is resampled: the telescoped per-fold
         # factors must equal the oracle's single-step factors to rounding.
@@ -183,12 +202,11 @@ class TestOracleEquivalence:
             coreset_size=n,
             seed=0,
             window=ExponentialDecay(half_life),
-            spawn_seeds=spawn_seeds,
         )
         oracle = NaiveWindowReference(half_life=half_life)
-        for points, weights in DataStream(points=blobs[:n], block_size=block_size):
-            tree.add_block(points, weights)
-            oracle.add_block(points, weights)
+        stream = DataStream(points=blobs[:n], block_size=block_size)
+        for _ in _feed(tree, oracle, stream, ingestion):
+            pass
         final = tree.query()
         expected_points, expected_weights = oracle.window_points()
         assert final.size == n
@@ -246,10 +264,16 @@ class TestOracleEquivalence:
     def test_distortion_parity_with_direct_window_compression(self, blobs, kind):
         # A real compression (window smaller than the data, m smaller than
         # the window): the tree's coreset must cluster the live window about
-        # as well as one direct compression of the oracle's recompute.
+        # as well as one direct compression of the oracle's recompute.  The
+        # per-seed gap (streamed - direct) has a standard deviation of
+        # ~0.17 and decay folds cost ~0.15 on average, so the mean runs over
+        # 40 seeds.  Decay's bound is that mean plus three standard errors
+        # (0.153 + 3 * 0.181 / sqrt(40)); losing decay or expiry lifts the
+        # mean gap to about 0.69 or 1.03.
         block_size, m, k = 150, 120, 6
+        bound = {"sliding": 0.15, "decay": 0.24}[kind]
         gaps = []
-        for seed in range(3):
+        for seed in range(40):
             tree = WindowedMergeReduceTree(
                 sampler=SensitivitySampling(k=k, seed=seed),
                 coreset_size=m,
@@ -278,7 +302,7 @@ class TestOracleEquivalence:
             assert streamed < 2.0
             assert direct < 2.0
             gaps.append(streamed - direct)
-        assert abs(float(np.mean(gaps))) < 0.15
+        assert abs(float(np.mean(gaps))) < bound
 
 
 class TestWindowedTreeBehaviour:
@@ -440,7 +464,15 @@ class TestWindowedTreeBehaviour:
 class TestWindowedPipeline:
     @pytest.mark.parametrize(
         "executor, prefetch",
-        [(None, None), ("serial", None), ("thread", None), ("thread", 2), ("thread", 4)],
+        [
+            ("add_block", None),
+            ("pipeline", None),
+            (None, None),
+            ("serial", None),
+            ("thread", None),
+            ("thread", 2),
+            ("thread", 4),
+        ],
     )
     @pytest.mark.parametrize("kind", ["sliding", "decay"])
     def test_executors_bit_identical(self, blobs, kind, executor, prefetch):
@@ -448,14 +480,22 @@ class TestWindowedPipeline:
         # order, so every executor must reproduce the serial pipeline byte
         # for byte.  Without a prefetch depth the tree is driven directly:
         # add_blocks resolves None or a backend name, then flushes and
-        # closes it within the call.
+        # closes it within the call.  "add_block" feeds a bare tree one
+        # block at a time; "pipeline" runs a pipeline with no executor.
         settings = dict(
             sampler=SensitivitySampling(k=5, seed=0), coreset_size=150, seed=3, window=_policy(kind)
         )
         stream = DataStream(points=blobs, block_size=150)
         reference = StreamingCoresetPipeline(**settings, executor=SerialAsyncExecutor()).run(stream)
-        if prefetch is None:
-            tree = WindowedMergeReduceTree(**settings, spawn_seeds=True)
+        if executor == "add_block":
+            tree = WindowedMergeReduceTree(**settings)
+            for points, weights in stream:
+                tree.add_block(points, weights)
+            coreset = tree.finalize()
+        elif executor == "pipeline":
+            coreset = StreamingCoresetPipeline(**settings).run(stream)
+        elif prefetch is None:
+            tree = WindowedMergeReduceTree(**settings)
             blocks = list(stream)
             for start in range(0, len(blocks), 3):
                 tree.add_blocks(blocks[start : start + 3], executor=executor)
