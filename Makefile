@@ -17,6 +17,13 @@
 # `make trace-smoke` runs a small `compress --trace` end to end and
 # validates the exported Chrome trace-event JSON (cheap CI blocking step).
 
+# `make paper-check` runs the 18 paper benchmarks
+# (`benchmarks/bench_table*`, `bench_figure*`, `bench_ablations`) at quick
+# scale; each asserts one of the paper's qualitative claims.  `-p
+# no:benchmark` makes every benchmark one untimed call
+# (benchmarks/conftest.py supplies the fixture), so the gate runs the same
+# with or without pytest-benchmark installed.
+
 # `make bench-e2e WORKLOAD=static_sensitivity SEEDS="1 2 3" OUT=runs/B` runs
 # the end-to-end benchmark (`benchmarks/e2e/run.py --trace 0`) once per seed
 # and saves each run's output as `OUT/<workload>.<seed>`; two such
@@ -31,7 +38,7 @@ SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 OUT ?= .bench-e2e
 
 .PHONY: test test-fast test-parallel bench bench-check bench-check-serial \
-	bench-check-overlap trace-smoke bench-e2e
+	bench-check-overlap trace-smoke paper-check bench-e2e
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -57,6 +64,10 @@ bench-check-overlap:
 
 trace-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/trace_smoke.py
+
+paper-check:
+	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:benchmark benchmarks/bench_table*.py \
+		benchmarks/bench_figure*.py benchmarks/bench_ablations.py
 
 bench-e2e:
 	mkdir -p $(OUT)

@@ -161,10 +161,10 @@ class FastKMeansPlusPlus:
         mass_values = np.empty(n, dtype=np.float64)
         z = self.z
         # Compiled-tier sweep closures: one fused kernel call per
-        # (tree, center) replaces the per-level numpy sweeps.  The
-        # provider's ``bind`` wraps the tree's own per-level CSR arrays
-        # (no concatenated copies) and the kernel resolves the center's
-        # cell at every level itself, so the per-center Python cost is a
+        # (tree, center) replaces the per-level numpy sweeps.  The kernel
+        # is a binder over the tree's own per-level int32 CSR arrays (no
+        # concatenated or widened copies) and resolves the center's cell
+        # at every level itself, so the per-center Python cost is a
         # single four-scalar call.  The per-level ``candidate ** z`` table
         # is raised element by element on the same np.float64 scalars the
         # numpy sweep raises, so the kernel's mass stores are the
@@ -172,8 +172,7 @@ class FastKMeansPlusPlus:
         level_kernel = get_kernel("fkpp_level_score")
         sweeps = {"native": 0, "numpy": 0}
         tree_sweeps = []
-        binder = getattr(level_kernel, "bind", None) if level_kernel is not None else None
-        if binder is not None:
+        if level_kernel is not None:
             kernel_weights = np.ascontiguousarray(weights)
             for tree, distances in zip(self.trees_, level_distances):
                 table = np.ascontiguousarray(distances, dtype=np.float64)
@@ -182,10 +181,8 @@ class FastKMeansPlusPlus:
                     dtype=np.float64,
                 )
                 tree_sweeps.append(
-                    binder(
-                        [np.ascontiguousarray(a, dtype=np.int64) for a in tree.level_order_],
-                        [np.ascontiguousarray(a, dtype=np.int64) for a in tree.level_offsets_],
-                        [np.ascontiguousarray(a, dtype=np.int64) for a in tree.level_cell_ids_],
+                    level_kernel(
+                        tree.level_order_, tree.level_offsets_, tree.level_cell_ids_,
                         n, table, czs, best_distance, assignment,
                         mass_values, kernel_weights,
                     )

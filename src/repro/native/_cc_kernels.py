@@ -214,11 +214,12 @@ static void repro__bucket_sort_pairs(const uint64_t *keys, int64_t n,
 
 /* Fused grouping: the whole body of quadtree _csr_group in one call.
  *
- * Outputs (all caller-allocated): cell_ids[n] gets the rank of each point's
- * key among the distinct keys in ascending unsigned order; order[n] gets
- * the point indices sorted by rank with ties in ascending input order (the
- * stable argsort permutation); offsets[0..m] the CSR boundaries.  Returns
- * m, the number of distinct keys.
+ * Outputs (all caller-allocated, int32: the caller guarantees n < 2^31):
+ * cell_ids[n] gets the rank of each point's key among the distinct keys in
+ * ascending unsigned order; order[n] gets the point indices sorted by rank
+ * with ties in ascending input order (the stable argsort permutation);
+ * offsets[0..m] the CSR boundaries (offsets needs room for n + 1 entries).
+ * Returns m, the number of distinct keys.
  *
  * Two strategies, picked at runtime:
  *
@@ -232,18 +233,19 @@ static void repro__bucket_sort_pairs(const uint64_t *keys, int64_t n,
  * sort, so adversarial inputs only pay one wasted O(n) probe pass.
  *
  * Sort path — the bucketed sort of (key, index) pairs
- * (repro__bucket_sort_pairs), then a single fused pass walks the sorted
- * keys emitting boundary offsets and scattering the rank through the
- * sorted order, replacing the five numpy passes (take/not_equal/cumsum/
- * fancy-store/flatnonzero) that followed the argsort.
+ * (repro__bucket_sort_pairs) into the int64 work array `sorted`, then a
+ * single fused pass walks the sorted keys emitting boundary offsets,
+ * narrowing the sorted order into `order` and scattering the rank through
+ * it, replacing the five numpy passes (take/not_equal/cumsum/fancy-store/
+ * flatnonzero) that followed the argsort.
  *
- * Work arrays: order_scratch/shadow/shadow_scratch/slot_index/aux length n,
- * hash_keys/hash_payload length table_size. */
-int64_t repro_csr_group_u64(const uint64_t *keys, int64_t n, int64_t *cell_ids,
-                            int64_t *order, int64_t *offsets,
+ * Work arrays: order_scratch/shadow/shadow_scratch/slot_index/aux/sorted
+ * length n, hash_keys/hash_payload length table_size. */
+int64_t repro_csr_group_u64(const uint64_t *keys, int64_t n, int32_t *cell_ids,
+                            int32_t *order, int32_t *offsets,
                             int64_t *order_scratch, uint64_t *shadow,
                             uint64_t *shadow_scratch, int64_t *slot_index,
-                            int64_t *aux, uint64_t *hash_keys,
+                            int64_t *aux, int64_t *sorted, uint64_t *hash_keys,
                             int64_t *hash_payload, int64_t table_size)
 {
     const int64_t threshold = n >> 3;
@@ -285,7 +287,8 @@ int64_t repro_csr_group_u64(const uint64_t *keys, int64_t n, int64_t *cell_ids,
         }
         /* Rank the m distinct keys: sort them with their group ids, then
          * invert into a gid -> rank table (cell_ids doubles as scratch for
-         * it; the final scatter overwrites every entry). */
+         * it -- ranks stay below m <= n/8, so they fit its int32 entries --
+         * and the final scatter overwrites every entry). */
         for (i = 0; i < m; ++i)
             order_scratch[i] = i;
         {
@@ -294,7 +297,7 @@ int64_t repro_csr_group_u64(const uint64_t *keys, int64_t n, int64_t *cell_ids,
             const int64_t *sorted_gid = flipped ? aux : order_scratch;
             int64_t r;
             for (r = 0; r < m; ++r)
-                cell_ids[sorted_gid[r]] = r;
+                cell_ids[sorted_gid[r]] = (int32_t)r;
         }
         for (i = 0; i < m; ++i)
             hash_payload[i] = 0; /* reuse as per-rank counts */
@@ -307,30 +310,32 @@ int64_t repro_csr_group_u64(const uint64_t *keys, int64_t n, int64_t *cell_ids,
             int64_t running = 0;
             int64_t r;
             for (r = 0; r < m; ++r) {
-                offsets[r] = running;
+                offsets[r] = (int32_t)running;
                 aux[r] = running; /* scatter cursor */
                 running += hash_payload[r];
             }
-            offsets[m] = n;
+            offsets[m] = (int32_t)n;
         }
         for (i = 0; i < n; ++i) {
             const int64_t r = slot_index[i];
-            order[aux[r]++] = i;
-            cell_ids[i] = r;
+            order[aux[r]++] = (int32_t)i;
+            cell_ids[i] = (int32_t)r;
         }
         return m;
     }
 sort_path:
-    repro__bucket_sort_pairs(keys, n, shadow, order, shadow_scratch,
+    repro__bucket_sort_pairs(keys, n, shadow, sorted, shadow_scratch,
                              order_scratch, aux, slot_index);
     {
-        int64_t n_cells = 0;
+        int32_t n_cells = 0;
         for (i = 0; i < n; ++i) {
+            const int64_t point = sorted[i];
             if (i == 0 || shadow[i] != shadow[i - 1])
-                offsets[n_cells++] = i;
-            cell_ids[order[i]] = n_cells - 1;
+                offsets[n_cells++] = (int32_t)i;
+            order[i] = (int32_t)point;
+            cell_ids[point] = n_cells - 1;
         }
-        offsets[n_cells] = n;
+        offsets[n_cells] = (int32_t)n;
         return n_cells;
     }
 }
@@ -578,7 +583,7 @@ int64_t repro_lloyd_candidate_eval(const double *points, const double *centers,
  * gather/compare/scatter; no accumulation, hence no ordering hazard).  The
  * gathers are latency-bound random accesses, so upcoming best-distance
  * entries are software-prefetched.  Returns the improved-point count. */
-static int64_t repro__fkpp_sweep_cell(const int64_t *row, int64_t start,
+static int64_t repro__fkpp_sweep_cell(const int32_t *row, int64_t start,
                                       int64_t end, double candidate,
                                       double cz, int64_t center_slot,
                                       double *best_distance,
@@ -614,45 +619,18 @@ static int64_t repro__fkpp_sweep_cell(const int64_t *row, int64_t start,
     return improved;
 }
 
-/* One Fast-kmeans++ register-center sweep over every level of one tree.
- *
- * `order` holds the tree's per-level CSR orders concatenated (level l is
- * row l of a (depth, n) layout); starts/ends delimit the new center's cell
- * within each row; distances/czs are the per-level candidate distance and
- * the caller's precomputed candidate**z (indexed at level + 1, matching
- * the level-distance table).  Levels are scanned deepest first and the
- * scan breaks once the candidate reaches the ceiling (tree distances only
- * grow toward the root) -- the exact control flow of the numpy sweep. */
-int64_t repro_fkpp_level_score(const int64_t *order, int64_t n,
-                               const int64_t *starts, const int64_t *ends,
-                               const double *distances, const double *czs,
-                               int64_t depth, double ceiling,
-                               int64_t center_slot, double *best_distance,
-                               int64_t *assignment, double *mass,
-                               const double *weights, int has_mass)
-{
-    int64_t level;
-    int64_t improved = 0;
-    for (level = depth - 1; level >= 0; --level) {
-        const double candidate = distances[level + 1];
-        if (candidate >= ceiling && isfinite(ceiling))
-            break;
-        improved += repro__fkpp_sweep_cell(
-            order + level * n, starts[level], ends[level], candidate,
-            czs[level + 1], center_slot, best_distance, assignment, mass,
-            weights, has_mass);
-    }
-    return improved;
-}
-
-/* The pointer-table form of the sweep, driven directly off the quadtree's
- * per-level CSR arrays: order_ptrs/offset_ptrs/cell_ptrs hold one pointer
- * per level (as uint64) into the tree's own level_order_/level_offsets_/
- * level_cell_ids_ arrays, so the sweep needs no concatenated copies and
- * the center's cell lookup (cid = cells[center_point], bounds =
- * offsets[cid], offsets[cid+1]) happens here instead of in numpy once per
- * (tree, center).  Same level walk, ceiling break, and per-cell stores as
- * repro_fkpp_level_score -- the two share repro__fkpp_sweep_cell. */
+/* One Fast-kmeans++ register-center sweep over every level of one tree,
+ * driven directly off the quadtree's per-level int32 CSR arrays:
+ * order_ptrs/offset_ptrs/cell_ptrs hold one pointer per level (as uint64)
+ * into the tree's own level_order_/level_offsets_/level_cell_ids_ arrays,
+ * so the sweep needs no concatenated copies and the center's cell lookup
+ * (cid = cells[center_point], bounds = offsets[cid], offsets[cid+1])
+ * happens here instead of in numpy once per (tree, center).  distances/czs
+ * are the per-level candidate distance and the caller's precomputed
+ * candidate**z (indexed at level + 1, matching the level-distance table).
+ * Levels are scanned deepest first and the scan breaks once the candidate
+ * reaches the ceiling (tree distances only grow toward the root) -- the
+ * exact control flow of the numpy sweep. */
 int64_t repro_fkpp_center_sweep(const uint64_t *order_ptrs,
                                 const uint64_t *offset_ptrs,
                                 const uint64_t *cell_ptrs, int64_t depth,
@@ -669,12 +647,12 @@ int64_t repro_fkpp_center_sweep(const uint64_t *order_ptrs,
         if (candidate >= ceiling && isfinite(ceiling))
             break;
         {
-            const int64_t *cells =
-                (const int64_t *)(uintptr_t)cell_ptrs[level];
-            const int64_t *offsets =
-                (const int64_t *)(uintptr_t)offset_ptrs[level];
-            const int64_t *row =
-                (const int64_t *)(uintptr_t)order_ptrs[level];
+            const int32_t *cells =
+                (const int32_t *)(uintptr_t)cell_ptrs[level];
+            const int32_t *offsets =
+                (const int32_t *)(uintptr_t)offset_ptrs[level];
+            const int32_t *row =
+                (const int32_t *)(uintptr_t)order_ptrs[level];
             const int64_t cid = cells[center_point];
             improved += repro__fkpp_sweep_cell(
                 row, offsets[cid], offsets[cid + 1], candidate,
@@ -1008,6 +986,37 @@ def _hash_table_size(n: int) -> int:
     return 1 << max(64, n >> 1).bit_length()
 
 
+def _group_workspace(n: int) -> tuple:
+    """This thread's ``csr_group`` work arrays for up to ``n`` keys.
+
+    Returns ``(capacity, offsets, pointers, arrays)``: the int32 offsets
+    buffer (``capacity + 1`` entries), the raw pointers of the kernel's
+    int64/uint64 work arrays in argument order (six of length ``capacity``,
+    then the two hash-table arrays) and the arrays themselves, kept alive
+    here.  The pointers are read once per allocation, not once per level.
+    """
+    workspace = getattr(_LOCAL, "group", None)
+    if workspace is None or workspace[0] < n:
+        table_size = _hash_table_size(n)
+        arrays = tuple(
+            np.empty(length, dtype=dtype)
+            for length, dtype in (
+                (n, np.int64),  # order_scratch
+                (n, np.uint64),  # shadow
+                (n, np.uint64),  # shadow_scratch
+                (n, np.int64),  # slot_index
+                (n, np.int64),  # aux
+                (n, np.int64),  # sorted
+                (table_size, np.uint64),  # hash_keys
+                (table_size, np.int64),  # hash_payload
+            )
+        )
+        offsets = np.empty(n + 1, dtype=np.int32)
+        pointers = tuple(array.ctypes.data for array in arrays)
+        workspace = _LOCAL.group = (n, offsets, pointers, arrays)
+    return workspace
+
+
 class KmeansppRounds:
     """``run_round(center_row, slot, init)`` over one seeding call's buffers.
 
@@ -1087,11 +1096,12 @@ def load_kernels() -> Dict[str, Callable]:
     pf64 = ndpointer(np.float64, flags="C_CONTIGUOUS")
     pu8 = ndpointer(np.uint8, flags="C_CONTIGUOUS")
 
+    # Raw pointers only: ``csr_group_u64`` checks the keys and allocates
+    # every other array itself, so one call per quadtree level costs no
+    # per-argument ndpointer validation.
     group = library.repro_csr_group_u64
     group.restype = i64
-    group.argtypes = [
-        pu64, i64, pi64, pi64, pi64, pi64, pu64, pu64, pi64, pi64, pu64, pi64, i64,
-    ]
+    group.argtypes = [ctypes.c_void_p, i64] + [ctypes.c_void_p] * 11 + [i64]
 
     refresh = library.repro_lloyd_refresh_bounds
     refresh.restype = i64
@@ -1107,17 +1117,11 @@ def load_kernels() -> Dict[str, Callable]:
     sums_kernel.restype = None
     sums_kernel.argtypes = [pf64, pf64, pi64, i64, i64, i64, pf64, pf64]
 
-    level_score = library.repro_fkpp_level_score
-    level_score.restype = i64
-    level_score.argtypes = [
-        pi64, i64, pi64, pi64, pf64, pf64, i64, f64, i64, pf64, pi64, pf64, pf64, i32,
-    ]
-
     # The pointer-table sweep is bound with raw-pointer argtypes only:
     # ctypes ndpointer validation costs ~3 µs per array argument, which at
     # one call per (tree, center) would eat the kernel's win, and this
-    # symbol is reached exclusively through ``_fkpp_bind`` below, which
-    # validates and pins every array once per fit.
+    # symbol is reached exclusively through ``fkpp_level_score`` below,
+    # which validates and pins every array once per fit.
     center_sweep = library.repro_fkpp_center_sweep
     center_sweep.restype = i64
     center_sweep.argtypes = [
@@ -1171,30 +1175,23 @@ def load_kernels() -> Dict[str, Callable]:
     ]
 
     def csr_group_u64(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Group ``keys`` (contiguous 1-D uint64, fewer than 2**31 of them:
+        the quadtree fit checks its point count) into int32 ``(cell_ids,
+        order, offsets)``."""
+        if keys.dtype != np.uint64 or keys.ndim != 1 or not keys.flags["C_CONTIGUOUS"]:
+            raise ValueError("csr_group keys must be a contiguous 1-D uint64 array")
         n = keys.shape[0]
         if n < 2:
-            cell_ids = np.zeros(n, dtype=np.int64)
-            order = np.arange(n, dtype=np.int64)
-            offsets = np.arange(n + 1, dtype=np.int64)
+            cell_ids = np.zeros(n, dtype=np.int32)
+            order = np.arange(n, dtype=np.int32)
+            offsets = np.arange(n + 1, dtype=np.int32)
             return cell_ids, order, offsets
-        cell_ids = np.empty(n, dtype=np.int64)
-        order = np.empty(n, dtype=np.int64)
-        offsets = np.empty(n + 1, dtype=np.int64)
-        table_size = _hash_table_size(n)
+        _, offsets, work, _ = _group_workspace(n)
+        cell_ids = np.empty(n, dtype=np.int32)
+        order = np.empty(n, dtype=np.int32)
         n_cells = group(
-            keys,
-            n,
-            cell_ids,
-            order,
-            offsets,
-            _scratch("order_scratch", n, np.int64),
-            _scratch("shadow", n, np.uint64),
-            _scratch("shadow_scratch", n, np.uint64),
-            _scratch("slot_index", n, np.int64),
-            _scratch("aux", n, np.int64),
-            _scratch("hash_keys", table_size, np.uint64),
-            _scratch("hash_payload", table_size, np.int64),
-            table_size,
+            keys.ctypes.data, n, cell_ids.ctypes.data, order.ctypes.data,
+            offsets.ctypes.data, *work, _hash_table_size(n),
         )
         return cell_ids, order, offsets[: n_cells + 1].copy()
 
@@ -1274,43 +1271,6 @@ def load_kernels() -> Dict[str, Callable]:
         return counts, sums
 
     def fkpp_level_score(
-        order: np.ndarray,
-        n: int,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        distances: np.ndarray,
-        czs: np.ndarray,
-        ceiling: float,
-        center_slot: int,
-        best_distance: np.ndarray,
-        assignment: np.ndarray,
-        mass: np.ndarray,
-        weights: np.ndarray,
-        has_mass: bool,
-    ) -> int:
-        depth = starts.shape[0]
-        if depth == 0:
-            return 0
-        return int(
-            level_score(
-                order,
-                int(n),
-                starts,
-                ends,
-                distances,
-                czs,
-                depth,
-                float(ceiling),
-                int(center_slot),
-                best_distance,
-                assignment,
-                mass,
-                weights,
-                1 if has_mass else 0,
-            )
-        )
-
-    def _fkpp_bind(
         level_orders,
         level_offsets,
         level_cells,
@@ -1325,7 +1285,7 @@ def load_kernels() -> Dict[str, Callable]:
         """Build a fit-lifetime sweep closure over one tree's CSR arrays.
 
         ``level_orders``/``level_offsets``/``level_cells`` are the tree's own
-        per-level arrays (``level_order_``/``level_offsets_``/
+        per-level int32 arrays (``level_order_``/``level_offsets_``/
         ``level_cell_ids_``); their data pointers are packed into uint64
         tables once, so the per-center call carries only four scalars.  The
         kernel itself locates the center's cell at every level — no
@@ -1338,8 +1298,8 @@ def load_kernels() -> Dict[str, Callable]:
         """
         for sequence in (level_orders, level_offsets, level_cells):
             for array in sequence:
-                if array.dtype != np.int64 or not array.flags["C_CONTIGUOUS"]:
-                    raise ValueError("fkpp tree arrays must be contiguous int64")
+                if array.dtype != np.int32 or not array.flags["C_CONTIGUOUS"]:
+                    raise ValueError("fkpp tree arrays must be contiguous int32")
         for array in (distances, czs, best_distance, mass, weights):
             if array.dtype != np.float64 or not array.flags["C_CONTIGUOUS"]:
                 raise ValueError("fkpp sweep arrays must be contiguous float64")
@@ -1374,8 +1334,6 @@ def load_kernels() -> Dict[str, Callable]:
             )
 
         return sweep
-
-    fkpp_level_score.bind = _fkpp_bind
 
     def fkpp_weighted_draw(mass: np.ndarray) -> float:
         """Sequential prefix total of ``mass`` (== ``np.cumsum(mass)[-1]``)."""
@@ -1486,6 +1444,9 @@ def load_kernels() -> Dict[str, Callable]:
         "lloyd_refresh_bounds": lloyd_refresh_bounds,
         "lloyd_candidate_eval": lloyd_candidate_eval,
         "lloyd_update_sums": lloyd_update_sums,
+        # The binder: fkpp_level_score(level_orders, level_offsets,
+        # level_cells, n, distances, czs, best_distance, assignment, mass,
+        # weights) -> sweep(ceiling, center_slot, center_point, has_mass).
         "fkpp_level_score": fkpp_level_score,
         "fkpp_weighted_draw": fkpp_weighted_draw,
         "crude_bound_probe": crude_bound_probe,

@@ -10,6 +10,9 @@ a kernel is not served, :func:`~repro.native.registry.get_kernel` returns
     offsets — plus a hash fast path for duplicate-heavy levels.  The sort
     is one stable MSD counting pass into buckets of about 16 keys followed
     by a stable in-bucket sort, so the permutation is the stable argsort's.
+    It takes contiguous 1-D ``uint64`` keys (fewer than ``2**31``) and
+    returns ``int32`` ``(cell_ids, order, offsets)``, the quadtree's level
+    arrays as stored.
 
 ``quadtree_keys``
     The per-level hash keys of a quadtree fit
@@ -31,11 +34,16 @@ a kernel is not served, :func:`~repro.native.registry.get_kernel` returns
     One Fast-kmeans++ register-center sweep over every level of one tree
     (:mod:`repro.clustering.fast_kmeans_pp`): walk the levels deepest
     first, break once the level distance reaches the running ceiling,
-    gather the new center's cell members from the concatenated CSR order,
+    gather the new center's cell members from the level's CSR order,
     compare against the level's candidate distance (strict ``>``), scatter
     distance/slot/mass for the improved points.  Pure per-element stores
     with the caller's precomputed per-level ``candidate ** z`` table — no
-    accumulation, so bit-identity needs no ordering replica.
+    accumulation, so bit-identity needs no ordering replica.  A binder:
+    ``kernel(level_orders, level_offsets, level_cells, n, distances, czs,
+    best_distance, assignment, mass, weights)`` pins one tree's contiguous
+    ``int32`` level arrays and the seeding buffers, and returns
+    ``sweep(ceiling, center_slot, center_point, has_mass)``, which locates
+    the center's cell at every level itself.
 
 ``fkpp_weighted_draw``
     The D²-draw of both seedings split into its two observable steps: the
@@ -87,7 +95,8 @@ from repro.native.registry import get_kernel, kernel_provider
 # ---------------------------------------------------------------- oracles
 def _reference_csr_group(keys: np.ndarray) -> tuple:
     """The numpy grouping pipeline of ``quadtree._csr_group`` (inlined here
-    so verification does not import the geometry package)."""
+    so verification does not import the geometry package), in int64; the
+    verifier compares values and checks the kernel's int32 dtype apart."""
     n = keys.shape[0]
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
@@ -198,7 +207,7 @@ def reference_fkpp_level_score(
     the tree's per-level CSR orders concatenated (level ``l`` occupies
     ``order[l * n:(l + 1) * n]``); ``starts``/``ends`` delimit the center's
     cell within each level's row.  Cell members are unique per level, so
-    the kernels' sequential stores and this batch scatter write the same
+    the kernel's sequential stores and this batch scatter write the same
     doubles.
     """
     depth = int(starts.shape[0])
@@ -376,7 +385,11 @@ def _verify_csr_group(kernel) -> None:
         expected = _reference_csr_group(keys)
         produced = kernel(np.ascontiguousarray(keys))
         for name, have, want in zip(("cell_ids", "order", "offsets"), produced, expected):
-            if not np.array_equal(np.asarray(have, dtype=np.int64), want):
+            # The quadtree stores these arrays as is and the Fast-kmeans++
+            # sweep reads them as int32: another dtype must demote here.
+            if have.dtype != np.int32:
+                raise RuntimeError(f"csr grouping returned {name} as {have.dtype}, not int32")
+            if not np.array_equal(have, want):
                 raise RuntimeError(f"csr grouping disagrees with numpy on {name}")
 
 
@@ -509,107 +522,56 @@ def _verify_update_sums(kernel) -> None:
 
 
 def _verify_fkpp_level_score(kernel) -> None:
+    # The kernel is a binder: a fit-lifetime closure over one tree's
+    # per-level int32 CSR arrays that resolves the center's cell bounds
+    # itself.  Synthetic partitions with known offsets drive it against the
+    # numpy oracle; successive centers mutate best/assignment/mass in
+    # place, exactly like real seeding.
     rng = np.random.default_rng(20260808)
-    for n, depth in ((64, 1), (96, 4), (257, 9)):
-        # A synthetic tree: every level is an independent permutation of all
-        # n points (the CSR order), with the center's cell a random —
-        # possibly empty — slice of it; distances grow strictly toward the
-        # root like a real level-distance table.
-        order = np.concatenate(
-            [rng.permutation(n).astype(np.int64) for _ in range(depth)]
-        )
-        starts = np.empty(depth, dtype=np.int64)
-        ends = np.empty(depth, dtype=np.int64)
-        for level in range(depth):
-            lo = int(rng.integers(0, n))
-            hi = int(rng.integers(lo, n + 1))
-            if level % 3 == 2:
-                hi = lo  # empty cells occur at sparse levels
-            starts[level] = lo
-            ends[level] = hi
-        distances = np.sort(rng.uniform(0.05, 2.0, size=depth + 1))
-        czs = np.array([np.float64(v) ** 2 for v in distances], dtype=np.float64)
-        base_best = rng.uniform(0.0, 2.0, size=n)
-        base_best[rng.random(n) < 0.2] = np.inf  # pre-first-sweep entries
-        # Exact ties pin the strict comparison: tied members must not move.
-        tied = rng.permutation(n)[: n // 8]
-        base_best[tied] = distances[rng.integers(1, depth + 1, size=tied.size)]
-        base_assignment = rng.integers(-1, 5, size=n).astype(np.int64)
-        base_mass = rng.uniform(0.0, 4.0, size=n)
-        weights = rng.uniform(0.1, 3.0, size=n)
-        # Ceilings: +inf (first center, no break), a mid-table value (the
-        # break triggers partway up), and below every level (full break).
-        ceilings = (np.inf, float(distances[(depth + 1) // 2]), 0.0)
-        for has_mass in (False, True):
-            for ceiling in ceilings:
-                expected_best = base_best.copy()
-                expected_assignment = base_assignment.copy()
-                expected_mass = base_mass.copy()
-                expected = reference_fkpp_level_score(
-                    order, n, starts, ends, distances, czs, ceiling, 7,
-                    expected_best, expected_assignment, expected_mass,
-                    weights, has_mass,
-                )
-                best = base_best.copy()
-                assignment = base_assignment.copy()
-                mass = base_mass.copy()
-                produced = kernel(
-                    order, n, starts, ends, distances, czs, ceiling, 7,
-                    best, assignment, mass, weights, has_mass,
-                )
-                if not (
-                    int(produced) == expected
-                    and np.array_equal(best, expected_best)
-                    and np.array_equal(assignment, expected_assignment)
-                    and np.array_equal(mass, expected_mass)
-                ):
-                    raise RuntimeError(
-                        "level score disagrees with the numpy sweep "
-                        f"(n={n}, depth={depth}, has_mass={has_mass}, "
-                        f"ceiling={ceiling})"
-                    )
-    # The production path runs through ``kernel.bind`` — a fit-lifetime
-    # closure over the tree's per-level CSR arrays that resolves the
-    # center's cell bounds itself — so the lookup plumbing is verified
-    # here too, against the same numpy oracle, on synthetic partitions
-    # with known offsets.
-    binder = getattr(kernel, "bind", None)
-    if binder is None:
-        raise RuntimeError("fkpp level score kernel must expose bind()")
     for n, depth in ((64, 1), (113, 5), (257, 9)):
         level_orders = []
         level_offsets = []
         level_cells = []
         for level in range(depth):
             n_cells = int(rng.integers(1, max(2, n // (level + 2)) + 1))
-            cids = rng.integers(0, n_cells, size=n).astype(np.int64)
-            order = np.ascontiguousarray(np.argsort(cids, kind="stable").astype(np.int64))
-            offsets = np.zeros(n_cells + 1, dtype=np.int64)
-            np.cumsum(np.bincount(cids, minlength=n_cells), out=offsets[1:])
+            cids = rng.integers(0, n_cells, size=n)
+            order = np.argsort(cids, kind="stable").astype(np.int32)
+            # One trailing empty cell per level; at every third level the
+            # even points read it as their own, so those centers sweep an
+            # empty member slice there (as sparse levels can).
+            offsets = np.full(n_cells + 2, n, dtype=np.int32)
+            offsets[0] = 0
+            np.cumsum(np.bincount(cids, minlength=n_cells), out=offsets[1 : n_cells + 1])
+            if level % 3 == 2:
+                cids[::2] = n_cells
             level_orders.append(order)
             level_offsets.append(offsets)
-            level_cells.append(np.ascontiguousarray(cids))
+            level_cells.append(cids.astype(np.int32))
         order_flat = np.concatenate(level_orders)
         distances = np.sort(rng.uniform(0.05, 2.0, size=depth + 1))
         czs = np.array([np.float64(v) ** 2 for v in distances], dtype=np.float64)
         best = rng.uniform(0.0, 2.0, size=n)
-        best[rng.random(n) < 0.2] = np.inf
+        best[rng.random(n) < 0.2] = np.inf  # pre-first-sweep entries
+        # Exact ties pin the strict comparison: tied members must not move.
+        tied = rng.permutation(n)[: n // 8]
+        best[tied] = distances[rng.integers(1, depth + 1, size=tied.size)]
         assignment = rng.integers(-1, 5, size=n).astype(np.int64)
         mass = rng.uniform(0.0, 4.0, size=n)
         weights = rng.uniform(0.1, 3.0, size=n)
-        sweep = binder(
+        sweep = kernel(
             level_orders, level_offsets, level_cells, n, distances, czs,
             best, assignment, mass, weights,
         )
         starts = np.empty(depth, dtype=np.int64)
         ends = np.empty(depth, dtype=np.int64)
-        # Successive centers mutate best/assignment/mass in place, exactly
-        # like real seeding; ceilings cover no-break, mid-break, and full
-        # break.
+        # Ceilings: +inf (first center, no break), a mid-table value (the
+        # break triggers partway up), and below every level (full break);
+        # even centers cross the empty cells.
         for slot, (center_point, ceiling, has_mass) in enumerate(
             (
                 (0, np.inf, False),
                 (int(rng.integers(0, n)), np.inf, True),
+                (2 * int(rng.integers(0, n // 2)), np.inf, True),
                 (int(rng.integers(0, n)), float(distances[(depth + 1) // 2]), True),
                 (n - 1, 0.0, True),
             )
@@ -634,8 +596,9 @@ def _verify_fkpp_level_score(kernel) -> None:
                 and np.array_equal(mass, expected_mass)
             ):
                 raise RuntimeError(
-                    "bound level-score sweep disagrees with the numpy sweep "
-                    f"(n={n}, depth={depth}, center={center_point})"
+                    "level-score sweep disagrees with the numpy sweep "
+                    f"(n={n}, depth={depth}, center={center_point}, "
+                    f"has_mass={has_mass}, ceiling={ceiling})"
                 )
 
 

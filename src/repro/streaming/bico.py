@@ -163,15 +163,19 @@ class BicoCoreset(CoresetConstruction):
         Mirrors BIRCH's rebuilding step: the features' centroids (with their
         accumulated weights) are treated as a weighted dataset and absorbed
         into a fresh structure under the relaxed threshold, shrinking the
-        feature count while preserving total weight and linear sums.
+        feature count while preserving total weight and linear sums.  One
+        centroid matrix per pass holds the new features' centroids (row
+        ``i`` is ``self.features[i].centroid``), so each reinsertion rewrites
+        one row instead of re-stacking every centroid.
         """
         while len(self.features) > self.coreset_size:
             self.threshold = self._next_threshold()
             old_features = self.features
             self.features = []
             self.rebuilds += 1
+            centroids = np.empty((len(old_features), old_features[0].linear_sum.shape[0]))
             for feature in old_features:
-                self._reinsert_feature(feature)
+                self._reinsert_feature(feature, centroids)
 
     def _next_threshold(self) -> float:
         if self.threshold > 0:
@@ -196,13 +200,19 @@ class BicoCoreset(CoresetConstruction):
             best = 1e-12
         return best
 
-    def _reinsert_feature(self, feature: ClusteringFeature) -> None:
+    def _reinsert_feature(self, feature: ClusteringFeature, centroids: np.ndarray) -> None:
+        """Merge ``feature`` into its nearest feature or append it.
+
+        ``centroids[:len(self.features)]`` must hold the current features'
+        centroids; the merged or appended row is rewritten here.
+        """
+        count = len(self.features)
         centroid = feature.centroid
-        if not self.features:
+        if count == 0:
             self.features.append(feature)
+            centroids[0] = centroid
             return
-        centroids = self._centroid_matrix()
-        deltas = centroids - centroid
+        deltas = centroids[:count] - centroid
         squared = np.einsum("ij,ij->i", deltas, deltas)
         nearest = int(np.argmin(squared))
         target = self.features[nearest]
@@ -213,8 +223,10 @@ class BicoCoreset(CoresetConstruction):
             target.weight += feature.weight
             target.linear_sum = target.linear_sum + feature.linear_sum
             target.squared_sum += feature.squared_sum
+            centroids[nearest] = target.centroid
         else:
             self.features.append(feature)
+            centroids[count] = centroid
 
     # -------------------------------------------------------------- output
     def to_coreset(self) -> Coreset:

@@ -56,7 +56,7 @@ from repro.native import (
     registry,
     use_native,
 )
-from repro.native.kernels import _reference_csr_group, quadtree_key_points
+from repro.native.kernels import _reference_csr_group, _verify_csr_group, quadtree_key_points
 
 SETTINGS = settings(
     max_examples=25,
@@ -150,12 +150,21 @@ class TestCsrGroupKernel:
     """The fused grouping kernel vs the numpy pipeline it replaces."""
 
     def _check(self, keys):
+        from repro.geometry.quadtree import _csr_group
+
         kernel = get_kernel("csr_group")
         assert kernel is not None
         produced = kernel(np.ascontiguousarray(keys))
+        with use_native(False):
+            fallback = _csr_group(keys)
         expected = _reference_csr_group(keys)
-        for name, have, want in zip(("cell_ids", "order", "offsets"), produced, expected):
+        for name, have, numpy_path, want in zip(
+            ("cell_ids", "order", "offsets"), produced, fallback, expected
+        ):
+            # Both tiers hand the quadtree its int32 level arrays as is.
+            assert have.dtype == np.int32 and numpy_path.dtype == np.int32, name
             np.testing.assert_array_equal(have, want, err_msg=name)
+            np.testing.assert_array_equal(numpy_path, want, err_msg=name)
 
     @SETTINGS
     @given(keys=clustered_keys)
@@ -264,6 +273,32 @@ class TestCsrGroupKernel:
             ]
         )
         self._check(distinct[rng.integers(0, distinct.size, size=1000)])
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.arange(8, dtype=np.int64),
+            np.arange(16, dtype=np.uint64)[::2],
+            np.arange(8, dtype=np.uint64).reshape(2, 4),
+        ],
+        ids=["int64", "strided", "two-dimensional"],
+    )
+    def test_rejects_keys_it_cannot_read_raw(self, keys):
+        # The kernel takes a raw pointer to the keys, so the wrapper checks
+        # them once instead of ctypes validating every argument per call.
+        with pytest.raises(ValueError, match="uint64"):
+            get_kernel("csr_group")(keys)
+
+    def test_verifier_demotes_a_build_returning_int64(self):
+        # Right values, wrong width: the sweep would misread these arrays,
+        # so verification must fail and the registry keep the numpy path.
+        kernel = get_kernel("csr_group")
+
+        def widened(keys):
+            return tuple(array.astype(np.int64) for array in kernel(keys))
+
+        with pytest.raises(RuntimeError, match="int32"):
+            _verify_csr_group(widened)
 
     def test_grouping_matches_quadtree_usage(self):
         from repro.geometry.quadtree import _csr_group
@@ -412,17 +447,17 @@ class TestLloydKernels:
 
 
 def _synthetic_tree(rng, n, depth):
-    """Random per-level CSR partitions shaped like a quadtree's arrays."""
+    """Random per-level int32 CSR partitions shaped like a quadtree's arrays."""
     level_orders, level_offsets, level_cells = [], [], []
     for level in range(depth):
         n_cells = int(rng.integers(1, max(2, n // (level + 2)) + 1))
-        cids = rng.integers(0, n_cells, size=n).astype(np.int64)
-        order = np.ascontiguousarray(np.argsort(cids, kind="stable").astype(np.int64))
-        offsets = np.zeros(n_cells + 1, dtype=np.int64)
+        cids = rng.integers(0, n_cells, size=n).astype(np.int32)
+        order = np.argsort(cids, kind="stable").astype(np.int32)
+        offsets = np.zeros(n_cells + 1, dtype=np.int32)
         np.cumsum(np.bincount(cids, minlength=n_cells), out=offsets[1:])
         level_orders.append(order)
         level_offsets.append(offsets)
-        level_cells.append(np.ascontiguousarray(cids))
+        level_cells.append(cids)
     return level_orders, level_offsets, level_cells
 
 
@@ -441,7 +476,7 @@ class TestFkppLevelScoreKernel:
         mass = rng.uniform(0.0, 4.0, size=n)
         weights = rng.uniform(0.1, 3.0, size=n)
         kernel = get_kernel("fkpp_level_score")
-        sweep = kernel.bind(
+        sweep = kernel(
             level_orders, level_offsets, level_cells, n, distances, czs,
             best, assignment, mass, weights,
         )
@@ -467,6 +502,20 @@ class TestFkppLevelScoreKernel:
             np.testing.assert_array_equal(best, expected_best)
             np.testing.assert_array_equal(assignment, expected_assignment)
             np.testing.assert_array_equal(mass, expected_mass)
+
+    @pytest.mark.parametrize("widened", ["orders", "offsets", "cells"])
+    def test_binder_rejects_int64_level_arrays(self, widened):
+        # The sweep reads every level array as int32; a widened copy would
+        # be misread, so the binder refuses it up front.
+        n, depth = 50, 3
+        tree = dict(zip(("orders", "offsets", "cells"), _synthetic_tree(np.random.default_rng(0), n, depth)))
+        tree[widened] = [array.astype(np.int64) for array in tree[widened]]
+        distances = np.linspace(0.1, 1.0, depth + 1)
+        with pytest.raises(ValueError, match="int32"):
+            get_kernel("fkpp_level_score")(
+                tree["orders"], tree["offsets"], tree["cells"], n, distances, distances ** 2,
+                np.full(n, np.inf), np.full(n, -1, dtype=np.int64), np.zeros(n), np.ones(n),
+            )
 
     def test_escape_hatch_forces_numpy_sweep(self):
         with use_native(False):

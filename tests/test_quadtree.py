@@ -1,9 +1,12 @@
 """Unit tests for repro.geometry.quadtree."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.geometry.quadtree import QuadtreeEmbedding, compute_spread
+from repro.native import use_native
 
 
 class TestComputeSpread:
@@ -104,3 +107,46 @@ class TestQuadtreeEmbedding:
         close = tree.deepest_shared_level(0, 1)
         far = tree.deepest_shared_level(0, 2)
         assert close >= far
+
+
+class TestInt32LevelArrays:
+    """Every level stores int32 CSR arrays in both kernel tiers: half the
+    memory of int64, read by the Fast-kmeans++ sweep without a copy."""
+
+    @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+    def test_level_arrays_are_contiguous_int32(self, native):
+        points = np.random.default_rng(4).normal(size=(3000, 5))
+        with use_native(native):
+            tree = QuadtreeEmbedding(seed=1).fit(points)
+        assert tree.depth > 2
+        for arrays in (tree.level_cell_ids_, tree.level_order_, tree.level_offsets_):
+            for array in arrays:
+                assert array.dtype == np.int32
+                assert array.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+    def test_tree_bytes_are_four_per_entry(self, native):
+        n = 2500
+        points = np.random.default_rng(5).normal(size=(n, 3))
+        with use_native(native):
+            tree = QuadtreeEmbedding(seed=2).fit(points)
+        stored = sum(
+            array.nbytes
+            for arrays in (tree.level_cell_ids_, tree.level_order_, tree.level_offsets_)
+            for array in arrays
+        )
+        entries = sum(2 * n + tree.occupied_cells(level) + 1 for level in range(tree.depth))
+        assert stored == 4 * entries
+
+    def test_more_points_than_int32_indexes_are_rejected_up_front(self):
+        # 2**31 rows broadcast from one: the shape check must fire before
+        # validation materialises anything of size n.
+        points = np.broadcast_to(np.zeros((1, 2)), (2**31, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="int32"):
+                QuadtreeEmbedding(seed=0).fit(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

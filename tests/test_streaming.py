@@ -1,9 +1,13 @@
 """Unit tests for repro.streaming (stream, merge-&-reduce, BICO, StreamKM++)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.config import ExperimentScale
 from repro.core import SensitivitySampling, UniformSampling
+from repro.data.registry import load_dataset
 from repro.evaluation import coreset_distortion
 from repro.streaming import (
     BicoCoreset,
@@ -314,6 +318,58 @@ class TestBico:
         coreset = BicoCoreset(coreset_size=200, seed=0).sample(blobs, 200)
         distortion = coreset_distortion(blobs, coreset, k=6, seed=1)
         assert distortion < 10.0
+
+
+#: Small inputs for the BICO output pins: three registry datasets, a
+#: duplicate flood (50 distinct rows, 60 copies each) and noise at a 1e8
+#: offset, where the insertion rule's GEMM distances lose most of their
+#: precision.
+_BICO_PIN_SCALE = ExperimentScale(synthetic_n=3000, synthetic_d=10, dataset_fraction=0.01)
+
+
+def _bico_pin_points(name):
+    if name == "flood":
+        return np.repeat(np.random.default_rng(0).normal(size=(50, 4)), 60, axis=0)
+    if name == "offset":
+        return 1e8 + np.random.default_rng(1).normal(size=(3000, 5))
+    return load_dataset(name, scale=_BICO_PIN_SCALE, seed=0).points
+
+
+class TestBicoPinnedOutputs:
+    """BICO's coresets, byte for byte: SHA-256 of the points and weights,
+    the rebuild count and the final threshold.  The rebuild loop may change
+    how it finds each feature's nearest neighbour, never what it finds."""
+
+    @pytest.mark.parametrize(
+        "name,m,rebuilds,threshold,digest",
+        [
+            pytest.param(name, m, rebuilds, threshold, digest, id=f"{name}-{m}")
+            for name, m, rebuilds, threshold, digest in (
+                ("c_outlier", 100, 6, "0x1.988b9cf8f1734p-20",
+                 "5a2a1eac35cecdb03e1765923ef9cb641290f56cee3c6b63006e766e969b8733"),
+                ("c_outlier", 200, 5, "0x1.988b9cf8f1734p-21",
+                 "aa5a4238e88054e03ab004b4330b2f8394122482b125837baf4c5a8e93641989"),
+                ("gaussian", 100, 11, "0x1.27d8e16438de6p+9",
+                 "1476efa9eeb77f6fed9fb2ef50dd33778a65803b242fa1c04779135eda096099"),
+                ("adult", 200, 7, "0x1.9d29377157561p+11",
+                 "0cd8c5f60efa959b19cc03f1ef0401a517299394e990fa7d4256d57b46e4c4f3"),
+                ("flood", 100, 6, "0x1.19799812dea11p-35",
+                 "638e582deb1244ff29e88e93803bf9c1e434973ee9526adeae654d5c7df18b78"),
+                ("offset", 100, 5, "0x1.a65e553098430p+0",
+                 "cbe1ff4e92fc951ca710aabf952d8d32b398db27df2250fa4798e9a0c6ef80f4"),
+                ("offset", 200, 3, "0x1.a65e553098430p-2",
+                 "e77ce461b7abcfb65b323cbf7ac69772ae4dd9294bf8a6ca95c3d43e5d06c83f"),
+            )
+        ],
+    )
+    def test_coreset_bytes(self, name, m, rebuilds, threshold, digest):
+        coreset = BicoCoreset(coreset_size=m, block_size=500).sample(_bico_pin_points(name), m)
+        hasher = hashlib.sha256()
+        for array in (coreset.points, coreset.weights):
+            hasher.update(np.ascontiguousarray(array).tobytes())
+        assert int(coreset.metadata["rebuilds"]) == rebuilds
+        assert float(coreset.metadata["threshold"]).hex() == threshold
+        assert hasher.hexdigest() == digest
 
 
 class TestStreamKM:
