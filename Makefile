@@ -10,9 +10,7 @@
 # noisy hosts) and fails on the same >20% regression guard without ever
 # rewriting the JSON; `make bench-check-serial` replays only the
 # serial-component workloads (the strict CI gate — pool-backed rows are
-# core-count-bound and stay advisory); `make bench-check-overlap` replays
-# only the overlapped-reduction streaming rows (advisory for the same
-# reason).
+# core-count-bound and stay advisory).
 
 # `make trace-smoke` runs a small `compress --trace` end to end and
 # validates the exported Chrome trace-event JSON (cheap CI blocking step).
@@ -38,7 +36,7 @@ SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 OUT ?= .bench-e2e
 
 .PHONY: test test-fast test-parallel bench bench-check bench-check-serial \
-	bench-check-overlap trace-smoke paper-check bench-e2e
+	trace-smoke paper-check bench-e2e
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -57,10 +55,6 @@ bench-check:
 
 bench-check-serial:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf_hotpaths.py --check-only --serial-only
-
-bench-check-overlap:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf_hotpaths.py --check-only \
-		--components overlap_reduce
 
 trace-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/trace_smoke.py

@@ -29,27 +29,12 @@ Measured components per ``(n, d, k)`` workload:
 * ``merge_reduce`` — a full merge-&-reduce stream with a Fast-Coreset
   sampler (shared cached spread vs the frozen two-estimates-per-compression
   baseline).
-* ``merge_reduce_streamkm`` — one StreamKM++ coreset-tree reduction
-  (batched envelope draws + incremental assignment vs sequential seeding +
-  a second full distance block).  The baseline runs with the kernel tier
-  off (``use_native(False)``): it seeds through the live
-  ``kmeans_plus_plus``, whose compiled round would otherwise speed the
-  baseline up and not the optimized side.
 * ``parallel_shard`` — sharded Fast-Coreset construction through the
   parallel execution engine: the shared-memory process backend at the
   row's worker count (the ``k`` column) vs the serial executor on the same
   fixed shard layout.  Both sides produce bit-identical coresets, so the
   ratio times pure execution overhead/speedup; the achievable speedup is
   capped by the machine's core count (a single-core CI box records ~1x).
-* ``overlap_reduce`` — the overlapped-reduction streaming pipeline (every
-  merge-&-reduce fold submitted to the async pool the moment both inputs
-  exist, chained on their futures) vs the identical async pipeline with
-  ``overlap_reduces=False`` (leaves overlap, every reduce on the host
-  thread — the PR-4 behaviour).  Bit-identical coresets; the ratio times
-  the removal of the host-thread reduce floor, and the rows additionally
-  record ``host_reduce_seconds`` (optimized) next to
-  ``host_reduce_seconds_baseline`` so the trajectory shows the floor
-  itself shrinking, not just the ratio.
 * ``merge_reduce_cached_bound`` — the streaming pipeline with the
   per-stream crude-cost-bound cache (one Algorithm-2 binary search per
   refresh, shared with the spread cache's signal) vs the identical
@@ -85,10 +70,10 @@ Measured components per ``(n, d, k)`` workload:
   precomputed once and passed to both sides so the ratio times the
   probe-dominated fold itself.
 * ``kmeanspp_native`` — plain k-means++ seeding (the sensitivity sampler's
-  candidate solution) with the compiled ``kmeanspp_round`` kernel, whose
-  rounds skip the points the triangle inequality proves cannot improve, vs
-  the same ``kmeans_plus_plus`` call on the numpy tier.
-  Bit-identical centers/assignment/cost.
+  candidate solution and StreamKM++'s whole reduction) with the compiled
+  ``kmeanspp_round`` kernel, whose rounds skip the points the triangle
+  inequality proves cannot improve, vs the same ``kmeans_plus_plus`` call
+  on the numpy tier.  Bit-identical centers/assignment/cost.
 
 The five compiled-tier rows (``--components native`` selects them) record
 the tier and the provider of the row's kernel.  They are stamped
@@ -98,9 +83,8 @@ kernel that was *demoted* (it failed its verifier on this host) is no such
 excuse: every row records each demoted kernel with its reason, and the
 regression guard fails the row with those reasons.
 
-Multi-worker rows (``parallel_shard`` / ``overlap_reduce`` beyond one
-worker) record a ``cores`` field and are
-marked ``informational`` when the
+Multi-worker rows (``parallel_shard`` beyond one worker) record a
+``cores`` field and are marked ``informational`` when the
 recording machine has fewer cores than the row's worker count: a pool
 cannot beat serial execution without cores to run on, so such rows are
 excluded from the regression guard instead of hiding behind a widened
@@ -135,24 +119,14 @@ from repro.core.fast_coreset import FastCoreset
 from repro.core.spread_reduction import crude_cost_upper_bound
 from repro.data.synthetic import gaussian_mixture
 from repro.geometry.quadtree import QuadtreeEmbedding, compute_spread
-from repro.parallel import (
-    ProcessAsyncExecutor,
-    SerialAsyncExecutor,
-    ShardedCoresetBuilder,
-    ThreadAsyncExecutor,
-)
+from repro.parallel import ProcessAsyncExecutor, SerialAsyncExecutor, ShardedCoresetBuilder
 from repro.native import kernel_demotions, native_status, use_native
 from repro.reference.naive_lloyd import naive_kmeans
 from repro.reference.seed_hotpath import SeedQuadtreeEmbedding, seed_fast_kmeans_plus_plus
 from repro.reference.naive_window import NaiveWindowReference
-from repro.reference.seed_streaming import (
-    seed_compute_spread,
-    seed_stream_coreset,
-    seed_streamkm_reduce,
-)
+from repro.reference.seed_streaming import seed_compute_spread, seed_stream_coreset
 from repro.streaming.merge_reduce import StreamingCoresetPipeline, stream_dataset
 from repro.streaming.stream import DataStream
-from repro.streaming.streamkm import StreamKMPlusPlus
 from repro.streaming.window import (
     ExponentialDecay,
     SlidingCountWindow,
@@ -186,7 +160,6 @@ REGRESSION_TOLERANCE = 0.20
 #: from ~0.45 toward 1.0 (>+100%).
 COMPONENT_TOLERANCE = {
     "parallel_shard": 1.00,
-    "overlap_reduce": 1.00,
     "windowed_stream_slide": 0.50,
     "windowed_stream_decay": 0.50,
 }
@@ -194,7 +167,7 @@ COMPONENT_TOLERANCE = {
 #: Components whose rows depend on real hardware concurrency: the ``k``
 #: column carries the worker count, and rows recorded with fewer cores than
 #: workers are stamped ``informational``.
-PARALLEL_COMPONENTS = {"parallel_shard", "overlap_reduce"}
+PARALLEL_COMPONENTS = {"parallel_shard"}
 
 #: Components whose optimized side is the compiled kernel tier, each with
 #: the kernel whose provider its row records.  The baseline is the same
@@ -256,7 +229,6 @@ QUICK_WORKLOADS = [
     ("lloyd_n20k_d10_k50", 20_000, 10, 50, "lloyd"),
     ("lloyd_n20k_d10_k100", 20_000, 10, 100, "lloyd"),
     ("merge_reduce_n40k_d10_k10", 40_000, 10, 10, "merge_reduce"),
-    ("merge_reduce_streamkm_n20k_d10_m400", 20_000, 10, 400, "merge_reduce_streamkm"),
     ("merge_reduce_cached_bound_n40k_d10_k10", 40_000, 10, 10, "merge_reduce_cached_bound"),
     # Windowed streams, queried after every block; the naive
     # recompute-from-window oracle is the baseline.
@@ -272,11 +244,6 @@ QUICK_WORKLOADS = [
     ("parallel_shard_n200k_d10_w1", 200_000, 10, 1, "parallel_shard"),
     ("parallel_shard_n200k_d10_w2", 200_000, 10, 2, "parallel_shard"),
     ("parallel_shard_n200k_d10_w4", 200_000, 10, 4, "parallel_shard"),
-    # The k column carries the async worker count; overlapped reduces vs
-    # the leaf-only-async pipeline at the same worker count.
-    ("overlap_reduce_n40k_d10_w1", 40_000, 10, 1, "overlap_reduce"),
-    ("overlap_reduce_n40k_d10_w2", 40_000, 10, 2, "overlap_reduce"),
-    ("overlap_reduce_n40k_d10_w4", 40_000, 10, 4, "overlap_reduce"),
 ]
 FULL_EXTRA = [
     ("fast_kmeans_pp_n100k_d10_k200", 100_000, 10, 200, "fast_kmeans_pp"),
@@ -339,8 +306,7 @@ def run_workload(
         nonlocal optimized_fn
         if optimized_fn is None:
             optimized_fn = fn
-        # Run once now (branches read side effects — diagnostics dicts —
-        # right after), register the callable, and let the interleaved loop
+        # Run once now, register the callable, and let the interleaved loop
         # below supply the remaining repeats.
         pair["optimized"] = (fn, timed_repeats)
         return _one_shot(fn)
@@ -501,52 +467,6 @@ def run_workload(
             lambda: seed_stream_coreset(points, sampler, m, n_blocks=STREAM_BLOCKS, seed=1),
             repeats,
         )
-    elif component == "merge_reduce_streamkm":
-        m = k  # the k column doubles as the representative count
-        weights = np.ones(n, dtype=np.float64)
-        sampler = StreamKMPlusPlus(coreset_size=m, seed=0)
-        optimized = _timed(lambda: sampler.sample(points, m, seed=2), repeats)
-        # The baseline seeds with the live kmeans_plus_plus: time it on the
-        # numpy tier, the live switch, so the row keeps measuring the
-        # reduction's own algorithmic change.
-        seed_time = _best_of(
-            lambda: seed_streamkm_reduce(points, weights, m, seed=2), repeats, tier=False
-        )
-    elif component == "overlap_reduce":
-        workers = k  # the k column doubles as the async worker count
-        m = 40 * PARALLEL_K
-        sampler = FastCoreset(k=PARALLEL_K, seed=0)
-        diagnostics = {}
-
-        def _run_overlap_stream(overlap: bool, slot: str) -> None:
-            # Both sides run the identical async thread-pool pipeline; the
-            # only difference is where reduces execute, so the ratio times
-            # the host-thread reduce floor and nothing else.
-            executor = ThreadAsyncExecutor(workers=workers)
-            try:
-                pipeline = StreamingCoresetPipeline(
-                    sampler=sampler,
-                    coreset_size=m,
-                    seed=1,
-                    executor=executor,
-                    prefetch_batches=2,
-                    overlap_reduces=overlap,
-                )
-                pipeline.run(DataStream.with_block_count(points, STREAM_BLOCKS))
-            finally:
-                executor.close()
-            diagnostics[slot] = pipeline.last_diagnostics
-
-        optimized = _timed(lambda: _run_overlap_stream(True, "optimized"), repeats)
-        # The "seed" column is the leaf-only-async pipeline (host reduces).
-        seed_time = _best_of(lambda: _run_overlap_stream(False, "baseline"), repeats)
-        extras["host_reduce_seconds"] = round(
-            diagnostics["optimized"].host_reduce_seconds, 6
-        )
-        extras["host_reduce_seconds_baseline"] = round(
-            diagnostics["baseline"].host_reduce_seconds, 6
-        )
-        extras["reduces_offloaded"] = int(diagnostics["optimized"].reduces_offloaded)
     elif component == "parallel_shard":
         workers = k  # the k column doubles as the worker count
         builder = ShardedCoresetBuilder(

@@ -51,7 +51,7 @@ less wherever the kernel skipped.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from repro import observability as _obs
 from repro.clustering.cost import ClusteringSolution
 from repro.geometry.distances import update_nearest_with_new_center
 from repro.native import get_kernel
-from repro.utils.rng import SeedLike, as_generator, weighted_index_draw, weighted_index_draws
+from repro.utils.rng import SeedLike, as_generator, weighted_index_draw
 from repro.utils.validation import check_integer, check_points, check_power, check_weights
 
 
@@ -191,32 +191,3 @@ def bicriteria_kmeans_pp(
     oversampled = int(np.ceil(beta * k))
     return kmeans_plus_plus(points, oversampled, weights=weights, z=z, seed=seed)
 
-
-def dsquared_sample(
-    points: np.ndarray,
-    centers: np.ndarray,
-    size: int,
-    *,
-    weights: Optional[np.ndarray] = None,
-    z: int = 2,
-    seed: SeedLike = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw ``size`` points with probability proportional to ``dist(p, centers)^z``.
-
-    Used by the StreamKM++ coreset tree, which repeatedly D²-samples within
-    tree nodes.  Returns the selected indices and their (unnormalised)
-    selection mass.
-    """
-    points = check_points(points)
-    z = check_power(z)
-    size = check_integer(size, name="size")
-    weights = check_weights(weights, points.shape[0])
-    generator = as_generator(seed)
-    from repro.geometry.distances import squared_point_to_set_distances
-
-    squared, _ = squared_point_to_set_distances(points, centers)
-    mass = _sampling_weights(squared, weights, z)
-    indices = weighted_index_draws(generator, mass, size)
-    if indices is None:
-        indices = generator.choice(points.shape[0], size=size, replace=True)
-    return np.asarray(indices, dtype=np.int64), mass

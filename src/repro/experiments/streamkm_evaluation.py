@@ -1,10 +1,11 @@
 """Table 9: StreamKM++ distortion on the artificial datasets.
 
-StreamKM++ builds its compression with k-means++-style D²-sampling inside a
-coreset tree; its theoretical coreset size is logarithmic in ``n`` and
-exponential in ``d``, far larger than what sensitivity sampling needs, so at
-the sample sizes of the paper (``m = 40k``) its distortion is noticeably
-worse than the sensitivity-based constructions — the shape Table 9 records.
+StreamKM++ builds its compression from k-means++ D²-sampled representatives,
+each weighted by the points nearest to it; its theoretical coreset size is
+logarithmic in ``n`` and exponential in ``d``, far larger than what
+sensitivity sampling needs, so at the sample sizes of the paper
+(``m = 40k``) its distortion is noticeably worse than the sensitivity-based
+constructions — the shape Table 9 records.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def table9_streamkm_distortion(
         m = clamp_m(m, dataset.n)
         distortions = []
         for _ in range(repetitions):
-            sampler = StreamKMPlusPlus(coreset_size=m, seed=random_seed_from(generator))
+            sampler = StreamKMPlusPlus(seed=random_seed_from(generator))
             coreset = sampler.sample(dataset.points, m)
             distortions.append(
                 coreset_distortion(dataset.points, coreset, k, seed=random_seed_from(generator))

@@ -14,10 +14,11 @@ Resolution contract
 * ``REPRO_NATIVE=0`` (also ``off``/``false``/``no``) forces the fallback
   tier for every kernel — the escape hatch.  Any other value, or none,
   enables the compiled tier.
-* Resolution happens lazily on the first :func:`get_kernel` call and is
-  cached per process; :func:`refresh` drops the cache (tests and long-lived
-  daemons that flip the environment call it), and :func:`use_native` is a
-  context manager doing exactly that around a block.
+* Resolution happens lazily on the first :func:`get_kernel` call in each
+  mode and is cached per process and per mode, so flipping the tier with
+  :func:`use_native` re-runs no verifier; :func:`refresh` drops every
+  cached mode (kernel registration, and tests that patch a verifier or the
+  provider, call it).
 * Every compiled kernel must pass its registered verifier (a cheap
   bit-identity check against the numpy reference on small inputs) during
   resolution.  A kernel falls back when the provider fails to import or
@@ -59,11 +60,11 @@ class KernelSpec:
 
 _KERNELS: Dict[str, KernelSpec] = {}
 
-#: Cached resolution: ``{"mode": str, "provider": {"available": bool,
-#: "reason": str | None}, "kernels": {name: (provider, callable)},
-#: "reasons": {...}, "demotions": {...}}`` or ``None`` when resolution has
-#: not run (or was refreshed).
-_RESOLVED: Optional[dict] = None
+#: Cached resolutions keyed by mode: ``{mode: {"mode": str, "provider":
+#: {"available": bool, "reason": str | None}, "kernels": {name: (provider,
+#: callable)}, "reasons": {...}, "demotions": {...}}}``.  A mode is missing
+#: until its first resolution (or after a refresh).
+_RESOLVED: Dict[str, dict] = {}
 
 #: Test/daemon override of the environment flag (``None`` follows the env).
 _OVERRIDE: Optional[str] = None
@@ -76,9 +77,8 @@ def register_kernel(name: str, verify: Optional[Callable[[Callable], None]] = No
 
 
 def refresh() -> None:
-    """Drop the cached resolution (re-reads the environment on next use)."""
-    global _RESOLVED
-    _RESOLVED = None
+    """Drop the cached resolution of every mode (re-resolved on next use)."""
+    _RESOLVED.clear()
 
 
 def _mode() -> str:
@@ -99,12 +99,10 @@ def use_native(mode):
         mode = "0"
     previous = _OVERRIDE
     _OVERRIDE = str(mode)
-    refresh()
     try:
         yield
     finally:
         _OVERRIDE = previous
-        refresh()
 
 
 def _load_provider() -> Dict[str, Callable]:
@@ -115,10 +113,9 @@ def _load_provider() -> Dict[str, Callable]:
 
 def _resolve() -> dict:
     """Load the provider, verify every kernel, and cache the routing."""
-    global _RESOLVED
-    if _RESOLVED is not None:
-        return _RESOLVED
     mode = _mode()
+    if mode in _RESOLVED:
+        return _RESOLVED[mode]
     loaded: Dict[str, Callable] = {}
     # Why every kernel is on the fallback (``None``: the provider loaded).
     unavailable: Optional[str] = None
@@ -152,14 +149,14 @@ def _resolve() -> dict:
             reasons[name] = demotions[name] = f"{PROVIDER}: failed verification: {error}"
             continue
         kernels[name] = (PROVIDER, implementation)
-    _RESOLVED = {
+    _RESOLVED[mode] = {
         "mode": mode,
         "provider": provider,
         "kernels": kernels,
         "reasons": reasons,
         "demotions": demotions,
     }
-    return _RESOLVED
+    return _RESOLVED[mode]
 
 
 def get_kernel(name: str) -> Optional[Callable]:

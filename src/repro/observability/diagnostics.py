@@ -19,10 +19,11 @@ Fields:
     How often the shared spread / Algorithm-2 crude-cost caches were
     recomputed from the refresh signal (streaming pipeline only).
 ``reduces_offloaded``
-    Reduce compressions shipped to the async pool instead of folded on
-    the host.
+    Reduce compressions shipped to the async pool.
 ``host_reduces`` / ``host_reduce_seconds``
-    Folds the host performed itself, and the wall-clock they took.
+    Reduces the host ran itself (the append-only tree's final
+    re-compression; every fold and query of a windowed tree), and the
+    wall-clock they took.
 ``pending_high_water``
     Maximum number of in-flight pool tasks observed.
 ``blocks_seen``

@@ -477,8 +477,14 @@ def submit_when_ready(
       task is never submitted (no publication is created, so refcounting
       backends pin nothing) and the input's exception resolves the returned
       future; if ``build`` or the submission itself raises, likewise.
+
+    A finished future keeps its done callbacks, and ``_dependency_done``
+    reaches ``dependencies`` through ``_launch``: each input future would
+    hold itself in a reference cycle that only a gc pass frees.  So
+    ``_launch`` empties its private copy of the inputs once it ran.
     """
     result: Future = Future()
+    dependencies = list(dependencies)
 
     def _launch() -> None:
         try:
@@ -491,6 +497,8 @@ def submit_when_ready(
         except BaseException as error:  # noqa: BLE001 - mirrored into the future
             result.set_exception(error)
             return
+        finally:
+            dependencies.clear()
         chain_future(inner, result)
 
     waiting = [value for value in dependencies if isinstance(value, Future)]

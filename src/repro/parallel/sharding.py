@@ -116,10 +116,10 @@ def merge_payload(coresets: Sequence[Coreset]) -> ArrayPayload:
     The arrays are byte-identical to what
     :func:`repro.core.coreset.merge_coresets` would produce (same
     concatenation, same order), so a reduce task compressing
-    ``payload.points[0:n]`` computes exactly what the host-side fold would —
-    the property the overlapped-reduce equivalence suite pins.  The payload
-    is *small* (a few coreset-sized messages), which is what lets reduces
-    ride the executor without re-publishing the dataset.
+    ``payload.points[0:n]`` computes exactly what ``sampler.sample`` on the
+    merged coreset would — the property the async equivalence suite pins.
+    The payload is *small* (a few coreset-sized messages), which is what
+    lets reduces ride the executor without re-publishing the dataset.
     """
     return ArrayPayload(
         points=np.concatenate([coreset.points for coreset in coresets], axis=0),

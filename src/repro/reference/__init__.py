@@ -25,7 +25,6 @@ from repro.reference.seed_streaming import (
     SeedMergeReduceTree,
     seed_compute_spread,
     seed_stream_coreset,
-    seed_streamkm_reduce,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "seed_compute_spread",
     "seed_fast_kmeans_plus_plus",
     "seed_stream_coreset",
-    "seed_streamkm_reduce",
 ]

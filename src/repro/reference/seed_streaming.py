@@ -17,11 +17,6 @@ shared-work streaming layer against the behaviour it replaced:
   sampler through the ``spread`` hook — the live internals then skip their
   own (now cheaper) estimates, so the frozen cost is neither double-counted
   nor silently replaced by the optimized one.
-* :func:`seed_streamkm_reduce` — the StreamKM++ coreset-tree reduction as it
-  stood at the seed revision: sequential k-means++ selection (one
-  cumulative-sum draw per representative) followed by a second full
-  ``(n, m)`` distance block to re-derive the nearest-representative
-  assignment that the live reduction now maintains incrementally.
 """
 
 from __future__ import annotations
@@ -32,10 +27,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.core.base import CoresetConstruction
 from repro.core.coreset import Coreset, merge_coresets
-from repro.geometry.distances import squared_point_to_set_distances
 from repro.utils.rng import SeedLike, as_generator, random_seed_from
 from repro.utils.validation import check_integer, check_points
 
@@ -143,28 +136,3 @@ def seed_stream_coreset(
         tree.add_block(block_points, block_weights)
     return tree.finalize()
 
-
-def seed_streamkm_reduce(
-    points: np.ndarray,
-    weights: np.ndarray,
-    m: int,
-    *,
-    z: int = 2,
-    seed: SeedLike = None,
-) -> Coreset:
-    """Seed-revision StreamKM++ reduction: sequential seeding + full re-assignment."""
-    generator = as_generator(seed)
-    m = min(m, points.shape[0])
-    seeding = kmeans_plus_plus(points, m, weights=weights, z=z, seed=generator)
-    representatives = seeding.centers
-    _, assignment = squared_point_to_set_distances(points, representatives)
-    representative_weights = np.bincount(
-        assignment, weights=weights, minlength=representatives.shape[0]
-    )
-    occupied = representative_weights > 0
-    return Coreset(
-        points=representatives[occupied],
-        weights=representative_weights[occupied],
-        indices=None,
-        method="seed_streamkm++",
-    )

@@ -10,8 +10,9 @@ the stream length.  Three mechanisms are provided:
   :mod:`repro.core` into a streaming algorithm.
 * :class:`~repro.streaming.bico.BicoCoreset` — BICO [38], a BIRCH-style
   clustering-feature tree producing k-means coresets in a stream.
-* :class:`~repro.streaming.streamkm.StreamKMPlusPlus` — StreamKM++ [1], a
-  coreset tree driven by k-means++ style D²-sampling.
+* :class:`~repro.streaming.streamkm.StreamKMPlusPlus` — StreamKM++ [1]'s
+  reduction (k-means++ representatives weighted by their nearest points),
+  a sampler that streams through the merge-&-reduce tree.
 
 Beyond the paper, :mod:`repro.streaming.window` adds windowed and decaying
 stream semantics (sliding count window, exponential time decay, drift

@@ -65,6 +65,15 @@ from repro.utils.validation import check_integer
 class MergeReduceTree:
     """Online merge-&-reduce state.
 
+    Both leaf and reduce compressions run on the executor.  The carry chain
+    is future-aware: level slots may hold in-flight futures, the host only
+    walks carry logic, and each reduce (``merge + sampler.sample``) is
+    submitted the moment both of its inputs exist — from a completion
+    callback when an input is still in flight.  Reduce seeds are a pure
+    function of the reduce *index* (:meth:`_reduce_seed`), which the host
+    assigns during the walk in arrival order, never of scheduling, so every
+    executor produces the same bytes as the serial one.
+
     Parameters
     ----------
     sampler:
@@ -115,32 +124,19 @@ class MergeReduceTree:
         stream can run on an underestimate; at the default interval the
         amortised cost of the (blocked) estimate stays negligible.
     pending_limit:
-        Bound on the number of *unfolded* leaf futures the tree may hold
+        Bound on the number of unsettled leaf futures the tree may hold
         when :meth:`add_blocks` is given an executor instance (the overlap
-        window).  ``None`` folds everything a batch submitted before
+        window).  ``None`` settles everything a batch submitted before
         :meth:`add_blocks` returns — no overlap across batches.  The
-        limit changes memory and wall-clock only: folds always happen in
-        arrival order, so the coreset is independent of it.
-    overlap_reduces:
-        Route *reduce* compressions through the executor as well
-        (default).  The carry chain becomes future-aware: level slots may
-        hold in-flight futures, the host only walks carry logic, and each
-        reduce (``merge + sampler.sample``) is submitted the moment both of
-        its inputs exist — from a completion callback when an input is
-        still in flight.  Legal because reduce seeds are a pure function of
-        the reduce *index* (:meth:`_reduce_seed`), which the host assigns
-        during the walk in arrival order, never of scheduling; the result
-        is therefore bit-identical to the host fold.  ``False`` overlaps
-        only the leaves: every reduce runs on the host thread when its leaf
-        folds.
+        limit changes memory and wall-clock only: the carry chain is walked
+        in arrival order at submission, so the coreset is independent of it.
 
     Attributes
     ----------
     levels:
         ``levels[l]`` holds the at-most-one compression currently stored at
         level ``l`` — a :class:`~repro.core.coreset.Coreset`, or an
-        in-flight :class:`~concurrent.futures.Future` resolving to one
-        when reduces are overlapped.
+        in-flight :class:`~concurrent.futures.Future` resolving to one.
     reductions:
         Number of reduce operations performed so far (diagnostics).
     spread_refreshes:
@@ -148,10 +144,9 @@ class MergeReduceTree:
         one per block, exactly one for a stationary stream).
     reduces_offloaded / host_reduces / host_reduce_seconds:
         Where reduce compressions ran: submitted to the executor vs run on
-        the host thread, and the host-thread seconds they cost (includes
-        the final re-compression, which always runs on the host).  The
-        offload split depends on the execution mode — it is *not* part of
-        the mode-invariant statistics.
+        the host thread (only the final re-compression), and the
+        host-thread seconds they cost.  Kept apart from the mode-invariant
+        statistics.
     pending_high_water:
         Highest number of in-flight leaf futures ever queued (diagnostics;
         bounded by ``pending_limit`` plus one batch).
@@ -165,7 +160,6 @@ class MergeReduceTree:
     spread_refresh_factor: float = 2.0
     spread_refresh_interval: int = 32
     pending_limit: Optional[int] = None
-    overlap_reduces: bool = True
     levels: Dict[int, Union[Coreset, Future]] = field(default_factory=dict, init=False)
     reductions: int = field(default=0, init=False)
     blocks_seen: int = field(default=0, init=False)
@@ -179,11 +173,9 @@ class MergeReduceTree:
     def __post_init__(self) -> None:
         self.coreset_size = check_integer(self.coreset_size, name="coreset_size")
         #: Leaf compressions submitted to an async executor but not yet
-        #: drained, as ``(future, spread_hint, cost_bound_hint, folded)`` in
-        #: arrival order.  ``folded`` marks entries whose carry walk already
-        #: happened (overlapped-reduce mode) — draining them is pure
-        #: backpressure, not a fold.
-        self._pending: Deque[Tuple[Future, Optional[float], Optional[float], bool]] = deque()
+        #: settled, in arrival order.  Their carry walk already happened;
+        #: settling them is the backpressure that bounds in-flight leaves.
+        self._pending: Deque[Future] = deque()
         # The hint caches draw from their own generator, seeded before the
         # spawn root: a Generator seed gives its first draw to the caches and
         # its second to the root.
@@ -275,43 +267,6 @@ class MergeReduceTree:
     def _resolve(value: Union[Coreset, Future]) -> Coreset:
         return value.result() if isinstance(value, Future) else value
 
-    def _fold(
-        self,
-        current: Coreset,
-        spread_hint: Optional[float],
-        cost_bound_hint: Optional[float] = None,
-    ) -> None:
-        """Carry-propagate one leaf up the tree (spawn-keyed reduce seeds).
-
-        Reduce compressions reuse the spread and cost-bound hints of the
-        leaf that triggered them (they compress a merge of coresets *of
-        blocks already observed*, so the hints are equally valid) — a
-        deliberate choice that keeps every stochastic input a pure function
-        of the block sequence, never of how leaves were batched across
-        executor workers.
-        """
-        level = 0
-        while level in self.levels:
-            partner = self._resolve(self.levels.pop(level))
-            merged = merge_coresets([partner, current])
-            m = min(self.coreset_size, merged.points.shape[0])
-            started = time.perf_counter()
-            with _obs.span("stream.host_reduce", level=level, rows=int(merged.points.shape[0])):
-                current = self.sampler.sample(
-                    merged.points,
-                    m,
-                    weights=merged.weights,
-                    seed=self._reduce_seed(self.reductions),
-                    spread=spread_hint,
-                    cost_bound=cost_bound_hint,
-                )
-            self.host_reduce_seconds += time.perf_counter() - started
-            self.host_reduces += 1
-            self.reductions += 1
-            _obs.counter_add("stream.host_reduces", 1.0)
-            level += 1
-        self.levels[level] = current
-
     def _submit_reduce(
         self,
         partner: Union[Coreset, Future],
@@ -329,7 +284,8 @@ class MergeReduceTree:
         freedom left.  The payload is the two coreset messages concatenated
         exactly as :func:`~repro.core.coreset.merge_coresets` would, in
         ``[partner, current]`` order, so ``compress_shard`` over the whole
-        payload computes byte-for-byte what the host fold computes.
+        payload computes byte-for-byte what ``sampler.sample`` on the merged
+        coreset computes.
         """
         seed = self._reduce_seed(reduce_index)
         sampler = self.sampler
@@ -362,12 +318,14 @@ class MergeReduceTree:
     ) -> None:
         """The future-aware carry chain: walk levels, offload every reduce.
 
-        Identical carry logic to :meth:`_fold` — same partner pops, same
-        reduce-index assignment in arrival order — but the compressions
-        themselves become pool tasks chained on their inputs' futures, so
-        the host never blocks.  Bit-identity follows because every
-        stochastic input (seed, hints, size cap, merge order) is fixed here,
-        before any scheduling happens.
+        Partners pop and reduce indices are assigned here, in arrival
+        order, but the compressions themselves become pool tasks chained on
+        their inputs' futures, so the host never blocks.  Reduce
+        compressions reuse the spread and cost-bound hints of the leaf that
+        triggered them (they compress a merge of coresets *of blocks already
+        observed*, so the hints are equally valid).  Bit-identity across
+        executors follows because every stochastic input (seed, hints, size
+        cap, merge order) is fixed here, before any scheduling happens.
         """
         level = 0
         while level in self.levels:
@@ -392,10 +350,10 @@ class MergeReduceTree:
         The host walks the batch in arrival order — updating the bounding
         box, the spread cache, and the leaf seed assignment once per block,
         whatever the batch size — then fans the (now fully determined) leaf
-        compressions out to the executor and folds the results back in
-        arrival order.  The batch is stacked into one payload so the
-        process backend ships each leaf as offsets into shared memory
-        rather than pickled blocks.
+        compressions out to the executor and walks the carry chain over
+        their futures in arrival order (:meth:`_fold_async`).  The batch is
+        stacked into one payload so the process backend ships each leaf as
+        offsets into shared memory rather than pickled blocks.
 
         Items of ``blocks`` may be :class:`concurrent.futures.Future`
         objects resolving to ``(points, weights)`` — the shape an
@@ -403,13 +361,13 @@ class MergeReduceTree:
         so the stream's identity (and therefore every derived seed) is
         unchanged.
 
-        The leaf futures are enqueued and folded lazily — immediately down
+        The leaf futures are enqueued and settled lazily — immediately down
         to :attr:`pending_limit` outstanding futures (all of them when the
         limit is ``None``), the rest by later calls or :meth:`flush` /
         :meth:`finalize`.  ``None`` or a backend name is resolved with
         :func:`~repro.parallel.executor.resolve_async_executor` for this
         call only: the batch is flushed and the executor closed before
-        returning.  Folds always happen in arrival order, so every
+        returning.  The carry chain is walked in arrival order, so every
         scheduling produces the identical tree.
         """
         prepared = []
@@ -463,17 +421,11 @@ class MergeReduceTree:
         executor = resolve_async_executor(executor)
         try:
             futures = executor.submit_many(compress_shard, tasks, payload=payload)
-            if self.overlap_reduces:
-                # Walk the carry chain now, offloading each reduce; the
-                # queue entry only throttles in-flight leaves (folded=True).
-                for future, (spread, cost_bound) in zip(futures, hints):
-                    self._fold_async(future, spread, cost_bound, executor)
-                    self._pending.append((future, spread, cost_bound, True))
-            else:
-                self._pending.extend(
-                    (future, spread, cost_bound, False)
-                    for future, (spread, cost_bound) in zip(futures, hints)
-                )
+            # Walk the carry chain now, offloading each reduce; the queue
+            # entry only throttles in-flight leaves.
+            for future, (spread, cost_bound) in zip(futures, hints):
+                self._fold_async(future, spread, cost_bound, executor)
+                self._pending.append(future)
             self.pending_high_water = max(self.pending_high_water, len(self._pending))
             _obs.gauge_set("stream.pending_high_water", float(self.pending_high_water))
             self._drain_pending(self.pending_limit)
@@ -484,22 +436,16 @@ class MergeReduceTree:
                 executor.close()
 
     def _drain_pending(self, limit: Optional[int]) -> None:
-        """Drain queued leaf futures (oldest first) down to ``limit``.
-
-        Unfolded entries are folded on the host; already-folded entries
-        (overlapped-reduce mode) are merely awaited — the drain is the
-        backpressure that bounds in-flight leaf memory either way.
-        """
+        """Settle queued entries (oldest first) down to ``limit``: the
+        backpressure that bounds in-flight leaf memory."""
         target = 0 if limit is None else max(0, int(limit))
         while len(self._pending) > target:
-            future, spread, cost_bound, folded = self._pending.popleft()
-            if folded:
-                with _obs.span("stream.pending_wait", folded=True):
-                    future.result()
-            else:
-                with _obs.span("stream.pending_wait", folded=False):
-                    leaf = future.result()
-                self._fold(leaf, spread, cost_bound)
+            self._settle(self._pending.popleft())
+
+    def _settle(self, future: Future) -> None:
+        """Wait for one leaf compression; its carry walk already happened."""
+        with _obs.span("stream.pending_wait"):
+            future.result()
 
     def flush(self) -> None:
         """Settle every compression still in flight (arrival order).
@@ -632,11 +578,6 @@ class StreamingCoresetPipeline:
         ``1``; ``None`` means 2).  Setting it with ``executor=None`` runs
         the overlapped path on the serial backend.  Affects wall-clock and
         memory only, never the result.
-    overlap_reduces:
-        On the overlapped path, also route reduce compressions through
-        the pool (default; see :class:`MergeReduceTree`).  Affects where
-        work runs, never the result.  Ignored when a ``window`` is set —
-        the windowed tree keeps every fold on the host.
     window:
         Optional :class:`~repro.streaming.window.WindowPolicy` switching
         the pipeline to a
@@ -680,7 +621,6 @@ class StreamingCoresetPipeline:
     executor: Union[None, str, AsyncExecutor] = None
     batch_size: Optional[int] = None
     prefetch_batches: Optional[int] = None
-    overlap_reduces: bool = True
     window: Optional["WindowPolicy"] = None
     drift_threshold: Optional[float] = None
     last_diagnostics: ExecutionDiagnostics = field(
@@ -708,7 +648,6 @@ class StreamingCoresetPipeline:
             seed=self.seed,
             share_stream_state=self.share_stream_state,
             cache_cost_bound=self.cache_cost_bound,
-            overlap_reduces=self.overlap_reduces,
         )
 
     def _record_diagnostics(self, tree: MergeReduceTree) -> None:
@@ -733,7 +672,7 @@ class StreamingCoresetPipeline:
         self._consume_async(tree, stream)
 
     def _consume_async(self, tree: MergeReduceTree, stream: Iterable[Block]) -> None:
-        """The overlapped path: prefetch reads, async leaves, lazy folds."""
+        """The overlapped path: prefetch reads, async leaves and reduces."""
         executor = resolve_async_executor(self.executor, workers=1)
         owns_executor = executor is not self.executor
         depth = 2 if self.prefetch_batches is None else max(1, int(self.prefetch_batches))

@@ -1,32 +1,20 @@
-"""StreamKM++: k-means++-driven coreset trees for the streaming k-means task.
+"""StreamKM++: k-means++ representatives re-weighted by their nearest points.
 
-StreamKM++ [1] maintains a merge-&-reduce bucket structure whose *reduce*
-step is a "coreset tree": representatives are selected by D²-sampling
-(k-means++ style) and every input point donates its weight to its nearest
-representative.  The resulting compression is a quantisation of the input —
-good for seeding Lloyd's algorithm, but (as the paper's Table 9 shows) not a
-strong coreset at the sample sizes sensitivity sampling needs, because the
-construction's theoretical coreset size is logarithmic in ``n`` and
-exponential in ``d``.
+StreamKM++ [1] reduces a point set with a "coreset tree": representatives
+are selected by D²-sampling (k-means++ style) and every input point donates
+its weight to its nearest representative.  The resulting compression is a
+quantisation of the input — good for seeding Lloyd's algorithm, but (as the
+paper's Table 9 shows) not a strong coreset at the sample sizes sensitivity
+sampling needs, because the construction's theoretical coreset size is
+logarithmic in ``n`` and exponential in ``d``.
 
-The implementation exposes both interfaces used in the paper's experiments:
-
-* the static :class:`~repro.core.base.CoresetConstruction` interface (build
-  one coreset of the full dataset), and
-* the streaming interface (``insert_block`` / ``to_coreset``), which runs
-  the same reduction inside a merge-&-reduce tree.
-
-Execution notes
----------------
-The D²-selection loop draws its representatives in *batches* through
-:func:`~repro.utils.rng.weighted_index_draws` instead of rebuilding a
-cumulative mass vector per draw: the D² mass of every point is non-increasing
-as representatives are added, so a batch drawn against a stale mass envelope
-can be thinned by rejection (accept index ``i`` with probability
-``current_mass[i] / envelope[i]``) while preserving the k-means++ selection
-law *exactly*.  The nearest-representative assignment that re-weighting needs
-is maintained incrementally during selection, so the reduction no longer pays
-a second full ``(n, m)`` distance block after seeding.
+The reduction is a plain :class:`~repro.core.base.CoresetConstruction`:
+:func:`~repro.clustering.kmeans_pp.kmeans_plus_plus` selects the
+representatives (on the compiled tier when it is enabled) and returns the
+nearest-representative assignment that the re-weighting sums over.  A
+stream runs through the same merge-&-reduce tree as every other sampler:
+:class:`~repro.streaming.merge_reduce.MergeReduceTree` or
+:func:`~repro.streaming.merge_reduce.stream_dataset` with this sampler.
 """
 
 from __future__ import annotations
@@ -35,25 +23,17 @@ from typing import Optional
 
 import numpy as np
 
+from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.core.base import CoresetConstruction
 from repro.core.coreset import Coreset
-from repro.geometry.distances import update_nearest_with_new_center
-from repro.utils.rng import SeedLike, as_generator, random_seed_from, weighted_index_draws
-from repro.utils.validation import check_integer, check_points, check_weights
-
-#: Number of candidate draws taken against one mass envelope.  At refresh the
-#: envelope equals the current mass, so every batch accepts at least one
-#: candidate and the loop always terminates.
-_DRAW_BATCH = 64
+from repro.utils.rng import SeedLike
 
 
 class StreamKMPlusPlus(CoresetConstruction):
-    """StreamKM++ coreset-tree reduction.
+    """StreamKM++ reduction: D²-sampled representatives, nearest-point weights.
 
     Parameters
     ----------
-    coreset_size:
-        Number of representatives kept by every reduction.
     z:
         Cost exponent; StreamKM++ targets k-means, so 2 is the paper's (and
         the default) choice.
@@ -63,114 +43,6 @@ class StreamKMPlusPlus(CoresetConstruction):
 
     name = "streamkm++"
 
-    def __init__(self, coreset_size: int, *, z: int = 2, seed: SeedLike = None) -> None:
-        super().__init__(z=z, seed=seed)
-        self.coreset_size = check_integer(coreset_size, name="coreset_size")
-        self._buckets: list[Coreset] = []
-        self._generator = as_generator(seed)
-
-    # -------------------------------------------------------------- reduce
-    def _selection_mass(self, best_squared: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Per-point D^z selection mass against the representatives chosen so far."""
-        if self.z == 2:
-            return weights * best_squared
-        return weights * np.sqrt(best_squared)
-
-    def _dsquared_select(
-        self,
-        points: np.ndarray,
-        weights: np.ndarray,
-        m: int,
-        generator: np.random.Generator,
-    ) -> tuple:
-        """Select ``m`` representatives by exact D²-sampling with batched draws.
-
-        Returns ``(indices, assignment)`` where ``assignment`` maps every
-        input point to its nearest selected representative (maintained
-        incrementally, one rank-1 distance update per accepted center).
-
-        Draws are batched against a mass *envelope*: the selection mass only
-        shrinks as representatives are added, so a candidate drawn from a
-        stale envelope is accepted with probability ``current / envelope``
-        (strict inequality, so zero-mass points — exact duplicates of chosen
-        representatives — are never accepted), which reproduces the
-        sequential k-means++ law exactly while amortising the cumulative-sum
-        and probability-vector work over many draws.
-        """
-        n = points.shape[0]
-        indices = np.empty(m, dtype=np.int64)
-        first = -1
-        total_weight = float(weights.sum())
-        if total_weight > 0:
-            draws = weighted_index_draws(generator, weights, 1)
-            if draws is not None:
-                first = int(draws[0])
-        if first < 0:
-            first = int(generator.integers(0, n))
-        indices[0] = first
-        best_squared, assignment = update_nearest_with_new_center(
-            points, points[first], None, None, 0
-        )
-        count = 1
-        while count < m:
-            envelope = self._selection_mass(best_squared, weights)
-            candidates = weighted_index_draws(generator, envelope, _DRAW_BATCH)
-            if candidates is None:
-                # Every remaining point coincides with a representative; fill
-                # the open slots uniformly (the classical degenerate case).
-                while count < m:
-                    chosen = int(generator.integers(0, n))
-                    indices[count] = chosen
-                    best_squared, assignment = update_nearest_with_new_center(
-                        points, points[chosen], best_squared, assignment, count
-                    )
-                    count += 1
-                break
-            acceptance = generator.random(_DRAW_BATCH)
-            for candidate, u in zip(candidates, acceptance):
-                candidate = int(candidate)
-                current = weights[candidate] * (
-                    best_squared[candidate]
-                    if self.z == 2
-                    else float(np.sqrt(best_squared[candidate]))
-                )
-                if u * envelope[candidate] < current:
-                    indices[count] = candidate
-                    best_squared, assignment = update_nearest_with_new_center(
-                        points, points[candidate], best_squared, assignment, count
-                    )
-                    count += 1
-                    if count == m:
-                        break
-        return indices, assignment
-
-    def _coreset_tree_reduce(
-        self,
-        points: np.ndarray,
-        weights: np.ndarray,
-        m: int,
-        seed: SeedLike,
-    ) -> Coreset:
-        """One coreset-tree reduction: D²-sample ``m`` representatives, re-weight.
-
-        Every input point is assigned to its nearest representative and the
-        representative's weight is the total weight assigned to it, so the
-        compression preserves the input's total weight exactly.
-        """
-        generator = as_generator(seed)
-        m = min(m, points.shape[0])
-        indices, assignment = self._dsquared_select(points, weights, m, generator)
-        representatives = points[indices]
-        representative_weights = np.bincount(assignment, weights=weights, minlength=m)
-        occupied = representative_weights > 0
-        return Coreset(
-            points=representatives[occupied],
-            weights=representative_weights[occupied],
-            indices=None,
-            method=self.name,
-        )
-
-    # --------------------------------------------- CoresetConstruction API
     def _sample(
         self,
         points: np.ndarray,
@@ -180,51 +52,18 @@ class StreamKMPlusPlus(CoresetConstruction):
         spread: Optional[float] = None,
         cost_bound: Optional[float] = None,
     ) -> Coreset:
-        return self._coreset_tree_reduce(points, weights, m, seed)
+        """Select ``m`` representatives by k-means++ and re-weight them.
 
-    # ----------------------------------------------------------- streaming
-    def insert_block(self, points: np.ndarray, weights: Optional[np.ndarray] = None) -> None:
-        """Absorb one block of the stream into the bucket structure."""
-        points = check_points(points)
-        weights = check_weights(weights, points.shape[0])
-        current = self._coreset_tree_reduce(
-            points, weights, self.coreset_size, random_seed_from(self._generator)
+        Each representative's weight is the total weight of the points
+        nearest to it, so the compression preserves the input's total weight
+        exactly; representatives that attract no weight are dropped.
+        """
+        seeding = kmeans_plus_plus(points, m, weights=weights, z=self.z, seed=seed)
+        representative_weights = np.bincount(seeding.assignment, weights=weights, minlength=m)
+        occupied = representative_weights > 0
+        return Coreset(
+            points=seeding.centers[occupied],
+            weights=representative_weights[occupied],
+            indices=None,
+            method=self.name,
         )
-        self._buckets.append(current)
-        # Merge buckets pairwise whenever two of comparable size exist, which
-        # keeps at most O(log(blocks)) buckets alive.
-        while len(self._buckets) >= 2 and self._buckets[-1].size >= self._buckets[-2].size:
-            right = self._buckets.pop()
-            left = self._buckets.pop()
-            merged_points = np.concatenate([left.points, right.points], axis=0)
-            merged_weights = np.concatenate([left.weights, right.weights], axis=0)
-            self._buckets.append(
-                self._coreset_tree_reduce(
-                    merged_points,
-                    merged_weights,
-                    self.coreset_size,
-                    random_seed_from(self._generator),
-                )
-            )
-
-    def to_coreset(self) -> Coreset:
-        """Collapse the surviving buckets into the final compression."""
-        if not self._buckets:
-            raise ValueError("no points have been inserted")
-        if len(self._buckets) == 1:
-            final = self._buckets[0]
-        else:
-            merged_points = np.concatenate([bucket.points for bucket in self._buckets], axis=0)
-            merged_weights = np.concatenate([bucket.weights for bucket in self._buckets], axis=0)
-            final = self._coreset_tree_reduce(
-                merged_points,
-                merged_weights,
-                self.coreset_size,
-                random_seed_from(self._generator),
-            )
-        final.method = self.name
-        return final
-
-    def reset(self) -> None:
-        """Forget all absorbed blocks."""
-        self._buckets = []

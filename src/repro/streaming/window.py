@@ -44,9 +44,9 @@ Determinism matches the non-windowed tree's contract: every stochastic
 input (leaf seeds keyed by block index, fold seeds keyed by fold index,
 query seeds keyed by query index, hints fixed during the host walk) is a
 pure function of the block sequence, so one block at a time and every
-executor backend produce bit-identical coresets.  Reduce and
-query compressions always run on the host thread — the overlap machinery
-only ships leaf compressions (``overlap_reduces`` is ignored).
+executor backend produce bit-identical coresets.  Only leaf compressions
+go to the executor; fold and query compressions run on the host thread,
+when a bucket settles or a query is answered.
 """
 
 from __future__ import annotations
@@ -236,10 +236,11 @@ class WindowedMergeReduceTree(MergeReduceTree):
         drift-detector firings, and the block index of the latest firing
         (``-1`` when none fired).
 
-    Reduce and query compressions always run on the host thread;
-    ``overlap_reduces`` is accepted for signature compatibility but
-    ignored.  ``levels`` stays empty — live state is the stamped bucket
-    deque, inspectable through :meth:`live_ranges`.
+    Only leaf compressions go to the executor: the inherited
+    :meth:`_drain_pending` hands each in-flight bucket to :meth:`_settle`,
+    which folds it on the host thread, and queries compress on the host
+    too.  ``levels`` stays empty — live state is the stamped bucket deque,
+    inspectable through :meth:`live_ranges`.
     """
 
     window: Optional[WindowPolicy] = None
@@ -263,7 +264,7 @@ class WindowedMergeReduceTree(MergeReduceTree):
             else None
         )
         #: Settled live buckets, oldest first.  ``self._pending`` (inherited
-        #: deque) holds in-flight buckets instead of the parent's tuples.
+        #: deque) holds in-flight buckets instead of the parent's futures.
         self._buckets: Deque[_Bucket] = deque()
         #: Per-block bounding boxes of the live window (expiring policies
         #: only) as ``(block_index, low, high)`` — the window's box is their
@@ -369,12 +370,12 @@ class WindowedMergeReduceTree(MergeReduceTree):
         """
         if self.window.expired(bucket.start, bucket.stop, self._now_index):
             if isinstance(bucket.value, Future):
-                with _obs.span("stream.pending_wait", folded=False):
+                with _obs.span("stream.pending_wait"):
                     bucket.value.result()
             self._count_expired(bucket)
             return
         if isinstance(bucket.value, Future):
-            with _obs.span("stream.pending_wait", folded=False):
+            with _obs.span("stream.pending_wait"):
                 bucket.value = bucket.value.result()
         if self.window.merges:
             self._carry(bucket)
@@ -431,11 +432,6 @@ class WindowedMergeReduceTree(MergeReduceTree):
             spread=newer.spread,
             cost_bound=newer.cost_bound,
         )
-
-    def _drain_pending(self, limit: Optional[int]) -> None:
-        target = 0 if limit is None else max(0, int(limit))
-        while len(self._pending) > target:
-            self._settle(self._pending.popleft())
 
     # ------------------------------------------------------------- ingestion
     def add_block(

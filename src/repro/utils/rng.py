@@ -139,26 +139,6 @@ def weighted_index_draw(generator: np.random.Generator, mass: np.ndarray) -> int
     return min(index, mass.size - 1)
 
 
-def weighted_index_draws(
-    generator: np.random.Generator, mass: np.ndarray, size: int
-) -> Optional[np.ndarray]:
-    """Draw ``size`` indices with replacement, proportional to ``mass``.
-
-    Batch variant of :func:`weighted_index_draw` (one cumulative sum shared
-    by all draws).  Returns ``None`` when the total mass is non-positive or
-    non-finite.
-    """
-    mass = np.asarray(mass, dtype=np.float64)
-    if mass.size == 0:
-        return None
-    cumulative = np.cumsum(mass)
-    total = float(cumulative[-1])
-    if not np.isfinite(total) or total <= 0.0:
-        return None
-    draws = np.searchsorted(cumulative, generator.random(size) * total, side="right")
-    return np.minimum(draws, mass.size - 1).astype(np.int64)
-
-
 def permutation(generator: np.random.Generator, n: int) -> np.ndarray:
     """Return a random permutation of ``range(n)`` as an int64 array."""
     return generator.permutation(n).astype(np.int64)

@@ -16,6 +16,7 @@ Process-pool cases carry the ``parallel`` marker so constrained runners can
 deselect them.
 """
 
+import gc
 import random
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -82,7 +83,8 @@ def _make_executor(backend: str, workers: int):
     return ProcessAsyncExecutor(workers=workers)
 
 
-def _run_pipeline(blobs, executor, *, batch_size=None, prefetch=None, overlap=True):
+def _run_pipeline(blobs, executor, *, batch_size=None, prefetch=None):
+    """``(coreset, statistics, diagnostics)`` of one pipeline run."""
     pipeline = StreamingCoresetPipeline(
         sampler=SensitivitySampling(k=5, seed=0),
         coreset_size=CORESET_SIZE,
@@ -90,9 +92,28 @@ def _run_pipeline(blobs, executor, *, batch_size=None, prefetch=None, overlap=Tr
         executor=executor,
         batch_size=batch_size,
         prefetch_batches=prefetch,
-        overlap_reduces=overlap,
     )
-    return pipeline.run_with_statistics(DataStream(points=blobs, block_size=BLOCK_SIZE))
+    coreset, stats = pipeline.run_with_statistics(
+        DataStream(points=blobs, block_size=BLOCK_SIZE)
+    )
+    return coreset, stats, pipeline.last_diagnostics
+
+
+def _futures_left_in_cycles(run) -> int:
+    """Run ``run()`` with gc off; count the futures only a gc pass frees."""
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return sum(isinstance(garbage, Future) for garbage in gc.garbage)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 class _ReduceBomb(CoresetConstruction):
@@ -144,10 +165,10 @@ class TestStreamingCrossBackend:
     def test_byte_identical_to_sequential_baseline(
         self, blobs, baseline, backend, workers, prefetch
     ):
-        reference, reference_stats = baseline
+        reference, reference_stats, _ = baseline
         executor = _make_executor(backend, workers)
         try:
-            coreset, stats = _run_pipeline(blobs, executor, prefetch=prefetch)
+            coreset, stats, _ = _run_pipeline(blobs, executor, prefetch=prefetch)
         finally:
             executor.close()
         context = (backend, workers, prefetch)
@@ -159,27 +180,35 @@ class TestStreamingCrossBackend:
     @pytest.mark.parametrize("batch_size", (1, 3, 7))
     @pytest.mark.parametrize("prefetch", (1, 2, 4))
     def test_prefetch_and_batching_never_interact(self, blobs, baseline, batch_size, prefetch):
-        reference, reference_stats = baseline
-        coreset, stats = _run_pipeline(
-            blobs, ThreadAsyncExecutor(workers=2), batch_size=batch_size, prefetch=prefetch
-        )
+        reference, reference_stats, _ = baseline
+        executor = ThreadAsyncExecutor(workers=2)
+        try:
+            coreset, stats, diagnostics = _run_pipeline(
+                blobs, executor, batch_size=batch_size, prefetch=prefetch
+            )
+        finally:
+            executor.close()
         assert coreset.points.tobytes() == reference.points.tobytes()
         assert coreset.weights.tobytes() == reference.weights.tobytes()
         assert stats == reference_stats
+        # The pipeline reports the diagnostics of the tree it ran: the
+        # reduces rode the pool and leaves were held in flight.
+        assert diagnostics.reduces_offloaded > 0
+        assert diagnostics.pending_high_water > 0
 
 
 class TestShuffledCompletionOrder:
     """The jittered harness: completion order must never reach the bytes."""
 
-    @pytest.mark.parametrize("overlap", (False, True), ids=("leaf-only", "overlap-reduce"))
+    # Prefetching one batch holds at most four leaves in flight, so the
+    # tree settles leaves mid-stream; three batches hold the whole stream.
+    @pytest.mark.parametrize("prefetch", (1, 3))
     @pytest.mark.parametrize("jitter_seed", range(4))
-    def test_streaming_is_completion_order_independent(self, blobs, jitter_seed, overlap):
-        reference, reference_stats = _run_pipeline(blobs, SerialAsyncExecutor(), batch_size=1)
+    def test_streaming_is_completion_order_independent(self, blobs, jitter_seed, prefetch):
+        reference, reference_stats, _ = _run_pipeline(blobs, SerialAsyncExecutor(), batch_size=1)
         executor = JitteredAsyncExecutor(workers=4, seed=jitter_seed)
         try:
-            coreset, stats = _run_pipeline(
-                blobs, executor, batch_size=4, prefetch=3, overlap=overlap
-            )
+            coreset, stats, _ = _run_pipeline(blobs, executor, batch_size=4, prefetch=prefetch)
         finally:
             executor.close()
         assert coreset.points.tobytes() == reference.points.tobytes()
@@ -314,7 +343,7 @@ class TestTreeFutureInputs:
 
 
 class TestOverlappedReduceModes:
-    """{resolved-per-call, leaf-only, overlapped-reduce} x jitter x pending-limit.
+    """{resolved-per-call, kept-across-calls} x jitter x pending-limit.
 
     ``add_blocks`` given ``None`` or a backend name resolves an executor,
     flushes and closes it within the call; given an instance it keeps
@@ -329,13 +358,12 @@ class TestOverlappedReduceModes:
             for start in range(0, blobs.shape[0], BLOCK_SIZE)
         ]
 
-    def _run_tree(self, blocks, *, executor=None, overlap=True, pending_limit=None):
+    def _run_tree(self, blocks, *, executor=None, pending_limit=None):
         tree = MergeReduceTree(
             sampler=SensitivitySampling(k=5, seed=0),
             coreset_size=CORESET_SIZE,
             seed=SEED,
             pending_limit=pending_limit,
-            overlap_reduces=overlap,
         )
         for start in range(0, len(blocks), 4):
             tree.add_blocks(blocks[start : start + 4], executor=executor)
@@ -351,7 +379,7 @@ class TestOverlappedReduceModes:
     @pytest.mark.parametrize(
         "mode, jitter_seed",
         [(name, None) for name in (None, "serial", "thread")]
-        + [(mode, seed) for mode in ("async-leaf", "async-overlap") for seed in range(2)],
+        + [("async-overlap", seed) for seed in range(2)],
     )
     def test_modes_agree_bytewise(self, blobs, mode, jitter_seed, pending_limit):
         blocks = self._blocks(blobs)
@@ -362,10 +390,7 @@ class TestOverlappedReduceModes:
             executor = JitteredAsyncExecutor(workers=4, seed=jitter_seed)
         try:
             result, tree = self._run_tree(
-                blocks,
-                executor=executor,
-                overlap=(mode != "async-leaf"),
-                pending_limit=pending_limit,
+                blocks, executor=executor, pending_limit=pending_limit
             )
         finally:
             if jitter_seed is not None:
@@ -375,36 +400,45 @@ class TestOverlappedReduceModes:
         assert result.weights.tobytes() == reference.weights.tobytes(), context
         assert tree.reductions == reference_tree.reductions, context
         assert tree.spread_refreshes == reference_tree.spread_refreshes, context
-        if mode == "async-leaf":
-            assert tree.reduces_offloaded == 0, context
-            assert tree.host_reduces == tree.reductions, context
-        else:
-            assert tree.reduces_offloaded == tree.reductions - tree.host_reduces, context
-            assert tree.reduces_offloaded > 0, context
-            assert tree.host_reduces <= 1, context  # only the final re-compression
+        assert tree.reduces_offloaded == tree.reductions - tree.host_reduces, context
+        assert tree.reduces_offloaded > 0, context
+        assert tree.host_reduces <= 1, context  # only the final re-compression
 
-    def test_pipeline_flag_reaches_the_tree(self, blobs):
-        reference, reference_stats = _run_pipeline(blobs, SerialAsyncExecutor(), batch_size=1)
-        for overlap in (False, True):
-            executor = ThreadAsyncExecutor(workers=2)
-            pipeline = StreamingCoresetPipeline(
-                sampler=SensitivitySampling(k=5, seed=0),
-                coreset_size=CORESET_SIZE,
-                seed=SEED,
-                executor=executor,
-                overlap_reduces=overlap,
-            )
+    @pytest.mark.parametrize("backend", ("thread", "jittered"))
+    def test_finished_tree_leaves_no_future_in_a_reference_cycle(self, blobs, backend):
+        """Each reduce's input futures are freed by reference counting.
+
+        A finished future keeps its done callbacks; a callback that reaches
+        the future again holds every reduce input in a cycle until a gc
+        pass, which is memory a long stream cannot spare.
+        """
+        blocks = list(DataStream.with_block_count(blobs, 16))
+
+        def run():
+            if backend == "thread":
+                executor = ThreadAsyncExecutor(workers=2)
+            else:
+                executor = JitteredAsyncExecutor(workers=4, seed=0)
             try:
-                coreset, stats = pipeline.run_with_statistics(
-                    DataStream(points=blobs, block_size=BLOCK_SIZE)
+                tree = MergeReduceTree(
+                    sampler=SensitivitySampling(k=5, seed=0), coreset_size=CORESET_SIZE, seed=SEED
                 )
+                tree.add_blocks(blocks, executor=executor)
+                tree.finalize()
             finally:
                 executor.close()
-            assert coreset.points.tobytes() == reference.points.tobytes()
-            assert stats == reference_stats
-            offloaded = pipeline.last_diagnostics.reduces_offloaded
-            assert (offloaded > 0) == overlap
-            assert pipeline.last_diagnostics.pending_high_water > 0
+
+        assert _futures_left_in_cycles(run) == 0
+
+    def test_finished_pipeline_leaves_no_future_in_a_reference_cycle(self, blobs):
+        def run():
+            executor = ThreadAsyncExecutor(workers=2)
+            try:
+                _run_pipeline(blobs, executor, batch_size=2, prefetch=2)
+            finally:
+                executor.close()
+
+        assert _futures_left_in_cycles(run) == 0
 
 
 class TestReduceFailurePath:

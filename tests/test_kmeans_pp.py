@@ -5,7 +5,7 @@ import pytest
 
 from repro import observability as obs
 from repro.clustering.cost import clustering_cost
-from repro.clustering.kmeans_pp import bicriteria_kmeans_pp, dsquared_sample, kmeans_plus_plus
+from repro.clustering.kmeans_pp import bicriteria_kmeans_pp, kmeans_plus_plus
 from repro.native import get_kernel
 from repro.native.registry import use_native
 
@@ -76,6 +76,29 @@ class TestKMeansPlusPlus:
         assert solution.centers.shape == (3, 3)
         assert solution.cost == pytest.approx(0.0)
 
+    def test_chosen_locations_are_never_drawn_again(self):
+        # Copies of a chosen center carry no D^2 mass, so six distinct
+        # locations give six distinct centers whatever the first pick.
+        far = np.arange(10.0, 60.0, 10.0)[:, None] * np.ones((5, 2))
+        points = np.concatenate([np.zeros((100, 2)), far])
+        for seed in range(4):
+            solution = kmeans_plus_plus(points, 6, seed=seed)
+            assert np.unique(solution.centers, axis=0).shape[0] == 6
+
+    def test_zero_weight_points_are_never_chosen(self, blobs):
+        weights = np.ones(blobs.shape[0])
+        weights[::2] = 0.0
+        solution = kmeans_plus_plus(blobs, 30, weights=weights, seed=0)
+        for center in solution.centers:
+            (index,) = np.flatnonzero(np.all(blobs == center, axis=1))
+            assert weights[index] > 0.0
+
+    def test_assignment_is_the_nearest_center(self, blobs):
+        # StreamKM++ re-weights its representatives through this assignment.
+        solution = kmeans_plus_plus(blobs, 7, seed=5)
+        squared = ((blobs[:, None, :] - solution.centers[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(solution.assignment, squared.argmin(axis=1))
+
 
 class TestDispatchCounters:
     def test_rounds_counted_under_the_serving_path(self, blobs):
@@ -102,23 +125,3 @@ class TestBicriteria:
         base = kmeans_plus_plus(blobs, 5, seed=0)
         oversampled = bicriteria_kmeans_pp(blobs, 5, beta=2.0, seed=0)
         assert oversampled.cost <= base.cost + 1e-9
-
-
-class TestDSquaredSample:
-    def test_sample_size(self, blobs):
-        centers = blobs[:3]
-        indices, mass = dsquared_sample(blobs, centers, 20, seed=0)
-        assert indices.shape == (20,)
-        assert mass.shape == (blobs.shape[0],)
-
-    def test_points_at_centers_never_sampled(self):
-        points = np.concatenate([np.zeros((100, 2)), np.ones((5, 2)) * 10])
-        centers = np.zeros((1, 2))
-        indices, _ = dsquared_sample(points, centers, 50, seed=0)
-        # All the D^2 mass sits on the far-away points.
-        assert (indices >= 100).all()
-
-    def test_degenerate_all_zero_mass(self):
-        points = np.zeros((10, 2))
-        indices, _ = dsquared_sample(points, np.zeros((1, 2)), 5, seed=0)
-        assert indices.shape == (5,)

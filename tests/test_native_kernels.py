@@ -899,6 +899,21 @@ class TestTierControl:
                 assert entry["reason"] == "disabled by REPRO_NATIVE=0"
             assert kernel_demotions() == {}
 
+    @pytest.mark.parametrize(
+        "value, mode",
+        [("0", "0"), ("off", "off"), ("false", "false"), (" NO ", "no")],
+        ids=["0", "off", "false", "padded-NO"],
+    )
+    def test_environment_spellings_force_the_fallback(self, monkeypatch, value, mode):
+        # Each spelling is its own cached mode, read without a refresh.
+        monkeypatch.setattr(registry, "_OVERRIDE", None)
+        monkeypatch.setenv("REPRO_NATIVE", value)
+        status = native_status()
+        assert status["tier"] == "fallback"
+        for entry in status["kernels"].values():
+            assert entry == {"provider": "fallback", "reason": f"disabled by REPRO_NATIVE={mode}"}
+        assert get_kernel("kmeanspp_round") is None
+
     def test_only_fallback_kernels_carry_a_reason(self):
         for entry in native_status()["kernels"].values():
             assert ("reason" in entry) == (entry["provider"] == "fallback")
@@ -907,19 +922,54 @@ class TestTierControl:
         def broken_build():
             raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
 
+        # Resolutions are cached per mode: drop them after patching the
+        # provider, and again once it is restored, so the broken resolution
+        # neither misses this test nor leaks into later ones.
         monkeypatch.setattr(registry, "_load_provider", broken_build)
-        with use_native(True):
-            status = native_status()
-            assert status["tier"] == "fallback"
-            assert status["providers"]["cc"]["available"] is False
-            for entry in status["kernels"].values():
-                assert entry == {
-                    "provider": "fallback",
-                    "reason": "cc unavailable: RuntimeError: no C compiler (cc/gcc/clang) on PATH",
-                }
-            # An unavailable provider demotes nothing: no kernel was verified.
-            assert kernel_demotions() == {}
-            assert get_kernel("kmeanspp_round") is None
+        registry.refresh()
+        try:
+            with use_native(True):
+                status = native_status()
+                assert status["tier"] == "fallback"
+                assert status["providers"]["cc"]["available"] is False
+                for entry in status["kernels"].values():
+                    assert entry == {
+                        "provider": "fallback",
+                        "reason": "cc unavailable: RuntimeError: no C compiler (cc/gcc/clang) on PATH",
+                    }
+                # An unavailable provider demotes nothing: no kernel was verified.
+                assert kernel_demotions() == {}
+                assert get_kernel("kmeanspp_round") is None
+        finally:
+            monkeypatch.undo()
+            registry.refresh()
+
+    def test_mode_flips_reuse_each_modes_resolution(self, monkeypatch):
+        spec = registry._KERNELS["kmeanspp_round"]
+        verify = spec.verify
+        calls = []
+
+        def counting_verify(kernel):
+            calls.append(kernel)
+            verify(kernel)
+
+        monkeypatch.setattr(spec, "verify", counting_verify)
+        registry.refresh()
+        try:
+            with use_native(True):
+                if not native_status()["providers"]["cc"]["available"]:
+                    pytest.skip("the cc kernel provider is unavailable (no C compiler)")
+                for _ in range(3):
+                    with use_native(False):
+                        assert native_status()["tier"] == "fallback"
+                    native_status()
+                assert len(calls) == 1
+                registry.refresh()
+                native_status()
+                assert len(calls) == 2
+        finally:
+            monkeypatch.undo()
+            registry.refresh()
 
     @requires_native
     def test_native_mode_routes_all_kernels(self):

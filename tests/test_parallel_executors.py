@@ -5,8 +5,11 @@ them by reference — the same requirement the library's own task functions
 (:func:`repro.parallel.sharding.compress_shard`) satisfy.
 """
 
+import gc
 import os
 import threading
+import weakref
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -26,6 +29,7 @@ from repro.parallel import (
     ThreadAsyncExecutor,
     resolve_async_executor,
     shard_bounds,
+    submit_when_ready,
 )
 
 
@@ -47,6 +51,11 @@ def _fail_on_first(payload, task):
     if task == 0:
         raise RuntimeError("task 0 failed")
     return task
+
+
+def _total(payload, task):
+    assert payload is None
+    return float(sum(np.sum(value) for value in task))
 
 
 def _slice_total_or_die(payload, task):
@@ -362,6 +371,82 @@ class TestAsyncExecutors:
     def test_empty_task_list(self, payload):
         assert SerialAsyncExecutor().map(_slice_total, [], payload=payload) == []
         assert list(SerialAsyncExecutor().map_unordered(_slice_total, [], payload=payload)) == []
+
+
+class TestSubmitWhenReady:
+    """The reduce-task path: submit once every future-valued input landed."""
+
+    @staticmethod
+    def _recording_build(built):
+        def build(values):
+            built.append(values)
+            return values, None
+
+        return build
+
+    def test_plain_inputs_submit_at_once(self):
+        built = []
+        result = submit_when_ready(
+            SerialAsyncExecutor(), _total, [1.0, 2.0], self._recording_build(built)
+        )
+        assert result.done()
+        assert result.result() == 3.0
+        assert built == [[1.0, 2.0]]
+
+    def test_waits_for_every_future_input_and_keeps_their_order(self):
+        first, second = Future(), Future()
+        built = []
+        result = submit_when_ready(
+            SerialAsyncExecutor(), _total, [first, 5.0, second], self._recording_build(built)
+        )
+        second.set_result(2.0)
+        assert not result.done()
+        assert built == []
+        first.set_result(1.0)
+        assert result.result(timeout=5) == 8.0
+        assert built == [[1.0, 5.0, 2.0]]
+
+    def test_failed_input_resolves_the_result_and_skips_the_task(self):
+        failing, healthy = Future(), Future()
+        built = []
+        result = submit_when_ready(
+            SerialAsyncExecutor(), _total, [failing, healthy], self._recording_build(built)
+        )
+        healthy.set_result(1.0)
+        failing.set_exception(RuntimeError("leaf failed"))
+        with pytest.raises(RuntimeError, match="leaf failed"):
+            result.result(timeout=5)
+        assert built == []
+
+    def test_build_error_resolves_the_result(self):
+        def build(values):
+            raise ValueError("bad task")
+
+        result = submit_when_ready(SerialAsyncExecutor(), _total, [1.0], build)
+        with pytest.raises(ValueError, match="bad task"):
+            result.result(timeout=5)
+
+    def test_launched_inputs_are_freed_without_a_gc_pass(self):
+        # A finished future keeps its done callbacks; if they still reach
+        # the future, every reduce input lives in a cycle until gc runs.
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            dependency = Future()
+            value = np.ones(8)
+            alive = weakref.ref(value)
+            result = submit_when_ready(
+                SerialAsyncExecutor(), _total, [dependency], lambda values: (values, None)
+            )
+            dependency.set_result(value)
+            del value
+            assert result.result(timeout=5) == 8.0
+            del dependency
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestResolveAsyncExecutor:

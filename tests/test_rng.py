@@ -10,7 +10,6 @@ from repro.utils.rng import (
     sample_without_replacement,
     spawn_generators,
     weighted_index_draw,
-    weighted_index_draws,
 )
 
 
@@ -134,24 +133,3 @@ class TestWeightedIndexDraw:
         draws_a = [weighted_index_draw(np.random.default_rng(7), mass) for _ in range(1)]
         draws_b = [weighted_index_draw(np.random.default_rng(7), mass) for _ in range(1)]
         assert draws_a == draws_b
-
-
-class TestWeightedIndexDraws:
-    def test_batch_matches_probabilities(self):
-        generator = np.random.default_rng(0)
-        mass = np.array([2.0, 0.0, 2.0, 4.0])
-        draws = weighted_index_draws(generator, mass, 20_000)
-        counts = np.bincount(draws, minlength=4)
-        np.testing.assert_allclose(counts / counts.sum(), mass / mass.sum(), atol=0.02)
-        assert counts[1] == 0
-
-    def test_degenerate_total_returns_none(self):
-        generator = np.random.default_rng(1)
-        assert weighted_index_draws(generator, np.zeros(3), 5) is None
-        assert weighted_index_draws(generator, np.array([]), 5) is None
-
-    def test_returns_int64(self):
-        generator = np.random.default_rng(2)
-        draws = weighted_index_draws(generator, np.ones(4), 10)
-        assert draws.dtype == np.int64
-        assert draws.shape == (10,)

@@ -5,17 +5,22 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.config import ExperimentScale
 from repro.core import SensitivitySampling, UniformSampling
 from repro.data.registry import load_dataset
 from repro.evaluation import coreset_distortion
+from repro.native.registry import use_native
+from repro.parallel import SerialAsyncExecutor, ThreadAsyncExecutor
 from repro.streaming import (
     BicoCoreset,
     ClusteringFeature,
     DataStream,
     MergeReduceTree,
+    SlidingCountWindow,
     StreamKMPlusPlus,
     StreamingCoresetPipeline,
+    WindowedMergeReduceTree,
     block_size_plan,
     iterate_blocks,
 )
@@ -374,32 +379,85 @@ class TestBicoPinnedOutputs:
 
 class TestStreamKM:
     def test_respects_coreset_size(self, blobs):
-        coreset = StreamKMPlusPlus(coreset_size=150, seed=0).sample(blobs, 150)
+        coreset = StreamKMPlusPlus(seed=0).sample(blobs, 150)
         assert coreset.size <= 150
 
     def test_total_weight_exact(self, blobs):
-        coreset = StreamKMPlusPlus(coreset_size=150, seed=0).sample(blobs, 150)
+        coreset = StreamKMPlusPlus(seed=0).sample(blobs, 150)
         assert coreset.total_weight == pytest.approx(blobs.shape[0])
 
-    def test_streaming_interface(self, blobs):
-        streamkm = StreamKMPlusPlus(coreset_size=120, seed=0)
-        for block, weights in DataStream(points=blobs, block_size=300):
-            streamkm.insert_block(block, weights)
-        coreset = streamkm.to_coreset()
-        assert coreset.size <= 120
-        assert coreset.total_weight == pytest.approx(blobs.shape[0])
-
-    def test_to_coreset_without_points_raises(self):
-        with pytest.raises(ValueError):
-            StreamKMPlusPlus(coreset_size=10).to_coreset()
-
-    def test_reset(self, blobs):
-        streamkm = StreamKMPlusPlus(coreset_size=50, seed=0)
-        streamkm.insert_block(blobs[:200])
-        streamkm.reset()
-        with pytest.raises(ValueError):
-            streamkm.to_coreset()
+    def test_streams_through_merge_reduce_tree(self, blobs):
+        blocks = list(DataStream(points=blobs, block_size=300))
+        coresets = []
+        for executor in (SerialAsyncExecutor(), ThreadAsyncExecutor(workers=2)):
+            tree = MergeReduceTree(sampler=StreamKMPlusPlus(), coreset_size=120, seed=0)
+            try:
+                tree.add_blocks(blocks, executor=executor)
+                coresets.append(tree.finalize())
+            finally:
+                executor.close()
+        serial, threaded = coresets
+        assert serial.size <= 120
+        assert serial.total_weight == pytest.approx(blobs.shape[0], rel=1e-9)
+        assert threaded.points.tobytes() == serial.points.tobytes()
+        assert threaded.weights.tobytes() == serial.weights.tobytes()
 
     def test_distortion_reasonable_on_easy_data(self, blobs):
-        coreset = StreamKMPlusPlus(coreset_size=300, seed=0).sample(blobs, 300)
+        coreset = StreamKMPlusPlus(seed=0).sample(blobs, 300)
         assert coreset_distortion(blobs, coreset, k=6, seed=1) < 3.0
+
+    def test_representatives_without_weight_are_dropped(self):
+        # Three locations but ten draws: the surplus representatives repeat
+        # a location, attract no point, and leave the coreset.
+        locations = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
+        points = np.repeat(locations, [20, 30, 50], axis=0)
+        coreset = StreamKMPlusPlus(seed=0).sample(points, 10)
+        weight_at = dict(zip(map(tuple, coreset.points.tolist()), coreset.weights.tolist()))
+        assert weight_at == {(0.0, 0.0): 20.0, (5.0, 0.0): 30.0, (0.0, 5.0): 50.0}
+
+    def test_representative_weight_is_its_nearest_points_weight(self, blobs):
+        weights = np.random.default_rng(1).uniform(0.5, 2.0, size=blobs.shape[0])
+        coreset = StreamKMPlusPlus(seed=3).sample(blobs, 40, weights=weights)
+        squared = ((blobs[:, None, :] - coreset.points[None, :, :]) ** 2).sum(axis=2)
+        nearest = np.bincount(squared.argmin(axis=1), weights=weights, minlength=coreset.size)
+        np.testing.assert_allclose(coreset.weights, nearest, rtol=1e-12)
+        assert coreset.total_weight == pytest.approx(weights.sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("z", (1, 2))
+    def test_representatives_are_the_kmeanspp_centers(self, blobs, z):
+        # The reduction is the shared k-means++ on the same generator.
+        coreset = StreamKMPlusPlus(z=z, seed=4).sample(blobs, 60)
+        seeding = kmeans_plus_plus(blobs, 60, z=z, seed=4)
+        assert coreset.points.tobytes() == seeding.centers.tobytes()
+
+    def test_tiers_agree_bytewise(self, blobs):
+        coresets = []
+        for native in (True, False):
+            with use_native(native):
+                coresets.append(StreamKMPlusPlus(seed=0).sample(blobs, 150))
+        compiled, fallback = coresets
+        assert compiled.points.tobytes() == fallback.points.tobytes()
+        assert compiled.weights.tobytes() == fallback.weights.tobytes()
+
+    def test_stream_dataset_runs_the_tree(self, blobs):
+        streamed = stream_dataset(blobs, StreamKMPlusPlus(), 120, n_blocks=8, seed=0)
+        tree = MergeReduceTree(sampler=StreamKMPlusPlus(), coreset_size=120, seed=0)
+        for points, weights in DataStream.with_block_count(blobs, 8):
+            tree.add_block(points, weights)
+        direct = tree.finalize()
+        assert streamed.points.tobytes() == direct.points.tobytes()
+        assert streamed.weights.tobytes() == direct.weights.tobytes()
+        assert coreset_distortion(blobs, streamed, k=6, seed=1) < 3.0
+
+    def test_sliding_window_keeps_only_the_live_weight(self, blobs):
+        tree = WindowedMergeReduceTree(
+            sampler=StreamKMPlusPlus(),
+            coreset_size=100,
+            seed=0,
+            window=SlidingCountWindow(blocks=4),
+        )
+        for points, weights in DataStream(points=blobs, block_size=150):
+            tree.add_block(points, weights)
+        coreset = tree.query()
+        assert coreset.size <= 100
+        assert coreset.total_weight == pytest.approx(4 * 150, rel=1e-9)
