@@ -23,9 +23,6 @@ Measured components per ``(n, d, k)`` workload:
 * ``fast_kmeans_pp`` — the full multi-tree seeding (shared spread,
   incremental D²-mass, searchsorted draws vs per-center recompute +
   ``generator.choice``).
-* ``lloyd`` — a fixed-iteration Lloyd refinement (Hamerly-bounded pruning +
-  warm-started assignments vs the frozen full-recompute loop; the two are
-  bit-identical, so the comparison times pure pruning).
 * ``merge_reduce`` — a full merge-&-reduce stream with a Fast-Coreset
   sampler (shared cached spread vs the frozen two-estimates-per-compression
   baseline).
@@ -52,11 +49,6 @@ Measured components per ``(n, d, k)`` workload:
   the live switch: ``np.argsort(kind="stable")`` + the numpy CSR pipeline
   and key derivation).  Bit-identical trees; both sides pay the same spread
   estimate.
-* ``lloyd_native`` — the pruned engine with the compiled warm-phase
-  kernels (fused einsum-replica bound refresh, per-candidate evaluation
-  with guarded direct reassignment, native M-step sums) vs the same
-  ``kmeans`` call on the numpy tier.  Bit-identical
-  centers/assignments/costs.
 * ``fastkpp_native`` — the full multi-tree seeding with the compiled
   Fast-kmeans++ kernels (pointer-table level sweeps resolving the center's
   cell per level in C, sequential-prefix D² draws) vs the same
@@ -75,7 +67,7 @@ Measured components per ``(n, d, k)`` workload:
   inequality proves cannot improve, vs the same ``kmeans_plus_plus`` call
   on the numpy tier.  Bit-identical centers/assignment/cost.
 
-The five compiled-tier rows (``--components native`` selects them) record
+The four compiled-tier rows (``--components native`` selects them) record
 the tier and the provider of the row's kernel.  They are stamped
 ``informational`` when the tier is disabled (``REPRO_NATIVE=0``) or cannot
 build (no compiler): the ratio would then time numpy against itself.  A
@@ -114,14 +106,12 @@ import numpy as np
 from repro import observability
 from repro.clustering.fast_kmeans_pp import fast_kmeans_plus_plus
 from repro.clustering.kmeans_pp import kmeans_plus_plus
-from repro.clustering.lloyd import kmeans
 from repro.core.fast_coreset import FastCoreset
 from repro.core.spread_reduction import crude_cost_upper_bound
 from repro.data.synthetic import gaussian_mixture
 from repro.geometry.quadtree import QuadtreeEmbedding, compute_spread
 from repro.parallel import ProcessAsyncExecutor, SerialAsyncExecutor, ShardedCoresetBuilder
 from repro.native import kernel_demotions, native_status, use_native
-from repro.reference.naive_lloyd import naive_kmeans
 from repro.reference.seed_hotpath import SeedQuadtreeEmbedding, seed_fast_kmeans_plus_plus
 from repro.reference.naive_window import NaiveWindowReference
 from repro.reference.seed_streaming import seed_compute_spread, seed_stream_coreset
@@ -177,7 +167,6 @@ PARALLEL_COMPONENTS = {"parallel_shard"}
 #: kernel fails the row instead (:func:`check_regression`).
 NATIVE_COMPONENTS = {
     "quadtree_fit_native": "csr_group",
-    "lloyd_native": "lloyd_refresh_bounds",
     "fastkpp_native": "fkpp_level_score",
     "crude_bound_native": "crude_bound_probe",
     "kmeanspp_native": "kmeanspp_round",
@@ -197,11 +186,6 @@ def available_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux fallback
         return os.cpu_count() or 1
-
-#: Lloyd workloads run up to this many iterations with tolerance 0 (the
-#: library's default ``max_iterations``) so both engines do an identical —
-#: and realistically long — amount of refinement work.
-LLOYD_ITERATIONS = 50
 
 #: Streaming workloads: block count of the merge-&-reduce tree and target
 #: size (the paper's ``m = 40k`` default).
@@ -226,8 +210,6 @@ QUICK_WORKLOADS = [
     ("fast_kmeans_pp_n20k_d20_k64", 20_000, 20, 64, "fast_kmeans_pp"),
     ("quadtree_fit_n50k_d10", 50_000, 10, 0, "quadtree_fit"),
     ("quadtree_fit_n20k_d20", 20_000, 20, 0, "quadtree_fit"),
-    ("lloyd_n20k_d10_k50", 20_000, 10, 50, "lloyd"),
-    ("lloyd_n20k_d10_k100", 20_000, 10, 100, "lloyd"),
     ("merge_reduce_n40k_d10_k10", 40_000, 10, 10, "merge_reduce"),
     ("merge_reduce_cached_bound_n40k_d10_k10", 40_000, 10, 10, "merge_reduce_cached_bound"),
     # Windowed streams, queried after every block; the naive
@@ -236,7 +218,6 @@ QUICK_WORKLOADS = [
     ("windowed_stream_decay_n40k_d10_k10", 40_000, 10, 10, "windowed_stream_decay"),
     # Compiled-tier rows: the same call on the numpy tier is the baseline.
     ("quadtree_fit_native_n50k_d10", 50_000, 10, 0, "quadtree_fit_native"),
-    ("lloyd_native_n80k_d10_k20", 80_000, 10, 20, "lloyd_native"),
     ("fastkpp_native_n50k_d10_k300", 50_000, 10, 300, "fastkpp_native"),
     ("crude_bound_native_n40k_d10_k10", 40_000, 10, 10, "crude_bound_native"),
     ("kmeanspp_native_n100k_d10_k200", 100_000, 10, 200, "kmeanspp_native"),
@@ -248,7 +229,6 @@ QUICK_WORKLOADS = [
 FULL_EXTRA = [
     ("fast_kmeans_pp_n100k_d10_k200", 100_000, 10, 200, "fast_kmeans_pp"),
     ("quadtree_fit_n100k_d10", 100_000, 10, 0, "quadtree_fit"),
-    ("lloyd_n50k_d10_k100", 50_000, 10, 100, "lloyd"),
     ("merge_reduce_n100k_d10_k20", 100_000, 10, 20, "merge_reduce"),
 ]
 
@@ -341,21 +321,6 @@ def run_workload(
 
         optimized = _timed(_fit, repeats)
         seed_time = _best_of(_fit, repeats, tier=False)
-    elif component == "lloyd_native":
-        initial = points[np.random.default_rng(5).choice(n, size=k, replace=False)]
-
-        def _refine() -> None:
-            kmeans(
-                points,
-                k,
-                initial_centers=initial,
-                max_iterations=LLOYD_ITERATIONS,
-                tolerance=0.0,
-                seed=0,
-            )
-
-        optimized = _timed(_refine, repeats)
-        seed_time = _best_of(_refine, repeats, tier=False)
     elif component == "fastkpp_native":
         def _seed_trees() -> None:
             fast_kmeans_plus_plus(points, k, seed=0)
@@ -432,30 +397,6 @@ def run_workload(
         optimized = _timed(_run_windowed_tree, repeats)
         seed_time = _best_of(_run_naive_recompute, repeats)
         extras["queries"] = STREAM_BLOCKS
-    elif component == "lloyd":
-        initial = points[np.random.default_rng(5).choice(n, size=k, replace=False)]
-        optimized = _timed(
-            lambda: kmeans(
-                points,
-                k,
-                initial_centers=initial,
-                max_iterations=LLOYD_ITERATIONS,
-                tolerance=0.0,
-                seed=0,
-            ),
-            repeats,
-        )
-        seed_time = _best_of(
-            lambda: naive_kmeans(
-                points,
-                k,
-                initial_centers=initial,
-                max_iterations=LLOYD_ITERATIONS,
-                tolerance=0.0,
-                seed=0,
-            ),
-            repeats,
-        )
     elif component == "merge_reduce":
         m = 40 * k
         sampler = FastCoreset(k=k, seed=0)

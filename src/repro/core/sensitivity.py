@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.clustering.cost import ClusteringSolution, per_point_costs
 from repro.clustering.kmeans_pp import kmeans_plus_plus
-from repro.clustering.lloyd import kmeans
 from repro.core.base import CoresetConstruction
 from repro.core.coreset import Coreset
 from repro.utils.rng import SeedLike, as_generator
@@ -143,10 +142,6 @@ class SensitivitySampling(CoresetConstruction):
         (standard sensitivity sampling).
     z:
         1 for k-median, 2 for k-means.
-    lloyd_iterations:
-        Optional Lloyd refinement of the candidate solution before the
-        scores are computed (0 matches the paper's setup, which uses the raw
-        k-means++ solution).
     include_center_correction:
         When true, the candidate solution's centers are appended to the
         coreset with corrective weights ``max(0, |C_i| - |hat C_i|)`` so each
@@ -165,14 +160,12 @@ class SensitivitySampling(CoresetConstruction):
         *,
         j: Optional[int] = None,
         z: int = 2,
-        lloyd_iterations: int = 0,
         include_center_correction: bool = False,
         seed: SeedLike = None,
     ) -> None:
         super().__init__(z=z, seed=seed)
         self.k = check_integer(k, name="k")
         self.j = self.k if j is None else check_integer(j, name="j")
-        self.lloyd_iterations = int(lloyd_iterations)
         self.include_center_correction = bool(include_center_correction)
 
     # ------------------------------------------------------------------
@@ -183,18 +176,7 @@ class SensitivitySampling(CoresetConstruction):
         generator: np.random.Generator,
     ) -> ClusteringSolution:
         """Compute the ``j``-center candidate solution the scores are based on."""
-        solution = kmeans_plus_plus(points, self.j, weights=weights, z=self.z, seed=generator)
-        if self.lloyd_iterations > 0 and self.z == 2:
-            refined = kmeans(
-                points,
-                self.j,
-                weights=weights,
-                max_iterations=self.lloyd_iterations,
-                initial_centers=solution.centers,
-                seed=generator,
-            )
-            solution = refined.as_solution()
-        return solution
+        return kmeans_plus_plus(points, self.j, weights=weights, z=self.z, seed=generator)
 
     def _sample(
         self,

@@ -4,8 +4,6 @@ Public surface:
 
 * :func:`get_kernel` — a verified compiled kernel by name, or ``None`` when
   it is on the fallback (the caller keeps its numpy path).
-* :func:`candidate_eval_kernel` — the native Lloyd warm-phase kernel, or
-  ``None`` when the tier is in fallback mode.
 * :func:`native_status` — introspection: mode, the ``cc`` provider,
   per-kernel routing (with a ``reason`` for every kernel on the fallback).
 * :func:`kernel_demotions` — kernels that failed verification and fell back.
@@ -14,15 +12,16 @@ Public surface:
   ``0`` (or ``off``/``false``/``no``) forces the pure-numpy fallback
   everywhere; any other value enables the compiled tier.
 
-Every kernel is pinned bit-identical to its numpy counterpart in both tier
-modes, so the streaming, sharded, and async layers — and their equivalence
-suites — inherit the speedup with zero semantic drift.
+Six kernels ride the tier: the quadtree's key derivation and CSR grouping,
+the Fast-kmeans++ level sweep and D²-draw, the plain k-means++ round and
+the crude-bound occupancy probe.  Every kernel is pinned bit-identical to
+its numpy counterpart in both tier modes, so the streaming, sharded, and
+async layers — and their equivalence suites — inherit the speedup with zero
+semantic drift.
 """
 
 from repro.native.kernels import (
-    candidate_eval_kernel,
     kernel_provider,
-    reference_candidate_eval,
     reference_crude_bound_probe,
     reference_fkpp_draw_scan,
     reference_fkpp_level_score,
@@ -41,12 +40,10 @@ from repro.native.registry import (
 
 __all__ = [
     "ENV_FLAG",
-    "candidate_eval_kernel",
     "get_kernel",
     "kernel_demotions",
     "kernel_provider",
     "native_status",
-    "reference_candidate_eval",
     "reference_crude_bound_probe",
     "reference_fkpp_draw_scan",
     "reference_fkpp_level_score",

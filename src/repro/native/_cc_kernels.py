@@ -18,8 +18,8 @@ kernels lean on that: ``repro__einsum_sq`` reproduces, operation for
 operation, the two-lane SSE2 accumulation pattern of this numpy build's
 ``einsum("ij,ij->i", delta, delta)`` (two independent partial sums over the
 even/odd lanes, a four-vector unrolled main loop folding right-to-left, and
-the scalar tail), so the squared distances the Lloyd kernels produce are
-bit-identical to the numpy hot path they replace.  The resolution-time
+the scalar tail), so the squared distances the k-means++ round computes are
+bit-identical to the numpy seeding loop it replaces.  The resolution-time
 verifiers check exactly that against live numpy calls — on a numpy build
 with a different SIMD dispatch the verifier fails and the registry quietly
 keeps the numpy path.
@@ -42,7 +42,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 from numpy.ctypeslib import ndpointer
@@ -397,181 +397,6 @@ void repro_quadtree_keys_advance(uint64_t *keys, const uint32_t *digits,
     }
 }
 
-/* ------------------------------------------------------------------ lloyd */
-
-/* The squared distance between two d-vectors, accumulated in exactly the
- * order of this numpy build's einsum("ij,ij->i", delta, delta) row kernel:
- * the SSE2 (vstep 2, no FMA) loop keeps one partial sum per lane -- lane 0
- * the even offsets, lane 1 the odd -- unrolls four vectors and folds them
- * right to left onto the accumulator, then drains pairs and a possible
- * scalar remainder (which contributes an explicit 0.0 to the odd lane)
- * before adding the two lanes.  Compiled with -ffp-contract=off nothing is
- * fused or reassociated, so the result is bit-identical to numpy's. */
-static double repro__einsum_sq(const double *p, const double *c, int64_t d)
-{
-    double l0 = 0.0;
-    double l1 = 0.0;
-    int64_t t = 0;
-    for (; t + 8 <= d; t += 8) {
-        const double d0 = p[t] - c[t];
-        const double d1 = p[t + 1] - c[t + 1];
-        const double d2 = p[t + 2] - c[t + 2];
-        const double d3 = p[t + 3] - c[t + 3];
-        const double d4 = p[t + 4] - c[t + 4];
-        const double d5 = p[t + 5] - c[t + 5];
-        const double d6 = p[t + 6] - c[t + 6];
-        const double d7 = p[t + 7] - c[t + 7];
-        l0 = (d0 * d0) + ((d2 * d2) + ((d4 * d4) + ((d6 * d6) + l0)));
-        l1 = (d1 * d1) + ((d3 * d3) + ((d5 * d5) + ((d7 * d7) + l1)));
-    }
-    for (; t + 2 <= d; t += 2) {
-        const double d0 = p[t] - c[t];
-        const double d1 = p[t + 1] - c[t + 1];
-        l0 = (d0 * d0) + l0;
-        l1 = (d1 * d1) + l1;
-    }
-    if (t < d) {
-        const double d0 = p[t] - c[t];
-        l0 = (d0 * d0) + l0;
-        l1 = 0.0 + l1;
-    }
-    return l0 + l1;
-}
-
-/* Fused per-iteration bound refresh of the pruned Lloyd engine: for every
- * point recompute the exact assigned squared distance (einsum-identical),
- * derive the inflated upper bound, erode the cached lower bound by the
- * iteration's largest center drift, and emit the phase-one suspects
- * (upper >= eroded) in ascending order.  squared/eroded are updated in
- * place; returns the suspect count. */
-int64_t repro_lloyd_refresh_bounds(const double *points, const double *centers,
-                                   const int64_t *assignment, int64_t n,
-                                   int64_t d, double decrement,
-                                   double upper_scale, double *squared,
-                                   double *upper, double *eroded,
-                                   int64_t *suspects)
-{
-    int64_t i;
-    int64_t count = 0;
-    for (i = 0; i < n; ++i) {
-        const double sq =
-            repro__einsum_sq(points + i * d, centers + assignment[i] * d, d);
-        const double u = sqrt(sq) * upper_scale;
-        const double e = eroded[i] - decrement;
-        squared[i] = sq;
-        upper[i] = u;
-        eroded[i] = e;
-        if (u >= e)
-            suspects[count++] = i;
-    }
-    return count;
-}
-
-/* Per-candidate exact-distance evaluation for Lloyd's warm phase.
- *
- * A candidate of suspect row r is a non-assigned center j whose lower
- * bound bounds[r*k + j] does not exceed upper[r].  A pre-pass counts the
- * candidate pairs and returns -1 when they exceed 4 per suspect on average
- * -- the numpy prove-stay bail, where the blocked kernel is cheaper -- so
- * the caller falls through with the suspect set untouched.
- *
- * Otherwise each suspect's candidates are evaluated with the einsum
- * replica and the suspect is classified:
- *
- *   result[r] = assignment        no candidate reaches the assigned
- *                                 distance within the relative margin (the
- *                                 numpy pass's "stays" set, bit for bit);
- *   result[r] = j (!= assignment) candidate j wins and the runner-up gap
- *                                 clears an absolute-scale guard wide
- *                                 enough that the blocked GEMM argmin
- *                                 (norm expansion, clamping, lowest-index
- *                                 ties) must agree;
- *   result[r] = -1                beaten but ambiguous: the caller routes
- *                                 the suspect through the authoritative
- *                                 blocked kernel.
- *
- * second_sq[r] gets the second-smallest evaluated squared distance (the
- * assigned distance participates; +inf when the suspect stays), from which
- * the caller rebuilds a sound runner-up bound for reassigned points. */
-int64_t repro_lloyd_candidate_eval(const double *points, const double *centers,
-                                   const double *center_norms, int64_t d,
-                                   int64_t k, const int64_t *suspects,
-                                   int64_t s, const double *bounds,
-                                   const double *upper,
-                                   const double *assigned_sq,
-                                   const int64_t *assignment, double margin,
-                                   int64_t *result, double *second_sq)
-{
-    int64_t r;
-    int64_t pairs = 0;
-    for (r = 0; r < s; ++r) {
-        const double *bound_row = bounds + r * k;
-        const double u = upper[r];
-        const int64_t a = assignment[suspects[r]];
-        int64_t j;
-        for (j = 0; j < k; ++j)
-            if (j != a && bound_row[j] <= u)
-                ++pairs;
-    }
-    if (pairs > 4 * s)
-        return -1;
-    for (r = 0; r < s; ++r) {
-        const int64_t i = suspects[r];
-        const int64_t a = assignment[i];
-        const double *point = points + i * d;
-        const double *bound_row = bounds + r * k;
-        const double u = upper[r];
-        const double asq = assigned_sq[i];
-        const double stay_limit = asq * (1.0 + margin);
-        double best = asq;
-        double second = 1.0 / 0.0;
-        double cn_max = center_norms[a];
-        int64_t best_j = a;
-        int64_t beaten = 0;
-        int64_t j;
-        for (j = 0; j < k; ++j) {
-            double dist;
-            if (j == a || bound_row[j] > u)
-                continue;
-            dist = repro__einsum_sq(point, centers + j * d, d);
-            if (dist <= stay_limit)
-                ++beaten;
-            if (center_norms[j] > cn_max)
-                cn_max = center_norms[j];
-            if (dist < best) {
-                second = best;
-                best = dist;
-                best_j = j;
-            } else if (dist < second) {
-                second = dist;
-            }
-        }
-        if (beaten == 0) {
-            result[r] = a;
-            second_sq[r] = 1.0 / 0.0;
-            continue;
-        }
-        second_sq[r] = second;
-        if (best_j != a) {
-            /* The guard must dominate the blocked kernel's rounding: its
-             * distances come from pn + cn - 2*dot with error on the order
-             * of eps * (pn + cn + dist), so a runner-up gap of margin
-             * (~1e-9) times that scale leaves the argmin no room to
-             * disagree -- including its lowest-index tie-breaking, which
-             * needs strict separation, not just a different winner. */
-            double pn = 0.0;
-            int64_t t;
-            for (t = 0; t < d; ++t)
-                pn += point[t] * point[t];
-            result[r] =
-                (second - best > margin * (pn + cn_max + second)) ? best_j : -1;
-        } else {
-            result[r] = -1;
-        }
-    }
-    return 0;
-}
-
 /* ----------------------------------------------------------- fast-kmeans++ */
 
 /* One cell of a Fast-kmeans++ register-center sweep: for every member
@@ -695,6 +520,45 @@ int64_t repro_fkpp_draw_scan(const double *mass, int64_t n, double u)
 }
 
 /* ---------------------------------------------------------------- kmeans++ */
+
+/* The squared distance between two d-vectors, accumulated in exactly the
+ * order of this numpy build's einsum("ij,ij->i", delta, delta) row kernel:
+ * the SSE2 (vstep 2, no FMA) loop keeps one partial sum per lane -- lane 0
+ * the even offsets, lane 1 the odd -- unrolls four vectors and folds them
+ * right to left onto the accumulator, then drains pairs and a possible
+ * scalar remainder (which contributes an explicit 0.0 to the odd lane)
+ * before adding the two lanes.  Compiled with -ffp-contract=off nothing is
+ * fused or reassociated, so the result is bit-identical to numpy's. */
+static double repro__einsum_sq(const double *p, const double *c, int64_t d)
+{
+    double l0 = 0.0;
+    double l1 = 0.0;
+    int64_t t = 0;
+    for (; t + 8 <= d; t += 8) {
+        const double d0 = p[t] - c[t];
+        const double d1 = p[t + 1] - c[t + 1];
+        const double d2 = p[t + 2] - c[t + 2];
+        const double d3 = p[t + 3] - c[t + 3];
+        const double d4 = p[t + 4] - c[t + 4];
+        const double d5 = p[t + 5] - c[t + 5];
+        const double d6 = p[t + 6] - c[t + 6];
+        const double d7 = p[t + 7] - c[t + 7];
+        l0 = (d0 * d0) + ((d2 * d2) + ((d4 * d4) + ((d6 * d6) + l0)));
+        l1 = (d1 * d1) + ((d3 * d3) + ((d5 * d5) + ((d7 * d7) + l1)));
+    }
+    for (; t + 2 <= d; t += 2) {
+        const double d0 = p[t] - c[t];
+        const double d1 = p[t + 1] - c[t + 1];
+        l0 = (d0 * d0) + l0;
+        l1 = (d1 * d1) + l1;
+    }
+    if (t < d) {
+        const double d0 = p[t] - c[t];
+        l0 = (d0 * d0) + l0;
+        l1 = 0.0 + l1;
+    }
+    return l0 + l1;
+}
 
 /* 4 (1 + 2^-20), exact in double: the pruning factor of the round below. */
 #define REPRO_KPP_PRUNE_FACTOR (4.0 + 0x1p-18)
@@ -863,28 +727,6 @@ int64_t repro_crude_bound_probe(const double *scaled, int64_t n, int64_t d,
         }
     }
     return count;
-}
-
-/* The M-step accumulation: per-cluster weight totals and weighted
- * coordinate sums, visiting points in ascending index order -- the exact
- * accumulation order of np.bincount over flat (cluster, coordinate) codes,
- * so the partial sums are bit-identical to update_centers' numpy path. */
-void repro_lloyd_update_sums(const double *weighted, const double *weights,
-                             const int64_t *assignment, int64_t n, int64_t d,
-                             int64_t k, double *counts, double *sums)
-{
-    int64_t i;
-    int64_t t;
-    memset(counts, 0, (size_t)k * sizeof(double));
-    memset(sums, 0, (size_t)(k * d) * sizeof(double));
-    for (i = 0; i < n; ++i) {
-        const int64_t a = assignment[i];
-        const double *row = weighted + i * d;
-        double *out = sums + a * d;
-        counts[a] += weights[i];
-        for (t = 0; t < d; ++t)
-            out[t] += row[t];
-    }
 }
 """
 
@@ -1103,20 +945,6 @@ def load_kernels() -> Dict[str, Callable]:
     group.restype = i64
     group.argtypes = [ctypes.c_void_p, i64] + [ctypes.c_void_p] * 11 + [i64]
 
-    refresh = library.repro_lloyd_refresh_bounds
-    refresh.restype = i64
-    refresh.argtypes = [pf64, pf64, pi64, i64, i64, f64, f64, pf64, pf64, pf64, pi64]
-
-    candidate = library.repro_lloyd_candidate_eval
-    candidate.restype = i64
-    candidate.argtypes = [
-        pf64, pf64, pf64, i64, i64, pi64, i64, pf64, pf64, pf64, pi64, f64, pi64, pf64,
-    ]
-
-    sums_kernel = library.repro_lloyd_update_sums
-    sums_kernel.restype = None
-    sums_kernel.argtypes = [pf64, pf64, pi64, i64, i64, i64, pf64, pf64]
-
     # The pointer-table sweep is bound with raw-pointer argtypes only:
     # ctypes ndpointer validation costs ~3 µs per array argument, which at
     # one call per (tree, center) would eat the kernel's win, and this
@@ -1194,81 +1022,6 @@ def load_kernels() -> Dict[str, Callable]:
             offsets.ctypes.data, *work, _hash_table_size(n),
         )
         return cell_ids, order, offsets[: n_cells + 1].copy()
-
-    def lloyd_refresh_bounds(
-        points: np.ndarray,
-        centers: np.ndarray,
-        assignment: np.ndarray,
-        decrement: float,
-        upper_scale: float,
-        squared: np.ndarray,
-        eroded: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        n, d = points.shape
-        upper = np.empty(n, dtype=np.float64)
-        suspect_buffer = _scratch("suspects", n, np.int64)
-        count = refresh(
-            points,
-            centers,
-            assignment,
-            n,
-            d,
-            float(decrement),
-            float(upper_scale),
-            squared,
-            upper,
-            eroded,
-            suspect_buffer,
-        )
-        return upper, suspect_buffer[:count].copy()
-
-    def lloyd_candidate_eval(
-        points: np.ndarray,
-        centers: np.ndarray,
-        center_norms: np.ndarray,
-        suspects: np.ndarray,
-        bounds: np.ndarray,
-        upper: np.ndarray,
-        assigned_sq: np.ndarray,
-        assignment: np.ndarray,
-        margin: float,
-    ) -> Optional[tuple]:
-        s = suspects.shape[0]
-        result = np.empty(s, dtype=np.int64)
-        second_sq = np.empty(s, dtype=np.float64)
-        if s == 0:
-            return result, second_sq
-        outcome = candidate(
-            points,
-            centers,
-            center_norms,
-            points.shape[1],
-            centers.shape[0],
-            suspects,
-            s,
-            bounds,
-            upper,
-            assigned_sq,
-            assignment,
-            float(margin),
-            result,
-            second_sq,
-        )
-        if outcome == -1:
-            return None  # bounds too weak: caller keeps the blocked path
-        return result, second_sq
-
-    def lloyd_update_sums(
-        weighted: np.ndarray,
-        weights: np.ndarray,
-        assignment: np.ndarray,
-        k: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        n, d = weighted.shape
-        counts = np.empty(k, dtype=np.float64)
-        sums = np.empty((k, d), dtype=np.float64)
-        sums_kernel(weighted, weights, assignment, n, d, k, counts, sums.reshape(-1))
-        return counts, sums
 
     def fkpp_level_score(
         level_orders,
@@ -1441,9 +1194,6 @@ def load_kernels() -> Dict[str, Callable]:
 
     return {
         "csr_group": csr_group_u64,
-        "lloyd_refresh_bounds": lloyd_refresh_bounds,
-        "lloyd_candidate_eval": lloyd_candidate_eval,
-        "lloyd_update_sums": lloyd_update_sums,
         # The binder: fkpp_level_score(level_orders, level_offsets,
         # level_cells, n, distances, czs, best_distance, assignment, mass,
         # weights) -> sweep(ceiling, center_slot, center_point, has_mass).

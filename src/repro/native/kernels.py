@@ -1,6 +1,6 @@
-"""Kernel declarations, verifiers, and the public dispatch wrappers.
+"""Kernel declarations, their numpy oracles and their verifiers.
 
-Nine kernels ride the compiled tier.  None has a registered fallback: when
+Six kernels ride the compiled tier.  None has a registered fallback: when
 a kernel is not served, :func:`~repro.native.registry.get_kernel` returns
 ``None`` and the caller keeps its own inline numpy path.
 
@@ -23,12 +23,6 @@ a kernel is not served, :func:`~repro.native.registry.get_kernel` returns
     a private buffer in one pass, then returns ``advance(level)``, which
     applies ``key' = 2 * key + bits . multipliers`` in place.  Depth caps
     1..32.
-
-``lloyd_refresh_bounds`` / ``lloyd_candidate_eval`` / ``lloyd_update_sums``
-    The warm-phase loop of the pruned Lloyd engine
-    (:mod:`repro.clustering.lloyd`): the fused per-point bound refresh, the
-    per-candidate exact-distance evaluation with guarded direct
-    reassignment, and the M-step accumulation.
 
 ``fkpp_level_score``
     One Fast-kmeans++ register-center sweep over every level of one tree
@@ -76,21 +70,19 @@ a kernel is not served, :func:`~repro.native.registry.get_kernel` returns
 
 Every verifier compares the compiled implementation against *live numpy
 calls* on adversarial inputs before the registry ever routes a real call to
-it.  That is the load-bearing design: the distance kernels replicate this
-numpy build's exact SIMD accumulation order, and if a different numpy build
-changes it, verification fails and the registry keeps the numpy path for
-that kernel (reported by :func:`~repro.native.registry.kernel_demotions`) —
+it.  That is the load-bearing design: the k-means++ round replicates this
+numpy build's exact ``einsum`` accumulation order, and if a different numpy
+build changes it, verification fails and the registry keeps the numpy path
+for that kernel (reported by :func:`~repro.native.registry.kernel_demotions`) —
 numpy speed, never wrong results.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 from repro.native import registry
-from repro.native.registry import get_kernel, kernel_provider
+from repro.native.registry import kernel_provider
 
 # ---------------------------------------------------------------- oracles
 def _reference_csr_group(keys: np.ndarray) -> tuple:
@@ -111,74 +103,6 @@ def _reference_csr_group(keys: np.ndarray) -> tuple:
     offsets[:-1] = boundaries
     offsets[-1] = n
     return cell_ids, order, offsets
-
-
-def reference_candidate_eval(
-    points: np.ndarray,
-    centers: np.ndarray,
-    center_norms: np.ndarray,
-    suspects: np.ndarray,
-    bounds: np.ndarray,
-    upper: np.ndarray,
-    assigned_sq: np.ndarray,
-    assignment: np.ndarray,
-    margin: float,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Oracle of the candidate-evaluation kernel, built from live numpy ops.
-
-    Candidate distances come from the same ``einsum("ij,ij->i", ...)`` call
-    the engine's prove-stay pass uses, so comparing the kernel against this
-    oracle *is* the bit-identity check against the numpy hot path (the
-    kernel replicates the einsum accumulation order exactly).  The
-    classification chain mirrors the compiled kernels operation for
-    operation.
-    """
-    s = suspects.shape[0]
-    k = centers.shape[0]
-    result = np.empty(s, dtype=np.int64)
-    second_sq = np.empty(s, dtype=np.float64)
-    candidate = bounds <= upper[:, None]
-    candidate[np.arange(s), assignment[suspects]] = False
-    if int(np.count_nonzero(candidate)) > 4 * s:
-        return None
-    for r in range(s):
-        i = int(suspects[r])
-        a = int(assignment[i])
-        asq = float(assigned_sq[i])
-        stay_limit = asq * (1.0 + margin)
-        columns = np.flatnonzero(candidate[r])
-        delta = points[i][None, :] - centers[columns]
-        distances = np.einsum("ij,ij->i", delta, delta)
-        best = asq
-        second = np.inf
-        best_j = a
-        cn_max = float(center_norms[a])
-        beaten = 0
-        for j, dist in zip(columns, distances):
-            dist = float(dist)
-            if dist <= stay_limit:
-                beaten += 1
-            if center_norms[j] > cn_max:
-                cn_max = float(center_norms[j])
-            if dist < best:
-                second = best
-                best = dist
-                best_j = int(j)
-            elif dist < second:
-                second = dist
-        if beaten == 0:
-            result[r] = a
-            second_sq[r] = np.inf
-            continue
-        second_sq[r] = second
-        if best_j != a:
-            pn = 0.0
-            for t in range(points.shape[1]):
-                pn += float(points[i, t]) * float(points[i, t])
-            result[r] = best_j if second - best > margin * (pn + cn_max + second) else -1
-        else:
-            result[r] = -1
-    return result, second_sq
 
 
 def reference_fkpp_level_score(
@@ -391,134 +315,6 @@ def _verify_csr_group(kernel) -> None:
                 raise RuntimeError(f"csr grouping returned {name} as {have.dtype}, not int32")
             if not np.array_equal(have, want):
                 raise RuntimeError(f"csr grouping disagrees with numpy on {name}")
-
-
-def _verify_refresh_bounds(kernel) -> None:
-    rng = np.random.default_rng(20240810)
-    # Every dimension class of the einsum row kernel: the unrolled 8-wide
-    # main loop, the pairwise drain, the scalar remainder, and their
-    # combinations.  A kernel whose accumulation order differs from this
-    # numpy build's einsum fails here and is never served.
-    for d in (1, 2, 3, 4, 5, 7, 8, 9, 10, 13, 16, 17, 20, 33):
-        n, k = 64, 5
-        points = rng.normal(size=(n, d)) * rng.uniform(0.1, 30.0)
-        centers = rng.normal(size=(k, d))
-        assignment = rng.integers(0, k, size=n).astype(np.int64)
-        eroded = rng.normal(size=n)
-        decrement = float(abs(rng.normal())) * 1e-3
-        scale = 1.0 + 1e-12
-        delta = points - centers[assignment]
-        expected_sq = np.einsum("ij,ij->i", delta, delta)
-        expected_upper = np.sqrt(expected_sq) * scale
-        expected_eroded = eroded - decrement
-        expected_maybe = np.flatnonzero(expected_upper >= expected_eroded)
-        squared = np.empty(n, dtype=np.float64)
-        mutated = eroded.copy()
-        upper, maybe = kernel(
-            np.ascontiguousarray(points),
-            np.ascontiguousarray(centers),
-            assignment,
-            decrement,
-            scale,
-            squared,
-            mutated,
-        )
-        if not (
-            np.array_equal(squared, expected_sq)
-            and np.array_equal(np.asarray(upper), expected_upper)
-            and np.array_equal(mutated, expected_eroded)
-            and np.array_equal(np.asarray(maybe, dtype=np.int64), expected_maybe)
-        ):
-            raise RuntimeError(
-                f"bound refresh disagrees with the numpy einsum path at d={d}"
-            )
-
-
-def _verify_candidate_eval(kernel) -> None:
-    rng = np.random.default_rng(20240808)
-    for d in (1, 3, 8, 10):
-        n, k = 48, 6
-        points = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
-        centers = rng.normal(size=(k, d)) * rng.uniform(0.1, 10.0)
-        delta = points[:, None, :] - centers[None, :, :]
-        squared = np.einsum("ijk,ijk->ij", delta, delta)
-        assignment = np.argmin(squared, axis=1).astype(np.int64)
-        # Stale some assignments so genuine reassignments occur.
-        stale = rng.random(n) < 0.4
-        assignment[stale] = rng.integers(0, k, size=int(stale.sum()))
-        moved = points - centers[assignment]
-        assigned_sq = np.einsum("ij,ij->i", moved, moved)
-        center_norms = np.einsum("ij,ij->i", centers, centers)
-        suspects = np.flatnonzero(rng.random(n) < 0.8).astype(np.int64)
-        s = suspects.size
-        upper = np.sqrt(assigned_sq[suspects]) * rng.uniform(1.0, 1.5, size=s)
-        # Sound lower bounds only: the engine never produces over-estimates.
-        bounds = np.sqrt(np.maximum(squared[suspects], 0.0)) * rng.uniform(
-            0.4, 1.0, size=(s, k)
-        )
-        arguments = (
-            np.ascontiguousarray(points),
-            np.ascontiguousarray(centers),
-            np.ascontiguousarray(center_norms),
-            suspects,
-            np.ascontiguousarray(bounds),
-            np.ascontiguousarray(upper),
-            np.ascontiguousarray(assigned_sq),
-            assignment,
-            1e-9,
-        )
-        expected = reference_candidate_eval(*arguments)
-        produced = kernel(*arguments)
-        if expected is None or produced is None:
-            if expected is not None or produced is not None:
-                raise RuntimeError("candidate evaluation disagrees on the pair bail")
-            continue
-        if not np.array_equal(np.asarray(produced[0], dtype=np.int64), expected[0]):
-            raise RuntimeError("candidate evaluation disagrees with the numpy oracle")
-        if not np.array_equal(np.asarray(produced[1]), expected[1]):
-            raise RuntimeError("candidate second distances disagree with the numpy oracle")
-    # The pair bail: saturate every bound so all k-1 candidates survive.
-    n, d, k = 16, 4, 8
-    points = rng.normal(size=(n, d))
-    centers = rng.normal(size=(k, d))
-    assignment = np.zeros(n, dtype=np.int64)
-    moved = points - centers[assignment]
-    assigned_sq = np.einsum("ij,ij->i", moved, moved)
-    center_norms = np.einsum("ij,ij->i", centers, centers)
-    suspects = np.arange(n, dtype=np.int64)
-    produced = kernel(
-        np.ascontiguousarray(points),
-        np.ascontiguousarray(centers),
-        np.ascontiguousarray(center_norms),
-        suspects,
-        np.zeros((n, k), dtype=np.float64),
-        np.full(n, 1e6, dtype=np.float64),
-        np.ascontiguousarray(assigned_sq),
-        assignment,
-        1e-9,
-    )
-    if produced is not None:
-        raise RuntimeError("candidate evaluation failed to bail on saturated bounds")
-
-
-def _verify_update_sums(kernel) -> None:
-    rng = np.random.default_rng(20240811)
-    for n, d, k in ((1, 1, 1), (50, 3, 7), (300, 10, 20)):
-        points = rng.normal(size=(n, d))
-        weights = rng.uniform(0.1, 3.0, size=n)
-        # Leave clusters empty on purpose: their slots must stay zero.
-        assignment = rng.integers(0, max(1, k - 2), size=n).astype(np.int64)
-        weighted = weights[:, None] * points
-        expected_counts = np.bincount(assignment, weights=weights, minlength=k)
-        codes = assignment[:, None] * d + np.arange(d, dtype=np.int64)
-        expected_sums = np.bincount(
-            codes.ravel(), weights=weighted.ravel(), minlength=k * d
-        ).reshape(k, d)
-        counts, sums = kernel(np.ascontiguousarray(weighted), weights, assignment, k)
-        if not np.array_equal(np.asarray(counts), expected_counts):
-            raise RuntimeError("update sums disagrees with np.bincount on counts")
-        if not np.array_equal(np.asarray(sums), expected_sums):
-            raise RuntimeError("update sums disagrees with np.bincount on sums")
 
 
 def _verify_fkpp_level_score(kernel) -> None:
@@ -764,17 +560,8 @@ def _verify_quadtree_keys(kernel) -> None:
                 )
 
 
-# ------------------------------------------------------- public wrappers
-def candidate_eval_kernel() -> Optional[callable]:
-    """The native Lloyd candidate kernel, or ``None`` in fallback mode."""
-    return get_kernel("lloyd_candidate_eval")
-
-
 def _register() -> None:
     registry.register_kernel("csr_group", verify=_verify_csr_group)
-    registry.register_kernel("lloyd_refresh_bounds", verify=_verify_refresh_bounds)
-    registry.register_kernel("lloyd_candidate_eval", verify=_verify_candidate_eval)
-    registry.register_kernel("lloyd_update_sums", verify=_verify_update_sums)
     registry.register_kernel("fkpp_level_score", verify=_verify_fkpp_level_score)
     registry.register_kernel("fkpp_weighted_draw", verify=_verify_fkpp_weighted_draw)
     registry.register_kernel("crude_bound_probe", verify=_verify_crude_bound_probe)
@@ -786,9 +573,7 @@ _register()
 
 
 __all__ = [
-    "candidate_eval_kernel",
     "kernel_provider",
-    "reference_candidate_eval",
     "reference_crude_bound_probe",
     "reference_fkpp_draw_scan",
     "reference_fkpp_level_score",

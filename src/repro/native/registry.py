@@ -2,11 +2,10 @@
 
 The registry is the single seam between the pure-numpy library code and the
 compiled kernels: callers ask for a kernel *by name* through
-:func:`get_kernel` (or the public wrappers in :mod:`repro.native.kernels`)
-and never import the provider module directly.  The one provider, ``cc``
-(:mod:`repro.native._cc_kernels`, a small C translation unit compiled on
-first use with the system compiler), returns a ``{kernel name: callable}``
-mapping; every kernel registers a *verifier* that is run once against the
+:func:`get_kernel` and never import the provider module directly.  The one
+provider, ``cc`` (:mod:`repro.native._cc_kernels`, a small C translation
+unit compiled on first use with the system compiler), returns a ``{kernel
+name: callable}`` mapping; every kernel registers a *verifier* that is run once against the
 compiled implementation before it is ever trusted.
 
 Resolution contract
@@ -184,8 +183,8 @@ def kernel_demotions() -> Dict[str, str]:
     """Kernels the provider ships but that failed verification and fell back.
 
     ``{name: reason}``, empty on a healthy host.  A numpy build whose SIMD
-    accumulation order differs from the one the compiled distance kernels
-    replicate shows up here instead of as a silent slowdown.
+    accumulation order differs from the one the compiled k-means++ round
+    replicates shows up here instead of as a silent slowdown.
     """
     return dict(_resolve()["demotions"])
 

@@ -15,7 +15,7 @@ executed:
 
 Together these mean every executor backend at every worker count produces
 bit-identical shard coresets, the same contract discipline as the golden
-quadtree cells (PR 1) and the pruned-Lloyd equivalence (PR 2).
+quadtree cells.
 """
 
 from __future__ import annotations

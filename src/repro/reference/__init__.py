@@ -7,7 +7,6 @@ by library code: their sole purpose is to
 
 * serve as the golden baseline for the equivalence tests (the optimized
   quadtree must report the same cells and tree distances as the seed, the
-  pruned Lloyd engine the same clustering as the full-recompute loop, the
   windowed tree the same window as the recompute-from-window oracle), and
 * provide the baseline timing column of the seed-relative rows of
   ``benchmarks/bench_perf_hotpaths.py``, so those rows measure
@@ -18,7 +17,6 @@ Do not modify these snapshots when optimizing the live implementations —
 that would silently move the goalposts of both the tests and the benchmark.
 """
 
-from repro.reference.naive_lloyd import naive_kmeans
 from repro.reference.naive_window import NaiveWindowReference
 from repro.reference.seed_hotpath import SeedQuadtreeEmbedding, seed_fast_kmeans_plus_plus
 from repro.reference.seed_streaming import (
@@ -31,7 +29,6 @@ __all__ = [
     "SeedQuadtreeEmbedding",
     "SeedMergeReduceTree",
     "NaiveWindowReference",
-    "naive_kmeans",
     "seed_compute_spread",
     "seed_fast_kmeans_plus_plus",
     "seed_stream_coreset",

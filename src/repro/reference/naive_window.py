@@ -1,7 +1,6 @@
 """Frozen recompute-from-window oracle for the windowed streaming tree.
 
-This module pins the *semantics* of :mod:`repro.streaming.window` the same
-way :mod:`repro.reference.naive_lloyd` pins the pruned Lloyd engine: by an
+This module pins the *semantics* of :mod:`repro.streaming.window` by an
 independent, naive reimplementation.  :class:`NaiveWindowReference` keeps
 **every raw block ever streamed** and recomputes the live window — member
 blocks, decayed weights, bounding box — from scratch on every query, with

@@ -7,6 +7,8 @@ from repro.clustering.cost import clustering_cost
 from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.clustering.kmedian import cluster_representative, geometric_median, kmedian
 from repro.clustering.lloyd import kmeans, lloyd_iteration
+from repro.data.synthetic import gaussian_mixture
+from repro.native import use_native
 
 
 class TestLloyd:
@@ -63,6 +65,127 @@ class TestLloyd:
         solution = result.as_solution()
         assert solution.k == 3
         assert solution.z == 2
+
+
+def _difference_distances(points, centers):
+    """Brute force: every squared point-centre distance, by difference."""
+    columns = []
+    for center in centers:
+        delta = points - center
+        columns.append(np.einsum("ij,ij->i", delta, delta))
+    return np.stack(columns, axis=1)
+
+
+def _assert_lloyd_fixed_point(points, result, weights=None):
+    """The final assignment is a nearest centre by difference, and the cost
+    is the weighted sum of the nearest squared distances."""
+    weights = np.ones(points.shape[0]) if weights is None else weights
+    squared = _difference_distances(points, result.centers)
+    nearest = squared.min(axis=1)
+    rows = np.arange(points.shape[0])
+    np.testing.assert_array_equal(squared[rows, result.assignment], nearest)
+    assert result.cost == pytest.approx(float(np.dot(weights, nearest)), rel=1e-12)
+
+
+# The k-means++ seeding inside ``kmeans`` dispatches to the compiled tier,
+# so every brute-force check runs once per tier.
+@pytest.fixture(params=[True, False], ids=["native", "fallback"])
+def kernel_tier(request):
+    with use_native(request.param):
+        yield
+
+
+@pytest.mark.usefixtures("kernel_tier")
+class TestPlainLoopAgainstBruteForce:
+    """Observable behaviour of the plain Lloyd loop, checked by brute force."""
+
+    SHAPES = [(400, 2, 3), (1500, 8, 12), (1000, 3, 25), (600, 16, 7), (800, 5, 40)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: "n{}-d{}-k{}".format(*shape))
+    def test_assignment_and_cost_match_brute_force(self, shape, seed):
+        n, d, k = shape
+        points = gaussian_mixture(
+            n=n, d=d, n_clusters=max(2, k // 2), gamma=float(seed % 3), seed=seed
+        ).points
+        result = kmeans(points, k, seed=seed, max_iterations=40)
+        assert result.centers.shape == (k, d)
+        _assert_lloyd_fixed_point(points, result)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weighted_assignment_and_cost_match_brute_force(self, seed):
+        points = gaussian_mixture(n=900, d=6, n_clusters=5, gamma=1.0, seed=seed).points
+        weights = np.random.default_rng(seed).uniform(0.05, 4.0, points.shape[0])
+        result = kmeans(points, 11, weights=weights, seed=seed, max_iterations=40)
+        _assert_lloyd_fixed_point(points, result, weights)
+
+    def test_single_center_is_the_weighted_mean(self):
+        points = np.random.default_rng(2).normal(size=(500, 4)) * 3.0
+        weights = np.random.default_rng(3).uniform(0.1, 2.0, 500)
+        result = kmeans(points, 1, weights=weights, seed=9, max_iterations=25)
+        mean = np.average(points, axis=0, weights=weights)
+        np.testing.assert_allclose(result.centers[0], mean, rtol=1e-12, atol=1e-12)
+        assert (result.assignment == 0).all()
+        expected = float(np.dot(weights, ((points - mean) ** 2).sum(axis=1)))
+        assert result.cost == pytest.approx(expected, rel=1e-12)
+        # The centre is the optimum from the first step: the second confirms it.
+        assert result.converged and result.iterations == 2
+
+    @pytest.mark.parametrize("k", [115, 118, 120])
+    def test_k_near_n_on_duplicated_rows(self, k):
+        """k close to n with 30 distinct rows: many clusters empty at once
+        every iteration, so the multi-empty re-seed path runs repeatedly."""
+        base = np.random.default_rng(4).normal(size=(30, 3))
+        points = np.concatenate([base, base, base, base])
+        result = kmeans(points, k, seed=6, max_iterations=30)
+        assert result.centers.shape == (k, 3)
+        assert np.isfinite(result.centers).all()
+        _assert_lloyd_fixed_point(points, result)
+        # Every row sits on a centre: nothing is left to improve.
+        assert result.cost == 0.0
+
+    def test_generator_untouched_without_empty_clusters(self):
+        points = gaussian_mixture(n=900, d=4, n_clusters=5, gamma=0.0, seed=1).points
+        initial = points[np.random.default_rng(0).choice(points.shape[0], 5, replace=False)]
+        generator = np.random.default_rng(42)
+        state = generator.bit_generator.state
+        result = kmeans(points, 5, initial_centers=initial, seed=generator, max_iterations=30)
+        assert np.bincount(result.assignment, minlength=5).min() > 0
+        assert generator.bit_generator.state == state
+
+    def test_multi_empty_repair_advances_the_generator(self):
+        """Duplicate far-away initial centres force the multi-empty repair."""
+        points = np.random.default_rng(0).normal(size=(300, 4))
+        initial = np.full((6, 4), 1e6)
+        initial[0] = 0.0
+        generator = np.random.default_rng(3)
+        state = generator.bit_generator.state
+        result = kmeans(points, 6, initial_centers=initial, seed=generator, max_iterations=30)
+        assert generator.bit_generator.state != state
+        assert np.abs(result.centers).max() < 1e5
+        _assert_lloyd_fixed_point(points, result)
+
+
+class TestReseedDistinctness:
+    def test_multiple_empty_clusters_reseed_distinct_points(self):
+        """Two empty clusters must not re-seed at the same point.
+
+        With ``replace=True`` the two far-away duplicates could both be
+        re-seeded at the same heavy point, leaving one of them empty again on
+        the next iteration; without replacement the re-seeded centers differ.
+        """
+        rng = np.random.default_rng(11)
+        points = np.concatenate(
+            [rng.normal(size=(50, 2)), rng.normal(loc=50.0, size=(50, 2))]
+        )
+        weights = np.ones(points.shape[0])
+        centers = np.full((4, 2), 1e7)
+        centers[0] = 0.0
+        for trial in range(20):
+            updated = lloyd_iteration(points, centers, weights, np.random.default_rng(trial))
+            reseeded = updated[1:]
+            distinct = {tuple(row) for row in np.round(reseeded, 12)}
+            assert len(distinct) == reseeded.shape[0]
 
 
 class TestGeometricMedian:

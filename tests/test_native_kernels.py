@@ -10,12 +10,9 @@ Three layers of coverage:
   override, the behaviour of :func:`repro.native.get_kernel` in fallback
   mode, and the reasons reported when the provider is unavailable or a
   kernel fails its verifier.
-* **Cross-mode bit-identity** — full k-means runs and quadtree fits must
-  produce identical observable outputs with the tier enabled and disabled.
-  ``recompute_fraction`` is deliberately *excluded* from the comparison:
-  the native candidate-evaluation kernel may resolve suspects the numpy
-  path recomputes, so the internal work counter is allowed to differ while
-  every observable output stays pinned.
+* **Cross-mode bit-identity** — full k-means runs (whose k-means++ seeding
+  is tier-dependent), coresets and quadtree fits must produce identical
+  outputs with the tier enabled and disabled.
 
 When the cc provider is unavailable (no C compiler, or ``REPRO_NATIVE=0``)
 the kernel-contract tests skip; the tier-control and cross-mode tests still
@@ -46,7 +43,6 @@ from repro.native import (
     kernel_demotions,
     kernel_provider,
     native_status,
-    reference_candidate_eval,
     reference_crude_bound_probe,
     reference_fkpp_draw_scan,
     reference_fkpp_level_score,
@@ -309,141 +305,6 @@ class TestCsrGroupKernel:
             fallback = _csr_group(keys)
         for have, want in zip(native, fallback):
             np.testing.assert_array_equal(have, want)
-
-
-@requires_native
-class TestLloydKernels:
-    """The three Lloyd warm-phase kernels vs their live numpy oracles."""
-
-    def _problem(self, seed, n, d, k):
-        rng = np.random.default_rng(seed)
-        points = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
-        centers = rng.normal(size=(k, d)) * rng.uniform(0.1, 10.0)
-        delta = points[:, None, :] - centers[None, :, :]
-        squared = np.einsum("ijk,ijk->ij", delta, delta)
-        assignment = np.argmin(squared, axis=1).astype(np.int64)
-        return points, centers, squared, assignment
-
-    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 33])
-    def test_refresh_bounds_matches_einsum_path(self, d):
-        kernel = get_kernel("lloyd_refresh_bounds")
-        assert kernel is not None
-        points, centers, _, assignment = self._problem(d, 128, d, 6)
-        rng = np.random.default_rng(100 + d)
-        eroded = rng.normal(size=128)
-        decrement = float(abs(rng.normal())) * 1e-3
-        scale = 1.0 + 1e-12
-
-        delta = points - centers[assignment]
-        expected_sq = np.einsum("ij,ij->i", delta, delta)
-        expected_upper = np.sqrt(expected_sq) * scale
-        expected_eroded = eroded - decrement
-        expected_maybe = np.flatnonzero(expected_upper >= expected_eroded)
-
-        squared = np.empty(128, dtype=np.float64)
-        mutated = eroded.copy()
-        upper, maybe = kernel(
-            np.ascontiguousarray(points),
-            np.ascontiguousarray(centers),
-            assignment,
-            decrement,
-            scale,
-            squared,
-            mutated,
-        )
-        np.testing.assert_array_equal(squared, expected_sq)
-        np.testing.assert_array_equal(upper, expected_upper)
-        np.testing.assert_array_equal(mutated, expected_eroded)
-        np.testing.assert_array_equal(maybe, expected_maybe)
-
-    @pytest.mark.parametrize("n,d,k", [(1, 1, 1), (64, 4, 9), (400, 12, 25)])
-    def test_update_sums_matches_bincount(self, n, d, k):
-        kernel = get_kernel("lloyd_update_sums")
-        assert kernel is not None
-        rng = np.random.default_rng(n * 31 + d)
-        points = rng.normal(size=(n, d))
-        weights = rng.uniform(0.1, 3.0, size=n)
-        # Leave the top clusters empty: their slots must come back zero.
-        assignment = rng.integers(0, max(1, k - 2), size=n).astype(np.int64)
-        weighted = weights[:, None] * points
-        expected_counts = np.bincount(assignment, weights=weights, minlength=k)
-        codes = assignment[:, None] * d + np.arange(d, dtype=np.int64)
-        expected_sums = np.bincount(
-            codes.ravel(), weights=weighted.ravel(), minlength=k * d
-        ).reshape(k, d)
-        counts, sums = kernel(np.ascontiguousarray(weighted), weights, assignment, k)
-        np.testing.assert_array_equal(counts, expected_counts)
-        np.testing.assert_array_equal(sums, expected_sums)
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("d", [1, 3, 10])
-    def test_candidate_eval_matches_oracle(self, seed, d):
-        kernel = get_kernel("lloyd_candidate_eval")
-        assert kernel is not None
-        n, k = 64, 7
-        points, centers, squared, assignment = self._problem(seed * 13 + d, n, d, k)
-        rng = np.random.default_rng(seed * 7 + d)
-        # Stale some assignments so genuine reassignments occur.
-        stale = rng.random(n) < 0.4
-        assignment[stale] = rng.integers(0, k, size=int(stale.sum()))
-        moved = points - centers[assignment]
-        assigned_sq = np.einsum("ij,ij->i", moved, moved)
-        center_norms = np.einsum("ij,ij->i", centers, centers)
-        suspects = np.flatnonzero(rng.random(n) < 0.8).astype(np.int64)
-        s = suspects.size
-        upper = np.sqrt(assigned_sq[suspects]) * rng.uniform(1.0, 1.5, size=s)
-        # Sound lower bounds only (factor <= 1): the engine never produces
-        # over-estimates, and unsound bounds can exclude the true nearest
-        # centre from the candidate set, making any comparison meaningless.
-        bounds = np.sqrt(np.maximum(squared[suspects], 0.0)) * rng.uniform(
-            0.4, 1.0, size=(s, k)
-        )
-        arguments = (
-            np.ascontiguousarray(points),
-            np.ascontiguousarray(centers),
-            np.ascontiguousarray(center_norms),
-            suspects,
-            np.ascontiguousarray(bounds),
-            np.ascontiguousarray(upper),
-            np.ascontiguousarray(assigned_sq),
-            assignment,
-            1e-9,
-        )
-        expected = reference_candidate_eval(*arguments)
-        produced = kernel(*arguments)
-        if expected is None:
-            assert produced is None
-            return
-        assert produced is not None
-        np.testing.assert_array_equal(produced[0], expected[0])
-        np.testing.assert_array_equal(produced[1], expected[1])
-
-    def test_candidate_eval_bails_on_saturated_bounds(self):
-        kernel = get_kernel("lloyd_candidate_eval")
-        assert kernel is not None
-        rng = np.random.default_rng(9)
-        n, d, k = 20, 5, 8
-        points = rng.normal(size=(n, d))
-        centers = rng.normal(size=(k, d))
-        assignment = np.zeros(n, dtype=np.int64)
-        moved = points - centers[assignment]
-        assigned_sq = np.einsum("ij,ij->i", moved, moved)
-        center_norms = np.einsum("ij,ij->i", centers, centers)
-        # Zero bounds with a huge upper: all k-1 candidates survive on every
-        # suspect, blowing the 4*s pair budget — the kernel must hand the
-        # batch back to the blocked numpy path instead of grinding serially.
-        produced = kernel(
-            np.ascontiguousarray(points),
-            np.ascontiguousarray(centers),
-            np.ascontiguousarray(center_norms),
-            np.arange(n, dtype=np.int64),
-            np.zeros((n, k), dtype=np.float64),
-            np.full(n, 1e6, dtype=np.float64),
-            np.ascontiguousarray(assigned_sq),
-            assignment,
-            1e-9,
-        )
-        assert produced is None
 
 
 def _synthetic_tree(rng, n, depth):
@@ -860,9 +721,6 @@ class TestTierControl:
         assert status["tier"] in ("native", "fallback")
         assert set(status["kernels"]) == {
             "csr_group",
-            "lloyd_refresh_bounds",
-            "lloyd_candidate_eval",
-            "lloyd_update_sums",
             "fkpp_level_score",
             "fkpp_weighted_draw",
             "crude_bound_probe",
@@ -884,7 +742,7 @@ class TestTierControl:
             # Every kernel resolves to None; the engine's own numpy path
             # takes over.
             assert get_kernel("csr_group") is None
-            assert get_kernel("lloyd_candidate_eval") is None
+            assert get_kernel("kmeanspp_round") is None
             assert kernel_provider("csr_group") == "fallback"
 
     def test_use_native_restores_previous_mode(self):
@@ -1008,12 +866,7 @@ class TestKernelDemotions:
 
 
 class TestCrossModeBitIdentity:
-    """The observable outputs of the engines must not depend on the tier.
-
-    ``recompute_fraction`` is intentionally not compared: the native
-    candidate kernel resolves some suspects the numpy path recomputes, so
-    the internal work counter legitimately differs between modes.
-    """
+    """The observable outputs of the engines must not depend on the tier."""
 
     @pytest.mark.parametrize(
         "n,d,k,seed", [(3000, 7, 15, 0), (1500, 13, 9, 2), (2000, 3, 5, 1)]

@@ -122,10 +122,6 @@ class TestSensitivitySampling:
         assert corrected.size >= plain.size
         assert corrected.total_weight >= plain.total_weight - 1e-6
 
-    def test_lloyd_refinement_option(self, blobs):
-        coreset = SensitivitySampling(k=5, lloyd_iterations=3, seed=0).sample(blobs, 150)
-        assert coreset.size == 150
-
     def test_kmedian_mode(self, blobs):
         coreset = SensitivitySampling(k=5, z=1, seed=0).sample(blobs, 150)
         assert coreset.size == 150
