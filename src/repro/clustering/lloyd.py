@@ -10,10 +10,12 @@ compression.
 
 The loop is the plain one.  Every iteration moves the centers
 (:func:`update_centers`, which re-seeds empty clusters), re-assigns every
-point with one call of the nearest-center primitive
+point with one call of the exact nearest-center primitive
 :func:`~repro.geometry.distances.squared_point_to_set_distances`, takes the
-weighted cost, and stops once the relative improvement drops below the
-tolerance.
+weighted cost from the distances it returns, and stops once the relative
+improvement drops below the tolerance.  The primitive is exact wherever the
+data sits, so a far-from-origin input converges like the same input at the
+origin.
 """
 
 from __future__ import annotations
@@ -61,14 +63,6 @@ class KMeansResult:
         return ClusteringSolution(
             centers=self.centers, assignment=self.assignment, cost=self.cost, z=2
         )
-
-
-def assigned_squared_distances(
-    points: np.ndarray, centers: np.ndarray, assignment: np.ndarray
-) -> np.ndarray:
-    """Exact squared distance from every point to its *assigned* center."""
-    delta = points - centers[assignment]
-    return np.einsum("ij,ij->i", delta, delta)
 
 
 def _reseed_empty_clusters(
@@ -202,8 +196,7 @@ def kmeans(
         centers = kmeans_plus_plus(points, min(k, n), weights=weights, z=2, seed=generator).centers
 
     with _obs.span("lloyd.run", n=n, k=int(k)) as run_span:
-        _, assignment = squared_point_to_set_distances(points, centers)
-        squared = assigned_squared_distances(points, centers, assignment)
+        squared, assignment = squared_point_to_set_distances(points, centers)
         previous_cost = np.inf
         cost = np.inf
         converged = False
@@ -211,8 +204,7 @@ def kmeans(
         for iterations in range(1, max_iterations + 1):
             with _obs.span("lloyd.iteration", iteration=iterations):
                 centers = update_centers(points, weights, assignment, squared, centers, generator)
-                _, assignment = squared_point_to_set_distances(points, centers)
-                squared = assigned_squared_distances(points, centers, assignment)
+                squared, assignment = squared_point_to_set_distances(points, centers)
                 cost = float(np.dot(weights, squared))
                 if _converged(previous_cost, cost, tolerance):
                     converged = True

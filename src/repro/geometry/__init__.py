@@ -6,7 +6,6 @@ Euclidean primitives the algorithms in :mod:`repro.clustering` and
 """
 
 from repro.geometry.distances import (
-    pairwise_distances,
     point_to_set_distances,
     squared_point_to_set_distances,
 )
@@ -18,7 +17,6 @@ from repro.geometry.johnson_lindenstrauss import (
 from repro.geometry.quadtree import QuadtreeEmbedding, compute_spread
 
 __all__ = [
-    "pairwise_distances",
     "point_to_set_distances",
     "squared_point_to_set_distances",
     "GridAssignment",

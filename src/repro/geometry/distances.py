@@ -5,6 +5,13 @@ materialises a full ``n x n`` distance matrix.  Point-to-center-set distances
 are computed in row blocks whose size is bounded by
 :data:`DEFAULT_CHUNK_ELEMENTS`, keeping peak memory proportional to
 ``chunk_rows * k`` regardless of ``n``.
+
+:func:`squared_point_to_set_distances` is the one nearest-center primitive
+(Lloyd, k-median, BICO and the clustering costs all call it), and it is
+exact: its assignment is the nearest center by difference, ties to the
+lowest index, and its distances are computed by difference, wherever the
+data sits and however close the ties are.  The fast norm expansion only
+decides the rows it provably gets right.
 """
 
 from __future__ import annotations
@@ -23,22 +30,14 @@ def _chunk_rows(n_centers: int, chunk_elements: int) -> int:
     return max(1, int(chunk_elements // max(1, n_centers)))
 
 
-def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense Euclidean distance matrix between two small point sets.
+def _expansion_error(d: int) -> float:
+    """Relative error bound of one expanded squared distance in ``d`` dimensions.
 
-    Intended for center-to-center or coreset-to-center computations where
-    both inputs are small (at most a few tens of thousands of rows); use
-    :func:`point_to_set_distances` for dataset-sized inputs.
+    About twice the textbook ``(2d + 4) eps`` of the norm expansion, which
+    leaves room for the translation's rounding and for the by-difference
+    distances the close rows are re-decided with.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    squared = (
-        np.einsum("ij,ij->i", a, a)[:, None]
-        + np.einsum("ij,ij->i", b, b)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    np.maximum(squared, 0.0, out=squared)
-    return np.sqrt(squared)
+    return 4.0 * (d + 4) * float(np.finfo(np.float64).eps)
 
 
 def squared_point_to_set_distances(
@@ -47,7 +46,7 @@ def squared_point_to_set_distances(
     *,
     chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Squared distance from every point to its nearest center.
+    """Squared distance from every point to its nearest center, exactly.
 
     Parameters
     ----------
@@ -61,29 +60,93 @@ def squared_point_to_set_distances(
     Returns
     -------
     (squared_distances, assignment):
-        ``squared_distances[i]`` is ``min_c ||points[i] - c||^2`` and
-        ``assignment[i]`` is the index of the nearest center.
+        ``assignment[i]`` is the nearest center *by difference*: the lowest
+        index ``j`` minimising ``einsum("j,j->", p - c, p - c)`` for ``p =
+        points[i]`` and ``c = centers[j]``, and ``squared_distances[i]`` is
+        that minimum, computed the same way.
+
+    Notes
+    -----
+    Both sets are translated by the centers' mean, and the squared
+    distances are expanded as ``|p|^2 + |c|^2 - 2 p.c``, one GEMM per block.
+    The expansion decides every row whose runner-up trails the winner by
+    more than twice its rounding error bound, ``tau * (|p - mu|^2 + max |c
+    - mu|^2)`` with ``tau`` from :func:`_expansion_error`.  Any other row
+    is re-decided by difference among its candidate centers, the ones
+    within that margin of the winner.  Data far from the origin, where the
+    raw expansion loses every digit of a small spread, and near ties both
+    get the exact answer.
     """
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] == 0:
         raise ValueError(f"centers must be a non-empty 2-d array, got shape {centers.shape}")
     n = points.shape[0]
-    k = centers.shape[0]
-    center_norms = np.einsum("ij,ij->i", centers, centers)
+    k, d = centers.shape
+    origin = centers.mean(axis=0)
+    shifted = centers - origin
+    center_norms = np.einsum("ij,ij->i", shifted, shifted)
+    slack = 2.0 * _expansion_error(d)
+    # ``tiny`` gives the margin an absolute floor for underflowing squares.
+    widest = float(center_norms.max()) + float(np.finfo(np.float64).tiny)
     best_sq = np.empty(n, dtype=np.float64)
     assignment = np.empty(n, dtype=np.int64)
     rows = _chunk_rows(k, chunk_elements)
+    batch = max(1, chunk_elements // (k * max(d, 1)))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        block = points[start:stop]
+        block = points[start:stop] - origin
         block_norms = np.einsum("ij,ij->i", block, block)
-        squared = block_norms[:, None] + center_norms[None, :] - 2.0 * (block @ centers.T)
-        np.maximum(squared, 0.0, out=squared)
-        local_assignment = np.argmin(squared, axis=1)
-        assignment[start:stop] = local_assignment
-        best_sq[start:stop] = squared[np.arange(stop - start), local_assignment]
+        expanded = block @ shifted.T
+        expanded *= -2.0
+        expanded += center_norms
+        expanded += block_norms[:, None]
+        local = np.argmin(expanded, axis=1)
+        if k > 1:
+            positions = np.arange(stop - start)
+            limits = expanded[positions, local]
+            expanded[positions, local] = np.inf
+            margin = slack * (block_norms + widest)
+            # A NaN gap (an overflowed expansion) is re-decided as well.
+            close = np.flatnonzero(~(expanded.min(axis=1) - limits > margin))
+            limits += margin
+            for first in range(0, close.size, batch):
+                chosen = close[first : first + batch]
+                local[chosen] = _nearest_by_difference(
+                    points[start + chosen], centers, expanded[chosen], local[chosen], limits[chosen]
+                )
+        assignment[start:stop] = local
+        delta = points[start:stop] - centers[local]
+        best_sq[start:stop] = np.einsum("ij,ij->i", delta, delta)
     return best_sq, assignment
+
+
+def _nearest_by_difference(
+    points: np.ndarray,
+    centers: np.ndarray,
+    expanded: np.ndarray,
+    winners: np.ndarray,
+    limits: np.ndarray,
+) -> np.ndarray:
+    """The nearest center by difference of each row, among its candidates.
+
+    A row's candidates are its expansion winner and every center whose
+    expanded distance is at most the row's ``limit`` (the winner's plus the
+    margin); every other center is farther by difference as well.  A
+    non-finite limit (an overflowed expansion) keeps every center in play.
+    Ties go to the lowest index.
+    """
+    candidate = expanded <= limits[:, None]
+    candidate[np.arange(points.shape[0]), winners] = True
+    candidate[~np.isfinite(limits)] = True
+    rows, columns = np.nonzero(candidate)
+    delta = points[rows] - centers[columns]
+    squared = np.einsum("ij,ij->i", delta, delta)
+    # Sorted by row, then distance, then index: each row's first pair wins.
+    order = np.lexsort((columns, squared, rows))
+    rows = rows[order]
+    first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    return columns[order[first]]
 
 
 def point_to_set_distances(

@@ -166,6 +166,38 @@ class TestPlainLoopAgainstBruteForce:
         _assert_lloyd_fixed_point(points, result)
 
 
+class TestFarFromOrigin:
+    """Lloyd and k-median on data at a 1e8 offset behave as at the origin.
+
+    ``near`` is ``far - 1e8``, an exact subtraction, so both runs see the
+    same by-difference distances; only the centre means round differently.
+    """
+
+    @staticmethod
+    def _far_and_near(seed):
+        far = 1e8 + np.random.default_rng(seed).normal(size=(4000, 5))
+        return far, far - 1e8
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_kmeans_matches_the_origin_run(self, seed):
+        far, near = self._far_and_near(seed)
+        at_offset = kmeans(far, 10, seed=seed)
+        at_origin = kmeans(near, 10, seed=seed)
+        np.testing.assert_array_equal(at_offset.assignment, at_origin.assignment)
+        assert at_offset.iterations == at_origin.iterations
+        assert at_offset.cost == pytest.approx(at_origin.cost, rel=1e-8)
+        _assert_lloyd_fixed_point(far, at_offset)
+
+    def test_kmedian_cost_close_to_the_origin_run(self):
+        # With the raw expansion this run reported 0.04x the origin cost.
+        # The remaining gap comes from Weiszfeld's stopping rule, which
+        # scales with |median|.
+        far, near = self._far_and_near(3)
+        at_offset = kmedian(far, 10, seed=3)
+        at_origin = kmedian(near, 10, seed=3)
+        assert at_offset.cost == pytest.approx(at_origin.cost, rel=1e-2)
+
+
 class TestReseedDistinctness:
     def test_multiple_empty_clusters_reseed_distinct_points(self):
         """Two empty clusters must not re-seed at the same point.

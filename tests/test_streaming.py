@@ -327,8 +327,7 @@ class TestBico:
 
 #: Small inputs for the BICO output pins: three registry datasets, a
 #: duplicate flood (50 distinct rows, 60 copies each) and noise at a 1e8
-#: offset, where the insertion rule's GEMM distances lose most of their
-#: precision.
+#: offset, whose nearest-feature decisions need the exact primitive.
 _BICO_PIN_SCALE = ExperimentScale(synthetic_n=3000, synthetic_d=10, dataset_fraction=0.01)
 
 
@@ -360,10 +359,10 @@ class TestBicoPinnedOutputs:
                  "0cd8c5f60efa959b19cc03f1ef0401a517299394e990fa7d4256d57b46e4c4f3"),
                 ("flood", 100, 6, "0x1.19799812dea11p-35",
                  "638e582deb1244ff29e88e93803bf9c1e434973ee9526adeae654d5c7df18b78"),
-                ("offset", 100, 5, "0x1.a65e553098430p+0",
-                 "cbe1ff4e92fc951ca710aabf952d8d32b398db27df2250fa4798e9a0c6ef80f4"),
-                ("offset", 200, 3, "0x1.a65e553098430p-2",
-                 "e77ce461b7abcfb65b323cbf7ac69772ae4dd9294bf8a6ca95c3d43e5d06c83f"),
+                ("offset", 100, 8, "0x1.aa0d21e9b1620p+2",
+                 "36dc3c7f229227a999e534a6048aab4d6a9da9116ce4312081c2536db77b5e21"),
+                ("offset", 200, 7, "0x1.aa0d21e9b1620p+1",
+                 "8ebb95f462c6a9848986a3c5f8114ae5a1a59b9af17f9b2ab11c915e59bfc3fd"),
             )
         ],
     )
@@ -375,6 +374,21 @@ class TestBicoPinnedOutputs:
         assert int(coreset.metadata["rebuilds"]) == rebuilds
         assert float(coreset.metadata["threshold"]).hex() == threshold
         assert hasher.hexdigest() == digest
+
+
+class TestBicoFarFromOrigin:
+    """BICO on the ``offset`` pin data rebuilds and keeps the same features
+    as on the same noise at the origin (``points - 1e8``, exact)."""
+
+    @pytest.mark.parametrize("m", [100, 200])
+    def test_offset_matches_the_origin_run(self, m):
+        far = _bico_pin_points("offset")
+        at_offset = BicoCoreset(coreset_size=m, block_size=500).sample(far, m)
+        at_origin = BicoCoreset(coreset_size=m, block_size=500).sample(far - 1e8, m)
+        for key in ("rebuilds", "threshold"):
+            assert at_offset.metadata[key] == at_origin.metadata[key]
+        assert at_offset.size == at_origin.size
+        np.testing.assert_array_equal(at_offset.weights, at_origin.weights)
 
 
 class TestStreamKM:
