@@ -480,18 +480,19 @@ class MergeReduceTree:
             if combined.size > self.coreset_size:
                 started = time.perf_counter()
                 share = self.share_stream_state
-                final = self.sampler.sample(
-                    combined.points,
-                    min(self.coreset_size, combined.points.shape[0]),
-                    weights=combined.weights,
-                    seed=self._reduce_seed(self.reductions),
-                    spread=self._cached_spread if share else None,
-                    cost_bound=(
-                        self._cached_cost_bound
-                        if share and self._wants_cost_bound()
-                        else None
-                    ),
-                )
+                with _obs.span("stream.host_reduce", rows=int(combined.size)):
+                    final = self.sampler.sample(
+                        combined.points,
+                        min(self.coreset_size, combined.points.shape[0]),
+                        weights=combined.weights,
+                        seed=self._reduce_seed(self.reductions),
+                        spread=self._cached_spread if share else None,
+                        cost_bound=(
+                            self._cached_cost_bound
+                            if share and self._wants_cost_bound()
+                            else None
+                        ),
+                    )
                 self.host_reduce_seconds += time.perf_counter() - started
                 self.host_reduces += 1
                 self.reductions += 1

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import observability as obs
 from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.config import ExperimentScale
 from repro.core import SensitivitySampling, UniformSampling
@@ -267,6 +268,36 @@ class TestMergeReduce:
         for n_blocks in (1, 3, 5, 13):
             groups = level_pattern(n_blocks)
             assert sorted(sum(groups, [])) == list(range(1, n_blocks + 1))
+
+
+class TestFinalizeTrace:
+    """The final re-compression is traced like every other host reduce."""
+
+    @staticmethod
+    def _traced_finalize(blobs, n_blocks):
+        tree = MergeReduceTree(sampler=UniformSampling(seed=0), coreset_size=60, seed=0)
+        with obs.tracing() as recorder:
+            for block, weights in DataStream.with_block_count(blobs, n_blocks):
+                tree.add_block(block, weights)
+            tree.finalize()
+        return tree, recorder.spans
+
+    def test_twelve_blocks_reduce_once_inside_finalize(self, blobs):
+        # 12 = 8 + 4: two survivors outgrow m, so finalize re-compresses.
+        tree, spans = self._traced_finalize(blobs, 12)
+        assert tree.host_reduces == 1
+        (reduce,) = [span for span in spans if span.name == "stream.host_reduce"]
+        (finalize,) = [span for span in spans if span.name == "stream.finalize"]
+        assert reduce.depth == finalize.depth + 1
+        assert finalize.start <= reduce.start
+        assert reduce.start + reduce.duration <= finalize.start + finalize.duration
+        assert reduce.args == {"rows": 120}
+
+    def test_sixteen_blocks_finalize_without_a_reduce(self, blobs):
+        # One survivor of size m: nothing to re-compress, nothing traced.
+        tree, spans = self._traced_finalize(blobs, 16)
+        assert tree.host_reduces == 0
+        assert not [span for span in spans if span.name == "stream.host_reduce"]
 
 
 class TestClusteringFeature:
