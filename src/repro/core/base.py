@@ -41,6 +41,22 @@ def _check_cost_range(points: np.ndarray, weights: np.ndarray) -> None:
         )
 
 
+def _check_total_weight(weights: np.ndarray) -> None:
+    """Reject a total weight that is zero or below the smallest normal double.
+
+    Every sampler normalises by the total: a zero total gives NaN sampling
+    probabilities or all-zero coreset weights, and a subnormal one has lost
+    the precision its ratios need.
+    """
+    total = float(np.sum(weights))
+    tiny = float(np.finfo(np.float64).tiny)
+    if not total >= tiny:
+        raise ValueError(
+            f"input weights must sum to at least {tiny:.6g} (the smallest normal "
+            f"float64), got a total of {total:.6g}"
+        )
+
+
 class CoresetConstruction(abc.ABC):
     """Abstract base class for samplers producing weighted compressions.
 
@@ -117,6 +133,7 @@ class CoresetConstruction(abc.ABC):
         """
         points = check_points(points)
         weights = check_weights(weights, points.shape[0])
+        _check_total_weight(weights)
         _check_cost_range(points, weights)
         m = check_sample_size(m, points.shape[0])
         effective_seed = seed if seed is not None else self.seed

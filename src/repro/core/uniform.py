@@ -54,8 +54,6 @@ class UniformSampling(CoresetConstruction):
         generator = as_generator(seed)
         n = points.shape[0]
         total_weight = float(weights.sum())
-        if total_weight <= 0:
-            raise ValueError("input weights must have a positive sum")
         probabilities = weights / total_weight
         replace = self.replace or m > np.count_nonzero(weights)
         indices = generator.choice(n, size=m, replace=replace, p=probabilities)

@@ -109,26 +109,51 @@ class TestCheckWeights:
             check_weights(np.array([np.nan, 1.0]), 2)
 
 
-class TestCostRangeCheck:
-    """Every sampler rejects inputs whose clustering costs overflow float64."""
+#: One factory per sampler, for checks every ``sample`` call must make.
+EVERY_SAMPLER = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: UniformSampling(seed=0),
+        lambda: LightweightCoreset(seed=0),
+        lambda: WelterweightCoreset(5, seed=0),
+        lambda: SensitivitySampling(5, seed=0),
+        lambda: FastCoreset(5, seed=0),
+    ],
+    ids=["uniform", "lightweight", "welterweight", "sensitivity", "fast_coreset"],
+)
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: UniformSampling(seed=0),
-            lambda: LightweightCoreset(seed=0),
-            lambda: WelterweightCoreset(5, seed=0),
-            lambda: SensitivitySampling(5, seed=0),
-            lambda: FastCoreset(5, seed=0),
-        ],
-        ids=["uniform", "lightweight", "welterweight", "sensitivity", "fast_coreset"],
-    )
+
+class TestCostRangeCheck:
+    """Every sampler rejects inputs whose clustering costs overflow float64
+    or whose total weight is zero or subnormal."""
+
+    @EVERY_SAMPLER
     def test_overflowing_costs_rejected_by_every_sampler(self, make):
         points = np.random.default_rng(0).normal(size=(2000, 5)) * 1e155
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflow float64"):
                 make().sample(points, 100)
+
+    @EVERY_SAMPLER
+    @pytest.mark.parametrize("weight", [0.0, 5e-324], ids=["zero", "subnormal"])
+    def test_tiny_total_weight_rejected_by_every_sampler(self, make, weight):
+        # Before the check, zero weights came back as all-zero coresets (or
+        # NaN probabilities inside numpy), and 5e-324 weights as NaN.
+        points = np.random.default_rng(0).normal(size=(500, 3))
+        with pytest.raises(ValueError, match="weights must sum to at least .* got a total of"):
+            make().sample(points, 50, weights=np.full(500, weight))
+
+    @EVERY_SAMPLER
+    def test_all_but_one_zero_weight_gives_a_valid_coreset(self, make):
+        points = np.random.default_rng(0).normal(size=(500, 3))
+        weights = np.zeros(500)
+        weights[123] = 2.0
+        coreset = make().sample(points, 50, weights=weights)
+        assert 0 < coreset.size <= 50
+        assert np.isfinite(coreset.points).all()
+        assert np.isfinite(coreset.weights).all() and (coreset.weights >= 0).all()
+        assert coreset.total_weight > 0
 
     def test_large_finite_costs_accepted_without_warnings(self):
         # 4 points x d=2 x (2e150)^2 = 3.2e301 is finite: nothing to reject.

@@ -48,10 +48,6 @@ class TestUniformSampling:
         with pytest.raises(ValueError):
             UniformSampling(seed=0).sample(blobs, blobs.shape[0] + 1)
 
-    def test_zero_weight_sum_rejected(self):
-        with pytest.raises(ValueError):
-            UniformSampling(seed=0).sample(np.ones((5, 2)), 2, weights=np.zeros(5))
-
     def test_functional_wrapper(self, blobs):
         coreset = uniform_sample(blobs, 80, seed=0)
         assert coreset.size == 80
