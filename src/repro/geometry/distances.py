@@ -30,16 +30,6 @@ def _chunk_rows(n_centers: int, chunk_elements: int) -> int:
     return max(1, int(chunk_elements // max(1, n_centers)))
 
 
-def _expansion_error(d: int) -> float:
-    """Relative error bound of one expanded squared distance in ``d`` dimensions.
-
-    About twice the textbook ``(2d + 4) eps`` of the norm expansion, which
-    leaves room for the translation's rounding and for the by-difference
-    distances the close rows are re-decided with.
-    """
-    return 4.0 * (d + 4) * float(np.finfo(np.float64).eps)
-
-
 def squared_point_to_set_distances(
     points: np.ndarray,
     centers: np.ndarray,
@@ -71,11 +61,10 @@ def squared_point_to_set_distances(
     distances are expanded as ``|p|^2 + |c|^2 - 2 p.c``, one GEMM per block.
     The expansion decides every row whose runner-up trails the winner by
     more than twice its rounding error bound, ``tau * (|p - mu|^2 + max |c
-    - mu|^2)`` with ``tau`` from :func:`_expansion_error`.  Any other row
-    is re-decided by difference among its candidate centers, the ones
-    within that margin of the winner.  Data far from the origin, where the
-    raw expansion loses every digit of a small spread, and near ties both
-    get the exact answer.
+    - mu|^2)``.  Any other row is re-decided by difference among its
+    candidate centers, the ones within that margin of the winner.  Data far
+    from the origin, where the raw expansion loses every digit of a small
+    spread, and near ties both get the exact answer.
     """
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -86,7 +75,10 @@ def squared_point_to_set_distances(
     origin = centers.mean(axis=0)
     shifted = centers - origin
     center_norms = np.einsum("ij,ij->i", shifted, shifted)
-    slack = 2.0 * _expansion_error(d)
+    # tau = 4 (d + 4) eps bounds the expansion's relative rounding error:
+    # about twice the textbook (2d + 4) eps, which leaves room for the
+    # translation's rounding and for the by-difference re-decisions.
+    slack = 2.0 * 4.0 * (d + 4) * float(np.finfo(np.float64).eps)
     # ``tiny`` gives the margin an absolute floor for underflowing squares.
     widest = float(center_norms.max()) + float(np.finfo(np.float64).tiny)
     best_sq = np.empty(n, dtype=np.float64)
@@ -102,19 +94,18 @@ def squared_point_to_set_distances(
         expanded += center_norms
         expanded += block_norms[:, None]
         local = np.argmin(expanded, axis=1)
-        if k > 1:
-            positions = np.arange(stop - start)
-            limits = expanded[positions, local]
-            expanded[positions, local] = np.inf
-            margin = slack * (block_norms + widest)
-            # A NaN gap (an overflowed expansion) is re-decided as well.
-            close = np.flatnonzero(~(expanded.min(axis=1) - limits > margin))
-            limits += margin
-            for first in range(0, close.size, batch):
-                chosen = close[first : first + batch]
-                local[chosen] = _nearest_by_difference(
-                    points[start + chosen], centers, expanded[chosen], local[chosen], limits[chosen]
-                )
+        positions = np.arange(stop - start)
+        limits = expanded[positions, local]
+        expanded[positions, local] = np.inf
+        margin = slack * (block_norms + widest)
+        # A NaN gap (an overflowed expansion) is re-decided as well.
+        close = np.flatnonzero(~(expanded.min(axis=1) - limits > margin))
+        limits += margin
+        for first in range(0, close.size, batch):
+            chosen = close[first : first + batch]
+            local[chosen] = _nearest_by_difference(
+                points[start + chosen], centers, expanded[chosen], local[chosen], limits[chosen]
+            )
         assignment[start:stop] = local
         delta = points[start:stop] - centers[local]
         best_sq[start:stop] = np.einsum("ij,ij->i", delta, delta)

@@ -5,8 +5,8 @@ compiled kernels: callers ask for a kernel *by name* through
 :func:`get_kernel` and never import the provider module directly.  The one
 provider, ``cc`` (:mod:`repro.native._cc_kernels`, a small C translation
 unit compiled on first use with the system compiler), returns a ``{kernel
-name: callable}`` mapping; every kernel registers a *verifier* that is run once against the
-compiled implementation before it is ever trusted.
+name: callable}`` mapping; every kernel registers a *verifier* that is run
+once against the compiled implementation before it is ever trusted.
 
 Resolution contract
 -------------------
