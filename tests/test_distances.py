@@ -67,14 +67,14 @@ class TestExactNearestCenter:
     lowest index, wherever the data sits."""
 
     def test_far_from_origin_noise(self):
-        # The raw expansion assigned 1550 of these 2000 points wrongly, at
-        # 0.17 of the exact cost.
+        # An expansion on the raw coordinates assigns 1550 of these 2000
+        # points wrongly, at 0.17 of the exact cost.
         points = 1e8 + np.random.default_rng(0).normal(size=(2000, 5))
         _assert_exact(points, points[:10])
 
     def test_two_unit_clusters_far_apart(self):
-        # Translating by the centres' mean alone still leaves a 1e8 spread:
-        # 670 of 2000 wrong without the by-difference re-decision.
+        # Translating by the centres' mean alone leaves a 1e8 spread: 670 of
+        # 2000 are wrong without the by-difference re-decision.
         rng = np.random.default_rng(1)
         points = np.concatenate(
             [rng.normal(size=(1000, 5)), 1e8 + rng.normal(size=(1000, 5))]

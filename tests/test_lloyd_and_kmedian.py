@@ -77,14 +77,12 @@ def _difference_distances(points, centers):
 
 
 def _assert_lloyd_fixed_point(points, result, weights=None):
-    """The final assignment is a nearest centre by difference, and the cost
-    is the weighted sum of the nearest squared distances."""
+    """The final assignment is the nearest centre by difference (ties to the
+    lowest index), and the cost is the weighted sum of those distances."""
     weights = np.ones(points.shape[0]) if weights is None else weights
     squared = _difference_distances(points, result.centers)
-    nearest = squared.min(axis=1)
-    rows = np.arange(points.shape[0])
-    np.testing.assert_array_equal(squared[rows, result.assignment], nearest)
-    assert result.cost == pytest.approx(float(np.dot(weights, nearest)), rel=1e-12)
+    np.testing.assert_array_equal(result.assignment, squared.argmin(axis=1))
+    assert result.cost == float(np.dot(weights, squared.min(axis=1)))
 
 
 # The k-means++ seeding inside ``kmeans`` dispatches to the compiled tier,
@@ -189,9 +187,9 @@ class TestFarFromOrigin:
         _assert_lloyd_fixed_point(far, at_offset)
 
     def test_kmedian_cost_close_to_the_origin_run(self):
-        # With the raw expansion this run reported 0.04x the origin cost.
-        # The remaining gap comes from Weiszfeld's stopping rule, which
-        # scales with |median|.
+        # An expansion on the raw coordinates reports 0.04x the origin cost
+        # here.  The 1% allowance covers Weiszfeld's stopping rule, which
+        # scales with |median| and so ends the offset run early.
         far, near = self._far_and_near(3)
         at_offset = kmedian(far, 10, seed=3)
         at_origin = kmedian(near, 10, seed=3)

@@ -138,8 +138,8 @@ class TestCostRangeCheck:
     @EVERY_SAMPLER
     @pytest.mark.parametrize("weight", [0.0, 5e-324], ids=["zero", "subnormal"])
     def test_tiny_total_weight_rejected_by_every_sampler(self, make, weight):
-        # Before the check, zero weights came back as all-zero coresets (or
-        # NaN probabilities inside numpy), and 5e-324 weights as NaN.
+        # Unchecked, zero weights give all-zero coresets (or NaN
+        # probabilities inside numpy), and 5e-324 weights NaN probabilities.
         points = np.random.default_rng(0).normal(size=(500, 3))
         with pytest.raises(ValueError, match="weights must sum to at least .* got a total of"):
             make().sample(points, 50, weights=np.full(500, weight))
