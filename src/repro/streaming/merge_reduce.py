@@ -62,6 +62,35 @@ from repro.utils.validation import check_integer
 
 
 @dataclass
+class _Bucket:
+    """One leaf record or stamped compression of a stream tree.
+
+    ``value`` is the compression (a coreset or an in-flight future), or
+    ``None`` while a leaf still awaits submission; the hints are the ones
+    fixed for it during the host walk.
+    """
+
+    value: Union[None, Coreset, Future]
+    start: int  #: first block index covered (inclusive)
+    stop: int  #: past-the-end block index
+    oldest_time: float
+    newest_time: float
+    spread: Optional[float]
+    cost_bound: Optional[float]
+
+    @classmethod
+    def leaf(
+        cls, index: int, stamp: float, spread: Optional[float], cost_bound: Optional[float]
+    ) -> "_Bucket":
+        """The record of block ``index``, stamped ``stamp``, not yet compressed."""
+        return cls(None, index, index + 1, stamp, stamp, spread, cost_bound)
+
+    @property
+    def span(self) -> int:
+        return self.stop - self.start
+
+
+@dataclass
 class MergeReduceTree:
     """Online merge-&-reduce state.
 
@@ -172,10 +201,10 @@ class MergeReduceTree:
 
     def __post_init__(self) -> None:
         self.coreset_size = check_integer(self.coreset_size, name="coreset_size")
-        #: Leaf compressions submitted to an async executor but not yet
-        #: settled, in arrival order.  Their carry walk already happened;
-        #: settling them is the backpressure that bounds in-flight leaves.
-        self._pending: Deque[Future] = deque()
+        #: Leaf records submitted to an async executor but not yet settled,
+        #: in arrival order.  Their carry walk already happened; settling
+        #: them is the backpressure that bounds in-flight leaves.
+        self._pending: Deque[_Bucket] = deque()
         # The hint caches draw from their own generator, seeded before the
         # spawn root: a Generator seed gives its first draw to the caches and
         # its second to the root.
@@ -254,7 +283,7 @@ class MergeReduceTree:
                     _obs.counter_add("stream.cost_bound_refreshes", 1.0)
                 else:
                     self._cached_cost_bound = None
-        return self._cached_spread, self._cached_cost_bound if wants_bound else None
+        return self._cached_spread, self._cached_cost_bound
 
     # ------------------------------------------------------- spawn-keyed seeds
     def _leaf_seed(self, block_index: int) -> np.random.SeedSequence:
@@ -262,10 +291,6 @@ class MergeReduceTree:
 
     def _reduce_seed(self, reduce_index: int) -> np.random.SeedSequence:
         return keyed_seed_sequence(self._spawn_root, KEY_STREAM_REDUCE, reduce_index)
-
-    @staticmethod
-    def _resolve(value: Union[Coreset, Future]) -> Coreset:
-        return value.result() if isinstance(value, Future) else value
 
     def _submit_reduce(
         self,
@@ -339,6 +364,24 @@ class MergeReduceTree:
             level += 1
         self.levels[level] = current
 
+    # --------------------------------------------------------- ingest hooks
+    def _leaf(self, points: np.ndarray, weights: np.ndarray, position: int) -> _Bucket:
+        """Per-block hook of :meth:`add_blocks`: count and observe the block
+        at ``position`` in its batch, fix its hints, return its leaf record."""
+        index = self.blocks_seen
+        self.blocks_seen += 1
+        _obs.counter_add("stream.blocks", 1.0)
+        if self.share_stream_state and points.shape[0]:
+            self._observe(points)
+        return _Bucket.leaf(index, float(index), *self._stream_hints(points))
+
+    def _enqueue(self, leaf: _Bucket, executor: AsyncExecutor) -> None:
+        """Per-record hook after submission: walk the carry chain now,
+        offloading each reduce; the queue entry only throttles in-flight
+        leaves."""
+        self._fold_async(leaf.value, leaf.spread, leaf.cost_bound, executor)
+        self._pending.append(leaf)
+
     def add_blocks(
         self,
         blocks: Iterable[Union[Block, "Future"]],
@@ -347,13 +390,16 @@ class MergeReduceTree:
     ) -> None:
         """Consume a batch of blocks, compressing the leaves concurrently.
 
-        The host walks the batch in arrival order — updating the bounding
-        box, the spread cache, and the leaf seed assignment once per block,
-        whatever the batch size — then fans the (now fully determined) leaf
-        compressions out to the executor and walks the carry chain over
-        their futures in arrival order (:meth:`_fold_async`).  The batch is
+        The host walks the batch in arrival order — :meth:`_leaf` updates
+        the bounding box, the spread cache, and the leaf seed assignment
+        once per block, whatever the batch size — then fans the (now fully
+        determined) leaf compressions out to the executor and hands every
+        record to :meth:`_enqueue` in arrival order, which walks the carry
+        chain over the leaf futures (:meth:`_fold_async`).  The batch is
         stacked into one payload so the process backend ships each leaf as
-        offsets into shared memory rather than pickled blocks.
+        offsets into shared memory rather than pickled blocks.  A record the
+        hook already filled (the windowed tree's verbatim small blocks) is
+        not compressed.
 
         Items of ``blocks`` may be :class:`concurrent.futures.Future`
         objects resolving to ``(points, weights)`` — the shape an
@@ -370,28 +416,21 @@ class MergeReduceTree:
         returning.  The carry chain is walked in arrival order, so every
         scheduling produces the identical tree.
         """
-        prepared = []
-        for block in blocks:
+        records = []
+        for position, block in enumerate(blocks):
             if isinstance(block, Future):
                 block = block.result()
             points, weights = block
             points = np.asarray(points, dtype=np.float64)
             if weights is None:
                 weights = np.ones(points.shape[0], dtype=np.float64)
-            leaf_index = self.blocks_seen
-            self.blocks_seen += 1
-            _obs.counter_add("stream.blocks", 1.0)
-            if self.share_stream_state and points.shape[0]:
-                self._observe(points)
-            spread, cost_bound = self._stream_hints(points)
-            prepared.append(
-                (points, weights, spread, cost_bound, self._leaf_seed(leaf_index))
-            )
-        if not prepared:
+            records.append((points, weights, self._leaf(points, weights, position)))
+        if not records:
             return
+        leaves = [record for record in records if record[2].value is None]
         tasks = []
         start = 0
-        for index, (points, _, spread, cost_bound, seed) in enumerate(prepared):
+        for index, (points, _, leaf) in enumerate(leaves):
             stop = start + points.shape[0]
             tasks.append(
                 ShardTask(
@@ -400,32 +439,31 @@ class MergeReduceTree:
                     stop=stop,
                     m=self.coreset_size,
                     sampler=self.sampler,
-                    seed=seed,
-                    spread=spread,
-                    cost_bound=cost_bound,
+                    seed=self._leaf_seed(leaf.start),
+                    spread=leaf.spread,
+                    cost_bound=leaf.cost_bound,
                     stage="leaf",
                 )
             )
             start = stop
-        if len(prepared) == 1:
-            # Single-block batch (the common `add_block`-sized case): the
+        payload = None
+        if len(leaves) == 1:
+            # A one-leaf batch (the common `add_block`-sized case): the
             # block already *is* the payload — skip the concatenate copy.
-            payload = ArrayPayload(points=prepared[0][0], weights=prepared[0][1])
-        else:
+            payload = ArrayPayload(points=leaves[0][0], weights=leaves[0][1])
+        elif leaves:
             payload = ArrayPayload(
-                points=np.concatenate([points for points, *_ in prepared], axis=0),
-                weights=np.concatenate([weights for _, weights, *_ in prepared], axis=0),
+                points=np.concatenate([points for points, _, _ in leaves], axis=0),
+                weights=np.concatenate([weights for _, weights, _ in leaves], axis=0),
             )
-        hints = [(spread, cost_bound) for _, _, spread, cost_bound, _ in prepared]
         owns_executor = not isinstance(executor, AsyncExecutor)
         executor = resolve_async_executor(executor)
         try:
-            futures = executor.submit_many(compress_shard, tasks, payload=payload)
-            # Walk the carry chain now, offloading each reduce; the queue
-            # entry only throttles in-flight leaves.
-            for future, (spread, cost_bound) in zip(futures, hints):
-                self._fold_async(future, spread, cost_bound, executor)
-                self._pending.append(future)
+            futures = iter(executor.submit_many(compress_shard, tasks, payload=payload))
+            for _, _, record in records:
+                if record.value is None:
+                    record.value = next(futures)
+                self._enqueue(record, executor)
             self.pending_high_water = max(self.pending_high_water, len(self._pending))
             _obs.gauge_set("stream.pending_high_water", float(self.pending_high_water))
             self._drain_pending(self.pending_limit)
@@ -442,10 +480,10 @@ class MergeReduceTree:
         while len(self._pending) > target:
             self._settle(self._pending.popleft())
 
-    def _settle(self, future: Future) -> None:
+    def _settle(self, leaf: _Bucket) -> None:
         """Wait for one leaf compression; its carry walk already happened."""
         with _obs.span("stream.pending_wait"):
-            future.result()
+            leaf.value.result()
 
     def flush(self) -> None:
         """Settle every compression still in flight (arrival order).
@@ -461,6 +499,37 @@ class MergeReduceTree:
             if isinstance(value, Future):
                 value.exception()
 
+    def _host_reduce(
+        self,
+        coreset: Coreset,
+        seed: np.random.SeedSequence,
+        spread: Optional[float],
+        cost_bound: Optional[float],
+    ) -> Coreset:
+        """Re-compress ``coreset`` to ``coreset_size`` on the host thread.
+
+        The one host-side reduce (the final re-compression here; every fold
+        and query of a windowed tree): a coreset that already fits is
+        returned untouched.
+        """
+        if coreset.size <= self.coreset_size:
+            return coreset
+        started = time.perf_counter()
+        with _obs.span("stream.host_reduce", rows=int(coreset.size)):
+            reduced = self.sampler.sample(
+                coreset.points,
+                self.coreset_size,
+                weights=coreset.weights,
+                seed=seed,
+                spread=spread,
+                cost_bound=cost_bound,
+            )
+        self.host_reduce_seconds += time.perf_counter() - started
+        self.host_reduces += 1
+        self.reductions += 1
+        _obs.counter_add("stream.host_reduces", 1.0)
+        return reduced
+
     # ------------------------------------------------------------------
     def add_block(self, points: np.ndarray, weights: Optional[np.ndarray] = None) -> None:
         """Consume one block of the stream: a batch of one on the host."""
@@ -472,33 +541,17 @@ class MergeReduceTree:
             self.flush()
             if not self.levels:
                 raise ValueError("no blocks were added to the merge-&-reduce tree")
-            survivors = [self._resolve(self.levels[level]) for level in sorted(self.levels)]
-            if len(survivors) == 1:
-                combined = survivors[0]
-            else:
-                combined = merge_coresets(survivors)
-            if combined.size > self.coreset_size:
-                started = time.perf_counter()
-                share = self.share_stream_state
-                with _obs.span("stream.host_reduce", rows=int(combined.size)):
-                    final = self.sampler.sample(
-                        combined.points,
-                        min(self.coreset_size, combined.points.shape[0]),
-                        weights=combined.weights,
-                        seed=self._reduce_seed(self.reductions),
-                        spread=self._cached_spread if share else None,
-                        cost_bound=(
-                            self._cached_cost_bound
-                            if share and self._wants_cost_bound()
-                            else None
-                        ),
-                    )
-                self.host_reduce_seconds += time.perf_counter() - started
-                self.host_reduces += 1
-                self.reductions += 1
-                _obs.counter_add("stream.host_reduces", 1.0)
-            else:
-                final = combined
+            survivors = [
+                value.result() if isinstance(value, Future) else value
+                for _, value in sorted(self.levels.items())
+            ]
+            combined = survivors[0] if len(survivors) == 1 else merge_coresets(survivors)
+            final = self._host_reduce(
+                combined,
+                self._reduce_seed(self.reductions),
+                self._cached_spread,
+                self._cached_cost_bound,
+            )
         final.method = f"merge_reduce[{self.sampler.name}]"
         return final
 
@@ -629,48 +682,22 @@ class StreamingCoresetPipeline:
     )
 
     def _tree(self) -> MergeReduceTree:
-        if self.window is not None:
-            # Imported here: window.py subclasses MergeReduceTree, so the
-            # module-level import would be circular.
-            from repro.streaming.window import WindowedMergeReduceTree
-
-            return WindowedMergeReduceTree(
-                sampler=self.sampler,
-                coreset_size=self.coreset_size,
-                seed=self.seed,
-                share_stream_state=self.share_stream_state,
-                cache_cost_bound=self.cache_cost_bound,
-                window=self.window,
-                drift_threshold=self.drift_threshold,
-            )
-        return MergeReduceTree(
+        kwargs = dict(
             sampler=self.sampler,
             coreset_size=self.coreset_size,
             seed=self.seed,
             share_stream_state=self.share_stream_state,
             cache_cost_bound=self.cache_cost_bound,
         )
+        if self.window is None:
+            return MergeReduceTree(**kwargs)
+        # Imported here: window.py subclasses MergeReduceTree, so the
+        # module-level import would be circular.
+        from repro.streaming.window import WindowedMergeReduceTree
 
-    def _record_diagnostics(self, tree: MergeReduceTree) -> None:
-        self.last_diagnostics = ExecutionDiagnostics(
-            reductions=float(tree.reductions),
-            spread_refreshes=float(tree.spread_refreshes),
-            cost_bound_refreshes=float(tree.cost_bound_refreshes),
-            reduces_offloaded=float(tree.reduces_offloaded),
-            host_reduces=float(tree.host_reduces),
-            host_reduce_seconds=tree.host_reduce_seconds,
-            pending_high_water=float(tree.pending_high_water),
-            blocks_seen=float(tree.blocks_seen),
-            blocks_expired=float(getattr(tree, "blocks_expired", 0)),
-            drift_events=float(getattr(tree, "drift_events", 0)),
+        return WindowedMergeReduceTree(
+            **kwargs, window=self.window, drift_threshold=self.drift_threshold
         )
-
-    def _consume(self, tree: MergeReduceTree, stream: Iterable[Block]) -> None:
-        if self.executor is None and self.prefetch_batches is None:
-            for points, weights in stream:
-                tree.add_block(points, weights)
-            return
-        self._consume_async(tree, stream)
 
     def _consume_async(self, tree: MergeReduceTree, stream: Iterable[Block]) -> None:
         """The overlapped path: prefetch reads, async leaves and reduces."""
@@ -702,11 +729,7 @@ class StreamingCoresetPipeline:
 
     def run(self, stream: Iterable[Block]) -> Coreset:
         """Process every block of ``stream`` and return the final compression."""
-        tree = self._tree()
-        self._consume(tree, stream)
-        coreset = tree.finalize()
-        self._record_diagnostics(tree)
-        return coreset
+        return self.run_with_statistics(stream)[0]
 
     def run_with_statistics(self, stream: Iterable[Block]) -> Tuple[Coreset, Dict[str, float]]:
         """Run and also report tree statistics (blocks, reductions, total weight).
@@ -716,9 +739,26 @@ class StreamingCoresetPipeline:
         on :attr:`last_diagnostics` instead.
         """
         tree = self._tree()
-        self._consume(tree, stream)
+        if self.executor is None and self.prefetch_batches is None:
+            for points, weights in stream:
+                tree.add_block(points, weights)
+        else:
+            self._consume_async(tree, stream)
         coreset = tree.finalize()
-        self._record_diagnostics(tree)
+        blocks_expired = float(getattr(tree, "blocks_expired", 0))
+        drift_events = float(getattr(tree, "drift_events", 0))
+        self.last_diagnostics = ExecutionDiagnostics(
+            reductions=float(tree.reductions),
+            spread_refreshes=float(tree.spread_refreshes),
+            cost_bound_refreshes=float(tree.cost_bound_refreshes),
+            reduces_offloaded=float(tree.reduces_offloaded),
+            host_reduces=float(tree.host_reduces),
+            host_reduce_seconds=tree.host_reduce_seconds,
+            pending_high_water=float(tree.pending_high_water),
+            blocks_seen=float(tree.blocks_seen),
+            blocks_expired=blocks_expired,
+            drift_events=drift_events,
+        )
         statistics = {
             "blocks": float(tree.blocks_seen),
             "reductions": float(tree.reductions),
@@ -726,8 +766,8 @@ class StreamingCoresetPipeline:
             "total_weight": coreset.total_weight,
             "spread_refreshes": float(tree.spread_refreshes),
             "cost_bound_refreshes": float(tree.cost_bound_refreshes),
-            "blocks_expired": float(getattr(tree, "blocks_expired", 0)),
-            "drift_events": float(getattr(tree, "drift_events", 0)),
+            "blocks_expired": blocks_expired,
+            "drift_events": drift_events,
         }
         return coreset, statistics
 

@@ -52,7 +52,6 @@ when a bucket settles or a query is answered.
 from __future__ import annotations
 
 import abc
-import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -64,9 +63,9 @@ from repro import observability as _obs
 from repro.core.coreset import Coreset, merge_coresets, trivial_coreset
 # Unused here; benchmarks/e2e/layers.py patches this name (WRAPPERS).
 from repro.core.spread_reduction import crude_cost_upper_bound  # noqa: F401
-from repro.parallel.executor import ArrayPayload, AsyncExecutor, resolve_async_executor
-from repro.parallel.sharding import KEY_STREAM_QUERY, ShardTask, compress_shard
-from repro.streaming.merge_reduce import MergeReduceTree
+from repro.parallel.executor import AsyncExecutor
+from repro.parallel.sharding import KEY_STREAM_QUERY
+from repro.streaming.merge_reduce import MergeReduceTree, _Bucket
 from repro.streaming.stream import Block
 from repro.utils.rng import keyed_seed_sequence
 
@@ -194,23 +193,6 @@ class DriftDetector:
 
 
 @dataclass
-class _Bucket:
-    """One stamped compression held (or in flight) in the windowed tree."""
-
-    value: Union[None, Coreset, Future]
-    start: int  #: first block index covered (inclusive)
-    stop: int  #: past-the-end block index
-    oldest_time: float
-    newest_time: float
-    spread: Optional[float]
-    cost_bound: Optional[float]
-
-    @property
-    def span(self) -> int:
-        return self.stop - self.start
-
-
-@dataclass
 class WindowedMergeReduceTree(MergeReduceTree):
     """A merge-&-reduce tree whose buckets expire or decay under a policy.
 
@@ -236,7 +218,9 @@ class WindowedMergeReduceTree(MergeReduceTree):
         drift-detector firings, and the block index of the latest firing
         (``-1`` when none fired).
 
-    Only leaf compressions go to the executor: the inherited
+    Ingestion is the inherited :meth:`MergeReduceTree.add_blocks` loop
+    through this class's :meth:`_leaf` and :meth:`_enqueue` hooks, and
+    only leaf compressions go to the executor: the inherited
     :meth:`_drain_pending` hands each in-flight bucket to :meth:`_settle`,
     which folds it on the host thread, and queries compress on the host
     too.  ``levels`` stays empty — live state is the stamped bucket deque,
@@ -263,8 +247,8 @@ class WindowedMergeReduceTree(MergeReduceTree):
             if self.drift_threshold is not None
             else None
         )
-        #: Settled live buckets, oldest first.  ``self._pending`` (inherited
-        #: deque) holds in-flight buckets instead of the parent's futures.
+        #: Settled live buckets, oldest first; the inherited ``_pending``
+        #: deque holds the in-flight ones.
         self._buckets: Deque[_Bucket] = deque()
         #: Per-block bounding boxes of the live window (expiring policies
         #: only) as ``(block_index, low, high)`` — the window's box is their
@@ -273,6 +257,8 @@ class WindowedMergeReduceTree(MergeReduceTree):
         self._now_index: int = -1
         self._now_time: Optional[float] = None
         self._queries: int = 0
+        #: The stamps of the batch :meth:`add_blocks` is ingesting.
+        self._timestamps: Optional[Sequence[float]] = None
 
     # ------------------------------------------------------------ host walk
     def _walk(self, points: np.ndarray, timestamp: Optional[float]) -> _Bucket:
@@ -302,16 +288,7 @@ class WindowedMergeReduceTree(MergeReduceTree):
                 self._observe(points)
             if self._detector is not None:
                 self._observe_drift(points, index)
-        spread, cost_bound = self._stream_hints(points)
-        return _Bucket(
-            value=None,
-            start=index,
-            stop=index + 1,
-            oldest_time=stamp,
-            newest_time=stamp,
-            spread=spread,
-            cost_bound=cost_bound,
-        )
+        return _Bucket.leaf(index, stamp, *self._stream_hints(points))
 
     def _expire_settled(self) -> None:
         """Retire settled buckets that fell out of the window."""
@@ -406,25 +383,10 @@ class WindowedMergeReduceTree(MergeReduceTree):
         merged = merge_coresets(
             [self._decayed(older.value, older.newest_time, newer.newest_time), newer.value]
         )
-        if merged.size > self.coreset_size:
-            started = time.perf_counter()
-            with _obs.span("stream.host_reduce", rows=int(merged.size)):
-                value = self.sampler.sample(
-                    merged.points,
-                    self.coreset_size,
-                    weights=merged.weights,
-                    seed=self._reduce_seed(self.reductions),
-                    spread=newer.spread,
-                    cost_bound=newer.cost_bound,
-                )
-            self.host_reduce_seconds += time.perf_counter() - started
-            self.host_reduces += 1
-            self.reductions += 1
-            _obs.counter_add("stream.host_reduces", 1.0)
-        else:
-            value = merged
         return _Bucket(
-            value=value,
+            value=self._host_reduce(
+                merged, self._reduce_seed(self.reductions), newer.spread, newer.cost_bound
+            ),
             start=older.start,
             stop=newer.stop,
             oldest_time=older.oldest_time,
@@ -452,78 +414,34 @@ class WindowedMergeReduceTree(MergeReduceTree):
         executor: Union[None, str, AsyncExecutor] = None,
         timestamps: Optional[Sequence[float]] = None,
     ) -> None:
-        """Consume a batch of blocks, compressing oversized leaves concurrently.
+        """Consume a batch of blocks, stamped with ``timestamps`` (block
+        indices by default), compressing oversized leaves concurrently.
 
-        Same contract as the parent: the host walks the batch in arrival
-        order (stamping, expiring, hint caching, seed assignment), then fans
-        the fully determined leaf compressions out.  Blocks that already fit
-        in ``coreset_size`` become identity buckets on the host — there is
-        nothing to compress.  The in-flight buckets are settled lazily down
-        to :attr:`pending_limit`; ``None`` or a backend name is resolved for
-        this call only, so the batch is flushed and the executor closed
-        before returning.  Settling always happens in arrival order, so
-        every scheduling produces the identical window.
+        Same contract and same loop as the parent: the host walks the batch
+        in arrival order (stamping, expiring, hint caching, seed
+        assignment), then fans the fully determined leaf compressions out.
+        Blocks that already fit in ``coreset_size`` become identity buckets
+        on the host — there is nothing to compress.  The in-flight buckets
+        are settled lazily down to :attr:`pending_limit`; ``None`` or a
+        backend name is resolved for this call only, so the batch is
+        flushed and the executor closed before returning.  Settling always
+        happens in arrival order, so every scheduling produces the
+        identical window.
         """
-        prepared: List[Tuple[np.ndarray, np.ndarray, _Bucket]] = []
-        for position, block in enumerate(blocks):
-            if isinstance(block, Future):
-                block = block.result()
-            points, weights = block
-            points = np.asarray(points, dtype=np.float64)
-            if weights is None:
-                weights = np.ones(points.shape[0], dtype=np.float64)
-            timestamp = None if timestamps is None else timestamps[position]
-            prepared.append((points, weights, self._walk(points, timestamp)))
-        if not prepared:
-            return
-        tasks = []
-        compressed: List[Tuple[np.ndarray, np.ndarray]] = []
-        start = 0
-        for points, weights, bucket in prepared:
-            if points.shape[0] <= self.coreset_size:
-                bucket.value = trivial_coreset(points, weights)
-                continue
-            stop = start + points.shape[0]
-            tasks.append(
-                ShardTask(
-                    index=len(tasks),
-                    start=start,
-                    stop=stop,
-                    m=self.coreset_size,
-                    sampler=self.sampler,
-                    seed=self._leaf_seed(bucket.start),
-                    spread=bucket.spread,
-                    cost_bound=bucket.cost_bound,
-                    stage="leaf",
-                )
-            )
-            compressed.append((points, weights))
-            start = stop
-        payload = None
-        if tasks:
-            if len(compressed) == 1:
-                payload = ArrayPayload(points=compressed[0][0], weights=compressed[0][1])
-            else:
-                payload = ArrayPayload(
-                    points=np.concatenate([points for points, _ in compressed], axis=0),
-                    weights=np.concatenate([weights for _, weights in compressed], axis=0),
-                )
-        owns_executor = not isinstance(executor, AsyncExecutor)
-        executor = resolve_async_executor(executor)
-        try:
-            futures = iter(executor.submit_many(compress_shard, tasks, payload=payload))
-            for _, _, bucket in prepared:
-                if bucket.value is None:
-                    bucket.value = next(futures)
-                self._pending.append(bucket)
-            self.pending_high_water = max(self.pending_high_water, len(self._pending))
-            _obs.gauge_set("stream.pending_high_water", float(self.pending_high_water))
-            self._drain_pending(self.pending_limit)
-            if owns_executor:
-                self.flush()
-        finally:
-            if owns_executor:
-                executor.close()
+        self._timestamps = timestamps
+        super().add_blocks(blocks, executor=executor)
+
+    def _leaf(self, points: np.ndarray, weights: np.ndarray, position: int) -> _Bucket:
+        """Walk one block; one of at most ``m`` points is kept verbatim."""
+        timestamp = None if self._timestamps is None else self._timestamps[position]
+        bucket = self._walk(points, timestamp)
+        if points.shape[0] <= self.coreset_size:
+            bucket.value = trivial_coreset(points, weights)
+        return bucket
+
+    def _enqueue(self, bucket: _Bucket, executor: AsyncExecutor) -> None:
+        """Queue the bucket; :meth:`_settle` folds it in arrival order."""
+        self._pending.append(bucket)
 
     # --------------------------------------------------------------- queries
     def live_ranges(self) -> List[Tuple[int, int]]:
@@ -566,28 +484,7 @@ class WindowedMergeReduceTree(MergeReduceTree):
         combined = merge_coresets(survivors) if len(survivors) > 1 else survivors[0]
         seed = keyed_seed_sequence(self._spawn_root, KEY_STREAM_QUERY, self._queries)
         self._queries += 1
-        if combined.size > self.coreset_size:
-            share = self.share_stream_state
-            started = time.perf_counter()
-            with _obs.span("stream.host_reduce", rows=int(combined.size)):
-                final = self.sampler.sample(
-                    combined.points,
-                    self.coreset_size,
-                    weights=combined.weights,
-                    seed=seed,
-                    spread=self._cached_spread if share else None,
-                    cost_bound=(
-                        self._cached_cost_bound
-                        if share and self._wants_cost_bound()
-                        else None
-                    ),
-                )
-            self.host_reduce_seconds += time.perf_counter() - started
-            self.host_reduces += 1
-            self.reductions += 1
-            _obs.counter_add("stream.host_reduces", 1.0)
-        else:
-            final = combined
+        final = self._host_reduce(combined, seed, self._cached_spread, self._cached_cost_bound)
         final.method = f"windowed_merge_reduce[{self.window.name}][{self.sampler.name}]"
         return final
 
