@@ -14,8 +14,8 @@ The CLI is the thinnest useful wrapper around the library for pipeline use:
 construction metadata; with ``--workers``/``--backend`` it shards the
 dataset and compresses the shards concurrently through the parallel
 execution engine (``--shards`` keys the result; the worker count and
-backend only change wall-clock time).  Shards are collected as they
-complete and the union is re-compressed as one more pool task.
+backend only change wall-clock time).  Shard messages are collected in
+shard order and their union is re-compressed as one more pool task.
 ``--prefetch-batches N`` switches to the overlapped *streaming* pipeline:
 the input is consumed in blocks — memory-mapped for float64 ``.npy`` files,
 never materialised — while a reader thread prefetches the next batch from
@@ -303,7 +303,6 @@ def _run_compress(arguments: argparse.Namespace, sampler, shards: int) -> dict:
                 "shards": len(build.shard_sizes),
                 "communication_floats": build.communication,
                 "reduces_offloaded": int(build.diagnostics.reduces_offloaded),
-                "pending_high_water": int(build.diagnostics.pending_high_water),
             }
         else:
             # One shard: nothing to parallelise, and the single-shot sampler

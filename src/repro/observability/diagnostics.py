@@ -25,7 +25,8 @@ Fields:
     re-compression; every fold and query of a windowed tree), and the
     wall-clock they took.
 ``pending_high_water``
-    Maximum number of in-flight pool tasks observed.
+    Most leaf compressions a stream tree held in flight at once
+    (streaming pipeline only).
 ``blocks_seen``
     Stream blocks ingested (streaming pipeline only).
 ``blocks_expired``

@@ -3,10 +3,10 @@
 The subsystem has three layers:
 
 * :mod:`repro.parallel.executor` — the :class:`AsyncExecutor` contract
-  (futures, ordered ``map``, windowed ``map_unordered``) with its serial /
-  thread / shared-memory process backends (the process backend ships shards
-  as offsets into shared memory and keeps a persistent pool with
-  attach-once segment reuse);
+  (futures from ``submit`` / ``submit_many``, the ordered ``map``) with its
+  serial / thread / shared-memory process backends (the process backend
+  ships shards as offsets into shared memory and keeps a persistent pool
+  with attach-once segment reuse);
 * :mod:`repro.parallel.sharding` — deterministic partitioning and the
   spawn-keyed per-shard seed derivation;
 * :mod:`repro.parallel.sharded` — :class:`ShardedCoresetBuilder`, the

@@ -4,9 +4,8 @@ The paper's Section 2.3 observation — coresets of disjoint shards compose by
 union — makes compression *embarrassingly parallel*: every unit of work is a
 pure function of ``(a slice of the dataset, a task description)``.  One
 contract encodes exactly that and nothing more: :class:`AsyncExecutor`
-(``submit`` returns a :class:`concurrent.futures.Future`; ``map_unordered``
-yields results as they complete under a bounded in-flight window; the
-blocking ``map`` gathers them in task order).  Backends:
+(``submit`` and ``submit_many`` return :class:`concurrent.futures.Future`
+objects; the blocking ``map`` gathers results in task order).  Backends:
 :class:`SerialAsyncExecutor` (tasks run inline — the bit-for-bit
 reference), :class:`ThreadAsyncExecutor`, and :class:`ProcessAsyncExecutor`
 (a **long-lived** shared-memory process pool whose workers attach each
@@ -17,8 +16,8 @@ backend name into an instance.
 Determinism is the design center: executors never touch randomness.  Every
 task arrives with its own spawn-keyed seed (see
 :func:`repro.utils.rng.keyed_seed_sequence`) and the task functions are
-pure, so every backend at every worker count, completion order and window
-size produces bit-identical outputs.  The consumers (sharded builder,
+pure, so every backend at every worker count and completion order
+produces bit-identical outputs.  The consumers (sharded builder,
 merge-&-reduce tree) are responsible for *folding* results in a
 completion-order-independent way; the equivalence suite
 (``tests/test_async_equivalence.py``) pins the combination.
@@ -46,19 +45,16 @@ submission retires the dead pool and starts a fresh one.
 from __future__ import annotations
 
 import abc
-import itertools
 import multiprocessing
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures import Future
 from concurrent.futures import ProcessPoolExecutor as _FuturesProcessPool
 from concurrent.futures import ThreadPoolExecutor as _FuturesThreadPool
-from concurrent.futures import wait as _wait_futures
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -234,13 +230,8 @@ class _Publication:
         self._released = threading.Event()
 
     def release_one(self, _future: Optional[Future] = None) -> None:
-        self.release_many(1)
-
-    def release_many(self, count: int) -> None:
-        if count <= 0:
-            return
         with self._lock:
-            self._references -= count
+            self._references -= 1
             drained = self._references <= 0 and not self._drained
             if drained:
                 self._drained = True
@@ -253,7 +244,7 @@ class _Publication:
 
 
 # ---------------------------------------------------------------------------
-# The executor contract: futures, unordered completion, bounded windows.
+# The executor contract: futures and the ordered map.
 # ---------------------------------------------------------------------------
 
 
@@ -272,8 +263,8 @@ class AsyncExecutor(abc.ABC):
     to the workers, refcounted by the number of tasks that will slice it)
     and :meth:`_submit_task` (schedule one task, returning a
     :class:`concurrent.futures.Future`).  Everything else — ``submit``,
-    ``submit_many``, ordered ``map``, windowed ``map_unordered`` — is
-    derived here, so a test double only needs the two hooks.
+    ``submit_many`` and the ordered ``map`` — is derived here, so a test
+    double only needs the two hooks.
     """
 
     name: str = "abstract"
@@ -292,16 +283,6 @@ class AsyncExecutor(abc.ABC):
 
     def _finalize_publication(self, handle: Any) -> None:
         """Synchronisation point after all of a publication's results landed."""
-
-    def _discard_unsubmitted(self, handle: Any, count: int) -> None:
-        """Forfeit publication references for tasks that were never submitted.
-
-        A windowed :meth:`map_unordered` can exit early — the consumer
-        breaks, or a task raises — with part of its backlog unsubmitted;
-        those tasks will never complete, so a refcounting backend must
-        retire their references here or the publication stays pinned until
-        :meth:`close`.
-        """
 
     def prepare(self) -> None:
         """Eagerly acquire worker resources (a no-op for in-process backends).
@@ -366,53 +347,6 @@ class AsyncExecutor(abc.ABC):
         finally:
             self._finalize_publication(handle)
         return results
-
-    def map_unordered(
-        self,
-        fn: TaskFunction,
-        tasks: Sequence[Any],
-        *,
-        payload: Optional[ArrayPayload] = None,
-        window: Optional[int] = None,
-    ) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(task_index, result)`` pairs as tasks complete.
-
-        At most ``window`` tasks are in flight at a time (``None`` submits
-        everything up front); the payload is published once for the whole
-        call either way.  The window bounds memory — both the host-side
-        result backlog and, for the process backend, how long a publication
-        pins its leased segments — without affecting results: indices let
-        the caller fold in task order regardless of completion order.
-        """
-        tasks = list(tasks)
-        if not tasks:
-            return
-        limit = len(tasks) if window is None else max(1, check_integer(window, name="window"))
-        handle = self._publish(payload, len(tasks))
-        submitted = 0
-        try:
-            backlog = iter(enumerate(tasks))
-            pending: Dict[Future, int] = {}
-            for index, task in itertools.islice(backlog, limit):
-                pending[self._submit_task(fn, task, handle)] = index
-                submitted += 1
-            _obs.counter_add("executor.tasks_submitted", float(submitted))
-            _obs.gauge_set("executor.queue_depth", float(len(pending)))
-            while pending:
-                done, _ = _wait_futures(set(pending), return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = pending.pop(future)
-                    for next_index, next_task in itertools.islice(backlog, 1):
-                        pending[self._submit_task(fn, next_task, handle)] = next_index
-                        submitted += 1
-                        _obs.counter_add("executor.tasks_submitted", 1.0)
-                    _obs.gauge_set("executor.queue_depth", float(len(pending)))
-                    yield index, future.result()
-        finally:
-            # On early exit (consumer break, task exception) the unsubmitted
-            # backlog would otherwise pin the publication forever.
-            self._discard_unsubmitted(handle, len(tasks) - submitted)
-            self._finalize_publication(handle)
 
     def close(self) -> None:
         """Shut down pools and release every published resource."""
@@ -760,10 +694,6 @@ class ProcessAsyncExecutor(AsyncExecutor):
         # waiting here makes segment reuse deterministic for the next call.
         if handle is not None:
             handle.wait_released(timeout=60.0)
-
-    def _discard_unsubmitted(self, handle: Optional[_Publication], count: int) -> None:
-        if handle is not None:
-            handle.release_many(count)
 
     def prepare(self) -> None:
         """Best-effort pre-start of the full worker complement.

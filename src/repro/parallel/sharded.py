@@ -13,7 +13,7 @@ every backend and worker count** — the equivalence suite pins this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -61,9 +61,8 @@ class ShardedBuildResult:
         Mode-*dependent* execution diagnostics
         (:class:`~repro.observability.ExecutionDiagnostics`): whether a
         final re-compression was submitted to the pool
-        (``reduces_offloaded``) and the high-water mark of
-        landed-but-unassembled shard messages.  Deliberately separate from
-        ``metadata`` so backend equivalence stays byte-exact.
+        (``reduces_offloaded``).  Deliberately separate from ``metadata``
+        so backend equivalence stays byte-exact.
     """
 
     coreset: Coreset
@@ -160,11 +159,13 @@ class ShardedCoresetBuilder:
         executor:
             ``None`` (serial), a backend name, or an
             :class:`~repro.parallel.executor.AsyncExecutor` instance.  The
-            host-side fold overlaps the still-running shard compressions
-            (see :meth:`_collect_async`) and the final re-compression is
-            submitted as one more task.  A name or ``None`` is resolved
-            here and closed before returning; an instance stays open.
-            Changes only wall-clock, never the coreset.
+            shard messages are collected in shard order with the ordered
+            ``map`` and concatenated with
+            :func:`~repro.core.coreset.merge_coresets`; the final
+            re-compression is submitted as one more task.  A name or
+            ``None`` is resolved here and closed before returning; an
+            instance stays open.  Changes only wall-clock, never the
+            coreset.
         spread:
             Optional precomputed spread estimate forwarded to every shard's
             sampler (the PR 2 sharing hook): one host-side estimate can
@@ -206,12 +207,10 @@ class ShardedCoresetBuilder:
         try:
             with _obs.span("sharded.build", n=n, shards=len(bounds)):
                 with _obs.span("sharded.map", shards=len(tasks)):
-                    shard_coresets, union, high_water = self._collect_async(
-                        executor, tasks, payload
-                    )
-                union.method = method
-                diagnostics.pending_high_water = float(high_water)
-                _obs.gauge_set("sharded.pending_high_water", float(high_water))
+                    # The union and the final reduce need every shard, so
+                    # collecting in shard order costs no critical-path time.
+                    shard_coresets = executor.map(compress_shard, tasks, payload=payload)
+                    union = merge_coresets(shard_coresets, method=method)
 
                 if self.final_coreset_size is not None and union.size > self.final_coreset_size:
                     # Ship the (small) union as one more task under the
@@ -258,59 +257,3 @@ class ShardedCoresetBuilder:
             },
             diagnostics=diagnostics,
         )
-
-    @staticmethod
-    def _collect_async(
-        executor: AsyncExecutor,
-        tasks: List[ShardTask],
-        payload: ArrayPayload,
-    ) -> Tuple[List[Coreset], Coreset, int]:
-        """Collect shard messages as they complete, assembling the union live.
-
-        Shard compressions finish in whatever order the pool schedules them;
-        ``map_unordered`` hands each one to the host the moment it lands
-        (unpickled off the worker immediately, never buffered behind a
-        slower earlier shard).  Instead of a post-loop ``merge_coresets``
-        concatenation, the union is a *preallocated* buffer — capacity is
-        known up front because shard ``i`` sends exactly ``min(m, stop -
-        start)`` points — and every landed message is copied into its slot
-        while straggler shards are still running, so the host-side union
-        cost overlaps the pool.  Should a sampler ever return fewer points
-        than its slot (no in-tree sampler does), the buffer is rebuilt by
-        the classical concatenation — same bytes, one extra copy.  Because
-        slots are keyed by shard index and each shard's randomness is
-        spawn-keyed by that index, completion order cannot influence a
-        single byte of the result.
-
-        Returns the messages in shard order, the union coreset, and the
-        high-water mark of landed-but-unassembled messages (diagnostics).
-        """
-        expected = [min(task.m, task.stop - task.start) for task in tasks]
-        offsets = np.concatenate([[0], np.cumsum(expected)])
-        capacity = int(offsets[-1])
-        dimension = payload.points.shape[1]
-        union_points = np.empty((capacity, dimension), dtype=np.float64)
-        union_weights = np.empty(capacity, dtype=np.float64)
-        exact = True
-
-        landed: List[Optional[Coreset]] = [None] * len(tasks)
-        ordered: List[Coreset] = []
-        landed_count = 0
-        high_water = 0
-        for index, message in executor.map_unordered(compress_shard, tasks, payload=payload):
-            landed[index] = message
-            landed_count += 1
-            if exact and message.size == expected[index]:
-                start, stop = int(offsets[index]), int(offsets[index + 1])
-                union_points[start:stop] = message.points
-                union_weights[start:stop] = message.weights
-            else:
-                exact = False
-            while len(ordered) < len(landed) and landed[len(ordered)] is not None:
-                ordered.append(landed[len(ordered)])
-            high_water = max(high_water, landed_count - len(ordered))
-        if exact:
-            union = Coreset(points=union_points, weights=union_weights)
-        else:
-            union = merge_coresets(ordered)
-        return ordered, union, high_water

@@ -216,8 +216,8 @@ class TestCliParallel:
             main(["compress", data_file, "--k", "5", "--backend", "gpu"])
 
     def test_sharded_build_offloads_the_final_reduce(self, data_file, tmp_path, capsys):
-        # Shards are collected as they complete and the union is
-        # re-compressed as one more pool task, never on the host.
+        # The union of the shard messages is re-compressed as one more
+        # pool task, never on the host.
         output = str(tmp_path / "coreset.npz")
         code = main(
             ["compress", data_file, "--k", "5", "--m", "100", "--output", output,
@@ -227,7 +227,6 @@ class TestCliParallel:
         summary = json.loads(capsys.readouterr().out)
         assert summary["backend"] == "thread"
         assert summary["reduces_offloaded"] == 1
-        assert summary["pending_high_water"] >= 0
 
     @pytest.mark.parametrize(
         "flags, message",

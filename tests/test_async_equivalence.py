@@ -48,8 +48,8 @@ class JitteredAsyncExecutor(AsyncExecutor):
     resolve in an order that has nothing to do with submission order — the
     harness that proves consumers fold results order-independently.  Only
     the two backend hooks are implemented; everything else (submit,
-    map, windowed map_unordered) is the shared :class:`AsyncExecutor`
-    machinery, so the contract itself is exercised too.
+    submit_many, map) is the shared :class:`AsyncExecutor` machinery, so
+    the contract itself is exercised too.
     """
 
     name = "jitter"

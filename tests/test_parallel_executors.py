@@ -47,12 +47,6 @@ def _worker_pid(payload, task):
     return os.getpid()
 
 
-def _fail_on_first(payload, task):
-    if task == 0:
-        raise RuntimeError("task 0 failed")
-    return task
-
-
 def _total(payload, task):
     assert payload is None
     return float(sum(np.sum(value) for value in task))
@@ -284,32 +278,6 @@ class TestPersistentPoolReuse:
                 pids.update(executor.map(_worker_pid, [0, 1]))
             assert len(pids) <= 2
 
-    def test_windowed_early_exit_releases_the_publication(self):
-        # A task exception aborts map_unordered with part of its backlog
-        # never submitted; the unsubmitted references must be forfeited or
-        # the leased segments stay pinned and every later call allocates
-        # fresh ones.
-        rng = np.random.default_rng(5)
-        payload = ArrayPayload(points=rng.normal(size=(32, 2)), weights=np.ones(32))
-        tasks = list(range(8))
-        with ProcessAsyncExecutor(workers=2) as executor:
-            with pytest.raises(RuntimeError, match="task 0 failed"):
-                list(
-                    executor.map_unordered(
-                        _fail_on_first, tasks, payload=payload, window=2
-                    )
-                )
-            warm = _shared_segment_names()
-            for _ in range(3):
-                results = executor.map(_double, [1, 2])
-                assert results == [2, 4]
-                executor.map(
-                    _slice_total, [(0, 16, 1.0)], payload=payload
-                )
-            # The aborted publication's segments were reclaimed, so the
-            # later calls lease them instead of growing the pool.
-            assert _shared_segment_names() == warm
-
     def test_async_executor_segments_stable_across_calls(self):
         rng = np.random.default_rng(4)
         payload = ArrayPayload(
@@ -321,11 +289,11 @@ class TestPersistentPoolReuse:
         with ProcessAsyncExecutor(workers=2) as executor:
             assert executor.map(_slice_total, tasks, payload=payload) == expected
             warm = _shared_segment_names()
+            # submit_many is the path the stream trees take: every call
+            # leases the segments the previous call's tasks returned.
             for _ in range(50):
-                results = sorted(
-                    executor.map_unordered(_slice_total, tasks, payload=payload, window=1)
-                )
-                assert [value for _, value in results] == expected
+                futures = executor.submit_many(_slice_total, tasks, payload=payload)
+                assert [future.result() for future in futures] == expected
             assert _shared_segment_names() == warm
         assert _shared_segment_names() - before == set()
 
@@ -344,16 +312,6 @@ class TestAsyncExecutors:
             assert [future.result() for future in futures] == expected
             assert executor.map(_slice_total, tasks, payload=payload) == expected
 
-    @pytest.mark.parametrize("window", (1, 2, None))
-    def test_map_unordered_yields_every_index_once(self, payload, tasks, window):
-        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
-        with ThreadAsyncExecutor(workers=4) as executor:
-            pairs = list(
-                executor.map_unordered(_slice_total, tasks, payload=payload, window=window)
-            )
-        assert sorted(index for index, _ in pairs) == list(range(len(tasks)))
-        assert [value for _, value in sorted(pairs)] == expected
-
     def test_task_errors_propagate_through_futures(self):
         def boom(payload, task):
             raise RuntimeError("task failed")
@@ -370,7 +328,6 @@ class TestAsyncExecutors:
 
     def test_empty_task_list(self, payload):
         assert SerialAsyncExecutor().map(_slice_total, [], payload=payload) == []
-        assert list(SerialAsyncExecutor().map_unordered(_slice_total, [], payload=payload)) == []
 
 
 class TestSubmitWhenReady:
