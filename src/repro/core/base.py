@@ -57,6 +57,23 @@ def _check_total_weight(weights: np.ndarray) -> None:
         )
 
 
+def _check_weight_scale(weights: np.ndarray, m: int) -> None:
+    """Reject weights so small that ``m / max(weights)`` overflows float64.
+
+    Importance weights are the input mass over ``m`` times a score, and the
+    scores reach one over a cluster's mass: with every weight this close to
+    the bottom of the float64 range, those quotients overflow or underflow
+    (NaN sampling probabilities, zero output weights).  The rule looks only
+    at the largest weight, so a few tiny weights beside normal ones pass.
+    """
+    heaviest = float(weights.max())
+    if not math.isfinite(m / heaviest):
+        raise ValueError(
+            f"the largest input weight, {heaviest:.6g}, is too small to sample "
+            f"{m} points: m / max(weights) overflows float64; rescale the weights"
+        )
+
+
 class CoresetConstruction(abc.ABC):
     """Abstract base class for samplers producing weighted compressions.
 
@@ -133,9 +150,10 @@ class CoresetConstruction(abc.ABC):
         """
         points = check_points(points)
         weights = check_weights(weights, points.shape[0])
-        _check_total_weight(weights)
-        _check_cost_range(points, weights)
         m = check_sample_size(m, points.shape[0])
+        _check_total_weight(weights)
+        _check_weight_scale(weights, m)
+        _check_cost_range(points, weights)
         effective_seed = seed if seed is not None else self.seed
         coreset = self._sample(
             points, weights, m, effective_seed, spread=spread, cost_bound=cost_bound

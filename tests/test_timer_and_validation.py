@@ -124,8 +124,9 @@ EVERY_SAMPLER = pytest.mark.parametrize(
 
 
 class TestCostRangeCheck:
-    """Every sampler rejects inputs whose clustering costs overflow float64
-    or whose total weight is zero or subnormal."""
+    """Every sampler rejects inputs whose clustering costs overflow float64,
+    whose total weight is zero or subnormal, or whose largest weight is too
+    small for ``m / max(weights)`` to stay finite."""
 
     @EVERY_SAMPLER
     def test_overflowing_costs_rejected_by_every_sampler(self, make):
@@ -136,19 +137,36 @@ class TestCostRangeCheck:
                 make().sample(points, 100)
 
     @EVERY_SAMPLER
-    @pytest.mark.parametrize("weight", [0.0, 5e-324], ids=["zero", "subnormal"])
-    def test_tiny_total_weight_rejected_by_every_sampler(self, make, weight):
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            pytest.param(0.0, "weights must sum to at least .* got a total of", id="zero"),
+            pytest.param(5e-324, "weights must sum to at least .* got a total of", id="subnormal"),
+            pytest.param(1e-310, "largest input weight, 1e-310, is too small", id="each_1e-310"),
+            pytest.param(3e-308, "largest input weight, 3e-308, is too small", id="each_3e-308"),
+        ],
+    )
+    def test_tiny_weights_rejected_by_every_sampler(self, make, weight, message):
         # Unchecked, zero weights give all-zero coresets (or NaN
         # probabilities inside numpy), and 5e-324 weights NaN probabilities.
+        # Every weight 1e-310 (a normal total) gives NaN probabilities or
+        # all-zero weights, and every weight 3e-308 some zero weights.
         points = np.random.default_rng(0).normal(size=(500, 3))
-        with pytest.raises(ValueError, match="weights must sum to at least .* got a total of"):
+        with pytest.raises(ValueError, match=message):
             make().sample(points, 50, weights=np.full(500, weight))
 
     @EVERY_SAMPLER
-    def test_all_but_one_zero_weight_gives_a_valid_coreset(self, make):
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            pytest.param(np.where(np.arange(500) == 123, 2.0, 0.0), id="all_but_one_zero"),
+            pytest.param(np.r_[np.full(250, 1e-310), np.ones(250)], id="half_1e-310"),
+            pytest.param(np.r_[np.full(5, 1e-310), np.ones(495)], id="five_1e-310"),
+            pytest.param(np.full(500, 1e-305), id="each_1e-305"),
+        ],
+    )
+    def test_degenerate_weights_give_a_valid_coreset(self, make, weights):
         points = np.random.default_rng(0).normal(size=(500, 3))
-        weights = np.zeros(500)
-        weights[123] = 2.0
         coreset = make().sample(points, 50, weights=weights)
         assert 0 < coreset.size <= 50
         assert np.isfinite(coreset.points).all()
