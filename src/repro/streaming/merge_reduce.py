@@ -475,10 +475,21 @@ class MergeReduceTree:
 
     def _drain_pending(self, limit: Optional[int]) -> None:
         """Settle queued entries (oldest first) down to ``limit``: the
-        backpressure that bounds in-flight leaf memory."""
+        backpressure that bounds in-flight leaf memory.
+
+        When one fails, everything still in flight is awaited before the
+        error leaves, so no task of this tree (nor a reduce it would chain)
+        still runs on a caller-owned executor the caller goes on to reuse.
+        """
         target = 0 if limit is None else max(0, int(limit))
-        while len(self._pending) > target:
-            self._settle(self._pending.popleft())
+        try:
+            while len(self._pending) > target:
+                self._settle(self._pending.popleft())
+        except Exception:
+            for value in [leaf.value for leaf in self._pending] + list(self.levels.values()):
+                if isinstance(value, Future):
+                    value.exception()
+            raise
 
     def _settle(self, leaf: _Bucket) -> None:
         """Wait for one leaf compression; its carry walk already happened."""

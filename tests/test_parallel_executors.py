@@ -19,6 +19,7 @@ import pytest
 from repro import observability as obs
 from repro.core import UniformSampling
 from repro.core.base import CoresetConstruction
+from repro.core.coreset import Coreset
 from repro.parallel import (
     BACKENDS,
     ArrayPayload,
@@ -31,6 +32,7 @@ from repro.parallel import (
     shard_bounds,
     submit_when_ready,
 )
+from repro.streaming import DataStream, MergeReduceTree, StreamingCoresetPipeline
 
 
 def _slice_total(payload, task):
@@ -66,6 +68,24 @@ class _DyingSampler(CoresetConstruction):
 
     def _sample(self, points, weights, m, seed, spread=None, cost_bound=None):
         os._exit(3)
+
+
+class _ReduceKiller(CoresetConstruction):
+    """Kills the pool worker on a reduce input; module-level so it pickles.
+
+    A leaf keeps its block's first ``m`` rows, rescaled to the block's unit
+    weights; a reduce input carries those rescaled weights, so a non-unit
+    weight identifies a reduce (as ``_ReduceBomb`` in
+    ``test_async_equivalence.py`` does).
+    """
+
+    name = "reduce_killer"
+
+    def _sample(self, points, weights, m, seed, spread=None, cost_bound=None):
+        if np.any(weights != 1.0):
+            os._exit(3)
+        scale = weights.sum() / weights[:m].sum()
+        return Coreset(points=points[:m], weights=weights[:m] * scale)
 
 
 def _error_within(call, timeout=60.0):
@@ -242,6 +262,39 @@ class TestWorkerDeath:
             rebuilt = builder(UniformSampling(seed=0)).build(blobs, executor=executor)
             assert rebuilt.coreset.points.tobytes() == reference.coreset.points.tobytes()
             assert rebuilt.coreset.weights.tobytes() == reference.coreset.weights.tobytes()
+        finally:
+            executor.close()
+        assert _shared_segment_names() - before == set()
+
+    @pytest.mark.parametrize("feed", ["tree", "pipeline"])
+    def test_worker_death_mid_stream_reduce(self, blobs, feed):
+        def stream(sampler, executor):
+            blocks = DataStream(points=blobs, block_size=120)
+            if feed == "pipeline":
+                return StreamingCoresetPipeline(
+                    sampler=sampler,
+                    coreset_size=60,
+                    seed=3,
+                    executor=executor,
+                    prefetch_batches=2,
+                ).run(blocks)
+            tree = MergeReduceTree(sampler=sampler, coreset_size=60, seed=3)
+            if executor is None:
+                for block, weights in blocks:
+                    tree.add_block(block, weights)
+            else:
+                tree.add_blocks(blocks, executor=executor)
+            return tree.finalize()
+
+        reference = stream(UniformSampling(seed=0), None)
+        before = _shared_segment_names()
+        executor = ProcessAsyncExecutor(workers=2)
+        try:
+            error = _error_within(lambda: stream(_ReduceKiller(), executor))
+            assert isinstance(error, BrokenProcessPool)
+            rerun = stream(UniformSampling(seed=0), executor)
+            assert rerun.points.tobytes() == reference.points.tobytes()
+            assert rerun.weights.tobytes() == reference.weights.tobytes()
         finally:
             executor.close()
         assert _shared_segment_names() - before == set()
