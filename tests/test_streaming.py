@@ -17,6 +17,7 @@ from repro.streaming import (
     BicoCoreset,
     ClusteringFeature,
     DataStream,
+    ExponentialDecay,
     MergeReduceTree,
     SlidingCountWindow,
     StreamKMPlusPlus,
@@ -271,11 +272,13 @@ class TestMergeReduce:
 
 
 class TestFinalizeTrace:
-    """The final re-compression is traced like every other host reduce."""
+    """Every host reduce is traced: the final re-compression, and a windowed
+    tree's folds and queries."""
 
     @staticmethod
-    def _traced_finalize(blobs, n_blocks):
-        tree = MergeReduceTree(sampler=UniformSampling(seed=0), coreset_size=60, seed=0)
+    def _traced_finalize(blobs, n_blocks, tree=None):
+        if tree is None:
+            tree = MergeReduceTree(sampler=UniformSampling(seed=0), coreset_size=60, seed=0)
         with obs.tracing() as recorder:
             for block, weights in DataStream.with_block_count(blobs, n_blocks):
                 tree.add_block(block, weights)
@@ -298,6 +301,25 @@ class TestFinalizeTrace:
         tree, spans = self._traced_finalize(blobs, 16)
         assert tree.host_reduces == 0
         assert not [span for span in spans if span.name == "stream.host_reduce"]
+
+    @pytest.mark.parametrize(
+        "window, rows",
+        [
+            # 12 = 8 + 4 blocks: ten folds of two 60-point buckets, then a
+            # final query over the two survivors.
+            pytest.param(ExponentialDecay(half_life=4.0), [120] * 11, id="decay_folds"),
+            # Four live 60-point leaves, merged once by the final query.
+            pytest.param(SlidingCountWindow(blocks=4), [240], id="sliding_query"),
+        ],
+    )
+    def test_windowed_host_reduces_are_traced(self, blobs, window, rows):
+        tree = WindowedMergeReduceTree(
+            sampler=UniformSampling(seed=0), coreset_size=60, seed=0, window=window
+        )
+        tree, spans = self._traced_finalize(blobs, 12, tree)
+        reduces = [span for span in spans if span.name == "stream.host_reduce"]
+        assert len(reduces) == tree.host_reduces
+        assert [span.args["rows"] for span in reduces] == rows
 
 
 class TestClusteringFeature:
