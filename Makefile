@@ -30,13 +30,17 @@
 # length is always BENCHMARK.json's `run_seconds`, so both sides of an A/B
 # run equally long.
 
+# `make loc` prints the Python line counts of `src/`, `tests/` and
+# `benchmarks/` (`find <dir> -name '*.py' | xargs cat | wc -l`), the count
+# every removal reports its delta in.
+
 PYTHON ?= python
 WORKLOAD ?= static_sensitivity
 SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 OUT ?= .bench-e2e
 
 .PHONY: test test-fast test-parallel bench bench-check bench-check-serial \
-	trace-smoke paper-check bench-e2e
+	trace-smoke paper-check bench-e2e loc
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -69,4 +73,9 @@ bench-e2e:
 		&& for seed in $(SEEDS); do \
 		$(PYTHON) benchmarks/e2e/run.py --workload $(WORKLOAD) --seed $$seed \
 			--seconds $$seconds --trace 0 > $(OUT)/$(WORKLOAD).$$seed || exit 1; \
+	done
+
+loc:
+	@for dir in src tests benchmarks; do \
+		echo "$$dir $$(find $$dir -name '*.py' | xargs cat | wc -l)"; \
 	done
