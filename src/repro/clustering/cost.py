@@ -8,6 +8,14 @@ where ``z = 1`` yields k-median and ``z = 2`` yields k-means (Section 2.1).
 Everything downstream — sensitivity scores, coreset distortion, downstream
 solution quality — is phrased in terms of this single function, so it lives
 here as the one shared implementation.
+
+Every weighted sum ``sum_p w_p * value_p`` in the library goes through
+:func:`weighted_total`.  ``np.dot`` would hand it to OpenBLAS, which splits
+a long vector across its own helper threads: inside a process-pool worker
+those threads take the cores of the other workers, and the split makes the
+rounding depend on the host's core count.  ``weighted_total`` is one
+single-threaded ``einsum`` reduction, so the sum is the same bytes on every
+host and a pool worker keeps to its one core.
 """
 
 from __future__ import annotations
@@ -51,6 +59,11 @@ class ClusteringSolution:
     def k(self) -> int:
         """Number of centers."""
         return int(self.centers.shape[0])
+
+
+def weighted_total(weights: np.ndarray, values: np.ndarray) -> float:
+    """``sum_i weights[i] * values[i]`` on the calling thread, never in BLAS."""
+    return float(np.einsum("i,i->", weights, values))
 
 
 def assign_points(points: np.ndarray, centers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -122,7 +135,7 @@ def cost_to_assigned_centers(
     deltas = points - centers[assignment]
     squared = np.einsum("ij,ij->i", deltas, deltas)
     per_point = squared if z == 2 else np.sqrt(squared)
-    return float(np.dot(weights, per_point))
+    return weighted_total(weights, per_point)
 
 
 def per_point_costs(

@@ -56,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from repro import observability as _obs
-from repro.clustering.cost import ClusteringSolution
+from repro.clustering.cost import ClusteringSolution, weighted_total
 from repro.geometry.distances import update_nearest_with_new_center
 from repro.native import get_kernel
 from repro.utils.rng import SeedLike, as_generator, weighted_index_draw
@@ -165,7 +165,7 @@ def kmeans_plus_plus(
 
     centers = points[center_indices]
     per_point = best_squared if z == 2 else np.sqrt(best_squared)
-    cost = float(np.dot(weights, per_point))
+    cost = weighted_total(weights, per_point)
     return ClusteringSolution(centers=centers, assignment=assignment, cost=cost, z=z)
 
 
