@@ -108,7 +108,7 @@ def clustering_cost(
         per_point = squared
     else:
         per_point = np.sqrt(squared)
-    return float(np.dot(weights, per_point))
+    return weighted_total(weights, per_point)
 
 
 def cost_to_assigned_centers(

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.clustering.cost import ClusteringSolution
+from repro.clustering.cost import ClusteringSolution, weighted_total
 from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.geometry.distances import squared_point_to_set_distances
 from repro.utils.rng import SeedLike, as_generator
@@ -133,7 +133,7 @@ def kmedian(
     for iterations in range(1, max_iterations + 1):
         squared, assignment = squared_point_to_set_distances(points, centers)
         distances = np.sqrt(squared)
-        cost = float(np.dot(weights, distances))
+        cost = weighted_total(weights, distances)
         for index in range(centers.shape[0]):
             members = np.flatnonzero(assignment == index)
             if members.size == 0:
@@ -150,7 +150,7 @@ def kmedian(
         previous_cost = cost
 
     squared, assignment = squared_point_to_set_distances(points, centers)
-    cost = float(np.dot(weights, np.sqrt(squared)))
+    cost = weighted_total(weights, np.sqrt(squared))
     return KMedianResult(
         centers=centers,
         assignment=assignment,

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from repro import observability as _obs
-from repro.clustering.cost import ClusteringSolution
+from repro.clustering.cost import ClusteringSolution, weighted_total
 from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.geometry.distances import squared_point_to_set_distances
 from repro.utils.rng import SeedLike, as_generator
@@ -205,7 +205,7 @@ def kmeans(
             with _obs.span("lloyd.iteration", iteration=iterations):
                 centers = update_centers(points, weights, assignment, squared, centers, generator)
                 squared, assignment = squared_point_to_set_distances(points, centers)
-                cost = float(np.dot(weights, squared))
+                cost = weighted_total(weights, squared)
                 if _converged(previous_cost, cost, tolerance):
                     converged = True
                     break

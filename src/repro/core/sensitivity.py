@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.clustering.cost import ClusteringSolution, per_point_costs
+from repro.clustering.cost import ClusteringSolution, per_point_costs, weighted_total
 from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.core.base import CoresetConstruction
 from repro.core.coreset import Coreset
@@ -261,7 +261,7 @@ class LightweightCoreset(CoresetConstruction):
         deltas = points - mean[None, :]
         squared = np.einsum("ij,ij->i", deltas, deltas)
         point_costs = squared if self.z == 2 else np.sqrt(squared)
-        total_cost = float(np.dot(weights, point_costs))
+        total_cost = weighted_total(weights, point_costs)
         if total_cost <= 0:
             scores = np.full(points.shape[0], 1.0 / total_weight)
         else:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.clustering.cost import clustering_cost
+from repro.clustering.cost import clustering_cost, weighted_total
 from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.clustering.kmedian import cluster_representative, geometric_median, kmedian
 from repro.clustering.lloyd import kmeans, lloyd_iteration
@@ -82,7 +82,7 @@ def _assert_lloyd_fixed_point(points, result, weights=None):
     weights = np.ones(points.shape[0]) if weights is None else weights
     squared = _difference_distances(points, result.centers)
     np.testing.assert_array_equal(result.assignment, squared.argmin(axis=1))
-    assert result.cost == float(np.dot(weights, squared.min(axis=1)))
+    assert result.cost == weighted_total(weights, squared.min(axis=1))
 
 
 # The k-means++ seeding inside ``kmeans`` dispatches to the compiled tier,
