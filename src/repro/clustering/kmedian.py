@@ -46,8 +46,10 @@ def geometric_median(
         Iteration cap; the default is far beyond what is needed for the
         constant-factor guarantee used in Algorithm 1.
     tolerance:
-        Stop once the step size falls below ``tolerance`` times the current
-        scale of the estimate.
+        Stop once the step size falls below ``tolerance`` times the weighted
+        mean distance from the points to the estimate.  That scale moves with
+        the points, so a run at any offset stops where the same points
+        around the origin would.
 
     Returns
     -------
@@ -76,7 +78,9 @@ def geometric_median(
         updated = (inverse[:, None] * points).sum(axis=0) / denominator
         step = float(np.linalg.norm(updated - estimate))
         estimate = updated
-        scale = float(np.linalg.norm(estimate)) + 1e-12
+        # Zero only when every point sits on the estimate, and then so is
+        # the step.
+        scale = weighted_total(weights, distances) / total
         if step <= tolerance * scale:
             break
     return estimate

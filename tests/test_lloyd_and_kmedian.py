@@ -186,14 +186,17 @@ class TestFarFromOrigin:
         assert at_offset.cost == pytest.approx(at_origin.cost, rel=1e-8)
         _assert_lloyd_fixed_point(far, at_offset)
 
-    def test_kmedian_cost_close_to_the_origin_run(self):
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_kmedian_cost_close_to_the_origin_run(self, seed):
         # An expansion on the raw coordinates reports 0.04x the origin cost
-        # here.  The 1% allowance covers Weiszfeld's stopping rule, which
-        # scales with |median| and so ends the offset run early.
-        far, near = self._far_and_near(3)
-        at_offset = kmedian(far, 10, seed=3)
-        at_origin = kmedian(near, 10, seed=3)
-        assert at_offset.cost == pytest.approx(at_origin.cost, rel=1e-2)
+        # here.  Weiszfeld's stop scales with the points' mean distance to
+        # the median, not with |median|, so the offset run stops where the
+        # origin run does.
+        far, near = self._far_and_near(seed)
+        at_offset = kmedian(far, 10, seed=seed)
+        at_origin = kmedian(near, 10, seed=seed)
+        assert at_offset.iterations == at_origin.iterations
+        assert at_offset.cost == pytest.approx(at_origin.cost, rel=1e-8)
 
 
 class TestReseedDistinctness:
@@ -241,6 +244,16 @@ class TestGeometricMedian:
             perturbed = median + rng.normal(scale=0.05, size=3)
             cost_perturbed = np.linalg.norm(points - perturbed, axis=1).sum()
             assert cost_at_median <= cost_perturbed + 1e-6
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_offset_points_give_the_offset_median(self, seed):
+        # A stop scaled by |estimate| ended the offset run after one step,
+        # 2e-3 to 4e-3 from the median of the same points at the origin.
+        near = np.random.default_rng(seed).normal(size=(400, 5))
+        far = 1e8 + near
+        np.testing.assert_allclose(
+            geometric_median(far) - 1e8, geometric_median(near), rtol=0, atol=1e-6
+        )
 
     def test_robust_to_outlier_compared_to_mean(self):
         points = np.concatenate([np.zeros((99, 2)), np.array([[1000.0, 1000.0]])])
