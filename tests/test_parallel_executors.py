@@ -11,6 +11,7 @@ import threading
 import weakref
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -109,18 +110,40 @@ def _error_within(call, timeout=60.0):
     return outcome.get("error")
 
 
-def _shared_segment_names():
-    """The resource-tracker-visible shared-memory names on this host.
+@pytest.fixture
+def created_segments(monkeypatch):
+    """The names of the shared-memory segments this process creates in a test.
 
-    ``multiprocessing.shared_memory`` registers every created segment with
-    the resource tracker under its ``psm_``-prefixed name, which on Linux is
-    exactly the file that appears in ``/dev/shm`` — so the directory listing
-    is the observable the leak assertions compare.
+    The leak checks look only at these, so a segment that another process
+    on the host creates meanwhile cannot fail them.
+    """
+    names = []
+    original_init = shared_memory.SharedMemory.__init__
+
+    def _recording_init(self, name=None, create=False, size=0, **options):
+        original_init(self, name, create, size, **options)
+        if create:
+            names.append(self.name)
+
+    monkeypatch.setattr(shared_memory.SharedMemory, "__init__", _recording_init)
+    return names
+
+
+def _live_segments(names):
+    """The subset of ``names`` that still exists as a shared-memory segment.
+
+    ``multiprocessing.shared_memory`` gives every segment a ``psm_``-prefixed
+    name, which on Linux is exactly the file that appears in ``/dev/shm``.
     """
     shm_dir = Path("/dev/shm")
     if not shm_dir.is_dir():
         pytest.skip("platform exposes no /dev/shm to inspect")
-    return {entry.name for entry in shm_dir.iterdir() if entry.name.startswith("psm_")}
+    return {name for name in names if (shm_dir / name).exists()}
+
+
+def _assert_all_unlinked(names):
+    assert names, "the test published no payload, so it checks no segment"
+    assert _live_segments(names) == set()
 
 
 @pytest.fixture(scope="module")
@@ -209,11 +232,10 @@ class TestProcessBackend:
         with pytest.raises(RuntimeError, match="closed"):
             executor.map(_slice_total, tasks, payload=payload)
 
-    def test_no_shared_memory_segments_leak_after_close(self, payload, tasks):
-        before = _shared_segment_names()
+    def test_no_shared_memory_segments_leak_after_close(self, payload, tasks, created_segments):
         with ProcessAsyncExecutor(workers=2) as executor:
             executor.map(_slice_total, tasks, payload=payload)
-        assert _shared_segment_names() - before == set()
+        _assert_all_unlinked(created_segments)
 
 
 @pytest.mark.parallel
@@ -226,9 +248,8 @@ class TestWorkerDeath:
     executor must run on a fresh pool and return correct results.
     """
 
-    def test_worker_death_mid_map(self, payload, tasks):
+    def test_worker_death_mid_map(self, payload, tasks, created_segments):
         expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
-        before = _shared_segment_names()
         executor = ProcessAsyncExecutor(workers=2)
         try:
             doomed = [tasks[0], None, *tasks[1:]]
@@ -241,9 +262,9 @@ class TestWorkerDeath:
             assert recorder.counters()["executor.pool_restarts"] == 1.0
         finally:
             executor.close()
-        assert _shared_segment_names() - before == set()
+        _assert_all_unlinked(created_segments)
 
-    def test_worker_death_mid_sharded_build(self, blobs, payload, tasks):
+    def test_worker_death_mid_sharded_build(self, blobs, payload, tasks, created_segments):
         def builder(sampler):
             return ShardedCoresetBuilder(
                 sampler, n_shards=4, coreset_size_per_shard=50, seed=3
@@ -251,7 +272,6 @@ class TestWorkerDeath:
 
         reference = builder(UniformSampling(seed=0)).build(blobs)
         expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
-        before = _shared_segment_names()
         executor = ProcessAsyncExecutor(workers=2)
         try:
             error = _error_within(
@@ -264,10 +284,10 @@ class TestWorkerDeath:
             assert rebuilt.coreset.weights.tobytes() == reference.coreset.weights.tobytes()
         finally:
             executor.close()
-        assert _shared_segment_names() - before == set()
+        _assert_all_unlinked(created_segments)
 
     @pytest.mark.parametrize("feed", ["tree", "pipeline"])
-    def test_worker_death_mid_stream_reduce(self, blobs, feed):
+    def test_worker_death_mid_stream_reduce(self, blobs, feed, created_segments):
         def stream(sampler, executor):
             blocks = DataStream(points=blobs, block_size=120)
             if feed == "pipeline":
@@ -287,7 +307,6 @@ class TestWorkerDeath:
             return tree.finalize()
 
         reference = stream(UniformSampling(seed=0), None)
-        before = _shared_segment_names()
         executor = ProcessAsyncExecutor(workers=2)
         try:
             error = _error_within(lambda: stream(_ReduceKiller(), executor))
@@ -297,32 +316,33 @@ class TestWorkerDeath:
             assert rerun.weights.tobytes() == reference.weights.tobytes()
         finally:
             executor.close()
-        assert _shared_segment_names() - before == set()
+        _assert_all_unlinked(created_segments)
 
 
 @pytest.mark.parallel
 class TestPersistentPoolReuse:
     """The pool-reuse contract: one pool, a constant set of segments."""
 
-    def test_many_small_maps_do_not_grow_segments_or_leak(self):
+    def test_many_small_maps_do_not_grow_segments_or_leak(self, created_segments):
         rng = np.random.default_rng(3)
         payload = ArrayPayload(
             points=rng.normal(size=(64, 3)), weights=rng.uniform(0.5, 1.5, size=64)
         )
         tasks = [(0, 32, 1.0), (32, 64, 0.5)]
         expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
-        before = _shared_segment_names()
         with ProcessAsyncExecutor(workers=2) as executor:
             assert executor.map(_slice_total, tasks, payload=payload) == expected
             # After the first call the segment pool is warm: two segments
             # (points + weights) that every later call leases and rewrites.
-            warm = _shared_segment_names()
-            assert len(warm - before) <= 2
+            warm = set(created_segments)
+            assert len(warm) <= 2
+            assert _live_segments(warm) == warm
             for _ in range(199):
                 assert executor.map(_slice_total, tasks, payload=payload) == expected
-            assert _shared_segment_names() == warm
-        # close() unlinks the pooled segments: nothing tracker-visible left.
-        assert _shared_segment_names() - before == set()
+            assert set(created_segments) == warm
+            assert _live_segments(warm) == warm
+        # close() unlinks the pooled segments.
+        _assert_all_unlinked(created_segments)
 
     def test_map_calls_reuse_the_same_worker_processes(self):
         with ProcessAsyncExecutor(workers=2) as executor:
@@ -331,24 +351,25 @@ class TestPersistentPoolReuse:
                 pids.update(executor.map(_worker_pid, [0, 1]))
             assert len(pids) <= 2
 
-    def test_async_executor_segments_stable_across_calls(self):
+    def test_async_executor_segments_stable_across_calls(self, created_segments):
         rng = np.random.default_rng(4)
         payload = ArrayPayload(
             points=rng.normal(size=(50, 4)), weights=np.ones(50)
         )
         tasks = [(0, 25, 2.0), (25, 50, 1.0)]
         expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
-        before = _shared_segment_names()
         with ProcessAsyncExecutor(workers=2) as executor:
             assert executor.map(_slice_total, tasks, payload=payload) == expected
-            warm = _shared_segment_names()
+            warm = set(created_segments)
+            assert _live_segments(warm) == warm
             # submit_many is the path the stream trees take: every call
             # leases the segments the previous call's tasks returned.
             for _ in range(50):
                 futures = executor.submit_many(_slice_total, tasks, payload=payload)
                 assert [future.result() for future in futures] == expected
-            assert _shared_segment_names() == warm
-        assert _shared_segment_names() - before == set()
+            assert set(created_segments) == warm
+            assert _live_segments(warm) == warm
+        _assert_all_unlinked(created_segments)
 
 
 class TestAsyncExecutors:
