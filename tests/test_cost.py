@@ -1,5 +1,7 @@
 """Unit tests for repro.clustering.cost."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,17 @@ from repro.clustering.cost import (
     clustering_cost,
     cost_to_assigned_centers,
     per_point_costs,
+    weighted_total,
 )
+
+
+class TestWeightedTotal:
+    def test_matches_the_exactly_rounded_sum(self, rng):
+        weights = rng.uniform(0.0, 3.0, 50_000)
+        values = rng.exponential(size=50_000)
+        total = weighted_total(weights, values)
+        assert type(total) is float
+        assert total == pytest.approx(math.fsum(weights * values), rel=1e-12)
 
 
 class TestClusteringCost:

@@ -190,8 +190,7 @@ class TestFarFromOrigin:
     def test_kmedian_cost_close_to_the_origin_run(self, seed):
         # An expansion on the raw coordinates reports 0.04x the origin cost
         # here.  Weiszfeld's stop scales with the points' mean distance to
-        # the median, not with |median|, so the offset run stops where the
-        # origin run does.
+        # the median, so the offset run stops where the origin run does.
         far, near = self._far_and_near(seed)
         at_offset = kmedian(far, 10, seed=seed)
         at_origin = kmedian(near, 10, seed=seed)
@@ -247,8 +246,8 @@ class TestGeometricMedian:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_offset_points_give_the_offset_median(self, seed):
-        # A stop scaled by |estimate| ended the offset run after one step,
-        # 2e-3 to 4e-3 from the median of the same points at the origin.
+        # The stop must not scale with |estimate|: at this offset such a
+        # stop ends after one step, 2e-3 to 4e-3 from the at-origin median.
         near = np.random.default_rng(seed).normal(size=(400, 5))
         far = 1e8 + near
         np.testing.assert_allclose(
