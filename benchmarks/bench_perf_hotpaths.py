@@ -43,15 +43,15 @@ Measured components per ``(n, d, k)`` workload:
   recomputing the window from retained raw blocks and compressing it from
   scratch at every query — what a consumer without the tree would pay for
   the same per-block coreset freshness.
-* ``quadtree_fit_native`` — the fit with the compiled kernels (fused
-  hash/bucketed-sort ``csr_group``, ``quadtree_keys``) vs the same
+* ``quadtree_fit_native`` — the fit with the compiled ``quadtree_build``
+  kernel (one pass for the digit rows, then a depth-first split of every
+  cell's range by the next level's digit pattern) vs the same
   ``QuadtreeEmbedding.fit`` call on the numpy tier (``use_native(False)``,
-  the live switch: ``np.argsort(kind="stable")`` + the numpy CSR pipeline
-  and key derivation).  Bit-identical trees; both sides pay the same spread
-  estimate.
+  the live switch: doubling digits and one ``np.lexsort`` per level).
+  Bit-identical trees; both sides pay the same spread estimate.
 * ``fastkpp_native`` — the full multi-tree seeding with the compiled
-  Fast-kmeans++ kernels (pointer-table level sweeps resolving the center's
-  cell per level in C, sequential-prefix D² draws) vs the same
+  Fast-kmeans++ kernels (level sweeps finding the center's cell from its
+  position in the tree's order in C, sequential-prefix D² draws) vs the same
   ``fast_kmeans_plus_plus`` call on the numpy tier.  The baseline also
   fits its trees on the numpy tier, so the ratio covers the tree fits, the
   sweeps and the draws.  Bit-identical draws/centers/assignments/costs.
@@ -166,7 +166,7 @@ PARALLEL_COMPONENTS = {"parallel_shard"}
 #: compare the numpy paths against themselves and guard nothing.  A demoted
 #: kernel fails the row instead (:func:`check_regression`).
 NATIVE_COMPONENTS = {
-    "quadtree_fit_native": "csr_group",
+    "quadtree_fit_native": "quadtree_build",
     "fastkpp_native": "fkpp_level_score",
     "crude_bound_native": "crude_bound_probe",
     "kmeanspp_native": "kmeanspp_round",

@@ -23,15 +23,20 @@ construction) consumes.
 
 Execution notes
 ---------------
-The hot loop is vectorized around the quadtree's CSR cell storage
-(:mod:`repro.geometry.quadtree`): every ``register_center`` update reads one
-contiguous member slice per level and applies a masked minimum, and the
-per-tree level-to-distance mapping is a precomputed table lookup.  When the
-compiled tier is enabled the whole per-level sweep dispatches to the fused
-``fkpp_level_score`` kernel (:mod:`repro.native`), which performs the same
-gather/compare/scatter in one pass — bit-identical stores, so draws,
-assignments, and downstream coresets are unchanged between dispatch modes
-(``REPRO_NATIVE=0`` keeps the inline numpy sweep).  The
+The hot loop runs on the quadtree's Z-order cell layout
+(:mod:`repro.geometry.quadtree`): every cell of every level is a contiguous
+range of one permutation of the points, nested in its parent's range.  A
+``register_center`` update finds the center's cell at each level from its
+position in that order, deepest level first, and applies a masked minimum
+to the part of the cell's range outside the deeper cell only: the deeper
+level was swept just before with a smaller candidate distance, so none of
+its points can improve on this one.  The per-tree level-to-distance mapping
+is a precomputed table lookup.  When the compiled tier is enabled the whole
+per-tree sweep dispatches to the ``fkpp_level_score`` kernel
+(:mod:`repro.native`), which performs the same gather/compare/scatter in
+one pass — bit-identical stores, so draws, assignments, and downstream
+coresets are unchanged between dispatch modes (``REPRO_NATIVE=0`` runs the
+numpy sweep, :func:`repro.native.reference_fkpp_level_score`).  The
 spread estimate is computed once per fit and shared by every tree (or passed
 in by the caller, e.g. :class:`repro.core.fast_coreset.FastCoreset` reusing
 its spread-reduction diagnostic).
@@ -51,6 +56,7 @@ implementation remain exactly reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -59,7 +65,7 @@ import numpy as np
 from repro import observability as _obs
 from repro.clustering.cost import ClusteringSolution, cost_to_assigned_centers
 from repro.geometry.quadtree import QuadtreeEmbedding, compute_spread
-from repro.native import get_kernel
+from repro.native import get_kernel, reference_fkpp_level_score
 from repro.utils.rng import SeedLike, as_generator, weighted_index_draw
 from repro.utils.validation import check_integer, check_points, check_power, check_weights
 
@@ -141,52 +147,43 @@ class FastKMeansPlusPlus:
                 QuadtreeEmbedding(max_levels=self.max_levels, seed=generator, spread=spread).fit(points)
                 for _ in range(self.n_trees)
             ]
-        # Per-tree lookup: tree distance as a function of the deepest shared
-        # level (index ``level + 1`` so level -1 maps to slot 0), precomputed
-        # by the embedding at fit time.
-        level_distances = [tree.level_distance_table_ for tree in self.trees_]
-        level_cell_ids = [tree.level_cell_ids_ for tree in self.trees_]
-
         best_distance = np.full(n, np.inf, dtype=np.float64)
         assignment = np.full(n, -1, dtype=np.int64)
         center_indices = np.empty(self.k, dtype=np.int64)
         # D²-sampling mass, kept in lockstep with ``best_distance`` (the
         # invariant mass[i] == weights[i] * best_distance[i] ** z holds after
         # every ``register_center`` once the first center is placed).  The
-        # backing store is preallocated so the bound kernel sweeps below can
-        # capture its pointer before the first center exists; ``mass`` stays
-        # ``None`` until then and the kernel never reads the store while
-        # ``has_mass`` is false.
+        # backing store is preallocated so the bound sweeps below can
+        # capture it before the first center exists; ``mass`` stays ``None``
+        # until then and no sweep writes the store while ``has_mass`` is
+        # false.
         mass: Optional[np.ndarray] = None
         mass_values = np.empty(n, dtype=np.float64)
-        z = self.z
-        # Compiled-tier sweep closures: one fused kernel call per
-        # (tree, center) replaces the per-level numpy sweeps.  The kernel
-        # is a binder over the tree's own per-level int32 CSR arrays (no
-        # concatenated or widened copies) and resolves the center's cell
-        # at every level itself, so the per-center Python cost is a
-        # single four-scalar call.  The per-level ``candidate ** z`` table
-        # is raised element by element on the same np.float64 scalars the
-        # numpy sweep raises, so the kernel's mass stores are the
-        # identical doubles in either dispatch mode.
+        weights = np.ascontiguousarray(weights)
+        # One sweep closure per tree: ``sweep(ceiling, center_slot,
+        # center_point, has_mass)``.  The compiled kernel is a binder over
+        # the tree's own int32 arrays, so the per-center Python cost is a
+        # single four-scalar call; the numpy tier binds the same arguments
+        # to the numpy sweep.  Each tree's tree distance as a function of
+        # the deepest shared level (index ``level + 1``, so level -1 maps to
+        # slot 0) is precomputed by the embedding at fit time.  The
+        # per-level ``candidate ** z`` table is raised element by element
+        # on the np.float64 scalars of that table, so the mass stores are
+        # the identical doubles in either dispatch mode.
         level_kernel = get_kernel("fkpp_level_score")
-        sweeps = {"native": 0, "numpy": 0}
+        tier = "numpy" if level_kernel is None else "native"
         tree_sweeps = []
-        if level_kernel is not None:
-            kernel_weights = np.ascontiguousarray(weights)
-            for tree, distances in zip(self.trees_, level_distances):
-                table = np.ascontiguousarray(distances, dtype=np.float64)
-                czs = np.array(
-                    [np.float64(v) ** self.z for v in distances],
-                    dtype=np.float64,
-                )
-                tree_sweeps.append(
-                    level_kernel(
-                        tree.level_order_, tree.level_offsets_, tree.level_cell_ids_,
-                        n, table, czs, best_distance, assignment,
-                        mass_values, kernel_weights,
-                    )
-                )
+        for tree in self.trees_:
+            table = tree.level_distance_table_
+            czs = np.array([np.float64(v) ** self.z for v in table], dtype=np.float64)
+            arrays = (
+                tree.order_, tree.position_, tree.level_offsets_, table, czs,
+                best_distance, assignment, mass_values, weights,
+            )
+            if level_kernel is not None:
+                tree_sweeps.append(level_kernel(*arrays))
+            else:
+                tree_sweeps.append(functools.partial(reference_fkpp_level_score, *arrays))
         # Compiled-tier D²-sampling draw over the preallocated mass store:
         # the kernel replays the numpy path's two observable steps — the
         # sequential cumsum total, then (only once the total proves finite
@@ -201,6 +198,7 @@ class FastKMeansPlusPlus:
         if draw_binder is not None:
             draw_total, draw_scan = draw_binder(mass_values)
         draws = {"native": 0, "numpy": 0}
+        sweeps = {"native": 0, "numpy": 0}
 
         def draw_mass_index() -> int:
             """One D² draw from ``mass`` (== ``weighted_index_draw``)."""
@@ -222,43 +220,13 @@ class FastKMeansPlusPlus:
             is what keeps the total update work bounded.  Improved entries
             have their sampling mass rewritten in place — never the full
             array — so the per-center cost is proportional to the number of
-            points that actually moved, not to ``n``.  With the compiled
-            tier enabled the whole per-tree sweep — level loop, ceiling
-            break, gather/compare/scatter — runs as one fused kernel call
-            on the precomputed sweep plan.
+            points the sweep visits, not to ``n``.
             """
             ceiling = float(best_distance.max())
-            if tree_sweeps:
-                has_mass = mass is not None
-                for sweep in tree_sweeps:
-                    sweeps["native"] += 1
-                    sweep(ceiling, center_slot, center_point, has_mass)
-            else:
-                for tree, distances, cell_ids in zip(self.trees_, level_distances, level_cell_ids):
-                    for level in range(tree.depth - 1, -1, -1):
-                        candidate = distances[level + 1]
-                        if candidate >= ceiling and np.isfinite(ceiling):
-                            break
-                        members = tree.points_in_cell(level, cell_ids[level][center_point])
-                        if members.size == 0:
-                            continue
-                        sweeps["numpy"] += 1
-                        improved = members[best_distance[members] > candidate]
-                        if improved.size == 0:
-                            continue
-                        best_distance[improved] = candidate
-                        assignment[improved] = center_slot
-                        if mass is not None:
-                            mass[improved] = weights[improved] * candidate**z
-            # Points beyond every center's cells at every level fall back to
-            # the root distance of the first tree (covers the first center).
-            unassigned = assignment < 0
-            if np.any(unassigned):
-                fallback = level_distances[0][0]
-                best_distance[unassigned] = np.minimum(best_distance[unassigned], fallback)
-                assignment[unassigned] = center_slot
-                if mass is not None:
-                    mass[unassigned] = weights[unassigned] * best_distance[unassigned] ** z
+            has_mass = mass is not None
+            for sweep in tree_sweeps:
+                sweep(ceiling, center_slot, center_point, has_mass)
+            sweeps[tier] += len(tree_sweeps)
 
         with _obs.span("fastkpp.seeding", k=self.k, n=n):
             first = weighted_index_draw(generator, weights)
@@ -267,7 +235,15 @@ class FastKMeansPlusPlus:
             center_indices[0] = first
             with _obs.span("fastkpp.round", slot=0):
                 register_center(0, first)
-            np.multiply(weights, best_distance**z, out=mass_values)
+                # Points beyond the first center's cells at every level fall
+                # back to the root distance of the first tree; from here on
+                # every point is assigned.
+                unassigned = assignment < 0
+                if np.any(unassigned):
+                    fallback = self.trees_[0].level_distance_table_[0]
+                    best_distance[unassigned] = np.minimum(best_distance[unassigned], fallback)
+                    assignment[unassigned] = 0
+            np.multiply(weights, best_distance**self.z, out=mass_values)
             mass = mass_values
 
             for slot in range(1, self.k):
@@ -279,7 +255,7 @@ class FastKMeansPlusPlus:
                     register_center(slot, chosen)
             _obs.counter_add("fastkpp.rounds", float(self.k))
             # Per-kernel dispatch attribution for --trace/--metrics: how
-            # many level sweeps the compiled kernel absorbed this fit.
+            # many tree sweeps (one per tree and center) each tier served.
             if sweeps["native"]:
                 _obs.counter_add("fastkpp.level_score.native", float(sweeps["native"]))
             if sweeps["numpy"]:

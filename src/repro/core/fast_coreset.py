@@ -139,16 +139,25 @@ class FastCoreset(CoresetConstruction):
         assignment: np.ndarray,
         k: int,
     ) -> np.ndarray:
-        """Step 4: the 1-mean / 1-median of every cluster in the full space."""
+        """Step 4: the 1-mean / 1-median of every cluster in the full space.
+
+        One stable argsort groups the assignment: each cluster's members
+        are one run of it, in ascending order, the same indices as
+        ``np.flatnonzero(assignment == cluster)`` in O(n log n) instead of
+        O(nk).  Empty clusters keep a zero row.
+        """
         dimension = working_points.shape[1]
         representatives = np.zeros((k, dimension), dtype=np.float64)
-        for cluster in range(k):
-            members = np.flatnonzero(assignment == cluster)
-            if members.size == 0:
-                continue
-            representatives[cluster] = cluster_representative(
-                working_points[members], weights=weights[members], z=self.z
-            )
+        order = np.argsort(assignment, kind="stable")
+        ends = np.cumsum(np.bincount(assignment, minlength=k))
+        start = 0
+        for cluster, end in enumerate(ends[:k]):
+            if end > start:
+                members = order[start:end]
+                representatives[cluster] = cluster_representative(
+                    working_points[members], weights=weights[members], z=self.z
+                )
+            start = end
         return representatives
 
     def _sample(

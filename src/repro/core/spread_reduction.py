@@ -354,7 +354,9 @@ def reduce_spread(
     centers = assignment.cell_centers()
 
     reduced = points.copy()
-    shifts = np.zeros_like(points)
+    # np.zeros leaves untouched pages unmapped: a translation that moves no
+    # cell (the common case) costs no resident memory for the shifts.
+    shifts = np.zeros(points.shape, dtype=points.dtype)
     cell_ids = sorted(assignment.cells)
     if len(cell_ids) > 1:
         center_matrix = np.stack([centers[cell_id] for cell_id in cell_ids], axis=0)
@@ -377,9 +379,14 @@ def reduce_spread(
     # --- Reduce-Min-Distance ---------------------------------------------
     log_delta = max(1.0, math.log2(max(original_spread, 2.0)))
     granularity = upper_bound / (float(n) ** 2 * float(d) * log_delta)
-    scale = float(np.abs(reduced).max()) if reduced.size else 0.0
+    # max(|min|, |max|) is the largest magnitude, and dividing, rounding and
+    # multiplying in place are the same IEEE operations as the expression
+    # ``np.round(reduced / granularity) * granularity``: no n x d temporary.
+    scale = max(abs(float(reduced.min())), abs(float(reduced.max()))) if reduced.size else 0.0
     if granularity > 0 and scale > 0 and granularity > scale * 1e-12:
-        reduced = np.round(reduced / granularity) * granularity
+        np.divide(reduced, granularity, out=reduced)
+        np.round(reduced, out=reduced)
+        np.multiply(reduced, granularity, out=reduced)
     else:
         # Rounding below floating-point resolution would be a no-op (or a
         # numerical hazard); skipping it only makes P' more accurate.

@@ -17,97 +17,85 @@ The embedding is the workhorse of two components:
   (:mod:`repro.core.spread_reduction`) searches for the first tree level at
   which the input occupies at least ``k + 1`` cells.
 
-CSR cell storage
-----------------
-Each level stores its occupied cells in a CSR-style layout instead of a
-``Dict[int, np.ndarray]``: ``level_order_[l]`` holds all point indices sorted
-by their compact level-``l`` cell identifier and ``level_offsets_[l]`` holds
-one offset per cell, so the members of cell ``c`` are the contiguous slice
-``level_order_[l][level_offsets_[l][c]:level_offsets_[l][c + 1]]``.  Building
-the layout costs a single ``argsort`` per level (the seed implementation paid
-a second sort plus a Python loop splitting one array per cell), and
-``points_in_cell`` becomes two-slice arithmetic with no hashing.
-
-All three level arrays (``level_cell_ids_``, ``level_order_``,
-``level_offsets_``) are C-contiguous ``int32`` in both kernel tiers: a level
-with ``c`` occupied cells stores ``4 * (2n + c + 1)`` bytes, half the int64
-layout, and the Fast-kmeans++ sweep reads the arrays as they are.  On the
-n = 200k, d = 10 input of the end-to-end benchmark the three trees of a
-``static_fast`` op (17 levels each) hold 89.8 MB instead of 179.6 MB.  The
-index width caps a fit at ``2**31 - 1`` points; :meth:`QuadtreeEmbedding.fit`
-rejects larger inputs with ``ValueError`` before it reads them.
+Z-order cell storage
+--------------------
+A quadtree's cells are nested: every level-``l + 1`` cell lies inside one
+level-``l`` cell.  So one permutation of the points serves every level:
+``order_`` lists the points in Z-order, and each level stores only its cell
+boundaries, ``level_offsets_[l]``, so that the members of level-``l`` cell
+``c`` are the contiguous range
+``order_[level_offsets_[l][c]:level_offsets_[l][c + 1]]``, which lies inside
+its parent cell's range.  ``position_`` inverts ``order_``, so the cell of
+a point at a level is a binary search of its position in the level's
+offsets.  All three are C-contiguous ``int32`` in both kernel tiers: a tree
+stores ``4 * (2n + sum_l (cells_l + 1))`` bytes, against ``4 * (2n + cells
++ 1)`` *per level* for a per-level CSR layout.  On the n = 200k, d = 10
+input of the end-to-end benchmark one tree (17 levels) takes 4.1 MB
+instead of 28.5 MB.  The index width caps a fit at ``2**31 - 1`` points;
+:meth:`QuadtreeEmbedding.fit` rejects larger inputs with ``ValueError``
+before it reads them.
 
 Tree distances are served from a precomputed cumulative edge-length table,
 making ``distance_from_shared_level`` an O(1) lookup.
 
-Incremental compact keys
-------------------------
-The hash key of a lattice row is linear in the coordinates
-(:func:`~repro.geometry.grid.hash_rows` computes ``sum_j lattice[j] *
-multiplier[j]`` modulo ``2**64``), and halving the cell side maps the
-lattice to ``2 * lattice + bit``; therefore the level-``l + 1`` keys follow
-from the level-``l`` keys with one multiply-add per *point* rather than per
-coordinate::
+How the order is built
+----------------------
+Each coordinate contributes, per point, a level-0 cell code and one binary
+digit per deeper level.  With ``scaled = ((x - origin) + shift) / side_0``
+the level-0 lattice value ``floor(scaled)`` is -1, 0 or 1 in every fit
+(every coordinate lies within ``delta`` of the origin and the shift in
+``[0, delta)``, so ``scaled`` lies in ``[-1/2, 1)`` up to rounding), and
+the code is that value plus one, ``(scaled >= 0) + (scaled >= 1)``.  The
+level-``l`` digit is the ``l``-th binary digit of ``frac = scaled -
+floor(scaled)``: halving the cell side maps a lattice value to ``2 *
+lattice + digit``, so a point's level-``l`` cell is its code plus its first
+``l`` digits in every coordinate.  Reading the digits of ``frac`` (scaling
+by a power of two and truncating, or doubling) is exact in IEEE
+arithmetic.  A point an ulp below a cell boundary can get ``frac`` rounded
+to exactly 1.0; it reads as all ones, which is where the seed's per-level
+floor puts that point at every depth.
 
-    key' = 2 * key + sum_j bit[j] * multiplier[j]      (mod 2**64)
-
-which is exact in (wrapping) integer arithmetic — the derived keys equal
-``hash_rows`` of the explicitly doubled lattice bit for bit, so the compact
-identifiers (the ranks of the distinct keys) are unchanged.  The per-level
-bits themselves are read from a *digit matrix* computed once per fit:
-``floor(frac * 2**depth)`` holds, exactly, the first ``depth`` binary digits
-of every fractional coordinate (scaling by a power of two and truncating are
-both exact in IEEE arithmetic; a fractional part that rounded to exactly 1.0
-is clamped to the all-ones digit row, which is the fixed point the iterative
-doubling converges to).  For the ``uint32`` digit rows of depth caps up to
-32 the clamp to ``2**depth - 1`` happens in float *before* the cast: at
-``depth == 32`` the scaled value ``2**32`` would otherwise wrap to 0 and
-move the point to the far corner of its level-0 cell at every deeper level.
-Together these replace the seed's per-level floor, the doubled integer
-lattice, *and* the per-level row hashing with one ``(n, d)`` shift-and-mask
-plus one length-``n`` multiply-add per level.  Fits whose depth cap exceeds
-62 levels (beyond any realistic spread) fall back to the equivalent
-per-level ``frac`` doubling.
+Points are ordered by their level-0 code first (the pattern of the codes'
+high bits, then of their low bits), then by each level's *digit pattern*
+in turn, and last by input index.  A level's pattern is the ``d``-bit word
+whose bit ``j`` is coordinate ``j``'s digit, compared as an unsigned
+number.  Every level therefore splits each of its parent's ranges stably by
+one pattern, and no level sorts all ``n`` points: ranges that are already
+singletons stay put.  Construction stops at the depth cap or at the first
+level where every cell is a singleton (deeper levels cannot refine the
+partition, the same early exit the seed performs).  Cell identifiers are
+ranks in this order.
 
 With the compiled tier on and a depth cap of at most 32, the
-``quadtree_keys`` kernel (:mod:`repro.native`) does all of this in C: one
-pass over the origin-translated points writes the level-0 keys and the
-clamped, left-aligned digit rows, and each deeper level is one in-place
-pass that reads bit ``32 - level`` of every digit and applies the
-multiply-add.  It repeats the numpy path's IEEE operations in order, so the
-keys — and with them the trees — are bit-identical; the counters
-``quadtree.keys.native`` / ``quadtree.keys.numpy`` record which path served
-each fit.
+``quadtree_build`` kernel (:mod:`repro.native`) builds the whole tree: one
+pass over the points and the origin (no translated copy) writes the level-0
+codes and the left-aligned ``uint32`` digit rows, clamped in float to
+``2**cap - 1`` before the cast, and a depth-first refinement splits every
+range by each level's pattern.  It also computes the largest squared
+distance to the origin in numpy's ``einsum`` order, from which ``delta_``
+follows.  Deeper caps and ``REPRO_NATIVE=0`` take the numpy build,
+:func:`repro.native.reference_quadtree_build`, which reads the digits by
+doubling and refines each level with one ``np.lexsort``.  The two build the
+same arrays (the registry verifies the kernel against the numpy build
+before routing any fit to it), and the counters ``quadtree.build.native``
+and ``quadtree.build.numpy`` record which one served each fit.
 
 Seed-compatibility policy
 -------------------------
 With ``spread=None`` the fit consumes the random generator in exactly the
-seed order (shift draw, then the spread estimate) and reports identical
-``depth``, ``cell_of`` labels, cell membership, and tree distances as the
-frozen snapshot in :mod:`repro.reference.seed_hotpath`; the golden tests in
+seed order (shift draw, then the spread estimate) and reports the same
+``depth``, partitions, cell membership, and tree distances as the frozen
+snapshot in :mod:`repro.reference.seed_hotpath`; the golden tests in
 ``tests/test_quadtree_golden.py`` pin this down.  Passing a precomputed
 ``spread`` skips the per-tree estimate (so multi-tree users pay for it once)
 at the cost of a different — but identically distributed — generator stream.
 
-What ``level_order_`` guarantees: within one cell, point indices appear in
-ascending input order (the grouping sort is stable), and cells appear in
-ascending compact-identifier order, where identifiers rank the distinct
-64-bit hash keys of a level in ascending unsigned order — exactly the
-labelling ``np.unique(hash_rows(lattice), return_inverse=True)`` produced in
-the seed.  Because the hash re-mixes every level, the *rank* of a cell is
-re-drawn at every depth even for cells that can no longer change: a
-singleton cell stays a singleton at all deeper levels (its one point has
-nobody left to separate from), but its label still moves with the global
-key order.  This is why construction keeps ranking all ``n`` keys per level
-instead of dropping settled singletons from the sort: any scheme that skips
-them (sort the active points only, then merge or binary-search the settled
-keys back in) must still place every settled key in the global rank order,
-which costs at least as much as the radix argsort it replaces — we measured
-``np.searchsorted`` at 1.4-3x the cost of the full stable argsort on this
-workload.  The singleton invariant is still exploited where it is free:
-construction stops at the first level where every cell is a singleton
-(deeper levels cannot refine the partition, the same early exit the seed
-performs), and the digit matrix bounds the per-level work for everyone else.
+What the layout guarantees: a level's cells are the same partition as the
+seed's (points share a cell exactly when their lattice rows agree), and the
+depth, tree distances and distance table are identical; only the cell
+*labels* differ, ranks in the Z-order instead of ranks of the seed's hash
+keys.  ``points_in_cell`` returns a cell's members in ascending input order
+(a sorted copy of its range), like the seed.
 
 What is cached where (spread and cost-bound hints)
 --------------------------------------------------
@@ -136,15 +124,23 @@ from typing import Any, List, Optional
 import numpy as np
 
 from repro import observability as _obs
-from repro.geometry.grid import _hash_multipliers, hash_rows
-from repro.native import get_kernel
+from repro.native import (
+    get_kernel,
+    reference_quadtree_build,
+    reference_quadtree_max_squared_norm,
+)
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_integer, check_points
 
 _EMPTY_INDICES = np.empty(0, dtype=np.int32)
 
-#: The level arrays are int32: a fit takes at most this many points.
+#: The tree's arrays are int32: a fit takes at most this many points.
 _MAX_POINTS = int(np.iinfo(np.int32).max)
+
+#: Deepest cap the ``quadtree_build`` kernel serves: its digit rows are
+#: ``uint32``.  The default ``max_levels=32`` always fits; deeper caps take
+#: the numpy build.
+_MAX_KERNEL_LEVELS = 32
 
 
 def _column_extrema(points: np.ndarray) -> tuple:
@@ -178,45 +174,6 @@ def _column_extrema(points: np.ndarray) -> tuple:
             np.minimum(low[:1], odd_low, out=low[:1])
             np.maximum(high[:1], odd_high, out=high[:1])
     return low.min(axis=0), high.max(axis=0)
-
-
-#: Deepest tree for which the one-shot digit matrix ``floor(frac * 2**depth)``
-#: fits an ``int64`` exactly; deeper fits (spread beyond ``2**60``, never hit
-#: with the default ``max_levels=32``) take the per-level doubling fallback.
-_MAX_DIGIT_LEVELS = 62
-
-#: Digit matrices for trees of at most this depth are held as ``uint32``
-#: (half the memory traffic of the per-level bit extraction) and their key
-#: increments served from the pattern LUTs below, or by the compiled
-#: ``quadtree_keys`` kernel.  The default ``max_levels=32`` always fits.
-_MAX_UINT32_DIGIT_LEVELS = 32
-
-#: Per-dimension cache of byte-aligned subset-sum tables for the chunked
-#: increment lookup.  ``np.packbits`` turns the per-level bit matrix into
-#: one byte per 8 coordinates; entry ``p`` of chunk ``b``'s table holds
-#: ``sum_{j in p} multiplier[8 b + j]`` modulo ``2**64``, so summing one
-#: table lookup per byte equals the full ``bits . multipliers`` multiply-add
-#: bit for bit.
-_PATTERN_LUT_CACHE: dict = {}
-
-
-def _pattern_tables(dimension: int) -> list:
-    """Per-byte subset-sum tables for the incremental key update."""
-    tables = _PATTERN_LUT_CACHE.get(dimension)
-    if tables is None:
-        multipliers = _hash_multipliers(dimension).view(np.int64)
-        tables = []
-        for start in range(0, dimension, 8):
-            chunk = multipliers[start : start + 8]
-            lut = np.zeros(1, dtype=np.int64)
-            for multiplier in chunk:
-                with np.errstate(over="ignore"):
-                    lut = np.concatenate([lut, lut + multiplier])
-            if lut.shape[0] < 256:  # partial final byte: high bits are zero
-                lut = np.concatenate([lut] * (256 // lut.shape[0]))
-            tables.append(lut)
-        _PATTERN_LUT_CACHE[dimension] = tables
-    return tables
 
 
 def compute_spread(
@@ -328,14 +285,14 @@ class QuadtreeEmbedding:
     delta_:
         Half side length of the enclosing box (an upper bound on the largest
         distance from the translated origin).
-    level_cell_ids_:
-        ``level_cell_ids_[l]`` is a length-``n`` int32 array giving the
-        compact identifier of the level-``l`` cell containing each point.
-        Identifiers are consecutive integers ``0 .. occupied_cells(l) - 1``.
-    level_order_ / level_offsets_:
-        CSR cell storage (see the module docstring): int32 point indices
-        sorted by cell identifier plus int32 per-cell offsets into that
-        order.
+    order_:
+        The points in Z-order (see the module docstring), int32.
+    position_:
+        ``position_[i]`` is point ``i``'s index in ``order_``, int32.
+    level_offsets_:
+        ``level_offsets_[l]`` holds the int32 start of every level-``l``
+        cell in ``order_``, then ``n``: cell ``c`` is the range
+        ``order_[level_offsets_[l][c]:level_offsets_[l][c + 1]]``.
     level_distance_table_:
         ``level_distance_table_[l + 1]`` is the tree distance between two
         points whose deepest shared cell is at level ``l`` (slot 0 holds the
@@ -350,17 +307,17 @@ class QuadtreeEmbedding:
     origin_: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     dimension_: int = field(default=0, init=False)
     n_points_: int = field(default=0, init=False)
-    level_cell_ids_: List[np.ndarray] = field(default_factory=list, init=False, repr=False)
-    level_order_: List[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    order_: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    position_: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     level_offsets_: List[np.ndarray] = field(default_factory=list, init=False, repr=False)
     level_distance_table_: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     # ------------------------------------------------------------------ fit
     def fit(self, points: np.ndarray) -> "QuadtreeEmbedding":
-        """Build the level-wise CSR cell decomposition for ``points``.
+        """Build the Z-order cell layout for ``points``.
 
         Raises ``ValueError`` for more than ``2**31 - 1`` points, which the
-        int32 level arrays cannot index.
+        int32 arrays cannot index.
         """
         with _obs.span("quadtree.fit") as fit_span:
             self._fit_levels(points, fit_span)
@@ -380,12 +337,15 @@ class QuadtreeEmbedding:
         generator = as_generator(self.seed)
 
         # Translate so an arbitrary input point is the origin, then bound the
-        # data inside a box of side 2 * delta (Section 2.4).
+        # data inside a box of side 2 * delta (Section 2.4).  sqrt is
+        # monotone and exactly rounded, so sqrt(max) == max(sqrt).
         self.origin_ = points[0].copy()
-        translated = points - self.origin_[None, :]
-        # sqrt is monotone and exactly rounded, so sqrt(max) == max(sqrt).
-        squared_norms = np.einsum("ij,ij->i", translated, translated)
-        self.delta_ = float(math.sqrt(squared_norms.max()))
+        kernel = get_kernel("quadtree_build")
+        if kernel is not None:
+            max_squared = kernel(points, self.origin_)
+        else:
+            max_squared = reference_quadtree_max_squared_norm(points, self.origin_)
+        self.delta_ = math.sqrt(max_squared)
         if self.delta_ <= 0:
             # All points identical: a single-level tree with one cell.
             self.delta_ = 1.0
@@ -398,127 +358,20 @@ class QuadtreeEmbedding:
             spread = compute_spread(points, seed=generator)
         depth_cap = min(self.max_levels, max(1, int(math.ceil(math.log2(spread))) + 2))
 
-        self.level_cell_ids_ = []
-        self.level_order_ = []
-        self.level_offsets_ = []
-        # The compiled grouping kernel keeps per-thread work arrays of its own.
-        scratch = None if get_kernel("csr_group") is not None else _csr_scratch(self.n_points_)
-
-        # Level-0 lattice: floor(shifted / side_0).  Deeper levels never
-        # materialise a lattice: the hash keys are updated incrementally
-        # (``key' = 2 * key + bits . multipliers``, exact modulo 2**64 —
-        # see the module docstring) with the per-level bits read from the
-        # one-shot digit matrix ``floor(frac * 2**depth_cap)``.  The
-        # compiled ``quadtree_keys`` kernel does all of it in place.
-        keys_kernel = (
-            get_kernel("quadtree_keys") if depth_cap <= _MAX_UINT32_DIGIT_LEVELS else None
-        )
-        if keys_kernel is not None:
-            keys = np.empty(self.n_points_, dtype=np.uint64)
-            advance = keys_kernel(
-                translated, shift_scalar, self.cell_side(0), depth_cap,
-                _hash_multipliers(self.dimension_), keys,
-            )
-            _obs.counter_add("quadtree.keys.native", 1.0)
+        arguments = (points, self.origin_, shift_scalar, self.cell_side(0), depth_cap)
+        if kernel is not None and depth_cap <= _MAX_KERNEL_LEVELS:
+            self.order_, self.position_, self.level_offsets_ = kernel.build(*arguments)
+            _obs.counter_add("quadtree.build.native", 1.0)
         else:
-            keys, advance = self._numpy_keys(translated, shift_scalar, depth_cap)
-            _obs.counter_add("quadtree.keys.numpy", 1.0)
-        for level in range(depth_cap + 1):
-            if level > 0:
-                advance(level)
-            with _obs.span("quadtree.level", level=level) as level_span:
-                cell_ids, order, offsets = _csr_group(keys, scratch)
-                level_span.annotate(cells=int(offsets.shape[0] - 1))
-            self.level_cell_ids_.append(cell_ids)
-            self.level_order_.append(order)
-            self.level_offsets_.append(offsets)
-            if offsets.shape[0] - 1 >= self.n_points_:
-                # Every point isolated in its own cell: singletons stay
-                # singletons at all deeper levels, so the partition — and
-                # with it the tree metric — can no longer change.
-                break
+            self.order_, self.position_, self.level_offsets_ = reference_quadtree_build(
+                *arguments
+            )
+            _obs.counter_add("quadtree.build.numpy", 1.0)
 
         self._build_distance_table()
         _obs.counter_add("quadtree.fits", 1.0)
-        _obs.counter_add("quadtree.levels_built", float(len(self.level_cell_ids_)))
+        _obs.counter_add("quadtree.levels_built", float(self.depth))
         fit_span.annotate(n=self.n_points_, d=self.dimension_, depth=self.depth)
-
-    def _numpy_keys(self, translated: np.ndarray, shift: float, depth_cap: int) -> tuple:
-        """The numpy key derivation: ``(level-0 keys, advance)``.
-
-        ``advance(level)`` derives the level's keys from the previous
-        level's in place, for levels 1, 2, ... in order — the same contract
-        as the ``quadtree_keys`` kernel.  ``translated`` (the
-        origin-translated points) is consumed as scratch.
-        """
-        scaled = translated
-        scaled += shift
-        scaled /= self.cell_side(0)
-        lattice = np.floor(scaled).astype(np.int64)
-        keys = hash_rows(lattice)
-        increment = np.empty(self.n_points_, dtype=np.int64)
-        frac = scaled
-        frac -= lattice
-        # frac >= 0, so truncation is floor; a fractional part that rounded
-        # up to exactly 1.0 reads as the all-ones digit row — the fixed
-        # point of 2f - (f >= 1/2).  Shallow trees clamp in float before
-        # the cast (2**32 itself would wrap a uint32 to 0), left-align the
-        # digits in a uint32 residual so each level's bits are one
-        # sign-compare away, and resolve the key increment with one
-        # byte-table lookup per 8 coordinates (``np.packbits`` row
-        # patterns).
-        if depth_cap <= _MAX_UINT32_DIGIT_LEVELS:
-            frac *= 2.0**depth_cap
-            np.minimum(frac, 2.0**depth_cap - 1, out=frac)
-            residual = frac.astype(np.uint32)
-            residual <<= np.uint32(32 - depth_cap)  # level-1 bit on top
-            tables = _pattern_tables(self.dimension_)
-            # Byte-aligned flag rows let packbits run over one flat stream
-            # (the per-row path is ~50x slower for narrow inputs); the pad
-            # columns stay zero so the final byte patterns are unaffected.
-            padded_width = (self.dimension_ + 7) // 8 * 8
-            flag_buffer = np.zeros((self.n_points_, padded_width), dtype=bool)
-            flag_view = flag_buffer[:, : self.dimension_]
-
-            def level_increment(level: int) -> None:
-                np.greater_equal(residual, np.uint32(0x80000000), out=flag_view)
-                np.left_shift(residual, np.uint32(1), out=residual)
-                packed = np.packbits(flag_buffer.reshape(-1), bitorder="little").reshape(
-                    self.n_points_, padded_width // 8
-                )
-                np.take(tables[0], packed[:, 0], out=increment)
-                for byte, lut in enumerate(tables[1:], start=1):
-                    np.add(increment, lut[packed[:, byte]], out=increment)
-
-        elif depth_cap <= _MAX_DIGIT_LEVELS:
-            multipliers = _hash_multipliers(self.dimension_).view(np.int64)
-            digits = (frac * (2.0**depth_cap)).astype(np.int64)
-            np.minimum(digits, (np.int64(1) << depth_cap) - 1, out=digits)
-            bits = np.empty_like(digits)
-
-            def level_increment(level: int) -> None:
-                np.right_shift(digits, np.int64(depth_cap - level), out=bits)
-                np.bitwise_and(bits, np.int64(1), out=bits)
-                np.matmul(bits, multipliers, out=increment)
-
-        else:
-            multipliers = _hash_multipliers(self.dimension_).view(np.int64)
-
-            def level_increment(level: int) -> None:
-                flags = frac >= 0.5
-                np.multiply(frac, 2.0, out=frac)
-                np.subtract(frac, flags, out=frac)
-                np.matmul(flags.astype(np.int64), multipliers, out=increment)
-
-        def advance(level: int) -> None:
-            # Signed integers wrap modulo 2**64 exactly like the uint64 view
-            # hash_rows sums in, so the incremental keys are bit-identical
-            # to hashing the doubled lattice.
-            level_increment(level)
-            np.left_shift(keys, np.uint64(1), out=keys)
-            np.add(keys, increment.view(np.uint64), out=keys)
-
-        return keys, advance
 
     def _build_distance_table(self) -> None:
         """Precompute ``distance_from_shared_level`` for every level.
@@ -541,7 +394,7 @@ class QuadtreeEmbedding:
     @property
     def depth(self) -> int:
         """Number of levels actually built (root level included)."""
-        return len(self.level_cell_ids_)
+        return len(self.level_offsets_)
 
     def cell_side(self, level: int) -> float:
         """Side length of the level-``level`` grid cells: ``2^{-level} * 2 * delta``."""
@@ -573,7 +426,7 @@ class QuadtreeEmbedding:
         """
         shared = -1
         for level in range(self.depth):
-            if self.level_cell_ids_[level][first] == self.level_cell_ids_[level][second]:
+            if self.cell_of(first, level) == self.cell_of(second, level):
                 shared = level
             else:
                 break
@@ -587,71 +440,19 @@ class QuadtreeEmbedding:
 
     # --------------------------------------------------------------- lookup
     def cell_of(self, point_index: int, level: int) -> int:
-        """Compact identifier of the level-``level`` cell containing a point."""
-        return int(self.level_cell_ids_[level][point_index])
+        """Identifier of the level-``level`` cell containing a point: its
+        rank in the Z-order, found from the point's position."""
+        offsets = self.level_offsets_[level]
+        return int(np.searchsorted(offsets, self.position_[point_index], side="right")) - 1
 
     def points_in_cell(self, level: int, cell_id: int) -> np.ndarray:
-        """Indices of the points contained in a given cell (empty if unused).
-
-        With the CSR layout this is two offset lookups and one slice; the
-        returned array is a view into the level's sorted point order.
-        """
+        """Indices of the points contained in a given cell (empty if unused),
+        in ascending order: a sorted copy of the cell's range of ``order_``."""
         offsets = self.level_offsets_[level]
         if cell_id < 0 or cell_id >= offsets.shape[0] - 1:
             return _EMPTY_INDICES
-        return self.level_order_[level][offsets[cell_id] : offsets[cell_id + 1]]
+        return np.sort(self.order_[offsets[cell_id] : offsets[cell_id + 1]])
 
     def occupied_cells(self, level: int) -> int:
         """Number of distinct non-empty cells at ``level``."""
         return self.level_offsets_[level].shape[0] - 1
-
-
-def _csr_scratch(n: int) -> tuple:
-    """Reusable per-fit work arrays for :func:`_csr_group`."""
-    return (
-        np.empty(n, dtype=np.uint64),  # keys in sorted order
-        np.empty(n, dtype=bool),  # run starts
-        np.empty(n, dtype=np.int32),  # identifiers in sorted order
-    )
-
-
-def _csr_group(keys: np.ndarray, scratch: Optional[tuple] = None) -> tuple:
-    """Group points by hash key with one sort: int32 (compact ids, order, offsets).
-
-    ``order`` lists the point indices sorted by compact cell identifier
-    (stable, so members stay in ascending input order within a cell) and
-    ``offsets[c]:offsets[c + 1]`` delimits the members of cell ``c`` inside
-    it.  Identifiers rank the distinct keys in ascending (unsigned) order —
-    the same labelling ``np.unique(..., return_inverse=True)`` produced in
-    the seed implementation, at half the sorting cost and without the
-    per-cell Python splitting loop.  ``scratch`` (see :func:`_csr_scratch`)
-    lets a caller grouping many levels of the same point set reuse the
-    intermediate work arrays; only the three returned arrays are fresh.
-
-    When the compiled tier serves the ``csr_group`` kernel the whole body —
-    sort, boundary detection, rank labelling, offsets — runs as one fused
-    native call (pinned bit-identical to this pipeline by the registry's
-    resolution-time verifier and the forced-fallback golden tests);
-    ``scratch`` is ignored on that path, the kernel keeps per-thread work
-    buffers of its own.
-    """
-    kernel = get_kernel("csr_group")
-    if kernel is not None:
-        return kernel(np.ascontiguousarray(keys))
-    n = keys.shape[0]
-    if scratch is None:
-        scratch = _csr_scratch(n)
-    sorted_keys, starts, ids_in_order = scratch
-    order = np.argsort(keys, kind="stable")
-    np.take(keys, order, out=sorted_keys)
-    starts[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
-    np.cumsum(starts, dtype=np.int32, out=ids_in_order)
-    ids_in_order -= 1
-    cell_ids = np.empty(n, dtype=np.int32)
-    cell_ids[order] = ids_in_order
-    boundaries = np.flatnonzero(starts)
-    offsets = np.empty(boundaries.shape[0] + 1, dtype=np.int32)
-    offsets[:-1] = boundaries
-    offsets[-1] = n
-    return cell_ids, order.astype(np.int32), offsets

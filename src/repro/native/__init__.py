@@ -12,9 +12,9 @@ Public surface:
   ``0`` (or ``off``/``false``/``no``) forces the pure-numpy fallback
   everywhere; any other value enables the compiled tier.
 
-Six kernels ride the tier: the quadtree's key derivation and CSR grouping,
-the Fast-kmeans++ level sweep and D²-draw, the plain k-means++ round and
-the crude-bound occupancy probe.  Every kernel is pinned bit-identical to
+Five kernels ride the tier: the quadtree build, the Fast-kmeans++ level
+sweep and D²-draw, the plain k-means++ round and the crude-bound occupancy
+probe.  Every kernel is pinned bit-identical to
 its numpy counterpart in both tier modes, so the streaming, sharded, and
 async layers — and their equivalence suites — inherit the speedup with zero
 semantic drift.
@@ -27,7 +27,8 @@ from repro.native.kernels import (
     reference_fkpp_level_score,
     reference_fkpp_weighted_draw,
     reference_kmeanspp_round,
-    reference_quadtree_keys,
+    reference_quadtree_build,
+    reference_quadtree_max_squared_norm,
 )
 from repro.native.registry import (
     ENV_FLAG,
@@ -49,7 +50,8 @@ __all__ = [
     "reference_fkpp_level_score",
     "reference_fkpp_weighted_draw",
     "reference_kmeanspp_round",
-    "reference_quadtree_keys",
+    "reference_quadtree_build",
+    "reference_quadtree_max_squared_norm",
     "refresh",
     "use_native",
 ]

@@ -56,434 +56,94 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
-/* ------------------------------------------------------------------ radix */
-
-#define REPRO_RADIX_BITS 11
-#define REPRO_RADIX_BUCKETS 2048
-#define REPRO_RADIX_PASSES 6
-#define REPRO_RADIX_MASK 0x7FFu
-
-/* Stable LSD radix sort of (key, value) pairs, ascending by key with ties
- * kept in input order.  Six 11-bit counting passes ping-pong between the
- * primary and scratch arrays; all histograms are gathered in one pre-pass
- * and any pass whose digit is constant across the input is skipped.
- * Returns 0 when the sorted data ended in the primary arrays and 1 when it
- * ended in the scratch arrays (an even/odd number of executed passes).
- * Only stack memory is used beyond the caller's arrays, so the routine is
- * reentrant (the ~96 KiB of histograms live on the stack). */
-static int repro__radix_sort_pairs(uint64_t *keys, int64_t *values,
-                                   uint64_t *keys_scratch,
-                                   int64_t *values_scratch, int64_t n)
-{
-    int64_t hist[REPRO_RADIX_PASSES][REPRO_RADIX_BUCKETS];
-    int64_t i;
-    int pass;
-    int flipped = 0;
-    uint64_t *src_keys = keys;
-    uint64_t *dst_keys = keys_scratch;
-    int64_t *src_values = values;
-    int64_t *dst_values = values_scratch;
-    memset(hist, 0, sizeof(hist));
-    for (i = 0; i < n; ++i) {
-        const uint64_t key = keys[i];
-        for (pass = 0; pass < REPRO_RADIX_PASSES; ++pass)
-            ++hist[pass][(key >> (REPRO_RADIX_BITS * pass)) & REPRO_RADIX_MASK];
-    }
-    for (pass = 0; pass < REPRO_RADIX_PASSES; ++pass) {
-        const int64_t *count = hist[pass];
-        const int shift = REPRO_RADIX_BITS * pass;
-        int64_t offsets[REPRO_RADIX_BUCKETS];
-        int64_t running = 0;
-        int live = 0;
-        int v;
-        for (v = 0; v < REPRO_RADIX_BUCKETS; ++v)
-            if (count[v] && ++live > 1)
-                break;
-        if (live <= 1)
-            continue; /* every key shares this digit: the pass is identity */
-        for (v = 0; v < REPRO_RADIX_BUCKETS; ++v) {
-            offsets[v] = running;
-            running += count[v];
-        }
-        for (i = 0; i < n; ++i) {
-            const uint64_t key = src_keys[i];
-            const int64_t slot = offsets[(key >> shift) & REPRO_RADIX_MASK]++;
-            dst_keys[slot] = key;
-            dst_values[slot] = src_values[i];
-        }
-        {
-            uint64_t *swap_keys = src_keys;
-            int64_t *swap_values = src_values;
-            src_keys = dst_keys;
-            dst_keys = swap_keys;
-            src_values = dst_values;
-            dst_values = swap_values;
-        }
-        flipped = !flipped;
-    }
-    return flipped;
-}
-
-/* Buckets of at most this many pairs are insertion-sorted; larger ones
- * (clustered keys) go through the LSD radix sort, so no input is quadratic. */
-#define REPRO_INSERTION_CAP 96
-#define REPRO_BUCKET_MAX_BITS 16
-
-/* Stable sort of the pairs (keys[i], i) into sorted_keys/sorted_order.
- *
- * One MSD counting pass scatters the pairs into 2^bits buckets keyed on
- * the bits just below the highest bit where any two keys differ (every key
- * agrees above it, so the bucket index is monotone in the key); bits is
- * chosen for 8 to 16 pairs per bucket and capped at 2^16 buckets.  Each
- * bucket is then sorted in place: insertion sort (strict > shifting, so
- * equal keys keep their input order) up to REPRO_INSERTION_CAP pairs, the
- * radix sort above it.  The scatter walks the input in ascending index
- * order, so the result is the stable argsort permutation.  counts and
- * cursors need 2^bits <= max(1, n/8) entries; keys_scratch/order_scratch
- * length n. */
-static void repro__bucket_sort_pairs(const uint64_t *keys, int64_t n,
-                                     uint64_t *sorted_keys,
-                                     int64_t *sorted_order,
-                                     uint64_t *keys_scratch,
-                                     int64_t *order_scratch, int64_t *counts,
-                                     int64_t *cursors)
-{
-    uint64_t differ = 0;
-    uint64_t mask;
-    int64_t buckets, b, i;
-    int bits = 0;
-    int shift;
-    for (i = 1; i < n; ++i)
-        differ |= keys[i] ^ keys[0];
-    {
-        /* Bits at and below the highest differing one (0: a single key,
-         * one bucket whose sort moves nothing). */
-        const int span = differ ? 64 - __builtin_clzll(differ) : 0;
-        while (bits < REPRO_BUCKET_MAX_BITS && bits < span &&
-               ((int64_t)16 << bits) <= n)
-            ++bits;
-        shift = span - bits;
-    }
-    buckets = (int64_t)1 << bits;
-    mask = (uint64_t)(buckets - 1);
-    memset(counts, 0, (size_t)buckets * sizeof(int64_t));
-    for (i = 0; i < n; ++i)
-        ++counts[(keys[i] >> shift) & mask];
-    {
-        int64_t running = 0;
-        for (b = 0; b < buckets; ++b) {
-            cursors[b] = running;
-            running += counts[b];
-        }
-    }
-    for (i = 0; i < n; ++i) {
-        const uint64_t key = keys[i];
-        const int64_t slot = cursors[(key >> shift) & mask]++;
-        sorted_keys[slot] = key;
-        sorted_order[slot] = i;
-    }
-    /* After the scatter cursors[b] is the end of bucket b. */
-    for (b = 0; b < buckets; ++b) {
-        const int64_t end = cursors[b];
-        const int64_t start = end - counts[b];
-        if (end - start > REPRO_INSERTION_CAP) {
-            if (repro__radix_sort_pairs(sorted_keys + start, sorted_order + start,
-                                        keys_scratch + start,
-                                        order_scratch + start, end - start)) {
-                memcpy(sorted_keys + start, keys_scratch + start,
-                       (size_t)(end - start) * sizeof(uint64_t));
-                memcpy(sorted_order + start, order_scratch + start,
-                       (size_t)(end - start) * sizeof(int64_t));
-            }
-            continue;
-        }
-        for (i = start + 1; i < end; ++i) {
-            const uint64_t key = sorted_keys[i];
-            const int64_t value = sorted_order[i];
-            int64_t j = i;
-            while (j > start && sorted_keys[j - 1] > key) {
-                sorted_keys[j] = sorted_keys[j - 1];
-                sorted_order[j] = sorted_order[j - 1];
-                --j;
-            }
-            sorted_keys[j] = key;
-            sorted_order[j] = value;
-        }
-    }
-}
-
-/* Fused grouping: the whole body of quadtree _csr_group in one call.
- *
- * Outputs (all caller-allocated, int32: the caller guarantees n < 2^31):
- * cell_ids[n] gets the rank of each point's key among the distinct keys in
- * ascending unsigned order; order[n] gets the point indices sorted by rank
- * with ties in ascending input order (the stable argsort permutation);
- * offsets[0..m] the CSR boundaries (offsets needs room for n + 1 entries).
- * Returns m, the number of distinct keys.
- *
- * Two strategies, picked at runtime:
- *
- * Hash fast path — when the number of distinct keys m stays at or below
- * n/8 (deep duplicate-heavy levels near the root of the tree), a linear
- * probing table (golden-ratio multiplicative hash on the high bits of
- * table_size, a power of two) maps each key to a first-seen group id in
- * one pass, only the m distinct keys go through the radix sort, and a
- * counting scatter rebuilds order/offsets.  The moment the distinct count
- * exceeds the threshold the path aborts and falls through to the general
- * sort, so adversarial inputs only pay one wasted O(n) probe pass.
- *
- * Sort path — the bucketed sort of (key, index) pairs
- * (repro__bucket_sort_pairs) into the int64 work array `sorted`, then a
- * single fused pass walks the sorted keys emitting boundary offsets,
- * narrowing the sorted order into `order` and scattering the rank through
- * it, replacing the five numpy passes (take/not_equal/cumsum/fancy-store/
- * flatnonzero) that followed the argsort.
- *
- * Work arrays: order_scratch/shadow/shadow_scratch/slot_index/aux/sorted
- * length n, hash_keys/hash_payload length table_size. */
-int64_t repro_csr_group_u64(const uint64_t *keys, int64_t n, int32_t *cell_ids,
-                            int32_t *order, int32_t *offsets,
-                            int64_t *order_scratch, uint64_t *shadow,
-                            uint64_t *shadow_scratch, int64_t *slot_index,
-                            int64_t *aux, int64_t *sorted, uint64_t *hash_keys,
-                            int64_t *hash_payload, int64_t table_size)
-{
-    const int64_t threshold = n >> 3;
-    int64_t i;
-    if (threshold > 0) {
-        const uint64_t mask = (uint64_t)(table_size - 1);
-        int shift = 64;
-        int64_t m = 0;
-        {
-            int64_t t = table_size;
-            while (t > 1) {
-                t >>= 1;
-                --shift;
-            }
-        }
-        memset(hash_payload, 0xFF, (size_t)table_size * sizeof(int64_t));
-        for (i = 0; i < n; ++i) {
-            const uint64_t key = keys[i];
-            uint64_t slot = (key * UINT64_C(0x9E3779B97F4A7C15)) >> shift;
-            int64_t gid;
-            for (;;) {
-                const int64_t payload = hash_payload[slot];
-                if (payload < 0) {
-                    if (m >= threshold)
-                        goto sort_path; /* too many distinct keys */
-                    hash_keys[slot] = key;
-                    hash_payload[slot] = m;
-                    shadow[m] = key;
-                    gid = m++;
-                    break;
-                }
-                if (hash_keys[slot] == key) {
-                    gid = payload;
-                    break;
-                }
-                slot = (slot + 1) & mask;
-            }
-            slot_index[i] = gid;
-        }
-        /* Rank the m distinct keys: sort them with their group ids, then
-         * invert into a gid -> rank table (cell_ids doubles as scratch for
-         * it -- ranks stay below m <= n/8, so they fit its int32 entries --
-         * and the final scatter overwrites every entry). */
-        for (i = 0; i < m; ++i)
-            order_scratch[i] = i;
-        {
-            const int flipped = repro__radix_sort_pairs(
-                shadow, order_scratch, shadow_scratch, aux, m);
-            const int64_t *sorted_gid = flipped ? aux : order_scratch;
-            int64_t r;
-            for (r = 0; r < m; ++r)
-                cell_ids[sorted_gid[r]] = (int32_t)r;
-        }
-        for (i = 0; i < m; ++i)
-            hash_payload[i] = 0; /* reuse as per-rank counts */
-        for (i = 0; i < n; ++i) {
-            const int64_t r = cell_ids[slot_index[i]];
-            slot_index[i] = r;
-            ++hash_payload[r];
-        }
-        {
-            int64_t running = 0;
-            int64_t r;
-            for (r = 0; r < m; ++r) {
-                offsets[r] = (int32_t)running;
-                aux[r] = running; /* scatter cursor */
-                running += hash_payload[r];
-            }
-            offsets[m] = (int32_t)n;
-        }
-        for (i = 0; i < n; ++i) {
-            const int64_t r = slot_index[i];
-            order[aux[r]++] = (int32_t)i;
-            cell_ids[i] = (int32_t)r;
-        }
-        return m;
-    }
-sort_path:
-    repro__bucket_sort_pairs(keys, n, shadow, sorted, shadow_scratch,
-                             order_scratch, aux, slot_index);
-    {
-        int32_t n_cells = 0;
-        for (i = 0; i < n; ++i) {
-            const int64_t point = sorted[i];
-            if (i == 0 || shadow[i] != shadow[i - 1])
-                offsets[n_cells++] = (int32_t)i;
-            order[i] = (int32_t)point;
-            cell_ids[point] = n_cells - 1;
-        }
-        offsets[n_cells] = (int32_t)n;
-        return n_cells;
-    }
-}
-
-/* -------------------------------------------------------------- quadtree */
-
-/* Level-0 preparation of a quadtree fit in one pass over the
- * origin-translated points: scaled = (translated + shift) / side, the
- * lattice floor(scaled), its multilinear hash key (wrapping uint64 sum of
- * lattice[j] * multipliers[j], i.e. hash_rows), and the digit row
- * min(frac * 2^depth_cap, 2^depth_cap - 1) truncated to uint32 and
- * left-aligned so the level-1 bit is bit 31.  Every step is the numpy
- * path's IEEE operation in the same order (add, divide, floor, subtract
- * the int64 lattice, scale by a power of two); the clamp runs in double
- * before the cast, so a fractional part that rounded to exactly 1.0 reads
- * as the all-ones row even at depth_cap == 32.  1 <= depth_cap <= 32. */
-void repro_quadtree_keys_init(const double *translated, int64_t n, int64_t d,
-                              double shift, double side, int64_t depth_cap,
-                              const uint64_t *multipliers, uint64_t *keys,
-                              uint32_t *digits)
-{
-    const double scale = ldexp(1.0, (int)depth_cap);
-    const double top = scale - 1.0;
-    const int align = 32 - (int)depth_cap;
-    int64_t i, j;
-    for (i = 0; i < n; ++i) {
-        const double *row = translated + i * d;
-        uint32_t *digit_row = digits + i * d;
-        uint64_t key = 0;
-        for (j = 0; j < d; ++j) {
-            const double s = (row[j] + shift) / side;
-            const int64_t lattice = (int64_t)floor(s);
-            double x = (s - (double)lattice) * scale;
-            if (x > top)
-                x = top;
-            key += (uint64_t)lattice * multipliers[j];
-            digit_row[j] = (uint32_t)x << align;
-        }
-        keys[i] = key;
-    }
-}
-
-/* One level of the incremental key update, in place:
- * key' = 2 * key + sum_j bit_j * multipliers[j] (mod 2^64), with bit_j
- * bit (32 - level) of the left-aligned digit row -- exactly the hash of
- * the doubled lattice 2 * lattice + bit. */
-void repro_quadtree_keys_advance(uint64_t *keys, const uint32_t *digits,
-                                 int64_t n, int64_t d, int64_t level,
-                                 const uint64_t *multipliers)
-{
-    const int bit = 32 - (int)level;
-    int64_t i, j;
-    for (i = 0; i < n; ++i) {
-        const uint32_t *digit_row = digits + i * d;
-        uint64_t increment = 0;
-        for (j = 0; j < d; ++j)
-            increment += multipliers[j] & (0 - (uint64_t)((digit_row[j] >> bit) & 1u));
-        keys[i] = (keys[i] << 1) + increment;
-    }
-}
-
 /* ----------------------------------------------------------- fast-kmeans++ */
 
-/* One cell of a Fast-kmeans++ register-center sweep: for every member
- * whose best distance strictly exceeds the candidate, store the candidate,
- * the center slot, and (once the first center's mass vector exists) the
- * mass weights[i] * cz.  `cz` is the caller's precomputed candidate**z --
- * the same double the numpy sweep multiplies by -- so every stored value
- * is bit-identical to the fancy-indexed numpy path (pure per-element
- * gather/compare/scatter; no accumulation, hence no ordering hazard).  The
- * gathers are latency-bound random accesses, so upcoming best-distance
- * entries are software-prefetched.  Returns the improved-point count. */
-static int64_t repro__fkpp_sweep_cell(const int32_t *row, int64_t start,
-                                      int64_t end, double candidate,
-                                      double cz, int64_t center_slot,
-                                      double *best_distance,
-                                      int64_t *assignment, double *mass,
-                                      const double *weights, int has_mass)
+/* One stretch of a Fast-kmeans++ register-center sweep: for every point
+ * order[idx], start <= idx < end, whose best distance strictly exceeds the
+ * candidate, store the candidate, the center slot, and (once the first
+ * center's mass vector exists) the mass weights[i] * cz.  `cz` is the
+ * caller's precomputed candidate**z -- the same double the numpy sweep
+ * multiplies by -- so every stored value is bit-identical to the
+ * fancy-indexed numpy path (pure per-element gather/compare/scatter; no
+ * accumulation, hence no ordering hazard).  The gathers are latency-bound
+ * random accesses, so upcoming best-distance entries are
+ * software-prefetched.  Returns the improved-point count. */
+static int64_t repro__fkpp_sweep_range(const int32_t *order, int64_t start,
+                                       int64_t end, double candidate,
+                                       double cz, int64_t center_slot,
+                                       double *best_distance,
+                                       int64_t *assignment, double *mass,
+                                       const double *weights, int has_mass)
 {
     int64_t idx;
     int64_t improved = 0;
-    if (has_mass) {
-        for (idx = start; idx < end; ++idx) {
-            const int64_t i = row[idx];
-            if (idx + 16 < end)
-                __builtin_prefetch(&best_distance[row[idx + 16]], 0, 1);
-            if (best_distance[i] > candidate) {
-                best_distance[i] = candidate;
-                assignment[i] = center_slot;
+    for (idx = start; idx < end; ++idx) {
+        const int64_t i = order[idx];
+        if (idx + 16 < end)
+            __builtin_prefetch(&best_distance[order[idx + 16]], 0, 1);
+        if (best_distance[i] > candidate) {
+            best_distance[i] = candidate;
+            assignment[i] = center_slot;
+            if (has_mass)
                 mass[i] = weights[i] * cz;
-                ++improved;
-            }
-        }
-    } else {
-        for (idx = start; idx < end; ++idx) {
-            const int64_t i = row[idx];
-            if (idx + 16 < end)
-                __builtin_prefetch(&best_distance[row[idx + 16]], 0, 1);
-            if (best_distance[i] > candidate) {
-                best_distance[i] = candidate;
-                assignment[i] = center_slot;
-                ++improved;
-            }
+            ++improved;
         }
     }
     return improved;
 }
 
 /* One Fast-kmeans++ register-center sweep over every level of one tree,
- * driven directly off the quadtree's per-level int32 CSR arrays:
- * order_ptrs/offset_ptrs/cell_ptrs hold one pointer per level (as uint64)
- * into the tree's own level_order_/level_offsets_/level_cell_ids_ arrays,
- * so the sweep needs no concatenated copies and the center's cell lookup
- * (cid = cells[center_point], bounds = offsets[cid], offsets[cid+1])
- * happens here instead of in numpy once per (tree, center).  distances/czs
- * are the per-level candidate distance and the caller's precomputed
- * candidate**z (indexed at level + 1, matching the level-distance table).
- * Levels are scanned deepest first and the scan breaks once the candidate
- * reaches the ceiling (tree distances only grow toward the root) -- the
- * exact control flow of the numpy sweep. */
-int64_t repro_fkpp_center_sweep(const uint64_t *order_ptrs,
+ * driven directly off the quadtree's Z-order layout: every cell of every
+ * level is the range offsets[c]..offsets[c + 1] of the one permutation
+ * `order`, nested in its parent's range.  offset_ptrs holds one pointer per
+ * level (as uint64) into the tree's own level_offsets_ arrays and
+ * cell_counts their cell counts.  The center's cell at a level is the one
+ * whose range holds position[center_point] (a binary search over the
+ * offsets).  distances/czs are the per-level candidate distance and the
+ * caller's precomputed candidate**z (indexed at level + 1, matching the
+ * level-distance table).  Levels are scanned deepest first and the scan
+ * breaks once the candidate reaches the ceiling (tree distances only grow
+ * toward the root) -- the exact control flow of the numpy sweep.  Each
+ * level visits only the part of its cell outside the deeper cell: that
+ * cell was swept just before with a smaller candidate, so none of its
+ * points can strictly improve on this one. */
+int64_t repro_fkpp_center_sweep(const int32_t *order, const int32_t *position,
                                 const uint64_t *offset_ptrs,
-                                const uint64_t *cell_ptrs, int64_t depth,
+                                const int64_t *cell_counts, int64_t depth,
                                 int64_t center_point, const double *distances,
                                 const double *czs, double ceiling,
                                 int64_t center_slot, double *best_distance,
                                 int64_t *assignment, double *mass,
                                 const double *weights, int has_mass)
 {
+    const int64_t at = position[center_point];
+    int64_t inner_start = at;
+    int64_t inner_end = at;
     int64_t level;
     int64_t improved = 0;
     for (level = depth - 1; level >= 0; --level) {
         const double candidate = distances[level + 1];
+        const int32_t *offsets =
+            (const int32_t *)(uintptr_t)offset_ptrs[level];
+        int64_t low = 0;
+        int64_t high = cell_counts[level];
         if (candidate >= ceiling && isfinite(ceiling))
             break;
-        {
-            const int32_t *cells =
-                (const int32_t *)(uintptr_t)cell_ptrs[level];
-            const int32_t *offsets =
-                (const int32_t *)(uintptr_t)offset_ptrs[level];
-            const int32_t *row =
-                (const int32_t *)(uintptr_t)order_ptrs[level];
-            const int64_t cid = cells[center_point];
-            improved += repro__fkpp_sweep_cell(
-                row, offsets[cid], offsets[cid + 1], candidate,
-                czs[level + 1], center_slot, best_distance, assignment,
-                mass, weights, has_mass);
+        while (high - low > 1) { /* offsets[low] <= at < offsets[high] */
+            const int64_t middle = low + (high - low) / 2;
+            if (offsets[middle] <= at)
+                low = middle;
+            else
+                high = middle;
         }
+        improved += repro__fkpp_sweep_range(
+            order, offsets[low], inner_start, candidate, czs[level + 1],
+            center_slot, best_distance, assignment, mass, weights, has_mass);
+        improved += repro__fkpp_sweep_range(
+            order, inner_end, offsets[low + 1], candidate, czs[level + 1],
+            center_slot, best_distance, assignment, mass, weights, has_mass);
+        inner_start = offsets[low];
+        inner_end = offsets[low + 1];
     }
     return improved;
 }
@@ -652,6 +312,297 @@ double repro_kmeanspp_round(const double *points, int64_t n, int64_t d,
     return total;
 }
 
+/* -------------------------------------------------------------- quadtree */
+
+/* The largest squared distance from the origin row: each point's
+ * repro__einsum_sq(points[i], origin), i.e. the numpy fit's
+ * einsum("ij,ij->i", points - origin, points - origin).max(), read
+ * straight from the points with no translated copy. */
+double repro_quadtree_max_sq(const double *points, int64_t n, int64_t d,
+                             const double *origin)
+{
+    double top = 0.0;
+    int64_t i;
+    for (i = 0; i < n; ++i) {
+        const double sq = repro__einsum_sq(points + i * d, origin, d);
+        if (sq > top)
+            top = sq;
+    }
+    return top;
+}
+
+/* Inputs below this many points are insertion-sorted; larger ones go
+ * through the LSD counting passes of repro__sort_range. */
+#define REPRO_INSERTION_CAP 32
+#define REPRO_RADIX_MAX_BITS 11
+
+/* Stable sort of m (key, point) pairs, ascending by key with ties kept in
+ * input order.  `varying` is the OR of every key XOR the AND of every key:
+ * the bits on which some keys differ.  Only the window from its lowest to
+ * its highest set bit is sorted, in LSD counting passes of about log2(m)
+ * bits (capped at 11), skipping any pass whose digit is constant; the
+ * passes ping-pong with the scratch arrays and the result is copied back
+ * after an odd count.  The 16 KiB histogram lives on the stack, in this
+ * frame only: the function is kept out of line so the recursion in
+ * repro__refine does not carry it. */
+static __attribute__((noinline)) void repro__sort_range(uint64_t *keys, int32_t *points,
+                              uint64_t *keys_scratch, int32_t *points_scratch,
+                              int64_t m, uint64_t varying)
+{
+    int64_t count[1 << REPRO_RADIX_MAX_BITS];
+    uint64_t *src_keys = keys, *dst_keys = keys_scratch;
+    int32_t *src_points = points, *dst_points = points_scratch;
+    const int high = 63 - __builtin_clzll(varying);
+    int shift = __builtin_ctzll(varying);
+    int bits = 63 - __builtin_clzll((uint64_t)m);
+    int flipped = 0;
+    int64_t i;
+    if (m <= REPRO_INSERTION_CAP) {
+        for (i = 1; i < m; ++i) {
+            const uint64_t key = keys[i];
+            const int32_t point = points[i];
+            int64_t j = i;
+            while (j > 0 && keys[j - 1] > key) {
+                keys[j] = keys[j - 1];
+                points[j] = points[j - 1];
+                --j;
+            }
+            keys[j] = key;
+            points[j] = point;
+        }
+        return;
+    }
+    if (bits > REPRO_RADIX_MAX_BITS)
+        bits = REPRO_RADIX_MAX_BITS;
+    for (; shift <= high; shift += bits) {
+        const int64_t buckets = (int64_t)1 << bits;
+        const uint64_t mask = (uint64_t)(buckets - 1);
+        int64_t running = 0;
+        int64_t b;
+        memset(count, 0, (size_t)buckets * sizeof(int64_t));
+        for (i = 0; i < m; ++i)
+            ++count[(src_keys[i] >> shift) & mask];
+        if (count[(src_keys[0] >> shift) & mask] == m)
+            continue; /* every key shares this digit */
+        for (b = 0; b < buckets; ++b) {
+            const int64_t c = count[b];
+            count[b] = running;
+            running += c;
+        }
+        for (i = 0; i < m; ++i) {
+            const int64_t slot = count[(src_keys[i] >> shift) & mask]++;
+            dst_keys[slot] = src_keys[i];
+            dst_points[slot] = src_points[i];
+        }
+        {
+            uint64_t *swap_keys = src_keys;
+            int32_t *swap_points = src_points;
+            src_keys = dst_keys;
+            dst_keys = swap_keys;
+            src_points = dst_points;
+            dst_points = swap_points;
+        }
+        flipped = !flipped;
+    }
+    if (flipped) {
+        memcpy(keys, keys_scratch, (size_t)m * sizeof(uint64_t));
+        memcpy(points, points_scratch, (size_t)m * sizeof(int32_t));
+    }
+}
+
+/* floor(s) for every double, without a libm call: below 2^52 in magnitude
+ * a truncation plus a correction for negative non-integers, above it every
+ * double is already an integer (NaN and infinities pass through).  The
+ * one difference, +0.0 for floor(-0.0), leaves s - floor(s) a zero. */
+static inline double repro__floor(double s)
+{
+    if (fabs(s) < 4503599627370496.0) {
+        const double t = (double)(int64_t)s;
+        return t - (double)(t > s); /* branch-free: the sign is data */
+    }
+    return s;
+}
+
+/* One quadtree build.  A point's sort key is a sequence of bit planes, most
+ * significant first: plane 0 and plane 1 are bit 1 and bit 0 of its level-0
+ * cell code (one per coordinate, 0..2: the lattice value plus one), and
+ * plane p >= 2 is its level-(p - 1) digit in every coordinate.  A plane
+ * reads as the pattern whose bit j is coordinate j's bit, compared as an
+ * unsigned number, and it is cut into 64-coordinate words, the highest
+ * coordinates first: step s reads word (words - 1 - s % words) of plane
+ * s / words. */
+typedef struct {
+    const uint32_t *digits; /* n x d, left-aligned: level l is bit 32 - l */
+    const uint8_t *cells;   /* n x d level-0 cell codes */
+    int64_t d, words, steps;
+    int32_t *order, *order_scratch;
+    int32_t *split;         /* per position: the step that separated it */
+    uint64_t *keys, *keys_scratch;
+} repro__zorder;
+
+/* Refine the range start..end of z->order, whose points agree on every
+ * step before `step`: sort it stably by the step's word, record each new
+ * boundary's step in z->split, and recurse into every part, depth first.
+ * The last part continues in the loop, as does a range the step leaves
+ * whole.  A part only ever writes split entries strictly inside itself. */
+static void repro__refine(repro__zorder *z, int64_t start, int64_t end,
+                          int64_t step)
+{
+    const int64_t d = z->d;
+    for (; end - start >= 2 && step < z->steps; ++step) {
+        const int64_t plane = step / z->words;
+        const int64_t first = (z->words - 1 - step % z->words) * 64;
+        const int64_t last = (d - first < 64 ? d : first + 64) - 1;
+        uint64_t any = 0;
+        uint64_t all = ~(uint64_t)0;
+        int64_t k, part;
+        uint64_t previous;
+        if (plane >= 2) {
+            const int bit = 33 - (int)plane;
+            for (k = start; k < end; ++k) {
+                const uint32_t *row = z->digits + z->order[k] * d;
+                uint64_t word = 0;
+                int64_t j;
+                if (k + 8 < end)
+                    __builtin_prefetch(z->digits + z->order[k + 8] * d, 0, 1);
+                for (j = last; j >= first; --j)
+                    word = (word << 1) | ((row[j] >> bit) & 1u);
+                z->keys[k] = word;
+                any |= word;
+                all &= word;
+            }
+        } else {
+            const int bit = 1 - (int)plane;
+            for (k = start; k < end; ++k) {
+                const uint8_t *row = z->cells + z->order[k] * d;
+                uint64_t word = 0;
+                int64_t j;
+                for (j = last; j >= first; --j)
+                    word = (word << 1) | ((row[j] >> bit) & 1u);
+                z->keys[k] = word;
+                any |= word;
+                all &= word;
+            }
+        }
+        if (any == all)
+            continue; /* one part: the whole range */
+        repro__sort_range(z->keys + start, z->order + start,
+                          z->keys_scratch + start, z->order_scratch + start,
+                          end - start, any ^ all);
+        part = start;
+        previous = z->keys[start];
+        for (k = start + 1; k < end; ++k) {
+            const uint64_t word = z->keys[k];
+            if (word != previous) {
+                z->split[k] = (int32_t)step;
+                repro__refine(z, part, k, step + 1);
+                part = k;
+                previous = word;
+            }
+        }
+        start = part;
+    }
+}
+
+/* Build one quadtree's Z-order permutation.  One pass over the points
+ * computes, per coordinate, scaled = ((x - origin) + shift) / side, its
+ * floor, the level-0 cell code (scaled >= 0) + (scaled >= 1) -- the
+ * lattice value plus one for the lattices -1, 0 and 1 a fit produces --
+ * and the digit row min((scaled - floor) * 2^depth_cap, 2^depth_cap - 1)
+ * truncated to uint32 and left-aligned, every step the numpy path's IEEE
+ * operation in the same order.  The clamp runs in double before the cast,
+ * so a fractional part that rounded to exactly 1.0 reads as the all-ones
+ * row even at depth_cap == 32.  Then every level splits each of its cells
+ * stably by the next plane (repro__refine), starting from the input order,
+ * so the points end up ordered by level-0 cell code, then by each level's
+ * digit pattern, then by input index.
+ *
+ * On return split[k] (k >= 1) holds the level at which positions k - 1 and
+ * k fall into different cells (INT32_MAX: never), counts[l] the cells of
+ * level l, and the return value is the depth: the levels up to depth_cap,
+ * or up to the first level whose cells are all singletons when that comes
+ * first.  1 <= depth_cap <= 32; scratch arrays as below. */
+int64_t repro_quadtree_order(const double *points, int64_t n, int64_t d,
+                             const double *origin, double shift, double side,
+                             int64_t depth_cap, uint32_t *digits,
+                             uint8_t *cells, int32_t *order, int32_t *split,
+                             uint64_t *keys, uint64_t *keys_scratch,
+                             int32_t *order_scratch, int32_t *counts)
+{
+    const double scale = ldexp(1.0, (int)depth_cap);
+    const double top = scale - 1.0;
+    const int align = 32 - (int)depth_cap;
+    repro__zorder z;
+    int64_t i, j, level;
+    int64_t deepest = 0;
+    for (i = 0; i < n; ++i) {
+        const double *row = points + i * d;
+        for (j = 0; j < d; ++j) {
+            const double s = ((row[j] - origin[j]) + shift) / side;
+            const double fl = repro__floor(s);
+            double x = (s - fl) * scale;
+            if (x > top)
+                x = top;
+            digits[i * d + j] = (uint32_t)x << align;
+            cells[i * d + j] = (uint8_t)((s >= 0.0) + (s >= 1.0));
+        }
+        order[i] = (int32_t)i;
+        split[i] = INT32_MAX;
+    }
+    z.digits = digits;
+    z.cells = cells;
+    z.d = d;
+    z.words = (d + 63) / 64;
+    z.steps = (depth_cap + 2) * z.words;
+    z.order = order;
+    z.order_scratch = order_scratch;
+    z.split = split;
+    z.keys = keys;
+    z.keys_scratch = keys_scratch;
+    repro__refine(&z, 0, n, 0);
+    for (i = 1; i < n; ++i) {
+        if (split[i] != INT32_MAX) {
+            const int64_t plane = split[i] / z.words;
+            split[i] = (int32_t)(plane < 2 ? 0 : plane - 1);
+            if (split[i] > deepest)
+                deepest = split[i];
+        } else {
+            deepest = depth_cap;
+        }
+    }
+    for (level = 0; level <= deepest; ++level)
+        counts[level] = 1;
+    for (i = 1; i < n; ++i)
+        if (split[i] <= deepest)
+            ++counts[split[i]];
+    for (level = 1; level <= deepest; ++level)
+        counts[level] += counts[level - 1] - 1;
+    return deepest + 1;
+}
+
+/* The per-level offsets and the inverse permutation of a built order:
+ * level l's cells start at 0 and at every position k whose split level is
+ * at most l; the level's run in `offsets` starts at starts[l] and ends
+ * with n.  position[order[k]] = k.  depth <= 33. */
+void repro_quadtree_offsets(const int32_t *order, const int32_t *split,
+                            int64_t n, int64_t depth, const int64_t *starts,
+                            int32_t *offsets, int32_t *position)
+{
+    int64_t cursor[33];
+    int64_t k, level;
+    for (level = 0; level < depth; ++level) {
+        offsets[starts[level]] = 0;
+        cursor[level] = starts[level] + 1;
+    }
+    for (k = 1; k < n; ++k)
+        for (level = split[k]; level < depth; ++level)
+            offsets[cursor[level]++] = (int32_t)k;
+    for (level = 0; level < depth; ++level)
+        offsets[cursor[level]] = (int32_t)n;
+    for (k = 0; k < n; ++k)
+        position[order[k]] = (int32_t)k;
+}
+
 /* ------------------------------------------------------------ crude-approx */
 
 /* One Crude-Approx (Algorithm 2) occupancy probe: refresh the dyadic
@@ -805,10 +756,10 @@ def _build_library() -> Path:
     return library
 
 
-#: Per-thread work buffer cache: the grouping kernels are called once per
-#: quadtree level inside threads of the async executor, and reallocating
-#: (and page-faulting) half a megabyte of scratch per call costs more than
-#: the kernel itself at moderate n.
+#: Per-thread work buffer cache for the crude-bound probe's hash table: a
+#: bisection probes many levels of the same input inside threads of the
+#: async executor, and reallocating the table per probe costs more than the
+#: probe itself at moderate n.
 _LOCAL = threading.local()
 
 
@@ -820,43 +771,6 @@ def _scratch(name: str, capacity: int, dtype) -> np.ndarray:
     if array is None or array.shape[0] < capacity:
         array = buffers[name] = np.empty(capacity, dtype=dtype)
     return array
-
-
-def _hash_table_size(n: int) -> int:
-    # Next power of two at or above max(64, n/2): the fast path aborts past
-    # n/8 distinct keys, so the table never exceeds 25% load.
-    return 1 << max(64, n >> 1).bit_length()
-
-
-def _group_workspace(n: int) -> tuple:
-    """This thread's ``csr_group`` work arrays for up to ``n`` keys.
-
-    Returns ``(capacity, offsets, pointers, arrays)``: the int32 offsets
-    buffer (``capacity + 1`` entries), the raw pointers of the kernel's
-    int64/uint64 work arrays in argument order (six of length ``capacity``,
-    then the two hash-table arrays) and the arrays themselves, kept alive
-    here.  The pointers are read once per allocation, not once per level.
-    """
-    workspace = getattr(_LOCAL, "group", None)
-    if workspace is None or workspace[0] < n:
-        table_size = _hash_table_size(n)
-        arrays = tuple(
-            np.empty(length, dtype=dtype)
-            for length, dtype in (
-                (n, np.int64),  # order_scratch
-                (n, np.uint64),  # shadow
-                (n, np.uint64),  # shadow_scratch
-                (n, np.int64),  # slot_index
-                (n, np.int64),  # aux
-                (n, np.int64),  # sorted
-                (table_size, np.uint64),  # hash_keys
-                (table_size, np.int64),  # hash_payload
-            )
-        )
-        offsets = np.empty(n + 1, dtype=np.int32)
-        pointers = tuple(array.ctypes.data for array in arrays)
-        workspace = _LOCAL.group = (n, offsets, pointers, arrays)
-    return workspace
 
 
 class KmeansppRounds:
@@ -926,6 +840,16 @@ class KmeansppRounds:
         return total
 
 
+def _quadtree_operands(points: np.ndarray, origin: np.ndarray) -> Tuple[int, int]:
+    """``(n, d)`` of a quadtree fit's contiguous float64 operands."""
+    if points.ndim != 2 or points.dtype != np.float64 or not points.flags["C_CONTIGUOUS"]:
+        raise ValueError("quadtree points must be a contiguous two-dimensional float64 array")
+    n, d = points.shape
+    if origin.shape != (d,) or origin.dtype != np.float64 or not origin.flags["C_CONTIGUOUS"]:
+        raise ValueError("quadtree origin must be a contiguous float64 row of the points' width")
+    return n, d
+
+
 def load_kernels() -> Dict[str, Callable]:
     """Compile (or reuse) the shared object and bind the kernel wrappers."""
     library = ctypes.CDLL(str(_build_library()))
@@ -938,13 +862,6 @@ def load_kernels() -> Dict[str, Callable]:
     pf64 = ndpointer(np.float64, flags="C_CONTIGUOUS")
     pu8 = ndpointer(np.uint8, flags="C_CONTIGUOUS")
 
-    # Raw pointers only: ``csr_group_u64`` checks the keys and allocates
-    # every other array itself, so one call per quadtree level costs no
-    # per-argument ndpointer validation.
-    group = library.repro_csr_group_u64
-    group.restype = i64
-    group.argtypes = [ctypes.c_void_p, i64] + [ctypes.c_void_p] * 11 + [i64]
-
     # The pointer-table sweep is bound with raw-pointer argtypes only:
     # ctypes ndpointer validation costs ~3 µs per array argument, which at
     # one call per (tree, center) would eat the kernel's win, and this
@@ -953,9 +870,9 @@ def load_kernels() -> Dict[str, Callable]:
     center_sweep = library.repro_fkpp_center_sweep
     center_sweep.restype = i64
     center_sweep.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, i64, i64,
-        ctypes.c_void_p, ctypes.c_void_p, f64, i64, ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, i32,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        i64, i64, ctypes.c_void_p, ctypes.c_void_p, f64, i64,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, i32,
     ]
 
     seq_total = library.repro_fkpp_seq_total
@@ -989,45 +906,23 @@ def load_kernels() -> Dict[str, Callable]:
     probe.restype = i64
     probe.argtypes = [pf64, i64, i64, i64, i32, pi64, pf64, pu64, pu64, pu8, i64]
 
-    # Raw pointers only: ``quadtree_keys`` validates its arrays once per fit.
-    keys_init = library.repro_quadtree_keys_init
-    keys_init.restype = None
-    keys_init.argtypes = [
-        ctypes.c_void_p, i64, i64, f64, f64, i64, ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_void_p,
-    ]
-    keys_advance = library.repro_quadtree_keys_advance
-    keys_advance.restype = None
-    keys_advance.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, i64, i64, i64, ctypes.c_void_p,
-    ]
-
-    def csr_group_u64(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Group ``keys`` (contiguous 1-D uint64, fewer than 2**31 of them:
-        the quadtree fit checks its point count) into int32 ``(cell_ids,
-        order, offsets)``."""
-        if keys.dtype != np.uint64 or keys.ndim != 1 or not keys.flags["C_CONTIGUOUS"]:
-            raise ValueError("csr_group keys must be a contiguous 1-D uint64 array")
-        n = keys.shape[0]
-        if n < 2:
-            cell_ids = np.zeros(n, dtype=np.int32)
-            order = np.arange(n, dtype=np.int32)
-            offsets = np.arange(n + 1, dtype=np.int32)
-            return cell_ids, order, offsets
-        _, offsets, work, _ = _group_workspace(n)
-        cell_ids = np.empty(n, dtype=np.int32)
-        order = np.empty(n, dtype=np.int32)
-        n_cells = group(
-            keys.ctypes.data, n, cell_ids.ctypes.data, order.ctypes.data,
-            offsets.ctypes.data, *work, _hash_table_size(n),
-        )
-        return cell_ids, order, offsets[: n_cells + 1].copy()
+    # Raw pointers only: ``quadtree_build`` validates its arrays once per fit.
+    max_sq = library.repro_quadtree_max_sq
+    max_sq.restype = f64
+    max_sq.argtypes = [ctypes.c_void_p, i64, i64, ctypes.c_void_p]
+    tree_order = library.repro_quadtree_order
+    tree_order.restype = i64
+    tree_order.argtypes = [
+        ctypes.c_void_p, i64, i64, ctypes.c_void_p, f64, f64, i64,
+    ] + [ctypes.c_void_p] * 8
+    tree_offsets = library.repro_quadtree_offsets
+    tree_offsets.restype = None
+    tree_offsets.argtypes = [ctypes.c_void_p, ctypes.c_void_p, i64, i64] + [ctypes.c_void_p] * 3
 
     def fkpp_level_score(
-        level_orders,
+        order: np.ndarray,
+        position: np.ndarray,
         level_offsets,
-        level_cells,
-        n: int,
         distances: np.ndarray,
         czs: np.ndarray,
         best_distance: np.ndarray,
@@ -1035,41 +930,37 @@ def load_kernels() -> Dict[str, Callable]:
         mass: np.ndarray,
         weights: np.ndarray,
     ) -> Callable:
-        """Build a fit-lifetime sweep closure over one tree's CSR arrays.
+        """Build a fit-lifetime sweep closure over one tree's Z-order layout.
 
-        ``level_orders``/``level_offsets``/``level_cells`` are the tree's own
-        per-level int32 arrays (``level_order_``/``level_offsets_``/
-        ``level_cell_ids_``); their data pointers are packed into uint64
-        tables once, so the per-center call carries only four scalars.  The
-        kernel itself locates the center's cell at every level — no
-        concatenated copies of the tree and no per-center numpy indexing.
-        Pinning every pointer up front drops the per-call ctypes cost from
-        ~34 µs (ndpointer validation of seven array arguments) to ~2 µs —
-        the difference between the kernel beating the numpy sweep and
-        losing to it at one call per (tree, center).  The caller owns all
-        arrays for the lifetime of the closure.
+        ``order``/``position``/``level_offsets`` are the tree's own int32
+        arrays (``order_``/``position_``/``level_offsets_``); the offsets'
+        data pointers and cell counts are packed into tables once, so the
+        per-center call carries only four scalars.  The kernel itself
+        locates the center's cell at every level from its position.
+        Pinning every pointer up front keeps the per-call ctypes cost at
+        ~2 µs instead of ~3 µs per validated array argument, which at one
+        call per (tree, center) decides whether the kernel beats the numpy
+        sweep.  The caller owns all arrays for the lifetime of the closure.
         """
-        for sequence in (level_orders, level_offsets, level_cells):
-            for array in sequence:
-                if array.dtype != np.int32 or not array.flags["C_CONTIGUOUS"]:
-                    raise ValueError("fkpp tree arrays must be contiguous int32")
+        for array in (order, position, *level_offsets):
+            if array.dtype != np.int32 or not array.flags["C_CONTIGUOUS"]:
+                raise ValueError("fkpp tree arrays must be contiguous int32")
         for array in (distances, czs, best_distance, mass, weights):
             if array.dtype != np.float64 or not array.flags["C_CONTIGUOUS"]:
                 raise ValueError("fkpp sweep arrays must be contiguous float64")
         if assignment.dtype != np.int64 or not assignment.flags["C_CONTIGUOUS"]:
             raise ValueError("fkpp assignment must be contiguous int64")
-        depth = len(level_orders)
-        order_ptrs = np.array([a.ctypes.data for a in level_orders], dtype=np.uint64)
+        depth = len(level_offsets)
         offset_ptrs = np.array([a.ctypes.data for a in level_offsets], dtype=np.uint64)
-        cell_ptrs = np.array([a.ctypes.data for a in level_cells], dtype=np.uint64)
+        cell_counts = np.array([a.shape[0] - 1 for a in level_offsets], dtype=np.int64)
         keep = (
-            tuple(level_orders), tuple(level_offsets), tuple(level_cells),
-            order_ptrs, offset_ptrs, cell_ptrs,
+            order, position, tuple(level_offsets), offset_ptrs, cell_counts,
             distances, czs, best_distance, assignment, mass, weights,
         )
-        p_orders = order_ptrs.ctypes.data
-        p_offsets = offset_ptrs.ctypes.data
-        p_cells = cell_ptrs.ctypes.data
+        pointers = tuple(
+            array.ctypes.data
+            for array in (order, position, offset_ptrs, cell_counts)
+        )
         p_distances = distances.ctypes.data
         p_czs = czs.ctypes.data
         p_best = best_distance.ctypes.data
@@ -1081,9 +972,9 @@ def load_kernels() -> Dict[str, Callable]:
             ceiling: float, center_slot: int, center_point: int, has_mass: bool, _keep=keep
         ) -> int:
             return center_sweep(
-                p_orders, p_offsets, p_cells, depth, center_point,
-                p_distances, p_czs, ceiling, center_slot, p_best,
-                p_assignment, p_mass, p_weights, 1 if has_mass else 0,
+                *pointers, depth, center_point, p_distances, p_czs, ceiling,
+                center_slot, p_best, p_assignment, p_mass, p_weights,
+                1 if has_mass else 0,
             )
 
         return sweep
@@ -1113,55 +1004,55 @@ def load_kernels() -> Dict[str, Callable]:
     fkpp_weighted_draw.scan = _draw_scan
     fkpp_weighted_draw.bind = _draw_bind
 
-    def quadtree_keys(
-        translated: np.ndarray,
-        shift: float,
-        side: float,
-        depth_cap: int,
-        multipliers: np.ndarray,
-        keys: np.ndarray,
-    ) -> Callable:
-        """Write one fit's level-0 keys into ``keys``; return ``advance(level)``.
+    def quadtree_max_squared_norm(points: np.ndarray, origin: np.ndarray) -> float:
+        """``einsum("ij,ij->i", points - origin, points - origin).max()``."""
+        n, d = _quadtree_operands(points, origin)
+        return float(max_sq(points.ctypes.data, n, d, origin.ctypes.data))
 
-        The bind call hashes ``floor((translated + shift) / side)`` into
-        ``keys`` and keeps the left-aligned ``uint32`` digit rows in a
-        private buffer; ``advance(level)`` then derives the level's keys
-        from the previous level's in place.  The caller must keep using
-        the same ``keys`` array and call ``advance`` for levels 1, 2, ...
-        in order.
+    def quadtree_build(
+        points: np.ndarray, origin: np.ndarray, shift: float, side: float, depth_cap: int
+    ) -> Tuple[np.ndarray, np.ndarray, list]:
+        """One fit's int32 ``(order, position, level_offsets)``.
+
+        The level offsets are consecutive views of one buffer.  Work
+        arrays: the ``(n, d)`` uint32 digit rows and uint8 level-0 cell
+        codes, two uint64 and three int32 arrays of length ``n``; all but
+        the split levels are freed before the offsets are allocated.
         """
-        if translated.ndim != 2:
-            raise ValueError("quadtree points must be two-dimensional")
-        n, d = translated.shape
-        if translated.dtype != np.float64 or not translated.flags["C_CONTIGUOUS"]:
-            raise ValueError("quadtree points must be contiguous float64")
-        for array, length in ((multipliers, d), (keys, n)):
-            if (
-                array.dtype != np.uint64
-                or not array.flags["C_CONTIGUOUS"]
-                or array.shape != (length,)
-            ):
-                raise ValueError("quadtree keys/multipliers must be contiguous uint64")
+        n, d = _quadtree_operands(points, origin)
         depth_cap = int(depth_cap)
         if not 1 <= depth_cap <= 32:
-            raise ValueError(f"quadtree_keys serves depth caps 1..32, got {depth_cap}")
-        digits = np.empty((n, d), dtype=np.uint32)
-        keep = (translated, multipliers, keys, digits)
-        p_multipliers = multipliers.ctypes.data
-        p_keys = keys.ctypes.data
-        p_digits = digits.ctypes.data
-        keys_init(
-            translated.ctypes.data, n, d, float(shift), float(side), depth_cap,
-            p_multipliers, p_keys, p_digits,
+            raise ValueError(f"quadtree_build serves depth caps 1..32, got {depth_cap}")
+        order = np.empty(n, dtype=np.int32)
+        split = np.empty(n, dtype=np.int32)
+        counts = np.empty(depth_cap + 1, dtype=np.int32)
+        work = (
+            np.empty((n, d), dtype=np.uint32),  # digit rows
+            np.empty((n, d), dtype=np.uint8),  # level-0 cell codes
+            np.empty(n, dtype=np.uint64),  # plane words
+            np.empty(n, dtype=np.uint64),  # plane words, sort scratch
+            np.empty(n, dtype=np.int32),  # order, sort scratch
         )
+        digits, cells, keys, keys_scratch, order_scratch = (a.ctypes.data for a in work)
+        depth = tree_order(
+            points.ctypes.data, n, d, origin.ctypes.data, float(shift), float(side),
+            depth_cap, digits, cells, order.ctypes.data, split.ctypes.data, keys,
+            keys_scratch, order_scratch, counts.ctypes.data,
+        )
+        del work
+        starts = np.zeros(depth + 1, dtype=np.int64)
+        np.cumsum(counts[:depth] + 1, out=starts[1:])
+        offsets = np.empty(int(starts[-1]), dtype=np.int32)
+        position = np.empty(n, dtype=np.int32)
+        tree_offsets(
+            order.ctypes.data, split.ctypes.data, n, depth, starts.ctypes.data,
+            offsets.ctypes.data, position.ctypes.data,
+        )
+        return order, position, [
+            offsets[starts[level] : starts[level + 1]] for level in range(depth)
+        ]
 
-        def advance(level: int, _keep=keep) -> None:
-            level = int(level)
-            if not 1 <= level <= depth_cap:
-                raise ValueError(f"level {level} outside 1..{depth_cap}")
-            keys_advance(p_keys, p_digits, n, d, level, p_multipliers)
-
-        return advance
+    quadtree_max_squared_norm.build = quadtree_build
 
     def crude_bound_probe(
         scaled: np.ndarray,
@@ -1193,17 +1084,19 @@ def load_kernels() -> Dict[str, Callable]:
         )
 
     return {
-        "csr_group": csr_group_u64,
-        # The binder: fkpp_level_score(level_orders, level_offsets,
-        # level_cells, n, distances, czs, best_distance, assignment, mass,
-        # weights) -> sweep(ceiling, center_slot, center_point, has_mass).
+        # The binder: fkpp_level_score(order, position, level_offsets,
+        # distances, czs, best_distance, assignment, mass, weights) ->
+        # sweep(ceiling, center_slot, center_point, has_mass).
         "fkpp_level_score": fkpp_level_score,
         "fkpp_weighted_draw": fkpp_weighted_draw,
         "crude_bound_probe": crude_bound_probe,
         # The binder: kmeanspp_round(points, weights, best_squared,
         # assignment, mass, z) -> run_round(center_row, slot, init).
         "kmeanspp_round": functools.partial(KmeansppRounds, kpp_round),
-        "quadtree_keys": quadtree_keys,
+        # quadtree_build(points, origin) -> the largest squared distance to
+        # the origin; quadtree_build.build(points, origin, shift, side,
+        # depth_cap) -> (order, position, level_offsets).
+        "quadtree_build": quadtree_max_squared_norm,
     }
 
 

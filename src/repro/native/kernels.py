@@ -1,43 +1,33 @@
 """Kernel declarations, their numpy oracles and their verifiers.
 
-Six kernels ride the compiled tier.  None has a registered fallback: when
+Five kernels ride the compiled tier.  None has a registered fallback: when
 a kernel is not served, :func:`~repro.native.registry.get_kernel` returns
-``None`` and the caller keeps its own inline numpy path.
+``None`` and the caller keeps its own numpy path.
 
-``csr_group``
-    The whole grouping body of :func:`repro.geometry.quadtree._csr_group`
-    fused into one call — sort, boundary detection, rank labelling, CSR
-    offsets — plus a hash fast path for duplicate-heavy levels.  The sort
-    is one stable MSD counting pass into buckets of about 16 keys followed
-    by a stable in-bucket sort, so the permutation is the stable argsort's.
-    It takes contiguous 1-D ``uint64`` keys (fewer than ``2**31``) and
-    returns ``int32`` ``(cell_ids, order, offsets)``, the quadtree's level
-    arrays as stored.
-
-``quadtree_keys``
-    The per-level hash keys of a quadtree fit
-    (:mod:`repro.geometry.quadtree`).  A binder:
-    ``kernel(translated, shift, side, depth_cap, multipliers, keys)``
-    writes the level-0 keys ``hash_rows(floor((translated + shift) /
-    side))`` into ``keys`` and the left-aligned ``uint32`` digit rows into
-    a private buffer in one pass, then returns ``advance(level)``, which
-    applies ``key' = 2 * key + bits . multipliers`` in place.  Depth caps
-    1..32.
+``quadtree_build``
+    One whole quadtree fit (:mod:`repro.geometry.quadtree`) as one Z-order
+    permutation plus one offsets array per level.  ``kernel(points,
+    origin)`` is the largest ``einsum``-replica squared distance to the
+    origin row; ``kernel.build(points, origin, shift, side, depth_cap)``
+    returns int32 ``(order, position, level_offsets)``, equal to
+    :func:`reference_quadtree_build`.  Both read the points directly, with
+    no translated copy.  Depth caps 1..32.
 
 ``fkpp_level_score``
     One Fast-kmeans++ register-center sweep over every level of one tree
     (:mod:`repro.clustering.fast_kmeans_pp`): walk the levels deepest
     first, break once the level distance reaches the running ceiling,
-    gather the new center's cell members from the level's CSR order,
-    compare against the level's candidate distance (strict ``>``), scatter
-    distance/slot/mass for the improved points.  Pure per-element stores
-    with the caller's precomputed per-level ``candidate ** z`` table — no
-    accumulation, so bit-identity needs no ordering replica.  A binder:
-    ``kernel(level_orders, level_offsets, level_cells, n, distances, czs,
+    find the center's cell from its position in the tree's order, compare
+    the part of the cell outside the deeper cell against the level's
+    candidate distance (strict ``>``), scatter distance/slot/mass for the
+    improved points.  Pure per-element stores with the caller's
+    precomputed per-level ``candidate ** z`` table — no accumulation, so
+    bit-identity needs no ordering replica.  A binder:
+    ``kernel(order, position, level_offsets, distances, czs,
     best_distance, assignment, mass, weights)`` pins one tree's contiguous
-    ``int32`` level arrays and the seeding buffers, and returns
-    ``sweep(ceiling, center_slot, center_point, has_mass)``, which locates
-    the center's cell at every level itself.
+    ``int32`` arrays and the seeding buffers, and returns
+    ``sweep(ceiling, center_slot, center_point, has_mass)``, the same call
+    as :func:`reference_fkpp_level_score` with those arguments bound.
 
 ``fkpp_weighted_draw``
     The D²-draw of both seedings split into its two observable steps: the
@@ -85,70 +75,57 @@ from repro.native import registry
 from repro.native.registry import kernel_provider
 
 # ---------------------------------------------------------------- oracles
-def _reference_csr_group(keys: np.ndarray) -> tuple:
-    """The numpy grouping pipeline of ``quadtree._csr_group`` (inlined here
-    so verification does not import the geometry package), in int64; the
-    verifier compares values and checks the kernel's int32 dtype apart."""
-    n = keys.shape[0]
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
-    identifiers = np.cumsum(starts, dtype=np.int64) - 1
-    cell_ids = np.empty(n, dtype=np.int64)
-    cell_ids[order] = identifiers
-    boundaries = np.flatnonzero(starts)
-    offsets = np.empty(boundaries.shape[0] + 1, dtype=np.int64)
-    offsets[:-1] = boundaries
-    offsets[-1] = n
-    return cell_ids, order, offsets
-
-
 def reference_fkpp_level_score(
     order: np.ndarray,
-    n: int,
-    starts: np.ndarray,
-    ends: np.ndarray,
+    position: np.ndarray,
+    level_offsets,
     distances: np.ndarray,
     czs: np.ndarray,
-    ceiling: float,
-    center_slot: int,
     best_distance: np.ndarray,
     assignment: np.ndarray,
     mass: np.ndarray,
     weights: np.ndarray,
+    ceiling: float,
+    center_slot: int,
+    center_point: int,
     has_mass: bool,
 ) -> int:
-    """Oracle of the Fast-kmeans++ tree sweep, built from live numpy ops.
+    """The Fast-kmeans++ tree sweep in numpy: the numpy tier's sweep and the
+    kernel's oracle.
 
-    This *is* the inline path of ``FastKMeansPlusPlus.register_center`` for
-    one tree: scan the levels deepest first, break once the level's
-    candidate distance reaches the ceiling (tree distances only grow toward
-    the root), fancy-mask the improved members of the center's cell (strict
-    ``>``), scatter the candidate distance and center slot, rewrite the
-    sampling mass as ``weights[improved] * czs[level + 1]``.  ``order`` is
-    the tree's per-level CSR orders concatenated (level ``l`` occupies
-    ``order[l * n:(l + 1) * n]``); ``starts``/``ends`` delimit the center's
-    cell within each level's row.  Cell members are unique per level, so
-    the kernel's sequential stores and this batch scatter write the same
-    doubles.
+    Scan the levels deepest first, break once the level's candidate
+    distance reaches the ceiling (tree distances only grow toward the
+    root), and mask the improved members of the center's cell (strict
+    ``>``): scatter the candidate distance and center slot, rewrite the
+    sampling mass as ``weights[improved] * czs[level + 1]``.  Every cell is
+    the range ``offsets[c]:offsets[c + 1]`` of ``order``, and the center's
+    is the one holding ``position[center_point]``.  A level visits only the
+    part of its cell outside the deeper cell: the deeper level was swept
+    just before with a smaller candidate, so none of its points can
+    strictly improve.  Cell members are unique, so the kernel's sequential
+    stores and this batch scatter write the same doubles.  Returns the
+    number of improved points.
     """
-    depth = int(starts.shape[0])
+    at = int(position[center_point])
+    inner_start = inner_end = at
     improved_total = 0
-    for level in range(depth - 1, -1, -1):
+    for level in range(len(level_offsets) - 1, -1, -1):
         candidate = distances[level + 1]
         if candidate >= ceiling and np.isfinite(ceiling):
             break
-        members = order[level * n + starts[level] : level * n + ends[level]]
-        improved = members[best_distance[members] > candidate]
-        if improved.size == 0:
-            continue
-        best_distance[improved] = candidate
-        assignment[improved] = center_slot
-        if has_mass:
-            mass[improved] = weights[improved] * czs[level + 1]
-        improved_total += int(improved.size)
+        offsets = level_offsets[level]
+        cell = int(np.searchsorted(offsets, at, side="right")) - 1
+        start, end = int(offsets[cell]), int(offsets[cell + 1])
+        for members in (order[start:inner_start], order[inner_end:end]):
+            improved = members[best_distance[members] > candidate]
+            if improved.size == 0:
+                continue
+            best_distance[improved] = candidate
+            assignment[improved] = center_slot
+            if has_mass:
+                mass[improved] = weights[improved] * czs[level + 1]
+            improved_total += int(improved.size)
+        inner_start, inner_end = start, end
     return improved_total
 
 
@@ -244,107 +221,105 @@ def reference_crude_bound_probe(
     return int(np.unique(keys).shape[0])
 
 
-def reference_quadtree_keys(
-    translated: np.ndarray,
-    shift: float,
-    side: float,
-    depth_cap: int,
-    multipliers: np.ndarray,
-) -> list:
-    """Oracle of the quadtree key derivation: every level's keys, from live numpy.
+def reference_quadtree_max_squared_norm(points: np.ndarray, origin: np.ndarray) -> float:
+    """The fit's largest squared distance to its origin row, as numpy sums it."""
+    translated = points - origin[None, :]
+    return float(np.einsum("ij,ij->i", translated, translated).max())
 
-    Restates ``QuadtreeEmbedding._numpy_keys``: level 0
-    hashes ``floor((translated + shift) / side)`` (wrapping uint64 row
-    sums, ``hash_rows``), the fractional parts scaled by ``2**depth_cap``
-    are clamped in float to ``2**depth_cap - 1`` and cast to left-aligned
-    ``uint32`` digit rows, and level ``l`` applies ``key' = 2 * key + bits
-    . multipliers`` with ``bits`` bit ``32 - l`` of each digit.  Returns
-    the ``depth_cap + 1`` key arrays, shallowest first.
+
+def _plane_words(bits: np.ndarray) -> list:
+    """A bit plane's sort keys, most significant first: one uint64 word per
+    64 coordinates, the highest coordinates first; bit ``j`` of word ``w``
+    (counted from the lowest coordinates) is ``bits[:, 64 w + j]``."""
+    n, d = bits.shape
+    words = (d + 63) // 64
+    padded = np.zeros((n, 64 * words), dtype=bool)
+    padded[:, :d] = bits
+    packed = np.packbits(padded.reshape(-1), bitorder="little").view("<u8")
+    packed = packed.reshape(n, words)
+    return [packed[:, w] for w in range(words - 1, -1, -1)]
+
+
+def reference_quadtree_build(
+    points: np.ndarray, origin: np.ndarray, shift: float, side: float, depth_cap: int
+) -> tuple:
+    """One quadtree's int32 ``(order, position, level_offsets)`` in numpy.
+
+    The numpy tier's build and the ``quadtree_build`` kernel's oracle.
+    ``scaled = ((points - origin) + shift) / side``; a coordinate's level-0
+    cell code is ``(scaled >= 0) + (scaled >= 1)`` (the lattice value plus
+    one for the lattices -1, 0 and 1 a fit produces), and its level-``l``
+    digit is the ``l``-th binary digit of ``scaled - floor(scaled)``, read
+    by doubling: ``bit = frac >= 0.5; frac = 2 frac - bit``.  Doubling is
+    exact, and a fractional part that rounded to exactly 1.0 stays 1.0, so
+    it reads as all ones at every depth (the kernel's clamped digit rows).
+    Level 0 orders the points by their code's high bit pattern, then its
+    low bit pattern; every deeper level stably sorts each cell by its digit
+    pattern, bit ``j`` coordinate ``j``'s digit, compared as an unsigned
+    number.  Points that share every pattern keep input order.  A level's
+    cells are the runs of equal patterns, and construction stops at
+    ``depth_cap`` or at the first level whose cells are all singletons.
     """
-    scaled = translated + shift
+    n = points.shape[0]
+    scaled = points - origin[None, :]
+    scaled += shift
     scaled /= side
-    lattice = np.floor(scaled).astype(np.int64)
-    frac = scaled - lattice
-    frac *= 2.0**depth_cap
-    np.minimum(frac, 2.0**depth_cap - 1, out=frac)
-    digits = frac.astype(np.uint32) << np.uint32(32 - depth_cap)
-    with np.errstate(over="ignore"):
-        keys = (lattice.view(np.uint64) * multipliers[None, :]).sum(
-            axis=1, dtype=np.uint64
-        )
-        levels = [keys]
-        for level in range(1, depth_cap + 1):
-            bits = ((digits >> np.uint32(32 - level)) & np.uint32(1)).astype(np.uint64)
-            increment = (bits * multipliers[None, :]).sum(axis=1, dtype=np.uint64)
-            keys = (keys << np.uint64(1)) + increment
-            levels.append(keys)
-    return levels
+    frac = scaled - np.floor(scaled)
+    code = (scaled >= 0.0).astype(np.uint8) + (scaled >= 1.0)
+    del scaled
+    keys = _plane_words(code >= 2) + _plane_words((code & 1).astype(bool))
+    order = (np.lexsort(keys[::-1]) if keys else np.arange(n)).astype(np.int32)
+    starts = np.zeros(n, dtype=bool)
+    starts[:1] = True
+    level_offsets = []
+    for level in range(depth_cap + 1):
+        if level:
+            bits = frac >= 0.5
+            frac *= 2.0
+            frac -= bits
+            keys = _plane_words(bits)
+            cells = np.cumsum(starts) - 1
+            order = order[np.lexsort([key[order] for key in keys[::-1]] + [cells])]
+        for key in keys:
+            ordered = key[order]
+            starts[1:] |= ordered[1:] != ordered[:-1]
+        level_offsets.append(np.append(np.flatnonzero(starts), n).astype(np.int32))
+        if level_offsets[-1].shape[0] - 1 >= n:
+            break
+    position = np.empty(n, dtype=np.int32)
+    position[order] = np.arange(n, dtype=np.int32)
+    return order, position, level_offsets
 
 
 # -------------------------------------------------------------- verifiers
-def _verify_csr_group(kernel) -> None:
-    rng = np.random.default_rng(20240809)
-    cases = [
-        # Duplicate-heavy (hash fast path), keys scattered over the word.
-        rng.integers(0, 7, size=300, dtype=np.uint64) * np.uint64(0x123456789ABCDEF),
-        # All distinct (hash path must abort to the radix path).
-        rng.integers(0, np.iinfo(np.uint64).max, size=300, dtype=np.uint64),
-        # Distinct count just above the n/8 threshold (late abort).
-        rng.integers(0, 48, size=300, dtype=np.uint64),
-        # Keys sharing their top 40 bits, 240 of them (with duplicates) in
-        # one bucket of the sort path, past the insertion cap; they differ
-        # in one radix digit only, so the sorted run ends in scratch.
-        np.uint64(0xABCDEF0123 << 24)
-        + np.concatenate(
-            [
-                rng.integers(0, 64, size=240, dtype=np.uint64),
-                rng.integers(1 << 23, 1 << 24, size=60, dtype=np.uint64),
-            ]
-        ),
-        np.zeros(100, dtype=np.uint64),
-        np.array([5, 5], dtype=np.uint64),
-        np.array([9, 3, 9], dtype=np.uint64),
-    ]
-    for keys in cases:
-        expected = _reference_csr_group(keys)
-        produced = kernel(np.ascontiguousarray(keys))
-        for name, have, want in zip(("cell_ids", "order", "offsets"), produced, expected):
-            # The quadtree stores these arrays as is and the Fast-kmeans++
-            # sweep reads them as int32: another dtype must demote here.
-            if have.dtype != np.int32:
-                raise RuntimeError(f"csr grouping returned {name} as {have.dtype}, not int32")
-            if not np.array_equal(have, want):
-                raise RuntimeError(f"csr grouping disagrees with numpy on {name}")
+def nested_layout(rng, n: int, depth: int) -> tuple:
+    """A random Z-order layout: ``(order, position, level_offsets)``.
+
+    ``order`` is a random permutation, and every level's cell boundaries
+    are a random subset of the next deeper level's, so the cells nest the
+    way a quadtree's do.
+    """
+    order = rng.permutation(n).astype(np.int32)
+    position = np.empty(n, dtype=np.int32)
+    position[order] = np.arange(n, dtype=np.int32)
+    boundaries = np.arange(1, n)[rng.random(n - 1) < 0.6]
+    levels = [boundaries]
+    for _ in range(depth - 1):
+        boundaries = boundaries[rng.random(boundaries.size) < 0.5]
+        levels.append(boundaries)
+    level_offsets = [np.concatenate([[0], cuts, [n]]).astype(np.int32) for cuts in levels[::-1]]
+    return order, position, level_offsets
 
 
 def _verify_fkpp_level_score(kernel) -> None:
-    # The kernel is a binder: a fit-lifetime closure over one tree's
-    # per-level int32 CSR arrays that resolves the center's cell bounds
-    # itself.  Synthetic partitions with known offsets drive it against the
-    # numpy oracle; successive centers mutate best/assignment/mass in
-    # place, exactly like real seeding.
+    # The kernel is a binder: a fit-lifetime closure over one tree's int32
+    # Z-order layout.  Random nested layouts drive it against the numpy
+    # sweep; successive centers mutate best/assignment/mass in place,
+    # exactly like real seeding.
     rng = np.random.default_rng(20260808)
     for n, depth in ((64, 1), (113, 5), (257, 9)):
-        level_orders = []
-        level_offsets = []
-        level_cells = []
-        for level in range(depth):
-            n_cells = int(rng.integers(1, max(2, n // (level + 2)) + 1))
-            cids = rng.integers(0, n_cells, size=n)
-            order = np.argsort(cids, kind="stable").astype(np.int32)
-            # One trailing empty cell per level; at every third level the
-            # even points read it as their own, so those centers sweep an
-            # empty member slice there (as sparse levels can).
-            offsets = np.full(n_cells + 2, n, dtype=np.int32)
-            offsets[0] = 0
-            np.cumsum(np.bincount(cids, minlength=n_cells), out=offsets[1 : n_cells + 1])
-            if level % 3 == 2:
-                cids[::2] = n_cells
-            level_orders.append(order)
-            level_offsets.append(offsets)
-            level_cells.append(cids.astype(np.int32))
-        order_flat = np.concatenate(level_orders)
-        distances = np.sort(rng.uniform(0.05, 2.0, size=depth + 1))
+        order, position, level_offsets = nested_layout(rng, n, depth)
+        distances = np.sort(rng.uniform(0.05, 2.0, size=depth + 1))[::-1].copy()
         czs = np.array([np.float64(v) ** 2 for v in distances], dtype=np.float64)
         best = rng.uniform(0.0, 2.0, size=n)
         best[rng.random(n) < 0.2] = np.inf  # pre-first-sweep entries
@@ -355,34 +330,26 @@ def _verify_fkpp_level_score(kernel) -> None:
         mass = rng.uniform(0.0, 4.0, size=n)
         weights = rng.uniform(0.1, 3.0, size=n)
         sweep = kernel(
-            level_orders, level_offsets, level_cells, n, distances, czs,
-            best, assignment, mass, weights,
+            order, position, level_offsets, distances, czs, best, assignment, mass, weights
         )
-        starts = np.empty(depth, dtype=np.int64)
-        ends = np.empty(depth, dtype=np.int64)
         # Ceilings: +inf (first center, no break), a mid-table value (the
-        # break triggers partway up), and below every level (full break);
-        # even centers cross the empty cells.
+        # break triggers partway up), and below every level (full break).
         for slot, (center_point, ceiling, has_mass) in enumerate(
             (
                 (0, np.inf, False),
                 (int(rng.integers(0, n)), np.inf, True),
-                (2 * int(rng.integers(0, n // 2)), np.inf, True),
+                (3, np.inf, True),
                 (int(rng.integers(0, n)), float(distances[(depth + 1) // 2]), True),
                 (n - 1, 0.0, True),
             )
         ):
-            for level in range(depth):
-                cid = int(level_cells[level][center_point])
-                starts[level] = level_offsets[level][cid]
-                ends[level] = level_offsets[level][cid + 1]
             expected_best = best.copy()
             expected_assignment = assignment.copy()
             expected_mass = mass.copy()
             expected = reference_fkpp_level_score(
-                order_flat, n, starts, ends, distances, czs, ceiling, slot,
-                expected_best, expected_assignment, expected_mass, weights,
-                has_mass,
+                order, position, level_offsets, distances, czs, expected_best,
+                expected_assignment, expected_mass, weights, ceiling, slot,
+                center_point, has_mass,
             )
             produced = sweep(ceiling, slot, center_point, has_mass)
             if not (
@@ -516,17 +483,17 @@ def _verify_crude_bound_probe(kernel) -> None:
                 )
 
 
-def quadtree_key_points(rng, n: int, d: int, delta: float) -> tuple:
-    """Translated points and a shift shaped like a quadtree fit's level 0.
+def quadtree_points(rng, n: int, d: int, delta: float) -> tuple:
+    """``(points, origin, shift)`` shaped like a quadtree fit's level 0.
 
     Coordinates span ``[-delta, delta]`` and the shift ``[0, delta)``, so
-    the level-0 lattice takes (almost only) the values -1 and 0.  Row 0 is
-    the origin,
-    row 1 lands an ulp below a cell boundary (its fractional part rounds to
-    exactly 1.0 and must clamp to the all-ones digit row), row 2 lands
-    ``2**-41`` cells below one (all-ones digits without the clamp), and
-    every ninth row from row 3 sits on (or within rounding of) a level-6
-    digit boundary.
+    with the fit's cell side ``2 * delta`` the level-0 lattice takes
+    (almost only) the values -1 and 0.  Row 0 is the origin, at zero, so
+    ``x - origin`` is exact and the rows keep their positions.  Row 1
+    lands an ulp below a cell boundary (its fractional part rounds to
+    exactly 1.0 and must read as all ones), row 2 lands ``2**-41`` cells
+    below one (all ones without rounding), and every ninth row from row 3
+    sits on (or within rounding of) a level-6 digit boundary.
     """
     translated = rng.uniform(-delta, delta, size=(n, d))
     shift = float(rng.uniform(0.0, delta))
@@ -535,38 +502,60 @@ def quadtree_key_points(rng, n: int, d: int, delta: float) -> tuple:
     translated[2] = -(shift + delta * 2.0**-40)
     side = 2.0 * delta
     translated[3::9] = np.round((translated[3::9] + shift) / side * 64.0) / 64.0 * side - shift
-    return translated, shift
+    return translated, np.zeros(d), shift
 
 
-def _verify_quadtree_keys(kernel) -> None:
+#: ``(n, d, depth_cap, side / delta)`` of the ``quadtree_build`` verifier:
+#: the clamped all-ones row at depth 32, a cell side short enough to give
+#: lattice value 1 (a level-0 code with its high bit set), one- and
+#: two-word planes, and one- and two-point inputs.
+_QUADTREE_BUILD_CASES = (
+    (40, 1, 32, 2.0),
+    (40, 3, 6, 1.5),
+    (40, 9, 5, 2.0),
+    (24, 70, 3, 2.0),
+    (2, 2, 8, 2.0),
+    (1, 3, 4, 2.0),
+)
+
+
+def _verify_quadtree_build(kernel) -> None:
+    build = getattr(kernel, "build", None)
+    if build is None:
+        raise RuntimeError("quadtree kernel must expose build()")
     rng = np.random.default_rng(20261017)
-    for d, depth_cap in ((1, 32), (2, 1), (3, 17), (8, 32), (9, 31), (17, 5)):
-        n, delta = 40, 1e6
-        translated, shift = quadtree_key_points(rng, n, d, delta)
-        multipliers = (
-            rng.integers(1, 2**62, size=d, dtype=np.uint64) * np.uint64(2)
-            + np.uint64(1)
-        )
-        expected = reference_quadtree_keys(translated, shift, 2.0 * delta, depth_cap, multipliers)
-        keys = np.empty(n, dtype=np.uint64)
-        advance = kernel(translated, shift, 2.0 * delta, depth_cap, multipliers, keys)
-        for level, want in enumerate(expected):
-            if level:
-                advance(level)
-            if not np.array_equal(keys, want):
-                raise RuntimeError(
-                    "quadtree keys disagree with the numpy derivation "
-                    f"(d={d}, depth_cap={depth_cap}, level={level})"
-                )
+    # The squared norms behind delta follow the einsum replica: check its
+    # dimension classes (pairs, 8-wide blocks, tails) away from zero.
+    for d in (1, 2, 3, 8, 9, 10, 17, 70):
+        points = rng.normal(size=(16, d)) * 10.0 ** rng.uniform(-3, 3, size=(16, d))
+        origin = np.ascontiguousarray(points[5])
+        if float(kernel(points, origin)) != reference_quadtree_max_squared_norm(points, origin):
+            raise RuntimeError(f"quadtree squared norms disagree with einsum (d={d})")
+    for n, d, depth_cap, ratio in _QUADTREE_BUILD_CASES:
+        points, origin, shift = quadtree_points(rng, max(n, 3), d, 1e6)
+        points = points[:n].copy()
+        points[10:14] = points[4:5]  # duplicates share every level's cell
+        expected = reference_quadtree_build(points, origin, shift, ratio * 1e6, depth_cap)
+        produced = build(points, origin, shift, ratio * 1e6, depth_cap)
+        have = [produced[0], produced[1], *produced[2]]
+        want = [expected[0], expected[1], *expected[2]]
+        # The tree stores these arrays as is and the sweep reads them as
+        # int32: another dtype must demote here.
+        if len(have) != len(want) or not all(
+            h.dtype == np.int32 and h.flags["C_CONTIGUOUS"] and np.array_equal(h, w)
+            for h, w in zip(have, want)
+        ):
+            raise RuntimeError(
+                f"quadtree build disagrees with numpy (n={n}, d={d}, depth_cap={depth_cap})"
+            )
 
 
 def _register() -> None:
-    registry.register_kernel("csr_group", verify=_verify_csr_group)
+    registry.register_kernel("quadtree_build", verify=_verify_quadtree_build)
     registry.register_kernel("fkpp_level_score", verify=_verify_fkpp_level_score)
     registry.register_kernel("fkpp_weighted_draw", verify=_verify_fkpp_weighted_draw)
     registry.register_kernel("crude_bound_probe", verify=_verify_crude_bound_probe)
     registry.register_kernel("kmeanspp_round", verify=_verify_kmeanspp_round)
-    registry.register_kernel("quadtree_keys", verify=_verify_quadtree_keys)
 
 
 _register()
@@ -579,5 +568,6 @@ __all__ = [
     "reference_fkpp_level_score",
     "reference_fkpp_weighted_draw",
     "reference_kmeanspp_round",
-    "reference_quadtree_keys",
+    "reference_quadtree_build",
+    "reference_quadtree_max_squared_norm",
 ]

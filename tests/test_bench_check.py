@@ -62,16 +62,24 @@ def test_bench_check_only_fails_a_slower_replay_and_preserves_json(monkeypatch, 
 
 @pytest.mark.slow
 def test_bench_rejects_unknown_workload():
+    # No bytecode from the child: cached .pyc files under src/ would make a
+    # later cold start of this checkout faster than a clean one.
+    before = set((REPO_ROOT / "src").rglob("*.pyc"))
     result = subprocess.run(
         [sys.executable, str(BENCH), "--check-only", "--workloads", "nope"],
         cwd=REPO_ROOT,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env={
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+            "PATH": "/usr/bin:/bin",
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert result.returncode != 0
     assert "unknown workloads" in result.stderr
+    assert set((REPO_ROOT / "src").rglob("*.pyc")) <= before
 
 
 def test_trajectory_tracks_new_hot_paths():

@@ -1,11 +1,16 @@
 """Unit tests for repro.core.fast_coreset (Algorithm 1)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.clustering.cost import clustering_cost
+from repro.clustering.kmedian import cluster_representative
 from repro.core.fast_coreset import FastCoreset, fast_coreset
+from repro.data.synthetic import gaussian_mixture
 from repro.evaluation import coreset_distortion
+from repro.native import use_native
 
 
 class TestFastCoreset:
@@ -96,3 +101,65 @@ class TestFastCoreset:
         b = FastCoreset(k=5, seed=11).sample(blobs, 100)
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_allclose(a.weights, b.weights)
+
+
+#: SHA-256 of ``coreset.points.tobytes() + coreset.weights.tobytes()`` for
+#: :func:`_pinned_coreset`, recorded before the quadtree moved from
+#: per-level hash-sorted CSR arrays to one Z-order permutation: the layout
+#: changed the cell labels only, so no coreset byte may move.
+PINNED_CORESETS = {
+    "z2": "63605a12047becebedaf9038a720a39793ac5573e1fe13c84972dfbb7b85831d",
+    "z1": "1b66c8b19baaf59576649767287063a72b8732935d244033cb612621943ad246",
+    "weighted": "5f3bf75e1a15474dceb2e87cf921e00e95aad69c02f980b9ee971775f6b9abf1",
+}
+
+
+def _pinned_coreset(case: str):
+    points = gaussian_mixture(n=6000, d=8, n_clusters=12, gamma=1.0, seed=21).points
+    points[:10, 0] += 1e4
+    weights = None
+    if case == "weighted":
+        weights = np.random.default_rng(22).uniform(0.0, 3.0, size=points.shape[0])
+        weights[::11] = 0.0
+    z = 1 if case == "z1" else 2
+    return FastCoreset(20, z=z).sample(points, 600, weights=weights, seed=23)
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+@pytest.mark.parametrize("case", sorted(PINNED_CORESETS))
+def test_fast_coreset_bytes_are_pinned(case, native):
+    with use_native(native):
+        coreset = _pinned_coreset(case)
+    digest = hashlib.sha256(coreset.points.tobytes() + coreset.weights.tobytes()).hexdigest()
+    assert digest == PINNED_CORESETS[case]
+
+
+class TestClusterRepresentatives:
+    """One stable argsort groups the clusters; the representatives are the
+    bytes the per-cluster ``assignment == cluster`` scan gives."""
+
+    @staticmethod
+    def _scanned(sampler, points, weights, assignment, k):
+        representatives = np.zeros((k, points.shape[1]))
+        for cluster in range(k):
+            members = np.flatnonzero(assignment == cluster)
+            if members.size:
+                representatives[cluster] = cluster_representative(
+                    points[members], weights=weights[members], z=sampler.z
+                )
+        return representatives
+
+    @pytest.mark.parametrize("z", [1, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grouping_matches_the_per_cluster_scan(self, z, seed):
+        rng = np.random.default_rng(seed)
+        n, k = 3000, 40
+        points = rng.normal(size=(n, 5)) * 10.0 ** rng.uniform(-2, 4)
+        weights = rng.uniform(0.0, 2.0, size=n)
+        # Every fourth cluster stays empty; the others interleave.
+        assignment = 4 * rng.integers(0, k // 4, size=n) + rng.integers(1, 4, size=n)
+        sampler = FastCoreset(k, z=z)
+        grouped = sampler._cluster_representatives(points, weights, assignment, k)
+        expected = self._scanned(sampler, points, weights, assignment, k)
+        assert grouped.tobytes() == expected.tobytes()
+        assert not grouped[::4].any()

@@ -5,7 +5,7 @@ Three layers of coverage:
 * **Kernel contracts** — every native kernel is compared bit-for-bit against
   a live numpy oracle (the same expressions the engine's fallback path
   evaluates), including Hypothesis-generated adversarial inputs for the
-  CSR grouping kernel and k-means++ seeding.
+  quadtree build and k-means++ seeding.
 * **Tier control** — ``native_status()`` introspection, the ``use_native``
   override, the behaviour of :func:`repro.native.get_kernel` in fallback
   mode, and the reasons reported when the provider is unavailable or a
@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from repro import observability
 from repro.cli import main as cli_main
@@ -36,7 +35,6 @@ from repro.core.fast_coreset import FastCoreset
 from repro.core.sensitivity import SensitivitySampling
 from repro.core.spread_reduction import crude_cost_upper_bound
 from repro.data.synthetic import gaussian_mixture
-from repro.geometry.grid import _hash_multipliers
 from repro.geometry.quadtree import QuadtreeEmbedding
 from repro.native import (
     get_kernel,
@@ -48,11 +46,12 @@ from repro.native import (
     reference_fkpp_level_score,
     reference_fkpp_weighted_draw,
     reference_kmeanspp_round,
-    reference_quadtree_keys,
+    reference_quadtree_build,
+    reference_quadtree_max_squared_norm,
     registry,
     use_native,
 )
-from repro.native.kernels import _reference_csr_group, _verify_csr_group, quadtree_key_points
+from repro.native.kernels import _verify_quadtree_build, quadtree_points
 
 SETTINGS = settings(
     max_examples=25,
@@ -65,56 +64,29 @@ requires_native = pytest.mark.skipif(
     reason="the cc kernel provider is unavailable (no C compiler, or REPRO_NATIVE=0)",
 )
 
-uint64_keys = arrays(
-    dtype=np.uint64,
-    shape=st.integers(0, 300),
-    elements=st.integers(0, np.iinfo(np.uint64).max),
-)
-# Small alphabets force long duplicate runs — the hash fast path of the
-# grouping kernel and the trivial-pass skip of its radix sort.
-clustered_keys = arrays(
-    dtype=np.uint64,
-    shape=st.integers(1, 300),
-    elements=st.integers(0, 9),
-)
-
-
 @st.composite
-def prefixed_keys(draw):
-    """Up to a few thousand keys sharing a random high prefix.
+def quadtree_inputs(draw):
+    """``(points, origin, shift, side, depth_cap)`` for one quadtree build.
 
-    Few low bits give duplicate-heavy inputs (the hash path, or buckets full
-    of equal keys once the distinct count passes n/8); many give the sort
-    path's realistic buckets.
+    Points inside the fit's box (cell side ``2 * delta``), with duplicate
+    rows, an all-identical block, and rows snapped to deep digit
+    boundaries; now and then a shorter side puts points in lattice cell 1.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, 3000))
-    low_bits = draw(st.integers(1, 63))
-    prefix = (int(rng.integers(0, 2**63)) << low_bits) % 2**64
-    return np.uint64(prefix) + rng.integers(0, 1 << low_bits, size=n, dtype=np.uint64)
-
-
-#: A key with the top bit set.  With fewer than 512 keys the grouping
-#: kernel's sort path buckets on at most the word's top five bits, so next
-#: to this key every key below ``2**59`` shares bucket 0.
-OUTLIER = np.uint64(1 << 63)
-
-
-def _with_outlier(crowd, at):
-    return np.insert(crowd, at, OUTLIER)
-
-
-@st.composite
-def crowded_keys(draw):
-    """97-500 keys below ``2**59`` plus :data:`OUTLIER` at a random position.
-
-    Few low bits give few distinct keys (the hash path, whose radix sort
-    ranks them); many give a sort-path bucket 0 past the insertion cap.
-    """
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(97, 500))
-    crowd = rng.integers(0, 1 << draw(st.integers(1, 59)), size=n, dtype=np.uint64)
-    return _with_outlier(crowd, draw(st.integers(0, n)))
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 24))
+    delta = 10.0 ** draw(st.integers(-3, 6))
+    points, origin, shift = quadtree_points(rng, max(n, 3), d, delta)
+    points = points[:n].copy()
+    duplicates = rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.8]))
+    points[duplicates] = points[rng.integers(0, n)]
+    if draw(st.booleans()):  # away from zero, x - origin rounds
+        offset = rng.normal(size=d) * delta * 10.0 ** draw(st.integers(0, 8))
+        points += offset
+        origin = origin + offset
+    depth_cap = draw(st.integers(1, 32))
+    side = delta * draw(st.sampled_from([2.0, 2.0, 1.5]))
+    return points, origin, shift, side, depth_cap
 
 
 @st.composite
@@ -141,240 +113,108 @@ def kmeanspp_inputs(draw):
     return points, k, weights, draw(st.sampled_from([1, 2])), draw(st.integers(0, 2**16))
 
 
-@requires_native
-class TestCsrGroupKernel:
-    """The fused grouping kernel vs the numpy pipeline it replaces."""
-
-    def _check(self, keys):
-        from repro.geometry.quadtree import _csr_group
-
-        kernel = get_kernel("csr_group")
-        assert kernel is not None
-        produced = kernel(np.ascontiguousarray(keys))
-        with use_native(False):
-            fallback = _csr_group(keys)
-        expected = _reference_csr_group(keys)
-        for name, have, numpy_path, want in zip(
-            ("cell_ids", "order", "offsets"), produced, fallback, expected
-        ):
-            # Both tiers hand the quadtree its int32 level arrays as is.
-            assert have.dtype == np.int32 and numpy_path.dtype == np.int32, name
-            np.testing.assert_array_equal(have, want, err_msg=name)
-            np.testing.assert_array_equal(numpy_path, want, err_msg=name)
-
-    @SETTINGS
-    @given(keys=clustered_keys)
-    def test_duplicate_heavy_hash_path(self, keys):
-        self._check(keys)
-
-    @SETTINGS
-    @given(keys=uint64_keys.filter(lambda a: a.size >= 2))
-    def test_scattered_keys_radix_path(self, keys):
-        self._check(keys)
-
-    @SETTINGS
-    @given(keys=prefixed_keys())
-    def test_prefixed_keys_both_paths(self, keys):
-        self._check(keys)
-
-    def test_distinct_count_around_hash_abort_threshold(self):
-        # The hash path aborts to the sort path once the distinct count
-        # crosses n >> 3; straddle the threshold on both sides.
-        rng = np.random.default_rng(1)
-        for alphabet in (30, 32, 34, 64, 256):
-            self._check(rng.integers(0, alphabet, size=256, dtype=np.uint64))
-
-    def test_thousands_of_uniform_keys(self):
-        rng = np.random.default_rng(3)
-        for n in (2000, 4096, 5000):
-            self._check(rng.integers(0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64))
-
-    def test_keys_sharing_their_top_40_bits(self):
-        # The buckets key on the bits below the highest differing bit, not
-        # on the (constant) top of the word.
-        rng = np.random.default_rng(4)
-        prefix = np.uint64(0x9E3779B97F << 24)
-        self._check(prefix + rng.integers(0, 1 << 24, size=3000, dtype=np.uint64))
-
-    def test_one_bucket_holds_most_keys(self):
-        rng = np.random.default_rng(5)
-        crowded = rng.integers(0, 1 << 40, size=2700, dtype=np.uint64)
-        spread = rng.integers(0, np.iinfo(np.uint64).max, size=300, dtype=np.uint64)
-        self._check(rng.permutation(np.concatenate([crowded, spread])))
-
-    def test_many_buckets_around_the_insertion_cap(self):
-        # 4000 keys give 128 buckets on the top 7 bits; fill 40 of them with
-        # 60-140 keys each so the insertion/radix split is crossed both ways.
-        rng = np.random.default_rng(6)
-        buckets = rng.choice(128, size=40, replace=False).astype(np.uint64)
-        sizes = rng.integers(60, 140, size=40)
-        sizes[-1] = 4000 - sizes[:-1].sum()
-        keys = np.concatenate(
-            [
-                (bucket << np.uint64(57)) + rng.integers(0, 1 << 57, size=size, dtype=np.uint64)
-                for bucket, size in zip(buckets, sizes)
-            ]
-        )
-        self._check(rng.permutation(keys))
-
-    def test_duplicates_inside_buckets_stay_stable(self):
-        # 600 distinct keys (past the n/8 hash threshold) repeated about five
-        # times each: equal keys share a bucket and must keep input order.
-        rng = np.random.default_rng(7)
-        values = rng.integers(0, np.iinfo(np.uint64).max, size=600, dtype=np.uint64)
-        self._check(values[rng.integers(0, 600, size=3000)])
-
-    # The kernel's LSD radix sort ranks the distinct keys on the hash path
-    # and sorts every sort-path bucket past the 96-key insertion cap.  It
-    # skips each 11-bit digit that is constant across its input and
-    # ping-pongs between two buffers, so after an odd number of executed
-    # passes the run ends in the scratch copy.
-    @pytest.mark.parametrize("live_digits", [1, 2, 3, 4, 5, 6])
-    def test_radix_bucket_with_live_digits(self, live_digits):
-        rng = np.random.default_rng(10 + live_digits)
-        pool = rng.integers(0, 1 << min(11 * live_digits, 59), size=200, dtype=np.uint64)
-        crowd = pool[rng.integers(0, 200, size=400)]
-        top_digit = (crowd >> np.uint64(11 * (live_digits - 1))) & np.uint64(0x7FF)
-        assert np.unique(top_digit).size > 1
-        self._check(_with_outlier(crowd, 150))
-
-    @pytest.mark.parametrize(
-        "crowd",
-        [
-            np.arange(300, dtype=np.uint64) * np.uint64(0x9E3779B97),
-            np.arange(300, dtype=np.uint64)[::-1] * np.uint64(0x9E3779B97),
-            # 60 distinct keys (past the n/8 hash threshold) five times
-            # over, equal keys 60 apart; their two low digits are constant.
-            np.tile(np.arange(60, dtype=np.uint64) << np.uint64(30), 5),
-        ],
-        ids=["sorted", "reversed", "interleaved-duplicates"],
-    )
-    def test_radix_bucket_layouts(self, crowd):
-        self._check(_with_outlier(crowd, crowd.size // 2))
-
-    @SETTINGS
-    @given(keys=crowded_keys())
-    def test_crowded_bucket_either_path(self, keys):
-        self._check(keys)
-
-    def test_hash_path_ranks_keys_spanning_the_word(self):
-        # 45 distinct keys in 1000 stay under the n/8 hash threshold; their
-        # ranking sort sees every digit, including both ends of the range.
-        rng = np.random.default_rng(9)
-        top = np.iinfo(np.uint64).max
-        distinct = np.concatenate(
-            [
-                np.array([0, 1, top - 1, top, 1 << 63], dtype=np.uint64),
-                rng.integers(0, top, size=40, dtype=np.uint64),
-            ]
-        )
-        self._check(distinct[rng.integers(0, distinct.size, size=1000)])
-
-    @pytest.mark.parametrize(
-        "keys",
-        [
-            np.arange(8, dtype=np.int64),
-            np.arange(16, dtype=np.uint64)[::2],
-            np.arange(8, dtype=np.uint64).reshape(2, 4),
-        ],
-        ids=["int64", "strided", "two-dimensional"],
-    )
-    def test_rejects_keys_it_cannot_read_raw(self, keys):
-        # The kernel takes a raw pointer to the keys, so the wrapper checks
-        # them once instead of ctypes validating every argument per call.
-        with pytest.raises(ValueError, match="uint64"):
-            get_kernel("csr_group")(keys)
-
-    def test_verifier_demotes_a_build_returning_int64(self):
-        # Right values, wrong width: the sweep would misread these arrays,
-        # so verification must fail and the registry keep the numpy path.
-        kernel = get_kernel("csr_group")
-
-        def widened(keys):
-            return tuple(array.astype(np.int64) for array in kernel(keys))
-
-        with pytest.raises(RuntimeError, match="int32"):
-            _verify_csr_group(widened)
-
-    def test_grouping_matches_quadtree_usage(self):
-        from repro.geometry.quadtree import _csr_group
-
-        keys = np.random.default_rng(2).integers(0, 40, size=400, dtype=np.uint64)
-        native = _csr_group(keys)
-        with use_native(False):
-            fallback = _csr_group(keys)
-        for have, want in zip(native, fallback):
-            np.testing.assert_array_equal(have, want)
+def _fitted_layout(n, d, depth_cap, seed):
+    """A real tree's Z-order layout plus a strictly decreasing distance table."""
+    rng = np.random.default_rng(seed)
+    points, origin, shift = quadtree_points(rng, n, d, 1.0)
+    points[::6] = points[4]  # duplicates share their cells at every level
+    order, position, level_offsets = reference_quadtree_build(points, origin, shift, 2.0, depth_cap)
+    distances = np.sort(rng.uniform(0.05, 2.0, size=len(level_offsets) + 1))[::-1].copy()
+    return rng, order, position, level_offsets, distances
 
 
-def _synthetic_tree(rng, n, depth):
-    """Random per-level int32 CSR partitions shaped like a quadtree's arrays."""
-    level_orders, level_offsets, level_cells = [], [], []
-    for level in range(depth):
-        n_cells = int(rng.integers(1, max(2, n // (level + 2)) + 1))
-        cids = rng.integers(0, n_cells, size=n).astype(np.int32)
-        order = np.argsort(cids, kind="stable").astype(np.int32)
-        offsets = np.zeros(n_cells + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cids, minlength=n_cells), out=offsets[1:])
-        level_orders.append(order)
-        level_offsets.append(offsets)
-        level_cells.append(cids)
-    return level_orders, level_offsets, level_cells
+def _seeding_buffers(rng, n):
+    best = rng.uniform(0.0, 2.0, size=n)
+    best[rng.random(n) < 0.25] = np.inf
+    assignment = rng.integers(-1, 4, size=n).astype(np.int64)
+    mass = rng.uniform(0.0, 4.0, size=n)
+    weights = rng.uniform(0.1, 3.0, size=n)
+    return best, assignment, mass, weights
+
+
+def _whole_cell_sweep(order, position, level_offsets, distances, czs, best, assignment,
+                      mass, weights, ceiling, slot, center_point, has_mass):
+    """The sweep without its inner-range skip: every member of every cell."""
+    at = position[center_point]
+    for level in range(len(level_offsets) - 1, -1, -1):
+        candidate = distances[level + 1]
+        if candidate >= ceiling and np.isfinite(ceiling):
+            break
+        offsets = level_offsets[level]
+        cell = int(np.searchsorted(offsets, at, side="right")) - 1
+        members = order[offsets[cell] : offsets[cell + 1]]
+        improved = members[best[members] > candidate]
+        best[improved] = candidate
+        assignment[improved] = slot
+        if has_mass:
+            mass[improved] = weights[improved] * czs[level + 1]
 
 
 @requires_native
 class TestFkppLevelScoreKernel:
-    @pytest.mark.parametrize("n,depth", [(80, 1), (150, 5), (301, 9)])
-    def test_bound_sweep_matches_numpy_oracle(self, n, depth):
-        rng = np.random.default_rng(depth)
-        level_orders, level_offsets, level_cells = _synthetic_tree(rng, n, depth)
-        order_flat = np.concatenate(level_orders)
-        distances = np.sort(rng.uniform(0.05, 2.0, size=depth + 1))
+    @pytest.mark.parametrize("n,d,depth_cap", [(80, 1, 1), (150, 3, 5), (301, 2, 9)])
+    def test_bound_sweep_matches_numpy_oracle(self, n, d, depth_cap):
+        rng, order, position, level_offsets, distances = _fitted_layout(n, d, depth_cap, depth_cap)
         czs = np.array([np.float64(v) ** 2 for v in distances])
-        best = rng.uniform(0.0, 2.0, size=n)
-        best[rng.random(n) < 0.25] = np.inf
-        assignment = rng.integers(-1, 4, size=n).astype(np.int64)
-        mass = rng.uniform(0.0, 4.0, size=n)
-        weights = rng.uniform(0.1, 3.0, size=n)
-        kernel = get_kernel("fkpp_level_score")
-        sweep = kernel(
-            level_orders, level_offsets, level_cells, n, distances, czs,
-            best, assignment, mass, weights,
+        best, assignment, mass, weights = _seeding_buffers(rng, n)
+        sweep = get_kernel("fkpp_level_score")(
+            order, position, level_offsets, distances, czs, best, assignment, mass, weights
         )
-        starts = np.empty(depth, dtype=np.int64)
-        ends = np.empty(depth, dtype=np.int64)
+        depth = len(level_offsets)
         for slot in range(4):
             center_point = int(rng.integers(0, n))
             ceiling = (np.inf, float(distances[depth // 2 + 1]), 0.0, np.inf)[slot]
             has_mass = slot > 0
-            for level in range(depth):
-                cid = int(level_cells[level][center_point])
-                starts[level] = level_offsets[level][cid]
-                ends[level] = level_offsets[level][cid + 1]
             expected_best = best.copy()
             expected_assignment = assignment.copy()
             expected_mass = mass.copy()
             expected = reference_fkpp_level_score(
-                order_flat, n, starts, ends, distances, czs, ceiling, slot,
-                expected_best, expected_assignment, expected_mass, weights,
-                has_mass,
+                order, position, level_offsets, distances, czs, expected_best,
+                expected_assignment, expected_mass, weights, ceiling, slot,
+                center_point, has_mass,
             )
             assert sweep(ceiling, slot, center_point, has_mass) == expected
             np.testing.assert_array_equal(best, expected_best)
             np.testing.assert_array_equal(assignment, expected_assignment)
             np.testing.assert_array_equal(mass, expected_mass)
 
-    @pytest.mark.parametrize("widened", ["orders", "offsets", "cells"])
-    def test_binder_rejects_int64_level_arrays(self, widened):
-        # The sweep reads every level array as int32; a widened copy would
+    @pytest.mark.parametrize("seed", range(4))
+    def test_skipping_the_deeper_cell_is_exact(self, seed):
+        # The deeper cell was swept just before with a smaller candidate, so
+        # sweeping every member of every cell stores the same doubles.
+        rng, order, position, level_offsets, distances = _fitted_layout(400, 2, 12, seed)
+        czs = np.array([np.float64(v) ** 2 for v in distances])
+        n = order.shape[0]
+        best, assignment, mass, weights = _seeding_buffers(rng, n)
+        whole = [best.copy(), assignment.copy(), mass.copy()]
+        for slot in range(12):
+            center_point = int(rng.integers(0, n))
+            ceiling = float(best.max())
+            reference_fkpp_level_score(
+                order, position, level_offsets, distances, czs, best, assignment, mass,
+                weights, ceiling, slot, center_point, True,
+            )
+            _whole_cell_sweep(
+                order, position, level_offsets, distances, czs, *whole, weights,
+                ceiling, slot, center_point, True,
+            )
+            for have, want in zip((best, assignment, mass), whole):
+                np.testing.assert_array_equal(have, want)
+
+    @pytest.mark.parametrize("widened", ["order", "position", "offsets"])
+    def test_binder_rejects_int64_tree_arrays(self, widened):
+        # The sweep reads every tree array as int32; a widened copy would
         # be misread, so the binder refuses it up front.
-        n, depth = 50, 3
-        tree = dict(zip(("orders", "offsets", "cells"), _synthetic_tree(np.random.default_rng(0), n, depth)))
-        tree[widened] = [array.astype(np.int64) for array in tree[widened]]
-        distances = np.linspace(0.1, 1.0, depth + 1)
+        _, order, position, level_offsets, distances = _fitted_layout(50, 2, 3, 0)
+        tree = {"order": order, "position": position, "offsets": level_offsets}
+        if widened == "offsets":
+            tree["offsets"] = [array.astype(np.int64) for array in level_offsets]
+        else:
+            tree[widened] = tree[widened].astype(np.int64)
+        n = order.shape[0]
         with pytest.raises(ValueError, match="int32"):
             get_kernel("fkpp_level_score")(
-                tree["orders"], tree["offsets"], tree["cells"], n, distances, distances ** 2,
+                tree["order"], tree["position"], tree["offsets"], distances, distances ** 2,
                 np.full(n, np.inf), np.full(n, -1, dtype=np.int64), np.zeros(n), np.ones(n),
             )
 
@@ -611,87 +451,158 @@ class TestKmeansppDistanceEvals:
             assert self._count(self._two_blobs(), 12) == 2000 * 12
 
 
-requires_quadtree_keys = pytest.mark.skipif(
-    kernel_provider("quadtree_keys") == "fallback",
-    reason="no provider serves the quadtree_keys kernel",
+requires_quadtree_build = pytest.mark.skipif(
+    kernel_provider("quadtree_build") == "fallback",
+    reason="no provider serves the quadtree_build kernel",
 )
 
 
-@requires_quadtree_keys
-class TestQuadtreeKeysKernel:
-    """The compiled key derivation vs the numpy derivation, level by level."""
+@requires_quadtree_build
+class TestQuadtreeBuildKernel:
+    """The compiled tree build vs the numpy build, array for array."""
 
     @staticmethod
-    def _inputs(d, depth_cap, n=257):
+    def _check(points, origin, shift, side, depth_cap):
+        kernel = get_kernel("quadtree_build")
+        order, position, level_offsets = kernel.build(points, origin, shift, side, depth_cap)
+        expected = reference_quadtree_build(points, origin, shift, side, depth_cap)
+        assert kernel(points, origin) == reference_quadtree_max_squared_norm(points, origin)
+        assert len(level_offsets) == len(expected[2])
+        for have, want in zip([order, position, *level_offsets], [*expected[:2], *expected[2]]):
+            # Both tiers hand the tree int32 arrays it stores as they are.
+            assert have.dtype == np.int32 and want.dtype == np.int32
+            assert have.flags["C_CONTIGUOUS"]
+            np.testing.assert_array_equal(have, want)
+        return order, position, level_offsets
+
+    @staticmethod
+    def _inputs(n, d, depth_cap):
         rng = np.random.default_rng(d * 100 + depth_cap)
-        translated, shift = quadtree_key_points(rng, n, d, 1e6)
-        return translated, shift, 2e6, _hash_multipliers(d)
+        points, origin, shift = quadtree_points(rng, n, d, 1e6)
+        return points, origin, shift, 2e6, depth_cap
 
-    @pytest.mark.parametrize("depth_cap", [1, 17, 31, 32])
-    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 10, 16, 17, 33])
+    @pytest.mark.parametrize("depth_cap", [1, 6, 17, 31, 32])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 10, 16, 17, 33, 64, 65, 130])
     def test_every_level_matches_numpy_oracle(self, d, depth_cap):
-        translated, shift, side, multipliers = self._inputs(d, depth_cap)
-        expected = reference_quadtree_keys(translated, shift, side, depth_cap, multipliers)
-        keys = np.empty(translated.shape[0], dtype=np.uint64)
-        advance = get_kernel("quadtree_keys")(
-            translated, shift, side, depth_cap, multipliers, keys
-        )
-        # The inputs exercise both level-0 lattice values and the clamp.
-        lattice = np.floor((translated + shift) / side)
+        points, origin, shift, side, depth_cap = self._inputs(257, d, depth_cap)
+        # The inputs exercise both level-0 lattice values.
+        lattice = np.floor(((points - origin) + shift) / side)
         assert (lattice < 0).any() and (lattice == 0).any()
-        for level, want in enumerate(expected):
-            if level:
-                advance(level)
-            np.testing.assert_array_equal(keys, want, err_msg=f"level {level}")
+        self._check(points, origin, shift, side, depth_cap)
 
-    @pytest.mark.parametrize("d,depth_cap", [(2, 32), (10, 32), (9, 20)])
-    def test_oracle_and_kernel_match_the_quadtree_numpy_path(self, d, depth_cap):
-        translated, shift, side, multipliers = self._inputs(d, depth_cap)
-        tree = QuadtreeEmbedding()
-        tree.n_points_, tree.dimension_ = translated.shape
-        tree.delta_ = side / 2.0
-        numpy_keys, numpy_advance = tree._numpy_keys(translated.copy(), shift, depth_cap)
-        keys = np.empty(translated.shape[0], dtype=np.uint64)
-        advance = get_kernel("quadtree_keys")(
-            translated, shift, side, depth_cap, multipliers, keys
-        )
-        expected = reference_quadtree_keys(translated, shift, side, depth_cap, multipliers)
-        for level, want in enumerate(expected):
-            if level:
-                numpy_advance(level)
-                advance(level)
-            np.testing.assert_array_equal(numpy_keys, want, err_msg=f"level {level}")
-            np.testing.assert_array_equal(keys, want, err_msg=f"level {level}")
+    @pytest.mark.parametrize("d", range(1, 34))
+    def test_squared_norms_follow_einsum(self, d):
+        # Every dimension class of the einsum replica, at scales where the
+        # summation order changes the last bits.
+        rng = np.random.default_rng(d)
+        points = rng.normal(size=(200, d)) * 10.0 ** rng.uniform(-3, 3, size=(200, d))
+        origin = np.ascontiguousarray(points[7])
+        kernel = get_kernel("quadtree_build")
+        assert kernel(points, origin) == reference_quadtree_max_squared_norm(points, origin)
+
+    @pytest.mark.parametrize("case", ["duplicates", "all_identical", "two_locations"])
+    @pytest.mark.parametrize("depth_cap", [1, 32])
+    def test_coincident_points(self, case, depth_cap):
+        points, origin, shift, side, _ = self._inputs(300, 5, depth_cap)
+        if case == "duplicates":
+            points[::3] = points[1]
+            points[1::7] = points[2]
+        elif case == "all_identical":
+            points[:] = origin
+        else:
+            points[::2] = points[0]
+            points[1::2] = points[3]
+        order, _, level_offsets = self._check(points, origin, shift, side, depth_cap)
+        if case == "all_identical":
+            # One cell per level down to the cap, in input order.
+            assert all(list(offsets) == [0, 300] for offsets in level_offsets)
+            np.testing.assert_array_equal(order, np.arange(300))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_one_and_two_points(self, n, d):
+        points, origin, shift, side, depth_cap = self._inputs(3, d, 32)
+        _, _, level_offsets = self._check(points[:n].copy(), origin, shift, side, depth_cap)
+        if n == 1:
+            assert [list(offsets) for offsets in level_offsets] == [[0, 1]]
 
     def test_rounded_to_one_row_reads_all_ones(self):
         # Row 1's fractional part rounds to exactly 1.0: at depth 32 its
         # digits must clamp to all ones, so it shares every level's cell
         # with row 2, which sits 2**-41 cells below the same boundary.
-        translated, shift, side, multipliers = self._inputs(2, 32, n=8)
-        keys = np.empty(8, dtype=np.uint64)
-        advance = get_kernel("quadtree_keys")(translated, shift, side, 32, multipliers, keys)
-        for level in range(33):
-            if level:
-                advance(level)
-            assert keys[1] == keys[2], level
+        points, origin, shift, side, depth_cap = self._inputs(8, 2, 32)
+        order, position, level_offsets = self._check(points, origin, shift, side, depth_cap)
+        assert len(level_offsets) == 33
+        first, second = sorted((position[1], position[2]))
+        assert second == first + 1
+        assert all(second not in offsets for offsets in level_offsets)
 
-    def test_bind_rejects_bad_buffers(self):
-        translated, shift, side, multipliers = self._inputs(3, 8, n=16)
-        kernel = get_kernel("quadtree_keys")
-        keys = np.empty(16, dtype=np.uint64)
-        with pytest.raises(ValueError):
-            kernel(translated, shift, side, 33, multipliers, keys)
-        with pytest.raises(ValueError):
-            kernel(translated, shift, side, 8, multipliers, np.empty(15, dtype=np.uint64))
-        with pytest.raises(ValueError):
-            kernel(np.asfortranarray(translated), shift, side, 8, multipliers, keys)
-        advance = kernel(translated, shift, side, 8, multipliers, keys)
-        with pytest.raises(ValueError):
-            advance(9)
+    def test_lattice_value_one_sets_the_code_high_bit(self):
+        # A side shorter than the fit's puts points in lattice cell 1,
+        # whose level-0 code (2) orders after the codes 0 and 1.
+        points, origin, shift, side, depth_cap = self._inputs(200, 3, 8)
+        side = 0.5 * side
+        scaled = ((points - origin) + shift) / side
+        assert (scaled >= 1.0).any()
+        order, _, _ = self._check(points, origin, shift, side, depth_cap)
+        high = (scaled >= 1.0).any(axis=1)[order]
+        assert not high[0] and high[-1]
+
+    @SETTINGS
+    @given(inputs=quadtree_inputs())
+    def test_random_inputs_match_numpy(self, inputs):
+        self._check(*inputs)
+
+    def test_rejects_operands_it_cannot_read_raw(self):
+        points, origin, shift, side, _ = self._inputs(16, 3, 8)
+        kernel = get_kernel("quadtree_build")
+        for bad_points, bad_origin in (
+            (points.astype(np.float32), origin),
+            (np.asfortranarray(points), origin),
+            (points[:, :2], origin),
+            (points, origin[:2]),
+        ):
+            with pytest.raises(ValueError):
+                kernel(bad_points, bad_origin)
+            with pytest.raises(ValueError):
+                kernel.build(bad_points, bad_origin, shift, side, 8)
+        for cap in (0, 33):
+            with pytest.raises(ValueError):
+                kernel.build(points, origin, shift, side, cap)
+
+    def test_verifier_demotes_a_build_returning_int64(self):
+        # Right values, wrong width: the sweep would misread these arrays,
+        # so verification must fail and the registry keep the numpy path.
+        kernel = get_kernel("quadtree_build")
+
+        def widened(points, origin):
+            return kernel(points, origin)
+
+        def widened_build(*arguments):
+            order, position, level_offsets = kernel.build(*arguments)
+            return order.astype(np.int64), position, level_offsets
+
+        widened.build = widened_build
+        with pytest.raises(RuntimeError, match="disagrees"):
+            _verify_quadtree_build(widened)
+
+    def test_verifier_demotes_a_different_order(self):
+        kernel = get_kernel("quadtree_build")
+
+        def reversed_cells(points, origin):
+            return kernel(points, origin)
+
+        def reversed_build(*arguments):
+            order, position, level_offsets = kernel.build(*arguments)
+            return order[::-1].copy(), position, level_offsets
+
+        reversed_cells.build = reversed_build
+        with pytest.raises(RuntimeError, match="disagrees"):
+            _verify_quadtree_build(reversed_cells)
 
 
-class TestQuadtreeKeysDispatch:
-    """``quadtree.keys.native`` / ``.numpy`` count one dispatch per fit."""
+class TestQuadtreeBuildDispatch:
+    """``quadtree.build.native`` / ``.numpy`` count one build per fit."""
 
     @staticmethod
     def _counters(**tree_options):
@@ -700,15 +611,15 @@ class TestQuadtreeKeysDispatch:
             QuadtreeEmbedding(seed=0, **tree_options).fit(points)
             QuadtreeEmbedding(seed=1, **tree_options).fit(points)
         counters = recorder.counters()
-        return counters.get("quadtree.keys.native", 0.0), counters.get("quadtree.keys.numpy", 0.0)
+        return counters.get("quadtree.build.native", 0.0), counters.get("quadtree.build.numpy", 0.0)
 
     def test_one_count_per_fit(self):
-        native = kernel_provider("quadtree_keys") != "fallback"
+        native = kernel_provider("quadtree_build") != "fallback"
         assert self._counters() == ((2.0, 0.0) if native else (0.0, 2.0))
 
     def test_escape_hatch_counts_numpy(self):
         with use_native(False):
-            assert get_kernel("quadtree_keys") is None
+            assert get_kernel("quadtree_build") is None
             assert self._counters() == (0.0, 2.0)
 
     def test_caps_past_32_levels_count_numpy(self):
@@ -720,12 +631,11 @@ class TestTierControl:
         status = native_status()
         assert status["tier"] in ("native", "fallback")
         assert set(status["kernels"]) == {
-            "csr_group",
             "fkpp_level_score",
             "fkpp_weighted_draw",
             "crude_bound_probe",
             "kmeanspp_round",
-            "quadtree_keys",
+            "quadtree_build",
         }
         assert set(status["providers"]) == {"cc"}
 
@@ -741,9 +651,9 @@ class TestTierControl:
             assert status["tier"] == "fallback"
             # Every kernel resolves to None; the engine's own numpy path
             # takes over.
-            assert get_kernel("csr_group") is None
+            assert get_kernel("quadtree_build") is None
             assert get_kernel("kmeanspp_round") is None
-            assert kernel_provider("csr_group") == "fallback"
+            assert kernel_provider("quadtree_build") == "fallback"
 
     def test_use_native_restores_previous_mode(self):
         before = native_status()["tier"]
@@ -951,9 +861,8 @@ class TestCrossModeBitIdentity:
             np.testing.assert_array_equal(solution.centers, points)
 
     def test_fast_coreset_identical(self):
-        # Far outliers push the depth cap to 32: the native run derives
-        # every level's keys in the compiled kernel and groups the deep
-        # levels on the bucketed sort path.
+        # Far outliers push the depth cap to 32: the native run builds
+        # every tree, down to the deep levels, in the compiled kernel.
         points = gaussian_mixture(n=20_000, d=10, n_clusters=25, gamma=1.0, seed=9).points
         points[:20, 0] += 1e4
         native = FastCoreset(50).sample(points, 1000, seed=9)
@@ -978,7 +887,7 @@ class TestCrossModeBitIdentity:
             fallback = QuadtreeEmbedding(seed=seed).fit(points)
         assert native.depth == fallback.depth
         assert native.delta_ == fallback.delta_
-        for level in range(native.depth):
-            np.testing.assert_array_equal(
-                native.level_cell_ids_[level], fallback.level_cell_ids_[level]
-            )
+        np.testing.assert_array_equal(native.order_, fallback.order_)
+        np.testing.assert_array_equal(native.position_, fallback.position_)
+        for have, want in zip(native.level_offsets_, fallback.level_offsets_):
+            np.testing.assert_array_equal(have, want)

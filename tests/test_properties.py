@@ -25,9 +25,12 @@ from repro.core import (
 from repro.core.sensitivity import sensitivity_scores
 from repro.geometry.grid import assign_to_grid, hash_rows, random_grid_shift
 from repro.geometry.quadtree import QuadtreeEmbedding
+from repro.native import use_native
 from repro.parallel import shard_bounds
 from repro.utils.rng import as_seed_sequence, keyed_seed_sequence
 from repro.utils.weights import weighted_mean, weighted_variance
+
+from partition_helpers import assert_same_partition, cell_labels, lattice_labels
 
 SETTINGS = settings(
     max_examples=25,
@@ -105,12 +108,13 @@ class TestSamplerProperties:
         assert occupied - 1e-6 <= total <= 2.0 * occupied + 1e-6
 
 
-class TestIncrementalQuadtreeKeys:
-    """The fit's incremental compact keys (``key' = 2 key + bits .
-    multipliers`` off the one-shot digit matrix) must equal re-hashing an
-    independently re-floored lattice at every level, for arbitrary shapes,
-    depth caps, and degenerate coincident-point inputs."""
+class TestQuadtreeCellsAreLatticeRows:
+    """Every level's cells are exactly the level's lattice rows: points
+    share a cell if and only if ``floor(shifted / side)`` agrees in every
+    coordinate, in both kernel tiers, for arbitrary shapes, depth caps and
+    coincident points (no hash anywhere in the check)."""
 
+    @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
     @SETTINGS
     @given(
         points=points_strategy,
@@ -119,8 +123,8 @@ class TestIncrementalQuadtreeKeys:
         scale=st.sampled_from([1e-6, 1.0, 1e6]),
         duplicate=st.booleans(),
     )
-    def test_incremental_keys_match_recomputed_lattice_hashes(
-        self, points, seed, max_levels, scale, duplicate
+    def test_cells_are_the_exact_lattice_rows(
+        self, native, points, seed, max_levels, scale, duplicate
     ):
         points = points * scale
         if duplicate:
@@ -128,22 +132,20 @@ class TestIncrementalQuadtreeKeys:
             points = np.concatenate(
                 [points, points[: points.shape[0] // 2], np.zeros((7, points.shape[1]))]
             )
-        tree = QuadtreeEmbedding(seed=seed, max_levels=max_levels).fit(points)
-        shifted = points - tree.origin_[None, :] + tree.shift_[None, :]
+        with use_native(native):
+            tree = QuadtreeEmbedding(seed=seed, max_levels=max_levels).fit(points)
         for level in range(tree.depth):
-            lattice = np.floor(shifted / tree.cell_side(level)).astype(np.int64)
-            _, inverse = np.unique(hash_rows(lattice), return_inverse=True)
-            np.testing.assert_array_equal(
-                tree.level_cell_ids_[level], inverse.reshape(-1).astype(np.int64)
+            assert_same_partition(
+                cell_labels(tree, level), lattice_labels(points, tree, level), f"level {level}"
             )
 
     @SETTINGS
     @given(points=points_strategy, seed=st.integers(0, 10_000), exponent=st.integers(6, 13))
     def test_deep_trees_match_seed_reference(self, points, seed, exponent):
-        """High-spread inputs (deep caps, including the int64-digit path
-        beyond the uint32 range) still reproduce the seed's cells.  The cap
-        stays below 62 levels — past that the *seed's* own float-to-int64
-        lattice cast overflows, so no implementation is defined there.
+        """High-spread inputs (deep caps, past the compiled build's 32
+        levels) still reproduce the seed's cells.  The cap stays below 62
+        levels — past that the *seed's* own float-to-int64 lattice cast
+        overflows, so no implementation is defined there.
         """
         from repro.reference.seed_hotpath import SeedQuadtreeEmbedding
 
@@ -153,8 +155,8 @@ class TestIncrementalQuadtreeKeys:
         reference = SeedQuadtreeEmbedding(seed=seed, max_levels=60).fit(points)
         assert live.depth == reference.depth
         for level in range(live.depth):
-            np.testing.assert_array_equal(
-                live.level_cell_ids_[level], reference.level_cell_ids_[level]
+            assert_same_partition(
+                cell_labels(live, level), reference.level_cell_ids_[level], f"level {level}"
             )
 
 

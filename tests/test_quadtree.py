@@ -45,7 +45,8 @@ class TestQuadtreeEmbedding:
     def test_every_point_assigned_at_every_level(self, fitted):
         points, tree = fitted
         for level in range(tree.depth):
-            assert tree.level_cell_ids_[level].shape[0] == points.shape[0]
+            offsets = tree.level_offsets_[level]
+            assert offsets[0] == 0 and offsets[-1] == points.shape[0]
 
     def test_cell_counts_non_decreasing_with_depth(self, fitted):
         _, tree = fitted
@@ -95,6 +96,13 @@ class TestQuadtreeEmbedding:
         assert tree.occupied_cells(0) == 1
         assert tree.tree_distance(0, 5) == 0.0
 
+    @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+    def test_zero_width_points_share_one_cell_per_level(self, native):
+        with use_native(native):
+            tree = QuadtreeEmbedding(seed=0).fit(np.zeros((5, 0)))
+        np.testing.assert_array_equal(tree.order_, np.arange(5))
+        assert all(list(offsets) == [0, 5] for offsets in tree.level_offsets_)
+
     def test_max_levels_cap_respected(self):
         rng = np.random.default_rng(2)
         points = np.concatenate([rng.normal(size=(50, 2)), rng.normal(size=(50, 2)) * 1e6])
@@ -110,33 +118,32 @@ class TestQuadtreeEmbedding:
 
 
 class TestInt32LevelArrays:
-    """Every level stores int32 CSR arrays in both kernel tiers: half the
-    memory of int64, read by the Fast-kmeans++ sweep without a copy."""
+    """Every tree stores int32 arrays in both kernel tiers: one order, its
+    inverse and one offsets array per level, read by the Fast-kmeans++
+    sweep without a copy."""
 
     @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
-    def test_level_arrays_are_contiguous_int32(self, native):
+    def test_tree_arrays_are_contiguous_int32(self, native):
         points = np.random.default_rng(4).normal(size=(3000, 5))
         with use_native(native):
             tree = QuadtreeEmbedding(seed=1).fit(points)
         assert tree.depth > 2
-        for arrays in (tree.level_cell_ids_, tree.level_order_, tree.level_offsets_):
-            for array in arrays:
-                assert array.dtype == np.int32
-                assert array.flags["C_CONTIGUOUS"]
+        for array in (tree.order_, tree.position_, *tree.level_offsets_):
+            assert array.dtype == np.int32
+            assert array.flags["C_CONTIGUOUS"]
 
     @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
     def test_tree_bytes_are_four_per_entry(self, native):
+        # 4 (2n + sum_l (cells_l + 1)) bytes: the order and its inverse
+        # once, and one offset per cell plus the end per level.
         n = 2500
         points = np.random.default_rng(5).normal(size=(n, 3))
         with use_native(native):
             tree = QuadtreeEmbedding(seed=2).fit(points)
-        stored = sum(
-            array.nbytes
-            for arrays in (tree.level_cell_ids_, tree.level_order_, tree.level_offsets_)
-            for array in arrays
-        )
-        entries = sum(2 * n + tree.occupied_cells(level) + 1 for level in range(tree.depth))
+        stored = sum(array.nbytes for array in (tree.order_, tree.position_, *tree.level_offsets_))
+        entries = 2 * n + sum(tree.occupied_cells(level) + 1 for level in range(tree.depth))
         assert stored == 4 * entries
+
 
     def test_more_points_than_int32_indexes_are_rejected_up_front(self):
         # 2**31 rows broadcast from one: the shape check must fire before
@@ -150,3 +157,70 @@ class TestInt32LevelArrays:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestZOrderLayout:
+    """Every level's cells are contiguous ranges of one order, nested in
+    their parents' ranges, and ``position_`` inverts the order."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(True, "gaussian"), (False, "gaussian"), (True, "duplicates"), (False, "duplicates")],
+        ids=["native-gaussian", "numpy-gaussian", "native-duplicates", "numpy-duplicates"],
+    )
+    def fitted(self, request):
+        native, case = request.param
+        points = np.random.default_rng(6).normal(size=(2000, 4)) * 10.0
+        if case == "duplicates":
+            points[::3] = points[5]
+        with use_native(native):
+            return points, QuadtreeEmbedding(seed=3).fit(points)
+
+    def test_order_is_a_permutation_and_position_inverts_it(self, fitted):
+        _, tree = fitted
+        n = tree.n_points_
+        np.testing.assert_array_equal(np.sort(tree.order_), np.arange(n))
+        np.testing.assert_array_equal(tree.position_[tree.order_], np.arange(n))
+        np.testing.assert_array_equal(tree.order_[tree.position_], np.arange(n))
+
+    def test_cells_are_nonempty_ranges_covering_the_order(self, fitted):
+        _, tree = fitted
+        for offsets in tree.level_offsets_:
+            assert offsets[0] == 0 and offsets[-1] == tree.n_points_
+            assert (np.diff(offsets) > 0).all()
+
+    def test_every_cell_nests_in_one_parent_range(self, fitted):
+        # A child range crosses no parent boundary: every parent boundary
+        # is also a child boundary.
+        _, tree = fitted
+        for parent, child in zip(tree.level_offsets_, tree.level_offsets_[1:]):
+            assert np.isin(parent, child).all()
+
+    def test_points_in_cell_is_the_sorted_range(self, fitted):
+        _, tree = fitted
+        level = tree.depth // 2
+        offsets = tree.level_offsets_[level]
+        for cell in range(0, offsets.shape[0] - 1, max(1, (offsets.shape[0] - 1) // 40)):
+            members = tree.points_in_cell(level, cell)
+            np.testing.assert_array_equal(
+                members, np.sort(tree.order_[offsets[cell] : offsets[cell + 1]])
+            )
+            assert all(tree.cell_of(int(point), level) == cell for point in members)
+
+    def test_children_follow_the_digit_pattern_then_input_order(self, fitted):
+        # Along the order, the pair (parent cell, digit pattern) never
+        # decreases, where bit j of the pattern is coordinate j's digit
+        # (2 * parent lattice + digit = child lattice); within one cell of
+        # the deepest level the points keep their input order.
+        points, tree = fitted
+        shifted = points - tree.origin_ + tree.shift_
+        for level in range(1, tree.depth):
+            parent = np.floor(shifted / tree.cell_side(level - 1)).astype(np.int64)
+            child = np.floor(shifted / tree.cell_side(level)).astype(np.int64)
+            pattern = ((child - 2 * parent) << np.arange(points.shape[1])).sum(axis=1)
+            parents = np.searchsorted(tree.level_offsets_[level - 1], np.arange(tree.n_points_), "right")
+            key = parents * 2 ** points.shape[1] + pattern[tree.order_]
+            assert (np.diff(key) >= 0).all(), level
+        leaves = np.searchsorted(tree.level_offsets_[-1], np.arange(tree.n_points_), "right")
+        same_leaf = np.diff(leaves) == 0
+        assert (np.diff(tree.order_)[same_leaf] > 0).all()

@@ -1,11 +1,13 @@
-"""Golden equivalence tests: CSR quadtree vs the frozen seed implementation.
+"""Golden equivalence tests: Z-order quadtree vs the frozen seed implementation.
 
-The optimized :class:`repro.geometry.quadtree.QuadtreeEmbedding` (CSR cell
-storage, incremental lattice, precomputed distance table) must be
-*observationally identical* to the seed revision under a fixed seed: same
-depth, same compact ``cell_of`` labels, same ``points_in_cell`` membership
-(including order), and bit-identical tree distances.  The seed behaviour is
-pinned by the frozen snapshot in :mod:`repro.reference.seed_hotpath`.
+The optimized :class:`repro.geometry.quadtree.QuadtreeEmbedding` (one
+Z-order permutation with nested per-level cell ranges, a precomputed
+distance table) must be *observationally identical* to the seed revision
+under a fixed seed: same depth, the same partition at every level (the
+seed's hash-rank labels and the tree's Z-order labels correspond one to
+one), the same ``points_in_cell`` membership in ascending order, and
+bit-identical tree distances.  The seed behaviour is pinned by the frozen
+snapshot in :mod:`repro.reference.seed_hotpath`.
 """
 
 import numpy as np
@@ -15,6 +17,8 @@ from repro.geometry.quadtree import QuadtreeEmbedding
 from repro.native import use_native
 from repro.reference.seed_hotpath import SeedQuadtreeEmbedding
 from repro.utils.rng import as_generator
+
+from partition_helpers import assert_same_partition, cell_labels
 
 
 def _dataset(case: str, seed: int) -> np.ndarray:
@@ -69,8 +73,8 @@ FIXED_SPREAD = {"depth32_clamp": 2.0**40}
 
 
 # Run every golden comparison with the compiled kernel tier enabled AND
-# forced to the pure-numpy fallbacks: both dispatch modes of the grouping
-# kernel must stay bit-identical to the frozen seed.
+# forced to the pure-numpy fallbacks: both builds of the tree must
+# reproduce the frozen seed.
 @pytest.fixture(scope="module", params=[True, False], ids=["native", "fallback"])
 def kernel_tier(request):
     with use_native(request.param):
@@ -100,12 +104,20 @@ class TestGoldenEquivalence:
         assert optimized.delta_ == reference.delta_
         np.testing.assert_array_equal(optimized.shift_, reference.shift_)
 
-    def test_identical_cell_of_labels(self, pair):
+    def test_same_partition_as_seed(self, pair):
         _, optimized, reference = pair
         for level in range(reference.depth):
-            np.testing.assert_array_equal(
-                optimized.level_cell_ids_[level], reference.level_cell_ids_[level]
+            assert_same_partition(
+                cell_labels(optimized, level), reference.level_cell_ids_[level], f"level {level}"
             )
+
+    def test_cell_of_names_the_cell_holding_the_point(self, pair):
+        points, optimized, reference = pair
+        n = points.shape[0]
+        for level in range(reference.depth):
+            labels = cell_labels(optimized, level)
+            for point in np.unique(np.linspace(0, n - 1, num=min(n, 32)).astype(int)):
+                assert optimized.cell_of(int(point), level) == labels[point]
 
     def test_identical_occupied_cell_counts(self, pair):
         _, optimized, reference = pair
@@ -117,16 +129,17 @@ class TestGoldenEquivalence:
         for level in range(reference.depth):
             cells = reference.occupied_cells(level)
             members = [reference.points_in_cell(level, cell_id) for cell_id in range(cells)]
-            # The whole CSR layout at once (points_in_cell slices it): the
-            # seed's cells concatenated in identifier order, and their sizes.
-            np.testing.assert_array_equal(optimized.level_order_[level], np.concatenate(members))
-            np.testing.assert_array_equal(
-                np.diff(optimized.level_offsets_[level]), [m.size for m in members]
-            )
+            # Cell sizes as a whole: the seed's, matched cell for cell
+            # through each cell's first member.
+            firsts = np.array([m[0] for m in members])
+            sizes = np.diff(optimized.level_offsets_[level])
+            labels = cell_labels(optimized, level)
+            np.testing.assert_array_equal(sizes[labels[firsts]], [m.size for m in members])
             for cell_id in np.unique(np.linspace(0, cells - 1, num=min(cells, 64)).astype(int)):
-                np.testing.assert_array_equal(
-                    optimized.points_in_cell(level, int(cell_id)), members[cell_id]
-                )
+                seed_members = members[cell_id]
+                live = optimized.points_in_cell(level, optimized.cell_of(int(seed_members[0]), level))
+                # Ascending input order, like the seed's.
+                np.testing.assert_array_equal(live, seed_members)
             # Unused identifiers report empty membership on both sides.
             assert optimized.points_in_cell(level, 10**9).size == 0
             assert reference.points_in_cell(level, 10**9).size == 0
@@ -196,7 +209,6 @@ class TestSharedSpreadStructure:
         spread = compute_spread(points, seed=generator)
         shared = QuadtreeEmbedding(seed=5, spread=spread).fit(points)
         assert shared.depth == baseline.depth
-        for level in range(baseline.depth):
-            np.testing.assert_array_equal(
-                shared.level_cell_ids_[level], baseline.level_cell_ids_[level]
-            )
+        np.testing.assert_array_equal(shared.order_, baseline.order_)
+        for have, want in zip(shared.level_offsets_, baseline.level_offsets_):
+            np.testing.assert_array_equal(have, want)

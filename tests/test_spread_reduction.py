@@ -123,3 +123,40 @@ class TestReduceSpread:
         result = reduce_spread(blobs, 6, seed=0)
         members = np.concatenate(list(result.cells.values()))
         assert sorted(members.tolist()) == list(range(blobs.shape[0]))
+
+
+class TestInPlaceRounding:
+    """``P'`` is rounded in place, with the same bytes as the expression
+    ``np.round(points / g) * g``, including negative values and exact
+    half-way ties (which round to even)."""
+
+    @staticmethod
+    def _reduce(points, granularity, spread=4.0):
+        # With a supplied spread the granularity is U / (n^2 d log2(spread)),
+        # so choosing U fixes it; the grid side sqrt(d) n^2 U then dwarfs
+        # the data and the translation step moves nothing.
+        n, d = points.shape
+        upper_bound = granularity * n * n * d * np.log2(spread)
+        result = reduce_spread(points, 3, upper_bound=upper_bound, spread=spread, seed=0)
+        assert result.granularity == granularity
+        assert not result.shifts.any()
+        return result.points
+
+    def test_exact_ties_round_to_even_like_the_expression(self):
+        granularity = 2.0**-10
+        halves = np.arange(-40, 40).reshape(-1, 2) + 0.5
+        points = halves * granularity
+        expected = np.round(points / granularity) * granularity
+        assert expected.tobytes() == self._reduce(points.copy(), granularity).tobytes()
+        # Half-way values went to the even neighbour on both signs.
+        assert (np.round(halves) % 2 == 0).all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_negative_values_match_the_expression(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(300, 4)) * 50.0 - 20.0
+        granularity = 0.037
+        expected = np.round(points / granularity) * granularity
+        reduced = self._reduce(points.copy(), granularity)
+        assert reduced.tobytes() == expected.tobytes()
+        assert (reduced < 0).any()
