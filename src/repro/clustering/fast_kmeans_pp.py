@@ -171,7 +171,6 @@ class FastKMeansPlusPlus:
         # on the np.float64 scalars of that table, so the mass stores are
         # the identical doubles in either dispatch mode.
         level_kernel = get_kernel("fkpp_level_score")
-        tier = "numpy" if level_kernel is None else "native"
         tree_sweeps = []
         for tree in self.trees_:
             table = tree.level_distance_table_
@@ -198,7 +197,6 @@ class FastKMeansPlusPlus:
         if draw_binder is not None:
             draw_total, draw_scan = draw_binder(mass_values)
         draws = {"native": 0, "numpy": 0}
-        sweeps = {"native": 0, "numpy": 0}
 
         def draw_mass_index() -> int:
             """One D² draw from ``mass`` (== ``weighted_index_draw``)."""
@@ -226,7 +224,6 @@ class FastKMeansPlusPlus:
             has_mass = mass is not None
             for sweep in tree_sweeps:
                 sweep(ceiling, center_slot, center_point, has_mass)
-            sweeps[tier] += len(tree_sweeps)
 
         with _obs.span("fastkpp.seeding", k=self.k, n=n):
             first = weighted_index_draw(generator, weights)
@@ -254,12 +251,10 @@ class FastKMeansPlusPlus:
                 with _obs.span("fastkpp.round", slot=slot):
                     register_center(slot, chosen)
             _obs.counter_add("fastkpp.rounds", float(self.k))
-            # Per-kernel dispatch attribution for --trace/--metrics: how
-            # many tree sweeps (one per tree and center) each tier served.
-            if sweeps["native"]:
-                _obs.counter_add("fastkpp.level_score.native", float(sweeps["native"]))
-            if sweeps["numpy"]:
-                _obs.counter_add("fastkpp.level_score.numpy", float(sweeps["numpy"]))
+            # Per-kernel dispatch attribution for --trace/--metrics: one
+            # tree sweep per tree and center, all on one tier.
+            tier = "numpy" if level_kernel is None else "native"
+            _obs.counter_add(f"fastkpp.level_score.{tier}", float(self.k * len(tree_sweeps)))
             if draws["native"]:
                 _obs.counter_add("fastkpp.draw.native", float(draws["native"]))
             if draws["numpy"]:

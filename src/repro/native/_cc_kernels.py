@@ -847,6 +847,8 @@ def _quadtree_operands(points: np.ndarray, origin: np.ndarray) -> Tuple[int, int
     n, d = points.shape
     if origin.shape != (d,) or origin.dtype != np.float64 or not origin.flags["C_CONTIGUOUS"]:
         raise ValueError("quadtree origin must be a contiguous float64 row of the points' width")
+    if n > np.iinfo(np.int32).max:
+        raise ValueError(f"a quadtree indexes its points with int32, got {n} points")
     return n, d
 
 
@@ -950,6 +952,11 @@ def load_kernels() -> Dict[str, Callable]:
                 raise ValueError("fkpp sweep arrays must be contiguous float64")
         if assignment.dtype != np.int64 or not assignment.flags["C_CONTIGUOUS"]:
             raise ValueError("fkpp assignment must be contiguous int64")
+        n = order.shape[0]
+        if any(a.shape != (n,) for a in (position, best_distance, assignment, mass, weights)):
+            raise ValueError("fkpp sweep arrays must hold one entry per point")
+        if any(a.shape[0] < 2 or a[0] != 0 or a[-1] != n for a in level_offsets):
+            raise ValueError("fkpp level offsets must run from 0 to the point count")
         depth = len(level_offsets)
         offset_ptrs = np.array([a.ctypes.data for a in level_offsets], dtype=np.uint64)
         cell_counts = np.array([a.shape[0] - 1 for a in level_offsets], dtype=np.int64)

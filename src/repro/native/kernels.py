@@ -292,7 +292,7 @@ def reference_quadtree_build(
 
 
 # -------------------------------------------------------------- verifiers
-def nested_layout(rng, n: int, depth: int) -> tuple:
+def _nested_layout(rng, n: int, depth: int) -> tuple:
     """A random Z-order layout: ``(order, position, level_offsets)``.
 
     ``order`` is a random permutation, and every level's cell boundaries
@@ -318,7 +318,7 @@ def _verify_fkpp_level_score(kernel) -> None:
     # exactly like real seeding.
     rng = np.random.default_rng(20260808)
     for n, depth in ((64, 1), (113, 5), (257, 9)):
-        order, position, level_offsets = nested_layout(rng, n, depth)
+        order, position, level_offsets = _nested_layout(rng, n, depth)
         distances = np.sort(rng.uniform(0.05, 2.0, size=depth + 1))[::-1].copy()
         czs = np.array([np.float64(v) ** 2 for v in distances], dtype=np.float64)
         best = rng.uniform(0.0, 2.0, size=n)

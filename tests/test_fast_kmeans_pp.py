@@ -102,3 +102,16 @@ class TestFastKMeansPlusPlus:
         base = fast_kmeans_plus_plus(blobs, 4, seed=5)
         weighted = fast_kmeans_plus_plus(blobs, 4, weights=np.ones(blobs.shape[0]), seed=5)
         np.testing.assert_allclose(base.centers, weighted.centers)
+
+
+def test_one_tree_sweep_per_tree_and_center(blobs, _dispatch_mode):
+    from repro import observability
+    from repro.native import kernel_provider
+
+    with observability.tracing() as recorder:
+        fast_kmeans_plus_plus(blobs, 7, n_trees=2, seed=3)
+    counters = recorder.counters()
+    native = _dispatch_mode and kernel_provider("fkpp_level_score") != "fallback"
+    served = "fastkpp.level_score.native" if native else "fastkpp.level_score.numpy"
+    assert counters[served] == 14.0
+    assert len([name for name in counters if name.startswith("fastkpp.level_score.")]) == 1

@@ -218,6 +218,21 @@ class TestFkppLevelScoreKernel:
                 np.full(n, np.inf), np.full(n, -1, dtype=np.int64), np.zeros(n), np.ones(n),
             )
 
+    @pytest.mark.parametrize("broken", ["short_buffer", "offsets_past_the_end"])
+    def test_binder_rejects_mismatched_lengths(self, broken):
+        # The sweep indexes raw pointers: a buffer shorter than the order,
+        # or offsets past its end, would read or write out of bounds.
+        _, order, position, level_offsets, distances = _fitted_layout(50, 2, 3, 0)
+        n = order.shape[0]
+        best = np.full(n - 1 if broken == "short_buffer" else n, np.inf)
+        if broken == "offsets_past_the_end":
+            level_offsets = [*level_offsets[:-1], level_offsets[-1] + np.int32(1)]
+        with pytest.raises(ValueError):
+            get_kernel("fkpp_level_score")(
+                order, position, level_offsets, distances, distances ** 2,
+                best, np.full(n, -1, dtype=np.int64), np.zeros(n), np.ones(n),
+            )
+
     def test_escape_hatch_forces_numpy_sweep(self):
         with use_native(False):
             assert get_kernel("fkpp_level_score") is None
