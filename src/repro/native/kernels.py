@@ -265,9 +265,9 @@ def reference_quadtree_build(
     scaled += shift
     scaled /= side
     frac = scaled - np.floor(scaled)
-    code = (scaled >= 0.0).astype(np.uint8) + (scaled >= 1.0)
+    # The code's high bit is scaled >= 1, its low bit 0 <= scaled < 1.
+    keys = _plane_words(scaled >= 1.0) + _plane_words((scaled >= 0.0) & (scaled < 1.0))
     del scaled
-    keys = _plane_words(code >= 2) + _plane_words((code & 1).astype(bool))
     order = (np.lexsort(keys[::-1]) if keys else np.arange(n)).astype(np.int32)
     starts = np.zeros(n, dtype=bool)
     starts[:1] = True
