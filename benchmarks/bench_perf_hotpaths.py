@@ -18,7 +18,7 @@ timing noise into spurious gate failures.
 
 Measured components per ``(n, d, k)`` workload:
 
-* ``quadtree_fit`` — one tree fit (CSR grouping + distance table vs the
+* ``quadtree_fit`` — one tree fit (Z-order build + distance table vs the
   seed's dict-of-arrays Python grouping loop).
 * ``fast_kmeans_pp`` — the full multi-tree seeding (shared spread,
   incremental D²-mass, searchsorted draws vs per-center recompute +

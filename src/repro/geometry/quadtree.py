@@ -30,8 +30,8 @@ a point at a level is a binary search of its position in the level's
 offsets.  All three are C-contiguous ``int32`` in both kernel tiers: a tree
 stores ``4 * (2n + sum_l (cells_l + 1))`` bytes, against ``4 * (2n + cells
 + 1)`` *per level* for a per-level CSR layout.  On the n = 200k, d = 10
-input of the end-to-end benchmark one tree (17 levels) takes 4.1 MB
-instead of 28.5 MB.  The index width caps a fit at ``2**31 - 1`` points;
+input of the end-to-end benchmark one tree (17 levels) takes 4.3 MB
+instead of 29.9 MB.  The index width caps a fit at ``2**31 - 1`` points;
 :meth:`QuadtreeEmbedding.fit` rejects larger inputs with ``ValueError``
 before it reads them.
 

@@ -104,9 +104,8 @@ class TestFastCoreset:
 
 
 #: SHA-256 of ``coreset.points.tobytes() + coreset.weights.tobytes()`` for
-#: :func:`_pinned_coreset`, recorded before the quadtree moved from
-#: per-level hash-sorted CSR arrays to one Z-order permutation: the layout
-#: changed the cell labels only, so no coreset byte may move.
+#: :func:`_pinned_coreset`.  The quadtree's cell labels may change with its
+#: storage layout, its partitions may not, so neither may a coreset byte.
 PINNED_CORESETS = {
     "z2": "63605a12047becebedaf9038a720a39793ac5573e1fe13c84972dfbb7b85831d",
     "z1": "1b66c8b19baaf59576649767287063a72b8732935d244033cb612621943ad246",
