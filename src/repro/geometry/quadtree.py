@@ -342,7 +342,7 @@ class QuadtreeEmbedding:
         self.origin_ = points[0].copy()
         kernel = get_kernel("quadtree_build")
         if kernel is not None:
-            max_squared = kernel(points, self.origin_)
+            max_squared = kernel.max_squared_norm(points, self.origin_)
         else:
             max_squared = reference_quadtree_max_squared_norm(points, self.origin_)
         self.delta_ = math.sqrt(max_squared)
@@ -360,7 +360,7 @@ class QuadtreeEmbedding:
 
         arguments = (points, self.origin_, shift_scalar, self.cell_side(0), depth_cap)
         if kernel is not None and depth_cap <= _MAX_KERNEL_LEVELS:
-            self.order_, self.position_, self.level_offsets_ = kernel.build(*arguments)
+            self.order_, self.position_, self.level_offsets_ = kernel(*arguments)
             _obs.counter_add("quadtree.build.native", 1.0)
         else:
             self.order_, self.position_, self.level_offsets_ = reference_quadtree_build(

@@ -1023,8 +1023,9 @@ def load_kernels() -> Dict[str, Callable]:
 
         The level offsets are consecutive views of one buffer.  Work
         arrays: the ``(n, d)`` uint32 digit rows and uint8 level-0 cell
-        codes, two uint64 and three int32 arrays of length ``n``; all but
-        the split levels are freed before the offsets are allocated.
+        codes, two uint64 arrays and one int32 array of length ``n``, all
+        freed before the offsets are allocated, and the int32 split levels,
+        freed once the offsets are written.
         """
         n, d = _quadtree_operands(points, origin)
         depth_cap = int(depth_cap)
@@ -1059,7 +1060,7 @@ def load_kernels() -> Dict[str, Callable]:
             offsets[starts[level] : starts[level + 1]] for level in range(depth)
         ]
 
-    quadtree_max_squared_norm.build = quadtree_build
+    quadtree_build.max_squared_norm = quadtree_max_squared_norm
 
     def crude_bound_probe(
         scaled: np.ndarray,
@@ -1100,10 +1101,10 @@ def load_kernels() -> Dict[str, Callable]:
         # The binder: kmeanspp_round(points, weights, best_squared,
         # assignment, mass, z) -> run_round(center_row, slot, init).
         "kmeanspp_round": functools.partial(KmeansppRounds, kpp_round),
-        # quadtree_build(points, origin) -> the largest squared distance to
-        # the origin; quadtree_build.build(points, origin, shift, side,
-        # depth_cap) -> (order, position, level_offsets).
-        "quadtree_build": quadtree_max_squared_norm,
+        # quadtree_build(points, origin, shift, side, depth_cap) -> (order,
+        # position, level_offsets); quadtree_build.max_squared_norm(points,
+        # origin) -> the largest squared distance to the origin.
+        "quadtree_build": quadtree_build,
     }
 
 

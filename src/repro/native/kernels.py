@@ -7,11 +7,11 @@ a kernel is not served, :func:`~repro.native.registry.get_kernel` returns
 ``quadtree_build``
     One whole quadtree fit (:mod:`repro.geometry.quadtree`) as one Z-order
     permutation plus one offsets array per level.  ``kernel(points,
-    origin)`` is the largest ``einsum``-replica squared distance to the
-    origin row; ``kernel.build(points, origin, shift, side, depth_cap)``
-    returns int32 ``(order, position, level_offsets)``, equal to
-    :func:`reference_quadtree_build`.  Both read the points directly, with
-    no translated copy.  Depth caps 1..32.
+    origin, shift, side, depth_cap)`` returns int32 ``(order, position,
+    level_offsets)``, equal to :func:`reference_quadtree_build`, and
+    ``kernel.max_squared_norm(points, origin)`` is the largest
+    ``einsum``-replica squared distance to the origin row.  Both read the
+    points directly, with no translated copy.  Depth caps 1..32.
 
 ``fkpp_level_score``
     One Fast-kmeans++ register-center sweep over every level of one tree
@@ -520,23 +520,23 @@ _QUADTREE_BUILD_CASES = (
 
 
 def _verify_quadtree_build(kernel) -> None:
-    build = getattr(kernel, "build", None)
-    if build is None:
-        raise RuntimeError("quadtree kernel must expose build()")
+    max_squared_norm = getattr(kernel, "max_squared_norm", None)
+    if max_squared_norm is None:
+        raise RuntimeError("quadtree kernel must expose max_squared_norm()")
     rng = np.random.default_rng(20261017)
     # The squared norms behind delta follow the einsum replica: check its
     # dimension classes (pairs, 8-wide blocks, tails) away from zero.
     for d in (1, 2, 3, 8, 9, 10, 17, 70):
         points = rng.normal(size=(16, d)) * 10.0 ** rng.uniform(-3, 3, size=(16, d))
         origin = np.ascontiguousarray(points[5])
-        if float(kernel(points, origin)) != reference_quadtree_max_squared_norm(points, origin):
+        if float(max_squared_norm(points, origin)) != reference_quadtree_max_squared_norm(points, origin):
             raise RuntimeError(f"quadtree squared norms disagree with einsum (d={d})")
     for n, d, depth_cap, ratio in _QUADTREE_BUILD_CASES:
         points, origin, shift = quadtree_points(rng, max(n, 3), d, 1e6)
         points = points[:n].copy()
         points[10:14] = points[4:5]  # duplicates share every level's cell
         expected = reference_quadtree_build(points, origin, shift, ratio * 1e6, depth_cap)
-        produced = build(points, origin, shift, ratio * 1e6, depth_cap)
+        produced = kernel(points, origin, shift, ratio * 1e6, depth_cap)
         have = [produced[0], produced[1], *produced[2]]
         want = [expected[0], expected[1], *expected[2]]
         # The tree stores these arrays as is and the sweep reads them as

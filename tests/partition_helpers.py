@@ -26,9 +26,19 @@ def assert_same_partition(labels, reference, message: str = "") -> None:
     assert pairs == np.unique(labels).size == np.unique(reference).size, message
 
 
+def lattice_rows(points: np.ndarray, tree, level: int) -> np.ndarray:
+    """The seed's integer lattice rows of ``level``: ``floor(shifted / side)``."""
+    shifted = points - tree.origin_[None, :] + tree.shift_[None, :]
+    return np.floor(shifted / tree.cell_side(level)).astype(np.int64)
+
+
 def lattice_labels(points: np.ndarray, tree, level: int) -> np.ndarray:
     """Cell labels from the exact integer lattice rows of ``level`` (no hash)."""
-    shifted = points - tree.origin_[None, :] + tree.shift_[None, :]
-    lattice = np.floor(shifted / tree.cell_side(level)).astype(np.int64)
-    _, inverse = np.unique(lattice, axis=0, return_inverse=True)
+    _, inverse = np.unique(lattice_rows(points, tree, level), axis=0, return_inverse=True)
     return inverse.reshape(-1)
+
+
+def assert_refines(labels, coarser, message: str = "") -> None:
+    """Assert that every cell of ``labels`` lies inside one cell of ``coarser``."""
+    pairs = np.unique(np.stack([np.asarray(labels), np.asarray(coarser)]), axis=1).shape[1]
+    assert pairs == np.unique(labels).size, message

@@ -479,9 +479,11 @@ class TestQuadtreeBuildKernel:
     @staticmethod
     def _check(points, origin, shift, side, depth_cap):
         kernel = get_kernel("quadtree_build")
-        order, position, level_offsets = kernel.build(points, origin, shift, side, depth_cap)
+        order, position, level_offsets = kernel(points, origin, shift, side, depth_cap)
         expected = reference_quadtree_build(points, origin, shift, side, depth_cap)
-        assert kernel(points, origin) == reference_quadtree_max_squared_norm(points, origin)
+        assert kernel.max_squared_norm(points, origin) == reference_quadtree_max_squared_norm(
+            points, origin
+        )
         assert len(level_offsets) == len(expected[2])
         for have, want in zip([order, position, *level_offsets], [*expected[:2], *expected[2]]):
             # Both tiers hand the tree int32 arrays it stores as they are.
@@ -513,7 +515,9 @@ class TestQuadtreeBuildKernel:
         points = rng.normal(size=(200, d)) * 10.0 ** rng.uniform(-3, 3, size=(200, d))
         origin = np.ascontiguousarray(points[7])
         kernel = get_kernel("quadtree_build")
-        assert kernel(points, origin) == reference_quadtree_max_squared_norm(points, origin)
+        assert kernel.max_squared_norm(points, origin) == reference_quadtree_max_squared_norm(
+            points, origin
+        )
 
     @pytest.mark.parametrize("case", ["duplicates", "all_identical", "two_locations"])
     @pytest.mark.parametrize("depth_cap", [1, 32])
@@ -578,42 +582,36 @@ class TestQuadtreeBuildKernel:
             (points, origin[:2]),
         ):
             with pytest.raises(ValueError):
-                kernel(bad_points, bad_origin)
+                kernel.max_squared_norm(bad_points, bad_origin)
             with pytest.raises(ValueError):
-                kernel.build(bad_points, bad_origin, shift, side, 8)
+                kernel(bad_points, bad_origin, shift, side, 8)
         for cap in (0, 33):
             with pytest.raises(ValueError):
-                kernel.build(points, origin, shift, side, cap)
+                kernel(points, origin, shift, side, cap)
 
     def test_verifier_demotes_a_build_returning_int64(self):
         # Right values, wrong width: the sweep would misread these arrays,
         # so verification must fail and the registry keep the numpy path.
         kernel = get_kernel("quadtree_build")
 
-        def widened(points, origin):
-            return kernel(points, origin)
-
-        def widened_build(*arguments):
-            order, position, level_offsets = kernel.build(*arguments)
+        def widened(*arguments):
+            order, position, level_offsets = kernel(*arguments)
             return order.astype(np.int64), position, level_offsets
 
-        widened.build = widened_build
+        widened.max_squared_norm = kernel.max_squared_norm
         with pytest.raises(RuntimeError, match="disagrees"):
             _verify_quadtree_build(widened)
 
     def test_verifier_demotes_a_different_order(self):
         kernel = get_kernel("quadtree_build")
 
-        def reversed_cells(points, origin):
-            return kernel(points, origin)
-
-        def reversed_build(*arguments):
-            order, position, level_offsets = kernel.build(*arguments)
+        def reversed_order(*arguments):
+            order, position, level_offsets = kernel(*arguments)
             return order[::-1].copy(), position, level_offsets
 
-        reversed_cells.build = reversed_build
+        reversed_order.max_squared_norm = kernel.max_squared_norm
         with pytest.raises(RuntimeError, match="disagrees"):
-            _verify_quadtree_build(reversed_cells)
+            _verify_quadtree_build(reversed_order)
 
 
 class TestQuadtreeBuildDispatch:

@@ -30,7 +30,13 @@ from repro.parallel import shard_bounds
 from repro.utils.rng import as_seed_sequence, keyed_seed_sequence
 from repro.utils.weights import weighted_mean, weighted_variance
 
-from partition_helpers import assert_same_partition, cell_labels, lattice_labels
+from partition_helpers import (
+    assert_refines,
+    assert_same_partition,
+    cell_labels,
+    lattice_labels,
+    lattice_rows,
+)
 
 SETTINGS = settings(
     max_examples=25,
@@ -143,9 +149,13 @@ class TestQuadtreeCellsAreLatticeRows:
     @given(points=points_strategy, seed=st.integers(0, 10_000), exponent=st.integers(6, 13))
     def test_deep_trees_match_seed_reference(self, points, seed, exponent):
         """High-spread inputs (deep caps, past the compiled build's 32
-        levels) still reproduce the seed's cells.  The cap stays below 62
-        levels — past that the *seed's* own float-to-int64 lattice cast
-        overflows, so no implementation is defined there.
+        levels) still reproduce the seed's cells: the exact lattice rows,
+        which the seed labels by their multilinear hash.  Where that hash
+        merges two distinct rows (it can at deep levels, where lattice
+        differences carry high powers of two), the seed's cell is the union
+        of the tree's.  The cap stays below 62 levels — past that the
+        *seed's* own float-to-int64 lattice cast overflows, so no
+        implementation is defined there.
         """
         from repro.reference.seed_hotpath import SeedQuadtreeEmbedding
 
@@ -155,9 +165,13 @@ class TestQuadtreeCellsAreLatticeRows:
         reference = SeedQuadtreeEmbedding(seed=seed, max_levels=60).fit(points)
         assert live.depth == reference.depth
         for level in range(live.depth):
-            assert_same_partition(
-                cell_labels(live, level), reference.level_cell_ids_[level], f"level {level}"
-            )
+            labels = cell_labels(live, level)
+            rows = lattice_rows(points, live, level)
+            assert_same_partition(labels, lattice_labels(points, live, level), f"level {level}")
+            if np.unique(hash_rows(rows)).size == np.unique(rows, axis=0).shape[0]:
+                assert_same_partition(labels, reference.level_cell_ids_[level], f"level {level}")
+            else:
+                assert_refines(labels, reference.level_cell_ids_[level], f"level {level}")
 
 
 class TestCompositionProperties:

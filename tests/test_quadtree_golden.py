@@ -162,6 +162,34 @@ class TestGoldenEquivalence:
             assert optimized.distance_from_shared_level(level) == reference.distance_from_shared_level(level)
 
 
+class TestSeedHashCollision:
+    """The seed labels a cell by the multilinear hash of its lattice row, and
+    for equal coordinates that hash is ``lattice * sum(multipliers)``: at
+    level 57 two rows 1e13 apart collide and the seed merges their cells.
+    The tree partitions by the rows themselves and keeps them apart."""
+
+    @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+    def test_distinct_lattice_rows_stay_apart(self, native):
+        near = np.full((20, 4), 8.831370694455003)
+        near[1, 0] = 23.0
+        points = np.concatenate([near, near[:5] * 1e-4 + 1e13])
+        with use_native(native):
+            tree = QuadtreeEmbedding(seed=2, max_levels=60).fit(points)
+        reference = SeedQuadtreeEmbedding(seed=2, max_levels=60).fit(points)
+        level = 57
+        assert reference.cell_of(0, level) == reference.cell_of(20, level)
+        assert tree.cell_of(0, level) != tree.cell_of(20, level)
+        # The two points part at level 2 in both trees, so their tree
+        # distance agrees; the seed's merged cell still pulls the far points
+        # into the near center's level-57 cell, where a sweep would read it.
+        assert tree.deepest_shared_level(0, 20) == reference.deepest_shared_level(0, 20) == 1
+        near_cell = [0, *range(2, 20)]
+        np.testing.assert_array_equal(
+            reference.points_in_cell(level, reference.cell_of(0, level)), near_cell + [20, 22, 23, 24]
+        )
+        np.testing.assert_array_equal(tree.points_in_cell(level, tree.cell_of(0, level)), near_cell)
+
+
 class TestLemma22Invariant:
     """Property test: tree distances dominate Euclidean distances (Lemma 2.2)."""
 
