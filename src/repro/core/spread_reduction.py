@@ -9,11 +9,15 @@ in two steps:
    time, an upper bound ``U`` on the optimal cost that is at most a
    ``poly(n, d, log Delta)`` factor too large.  The bound comes from the
    coarsest quadtree level at which the input occupies at least ``k + 1``
-   cells (Lemma 4.1).
+   cells (Lemma 4.1).  The search stops at the last level whose integer
+   lattice fits int64, so the bound stays an upper bound at any offset.
 2. **Reduce-Spread (Algorithm 3)** — place a random grid of side
    ``r = sqrt(d) * n^2 * U`` (so no optimal cluster is split, Lemma 4.3),
    translate far-apart occupied cells towards each other to cap the diameter
-   at ``O(d n^2 U k)``, and round coordinates to multiples of
+   at ``O(d n^2 U k)`` (a cell's move along an axis depends only on its
+   lattice value there, so each coordinate is translated on its own, and a
+   coordinate whose cells span fewer than two lattice steps is left as it
+   is), and round coordinates to multiples of
    ``g = U / (n^4 d^2 log Delta)`` to lower-bound the minimum distance.  The
    resulting dataset ``P'`` has spread ``poly(n, d, log Delta)`` and any
    reasonable solution on ``P'`` converts back to one on ``P`` with the same
@@ -29,20 +33,14 @@ uses this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro import observability as _obs
 from repro.geometry.distances import diameter_upper_bound
-from repro.geometry.grid import (
-    _hash_multipliers,
-    assign_to_grid,
-    count_distinct_cells,
-    hash_rows,
-    random_grid_shift,
-)
+from repro.geometry.grid import _hash_multipliers, hash_rows, random_grid_shift
 from repro.native import get_kernel
 from repro.geometry.quadtree import compute_spread
 from repro.utils.rng import SeedLike, as_generator
@@ -146,6 +144,12 @@ def crude_cost_upper_bound(
     # distinct count) into ``crude_bound_probe``; the count is the only
     # observable, and it is pinned identical in both dispatch modes.
     scaled = (points - shift[None, :]) / diameter
+    # Level l's lattice fits int64 while max|scaled| * 2**l < 2**63.  Past
+    # that numpy casts to INT64_MIN and the kernel's cast is undefined, so
+    # the wrapped lattice could report too few cells and a bound far below
+    # the optimum; the search never probes past the last level that fits.
+    magnitude = max(abs(float(scaled.min())), abs(float(scaled.max())))
+    max_level = min(max_level, 63 - math.frexp(magnitude)[1])
     probe_state: Dict[str, object] = {"level": None}
     probe_kernel = get_kernel("crude_bound_probe")
     probe_tally = {"native": 0, "numpy": 0}
@@ -158,9 +162,6 @@ def crude_cost_upper_bound(
         def occupied(level: int) -> int:
             nonlocal calls
             calls += 1
-            if level > 512:  # pragma: no cover - astronomically spread inputs
-                side = diameter * (2.0 ** (-level))
-                return count_distinct_cells(points, side, shift)
             fresh = probe_state["level"] is None or level != probe_state["level"] + 1
             probe_tally["native"] += 1
             count = int(
@@ -182,62 +183,50 @@ def crude_cost_upper_bound(
                 lattice += bits
                 np.multiply(frac, 2.0, out=frac)
                 frac -= bits
-            elif level <= 512:  # 2.0**level stays finite with huge margin
+            else:
                 scaled_level = scaled * (2.0**level)
                 lattice = np.floor(scaled_level).astype(np.int64)
                 frac = scaled_level - lattice
-            else:  # pragma: no cover - astronomically spread inputs
-                side = diameter * (2.0 ** (-level))
-                return count_distinct_cells(points, side, shift)
             probe_tally["numpy"] += 1
             probe_state["level"] = level
             probe_state["lattice"] = lattice
             probe_state["frac"] = frac
             return int(np.unique(hash_rows(lattice)).shape[0])
 
-    def _emit_probe_counters() -> None:
+    def bound_at(level: int, floor: float = 0.0) -> CrudeApproximation:
+        # Lemma 4.1's n * sqrt(d) * 8 * side at the level's cell side.
         # Per-kernel dispatch attribution for --trace/--metrics.
-        if probe_tally["native"]:
-            _obs.counter_add("crude_bound.probes.native", float(probe_tally["native"]))
-        if probe_tally["numpy"]:
-            _obs.counter_add("crude_bound.probes.numpy", float(probe_tally["numpy"]))
-
-    # Binary search for the smallest level with at least k + 1 occupied cells.
-    low, high = 0, max_level
-    if occupied(high) <= k:
-        # Even the finest level holds at most k cells (many duplicate
-        # points); the optimum is within a cell diameter of zero.
-        side = diameter * (2.0 ** (-high))
-        upper = n * math.sqrt(d) * 8.0 * side
-        _emit_probe_counters()
+        for tier, count in probe_tally.items():
+            if count:
+                _obs.counter_add(f"crude_bound.probes.{tier}", float(count))
+        side = diameter * (2.0 ** (-level))
         return CrudeApproximation(
-            upper_bound=max(upper, 1e-12),
-            level=high,
+            upper_bound=max(n * math.sqrt(d) * 8.0 * side, floor),
+            level=level,
             cell_side=side,
             diameter=diameter,
             calls=calls,
             n_points=n,
             dimension=d,
         )
+
+    if max_level < 0:
+        # Not even level 0 fits: the level-0 bound holds for every input.
+        return bound_at(0)
+    # Binary search for the smallest level with at least k + 1 occupied cells.
+    low, high = 0, max_level
+    if occupied(high) <= k:
+        # Even the finest level probed holds at most k cells (many
+        # duplicate points, or the int64 cap); each point is within a cell
+        # diameter of a centre, so the level's bound still holds.
+        return bound_at(high, floor=1e-12)
     while low < high:
         middle = (low + high) // 2
         if occupied(middle) >= k + 1:
             high = middle
         else:
             low = middle + 1
-    level = low
-    side = diameter * (2.0 ** (-level))
-    upper_bound = n * math.sqrt(d) * 8.0 * side
-    _emit_probe_counters()
-    return CrudeApproximation(
-        upper_bound=float(upper_bound),
-        level=level,
-        cell_side=float(side),
-        diameter=float(diameter),
-        calls=calls,
-        n_points=n,
-        dimension=d,
-    )
+    return bound_at(low)
 
 
 # --------------------------------------------------------------------- Algorithm 3
@@ -271,7 +260,6 @@ class SpreadReductionResult:
     upper_bound: float
     original_spread: float
     reduced_spread: float
-    cells: Dict[int, np.ndarray] = field(default_factory=dict)
 
     def restore(self, reduced_points: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Map points of ``P'`` (given by their row indices) back into ``P``'s frame.
@@ -344,37 +332,40 @@ def reduce_spread(
 
     # --- Reduce-Diameter -------------------------------------------------
     # Grid side r = sqrt(d) * n^2 * U guarantees (Lemma 4.3) that points of
-    # the same optimal cluster fall into the same cell w.h.p.  For practical
-    # dataset sizes that side often exceeds the data diameter, in which case
-    # the translation step is a no-op — exactly what the theory predicts
-    # (the spread is already polynomial when log Delta is small).
+    # the same optimal cluster fall into the same cell w.h.p.  Along each
+    # axis, every gap of at least 2r between consecutive occupied cell
+    # centres is capped at 2r, and a cell moves by the sum of the gaps
+    # closed below it.  That sum depends only on the cell's lattice value on
+    # that axis, so each coordinate is translated on its own.
     cell_side = math.sqrt(d) * float(n) ** 2 * upper_bound
     shift = random_grid_shift(d, cell_side, seed=generator)
-    assignment = assign_to_grid(points, cell_side, shift)
-    centers = assignment.cell_centers()
+    gap_cap = 2.0 * cell_side
 
     reduced = points.copy()
     # np.zeros leaves untouched pages unmapped: a translation that moves no
-    # cell (the common case) costs no resident memory for the shifts.
+    # row (the common case) costs no resident memory for the shifts.
     shifts = np.zeros(points.shape, dtype=points.dtype)
-    cell_ids = sorted(assignment.cells)
-    if len(cell_ids) > 1:
-        center_matrix = np.stack([centers[cell_id] for cell_id in cell_ids], axis=0)
-        for coordinate in range(d):
-            order = np.argsort(center_matrix[:, coordinate], kind="stable")
-            cumulative_shift = 0.0
-            previous_value = None
-            for position in order:
-                value = center_matrix[position, coordinate]
-                if previous_value is not None:
-                    gap = value - previous_value
-                    if gap >= 2.0 * cell_side:
-                        cumulative_shift += gap - 2.0 * cell_side
-                previous_value = value
-                if cumulative_shift > 0.0:
-                    members = assignment.cells[cell_ids[position]]
-                    reduced[members, coordinate] -= cumulative_shift
-                    shifts[members, coordinate] += cumulative_shift
+    # floor((x - s) / r) is monotone in x, so the column extrema give each
+    # axis's outermost cell centres, and no gap between centres exceeds
+    # theirs.  An axis whose lattice span is below 2 (outermost centres
+    # under 2r apart, with the gaps' own rounding) has no gap to close and
+    # builds no lattice.  For practical dataset sizes r exceeds the data
+    # diameter and every axis is skipped, as the theory predicts (the
+    # spread is already polynomial when log Delta is small).
+    low = (np.floor((points.min(axis=0) - shift) / cell_side) + 0.5) * cell_side + shift
+    high = (np.floor((points.max(axis=0) - shift) / cell_side) + 0.5) * cell_side + shift
+    for coordinate in np.flatnonzero(high - low >= gap_cap):
+        lattice = np.floor((points[:, coordinate] - shift[coordinate]) / cell_side)
+        values, inverse = np.unique(lattice, return_inverse=True)
+        gaps = np.diff((values + 0.5) * cell_side + shift[coordinate])
+        # cumsum adds one gap at a time in ascending order (np.sum would
+        # pair them up), so each total is the one a walk over the sorted
+        # cells accumulates.
+        moved = np.cumsum(np.where(gaps >= gap_cap, gaps - gap_cap, 0.0))
+        if moved[-1] > 0.0:
+            offsets = np.concatenate(([0.0], moved))[inverse]
+            reduced[:, coordinate] -= offsets
+            shifts[:, coordinate] = offsets
 
     # --- Reduce-Min-Distance ---------------------------------------------
     log_delta = max(1.0, math.log2(max(original_spread, 2.0)))
@@ -416,5 +407,4 @@ def reduce_spread(
         upper_bound=upper_bound,
         original_spread=float(original_spread),
         reduced_spread=float(reduced_spread),
-        cells=dict(assignment.cells),
     )

@@ -2,14 +2,16 @@
 
 These modules contain no clustering-specific logic; they provide the
 Euclidean primitives the algorithms in :mod:`repro.clustering` and
-:mod:`repro.core` are built on.
+:mod:`repro.core` are built on.  The grid module only draws the random
+offset and hashes lattice rows: the spread reduction computes its own
+lattices, one coordinate at a time, and keeps no cell dictionary.
 """
 
 from repro.geometry.distances import (
     point_to_set_distances,
     squared_point_to_set_distances,
 )
-from repro.geometry.grid import GridAssignment, assign_to_grid, random_grid_shift
+from repro.geometry.grid import random_grid_shift
 from repro.geometry.johnson_lindenstrauss import (
     JohnsonLindenstraussEmbedding,
     jl_target_dimension,
@@ -19,8 +21,6 @@ from repro.geometry.quadtree import QuadtreeEmbedding, compute_spread
 __all__ = [
     "point_to_set_distances",
     "squared_point_to_set_distances",
-    "GridAssignment",
-    "assign_to_grid",
     "random_grid_shift",
     "JohnsonLindenstraussEmbedding",
     "jl_target_dimension",

@@ -1,22 +1,23 @@
 """Randomly shifted grids.
 
 Algorithms 2 and 3 of the paper place an axis-aligned grid with a random
-offset over the data and reason about which points land in the same cell.
-This module provides that primitive: given a cell side length and a random
-shift, every point is mapped to an integer cell identifier, and the
-probability that two points are separated by the grid is bounded by
-``sqrt(d) * ||p - q|| / side`` (Lemma 4.3).
+offset over the data and reason about which points land in the same cell:
+a point ``p`` lies in the cell with lattice row ``floor((p - shift) / side)``,
+and the probability that two points are separated by the grid is bounded by
+``sqrt(d) * ||p - q|| / side`` (Lemma 4.3).  This module draws the offset,
+hashes lattice rows to one key each (Algorithm 2 counts distinct keys) and
+states the lemma's bound; :mod:`repro.core.spread_reduction` builds the
+lattices it needs itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_points, check_positive
+from repro.utils.validation import check_positive
 
 
 def random_grid_shift(dimension: int, side: float, seed: SeedLike = None) -> np.ndarray:
@@ -31,52 +32,6 @@ def random_grid_shift(dimension: int, side: float, seed: SeedLike = None) -> np.
     generator = as_generator(seed)
     shift = float(generator.uniform(0.0, side))
     return np.full(dimension, shift, dtype=np.float64)
-
-
-@dataclass
-class GridAssignment:
-    """Result of assigning points to the cells of a shifted grid.
-
-    Attributes
-    ----------
-    side:
-        Cell side length.
-    shift:
-        The per-coordinate offset of the grid origin.
-    cell_indices:
-        Integer array of shape ``(n, d)``: the lattice coordinates of the
-        cell containing each point.
-    cell_ids:
-        Length-``n`` array of opaque integer identifiers, one per distinct
-        occupied cell, suitable for dictionary-style grouping.
-    cells:
-        Mapping from cell identifier to the indices of the points it
-        contains.
-    """
-
-    side: float
-    shift: np.ndarray
-    cell_indices: np.ndarray
-    cell_ids: np.ndarray
-    cells: Dict[int, np.ndarray]
-
-    @property
-    def occupied_cell_count(self) -> int:
-        """Number of distinct non-empty cells."""
-        return len(self.cells)
-
-    def cell_centers(self) -> Dict[int, np.ndarray]:
-        """Return the geometric centre of every occupied cell.
-
-        The centre of the cell with lattice coordinates ``c`` is
-        ``(c + 0.5) * side + shift``, matching the ``floor((p - shift)/side)``
-        convention used in :func:`assign_to_grid`.
-        """
-        centers: Dict[int, np.ndarray] = {}
-        for cell_id, members in self.cells.items():
-            lattice = self.cell_indices[members[0]]
-            centers[cell_id] = (lattice + 0.5) * self.side + self.shift
-        return centers
 
 
 #: Cache of per-dimension random multipliers for the row-hashing scheme.
@@ -115,85 +70,14 @@ def hash_rows(lattice: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _hash_cells(cell_indices: np.ndarray) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-    """Map integer lattice coordinates to compact cell identifiers.
-
-    Rows are hashed to scalar keys (see :func:`hash_rows`) so the grouping
-    costs one 1-D sort instead of a lexicographic row sort.
-    """
-    _, inverse = np.unique(hash_rows(cell_indices), return_inverse=True)
-    inverse = inverse.astype(np.int64).reshape(-1)
-    cells: Dict[int, np.ndarray] = {}
-    order = np.argsort(inverse, kind="stable")
-    sorted_ids = inverse[order]
-    boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-    for group in np.split(order, boundaries):
-        cells[int(inverse[group[0]])] = group
-    return inverse, cells
-
-
-def assign_to_grid(
-    points: np.ndarray,
-    side: float,
-    shift: np.ndarray,
-) -> GridAssignment:
-    """Assign every point to the cell of a shifted grid with the given side.
-
-    Parameters
-    ----------
-    points:
-        Array of shape ``(n, d)``.
-    side:
-        Cell side length ``r``.
-    shift:
-        Grid offset of shape ``(d,)`` as produced by
-        :func:`random_grid_shift`.
-    """
-    points = check_points(points)
-    side = check_positive(side, name="side")
-    shift = np.asarray(shift, dtype=np.float64)
-    if shift.shape != (points.shape[1],):
-        raise ValueError(
-            f"shift must have shape ({points.shape[1]},), got {shift.shape}"
-        )
-    cell_indices = np.floor((points - shift[None, :]) / side).astype(np.int64)
-    cell_ids, cells = _hash_cells(cell_indices)
-    return GridAssignment(
-        side=float(side),
-        shift=shift,
-        cell_indices=cell_indices,
-        cell_ids=cell_ids,
-        cells=cells,
-    )
-
-
-def count_distinct_cells(points: np.ndarray, side: float, shift: np.ndarray) -> int:
-    """Number of non-empty grid cells — the counting core of Algorithm 2.
-
-    Equivalent to ``Count-Distinct-Cells`` in the paper but returns the count
-    instead of a boolean so the caller can reuse it for diagnostics.
-    """
-    points = check_points(points)
-    side = check_positive(side, name="side")
-    shift = np.asarray(shift, dtype=np.float64)
-    cell_indices = np.floor((points - shift[None, :]) / side).astype(np.int64)
-    return int(np.unique(hash_rows(cell_indices)).shape[0])
-
-
 def separation_probability_bound(p: np.ndarray, q: np.ndarray, side: float) -> float:
     """Upper bound from Lemma 4.3 on the probability that ``p`` and ``q`` are split.
 
     ``Pr[p, q in different cells] <= sqrt(d) * ||p - q|| / side`` (capped at
-    one).  Exposed for the property-based tests that verify the grid
-    assignment empirically satisfies the lemma.
+    one).  Exposed for the tests that check the lemma empirically.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     side = check_positive(side, name="side")
     distance = float(np.linalg.norm(p - q))
     return min(1.0, np.sqrt(p.shape[0]) * distance / side)
-
-
-def group_points_by_cell(assignment: GridAssignment) -> List[np.ndarray]:
-    """Return the point-index groups of the occupied cells in a stable order."""
-    return [assignment.cells[cell_id] for cell_id in sorted(assignment.cells)]

@@ -56,7 +56,8 @@ a kernel is not served, :func:`~repro.native.registry.get_kernel` returns
     doubling for consecutive ones — and count distinct multilinear row
     hashes (wrapping uint64, the numpy path's view) in one pass.  The count
     is order-invariant, so any correct distinct counter matches
-    ``np.unique``.
+    ``np.unique``.  The caller probes only levels whose lattice fits int64,
+    so the kernel's float-to-int64 cast is always defined.
 
 Every verifier compares the compiled implementation against *live numpy
 calls* on adversarial inputs before the registry ever routes a real call to

@@ -184,11 +184,8 @@ class BicoCoreset(CoresetConstruction):
         # cost among current centroids so at least one merge becomes possible.
         centroids = self._centroid_matrix()
         weights = self._feature_weights()
-        squared, nearest = squared_point_to_set_distances(
-            centroids, centroids + 1e-18  # avoid the trivial zero self-distance
-        )
-        # Exclude self matches by recomputing against all-but-self for small sets.
         best = np.inf
+        # Each feature against all the others: np.delete drops its own row.
         for i in range(len(self.features)):
             others = np.delete(centroids, i, axis=0)
             other_weights = np.delete(weights, i)

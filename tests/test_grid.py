@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from repro.geometry.grid import (
-    assign_to_grid,
-    count_distinct_cells,
-    group_points_by_cell,
     hash_rows,
     random_grid_shift,
     separation_probability_bound,
@@ -46,66 +43,6 @@ class TestRandomGridShift:
     def test_invalid_side_raises(self):
         with pytest.raises(ValueError):
             random_grid_shift(3, 0.0)
-
-
-class TestAssignToGrid:
-    def test_points_in_same_cell_share_id(self):
-        points = np.array([[0.1, 0.1], [0.2, 0.2], [5.1, 5.1]])
-        assignment = assign_to_grid(points, side=1.0, shift=np.zeros(2))
-        assert assignment.cell_ids[0] == assignment.cell_ids[1]
-        assert assignment.cell_ids[0] != assignment.cell_ids[2]
-
-    def test_occupied_cell_count(self):
-        points = np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5]])
-        assignment = assign_to_grid(points, side=1.0, shift=np.zeros(2))
-        assert assignment.occupied_cell_count == 3
-
-    def test_cells_partition_the_points(self, rng):
-        points = rng.normal(size=(100, 3)) * 10
-        assignment = assign_to_grid(points, side=2.0, shift=random_grid_shift(3, 2.0, seed=0))
-        members = np.concatenate(list(assignment.cells.values()))
-        assert sorted(members.tolist()) == list(range(100))
-
-    def test_cell_centers_contain_their_points(self, rng):
-        points = rng.normal(size=(50, 2)) * 5
-        side = 3.0
-        assignment = assign_to_grid(points, side=side, shift=np.zeros(2))
-        centers = assignment.cell_centers()
-        for cell_id, member_indices in assignment.cells.items():
-            center = centers[cell_id]
-            for index in member_indices:
-                assert np.all(np.abs(points[index] - center) <= side / 2 + 1e-9)
-
-    def test_shift_shape_mismatch_raises(self, rng):
-        with pytest.raises(ValueError):
-            assign_to_grid(rng.normal(size=(5, 3)), side=1.0, shift=np.zeros(2))
-
-    def test_group_points_by_cell_order(self, rng):
-        points = rng.normal(size=(30, 2))
-        assignment = assign_to_grid(points, side=0.5, shift=np.zeros(2))
-        groups = group_points_by_cell(assignment)
-        assert sum(len(g) for g in groups) == 30
-
-
-class TestCountDistinctCells:
-    def test_matches_assignment(self, rng):
-        points = rng.normal(size=(200, 3)) * 4
-        shift = random_grid_shift(3, 1.5, seed=3)
-        assignment = assign_to_grid(points, 1.5, shift)
-        assert count_distinct_cells(points, 1.5, shift) == assignment.occupied_cell_count
-
-    def test_monotone_in_cell_side(self, rng):
-        points = rng.normal(size=(300, 2)) * 10
-        shift = np.zeros(2)
-        coarse = count_distinct_cells(points, 8.0, shift)
-        fine = count_distinct_cells(points, 1.0, shift)
-        assert fine >= coarse
-
-    def test_single_cell_for_huge_side(self, rng):
-        # Keep all coordinates positive so the cell boundary at the origin
-        # cannot split the cloud regardless of the (zero) shift.
-        points = np.abs(rng.normal(size=(50, 2))) + 1.0
-        assert count_distinct_cells(points, 1e6, np.zeros(2)) == 1
 
 
 class TestSeparationProbability:

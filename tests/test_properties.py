@@ -3,7 +3,7 @@
 The strategies generate small random point clouds and weight vectors; the
 properties checked are the paper-level invariants that must hold for *every*
 input, not just the fixtures: unbiased weight totals, cost-estimator
-consistency, quadtree metric domination, grid-separation bounds, and the
+consistency, quadtree metric domination, lattice-row hashing, and the
 coreset composition property.
 """
 
@@ -23,7 +23,7 @@ from repro.core import (
     merge_coresets,
 )
 from repro.core.sensitivity import sensitivity_scores
-from repro.geometry.grid import assign_to_grid, hash_rows, random_grid_shift
+from repro.geometry.grid import hash_rows
 from repro.geometry.quadtree import QuadtreeEmbedding
 from repro.native import use_native
 from repro.parallel import shard_bounds
@@ -211,15 +211,6 @@ class TestGeometryProperties:
                 continue
             euclidean = float(np.linalg.norm(points[i] - points[j]))
             assert tree.tree_distance(int(i), int(j)) >= euclidean - 1e-6
-
-    @SETTINGS
-    @given(points=points_strategy, seed=st.integers(0, 10_000), side=st.floats(0.5, 50.0))
-    def test_grid_cells_partition_points(self, points, seed, side):
-        points = _deduplicate(points)
-        shift = random_grid_shift(points.shape[1], side, seed=seed)
-        assignment = assign_to_grid(points, side, shift)
-        members = np.concatenate(list(assignment.cells.values()))
-        assert sorted(members.tolist()) == list(range(points.shape[0]))
 
     @SETTINGS
     @given(

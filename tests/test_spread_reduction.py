@@ -1,7 +1,14 @@
 """Unit tests for repro.core.spread_reduction (Algorithms 2 and 3)."""
 
+import hashlib
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.clustering.cost import clustering_cost
 from repro.clustering.kmeans_pp import kmeans_plus_plus
@@ -11,7 +18,19 @@ from repro.core.spread_reduction import (
     reduce_spread,
 )
 from repro.data.synthetic import high_spread_dataset
+from repro.geometry.grid import random_grid_shift
 from repro.native.registry import use_native
+
+
+def _two_far_groups():
+    """Three tight clusters near the origin and three 1e5 away: 240 rows."""
+    rng = np.random.default_rng(3)
+    centres = np.concatenate(
+        [rng.uniform(0, 10, (3, 3)), 1e5 + rng.uniform(0, 10, (3, 3))]
+    )
+    return np.concatenate(
+        [centre + rng.normal(scale=1e-9, size=(40, 3)) for centre in centres]
+    )
 
 
 @pytest.fixture(autouse=True, params=[True, False], ids=["native", "fallback"])
@@ -72,6 +91,52 @@ class TestCrudeCostUpperBound:
         assert approx.diameter > 0
         assert approx.n_points == blobs.shape[0]
 
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            ("blobs", (2881132.2885329085, 3)),
+            ("offset", (1440566.1442751011, 4)),
+            ("two_far", (0.0001309705780771164, 43)),
+        ],
+    )
+    def test_bounds_whose_lattices_fit_are_pinned(self, blobs, case, expected):
+        # Recorded before the int64 cap: it changes no bound that fitted.
+        points, k = {
+            "blobs": (blobs, 6),
+            "offset": (blobs + 1e9, 6),
+            "two_far": (_two_far_groups(), 10),
+        }[case]
+        approx = crude_cost_upper_bound(points, k, seed=0)
+        assert (approx.upper_bound, approx.level) == expected
+
+    def test_bound_dominates_optimum_when_deep_lattices_overflow(self):
+        # The tight cluster puts the spread estimate near 1.7e20, so the
+        # search would start at level 70, where floor(scaled * 2**70) no
+        # longer fits int64: the wrapped lattice read at most k cells and
+        # the bound came out near 7e-9, far below the optimum.
+        rng = np.random.default_rng(0)
+        clusters = [rng.normal(size=(100, 3)) * 1e-11]
+        for _ in range(19):
+            clusters.append(rng.uniform(-1e8, 1e8, 3) + rng.normal(size=(100, 3)))
+        points = np.concatenate(clusters)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            approx = crude_cost_upper_bound(points, 10, seed=1)
+        best = min(
+            clustering_cost(points, kmeans_plus_plus(points, 10, z=1, seed=seed).centers, z=1)
+            for seed in range(5)
+        )
+        assert approx.level <= 62
+        assert approx.upper_bound >= best
+
+    def test_level_zero_bound_when_no_lattice_fits(self):
+        # Identical points floor the diameter at 1e-12, so 1e7 lies about
+        # 1e19 diameters from the grid's origin: past int64 at level 0.
+        points = np.full((50, 2), 1e7)
+        approx = crude_cost_upper_bound(points, 3, seed=0)
+        assert (approx.level, approx.calls) == (0, 0)
+        assert approx.upper_bound == 50 * math.sqrt(2) * 8.0 * approx.diameter
+
 
 class TestReduceSpread:
     def test_shape_and_row_order_preserved(self, blobs):
@@ -119,10 +184,98 @@ class TestReduceSpread:
         result = reduce_spread(blobs, 6, upper_bound=1e6, seed=0)
         assert result.upper_bound == pytest.approx(1e6)
 
-    def test_cells_partition_points(self, blobs):
-        result = reduce_spread(blobs, 6, seed=0)
-        members = np.concatenate(list(result.cells.values()))
-        assert sorted(members.tolist()) == list(range(blobs.shape[0]))
+    def test_only_an_axis_with_a_wide_gap_moves(self):
+        # With r = 1, axis 0 has a gap of about 10 cells and moves the far
+        # pair; axis 1 spans at most one lattice step and stays put.
+        points = np.array([[0.0, 0.0], [0.5, 0.5], [10.0, 0.25], [10.2, 0.75]])
+        upper_bound = 1.0 / (np.sqrt(2) * 16)
+        result = reduce_spread(points, 1, upper_bound=upper_bound, spread=16.0, seed=0)
+        assert result.cell_side == pytest.approx(1.0)
+        assert not result.shifts[:2].any() and not result.shifts[:, 1].any()
+        assert (result.shifts[2:, 0] > 6.0).all()
+        assert np.ptp(result.points[:, 0]) < 4.0
+
+    def test_two_far_groups_bytes_are_pinned(self):
+        # Recorded with the per-cell walk over hashed grid cells; half of
+        # the rows move, so the translation itself is pinned.
+        result = reduce_spread(_two_far_groups(), 10, seed=0)
+        assert int((result.shifts != 0).any(axis=1).sum()) == 120
+        digest = hashlib.sha256(result.points.tobytes() + result.shifts.tobytes()).hexdigest()
+        assert digest == "19208a2ee4d5d7f9e313087f5cea87117ac6566b0b25a507dc27064d0ca620dc"
+
+
+def _per_cell_walk(points, upper_bound, spread, seed):
+    """Oracle: Reduce-Spread as a walk over the occupied cells.
+
+    Groups the points by exact lattice row, sorts the cell centres along
+    each axis, closes every gap of at least ``2r`` down to ``2r`` and moves
+    each cell by the running total, then rounds to the granularity.
+    """
+    n, d = points.shape
+    side = math.sqrt(d) * float(n) ** 2 * upper_bound
+    shift = random_grid_shift(d, side, seed=np.random.default_rng(seed))
+    lattice = np.floor((points - shift) / side).astype(np.int64)
+    rows, members = np.unique(lattice, axis=0, return_inverse=True)
+    members = members.reshape(-1)
+    centres = (rows + 0.5) * side + shift
+    reduced = points.copy()
+    shifts = np.zeros_like(points)
+    for coordinate in range(d):
+        cumulative, previous = 0.0, None
+        for cell in np.argsort(centres[:, coordinate], kind="stable"):
+            value = centres[cell, coordinate]
+            if previous is not None and value - previous >= 2.0 * side:
+                cumulative += value - previous - 2.0 * side
+            previous = value
+            if cumulative > 0.0:
+                reduced[members == cell, coordinate] -= cumulative
+                shifts[members == cell, coordinate] += cumulative
+    log_delta = max(1.0, math.log2(max(spread, 2.0)))
+    granularity = upper_bound / (float(n) ** 2 * float(d) * log_delta)
+    if granularity > np.abs(reduced).max() * 1e-12:
+        reduced = np.round(reduced / granularity) * granularity
+    return reduced, shifts
+
+
+@st.composite
+def _translation_cases(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 12))
+    points = draw(
+        arrays(
+            np.float64,
+            (n, d),
+            elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+        )
+    )
+    # A coarse quantum makes many rows share a lattice value on an axis.
+    quantum = draw(st.sampled_from([None, 1.0, 37.5]))
+    if quantum is not None:
+        points = np.round(points / quantum) * quantum
+    # The grid side r = sqrt(d) n^2 U runs from 1e-3 to 1e3 times the
+    # larger of the data span and 1.
+    ratio = 10.0 ** draw(st.floats(-3.0, 3.0))
+    span = max(float(np.ptp(points)), 1.0)
+    upper_bound = ratio * span / (math.sqrt(d) * n * n)
+    return points, upper_bound, draw(st.integers(0, 2**16))
+
+
+class TestPerCoordinateTranslation:
+    """Translating one coordinate at a time gives the per-cell walk's bytes."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(case=_translation_cases())
+    def test_matches_the_per_cell_walk(self, case):
+        points, upper_bound, seed = case
+        spread = 64.0
+        result = reduce_spread(points, 1, upper_bound=upper_bound, spread=spread, seed=seed)
+        expected_points, expected_shifts = _per_cell_walk(points, upper_bound, spread, seed)
+        assert result.shifts.tobytes() == expected_shifts.tobytes()
+        assert result.points.tobytes() == expected_points.tobytes()
 
 
 class TestInPlaceRounding:
