@@ -125,10 +125,15 @@ def cost_to_assigned_centers(
     only approximately optimal; the sensitivity scores of Algorithm 1 are
     computed with respect to that assignment, so the cost must be evaluated
     the same way.
+
+    Precondition: ``points`` is finite, C-contiguous float64 ``(n, d)``, as
+    :func:`~repro.utils.validation.check_points` returns it, and
+    ``weights`` is ``None`` (unit weights) or as
+    :func:`~repro.utils.validation.check_weights` returns it.
     """
-    points = check_points(points)
     z = check_power(z)
-    weights = check_weights(weights, points.shape[0])
+    if weights is None:
+        weights = np.ones(points.shape[0], dtype=np.float64)
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape[0] != points.shape[0]:
         raise ValueError("assignment must have one entry per point")

@@ -39,9 +39,11 @@ def geometric_median(
     Parameters
     ----------
     points:
-        Array of shape ``(n, d)``.
+        Finite, C-contiguous float64 array of shape ``(n, d)``, as
+        :func:`~repro.utils.validation.check_points` returns it.
     weights:
-        Optional non-negative weights.
+        ``None`` (unit weights) or non-negative weights as
+        :func:`~repro.utils.validation.check_weights` returns them.
     max_iterations:
         Iteration cap; the default is far beyond what is needed for the
         constant-factor guarantee used in Algorithm 1.
@@ -56,8 +58,8 @@ def geometric_median(
     numpy.ndarray
         The median estimate of shape ``(d,)``.
     """
-    points = check_points(points)
-    weights = check_weights(weights, points.shape[0])
+    if weights is None:
+        weights = np.ones(points.shape[0], dtype=np.float64)
     if points.shape[0] == 1:
         return points[0].copy()
     total = weights.sum()
@@ -173,10 +175,10 @@ def cluster_representative(
     """Optimal single center of a cluster: mean for z=2, geometric median for z=1.
 
     This is exactly step 4 of Algorithm 1 ("compute the 1-median (or 1-mean)
-    of each cluster").
+    of each cluster").  The inputs are as for :func:`geometric_median`.
     """
-    points = check_points(points)
-    weights = check_weights(weights, points.shape[0])
+    if weights is None:
+        weights = np.ones(points.shape[0], dtype=np.float64)
     if z == 2:
         total = weights.sum()
         if total <= 0:

@@ -21,32 +21,28 @@ from repro.utils.rng import SeedLike
 from repro.utils.validation import check_points, check_sample_size, check_weights
 
 
-def _check_cost_range(points: np.ndarray, weights: np.ndarray) -> None:
-    """Reject inputs on which some clustering's cost overflows float64.
+def check_sample_input(points: np.ndarray, weights: np.ndarray, m: int) -> None:
+    """Reject weights and coordinates that no sampler can compress to ``m`` points.
 
-    No clustering of ``points`` costs more than total weight × d ×
-    (2·max|x|)².  That bound is a product of Python floats, which round to
-    ``inf`` without a warning, and the weights are summed after scaling by
-    their maximum, so the check itself never overflows.
-    """
-    heaviest = float(weights.max())
-    if heaviest == 0.0 or points.size == 0:
-        return
-    scale = max(float(points.max()), -float(points.min()))
-    total = heaviest * float(np.sum(weights / heaviest))
-    if not math.isfinite(2.0 * scale * 2.0 * scale * points.shape[1] * total):
-        raise ValueError(
-            "clustering costs of these points overflow float64: total weight x d x "
-            f"(2 max|x|)^2 is not finite at max|x| = {scale:.3g}; rescale the data"
-        )
+    ``points`` and ``weights`` are as :func:`check_points` and
+    :func:`check_weights` return them.  :meth:`CoresetConstruction.sample`
+    runs this on its input, and a stream tree on every block of a batch
+    before it ingests any.  Three rules, each a ``ValueError``:
 
-
-def _check_total_weight(weights: np.ndarray) -> None:
-    """Reject a total weight that is zero or below the smallest normal double.
-
-    Every sampler normalises by the total: a zero total gives NaN sampling
-    probabilities or all-zero coreset weights, and a subnormal one has lost
-    the precision its ratios need.
+    * The total weight is at least the smallest normal double.  Every
+      sampler normalises by the total: a zero total gives NaN sampling
+      probabilities or all-zero coreset weights, and a subnormal one has
+      lost the precision its ratios need.
+    * ``m / max(weights)`` is finite.  Importance weights are the input mass
+      over ``m`` times a score, and the scores reach one over a cluster's
+      mass: with every weight this close to the bottom of the float64
+      range, those quotients overflow or underflow (NaN sampling
+      probabilities, zero output weights).  Only the largest weight counts,
+      so a few tiny weights beside normal ones pass.
+    * No clustering's cost overflows float64.  None costs more than total
+      weight × d × (2·max|x|)²; that bound is a product of Python floats,
+      which round to ``inf`` without a warning, and the weights are summed
+      after scaling by their maximum, so the check itself never overflows.
     """
     total = float(np.sum(weights))
     tiny = float(np.finfo(np.float64).tiny)
@@ -55,22 +51,18 @@ def _check_total_weight(weights: np.ndarray) -> None:
             f"input weights must sum to at least {tiny:.6g} (the smallest normal "
             f"float64), got a total of {total:.6g}"
         )
-
-
-def _check_weight_scale(weights: np.ndarray, m: int) -> None:
-    """Reject weights so small that ``m / max(weights)`` overflows float64.
-
-    Importance weights are the input mass over ``m`` times a score, and the
-    scores reach one over a cluster's mass: with every weight this close to
-    the bottom of the float64 range, those quotients overflow or underflow
-    (NaN sampling probabilities, zero output weights).  The rule looks only
-    at the largest weight, so a few tiny weights beside normal ones pass.
-    """
     heaviest = float(weights.max())
     if not math.isfinite(m / heaviest):
         raise ValueError(
             f"the largest input weight, {heaviest:.6g}, is too small to sample "
             f"{m} points: m / max(weights) overflows float64; rescale the weights"
+        )
+    scale = max(float(points.max()), -float(points.min()))
+    scaled_total = heaviest * float(np.sum(weights / heaviest))
+    if not math.isfinite(2.0 * scale * 2.0 * scale * points.shape[1] * scaled_total):
+        raise ValueError(
+            "clustering costs of these points overflow float64: total weight x d x "
+            f"(2 max|x|)^2 is not finite at max|x| = {scale:.3g}; rescale the data"
         )
 
 
@@ -151,9 +143,7 @@ class CoresetConstruction(abc.ABC):
         points = check_points(points)
         weights = check_weights(weights, points.shape[0])
         m = check_sample_size(m, points.shape[0])
-        _check_total_weight(weights)
-        _check_weight_scale(weights, m)
-        _check_cost_range(points, weights)
+        check_sample_input(points, weights, m)
         effective_seed = seed if seed is not None else self.seed
         coreset = self._sample(
             points, weights, m, effective_seed, spread=spread, cost_bound=cost_bound

@@ -139,8 +139,11 @@ def trivial_coreset(points: np.ndarray, weights: Optional[np.ndarray] = None) ->
     """Wrap a raw (weighted) dataset as a coreset of itself.
 
     Useful at the leaves of the merge-&-reduce tree and in tests: the full
-    dataset is trivially a 0-coreset of itself.
+    dataset is trivially a 0-coreset of itself.  The inputs are as
+    :func:`~repro.utils.validation.check_points` and
+    :func:`~repro.utils.validation.check_weights` return them (``weights``
+    may be ``None``, unit weights); the :class:`Coreset` checks its copies.
     """
-    points = check_points(points)
-    weights = check_weights(weights, points.shape[0])
+    if weights is None:
+        weights = np.ones(points.shape[0], dtype=np.float64)
     return Coreset(points=points.copy(), weights=weights.copy(), indices=np.arange(points.shape[0]), method="identity")

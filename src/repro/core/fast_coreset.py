@@ -48,9 +48,6 @@ class FastCoreset(CoresetConstruction):
         Number of clusters the coreset must support.
     z:
         1 for k-median, 2 for k-means.
-    epsilon:
-        Target accuracy; only recorded for bookkeeping (the sample size
-        ``m`` is chosen by the caller, as in the paper's experiments).
     use_spread_reduction:
         Run Algorithms 2-3 before the quadtree seeding.  Disabling it gives
         the ``~O(nd log Delta)`` variant of Corollary 3.2 and is exposed for
@@ -82,7 +79,6 @@ class FastCoreset(CoresetConstruction):
         k: int,
         *,
         z: int = 2,
-        epsilon: float = 0.5,
         use_spread_reduction: bool = True,
         dimension_reduction: bool = True,
         dimension_threshold: int = 64,
@@ -92,7 +88,6 @@ class FastCoreset(CoresetConstruction):
     ) -> None:
         super().__init__(z=check_power(z), seed=seed)
         self.k = check_integer(k, name="k")
-        self.epsilon = float(epsilon)
         self.use_spread_reduction = bool(use_spread_reduction)
         self.dimension_reduction = bool(dimension_reduction)
         self.dimension_threshold = int(dimension_threshold)
@@ -229,7 +224,6 @@ class FastCoreset(CoresetConstruction):
 
         metadata = {
             "k": float(self.k),
-            "epsilon": float(self.epsilon),
             "spread_reduction": float(self.use_spread_reduction),
         }
         if reduction is not None:

@@ -33,12 +33,7 @@ from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.core.base import CoresetConstruction
 from repro.core.coreset import Coreset
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import (
-    check_integer,
-    check_points,
-    check_power,
-    check_weights,
-)
+from repro.utils.validation import check_integer, check_power
 
 
 # --------------------------------------------------------------------------- scores
@@ -55,7 +50,8 @@ def sensitivity_scores(
     Parameters
     ----------
     points:
-        Array of shape ``(n, d)``.
+        Finite, C-contiguous float64 array of shape ``(n, d)``, as
+        :func:`~repro.utils.validation.check_points` returns it.
     solution:
         The candidate solution ``C``.  When it carries an assignment (for
         example the tree-metric assignment of ``Fast-kmeans++``) and
@@ -63,9 +59,10 @@ def sensitivity_scores(
         assignment, exactly as Algorithm 1 requires; otherwise the
         nearest-center assignment is used.
     weights:
-        Optional input weights; cluster sizes and cluster costs become
-        weighted totals so the scores remain correct when re-compressing an
-        existing coreset.
+        ``None`` (unit weights) or input weights as
+        :meth:`~repro.core.base.CoresetConstruction.sample` checked them;
+        cluster sizes and cluster costs become weighted totals so the scores
+        remain correct when re-compressing an existing coreset.
     z:
         1 for k-median, 2 for k-means.
     use_solution_assignment:
@@ -77,10 +74,9 @@ def sensitivity_scores(
         Length-``n`` array of non-negative scores.  Multiply by the input
         weights to obtain the sampling mass.
     """
-    points = check_points(points)
     z = check_power(z)
-    n = points.shape[0]
-    weights = check_weights(weights, n)
+    if weights is None:
+        weights = np.ones(points.shape[0], dtype=np.float64)
 
     centers = np.asarray(solution.centers, dtype=np.float64)
     if use_solution_assignment and solution.assignment is not None:
@@ -124,7 +120,15 @@ def sample_by_scores(
         return indices.astype(np.int64), sample_weights
     probabilities = mass / total
     indices = generator.choice(points.shape[0], size=m, replace=True, p=probabilities)
-    sample_weights = total / (m * scores[indices])
+    # A score reaches about 2 / weight, so with weights near the bottom of
+    # the float64 range m * score can overflow and zero a draw's weight;
+    # those draws divide in the other order.
+    with np.errstate(over="ignore"):
+        denominators = m * scores[indices]
+    sample_weights = total / denominators
+    overflowed = np.isinf(denominators)
+    if np.any(overflowed):
+        sample_weights[overflowed] = total / m / scores[indices[overflowed]]
     return indices.astype(np.int64), sample_weights
 
 

@@ -44,7 +44,7 @@ from repro.geometry.grid import _hash_multipliers, hash_rows, random_grid_shift
 from repro.native import get_kernel
 from repro.geometry.quadtree import compute_spread
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_integer, check_points, check_power
+from repro.utils.validation import check_integer, check_power
 
 
 # --------------------------------------------------------------------- Algorithm 2
@@ -101,8 +101,10 @@ def crude_cost_upper_bound(
     optimal tree-metric cost is sandwiched between ``sqrt(d) * side / 2`` and
     ``n * sqrt(d) * 8 * side`` for that level, and by Lemma 2.2 the Euclidean
     optimum is within another ``O(d log Delta)`` factor.
+
+    Precondition: ``points`` is finite, C-contiguous float64 ``(n, d)``, as
+    :func:`~repro.utils.validation.check_points` returns it.
     """
-    points = check_points(points)
     n, d = points.shape
     k = check_integer(k, name="k")
     generator = as_generator(seed)
@@ -286,7 +288,8 @@ def reduce_spread(
     Parameters
     ----------
     points:
-        Array of shape ``(n, d)``.
+        Finite, C-contiguous float64 array of shape ``(n, d)``, as
+        :func:`~repro.utils.validation.check_points` returns it.
     k:
         Number of clusters (drives the crude upper bound when none is given).
     upper_bound:
@@ -314,7 +317,6 @@ def reduce_spread(
     reasonable solution on ``P'`` has the same cost as the corresponding
     solution on ``P`` up to an additive ``OPT / n``.
     """
-    points = check_points(points)
     n, d = points.shape
     k = check_integer(k, name="k")
     generator = as_generator(seed)

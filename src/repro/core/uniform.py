@@ -17,7 +17,6 @@ import numpy as np
 from repro.core.base import CoresetConstruction
 from repro.core.coreset import Coreset
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_points, check_sample_size, check_weights
 
 
 class UniformSampling(CoresetConstruction):
@@ -88,7 +87,4 @@ def uniform_sample(
     seed:
         Randomness source.
     """
-    points = check_points(points)
-    weights = check_weights(weights, points.shape[0])
-    m = check_sample_size(m, points.shape[0])
     return UniformSampling(seed=seed).sample(points, m, weights=weights)

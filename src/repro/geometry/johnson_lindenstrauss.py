@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_integer, check_points, check_positive
+from repro.utils.validation import check_integer, check_positive
 
 
 def jl_target_dimension(k: int, epsilon: float = 0.5, *, minimum: int = 8) -> int:
@@ -77,12 +77,13 @@ class JohnsonLindenstraussEmbedding:
         ----------
         points:
             The data whose dimensionality determines the input side of the
-            projection; the values themselves are not used.
+            projection; the values themselves are not used.  A finite,
+            C-contiguous float64 ``(n, d)`` array, as
+            :func:`~repro.utils.validation.check_points` returns it.
         k:
             Number of clusters, used to pick ``target_dim`` when it was not
             given explicitly.
         """
-        points = check_points(points)
         input_dim = points.shape[1]
         if self.target_dim is None:
             if k is None:
@@ -97,10 +98,13 @@ class JohnsonLindenstraussEmbedding:
         return self
 
     def transform(self, points: np.ndarray) -> np.ndarray:
-        """Project ``points`` with the fitted matrix."""
+        """Project ``points`` with the fitted matrix.
+
+        Precondition: ``points`` is finite, C-contiguous float64 ``(n, d)``,
+        as :func:`~repro.utils.validation.check_points` returns it.
+        """
         if self.projection_ is None:
             raise RuntimeError("the embedding must be fitted before calling transform")
-        points = check_points(points)
         if points.shape[1] != self.projection_.shape[0]:
             raise ValueError(
                 f"points have dimension {points.shape[1]} but the embedding was fitted "
@@ -125,8 +129,10 @@ def maybe_reduce_dimension(
     The paper only applies dimension reduction to MNIST because the other
     datasets already have low dimensionality; this helper encodes the same
     rule — data with at most ``threshold`` features is returned unchanged.
+
+    Precondition: ``points`` is finite, C-contiguous float64 ``(n, d)``, as
+    :func:`~repro.utils.validation.check_points` returns it.
     """
-    points = check_points(points)
     target = jl_target_dimension(k)
     if points.shape[1] <= max(threshold, target):
         return points

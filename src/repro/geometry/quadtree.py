@@ -108,8 +108,8 @@ What is cached where (spread and cost-bound hints)
   spread *and* one cached crude cost upper bound (Algorithm 2, served to
   :func:`repro.core.spread_reduction.reduce_spread` through the sampler's
   ``cost_bound`` hint) per stream.  Both caches sit behind the same refresh
-  signal — a bounding-box diagonal that grows past the configured factor
-  (or, in a windowed tree, shrinks below its inverse), or the staleness
+  signal — a bounding-box diagonal that grows past a fixed factor (or, in
+  a windowed tree, shrinks below its inverse), or a fixed staleness
   interval — and a refresh recomputes both together, so a
   stream pays the pairwise subsample and the dyadic binary search once per
   distribution shift instead of once per compression.
@@ -130,7 +130,7 @@ from repro.native import (
     reference_quadtree_max_squared_norm,
 )
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_integer, check_points
+from repro.utils.validation import check_integer
 
 _EMPTY_INDICES = np.empty(0, dtype=np.int32)
 
@@ -198,8 +198,10 @@ def compute_spread(
     window, so the window minimum is a tight upper bound on the subsample
     minimum — and the spread only enters the algorithms through its
     logarithm, making the estimate more than accurate enough.
+
+    Precondition: ``points`` is finite, C-contiguous float64 ``(n, d)``, as
+    :func:`~repro.utils.validation.check_points` returns it.
     """
-    points = check_points(points)
     with _obs.span("quadtree.spread_estimate", n=int(points.shape[0])):
         return _compute_spread_impl(points, sample_size, block_size, seed)
 
@@ -316,22 +318,21 @@ class QuadtreeEmbedding:
     def fit(self, points: np.ndarray) -> "QuadtreeEmbedding":
         """Build the Z-order cell layout for ``points``.
 
-        Raises ``ValueError`` for more than ``2**31 - 1`` points, which the
-        int32 arrays cannot index.
+        Precondition: ``points`` is finite, C-contiguous float64 ``(n, d)``,
+        as :func:`~repro.utils.validation.check_points` returns it (the
+        compiled build reads it in place).  Raises ``ValueError`` for more
+        than ``2**31 - 1`` points, which the int32 arrays cannot index.
         """
         with _obs.span("quadtree.fit") as fit_span:
             self._fit_levels(points, fit_span)
         return self
 
     def _fit_levels(self, points: np.ndarray, fit_span: Any) -> None:
-        # Before check_points, whose finiteness scan allocates n * d flags.
-        shape = getattr(points, "shape", ())
-        if len(shape) == 2 and shape[0] > _MAX_POINTS:
+        if points.shape[0] > _MAX_POINTS:
             raise ValueError(
                 f"a quadtree indexes its points with int32: at most {_MAX_POINTS} "
-                f"points per fit, got {shape[0]}"
+                f"points per fit, got {points.shape[0]}"
             )
-        points = check_points(points)
         self.n_points_, self.dimension_ = points.shape
         self.max_levels = check_integer(self.max_levels, name="max_levels")
         generator = as_generator(self.seed)

@@ -44,9 +44,11 @@ class ShardedBuildResult:
         The final compression (the union of the shard messages, or its
         re-compression when ``final_coreset_size`` is set).
     shard_coresets:
-        The per-shard messages, in shard order.
+        The per-shard messages, in shard order.  A shard whose weights sum
+        below the smallest normal double sends none.
     shard_sizes / message_sizes:
-        Points received / sent by each shard.
+        Points received / sent by each shard (0 sent by a shard with no
+        message).
     communication:
         Total floats shipped to the host (``sum(message_size * (d + 1))``),
         the quantity the MapReduce cost model charges for.
@@ -170,11 +172,14 @@ class ShardedCoresetBuilder:
             Optional precomputed spread estimate forwarded to every shard's
             sampler (the PR 2 sharing hook): one host-side estimate can
             serve all shards since only its logarithm is consumed.
+
+        A shard whose weights sum below the smallest normal double (say,
+        all zero) is dropped before the data is published: its sampler
+        would reject it, and it carries no mass the union needs.  Raises
+        ``ValueError`` when that drops every shard.
         """
         points = check_points(points)
         weights = check_weights(weights, points.shape[0])
-        owns_executor = not isinstance(executor, AsyncExecutor)
-        executor = resolve_async_executor(executor)
         root = as_seed_sequence(self.seed)
 
         n = points.shape[0]
@@ -189,6 +194,7 @@ class ShardedCoresetBuilder:
             shard_weights = weights
 
         bounds = shard_bounds(n, self.n_shards)
+        tiny = float(np.finfo(np.float64).tiny)
         tasks = [
             ShardTask(
                 index=index,
@@ -200,8 +206,17 @@ class ShardedCoresetBuilder:
                 spread=spread,
             )
             for index, (start, stop) in enumerate(bounds)
+            # The sum the sampler's total-weight rule takes.
+            if float(np.sum(shard_weights[start:stop])) >= tiny
         ]
+        if not tasks:
+            raise ValueError(
+                f"every shard's weights sum below {tiny:.6g} (the smallest normal "
+                "float64): no shard can be compressed"
+            )
         payload = ArrayPayload(points=shard_points, weights=shard_weights)
+        owns_executor = not isinstance(executor, AsyncExecutor)
+        executor = resolve_async_executor(executor)
         method = f"sharded[{self.sampler.name}]"
         diagnostics = ExecutionDiagnostics()
         try:
@@ -217,7 +232,7 @@ class ShardedCoresetBuilder:
                     # frozen KEY_FINAL seed, so every compression rides the
                     # executor.
                     final_task = ShardTask(
-                        index=len(tasks),
+                        index=len(bounds),
                         start=0,
                         stop=union.size,
                         m=self.final_coreset_size,
@@ -240,7 +255,8 @@ class ShardedCoresetBuilder:
             if owns_executor:
                 executor.close()
 
-        message_sizes = [message.size for message in shard_coresets]
+        sent = {task.index: message.size for task, message in zip(tasks, shard_coresets)}
+        message_sizes = [sent.get(index, 0) for index in range(len(bounds))]
         communication = sum(size * (points.shape[1] + 1) for size in message_sizes)
         return ShardedBuildResult(
             coreset=coreset,

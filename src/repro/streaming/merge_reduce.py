@@ -32,7 +32,7 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import observability as _obs
-from repro.core.base import CoresetConstruction
+from repro.core.base import CoresetConstruction, check_sample_input
 from repro.core.coreset import Coreset, merge_coresets
 from repro.observability import ExecutionDiagnostics
 from repro.core.spread_reduction import crude_cost_upper_bound
@@ -58,7 +58,20 @@ from repro.utils.rng import (
     keyed_seed_sequence,
     random_seed_from,
 )
-from repro.utils.validation import check_integer
+from repro.utils.validation import check_integer, check_points, check_weights
+
+#: Bounding-box growth ratio that triggers a fresh spread estimate (its
+#: inverse, a shrink, does too once a windowed tree's blocks expire).
+SPREAD_REFRESH_FACTOR = 2.0
+
+#: Hard cap on staleness: a fresh estimate is taken at least every this many
+#: blocks even when the bounding box is stable.  The box cannot see the
+#: spread grow through *shrinking minimum distances* (e.g. near-duplicate
+#: points arriving late in the stream inside the established box), so the
+#: periodic resync bounds how long such a stream can run on an
+#: underestimate; at this interval the amortised cost of the (blocked)
+#: estimate stays negligible.
+SPREAD_REFRESH_INTERVAL = 32
 
 
 @dataclass
@@ -125,10 +138,11 @@ class MergeReduceTree:
         (the dominant fixed cost of a :class:`~repro.core.fast_coreset.FastCoreset`
         fit on a small block).  Because only the *logarithm* of the spread is
         consumed downstream, the cache is refreshed only when the bounding
-        box diagonal grows past ``spread_refresh_factor`` times its size at
-        the previous estimate.  Disabling the flag restores the exact
-        per-block-estimate behaviour (used as the baseline by the perf
-        harness and the distortion-parity tests).
+        box diagonal grows past :data:`SPREAD_REFRESH_FACTOR` times its size
+        at the previous estimate, or every :data:`SPREAD_REFRESH_INTERVAL`
+        blocks.  Disabling the flag restores the exact per-block-estimate
+        behaviour (used as the baseline by the perf harness and the
+        distortion-parity tests).
     cache_cost_bound:
         Also cache the Algorithm-2 crude cost upper bound behind the *same*
         refresh signal (default).  For samplers that declare
@@ -141,17 +155,6 @@ class MergeReduceTree:
         guarantees tolerate polynomial slack, so a bound measured on an
         earlier block of the same stream remains valid between refreshes.
         Ignored when ``share_stream_state`` is disabled.
-    spread_refresh_factor:
-        Bounding-box growth ratio that triggers a fresh estimate (its
-        inverse, a shrink, does too once a windowed tree's blocks expire).
-    spread_refresh_interval:
-        Hard cap on staleness: a fresh estimate is taken at least every this
-        many blocks even when the bounding box is stable.  The box
-        cannot see the spread grow through *shrinking minimum distances*
-        (e.g. near-duplicate points arriving late in the stream inside the
-        established box), so the periodic resync bounds how long such a
-        stream can run on an underestimate; at the default interval the
-        amortised cost of the (blocked) estimate stays negligible.
     pending_limit:
         Bound on the number of unsettled leaf futures the tree may hold
         when :meth:`add_blocks` is given an executor instance (the overlap
@@ -186,8 +189,6 @@ class MergeReduceTree:
     seed: SeedLike = None
     share_stream_state: bool = True
     cache_cost_bound: bool = True
-    spread_refresh_factor: float = 2.0
-    spread_refresh_interval: int = 32
     pending_limit: Optional[int] = None
     levels: Dict[int, Union[Coreset, Future]] = field(default_factory=dict, init=False)
     reductions: int = field(default=0, init=False)
@@ -216,6 +217,8 @@ class MergeReduceTree:
         self._cached_cost_bound: Optional[float] = None
         self._cached_diameter: float = 0.0
         self._blocks_since_refresh: int = 0
+        #: Columns of every block; fixed by the first batch accepted.
+        self._dimension: Optional[int] = None
 
     # ------------------------------------------------------------------
     def _observe(self, points: np.ndarray) -> None:
@@ -241,12 +244,12 @@ class MergeReduceTree:
     ) -> Tuple[Optional[float], Optional[float]]:
         """Cached (spread, crude cost bound), refreshed when the box changes size.
 
-        The two caches share one staleness signal: whenever the bounding box
-        diagonal outgrows the configured factor, shrinks below its inverse,
-        or the refresh interval expires, *both* are recomputed from the
-        triggering block — spread first, then the Algorithm-2 bound off that
-        fresh spread, drawing from the dedicated cache generator in that
-        fixed order.  The box only shrinks in a windowed tree, once blocks
+        The two caches share one staleness signal: whenever the bounding
+        box diagonal grows by :data:`SPREAD_REFRESH_FACTOR`, shrinks by it,
+        or :data:`SPREAD_REFRESH_INTERVAL` blocks pass, *both* are
+        recomputed from the triggering block — spread first, then the
+        Algorithm-2 bound off that fresh spread, drawing from the dedicated
+        cache generator in that fixed order.  The box only shrinks in a windowed tree, once blocks
         expire: a spread measured on a much larger window overestimates the
         live one.  The append-only tree's box never shrinks below its size
         at the last refresh, so that clause never fires there.
@@ -261,9 +264,9 @@ class MergeReduceTree:
         stale = (
             self._cached_spread is None
             or (wants_bound and self._cached_cost_bound is None)
-            or diameter > self.spread_refresh_factor * self._cached_diameter
-            or diameter * self.spread_refresh_factor < self._cached_diameter
-            or self._blocks_since_refresh > self.spread_refresh_interval
+            or diameter > SPREAD_REFRESH_FACTOR * self._cached_diameter
+            or diameter * SPREAD_REFRESH_FACTOR < self._cached_diameter
+            or self._blocks_since_refresh > SPREAD_REFRESH_INTERVAL
         )
         if stale:
             with _obs.span("stream.hint_refresh", rows=int(points.shape[0])):
@@ -365,6 +368,36 @@ class MergeReduceTree:
         self.levels[level] = current
 
     # --------------------------------------------------------- ingest hooks
+    def _checked_batch(self, blocks: Iterable[Union[Block, "Future"]]) -> List[Block]:
+        """Resolve and check every block of a batch before any is ingested.
+
+        Each block's points pass :func:`~repro.utils.validation.check_points`,
+        its weights :func:`~repro.utils.validation.check_weights` (``None``
+        becomes unit weights), its width must be the tree's, and the pair
+        must pass :func:`~repro.core.base.check_sample_input` at
+        ``coreset_size``, the most points any compression of the tree
+        samples.  The first failure raises ``ValueError`` before any block
+        reaches :meth:`_leaf`, so a rejected batch leaves the tree as it
+        was.
+        """
+        batch = []
+        dimension = self._dimension
+        for block in blocks:
+            if isinstance(block, Future):
+                block = block.result()
+            points, weights = block
+            points = check_points(points, name="block points")
+            weights = check_weights(weights, points.shape[0], name="block weights")
+            if dimension is None:
+                dimension = points.shape[1]
+            elif points.shape[1] != dimension:
+                raise ValueError(
+                    f"block points have {points.shape[1]} columns, the stream {dimension}"
+                )
+            check_sample_input(points, weights, self.coreset_size)
+            batch.append((points, weights))
+        return batch
+
     def _leaf(self, points: np.ndarray, weights: np.ndarray, position: int) -> _Bucket:
         """Per-block hook of :meth:`add_blocks`: count and observe the block
         at ``position`` in its batch, fix its hints, return its leaf record."""
@@ -405,7 +438,9 @@ class MergeReduceTree:
         objects resolving to ``(points, weights)`` — the shape an
         asynchronous reader produces — and are resolved in arrival order,
         so the stream's identity (and therefore every derived seed) is
-        unchanged.
+        unchanged.  The batch is accepted or rejected whole: every block is
+        checked (:meth:`_checked_batch`) before the first is ingested, so a
+        ``ValueError`` leaves the tree exactly as it was.
 
         The leaf futures are enqueued and settled lazily — immediately down
         to :attr:`pending_limit` outstanding futures (all of them when the
@@ -416,17 +451,14 @@ class MergeReduceTree:
         returning.  The carry chain is walked in arrival order, so every
         scheduling produces the identical tree.
         """
-        records = []
-        for position, block in enumerate(blocks):
-            if isinstance(block, Future):
-                block = block.result()
-            points, weights = block
-            points = np.asarray(points, dtype=np.float64)
-            if weights is None:
-                weights = np.ones(points.shape[0], dtype=np.float64)
-            records.append((points, weights, self._leaf(points, weights, position)))
-        if not records:
+        batch = self._checked_batch(blocks)
+        if not batch:
             return
+        self._dimension = batch[0][0].shape[1]
+        records = [
+            (points, weights, self._leaf(points, weights, position))
+            for position, (points, weights) in enumerate(batch)
+        ]
         leaves = [record for record in records if record[2].value is None]
         tasks = []
         start = 0

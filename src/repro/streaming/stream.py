@@ -47,9 +47,9 @@ def _check_stream_points(points: np.ndarray) -> np.ndarray:
     arrays the finiteness scan is skipped: reading every page of the file
     (and allocating an ``n*d``-byte boolean temporary) at construction time
     is exactly what the "never hold the full dataset" contract forbids.
-    Shape and dtype are still checked; non-finite values surface when the
-    offending block reaches a consumer, every one of which re-validates the
-    blocks it is handed.
+    Shape and dtype are still checked; a block holding a non-finite value
+    is rejected by the stream tree's ``add_blocks`` (before the tree takes
+    any block of its batch), or by whichever other consumer it reaches.
     """
     if isinstance(points, np.ndarray) and _is_memmap_backed(points):
         if points.ndim != 2:
@@ -265,8 +265,8 @@ class DataStream:
         copy, silently breaking the contract, so it is rejected instead
         (convert once offline with ``array.astype(np.float64)``).  For the
         same reason the usual construction-time finiteness scan is skipped
-        for memory-mapped data — a NaN in the file surfaces when the block
-        containing it reaches a consumer, which re-validates its input.
+        for memory-mapped data — a NaN in the file surfaces at the stream
+        tree's ``add_blocks``, which rejects the batch holding it whole.
 
         Parameters
         ----------

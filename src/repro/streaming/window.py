@@ -261,7 +261,7 @@ class WindowedMergeReduceTree(MergeReduceTree):
         self._timestamps: Optional[Sequence[float]] = None
 
     # ------------------------------------------------------------ host walk
-    def _walk(self, points: np.ndarray, timestamp: Optional[float]) -> _Bucket:
+    def _walk(self, points: np.ndarray, stamp: float) -> _Bucket:
         """Advance the window to one arriving block: stamp, expire, observe.
 
         Everything stochastic a later compression consumes — the hint
@@ -270,11 +270,6 @@ class WindowedMergeReduceTree(MergeReduceTree):
         scheduled.
         """
         index = self.blocks_seen
-        stamp = float(index) if timestamp is None else float(timestamp)
-        if self._now_time is not None and stamp < self._now_time:
-            raise ValueError(
-                f"timestamps must be non-decreasing: got {stamp} after {self._now_time}"
-            )
         self.blocks_seen += 1
         _obs.counter_add("stream.blocks", 1.0)
         self._now_index = index
@@ -429,12 +424,34 @@ class WindowedMergeReduceTree(MergeReduceTree):
         identical window.
         """
         self._timestamps = timestamps
-        super().add_blocks(blocks, executor=executor)
+        try:
+            super().add_blocks(blocks, executor=executor)
+        finally:
+            self._timestamps = None
+
+    def _checked_batch(self, blocks: Iterable[Union[Block, "Future"]]) -> List[Block]:
+        """The base tree's block checks, then the stamps: one per block (block
+        indices by default), none below the one before it."""
+        batch = super()._checked_batch(blocks)
+        if self._timestamps is None:
+            stamps = [float(self.blocks_seen + position) for position in range(len(batch))]
+        else:
+            stamps = [float(stamp) for stamp in self._timestamps]
+            if len(stamps) != len(batch):
+                raise ValueError(f"got {len(stamps)} timestamps for {len(batch)} blocks")
+        previous = self._now_time
+        for stamp in stamps:
+            if previous is not None and stamp < previous:
+                raise ValueError(
+                    f"timestamps must be non-decreasing: got {stamp} after {previous}"
+                )
+            previous = stamp
+        self._timestamps = stamps
+        return batch
 
     def _leaf(self, points: np.ndarray, weights: np.ndarray, position: int) -> _Bucket:
         """Walk one block; one of at most ``m`` points is kept verbatim."""
-        timestamp = None if self._timestamps is None else self._timestamps[position]
-        bucket = self._walk(points, timestamp)
+        bucket = self._walk(points, self._timestamps[position])
         if points.shape[0] <= self.coreset_size:
             bucket.value = trivial_coreset(points, weights)
         return bucket

@@ -1,40 +1,26 @@
 """Shared low-level utilities used across the library.
 
 The submodules here deliberately contain no clustering logic: they provide
-reproducible random-number handling (:mod:`repro.utils.rng`), lightweight
-wall-clock timing (:mod:`repro.utils.timer`), argument validation helpers
-(:mod:`repro.utils.validation`) and weighted-statistics primitives
-(:mod:`repro.utils.weights`).
+reproducible random-number handling (:mod:`repro.utils.rng`), the
+``timed`` helper the experiment drivers use (:mod:`repro.utils.timer`) and
+the argument checks the public entries make once
+(:mod:`repro.utils.validation`).
 """
 
-from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.timer import Timer, timed
+from repro.utils.rng import as_generator
+from repro.utils.timer import timed
 from repro.utils.validation import (
-    check_array,
     check_integer,
+    check_points,
     check_positive,
-    check_probability,
     check_weights,
-)
-from repro.utils.weights import (
-    normalize_weights,
-    weighted_mean,
-    weighted_quantile,
-    weighted_variance,
 )
 
 __all__ = [
     "as_generator",
-    "spawn_generators",
-    "Timer",
     "timed",
-    "check_array",
     "check_integer",
+    "check_points",
     "check_positive",
-    "check_probability",
     "check_weights",
-    "normalize_weights",
-    "weighted_mean",
-    "weighted_quantile",
-    "weighted_variance",
 ]

@@ -9,7 +9,7 @@ produces identical runs, which the experiment harnesses rely on.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -43,23 +43,6 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
     )
 
 
-def spawn_generators(seed: SeedLike, count: int) -> Sequence[np.random.Generator]:
-    """Derive ``count`` statistically independent generators from ``seed``.
-
-    This is used when an experiment fans work out over repetitions, blocks of
-    a stream, or the shards of a sharded build: each unit of work receives its
-    own generator so results do not depend on evaluation order.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        # Derive children by drawing fresh seeds from the parent generator.
-        seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in sequence.spawn(count)]
-
-
 def as_seed_sequence(seed: SeedLike = None) -> np.random.SeedSequence:
     """Return a :class:`numpy.random.SeedSequence` for ``seed``.
 
@@ -71,9 +54,8 @@ def as_seed_sequence(seed: SeedLike = None) -> np.random.SeedSequence:
     completion order.
 
     A ``Generator`` seed is consumed statefully (one integer is drawn to form
-    the root entropy), matching the convention of :func:`spawn_generators`;
-    ``None`` yields fresh OS entropy, i.e. a non-reproducible run, exactly as
-    it does for :func:`as_generator`.
+    the root entropy); ``None`` yields fresh OS entropy, i.e. a
+    non-reproducible run, exactly as it does for :func:`as_generator`.
     """
     if isinstance(seed, np.random.SeedSequence):
         return seed
@@ -137,41 +119,3 @@ def weighted_index_draw(generator: np.random.Generator, mass: np.ndarray) -> int
         return -1
     index = int(np.searchsorted(cumulative, generator.random() * total, side="right"))
     return min(index, mass.size - 1)
-
-
-def permutation(generator: np.random.Generator, n: int) -> np.ndarray:
-    """Return a random permutation of ``range(n)`` as an int64 array."""
-    return generator.permutation(n).astype(np.int64)
-
-
-def sample_without_replacement(
-    generator: np.random.Generator,
-    population: int,
-    size: int,
-    probabilities: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Sample ``size`` distinct indices from ``range(population)``.
-
-    Parameters
-    ----------
-    generator:
-        Source of randomness.
-    population:
-        Size of the index universe.
-    size:
-        Number of indices to draw; must not exceed ``population``.
-    probabilities:
-        Optional sampling weights over the population.  They need not be
-        normalised; zero-weight items are never selected.
-    """
-    if size > population:
-        raise ValueError(
-            f"cannot sample {size} items without replacement from a population of {population}"
-        )
-    if probabilities is None:
-        return generator.choice(population, size=size, replace=False)
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    total = probabilities.sum()
-    if total <= 0:
-        raise ValueError("probabilities must have a positive sum")
-    return generator.choice(population, size=size, replace=False, p=probabilities / total)

@@ -1,49 +1,16 @@
-"""Lightweight wall-clock timing helpers for the experiment harnesses.
+"""Wall-clock timing for the experiment harnesses.
 
 The paper reports mean runtimes over five repetitions (Table 1, Figure 1,
-Figure 2, Figure 5).  The :class:`Timer` context manager and the
-:func:`timed` helper give the harnesses a single, consistent way to measure
-those intervals without pulling in a benchmarking dependency inside the
-library itself (pytest-benchmark is used only in ``benchmarks/``).
+Figure 2, Figure 5).  :func:`timed` gives the harnesses one consistent way
+to measure those intervals without pulling in a benchmarking dependency
+inside the library itself (pytest-benchmark is used only in
+``benchmarks/``).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
-
-
-@dataclass
-class Timer:
-    """Context manager measuring elapsed wall-clock seconds.
-
-    Examples
-    --------
-    >>> with Timer() as t:
-    ...     _ = sum(range(1000))
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    elapsed: float = 0.0
-    _start: float = field(default=0.0, repr=False)
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.elapsed = time.perf_counter() - self._start
-
-    def start(self) -> None:
-        """Start (or restart) the timer outside of a ``with`` block."""
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        """Stop the timer and return the elapsed seconds."""
-        self.elapsed = time.perf_counter() - self._start
-        return self.elapsed
+from typing import Any, Callable, Tuple
 
 
 def timed(function: Callable[..., Any], *args: Any, **kwargs: Any) -> Tuple[Any, float]:
@@ -51,34 +18,3 @@ def timed(function: Callable[..., Any], *args: Any, **kwargs: Any) -> Tuple[Any,
     start = time.perf_counter()
     result = function(*args, **kwargs)
     return result, time.perf_counter() - start
-
-
-@dataclass
-class StopwatchRecorder:
-    """Accumulate named timing measurements across repeated runs.
-
-    Used by the experiment harnesses to collect per-method runtimes and then
-    report mean and standard deviation, mirroring the "mean over five runs"
-    presentation in the paper.
-    """
-
-    records: Dict[str, List[float]] = field(default_factory=dict)
-
-    def record(self, name: str, seconds: float) -> None:
-        """Append one measurement for ``name``."""
-        self.records.setdefault(name, []).append(seconds)
-
-    def mean(self, name: str) -> float:
-        """Mean of all measurements recorded under ``name``."""
-        values = self.records[name]
-        return sum(values) / len(values)
-
-    def std(self, name: str) -> float:
-        """Population standard deviation of measurements under ``name``."""
-        values = self.records[name]
-        mean = self.mean(name)
-        return (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
-
-    def summary(self) -> Dict[str, Tuple[float, float]]:
-        """Return ``{name: (mean, std)}`` for every recorded series."""
-        return {name: (self.mean(name), self.std(name)) for name in self.records}

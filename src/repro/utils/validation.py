@@ -12,47 +12,21 @@ from typing import Optional
 import numpy as np
 
 
-def check_array(
-    data: np.ndarray,
-    *,
-    name: str = "data",
-    ndim: int = 2,
-    allow_empty: bool = False,
-    dtype: type = np.float64,
-) -> np.ndarray:
-    """Validate and coerce an input array.
+def check_points(points: np.ndarray, *, name: str = "points") -> np.ndarray:
+    """Validate a point set and return it as a C-contiguous float64 ``(n, d)`` array.
 
-    Parameters
-    ----------
-    data:
-        Anything convertible to a numpy array.
-    name:
-        Name used in error messages.
-    ndim:
-        Required number of dimensions (2 for point sets, 1 for weights).
-    allow_empty:
-        If ``False`` (default) an array with zero rows raises ``ValueError``.
-    dtype:
-        Target dtype; the array is converted if necessary.
-
-    Returns
-    -------
-    numpy.ndarray
-        A contiguous array of the requested dtype and dimensionality.
+    Raises ``ValueError`` unless the input has two dimensions, at least one
+    row and only finite values.  This is the check the public entries make
+    once; the stages they call take its output as given.
     """
-    array = np.asarray(data, dtype=dtype)
-    if array.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {array.shape}")
-    if not allow_empty and array.shape[0] == 0:
+    array = np.asarray(points, dtype=np.float64)
+    if array.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {array.shape}")
+    if array.shape[0] == 0:
         raise ValueError(f"{name} must contain at least one element")
     if not np.all(np.isfinite(array)):
         raise ValueError(f"{name} contains NaN or infinite values")
     return np.ascontiguousarray(array)
-
-
-def check_points(points: np.ndarray, *, name: str = "points") -> np.ndarray:
-    """Validate a point set of shape ``(n, d)``."""
-    return check_array(points, name=name, ndim=2)
 
 
 def check_weights(
@@ -101,14 +75,6 @@ def check_positive(value: float, *, name: str) -> float:
     value = float(value)
     if not np.isfinite(value) or value <= 0:
         raise ValueError(f"{name} must be a positive finite number, got {value}")
-    return value
-
-
-def check_probability(value: float, *, name: str) -> float:
-    """Validate a parameter that must lie in the closed interval [0, 1]."""
-    value = float(value)
-    if not np.isfinite(value) or value < 0 or value > 1:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return value
 
 

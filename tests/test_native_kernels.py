@@ -23,7 +23,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import observability
@@ -53,11 +53,7 @@ from repro.native import (
 )
 from repro.native.kernels import _verify_quadtree_build, quadtree_points
 
-SETTINGS = settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
+from hypothesis_settings import SETTINGS
 
 requires_native = pytest.mark.skipif(
     native_status()["tier"] != "native",

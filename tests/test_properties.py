@@ -9,11 +9,10 @@ coreset composition property.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.clustering.cost import clustering_cost
 from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.core import (
     FastCoreset,
@@ -28,20 +27,14 @@ from repro.geometry.quadtree import QuadtreeEmbedding
 from repro.native import use_native
 from repro.parallel import shard_bounds
 from repro.utils.rng import as_seed_sequence, keyed_seed_sequence
-from repro.utils.weights import weighted_mean, weighted_variance
 
+from hypothesis_settings import SETTINGS
 from partition_helpers import (
     assert_refines,
     assert_same_partition,
     cell_labels,
     lattice_labels,
     lattice_rows,
-)
-
-SETTINGS = settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
 points_strategy = arrays(
@@ -229,20 +222,6 @@ class TestGeometryProperties:
         for group in range(inverse.max() + 1):
             group_keys = keys[inverse == group]
             assert np.unique(group_keys).shape[0] == 1
-
-
-class TestWeightedStatisticsProperties:
-    @SETTINGS
-    @given(points=points_strategy)
-    def test_weighted_mean_matches_numpy_for_unit_weights(self, points):
-        np.testing.assert_allclose(weighted_mean(points), points.mean(axis=0), atol=1e-8)
-
-    @SETTINGS
-    @given(points=points_strategy)
-    def test_weighted_variance_is_one_means_cost(self, points):
-        mean = points.mean(axis=0)
-        expected = clustering_cost(points, mean[None, :], z=2)
-        assert weighted_variance(points) == pytest.approx(expected, rel=1e-6, abs=1e-6)
 
 
 class TestShardBoundsProperties:

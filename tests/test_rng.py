@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import (
-    as_generator,
-    permutation,
-    random_seed_from,
-    sample_without_replacement,
-    spawn_generators,
-    weighted_index_draw,
-)
+from repro.utils.rng import as_generator, random_seed_from, weighted_index_draw
 
 
 class TestAsGenerator:
@@ -40,65 +33,11 @@ class TestAsGenerator:
             as_generator("not-a-seed")
 
 
-class TestSpawnGenerators:
-    def test_count_matches(self):
-        assert len(spawn_generators(0, 5)) == 5
-
-    def test_children_are_independent(self):
-        children = spawn_generators(0, 2)
-        a = children[0].integers(0, 1_000_000, size=20)
-        b = children[1].integers(0, 1_000_000, size=20)
-        assert not np.array_equal(a, b)
-
-    def test_reproducible_from_int_seed(self):
-        a = [g.integers(0, 10**6) for g in spawn_generators(3, 4)]
-        b = [g.integers(0, 10**6) for g in spawn_generators(3, 4)]
-        assert a == b
-
-    def test_spawn_from_generator(self):
-        parent = np.random.default_rng(0)
-        children = spawn_generators(parent, 3)
-        assert len(children) == 3
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_generators(0, -1)
-
-    def test_zero_count_is_empty(self):
-        assert spawn_generators(0, 0) == []
-
-
 class TestSamplingHelpers:
     def test_random_seed_from_is_int(self):
         seed = random_seed_from(np.random.default_rng(0))
         assert isinstance(seed, int)
         assert seed >= 0
-
-    def test_permutation_covers_range(self):
-        perm = permutation(np.random.default_rng(0), 50)
-        assert sorted(perm.tolist()) == list(range(50))
-
-    def test_sample_without_replacement_unique(self):
-        indices = sample_without_replacement(np.random.default_rng(0), 100, 30)
-        assert len(set(indices.tolist())) == 30
-
-    def test_sample_without_replacement_respects_zero_probability(self):
-        probabilities = np.zeros(10)
-        probabilities[:5] = 1.0
-        indices = sample_without_replacement(
-            np.random.default_rng(0), 10, 5, probabilities=probabilities
-        )
-        assert set(indices.tolist()) == {0, 1, 2, 3, 4}
-
-    def test_sample_too_many_raises(self):
-        with pytest.raises(ValueError):
-            sample_without_replacement(np.random.default_rng(0), 5, 6)
-
-    def test_sample_zero_probability_sum_raises(self):
-        with pytest.raises(ValueError):
-            sample_without_replacement(
-                np.random.default_rng(0), 5, 2, probabilities=np.zeros(5)
-            )
 
 
 class TestWeightedIndexDraw:

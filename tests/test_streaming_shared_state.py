@@ -16,6 +16,7 @@ from repro.core.fast_coreset import FastCoreset
 from repro.data.synthetic import gaussian_mixture
 from repro.evaluation import coreset_distortion
 from repro.streaming import DataStream, StreamingCoresetPipeline
+from repro.streaming import merge_reduce
 from repro.streaming.merge_reduce import MergeReduceTree, stream_dataset
 
 
@@ -56,19 +57,15 @@ class TestSpreadCache:
         assert refreshes == [(1, 1)] * 5
         assert diameters == [pytest.approx(1317.0, rel=1e-3)] * 5
 
-    def test_staleness_bounded_when_min_distance_shrinks(self):
+    def test_staleness_bounded_when_min_distance_shrinks(self, monkeypatch):
         """The bounding box cannot see near-duplicates arriving late in the
         stream (the spread grows through the *minimum* distance), so the
         periodic interval must force a resync and raise the cached value.
         The interval counts blocks: at interval 8 the refresh after the
         first block's is the tenth block's."""
+        monkeypatch.setattr(merge_reduce, "SPREAD_REFRESH_INTERVAL", 8)
         rng = np.random.default_rng(7)
-        tree = MergeReduceTree(
-            sampler=FastCoreset(k=4, seed=0),
-            coreset_size=100,
-            seed=5,
-            spread_refresh_interval=8,
-        )
+        tree = MergeReduceTree(sampler=FastCoreset(k=4, seed=0), coreset_size=100, seed=5)
         # Coarse integer grid first (small spread, fixed bounding box) ...
         tree.add_block(rng.integers(0, 20, size=(400, 3)).astype(float))
         early_spread = tree._cached_spread
