@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.geometry.distances import squared_point_to_set_distances
+from repro.geometry.distances import ROW_BLOCK_ELEMENTS, squared_point_to_set_distances
 from repro.utils.validation import check_points, check_power, check_weights
 
 
@@ -111,6 +111,31 @@ def clustering_cost(
     return weighted_total(weights, per_point)
 
 
+def assigned_squared_distances(
+    points: np.ndarray, centers: np.ndarray, assignment: np.ndarray
+) -> np.ndarray:
+    """Each point's squared distance to its assigned centre.
+
+    Entry ``i`` is ``einsum("j,j->", p - c, p - c)`` for ``p = points[i]``
+    and ``c = centers[assignment[i]]``.  The pass runs over one block of
+    :data:`~repro.geometry.distances.ROW_BLOCK_ELEMENTS` entries at a time,
+    so it holds no ``(n, d)`` temporary; a row's sum does not depend on the
+    rows around it, so the bytes are the whole-array ``einsum``'s.
+    ``points`` is C-contiguous float64 ``(n, d)`` and ``assignment`` holds
+    one int64 centre index per point.
+    """
+    n, d = points.shape
+    centers = np.asarray(centers, dtype=np.float64)
+    squared = np.empty(n, dtype=np.float64)
+    rows = max(1, ROW_BLOCK_ELEMENTS // max(1, d))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        deltas = centers[assignment[start:stop]]
+        np.subtract(points[start:stop], deltas, out=deltas)
+        np.einsum("ij,ij->i", deltas, deltas, out=squared[start:stop])
+    return squared
+
+
 def cost_to_assigned_centers(
     points: np.ndarray,
     centers: np.ndarray,
@@ -137,9 +162,9 @@ def cost_to_assigned_centers(
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape[0] != points.shape[0]:
         raise ValueError("assignment must have one entry per point")
-    deltas = points - centers[assignment]
-    squared = np.einsum("ij,ij->i", deltas, deltas)
-    per_point = squared if z == 2 else np.sqrt(squared)
+    per_point = assigned_squared_distances(points, centers, assignment)
+    if z == 1:
+        np.sqrt(per_point, out=per_point)
     return weighted_total(weights, per_point)
 
 

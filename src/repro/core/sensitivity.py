@@ -28,7 +28,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.clustering.cost import ClusteringSolution, per_point_costs, weighted_total
+from repro.clustering.cost import (
+    ClusteringSolution,
+    assigned_squared_distances,
+    per_point_costs,
+    weighted_total,
+)
 from repro.clustering.kmeans_pp import kmeans_plus_plus
 from repro.core.base import CoresetConstruction
 from repro.core.coreset import Coreset
@@ -81,9 +86,9 @@ def sensitivity_scores(
     centers = np.asarray(solution.centers, dtype=np.float64)
     if use_solution_assignment and solution.assignment is not None:
         assignment = np.asarray(solution.assignment, dtype=np.int64)
-        deltas = points - centers[assignment]
-        squared = np.einsum("ij,ij->i", deltas, deltas)
-        point_costs = squared if z == 2 else np.sqrt(squared)
+        point_costs = assigned_squared_distances(points, centers, assignment)
+        if z == 1:
+            np.sqrt(point_costs, out=point_costs)
     else:
         point_costs, assignment = per_point_costs(points, centers, z=z)
 
@@ -94,7 +99,10 @@ def sensitivity_scores(
     # points is zero, so only the 1/|C_p| term contributes.
     safe_cost = np.where(cluster_cost > 0, cluster_cost, 1.0)
     safe_mass = np.where(cluster_mass > 0, cluster_mass, 1.0)
-    scores = point_costs / safe_cost[assignment] + 1.0 / safe_mass[assignment]
+    # The cost share overwrites the per-point costs, which are not needed
+    # after it: one fewer length-n temporary, the same operations.
+    scores = np.divide(point_costs, safe_cost[assignment], out=point_costs)
+    scores += 1.0 / safe_mass[assignment]
     return scores
 
 

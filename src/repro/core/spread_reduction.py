@@ -34,15 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro import observability as _obs
 from repro.geometry.distances import diameter_upper_bound
-from repro.geometry.grid import _hash_multipliers, hash_rows, random_grid_shift
-from repro.native import get_kernel
-from repro.geometry.quadtree import compute_spread
+from repro.geometry.grid import _hash_multipliers, random_grid_shift
+from repro.geometry.quadtree import column_extrema, compute_spread
+from repro.native import get_kernel, reference_crude_bound_probe
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_integer, check_power
 
@@ -133,74 +133,42 @@ def crude_cost_upper_bound(
         spread = compute_spread(points, seed=generator)
     max_level = max(1, int(math.ceil(math.log2(float(spread)))) + 2)
 
+    # A probe at level l counts the occupied cells of the lattice
+    # floor(((points - shift) / diameter) * 2**l), read straight from the
+    # points (the compiled ``crude_bound_probe``, or its numpy oracle
+    # ``reference_crude_bound_probe``; the two give the same counts).
+    # Level l's lattice fits int64 while max|(x - shift) / diameter| * 2**l
+    # < 2**63.  Past that numpy casts to INT64_MIN and the kernel's cast is
+    # undefined, so the wrapped lattice could report too few cells and a
+    # bound far below the optimum; the search never probes past the last
+    # level that fits.  (x - shift) / diameter is monotone in x, so the
+    # column extrema give its largest magnitude.
+    lowest, highest = column_extrema(points)
+    magnitude = max(
+        abs(float(((lowest - shift) / diameter).min())),
+        abs(float(((highest - shift) / diameter).max())),
+    )
+    max_level = min(max_level, 63 - math.frexp(magnitude)[1])
+    multipliers = _hash_multipliers(d)
+    probe = get_kernel("crude_bound_probe")
+    tier = "numpy" if probe is None else "native"
+    if probe is None:
+        probe = reference_crude_bound_probe
     calls = 0
 
-    # Every probe needs floor((points - shift) / side_level); shifting and
-    # normalising once lets a probe at level l floor ``scaled * 2**l``
-    # instead of re-subtracting and re-dividing the full point set (scaling
-    # by a power of two commutes with IEEE division rounding, so the
-    # lattices are bit-identical to the direct computation).  Consecutive
-    # probes — the tail of the bisection — reuse the quadtree's multiply-add
-    # doubling (``lattice' = 2 * lattice + bit``), which is exact as well.
-    # The compiled tier fuses the whole probe (lattice refresh + hash +
-    # distinct count) into ``crude_bound_probe``; the count is the only
-    # observable, and it is pinned identical in both dispatch modes.
-    scaled = (points - shift[None, :]) / diameter
-    # Level l's lattice fits int64 while max|scaled| * 2**l < 2**63.  Past
-    # that numpy casts to INT64_MIN and the kernel's cast is undefined, so
-    # the wrapped lattice could report too few cells and a bound far below
-    # the optimum; the search never probes past the last level that fits.
-    magnitude = max(abs(float(scaled.min())), abs(float(scaled.max())))
-    max_level = min(max_level, 63 - math.frexp(magnitude)[1])
-    probe_state: Dict[str, object] = {"level": None}
-    probe_kernel = get_kernel("crude_bound_probe")
-    probe_tally = {"native": 0, "numpy": 0}
-
-    if probe_kernel is not None:
-        multipliers = _hash_multipliers(d)
-        kernel_lattice = np.empty((n, d), dtype=np.int64)
-        kernel_frac = np.empty((n, d), dtype=np.float64)
-
-        def occupied(level: int) -> int:
-            nonlocal calls
-            calls += 1
-            fresh = probe_state["level"] is None or level != probe_state["level"] + 1
-            probe_tally["native"] += 1
-            count = int(
-                probe_kernel(scaled, level, fresh, kernel_lattice, kernel_frac, multipliers)
-            )
-            probe_state["level"] = level
-            return count
-
-    else:
-
-        def occupied(level: int) -> int:
-            nonlocal calls
-            calls += 1
-            if probe_state["level"] is not None and level == probe_state["level"] + 1:
-                lattice = probe_state["lattice"]
-                frac = probe_state["frac"]
-                bits = frac >= 0.5
-                np.multiply(lattice, 2, out=lattice)
-                lattice += bits
-                np.multiply(frac, 2.0, out=frac)
-                frac -= bits
-            else:
-                scaled_level = scaled * (2.0**level)
-                lattice = np.floor(scaled_level).astype(np.int64)
-                frac = scaled_level - lattice
-            probe_tally["numpy"] += 1
-            probe_state["level"] = level
-            probe_state["lattice"] = lattice
-            probe_state["frac"] = frac
-            return int(np.unique(hash_rows(lattice)).shape[0])
+    def occupied(level: int) -> int:
+        # The search only compares a count with k + 1, so a probe stops
+        # counting there: min(count, k + 1) takes every branch the full
+        # count would.
+        nonlocal calls
+        calls += 1
+        return probe(points, shift, diameter, level, multipliers, k + 1)
 
     def bound_at(level: int, floor: float = 0.0) -> CrudeApproximation:
         # Lemma 4.1's n * sqrt(d) * 8 * side at the level's cell side.
         # Per-kernel dispatch attribution for --trace/--metrics.
-        for tier, count in probe_tally.items():
-            if count:
-                _obs.counter_add(f"crude_bound.probes.{tier}", float(count))
+        if calls:
+            _obs.counter_add(f"crude_bound.probes.{tier}", float(calls))
         side = diameter * (2.0 ** (-level))
         return CrudeApproximation(
             upper_bound=max(n * math.sqrt(d) * 8.0 * side, floor),
@@ -354,8 +322,9 @@ def reduce_spread(
     # builds no lattice.  For practical dataset sizes r exceeds the data
     # diameter and every axis is skipped, as the theory predicts (the
     # spread is already polynomial when log Delta is small).
-    low = (np.floor((points.min(axis=0) - shift) / cell_side) + 0.5) * cell_side + shift
-    high = (np.floor((points.max(axis=0) - shift) / cell_side) + 0.5) * cell_side + shift
+    low, high = column_extrema(points)
+    low = (np.floor((low - shift) / cell_side) + 0.5) * cell_side + shift
+    high = (np.floor((high - shift) / cell_side) + 0.5) * cell_side + shift
     for coordinate in np.flatnonzero(high - low >= gap_cap):
         lattice = np.floor((points[:, coordinate] - shift[coordinate]) / cell_side)
         values, inverse = np.unique(lattice, return_inverse=True)
@@ -394,8 +363,8 @@ def reduce_spread(
         # caller's estimate.  When rounding was skipped the spread was
         # already at floating-point resolution and the estimate stands.
         if granularity > 0 and reduced.size:
-            span = reduced.max(axis=0) - reduced.min(axis=0)
-            diagonal = float(np.linalg.norm(span))
+            low, high = column_extrema(reduced)
+            diagonal = float(np.linalg.norm(high - low))
             reduced_spread = max(1.0, min(original_spread, diagonal / granularity))
         else:
             reduced_spread = original_spread

@@ -16,13 +16,21 @@ decides the rows it provably gets right.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.native import get_kernel, reference_quadtree_max_squared_norm
+
 # Upper bound on the number of float64 entries held by one temporary
 # ``chunk_rows x k`` block (~64 MB).
 DEFAULT_CHUNK_ELEMENTS: int = 8_000_000
+
+#: Entries per row block of the per-point passes that stream over an
+#: ``(n, d)`` input (column extrema, assigned-centre distances): 256 KB of
+#: float64, so their work memory stays fixed whatever ``n`` is.
+ROW_BLOCK_ELEMENTS: int = 1 << 15
 
 
 def _chunk_rows(n_centers: int, chunk_elements: int) -> int:
@@ -198,11 +206,19 @@ def update_nearest_with_new_center(
 def diameter_upper_bound(points: np.ndarray) -> float:
     """Cheap O(nd) upper bound on the diameter of a point set.
 
-    Translates the set so an arbitrary point sits at the origin and returns
-    twice the largest norm — exactly the bounding-box step the quadtree
-    embedding of Section 2.4 of the paper uses.
+    Twice the largest distance from row 0 — exactly the bounding-box step
+    the quadtree embedding of Section 2.4 of the paper uses.  The largest
+    squared distance is the quadtree fit's (``quadtree_build``'s
+    ``max_squared_norm``, or its numpy oracle), read from the points with no
+    translated copy; ``sqrt`` is monotone and correctly rounded, so this is
+    the largest of the rows' distances.
     """
-    points = np.asarray(points, dtype=np.float64)
-    shifted = points - points[0]
-    norms = np.sqrt(np.einsum("ij,ij->i", shifted, shifted))
-    return float(2.0 * norms.max()) if norms.size else 0.0
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.shape[0] == 0:
+        return 0.0
+    kernel = get_kernel("quadtree_build")
+    if kernel is not None:
+        max_squared = kernel.max_squared_norm(points, points[0])
+    else:
+        max_squared = reference_quadtree_max_squared_norm(points, points[0])
+    return 2.0 * math.sqrt(max_squared)

@@ -124,6 +124,7 @@ from typing import Any, List, Optional
 import numpy as np
 
 from repro import observability as _obs
+from repro.geometry.distances import ROW_BLOCK_ELEMENTS
 from repro.native import (
     get_kernel,
     reference_quadtree_build,
@@ -143,36 +144,24 @@ _MAX_POINTS = int(np.iinfo(np.int32).max)
 _MAX_KERNEL_LEVELS = 32
 
 
-def _column_extrema(points: np.ndarray) -> tuple:
-    """Per-column (min, max) of a row-major array by contiguous fold-halving.
+def column_extrema(points: np.ndarray) -> tuple:
+    """Per-column ``(min, max)`` of a row-major array, one row block at a time.
 
     ``np.min``/``np.max`` along axis 0 walk the array column-strided, which
-    defeats vectorisation for small ``d``; repeatedly folding the top half
-    of the rows onto the bottom half keeps every operand contiguous and
-    does ``2 n d`` SIMD comparisons total.  Extrema are associativity-exact,
-    so the result is bit-identical to the axis-0 reductions.
+    defeats vectorisation for small ``d``.  Folding each block of
+    :data:`~repro.geometry.distances.ROW_BLOCK_ELEMENTS` entries onto a
+    running block keeps every operand contiguous, with two blocks of work
+    memory whatever ``n`` is.  Extrema are exact in any order, so the
+    result equals the axis-0 reductions.
     """
-    if points.shape[0] <= 64:
-        return points.min(axis=0), points.max(axis=0)
-    low = points
-    high = points
-    first = True
-    while low.shape[0] > 64:
-        half = low.shape[0] // 2
-        odd_low = low[2 * half :]
-        odd_high = high[2 * half :]
-        if first:
-            low = np.minimum(low[:half], low[half : 2 * half])
-            high = np.maximum(points[:half], points[half : 2 * half])
-            first = False
-        else:
-            np.minimum(low[:half], low[half : 2 * half], out=low[:half])
-            np.maximum(high[:half], high[half : 2 * half], out=high[:half])
-            low = low[:half]
-            high = high[:half]
-        if odd_low.shape[0]:
-            np.minimum(low[:1], odd_low, out=low[:1])
-            np.maximum(high[:1], odd_high, out=high[:1])
+    rows = max(1, ROW_BLOCK_ELEMENTS // max(1, points.shape[1]))
+    low = points[:rows].copy()
+    high = low.copy()
+    for start in range(rows, points.shape[0], rows):
+        block = points[start : start + rows]
+        count = block.shape[0]
+        np.minimum(low[:count], block, out=low[:count])
+        np.maximum(high[:count], block, out=high[:count])
     return low.min(axis=0), high.max(axis=0)
 
 
@@ -252,10 +241,7 @@ def _compute_spread_impl(
     if not np.isfinite(min_squared):
         return 1.0
     min_distance = math.sqrt(min_squared)
-    # One cache-friendly row-major pass for both column extrema (max and min
-    # are associativity-exact, so blocking cannot change the result; the
-    # strided axis-0 reductions cost ~2x this on wide inputs).
-    low, high = _column_extrema(points)
+    low, high = column_extrema(points)
     span = high - low
     max_distance = float(np.linalg.norm(span))
     if max_distance <= 0:

@@ -26,9 +26,9 @@ keeps the numpy path.
 
 Threading: ctypes releases the GIL around every call and the kernels use
 only stack and caller-provided memory, so concurrent quadtree fits on the
-async thread executor are safe.  The Python wrappers keep their work
-buffers in ``threading.local`` storage — reused across calls on the same
-thread, never shared between threads.
+async thread executor are safe.  A Python wrapper allocates the work
+arrays of each call itself (a binder, those of the call it binds), so no
+buffer is shared between threads.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-import threading
 from pathlib import Path
 from typing import Callable, Dict, Tuple
 
@@ -605,66 +604,42 @@ void repro_quadtree_offsets(const int32_t *order, const int32_t *split,
 
 /* ------------------------------------------------------------ crude-approx */
 
-/* One Crude-Approx (Algorithm 2) occupancy probe: refresh the dyadic
- * lattice in place, then count the distinct multilinear row hashes.
+/* One Crude-Approx (Algorithm 2) occupancy probe, read straight from the
+ * points.  Coordinate j of a row lies in lattice cell
+ * floor(((x - shift[j]) / diameter) * 2^level): numpy's subtract, divide,
+ * power-of-two scale (ldexp is exact) and floor, in that order, so every
+ * lattice value is the numpy probe's.  The caller probes only levels whose
+ * lattice fits int64, so the cast is defined.  A row hashes on the fly to
+ * the numpy probe's uint64 key, the sum of lattice[j] * multipliers[j] with
+ * wrapping multiplies.
  *
- * Fresh levels floor scaled * 2^level (ldexp is exact, and scaling by a
- * power of two commutes with IEEE rounding, so lattice/frac match the
- * numpy floor/subtract pair bit for bit); consecutive levels -- the tail
- * of the bisection -- apply the quadtree's multiply-add doubling
- * (lattice' = 2*lattice + bit, frac' = 2*frac - bit), every step of which
- * is exact.  Lattice doubling is computed in uint64 so it wraps mod 2^64
- * exactly like the numpy int64 ops instead of tripping signed-overflow UB.
- *
- * The hash is the numpy path's uint64 view: sum of lattice[i][j] *
- * multipliers[j] with wrapping multiplies.  Distinct counting uses a
- * linear-probing table (golden-ratio multiplicative hash on the high bits,
- * table_size a power of two >= 2n so load stays under 50%); every uint64
- * key value is valid, so occupancy lives in a separate byte array.  The
- * count equals np.unique(...).shape[0] -- distinctness is order-invariant,
- * which is all the binary search observes. */
-int64_t repro_crude_bound_probe(const double *scaled, int64_t n, int64_t d,
-                                int64_t level, int fresh, int64_t *lattice,
-                                double *frac, const uint64_t *multipliers,
-                                uint64_t *table_keys, uint8_t *table_used,
-                                int64_t table_size)
+ * Distinct keys go into a linear-probing table (golden-ratio multiplicative
+ * hash on the high bits; table_size a power of two >= 2 min(n, cap), so the
+ * load stays at most 50%); every uint64 key value is valid, so occupancy
+ * lives in a separate byte array.  The scan stops at the cap-th distinct
+ * key: the return value is min(distinct keys, cap), the numpy probe's
+ * min(np.unique(keys).size, cap), since distinctness is order-invariant. */
+int64_t repro_crude_bound_probe(const double *points, int64_t n, int64_t d,
+                                const double *shift, double diameter,
+                                int64_t level, const uint64_t *multipliers,
+                                int64_t cap, uint64_t *table_keys,
+                                uint8_t *table_used, int64_t table_size)
 {
-    const int64_t total = n * d;
+    const double scale = ldexp(1.0, (int)level);
     const uint64_t mask = (uint64_t)(table_size - 1);
-    int shift = 64;
+    const int bits = 63 - __builtin_clzll((uint64_t)table_size);
     int64_t i, j;
     int64_t count = 0;
-    if (fresh) {
-        const double scale = ldexp(1.0, (int)level);
-        for (i = 0; i < total; ++i) {
-            const double s = scaled[i] * scale;
-            const double fl = floor(s);
-            lattice[i] = (int64_t)fl;
-            frac[i] = s - fl;
-        }
-    } else {
-        for (i = 0; i < total; ++i) {
-            const int bit = frac[i] >= 0.5;
-            lattice[i] =
-                (int64_t)(((uint64_t)lattice[i] << 1) + (uint64_t)bit);
-            frac[i] = 2.0 * frac[i] - (double)bit;
-        }
-    }
-    {
-        int64_t t = table_size;
-        while (t > 1) {
-            t >>= 1;
-            --shift;
-        }
-    }
     memset(table_used, 0, (size_t)table_size);
-    for (i = 0; i < n; ++i) {
-        const int64_t *row = lattice + i * d;
+    for (i = 0; i < n && count < cap; ++i) {
+        const double *row = points + i * d;
         uint64_t key = 0;
         uint64_t slot;
-        for (j = 0; j < d; ++j)
-            key += (uint64_t)row[j] * multipliers[j];
-        slot = (key * UINT64_C(0x9E3779B97F4A7C15)) >> shift;
+        for (j = 0; j < d; ++j) {
+            const double s = ((row[j] - shift[j]) / diameter) * scale;
+            key += (uint64_t)(int64_t)repro__floor(s) * multipliers[j];
+        }
+        slot = (key * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - bits);
         for (;;) {
             if (!table_used[slot]) {
                 table_used[slot] = 1;
@@ -756,23 +731,6 @@ def _build_library() -> Path:
     return library
 
 
-#: Per-thread work buffer cache for the crude-bound probe's hash table: a
-#: bisection probes many levels of the same input inside threads of the
-#: async executor, and reallocating the table per probe costs more than the
-#: probe itself at moderate n.
-_LOCAL = threading.local()
-
-
-def _scratch(name: str, capacity: int, dtype) -> np.ndarray:
-    buffers = getattr(_LOCAL, "buffers", None)
-    if buffers is None:
-        buffers = _LOCAL.buffers = {}
-    array = buffers.get(name)
-    if array is None or array.shape[0] < capacity:
-        array = buffers[name] = np.empty(capacity, dtype=dtype)
-    return array
-
-
 class KmeansppRounds:
     """``run_round(center_row, slot, init)`` over one seeding call's buffers.
 
@@ -859,10 +817,7 @@ def load_kernels() -> Dict[str, Callable]:
     i64 = ctypes.c_int64
     f64 = ctypes.c_double
     i32 = ctypes.c_int
-    pi64 = ndpointer(np.int64, flags="C_CONTIGUOUS")
-    pu64 = ndpointer(np.uint64, flags="C_CONTIGUOUS")
     pf64 = ndpointer(np.float64, flags="C_CONTIGUOUS")
-    pu8 = ndpointer(np.uint8, flags="C_CONTIGUOUS")
 
     # The pointer-table sweep is bound with raw-pointer argtypes only:
     # ctypes ndpointer validation costs ~3 µs per array argument, which at
@@ -904,9 +859,14 @@ def load_kernels() -> Dict[str, Callable]:
         ctypes.c_void_p, i64, i32, i32,
     ]
 
+    # Raw pointers only: ``crude_bound_probe`` checks its operands per call
+    # for less than ctypes' ndpointer validation would cost.
     probe = library.repro_crude_bound_probe
     probe.restype = i64
-    probe.argtypes = [pf64, i64, i64, i64, i32, pi64, pf64, pu64, pu64, pu8, i64]
+    probe.argtypes = [
+        ctypes.c_void_p, i64, i64, ctypes.c_void_p, f64, i64, ctypes.c_void_p, i64,
+        ctypes.c_void_p, ctypes.c_void_p, i64,
+    ]
 
     # Raw pointers only: ``quadtree_build`` validates its arrays once per fit.
     max_sq = library.repro_quadtree_max_sq
@@ -1063,30 +1023,32 @@ def load_kernels() -> Dict[str, Callable]:
     quadtree_build.max_squared_norm = quadtree_max_squared_norm
 
     def crude_bound_probe(
-        scaled: np.ndarray,
+        points: np.ndarray,
+        shift: np.ndarray,
+        diameter: float,
         level: int,
-        fresh: bool,
-        lattice: np.ndarray,
-        frac: np.ndarray,
         multipliers: np.ndarray,
+        cap: int,
     ) -> int:
-        n, d = scaled.shape
-        if n == 0:
-            return 0
-        # Power-of-two table at or above max(64, 2n): load stays under 50%.
-        table_size = 1 << max(64, 2 * n).bit_length()
+        """``min(occupied cells, cap)`` at ``level``; see the C comment."""
+        if points.ndim != 2 or points.dtype != np.float64 or not points.flags["C_CONTIGUOUS"]:
+            raise ValueError("crude-bound points must be a contiguous 2-d float64 array")
+        n, d = points.shape
+        operands = (("shift", shift, np.float64), ("multipliers", multipliers, np.uint64))
+        for name, array, dtype in operands:
+            if array.shape != (d,) or array.dtype != dtype or not array.flags["C_CONTIGUOUS"]:
+                raise ValueError(
+                    f"crude-bound {name} must be a contiguous {dtype.__name__} row of the "
+                    "points' width"
+                )
+        # A power of two above max(64, 2 min(n, cap)): the load stays under 50%.
+        table_size = 1 << max(64, 2 * min(n, int(cap))).bit_length()
+        keys = np.empty(table_size, dtype=np.uint64)
+        used = np.empty(table_size, dtype=np.uint8)
         return int(
             probe(
-                scaled,
-                n,
-                d,
-                int(level),
-                1 if fresh else 0,
-                lattice,
-                frac,
-                multipliers,
-                _scratch("crude_keys", table_size, np.uint64),
-                _scratch("crude_used", table_size, np.uint8),
+                points.ctypes.data, n, d, shift.ctypes.data, float(diameter), int(level),
+                multipliers.ctypes.data, int(cap), keys.ctypes.data, used.ctypes.data,
                 table_size,
             )
         )

@@ -51,13 +51,17 @@ a kernel is not served, :func:`~repro.native.registry.get_kernel` returns
 
 ``crude_bound_probe``
     One Crude-Approx (Algorithm 2) occupancy probe
-    (:mod:`repro.core.spread_reduction`): refresh the dyadic lattice — the
-    exact power-of-two scaling for fresh levels, the exact multiply-add
-    doubling for consecutive ones — and count distinct multilinear row
-    hashes (wrapping uint64, the numpy path's view) in one pass.  The count
-    is order-invariant, so any correct distinct counter matches
-    ``np.unique``.  The caller probes only levels whose lattice fits int64,
-    so the kernel's float-to-int64 cast is always defined.
+    (:mod:`repro.core.spread_reduction`), read straight from the points:
+    ``kernel(points, shift, diameter, level, multipliers, cap)`` floors
+    ``((x - shift) / diameter) * 2**level`` per coordinate (numpy's
+    operations in numpy's order), hashes each row on the fly to its
+    wrapping multilinear uint64 key, and returns ``min(distinct keys,
+    cap)``, the count of :func:`reference_crude_bound_probe`; it stops
+    scanning at the ``cap``-th distinct key, and its hash table needs only
+    ``2 * min(n, cap)`` slots.  The count is order-invariant, so any correct
+    distinct counter matches ``np.unique``.  The caller probes only levels
+    whose lattice fits int64, so the kernel's float-to-int64 cast is always
+    defined.
 
 Every verifier compares the compiled implementation against *live numpy
 calls* on adversarial inputs before the registry ever routes a real call to
@@ -188,38 +192,30 @@ def reference_kmeanspp_round(
 
 
 def reference_crude_bound_probe(
-    scaled: np.ndarray,
+    points: np.ndarray,
+    shift: np.ndarray,
+    diameter: float,
     level: int,
-    fresh: bool,
-    lattice: np.ndarray,
-    frac: np.ndarray,
     multipliers: np.ndarray,
+    cap: int,
 ) -> int:
-    """Oracle of the Crude-Approx occupancy probe, built from live numpy ops.
+    """The Crude-Approx occupancy probe in numpy: the numpy tier's probe and
+    the kernel's oracle.
 
-    Mirrors the inline ``occupied`` probe of ``crude_cost_upper_bound``
-    operation for operation: fresh levels floor ``scaled * 2**level`` and
-    keep the fractional parts, consecutive levels apply the multiply-add
-    doubling, and the occupancy count is the number of distinct wrapping
-    multilinear row hashes (the multipliers are passed in so verification
-    does not import the geometry package).
+    ``min(occupied cells, cap)`` at ``level``.  Coordinate ``j`` of a row
+    lies in lattice cell ``floor(((x - shift[j]) / diameter) * 2**level)``,
+    a row's key is the wrapping multilinear hash ``sum_j lattice[j] *
+    multipliers[j]`` in uint64 (the multipliers are passed in so
+    verification does not import the geometry package), and a cell is a
+    distinct key.  The caller passes only levels whose lattice fits int64.
     """
-    if fresh:
-        scaled_level = scaled * (2.0 ** int(level))
-        floored = np.floor(scaled_level).astype(np.int64)
-        lattice[...] = floored
-        frac[...] = scaled_level - floored
-    else:
-        bits = frac >= 0.5
-        np.multiply(lattice, 2, out=lattice)
-        lattice += bits
-        np.multiply(frac, 2.0, out=frac)
-        frac -= bits
+    scaled = points - shift[None, :]
+    scaled /= diameter
+    scaled *= 2.0 ** int(level)
+    lattice = np.floor(scaled, out=scaled).astype(np.int64)
     with np.errstate(over="ignore"):
-        keys = (lattice.view(np.uint64) * multipliers[None, :]).sum(
-            axis=1, dtype=np.uint64
-        )
-    return int(np.unique(keys).shape[0])
+        keys = (lattice.view(np.uint64) * multipliers[None, :]).sum(axis=1, dtype=np.uint64)
+    return min(int(np.unique(keys).shape[0]), int(cap))
 
 
 def reference_quadtree_max_squared_norm(points: np.ndarray, origin: np.ndarray) -> float:
@@ -449,39 +445,53 @@ def _verify_kmeanspp_round(kernel) -> None:
                     )
 
 
+def probe_points(rng, d: int, levels) -> tuple:
+    """``(shift, diameter, inputs)``: one occupancy-probe input per level.
+
+    Each holds 100 uniform rows (duplicates, one a hair below the shift),
+    60 rows at ``shift + diameter * i / 64`` for multiples ``i`` of 3, most
+    exactly on a cell boundary from level 6 on (the diameter's reciprocal
+    rounds, so only a true division keeps them there), and the centre of
+    each one's cell at that level.  No neighbouring cell holds a centre, so
+    a boundary row floored into another cell changes the count.
+    """
+    shift = np.full(d, 0.375)
+    diameter = 1.1
+    uniform = shift + diameter * rng.uniform(-1.2, 1.2, size=(100, d))
+    uniform[::7] = uniform[2]
+    uniform[1] = shift - 2.0**-40
+    boundary = shift + diameter * (3 * rng.integers(-25, 26, size=(60, d)) / 64)
+    inputs = []
+    for level in levels:
+        scale = 2.0**level
+        cells = np.floor((boundary - shift) / diameter * scale)
+        inputs.append(np.concatenate([uniform, boundary, shift + diameter * ((cells + 0.5) / scale)]))
+    return shift, diameter, inputs
+
+
 def _verify_crude_bound_probe(kernel) -> None:
     rng = np.random.default_rng(20260809)
+    levels = (0, 6, 20, 60)  # level 60 takes the kernel's floor past 2**52
     for d in (1, 2, 3, 7, 8, 16):
-        n = 160
-        scaled = rng.uniform(-1.2, 1.2, size=(n, d))
-        scaled[::7] = scaled[3]  # duplicate rows share cells at every level
-        # Exact dyadic coordinates sit on the 0.5 carry boundary of the
-        # doubling step, where ``frac >= 0.5`` must round the same way.
-        scaled[::11] = np.round(scaled[::11] * 8.0) / 8.0
         multipliers = (
             rng.integers(1, 2**62, size=d, dtype=np.uint64) * np.uint64(2)
             + np.uint64(1)
         )
-        expected_lattice = np.empty((n, d), dtype=np.int64)
-        expected_frac = np.empty((n, d), dtype=np.float64)
-        lattice = np.empty((n, d), dtype=np.int64)
-        frac = np.empty((n, d), dtype=np.float64)
-        # A bisection-shaped probe sequence: fresh jumps and consecutive
-        # doubling runs, including a fresh restart at level 0.
-        for level, fresh in ((3, True), (4, False), (5, False), (9, True), (10, False), (0, True)):
-            expected = reference_crude_bound_probe(
-                scaled, level, fresh, expected_lattice, expected_frac, multipliers
-            )
-            produced = kernel(scaled, level, fresh, lattice, frac, multipliers)
-            if not (
-                int(produced) == expected
-                and np.array_equal(lattice, expected_lattice)
-                and np.array_equal(frac, expected_frac)
-            ):
-                raise RuntimeError(
-                    "crude-bound probe disagrees with the numpy path "
-                    f"(d={d}, level={level}, fresh={fresh})"
-                )
+        shift, diameter, inputs = probe_points(rng, d, levels)
+        for level, points in zip(levels, inputs):
+            n = points.shape[0]
+            distinct = reference_crude_bound_probe(points, shift, diameter, level, multipliers, n)
+            # A full scan (a cap above the count) and a scan stopped one
+            # key early (below it); level 6 adds caps of 1 and at the count.
+            below, above = max(1, distinct - 1), n + 1
+            caps = {0: (above,), 6: (1, below, distinct, above), 20: (below,), 60: (above,)}
+            for cap in caps[level]:
+                produced = kernel(points, shift, diameter, level, multipliers, cap)
+                if int(produced) != min(distinct, cap):
+                    raise RuntimeError(
+                        "crude-bound probe disagrees with the numpy probe "
+                        f"(d={d}, level={level}, cap={cap})"
+                    )
 
 
 def quadtree_points(rng, n: int, d: int, delta: float) -> tuple:
@@ -564,6 +574,7 @@ _register()
 
 __all__ = [
     "kernel_provider",
+    "probe_points",
     "reference_crude_bound_probe",
     "reference_fkpp_draw_scan",
     "reference_fkpp_level_score",

@@ -151,6 +151,19 @@ def iterate_blocks(
         block_size = check_integer(block_size, name="block_size")
     if weights is not None:
         weights = check_weights(weights, n)
+    yield from _walk_blocks(points, block_size, weights, shuffle, seed, sizes)
+
+
+def _walk_blocks(
+    points: np.ndarray,
+    block_size: int,
+    weights: Optional[np.ndarray],
+    shuffle: bool,
+    seed: SeedLike,
+    sizes: Optional[Tuple[int, ...]],
+) -> Iterator[Block]:
+    """:func:`iterate_blocks` over operands it (or a stream) already checked."""
+    n = points.shape[0]
     if shuffle:
         order = as_generator(seed).permutation(n)
         for start, stop in _block_bounds(n, block_size, sizes):
@@ -213,13 +226,9 @@ class DataStream:
             self.block_sizes = _check_sizes(self.block_sizes, self.points.shape[0])
 
     def __iter__(self) -> Iterator[Block]:
-        return iterate_blocks(
-            self.points,
-            self.block_size,
-            weights=self.weights,
-            shuffle=self.shuffle,
-            seed=self.seed,
-            sizes=self.block_sizes,
+        # Construction checked every field, so a replay does not rescan.
+        return _walk_blocks(
+            self.points, self.block_size, self.weights, self.shuffle, self.seed, self.block_sizes
         )
 
     @property
@@ -319,17 +328,10 @@ class DataStream:
         uniform split could silently emit fewer blocks than promised (6
         points over 4 blocks gave 3 blocks of 2).  With fewer points than
         requested blocks the stream degrades to one singleton block per
-        point.  Validation goes through the stream-points path, so a
+        point.  Validation goes through the stream-points path once, so a
         memory-mapped input is not finiteness-scanned here either.
         """
-        points = _check_stream_points(points)
-        n_blocks = check_integer(n_blocks, name="n_blocks")
-        sizes = block_size_plan(points.shape[0], n_blocks)
-        return cls(
-            points=points,
-            block_size=max(sizes),
-            weights=weights,
-            shuffle=shuffle,
-            seed=seed,
-            block_sizes=sizes,
-        )
+        stream = cls(points=points, block_size=1, weights=weights, shuffle=shuffle, seed=seed)
+        stream.block_sizes = block_size_plan(stream.n_points, n_blocks)
+        stream.block_size = max(stream.block_sizes)
+        return stream

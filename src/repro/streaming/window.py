@@ -355,10 +355,20 @@ class WindowedMergeReduceTree(MergeReduceTree):
             self._buckets.append(bucket)
 
     def _carry(self, bucket: _Bucket) -> None:
-        """Binary-counter carry over the bucket deque (decay policies)."""
+        """Binary-counter carry over the bucket deque (decay policies).
+
+        A fold that raises (blocks that each pass the cost-range rule can
+        overflow it together) puts both buckets back before the error
+        leaves, so the window keeps their mass and every later query raises
+        the same error, as the append-only tree's ``finalize()`` does.
+        """
         while self._buckets and self._buckets[-1].span == bucket.span:
             partner = self._buckets.pop()
-            bucket = self._fold_buckets(partner, bucket)
+            try:
+                bucket = self._fold_buckets(partner, bucket)
+            except BaseException:
+                self._buckets.extend((partner, bucket))
+                raise
         self._buckets.append(bucket)
 
     def _decayed(self, coreset: Coreset, then: float, now: float) -> Coreset:

@@ -32,6 +32,7 @@ from repro.parallel import SerialAsyncExecutor, ShardedCoresetBuilder
 from repro.parallel.executor import ArrayPayload
 from repro.parallel.sharding import ShardTask, compress_shard, shard_bounds, shard_seed
 from repro.streaming.merge_reduce import MergeReduceTree
+from repro.streaming.stream import DataStream, iterate_blocks
 from repro.streaming.window import ExponentialDecay, SlidingCountWindow, WindowedMergeReduceTree
 from repro.core.base import check_sample_input
 from repro.utils import validation
@@ -200,6 +201,23 @@ class TestRejectedBatchLeavesTheTree:
         with pytest.raises(ValueError, match="window is empty"):
             tree.query()
 
+    def test_failed_fold_keeps_its_buckets(self):
+        """A decaying window that lost both buckets of a failed fold: its
+        next query answered total weight 1.0 without the 1e300 mass."""
+        tree = WindowedMergeReduceTree(
+            sampler=UniformSampling(), coreset_size=1, seed=0, window=ExponentialDecay(2.0)
+        )
+        tree.add_block(np.array([[0.1]]), np.array([1e300]))
+        overflow = "clustering costs of these points overflow"
+        with pytest.raises(ValueError, match=overflow):
+            tree.add_block(np.array([[1e12]]))
+        assert (tree.live_ranges(), tree.blocks_seen) == ([(0, 1), (1, 2)], 2)
+        with pytest.raises(ValueError, match=overflow):
+            tree.query()
+        tree.add_block(np.array([[0.5]]))
+        # Two stamps on, the 1e300 mass has decayed by one half-life.
+        assert tree.query().weights.sum() == pytest.approx(5e299)
+
     @pytest.mark.parametrize(
         "stamps", [[0.0, 5.0, 4.0], [0.0, 1.0]], ids=["decreasing", "one_short"]
     )
@@ -228,20 +246,39 @@ class TestOneScanPerEntry:
     )
     def test_full_input_checked_twice(self, make, monkeypatch):
         points = np.random.default_rng(0).normal(size=(4000, 6))
-        sizes = []
-        original = validation.check_points
-
-        def counting(array, **kwargs):
-            sizes.append(np.shape(array)[0])
-            return original(array, **kwargs)
-
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("repro") and (
-                getattr(module, "check_points", None) is original
-            ):
-                monkeypatch.setattr(module, "check_points", counting)
+        sizes = _count_checks(monkeypatch)
         make().sample(points, 200)
         assert sizes.count(points.shape[0]) == 2
+
+    def test_data_stream_checks_an_in_memory_input_once(self, monkeypatch):
+        """Two scans at construction and one per replay before."""
+        points = np.random.default_rng(0).normal(size=(4000, 6))
+        sizes = _count_checks(monkeypatch)
+        stream = DataStream.with_block_count(points, 16)
+        for _ in range(2):
+            blocks = list(stream)
+            assert len(blocks) == 16 and sum(len(block) for block, _ in blocks) == 4000
+        assert sizes.count(4000) == 1
+        list(iterate_blocks(points, 250))
+        assert sizes.count(4000) == 2
+
+
+def _count_checks(monkeypatch):
+    """Route every ``check_points`` of the package through a counter; the
+    returned list collects the row count of each checked array."""
+    sizes = []
+    original = validation.check_points
+
+    def counting(array, **kwargs):
+        sizes.append(np.shape(array)[0])
+        return original(array, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") and (
+            getattr(module, "check_points", None) is original
+        ):
+            monkeypatch.setattr(module, "check_points", counting)
+    return sizes
 
 
 # ----------------------------------------------------------------- shards
@@ -444,8 +481,12 @@ class TestInputSweep:
             except ValueError as error:
                 if kind == "decay" and tree_state(tree) != before:
                     # A decaying window folds as it ingests, so the union
-                    # overflow surfaces here rather than at query().
+                    # overflow surfaces here; the window keeps the buckets
+                    # it was folding, so the next query raises it too.
                     assert_union_overflows(error, accepted + [(points, weights)])
+                    with pytest.raises(ValueError) as raised:
+                        tree.query()
+                    assert_union_overflows(raised.value, accepted + [(points, weights)])
                     return
                 assert tree_state(tree) == before
                 continue

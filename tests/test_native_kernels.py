@@ -51,7 +51,7 @@ from repro.native import (
     registry,
     use_native,
 )
-from repro.native.kernels import _verify_quadtree_build, quadtree_points
+from repro.native.kernels import _verify_quadtree_build, probe_points, quadtree_points
 
 from hypothesis_settings import SETTINGS
 
@@ -272,36 +272,73 @@ class TestFkppWeightedDrawKernel:
             assert get_kernel("fkpp_weighted_draw") is None
 
 
+def _probe_multipliers(rng, d):
+    return rng.integers(1, 2**62, size=d, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+
+
 @requires_native
 class TestCrudeBoundProbeKernel:
-    @pytest.mark.parametrize("d", [1, 3, 8])
-    def test_probe_sequence_matches_numpy_oracle(self, d):
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 16])
+    def test_counts_match_numpy_oracle_at_every_cap(self, d):
         rng = np.random.default_rng(d)
-        n = 200
-        scaled = rng.uniform(-1.5, 1.5, size=(n, d))
-        scaled[::6] = scaled[2]  # duplicates share cells at every level
-        multipliers = (
-            rng.integers(1, 2**62, size=d, dtype=np.uint64) * np.uint64(2)
-            + np.uint64(1)
-        )
+        shift, diameter, inputs = probe_points(rng, d, range(21))
+        multipliers = _probe_multipliers(rng, d)
         kernel = get_kernel("crude_bound_probe")
-        lattice = np.empty((n, d), dtype=np.int64)
-        frac = np.empty((n, d), dtype=np.float64)
-        expected_lattice = np.empty((n, d), dtype=np.int64)
-        expected_frac = np.empty((n, d), dtype=np.float64)
-        # A bisection-shaped level walk: fresh jumps then doubling runs.
-        for level, fresh in ((2, True), (3, False), (4, False), (8, True), (9, False)):
-            expected = reference_crude_bound_probe(
-                scaled, level, fresh, expected_lattice, expected_frac, multipliers
-            )
-            produced = kernel(scaled, level, fresh, lattice, frac, multipliers)
-            assert produced == expected
-            np.testing.assert_array_equal(lattice, expected_lattice)
-            np.testing.assert_array_equal(frac, expected_frac)
+        for level, points in enumerate(inputs):
+            n = points.shape[0]
+            distinct = reference_crude_bound_probe(points, shift, diameter, level, multipliers, n)
+            for cap in (1, max(1, distinct // 2), distinct - 1, distinct, distinct + 1, n + 7):
+                if cap < 1:
+                    continue
+                expected = reference_crude_bound_probe(
+                    points, shift, diameter, level, multipliers, cap
+                )
+                assert expected == min(distinct, cap)
+                assert kernel(points, shift, diameter, level, multipliers, cap) == expected
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_count_is_the_number_of_distinct_lattice_rows(self, d):
+        # An oracle without hashing: the set of lattice rows itself.
+        rng = np.random.default_rng(d)
+        levels = (0, 4, 6, 11, 20)
+        shift, diameter, inputs = probe_points(rng, d, levels)
+        multipliers = _probe_multipliers(rng, d)
+        kernel = get_kernel("crude_bound_probe")
+        for level, points in zip(levels, inputs):
+            lattice = np.floor(((points - shift) / diameter) * 2.0**level).astype(np.int64)
+            cells = len({tuple(row) for row in lattice})
+            assert kernel(points, shift, diameter, level, multipliers, points.shape[0]) == cells
+
+    def test_rejects_operands_of_another_width(self):
+        shift, diameter, (points,) = probe_points(np.random.default_rng(0), 3, (6,))
+        multipliers = _probe_multipliers(np.random.default_rng(0), 3)
+        kernel = get_kernel("crude_bound_probe")
+        with pytest.raises(ValueError, match="row of the points' width"):
+            kernel(points, shift[:2], diameter, 3, multipliers, 10)
+        with pytest.raises(ValueError, match="row of the points' width"):
+            kernel(points, shift, diameter, 3, multipliers.astype(np.int64), 10)
 
     def test_escape_hatch_forces_numpy_probe(self):
         with use_native(False):
             assert get_kernel("crude_bound_probe") is None
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_probe_inputs_see_how_boundary_rows_round(d):
+    """The probe's count must change when boundary rows round another way:
+    multiplying by the diameter's reciprocal instead of dividing floors
+    some of them into the cell below, and the verifier's inputs show it."""
+    rng = np.random.default_rng(d)
+    shift, diameter, (points,) = probe_points(rng, d, (6,))
+
+    def cells(scaled):
+        return len({tuple(row) for row in np.floor(scaled * 64.0).astype(np.int64)})
+
+    divided = cells((points - shift) / diameter)
+    assert divided == reference_crude_bound_probe(
+        points, shift, diameter, 6, _probe_multipliers(rng, d), points.shape[0]
+    )
+    assert cells((points - shift) * (1.0 / diameter)) != divided
 
 
 def _round_buffers(n):

@@ -12,12 +12,13 @@ from hypothesis.extra.numpy import arrays
 
 from repro.clustering.cost import clustering_cost
 from repro.clustering.kmeans_pp import kmeans_plus_plus
+from repro.core import spread_reduction
 from repro.core.spread_reduction import (
     CrudeApproximation,
     crude_cost_upper_bound,
     reduce_spread,
 )
-from repro.data.synthetic import high_spread_dataset
+from repro.data.synthetic import gaussian_mixture, high_spread_dataset
 from repro.geometry.grid import random_grid_shift
 from repro.native.registry import use_native
 
@@ -136,6 +137,49 @@ class TestCrudeCostUpperBound:
         approx = crude_cost_upper_bound(points, 3, seed=0)
         assert (approx.level, approx.calls) == (0, 0)
         assert approx.upper_bound == 50 * math.sqrt(2) * 8.0 * approx.diameter
+
+
+def _outlier_mixture():
+    """The e2e closed-loop input at 20k rows: a 50-cluster mixture whose
+    first 20 rows are moved 1e4 away on axis 0."""
+    points = gaussian_mixture(20_000, 10, n_clusters=50, gamma=1.0, seed=4).points
+    points[:20, 0] += 1e4
+    return points
+
+
+class TestCappedProbe:
+    """The probe counts cells only up to ``k + 1``; the search cannot tell."""
+
+    @pytest.mark.parametrize(
+        "case, k",
+        [("outlier_mixture", 200), ("offset", 6), ("duplicates", 3)],
+    )
+    def test_search_matches_the_uncapped_count(self, blobs, case, k, monkeypatch):
+        points = {
+            "outlier_mixture": _outlier_mixture,
+            "offset": lambda: blobs + 1e8,
+            "duplicates": lambda: np.full((300, 4), 2.5),
+        }[case]()
+        capped = crude_cost_upper_bound(points, k, seed=4)
+        probe = spread_reduction.get_kernel("crude_bound_probe")
+        if probe is None:
+            probe = spread_reduction.reference_crude_bound_probe
+        counts = []
+
+        def uncapped(points, shift, diameter, level, multipliers, cap):
+            counts.append(probe(points, shift, diameter, level, multipliers, points.shape[0]))
+            return counts[-1]
+
+        monkeypatch.setattr(spread_reduction, "get_kernel", lambda name: uncapped)
+        full = crude_cost_upper_bound(points, k, seed=4)
+        assert (capped.level, capped.calls, capped.upper_bound) == (
+            full.level,
+            full.calls,
+            full.upper_bound,
+        )
+        if case == "outlier_mixture":
+            # Some probe counted past the cap, so the cap was exercised.
+            assert max(counts) > k + 1
 
 
 class TestReduceSpread:
