@@ -25,7 +25,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.geometry.distances import ROW_BLOCK_ELEMENTS, squared_point_to_set_distances
+from repro.geometry.distances import squared_point_to_set_distances
+from repro.native import ROW_BLOCK_ELEMENTS
 from repro.utils.validation import check_points, check_power, check_weights
 
 
@@ -118,7 +119,7 @@ def assigned_squared_distances(
 
     Entry ``i`` is ``einsum("j,j->", p - c, p - c)`` for ``p = points[i]``
     and ``c = centers[assignment[i]]``.  The pass runs over one block of
-    :data:`~repro.geometry.distances.ROW_BLOCK_ELEMENTS` entries at a time,
+    :data:`~repro.native.ROW_BLOCK_ELEMENTS` entries at a time,
     so it holds no ``(n, d)`` temporary; a row's sum does not depend on the
     rows around it, so the bytes are the whole-array ``einsum``'s.
     ``points`` is C-contiguous float64 ``(n, d)`` and ``assignment`` holds

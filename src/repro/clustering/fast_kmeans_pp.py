@@ -189,8 +189,10 @@ class FastKMeansPlusPlus:
         # and positive, so the RNG stream advances exactly like the
         # fallback's) the first-prefix-above-u scan, which equals
         # ``searchsorted(cumsum, u, side="right")`` because D² mass is
-        # non-negative.  Every partial sum is the same IEEE add chain, so
-        # the drawn index is bit-identical in either dispatch mode.
+        # non-negative.  The scan binary-searches the prefixes the total
+        # recorded every 1024 points and walks one block.  Every partial sum
+        # is the same IEEE add chain, so the drawn index is bit-identical in
+        # either dispatch mode.
         draw_total = draw_scan = None
         draw_kernel = get_kernel("fkpp_weighted_draw")
         draw_binder = getattr(draw_kernel, "bind", None) if draw_kernel is not None else None

@@ -28,11 +28,13 @@ call of the ``kmeanspp_round`` kernel, bound once per seeding call over
 preallocated ``best_squared``/``assignment``/``mass`` buffers: distances to
 the new center (read in place as a row of ``points``), the strict-``<``
 update, the next draw's mass and its cumsum total in a single pass, with no
-per-round ``n x d`` temporaries.  The draw itself is the
-``fkpp_weighted_draw`` scan over the same mass buffer, and the uniform
-variate is consumed under the same finite-and-positive check as
-:func:`~repro.utils.rng.weighted_index_draw`, so centers, assignment and
-cost are bit-identical to the numpy loop (the ``REPRO_NATIVE=0`` path).
+per-round ``n x d`` temporaries.  The round also records the total at the
+end of every block of 1024 points, and the draw is the round binder's scan
+over the same mass buffer: a binary search over those block prefixes, then
+a walk through one block.  The uniform variate is consumed under the same
+finite-and-positive check as :func:`~repro.utils.rng.weighted_index_draw`,
+so centers, assignment and cost are bit-identical to the numpy loop (the
+``REPRO_NATIVE=0`` path).
 
 After round 0 the kernel skips every point whose current center lies more
 than twice the point's own distance away from the new center: in squares,
@@ -124,21 +126,19 @@ def kmeans_plus_plus(
     center_indices[0] = first
 
     round_kernel = get_kernel("kmeanspp_round")
-    draw_kernel = get_kernel("fkpp_weighted_draw")
-    if round_kernel is not None and draw_kernel is not None:
+    if round_kernel is not None:
         best_squared = np.empty(n, dtype=np.float64)
         assignment = np.empty(n, dtype=np.int64)
         mass = np.empty(n, dtype=np.float64)
         run_round = round_kernel(
             points, np.ascontiguousarray(weights), best_squared, assignment, mass, z
         )
-        _, draw_scan = draw_kernel.bind(mass)
         total = run_round(first, 0, True)
         for index in range(1, k):
             # The same RNG protocol as weighted_index_draw: a uniform variate
             # only once the total proves finite and positive.
             if np.isfinite(total) and total > 0.0:
-                chosen = min(draw_scan(generator.random() * total), n - 1)
+                chosen = min(run_round.scan(generator.random() * total), n - 1)
             else:
                 chosen = int(generator.integers(0, n))
             center_indices[index] = chosen

@@ -27,11 +27,6 @@ from repro.native import get_kernel, reference_quadtree_max_squared_norm
 # ``chunk_rows x k`` block (~64 MB).
 DEFAULT_CHUNK_ELEMENTS: int = 8_000_000
 
-#: Entries per row block of the per-point passes that stream over an
-#: ``(n, d)`` input (column extrema, assigned-centre distances): 256 KB of
-#: float64, so their work memory stays fixed whatever ``n`` is.
-ROW_BLOCK_ELEMENTS: int = 1 << 15
-
 
 def _chunk_rows(n_centers: int, chunk_elements: int) -> int:
     """Number of data rows per block so a block has ~``chunk_elements`` floats."""

@@ -71,14 +71,24 @@ With the compiled tier on and a depth cap of at most 32, the
 pass over the points and the origin (no translated copy) writes the level-0
 codes and the left-aligned ``uint32`` digit rows, clamped in float to
 ``2**cap - 1`` before the cast, and a depth-first refinement splits every
-range by each level's pattern.  It also computes the largest squared
-distance to the origin in numpy's ``einsum`` order, from which ``delta_``
-follows.  Deeper caps and ``REPRO_NATIVE=0`` take the numpy build,
-:func:`repro.native.reference_quadtree_build`, which reads the digits by
-doubling and refines each level with one ``np.lexsort``.  The two build the
-same arrays (the registry verifies the kernel against the numpy build
-before routing any fit to it), and the counters ``quadtree.build.native``
-and ``quadtree.build.numpy`` record which one served each fit.
+range by each level's pattern.  The refinement reads the patterns from one
+``uint64`` key per point, gathered once per *window* of levels: a range
+that reaches a window packs, for each of its points, the next ``P = min(8,
+64 // d)`` patterns into one key, one ``d``-bit field per pattern with the
+first pattern in the highest field, and refines those ``P`` levels from
+the keys, which the sorts permute along with the order.  It gathers again
+only when it steps past the window, and a window whose keys are all equal
+is skipped whole.  A row of digits is thus read once per window instead of
+once per level.  Above 64 coordinates a pattern spans several 64-bit words
+and a window is one word of one level.  The kernel also computes the
+largest squared distance to the origin in numpy's ``einsum`` order, from
+which ``delta_`` follows.  Deeper caps and ``REPRO_NATIVE=0`` take the
+numpy build, :func:`repro.native.reference_quadtree_build`, which reads
+the digits by doubling and refines each level with one ``np.lexsort``.
+The two build the same arrays (the registry verifies the kernel against
+the numpy build before routing any fit to it), and the counters
+``quadtree.build.native`` and ``quadtree.build.numpy`` record which one
+served each fit.
 
 Seed-compatibility policy
 -------------------------
@@ -124,8 +134,8 @@ from typing import Any, List, Optional
 import numpy as np
 
 from repro import observability as _obs
-from repro.geometry.distances import ROW_BLOCK_ELEMENTS
 from repro.native import (
+    ROW_BLOCK_ELEMENTS,
     get_kernel,
     reference_quadtree_build,
     reference_quadtree_max_squared_norm,
@@ -149,7 +159,7 @@ def column_extrema(points: np.ndarray) -> tuple:
 
     ``np.min``/``np.max`` along axis 0 walk the array column-strided, which
     defeats vectorisation for small ``d``.  Folding each block of
-    :data:`~repro.geometry.distances.ROW_BLOCK_ELEMENTS` entries onto a
+    :data:`~repro.native.ROW_BLOCK_ELEMENTS` entries onto a
     running block keeps every operand contiguous, with two blocks of work
     memory whatever ``n`` is.  Extrema are exact in any order, so the
     result equals the axis-0 reductions.
@@ -366,14 +376,16 @@ class QuadtreeEmbedding:
         Slot ``l + 1`` holds the distance for shared level ``l``.  Each entry
         accumulates the per-level edge lengths in the same (shallow-to-deep)
         order as the seed implementation so the table is bit-identical to the
-        seed's on-demand Python sums.
+        seed's on-demand Python sums; the ``depth`` edge lengths are
+        computed once and shared by every entry's sum.
         """
         depth = self.depth
+        edges = [self.edge_length(level) for level in range(depth)]
         table = np.zeros(depth + 1, dtype=np.float64)
         for level in range(-1, depth - 1):
             total = 0.0
-            for below in range(level + 1, depth):
-                total += self.edge_length(below)
+            for edge in edges[level + 1 :]:
+                total += edge
             table[level + 1] = 2.0 * total
         self.level_distance_table_ = table
 

@@ -21,6 +21,7 @@ semantic drift.
 """
 
 from repro.native.kernels import (
+    ROW_BLOCK_ELEMENTS,
     kernel_provider,
     reference_crude_bound_probe,
     reference_fkpp_draw_scan,
@@ -41,6 +42,7 @@ from repro.native.registry import (
 
 __all__ = [
     "ENV_FLAG",
+    "ROW_BLOCK_ELEMENTS",
     "get_kernel",
     "kernel_demotions",
     "kernel_provider",

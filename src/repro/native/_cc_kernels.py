@@ -44,7 +44,6 @@ from pathlib import Path
 from typing import Callable, Dict, Tuple
 
 import numpy as np
-from numpy.ctypeslib import ndpointer
 
 #: Build cache override (a directory path).
 ENV_CACHE = "REPRO_NATIVE_CACHE"
@@ -151,26 +150,65 @@ int64_t repro_fkpp_center_sweep(const int32_t *order, const int32_t *position,
  * numpy path (cumsum -> validity check -> searchsorted): a sequential
  * prefix total and a first-exceed scan.  Both walk the mass array in the
  * exact left-to-right IEEE order of np.cumsum, so every partial sum is the
- * same double as the corresponding cumsum entry; the scan then returns the
+ * same double as the corresponding cumsum entry.  The total records the
+ * running sum at the end of every full block of REPRO_DRAW_BLOCK points:
+ * prefix[b] is cumsum[(b + 1) REPRO_DRAW_BLOCK - 1].  The scan returns the
  * first index whose prefix exceeds u, which for non-negative mass (the
  * caller's precondition -- prefixes are non-decreasing) is precisely
- * np.searchsorted(cumsum, u, side="right").  Two calls, not one, because
- * the uniform variate is drawn only after the total proves finite and
- * positive -- consuming the RNG stream identically to the fallback. */
-double repro_fkpp_seq_total(const double *mass, int64_t n)
+ * np.searchsorted(cumsum, u, side="right"): it binary-searches the records
+ * for the first block whose end exceeds u and walks only that block (or
+ * the partial last block when no record exceeds u), continuing the add
+ * chain from the record before it.  Two calls, not one, because the
+ * uniform variate is drawn only after the total proves finite and
+ * positive -- consuming the RNG stream identically to the fallback; a scan
+ * reads the records of the latest total over the same mass. */
+#define REPRO_DRAW_BLOCK 1024
+
+/* The end of the draw block that starts at point i of n.  The hot loops
+ * walk block by block and record a block's prefix after it, so no test
+ * runs per point. */
+static inline int64_t repro__block_end(int64_t i, int64_t n)
+{
+    return n - i > REPRO_DRAW_BLOCK ? i + REPRO_DRAW_BLOCK : n;
+}
+
+/* Record the running total after the block that ends at `end`, if full. */
+static inline void repro__record(double *prefix, int64_t end, double total)
+{
+    if (end % REPRO_DRAW_BLOCK == 0)
+        prefix[end / REPRO_DRAW_BLOCK - 1] = total;
+}
+
+double repro_fkpp_seq_total(const double *mass, int64_t n, double *prefix)
 {
     double acc = 0.0;
-    int64_t i;
-    for (i = 0; i < n; ++i)
-        acc += mass[i];
+    int64_t i = 0;
+    while (i < n) {
+        const int64_t end = repro__block_end(i, n);
+        for (; i < end; ++i)
+            acc += mass[i];
+        repro__record(prefix, end, acc);
+    }
     return acc;
 }
 
-int64_t repro_fkpp_draw_scan(const double *mass, int64_t n, double u)
+int64_t repro_fkpp_draw_scan(const double *mass, int64_t n,
+                             const double *prefix, double u)
 {
-    double acc = 0.0;
-    int64_t i;
-    for (i = 0; i < n; ++i) {
+    int64_t low = 0;
+    int64_t high = n / REPRO_DRAW_BLOCK;
+    int64_t i, end;
+    double acc;
+    while (low < high) { /* the first record above u is in low..high */
+        const int64_t middle = low + (high - low) / 2;
+        if (prefix[middle] > u)
+            high = middle;
+        else
+            low = middle + 1;
+    }
+    acc = low > 0 ? prefix[low - 1] : 0.0;
+    i = low * REPRO_DRAW_BLOCK;
+    for (end = repro__block_end(i, n); i < end; ++i) {
         acc += mass[i];
         if (acc > u)
             return i;
@@ -229,8 +267,9 @@ static double repro__einsum_sq(const double *p, const double *c, int64_t d)
  * plain initialisation; then the next draw's D^z mass
  * mass[i] = weights[i] * best (* sqrt(best) for z = 1) and the sequential
  * prefix total of that mass -- the same left-to-right add chain as
- * np.cumsum(mass)[-1], so the caller's finiteness/positivity check and the
- * later first-exceed scan see exactly the numpy path's doubles.
+ * np.cumsum(mass)[-1], recording every block's end in `prefix` like
+ * repro_fkpp_seq_total, so the caller's finiteness/positivity check and
+ * the later repro_fkpp_draw_scan see exactly the numpy path's doubles.
  *
  * The new center is row center_rows[slot] of points, and center_rows[j] is
  * the row of every earlier center j.  After round 0 the round first sets
@@ -263,49 +302,57 @@ static double repro__einsum_sq(const double *p, const double *c, int64_t d)
 double repro_kmeanspp_round(const double *points, int64_t n, int64_t d,
                             const int64_t *center_rows, const double *weights,
                             double *best_squared, int64_t *assignment,
-                            double *mass, double *gap, int64_t *evaluated,
-                            int64_t slot, int z, int init)
+                            double *mass, double *prefix, double *gap,
+                            int64_t *evaluated, int64_t slot, int z, int init)
 {
     const double *center = points + center_rows[slot] * d;
     double total = 0.0;
     int64_t count = 0;
     int64_t i, j;
     if (init) {
-        for (i = 0; i < n; ++i) {
-            const double sq = repro__einsum_sq(points + i * d, center, d);
-            const double m = weights[i] * (z == 2 ? sq : sqrt(sq));
-            best_squared[i] = sq;
-            assignment[i] = slot;
-            mass[i] = m;
-            total += m;
+        for (i = 0; i < n;) {
+            const int64_t end = repro__block_end(i, n);
+            for (; i < end; ++i) {
+                const double sq = repro__einsum_sq(points + i * d, center, d);
+                const double m = weights[i] * (z == 2 ? sq : sqrt(sq));
+                best_squared[i] = sq;
+                assignment[i] = slot;
+                mass[i] = m;
+                total += m;
+            }
+            repro__record(prefix, end, total);
         }
         *evaluated += n;
         return total;
     }
     for (j = 0; j < slot; ++j)
         gap[j] = repro__einsum_sq(points + center_rows[j] * d, center, d);
-    for (i = 0; i < n; ++i) {
-        const double b = best_squared[i];
-        const double limit = REPRO_KPP_PRUNE_FACTOR * b;
-        const int skip = (b == 0.0)
-                         | ((b >= DBL_MIN) & (limit <= DBL_MAX)
-                            & (gap[assignment[i]] >= limit));
-        double m;
-        if (skip) {
-            m = mass[i];
-        } else {
-            const double sq = repro__einsum_sq(points + i * d, center, d);
-            double best = b;
-            if (sq < b) {
-                best_squared[i] = sq;
-                assignment[i] = slot;
-                best = sq;
+    for (i = 0; i < n;) {
+        const int64_t end = repro__block_end(i, n);
+        for (; i < end; ++i) {
+            const double b = best_squared[i];
+            const double limit = REPRO_KPP_PRUNE_FACTOR * b;
+            const int skip = (b == 0.0)
+                             | ((b >= DBL_MIN) & (limit <= DBL_MAX)
+                                & (gap[assignment[i]] >= limit));
+            double m;
+            if (skip) {
+                m = mass[i];
+            } else {
+                const double sq = repro__einsum_sq(points + i * d, center, d);
+                double best = b;
+                if (sq < b) {
+                    best_squared[i] = sq;
+                    assignment[i] = slot;
+                    best = sq;
+                }
+                m = weights[i] * (z == 2 ? best : sqrt(best));
+                mass[i] = m;
+                ++count;
             }
-            m = weights[i] * (z == 2 ? best : sqrt(best));
-            mass[i] = m;
-            ++count;
+            total += m;
         }
-        total += m;
+        repro__record(prefix, end, total);
     }
     *evaluated += count;
     return total;
@@ -423,83 +470,143 @@ static inline double repro__floor(double s)
 }
 
 /* One quadtree build.  A point's sort key is a sequence of bit planes, most
- * significant first: plane 0 and plane 1 are bit 1 and bit 0 of its level-0
- * cell code (one per coordinate, 0..2: the lattice value plus one), and
- * plane p >= 2 is its level-(p - 1) digit in every coordinate.  A plane
+ * significant first.  Coordinate j's value v = (cell << 32) | digit, its
+ * level-0 cell code (0..2: the lattice value plus one) above its
+ * left-aligned digit row, holds plane p at bit 33 - p: planes 0 and 1 are
+ * the code's two bits and plane p >= 2 is the level-(p - 1) digit.  A plane
  * reads as the pattern whose bit j is coordinate j's bit, compared as an
  * unsigned number, and it is cut into 64-coordinate words, the highest
  * coordinates first: step s reads word (words - 1 - s % words) of plane
- * s / words. */
+ * s / words.
+ *
+ * A range reads its steps from one uint64 key per point, gathered once per
+ * window of steps.  With one word (d <= 64) a window is the next
+ * P = min(8, 64 / d) planes, cut at the last one, and plane t + i of a
+ * window starting at plane t fills the d-bit field at bit (P - 1 - i) d:
+ * the window's first plane is its highest field, and within a field bit j
+ * is coordinate j, so a field sorts like its plane.  Above 64 coordinates a
+ * window is one step, one word of one plane (P = 1). */
 typedef struct {
     const uint32_t *digits; /* n x d, left-aligned: level l is bit 32 - l */
     const uint8_t *cells;   /* n x d level-0 cell codes */
     int64_t d, words, steps;
+    int64_t window;         /* P: the planes of a one-word window */
+    int width;              /* a field's bits: d with one word, else 64 */
+    uint64_t field;         /* a field's mask, right-aligned */
     int32_t *order, *order_scratch;
     int32_t *split;         /* per position: the step that separated it */
     uint64_t *keys, *keys_scratch;
+    uint64_t spread[256];   /* a P-bit chunk with bit b moved to bit b d */
 } repro__zorder;
 
-/* Refine the range start..end of z->order, whose points agree on every
- * step before `step`: sort it stably by the step's word, record each new
- * boundary's step in z->split, and recurse into every part, depth first.
- * The last part continues in the loop, as does a range the step leaves
- * whole.  A part only ever writes split entries strictly inside itself. */
-static void repro__refine(repro__zorder *z, int64_t start, int64_t end,
-                          int64_t step)
+/* Gather the keys of positions start..end for the window that starts at
+ * `step`: per point and coordinate, the window's planes of v as one chunk
+ * (the window's first plane its highest bit), spread to the coordinate's
+ * bit of every field.  The coordinates go highest first, each shifting the
+ * key up by one, so none needs a shift of its own; a one-plane chunk is its
+ * own spread, and a window within the codes reads no digits.  Returns the
+ * window's end and sets *varying to the bits on which the keys differ
+ * (their OR XOR their AND).  The rows are reached through z->order, so
+ * upcoming ones are prefetched. */
+static int64_t repro__gather(repro__zorder *z, int64_t start, int64_t end,
+                             int64_t step, uint64_t *varying)
 {
     const int64_t d = z->d;
-    for (; end - start >= 2 && step < z->steps; ++step) {
-        const int64_t plane = step / z->words;
-        const int64_t first = (z->words - 1 - step % z->words) * 64;
-        const int64_t last = (d - first < 64 ? d : first + 64) - 1;
-        uint64_t any = 0;
-        uint64_t all = ~(uint64_t)0;
-        int64_t k, part;
-        uint64_t previous;
-        if (plane >= 2) {
-            const int bit = 33 - (int)plane;
-            for (k = start; k < end; ++k) {
-                const uint32_t *row = z->digits + z->order[k] * d;
-                uint64_t word = 0;
-                int64_t j;
-                if (k + 8 < end)
-                    __builtin_prefetch(z->digits + z->order[k + 8] * d, 0, 1);
-                for (j = last; j >= first; --j)
-                    word = (word << 1) | ((row[j] >> bit) & 1u);
-                z->keys[k] = word;
-                any |= word;
-                all &= word;
+    const int64_t plane = step / z->words;
+    const int64_t length = z->steps - step < z->window ? z->steps - step
+                                                       : z->window;
+    const int64_t first = (z->words - 1 - step % z->words) * 64;
+    const int64_t last = (d - first < 64 ? d : first + 64) - 1;
+    const int low = 34 - (int)(plane + length); /* the window's last plane */
+    const uint64_t chunk = ((uint64_t)1 << length) - 1;
+    const uint64_t *spread = z->spread;
+    uint64_t any = 0;
+    uint64_t all = ~(uint64_t)0;
+    int64_t k, j;
+    for (k = start; k < end; ++k) {
+        const int64_t i = z->order[k];
+        const uint32_t *row = z->digits + i * d;
+        uint64_t key = 0;
+        if (k + 8 < end)
+            __builtin_prefetch(z->digits + z->order[k + 8] * d, 0, 1);
+        if (plane >= 2) { /* every plane in the digits */
+            for (j = last; j >= first; --j) {
+                const uint64_t bits = (row[j] >> low) & chunk;
+                key = (key << 1) | (length == 1 ? bits : spread[bits]);
             }
-        } else {
-            const int bit = 1 - (int)plane;
-            for (k = start; k < end; ++k) {
-                const uint8_t *row = z->cells + z->order[k] * d;
-                uint64_t word = 0;
-                int64_t j;
-                for (j = last; j >= first; --j)
-                    word = (word << 1) | ((row[j] >> bit) & 1u);
-                z->keys[k] = word;
-                any |= word;
-                all &= word;
+        } else { /* from the codes, and the digits when low < 32 */
+            const uint8_t *code = z->cells + i * d;
+            for (j = last; j >= first; --j) {
+                const uint64_t v = ((uint64_t)code[j] << 32) | (low < 32 ? row[j] : 0u);
+                key = (key << 1) | spread[(v >> low) & chunk];
             }
         }
-        if (any == all)
-            continue; /* one part: the whole range */
+        z->keys[k] = key;
+        any |= key;
+        all &= key;
+    }
+    *varying = any ^ all;
+    return step + length;
+}
+
+/* Refine the range start..end of z->order, whose points agree on every
+ * step before `step`.  Its keys hold the window that ends at window_end,
+ * and `varying` has the bits on which they differ.  A step takes its
+ * field's varying bits, sorts the range stably by them, records each new
+ * boundary's step in z->split and recurses into every part of two or more
+ * points, depth first, with the same keys and window.  The last part
+ * continues in the loop, as does a range the step leaves whole.  A range
+ * that steps past its window gathers the next one, and skips all of it
+ * when its keys are all equal.  A part only ever writes keys and split
+ * entries strictly inside itself.  The insertion sort of repro__sort_range
+ * compares whole keys, which also orders each part by the window's later
+ * fields: a stable sort by those fields then leaves it as it is. */
+static void repro__refine(repro__zorder *z, int64_t start, int64_t end,
+                          int64_t step, int64_t window_end, uint64_t varying)
+{
+    while (end - start >= 2) {
+        int shift;
+        uint64_t bits, previous, any, all;
+        int64_t k, part;
+        if (step == window_end) {
+            if (step == z->steps)
+                return;
+            window_end = repro__gather(z, start, end, step, &varying);
+            if (!varying) {
+                step = window_end; /* one part for the whole window */
+                continue;
+            }
+        }
+        shift = (int)(window_end - 1 - step) * z->width;
+        bits = (varying >> shift) & z->field;
+        if (!bits) {
+            ++step; /* one part: the whole range */
+            continue;
+        }
         repro__sort_range(z->keys + start, z->order + start,
                           z->keys_scratch + start, z->order_scratch + start,
-                          end - start, any ^ all);
+                          end - start, bits << shift);
         part = start;
-        previous = z->keys[start];
+        previous = (z->keys[start] >> shift) & z->field;
+        any = all = z->keys[start];
         for (k = start + 1; k < end; ++k) {
-            const uint64_t word = z->keys[k];
-            if (word != previous) {
+            const uint64_t key = z->keys[k];
+            const uint64_t value = (key >> shift) & z->field;
+            if (value != previous) {
                 z->split[k] = (int32_t)step;
-                repro__refine(z, part, k, step + 1);
+                if (k - part >= 2)
+                    repro__refine(z, part, k, step + 1, window_end, any ^ all);
                 part = k;
-                previous = word;
+                previous = value;
+                any = all = key;
+            } else {
+                any |= key;
+                all &= key;
             }
         }
         start = part;
+        varying = any ^ all;
+        ++step;
     }
 }
 
@@ -512,9 +619,10 @@ static void repro__refine(repro__zorder *z, int64_t start, int64_t end,
  * operation in the same order.  The clamp runs in double before the cast,
  * so a fractional part that rounded to exactly 1.0 reads as the all-ones
  * row even at depth_cap == 32.  Then every level splits each of its cells
- * stably by the next plane (repro__refine), starting from the input order,
- * so the points end up ordered by level-0 cell code, then by each level's
- * digit pattern, then by input index.
+ * stably by the next plane (repro__refine, from keys gathered once per
+ * window of planes), starting from the input order, so the points end up
+ * ordered by level-0 cell code, then by each level's digit pattern, then
+ * by input index.
  *
  * On return split[k] (k >= 1) holds the level at which positions k - 1 and
  * k fall into different cells (INT32_MAX: never), counts[l] the cells of
@@ -532,7 +640,7 @@ int64_t repro_quadtree_order(const double *points, int64_t n, int64_t d,
     const double top = scale - 1.0;
     const int align = 32 - (int)depth_cap;
     repro__zorder z;
-    int64_t i, j, level;
+    int64_t i, j, level, b;
     int64_t deepest = 0;
     for (i = 0; i < n; ++i) {
         const double *row = points + i * d;
@@ -553,12 +661,20 @@ int64_t repro_quadtree_order(const double *points, int64_t n, int64_t d,
     z.d = d;
     z.words = (d + 63) / 64;
     z.steps = (depth_cap + 2) * z.words;
+    z.window = z.words == 1 ? (64 / d < 8 ? 64 / d : 8) : 1;
+    z.width = z.words == 1 ? (int)d : 64;
+    z.field = z.width == 64 ? ~(uint64_t)0 : ((uint64_t)1 << z.width) - 1;
+    for (i = 0; i < ((int64_t)1 << z.window); ++i) {
+        z.spread[i] = 0;
+        for (b = 0; b < z.window; ++b)
+            z.spread[i] |= (uint64_t)((i >> b) & 1) << (b * d);
+    }
     z.order = order;
     z.order_scratch = order_scratch;
     z.split = split;
     z.keys = keys;
     z.keys_scratch = keys_scratch;
-    repro__refine(&z, 0, n, 0);
+    repro__refine(&z, 0, n, 0, 0, 0);
     for (i = 1; i < n; ++i) {
         if (split[i] != INT32_MAX) {
             const int64_t plane = split[i] / z.words;
@@ -731,6 +847,15 @@ def _build_library() -> Path:
     return library
 
 
+#: Points per recorded prefix of a D²-draw's mass (``REPRO_DRAW_BLOCK``).
+_DRAW_BLOCK = 1024
+
+
+def _prefix_buffer(n: int) -> np.ndarray:
+    """Room for the prefix recorded at the end of every full draw block."""
+    return np.empty(max(1, n // _DRAW_BLOCK), dtype=np.float64)
+
+
 class KmeansppRounds:
     """``run_round(center_row, slot, init)`` over one seeding call's buffers.
 
@@ -745,9 +870,13 @@ class KmeansppRounds:
     then slots 1, 2, ... with ``init`` false (anything else raises
     ``ValueError``).  :attr:`distance_evals` counts the point distances the
     rounds computed so far (``n`` per round without the skip rule).
+
+    The binder also owns the draw's prefix buffer, which every round fills
+    with its mass's block prefixes: :meth:`scan` is the next D²-draw over
+    the latest round's mass.
     """
 
-    def __init__(self, kernel, points, weights, best_squared, assignment, mass, z):
+    def __init__(self, kernel, scan, points, weights, best_squared, assignment, mass, z):
         if points.ndim != 2:
             raise ValueError("kmeans++ points must be two-dimensional")
         n, d = points.shape
@@ -759,6 +888,7 @@ class KmeansppRounds:
         if any(array.shape[0] != n for array in (weights, best_squared, assignment, mass)):
             raise ValueError("kmeans++ round buffers must have one entry per point")
         self._kernel = kernel
+        self._scan = scan
         self._keep = (points, weights, best_squared, assignment, mass)
         self._n, self._d, self._z = n, d, int(z)
         self._pointers = tuple(
@@ -766,12 +896,21 @@ class KmeansppRounds:
         )
         self._rows = np.empty(16, dtype=np.int64)
         self._gap = np.empty(16, dtype=np.float64)
+        self._prefix = _prefix_buffer(n)
+        self._p_prefix = self._prefix.ctypes.data
         self._evaluated = np.zeros(1, dtype=np.int64)
         self._next_slot = 0
 
     @property
     def distance_evals(self) -> int:
         return int(self._evaluated[0])
+
+    def scan(self, u: float) -> int:
+        """``searchsorted(cumsum(mass), u, side="right")`` over the latest
+        round's mass, from the block prefixes that round recorded."""
+        if self._next_slot == 0:
+            raise ValueError("a kmeans++ draw scans the mass of a round: run one first")
+        return self._scan(self._pointers[4], self._n, self._p_prefix, u)
 
     def __call__(self, center_row: int, slot: int, init: bool) -> float:
         center_row, slot = int(center_row), int(slot)
@@ -791,8 +930,8 @@ class KmeansppRounds:
         p_points, p_weights, p_best, p_assignment, p_mass = self._pointers
         total = self._kernel(
             p_points, self._n, self._d, self._rows.ctypes.data, p_weights, p_best,
-            p_assignment, p_mass, self._gap.ctypes.data, self._evaluated.ctypes.data,
-            slot, self._z, 1 if init else 0,
+            p_assignment, p_mass, self._p_prefix, self._gap.ctypes.data,
+            self._evaluated.ctypes.data, slot, self._z, 1 if init else 0,
         )
         self._next_slot = slot + 1
         return total
@@ -817,7 +956,6 @@ def load_kernels() -> Dict[str, Callable]:
     i64 = ctypes.c_int64
     f64 = ctypes.c_double
     i32 = ctypes.c_int
-    pf64 = ndpointer(np.float64, flags="C_CONTIGUOUS")
 
     # The pointer-table sweep is bound with raw-pointer argtypes only:
     # ctypes ndpointer validation costs ~3 µs per array argument, which at
@@ -832,22 +970,14 @@ def load_kernels() -> Dict[str, Callable]:
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, i32,
     ]
 
+    # Raw pointers only, for the per-draw path: the binders (``_draw_bind``
+    # and ``KmeansppRounds``) validate the mass once and own the prefixes.
     seq_total = library.repro_fkpp_seq_total
     seq_total.restype = f64
-    seq_total.argtypes = [pf64, i64]
-
+    seq_total.argtypes = [ctypes.c_void_p, i64, ctypes.c_void_p]
     draw_scan = library.repro_fkpp_draw_scan
     draw_scan.restype = i64
-    draw_scan.argtypes = [pf64, i64, f64]
-
-    # Raw-pointer twins for the per-draw fast path (see ``_fkpp_bind`` for
-    # why ndpointer validation is too slow at one call per draw).
-    seq_total_fast = library["repro_fkpp_seq_total"]
-    seq_total_fast.restype = f64
-    seq_total_fast.argtypes = [ctypes.c_void_p, i64]
-    draw_scan_fast = library["repro_fkpp_draw_scan"]
-    draw_scan_fast.restype = i64
-    draw_scan_fast.argtypes = [ctypes.c_void_p, i64, f64]
+    draw_scan.argtypes = [ctypes.c_void_p, i64, ctypes.c_void_p, f64]
 
     # Raw pointers only: the arrays are validated once, when a seeding call
     # binds its buffers (see ``KmeansppRounds``).
@@ -856,7 +986,7 @@ def load_kernels() -> Dict[str, Callable]:
     kpp_round.argtypes = [
         ctypes.c_void_p, i64, i64, ctypes.c_void_p, ctypes.c_void_p,
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_void_p, i64, i32, i32,
+        ctypes.c_void_p, ctypes.c_void_p, i64, i32, i32,
     ]
 
     # Raw pointers only: ``crude_bound_probe`` checks its operands per call
@@ -946,27 +1076,34 @@ def load_kernels() -> Dict[str, Callable]:
 
         return sweep
 
-    def fkpp_weighted_draw(mass: np.ndarray) -> float:
-        """Sequential prefix total of ``mass`` (== ``np.cumsum(mass)[-1]``)."""
-        return float(seq_total(mass, mass.shape[0]))
-
-    def _draw_scan(mass: np.ndarray, u: float) -> int:
-        return int(draw_scan(mass, mass.shape[0], float(u)))
-
     def _draw_bind(mass: np.ndarray):
-        """Pin the mass pointer once; per-draw calls carry only scalars."""
+        """``(total, scan)`` over ``mass`` and a prefix buffer pinned once,
+        so per-draw calls carry only scalars.  ``scan`` reads the prefixes
+        the latest ``total()`` recorded: after rewriting the mass, call
+        ``total()`` before the next scan."""
         if mass.dtype != np.float64 or not mass.flags["C_CONTIGUOUS"]:
             raise ValueError("draw mass must be contiguous float64")
         n = int(mass.shape[0])
-        p_mass = mass.ctypes.data
+        prefix = _prefix_buffer(n)
+        p_mass, p_prefix = mass.ctypes.data, prefix.ctypes.data
 
-        def total(_keep=mass) -> float:
-            return seq_total_fast(p_mass, n)
+        def total(_keep=(mass, prefix)) -> float:
+            return seq_total(p_mass, n, p_prefix)
 
-        def scan(u: float, _keep=mass) -> int:
-            return draw_scan_fast(p_mass, n, u)
+        def scan(u: float, _keep=(mass, prefix)) -> int:
+            return draw_scan(p_mass, n, p_prefix, u)
 
         return total, scan
+
+    def fkpp_weighted_draw(mass: np.ndarray) -> float:
+        """Sequential prefix total of ``mass`` (== ``np.cumsum(mass)[-1]``)."""
+        total, _ = _draw_bind(mass)
+        return float(total())
+
+    def _draw_scan(mass: np.ndarray, u: float) -> int:
+        total, scan = _draw_bind(mass)
+        total()
+        return int(scan(float(u)))
 
     fkpp_weighted_draw.scan = _draw_scan
     fkpp_weighted_draw.bind = _draw_bind
@@ -997,8 +1134,8 @@ def load_kernels() -> Dict[str, Callable]:
         work = (
             np.empty((n, d), dtype=np.uint32),  # digit rows
             np.empty((n, d), dtype=np.uint8),  # level-0 cell codes
-            np.empty(n, dtype=np.uint64),  # plane words
-            np.empty(n, dtype=np.uint64),  # plane words, sort scratch
+            np.empty(n, dtype=np.uint64),  # window keys
+            np.empty(n, dtype=np.uint64),  # window keys, sort scratch
             np.empty(n, dtype=np.int32),  # order, sort scratch
         )
         digits, cells, keys, keys_scratch, order_scratch = (a.ctypes.data for a in work)
@@ -1061,8 +1198,9 @@ def load_kernels() -> Dict[str, Callable]:
         "fkpp_weighted_draw": fkpp_weighted_draw,
         "crude_bound_probe": crude_bound_probe,
         # The binder: kmeanspp_round(points, weights, best_squared,
-        # assignment, mass, z) -> run_round(center_row, slot, init).
-        "kmeanspp_round": functools.partial(KmeansppRounds, kpp_round),
+        # assignment, mass, z) -> run_round(center_row, slot, init), whose
+        # run_round.scan(u) draws from the latest round's mass.
+        "kmeanspp_round": functools.partial(KmeansppRounds, kpp_round, draw_scan),
         # quadtree_build(points, origin, shift, side, depth_cap) -> (order,
         # position, level_offsets); quadtree_build.max_squared_norm(points,
         # origin) -> the largest squared distance to the origin.

@@ -11,7 +11,12 @@ a kernel is not served, :func:`~repro.native.registry.get_kernel` returns
     level_offsets)``, equal to :func:`reference_quadtree_build`, and
     ``kernel.max_squared_norm(points, origin)`` is the largest
     ``einsum``-replica squared distance to the origin row.  Both read the
-    points directly, with no translated copy.  Depth caps 1..32.
+    points directly, with no translated copy.  Depth caps 1..32.  The
+    refinement gathers each range's next ``min(8, 64 // d)`` bit planes
+    (one 64-coordinate word of one plane above d = 64) into one uint64
+    key per point, refines that window of levels from the keys and
+    gathers again only past it; a window whose keys are all equal is
+    skipped whole.
 
 ``fkpp_level_score``
     One Fast-kmeans++ register-center sweep over every level of one tree
@@ -30,9 +35,12 @@ a kernel is not served, :func:`~repro.native.registry.get_kernel` returns
     as :func:`reference_fkpp_level_score` with those arguments bound.
 
 ``fkpp_weighted_draw``
-    The D²-draw of both seedings split into its two observable steps: the
-    sequential ``np.cumsum`` total and the first-exceed scan equal to
-    ``searchsorted(cumsum, u, side="right")``.
+    The D²-draw of Fast-kmeans++ split into its two observable steps: the
+    sequential ``np.cumsum`` total, which records the running sum at the
+    end of every block of 1024 points, and the first-exceed scan equal to
+    ``searchsorted(cumsum, u, side="right")``, which binary-searches those
+    records and walks one block.  ``kernel.bind(mass)`` pins the mass and
+    the prefix buffer and returns ``(total, scan)``.
 
 ``kmeanspp_round``
     One round of plain k-means++ seeding (:mod:`repro.clustering.kmeans_pp`)
@@ -47,7 +55,10 @@ a kernel is not served, :func:`~repro.native.registry.get_kernel` returns
     ``kernel(points, weights, best_squared, assignment, mass, z)`` returns
     ``run_round(center_row, slot, init) -> total`` over those buffers; the
     rounds must run in slot order (``init`` exactly at slot 0) and
-    ``run_round.distance_evals`` counts the point distances computed.
+    ``run_round.distance_evals`` counts the point distances computed.  A
+    round records its total's block prefixes like ``fkpp_weighted_draw``,
+    and ``run_round.scan(u)`` is the next draw over the latest round's
+    mass, so plain k-means++ draws through its round binder.
 
 ``crude_bound_probe``
     One Crude-Approx (Algorithm 2) occupancy probe
@@ -78,6 +89,12 @@ import numpy as np
 
 from repro.native import registry
 from repro.native.registry import kernel_provider
+
+#: Entries per row block of the per-point passes that stream over an
+#: ``(n, d)`` input (column extrema, assigned-centre distances, the numpy
+#: occupancy probe): 256 KB of float64, so their work memory stays fixed
+#: whatever ``n`` is.
+ROW_BLOCK_ELEMENTS: int = 1 << 15
 
 # ---------------------------------------------------------------- oracles
 def reference_fkpp_level_score(
@@ -208,20 +225,46 @@ def reference_crude_bound_probe(
     multipliers[j]`` in uint64 (the multipliers are passed in so
     verification does not import the geometry package), and a cell is a
     distinct key.  The caller passes only levels whose lattice fits int64.
+
+    The rows are keyed one block of :data:`ROW_BLOCK_ELEMENTS` entries at a
+    time into the sorted distinct keys seen so far, and the scan stops once
+    ``cap`` of them are seen, so the work memory is a block plus at most
+    ``cap`` keys besides it.  A key depends only on its row, and the
+    distinct keys do not depend on the order the rows are read in, so the
+    count is the one of ``np.unique`` over every key at once.
     """
-    scaled = points - shift[None, :]
-    scaled /= diameter
-    scaled *= 2.0 ** int(level)
-    lattice = np.floor(scaled, out=scaled).astype(np.int64)
-    with np.errstate(over="ignore"):
-        keys = (lattice.view(np.uint64) * multipliers[None, :]).sum(axis=1, dtype=np.uint64)
-    return min(int(np.unique(keys).shape[0]), int(cap))
+    n, d = points.shape
+    rows = max(1, ROW_BLOCK_ELEMENTS // max(1, d))
+    scale = 2.0 ** int(level)
+    seen = np.empty(0, dtype=np.uint64)
+    for start in range(0, n, rows):
+        scaled = points[start : start + rows] - shift[None, :]
+        scaled /= diameter
+        scaled *= scale
+        lattice = np.floor(scaled, out=scaled).astype(np.int64)
+        with np.errstate(over="ignore"):
+            keys = (lattice.view(np.uint64) * multipliers[None, :]).sum(axis=1, dtype=np.uint64)
+        seen = np.unique(np.concatenate([seen, keys]))
+        if seen.shape[0] >= cap:
+            break
+    return min(int(seen.shape[0]), int(cap))
 
 
 def reference_quadtree_max_squared_norm(points: np.ndarray, origin: np.ndarray) -> float:
-    """The fit's largest squared distance to its origin row, as numpy sums it."""
-    translated = points - origin[None, :]
-    return float(np.einsum("ij,ij->i", translated, translated).max())
+    """The fit's largest squared distance to its origin row, as numpy sums it.
+
+    ``einsum("ij,ij->i", points - origin, points - origin).max()``, one
+    block of :data:`ROW_BLOCK_ELEMENTS` entries at a time: a row's sum
+    depends on that row alone and the maximum is exact, so the blocks give
+    the same double without a translated copy of the whole input.
+    """
+    rows = max(1, ROW_BLOCK_ELEMENTS // max(1, points.shape[1]))
+    top = None
+    for start in range(0, points.shape[0], rows):
+        translated = points[start : start + rows] - origin[None, :]
+        peak = np.einsum("ij,ij->i", translated, translated).max()
+        top = peak if top is None else np.maximum(top, peak)
+    return float(top)
 
 
 def _plane_words(bits: np.ndarray) -> list:
@@ -362,30 +405,49 @@ def _verify_fkpp_level_score(kernel) -> None:
                 )
 
 
+#: Points per recorded prefix of the compiled D²-draw (its C source's
+#: ``REPRO_DRAW_BLOCK``): the verifiers draw at every block boundary.
+_DRAW_BLOCK = 1024
+
+
+def _draw_checks(mass: np.ndarray) -> list:
+    """``(u, index)`` pairs that a D²-draw over ``mass`` must reproduce.
+
+    The u values are the interior, zero, the total and beyond it (index n,
+    which the caller clamps), and exact prefixes (``side="right"`` must step
+    past them) at the middle, at both ends and around every block end of
+    the compiled scan's records.  ``index`` is
+    :func:`reference_fkpp_draw_scan` of each, from one ``cumsum``.
+    """
+    cumulative = np.cumsum(mass)
+    n = mass.shape[0]
+    total = float(cumulative[-1])
+    ends = {0, n // 2, n - 1}
+    for end in range(_DRAW_BLOCK - 1, n, _DRAW_BLOCK):
+        ends.update((end - 1, end, min(end + 1, n - 1)))
+    us = np.array([0.0, total * 0.25, total * 0.999, total, total * 1.5])
+    us = np.concatenate([us, cumulative[sorted(ends)]])
+    return list(zip(us.tolist(), np.searchsorted(cumulative, us, side="right").tolist()))
+
+
 def _verify_fkpp_weighted_draw(kernel) -> None:
     scan = getattr(kernel, "scan", None)
     binder = getattr(kernel, "bind", None)
     if scan is None or binder is None:
         raise RuntimeError("weighted draw kernel must expose scan() and bind()")
     rng = np.random.default_rng(20260810)
-    for n in (1, 17, 256, 1001):
+    # Below one block, an exact multiple of it and a partial last block.
+    for n in (1, 17, 1001, 2 * _DRAW_BLOCK, 3500):
         mass = rng.uniform(0.0, 3.0, size=n)
         mass[rng.random(n) < 0.3] = 0.0  # zero-mass runs create prefix ties
-        cumulative = np.cumsum(mass)
-        total = float(cumulative[-1])
+        mass[_DRAW_BLOCK : 2 * _DRAW_BLOCK] = 0.0  # a block with equal ends
         expected_total = reference_fkpp_weighted_draw(mass)
         bound_total, bound_scan = binder(mass)
         for produced in (float(kernel(mass)), float(bound_total())):
             # Bit-exact: the kernel must replay the cumsum add chain.
             if not (produced == expected_total or (np.isnan(produced) and np.isnan(expected_total))):
                 raise RuntimeError(f"draw total disagrees with cumsum (n={n})")
-        # u values cover the interior, exact prefix ties (side="right" must
-        # step past them), zero, and u >= total (index n, clamped by the
-        # caller).
-        us = [0.0, total * 0.25, total * 0.999, total, total * 1.5]
-        us.extend(float(cumulative[i]) for i in (0, n // 2, n - 1))
-        for u in us:
-            expected = reference_fkpp_draw_scan(mass, u)
+        for u, expected in _draw_checks(mass):
             if int(scan(mass, u)) != expected or int(bound_scan(u)) != expected:
                 raise RuntimeError(f"draw scan disagrees with searchsorted (n={n}, u={u})")
 
@@ -417,6 +479,13 @@ def _verify_kmeanspp_round(kernel) -> None:
     # pruning limit overflows) must not, because it moves to the new center.
     far = np.array([0.0, 1.5e154, 1e153, 1e154, -1e154, 5e153, 2e152, 1.2e154])[:, None]
     cases.append((far, np.ones(far.shape[0]), (0, 1, 6)))
+    # Past one draw block: an exact multiple of it and a partial last
+    # block, each with a weightless block whose two ends tie.
+    wide = rng.normal(size=(2 * _DRAW_BLOCK + 552, 3))
+    wide_weights = rng.uniform(0.1, 3.0, size=wide.shape[0])
+    wide_weights[_DRAW_BLOCK : 2 * _DRAW_BLOCK] = 0.0
+    cases.append((wide[: 2 * _DRAW_BLOCK].copy(), wide_weights[: 2 * _DRAW_BLOCK].copy(), (0, 2047)))
+    cases.append((wide, wide_weights, (5, wide.shape[0] - 1)))
     for points, weights, rows in cases:
         n, d = points.shape
         for z in (1, 2):
@@ -441,6 +510,17 @@ def _verify_kmeanspp_round(kernel) -> None:
                 ):
                     raise RuntimeError(
                         "kmeans++ round disagrees with the numpy round "
+                        f"(n={n}, d={d}, z={z}, slot={slot})"
+                    )
+                # Past one block, every round's draw: searchsorted over the
+                # mass the round wrote.  Below one block the scan reads no
+                # record, the draw verifier's case.
+                drawn = n >= _DRAW_BLOCK and np.isfinite(want) and want > 0.0
+                if drawn and any(
+                    int(run_round.scan(u)) != index for u, index in _draw_checks(expected[2])
+                ):
+                    raise RuntimeError(
+                        "kmeans++ round draw disagrees with searchsorted "
                         f"(n={n}, d={d}, z={z}, slot={slot})"
                     )
 
@@ -517,11 +597,14 @@ def quadtree_points(rng, n: int, d: int, delta: float) -> tuple:
 
 
 #: ``(n, d, depth_cap, side / delta)`` of the ``quadtree_build`` verifier:
-#: the clamped all-ones row at depth 32, a cell side short enough to give
-#: lattice value 1 (a level-0 code with its high bit set), one- and
-#: two-word planes, and one- and two-point inputs.
+#: the clamped all-ones row at depth 32, in a cell side so long that 62 of
+#: the 72 points share their first eleven planes, so a range of more than
+#: 32 points crosses the first window of keys (8 planes at d = 1) and
+#: splits inside the second, a cell side short enough to give lattice
+#: value 1 (a level-0 code with its high bit set), one- and two-word
+#: planes, and one- and two-point inputs.
 _QUADTREE_BUILD_CASES = (
-    (40, 1, 32, 2.0),
+    (72, 1, 32, 1024.0),
     (40, 3, 6, 1.5),
     (40, 9, 5, 2.0),
     (24, 70, 3, 2.0),

@@ -165,7 +165,7 @@ def test_demoted_kernel_fails_its_row_with_the_reason(fail_verifier, kernel):
     """A kernel demoted while the rest of the tier is native fails the row
     with the demotion reason, not with a misleading ratio — also when it is
     not the kernel whose provider the row records (``kmeans_plus_plus``
-    needs both the round and the draw kernel)."""
+    draws through the round kernel, but a row carries every demotion)."""
     bench = _load_bench()
     reason = fail_verifier(kernel)
     row = bench.run_workload(*TINY_KMEANSPP_ROW, repeats=1)

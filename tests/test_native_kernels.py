@@ -254,6 +254,27 @@ class TestFkppWeightedDrawKernel:
             assert int(kernel.scan(mass, u)) == expected
             assert int(bound_scan(u)) == expected
 
+    @pytest.mark.parametrize("n", [1023, 1024, 3072, 5000])
+    def test_scan_matches_searchsorted_at_every_block_prefix(self, n):
+        # The scan binary-searches the prefixes the total recorded at every
+        # 1024th point and walks one block: below one block, exactly one,
+        # an exact multiple and a partial last block, with a weightless
+        # block whose two ends tie.
+        rng = np.random.default_rng(n)
+        mass = rng.uniform(0.0, 5.0, size=n)
+        mass[rng.random(n) < 0.3] = 0.0
+        mass[1024:2048] = 0.0
+        cumulative = np.cumsum(mass)
+        bound_total, bound_scan = get_kernel("fkpp_weighted_draw").bind(mass)
+        assert bound_total() == cumulative[-1]
+        prefixes = cumulative[1023::1024]
+        us = np.concatenate([
+            rng.uniform(0.0, cumulative[-1], size=500), [0.0, cumulative[-1]],
+            prefixes, np.nextafter(prefixes, 0.0), np.nextafter(prefixes, np.inf),
+        ])
+        for u in us.tolist():
+            assert bound_scan(u) == np.searchsorted(cumulative, u, side="right")
+
     def test_scan_reflects_in_place_mass_updates(self):
         # The production closure is bound once per fit and must observe
         # every in-place rewrite of the mass store.
@@ -459,6 +480,27 @@ class TestKmeansppRoundKernel:
             best, _, _ = self._run(points, np.ones(64), [0, 1, 2, 3, 10, 7], z)
             assert np.any((best > 0.0) & (best < np.finfo(np.float64).tiny))
 
+    def test_round_draw_matches_searchsorted(self):
+        # run_round.scan draws from the mass the latest round wrote, through
+        # the block prefixes that round recorded: past several 1024-point
+        # blocks, one of them weightless, and a partial last block.
+        rng = np.random.default_rng(9)
+        n = 5000
+        points = rng.normal(size=(n, 4))
+        weights = rng.uniform(0.1, 2.0, size=n)
+        weights[1024:2048] = 0.0
+        have = _round_buffers(n)
+        run_round = get_kernel("kmeanspp_round")(points, weights, *have, 2)
+        with pytest.raises(ValueError):
+            run_round.scan(0.5)  # no round has written a mass yet
+        for slot, row in enumerate((0, n - 1, 1500, 1024)):
+            total = run_round(row, slot, slot == 0)
+            cumulative = np.cumsum(have[2])
+            assert total == cumulative[-1]
+            us = np.concatenate([rng.uniform(0.0, total, size=200), cumulative[1023::1024]])
+            for u in us.tolist():
+                assert run_round.scan(u) == np.searchsorted(cumulative, u, side="right")
+
     def test_duplicated_center_has_zero_gap(self):
         rng = np.random.default_rng(7)
         points = rng.normal(size=(40, 4))
@@ -604,6 +646,69 @@ class TestQuadtreeBuildKernel:
     @given(inputs=quadtree_inputs())
     def test_random_inputs_match_numpy(self, inputs):
         self._check(*inputs)
+
+    @staticmethod
+    def _fit_inputs(points, rng):
+        """A fit's ``(origin, shift, side)`` for ``points``: row 0, a shift
+        in ``[0, delta)`` and the side ``2 * delta``."""
+        origin = np.ascontiguousarray(points[0])
+        delta = float(np.sqrt(reference_quadtree_max_squared_norm(points, origin)))
+        return origin, float(rng.uniform(0.0, delta)), 2.0 * delta
+
+    @staticmethod
+    def _window_entry(level_offsets, d, window):
+        """The most points one range holds when it gathers the keys of
+        ``window`` (counted from 0), for d <= 64: the largest cell of the
+        level whose planes precede the window's first plane."""
+        level = window * min(8, 64 // d) - 2
+        return int(np.diff(level_offsets[level]).max()) if level < len(level_offsets) else 0
+
+    def test_e2e_like_ranges_cross_windows(self):
+        # The end-to-end input's shape, 50 clusters and 20 far rows, at a
+        # depth cap of 32.  At d = 10 a window holds 6 planes, and ranges
+        # above the insertion cap enter the second and the third window.
+        points = gaussian_mixture(20_000, 10, n_clusters=50, gamma=1.0, seed=3).points
+        points[:20, 0] += 1e4
+        origin, shift, side = self._fit_inputs(points, np.random.default_rng(3))
+        _, _, level_offsets = self._check(points, origin, shift, side, 32)
+        assert self._window_entry(level_offsets, 10, 1) > 32
+        assert self._window_entry(level_offsets, 10, 2) > 32
+
+    @pytest.mark.parametrize("d", [1, 8, 9, 64, 65])
+    def test_every_window_length(self, d):
+        # min(8, 64 // d) planes per window: 8 at d = 1 (five windows at
+        # cap 32) and at d = 8, 7 at d = 9 and 1 at d = 64; at d = 65 a
+        # window is one 64-coordinate word of one plane.  Clusters of
+        # log-uniform width around three centres put ranges of more than
+        # 32 points at the start of every window down to level 30.
+        rng = np.random.default_rng(d)
+        n = 3000
+        centres = rng.uniform(-1.0, 1.0, size=(3, d))
+        widths = 10.0 ** rng.uniform(-12.0, 0.0, size=(n, 1))
+        points = centres[rng.integers(0, 3, size=n)] + widths * rng.uniform(-1.0, 1.0, size=(n, d))
+        origin, shift, side = self._fit_inputs(points, rng)
+        _, _, level_offsets = self._check(points, origin, shift, side, 32)
+        if d <= 64:
+            planes = min(8, 64 // d)
+            windows = [w for w in range(1, 35) if 0 <= w * planes - 2 <= 30]
+            assert all(self._window_entry(level_offsets, d, w) > 32 for w in windows)
+        else:
+            assert int(np.diff(level_offsets[30]).max()) > 32
+
+    @pytest.mark.parametrize("d", [1, 3, 10, 65])
+    def test_duplicate_groups_skip_whole_windows(self, d):
+        # Groups of 40 identical rows: once a group is a range of its own,
+        # every later window gathers equal keys and is skipped whole.  Every
+        # other group has one row moved by 2**-25, which splits it a few
+        # windows down.
+        rng = np.random.default_rng(d)
+        points = np.repeat(rng.uniform(-1.0, 1.0, size=(30, d)), 40, axis=0)
+        points[::80, 0] += 2.0**-25
+        points = points[rng.permutation(points.shape[0])]
+        origin, shift, side = self._fit_inputs(points, rng)
+        _, _, level_offsets = self._check(points, origin, shift, side, 32)
+        assert len(level_offsets) == 33
+        assert int(np.diff(level_offsets[-1]).max()) == 40
 
     def test_rejects_operands_it_cannot_read_raw(self):
         points, origin, shift, side, _ = self._inputs(16, 3, 8)

@@ -116,6 +116,24 @@ class TestQuadtreeEmbedding:
         far = tree.deepest_shared_level(0, 2)
         assert close >= far
 
+    @pytest.mark.parametrize("depth", range(1, 34))
+    def test_distance_table_is_each_entrys_own_shallow_to_deep_sum(self, depth):
+        # The seed summed each entry's edge lengths on demand, shallowest
+        # first: the table must hold those doubles bit for bit.
+        rng = np.random.default_rng(depth)
+        tree = QuadtreeEmbedding(seed=0)
+        tree.delta_ = float(rng.uniform(0.1, 1e6))
+        tree.dimension_ = int(rng.integers(2, 130))
+        tree.level_offsets_ = [np.array([0, 1], dtype=np.int32)] * depth
+        tree._build_distance_table()
+        expected = np.zeros(depth + 1)
+        for level in range(-1, depth - 1):
+            total = 0.0
+            for below in range(level + 1, depth):
+                total += tree.edge_length(below)
+            expected[level + 1] = 2.0 * total
+        assert tree.level_distance_table_.tobytes() == expected.tobytes()
+
 
 class TestInt32LevelArrays:
     """Every tree stores int32 arrays in both kernel tiers: one order, its
